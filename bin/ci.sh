@@ -5,15 +5,14 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-# Static analysis first: determinism & hygiene rules plus the --race
-# interprocedural domain-safety pass, the --own packet-ownership /
-# allocation-effect / time-taint pass and the --dim units-of-measure
-# pass (see LINT.md).  Fails on any error-severity finding; LINT.json
-# sits next to the BENCH_*.json records for trend tracking (per-pass
-# wall times under timings_ms).
+# Static analysis first: determinism & hygiene rules plus the
+# interprocedural domain-safety (race), packet-ownership / allocation-
+# effect / time-taint (own) and units-of-measure (dim) passes, all over
+# one parse (see LINT.md).  Fails on any error-severity finding;
+# LINT.json sits next to the BENCH_*.json records for trend tracking
+# (per-pass wall times under timings_ms).
 dune build @lint
-dune exec bin/leotp_lint.exe -- --race --own --dim --quiet --json LINT.json \
-  lib bench bin
+dune exec bin/leotp_lint.exe -- --quiet --json LINT.json lib bench bin
 
 # The rules table in LINT.md is generated: it must match the registry
 # (`--rules --markdown`) byte for byte, so a new or reworded rule that

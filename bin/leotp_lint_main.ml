@@ -1,8 +1,9 @@
-(* leotp-lint CLI: scan .ml trees, print text findings, optionally write
-   a JSON report.
+(* leotp-lint CLI: parse .ml trees once, run the per-file rules and the
+   race, own and dim interprocedural passes over them, print text
+   findings, optionally write a JSON report.
 
-   Usage: leotp_lint.exe [--race] [--own] [--dim] [--json FILE] [--rules
-   [--markdown]] [PATH ...]
+   Usage: leotp_lint.exe [--json FILE] [--rules [--markdown]] [--quiet]
+   [PATH ...]
    Default paths: lib bench bin (relative to the cwd).
 
    Exit codes (bin/ci.sh relies on this contract):
@@ -11,16 +12,10 @@
      2  internal failure: unreadable/unparseable input or a crash in
         the analyzer itself *)
 
-module Finding = Leotp_lint.Finding
-module Rules = Leotp_lint.Rules
-module Engine = Leotp_lint.Engine
-module Race = Leotp_lint.Race
-module Own = Leotp_lint.Own
-module Dim = Leotp_lint.Dim
+open Leotp_lint
 
 let usage =
-  "leotp_lint [--race] [--own] [--dim] [--json FILE] [--rules \
-   [--markdown]] [--quiet] [PATH ...]\n\
+  "leotp_lint [--json FILE] [--rules [--markdown]] [--quiet] [PATH ...]\n\
    Static determinism/hygiene analysis (see LINT.md).  Default paths: \
    lib bench bin.\n\n\
    Exit codes: 0 = no error-severity findings (warnings allowed);\n\
@@ -69,23 +64,9 @@ let () =
   let list_rules = ref false in
   let markdown = ref false in
   let quiet = ref false in
-  let race = ref false in
-  let own = ref false in
-  let dim = ref false in
   let paths = ref [] in
   let spec =
     [
-      ( "--race",
-        Arg.Set race,
-        " also run the interprocedural domain-safety (race) pass" );
-      ( "--own",
-        Arg.Set own,
-        " also run the interprocedural ownership/allocation/time-taint \
-         (own) pass" );
-      ( "--dim",
-        Arg.Set dim,
-        " also run the interprocedural dimensional-analysis (units of \
-         measure) pass" );
       ( "--json",
         Arg.String (fun s -> json_out := Some s),
         "FILE write a JSON report to FILE" );
@@ -120,28 +101,24 @@ let () =
     r
   in
   match
-    let { Engine.files; findings } =
-      timed "rules" (fun () -> Engine.scan paths)
+    let files, units, failures = Callgraph.load paths in
+    let passes =
+      [
+        ( "rules",
+          fun () ->
+            failures
+            @ List.concat_map
+                (fun (u : Callgraph.parsed) ->
+                  Engine.lint ~mli_exists:(Sys.file_exists (u.path ^ "i")) u)
+                units );
+        ("race", fun () -> Race.analyze units);
+        ("own", fun () -> Own.analyze units);
+        ("dim", fun () -> Dim.analyze units);
+      ]
     in
-    let findings =
-      if !race then
-        List.sort_uniq Finding.compare
-          (timed "race" (fun () -> Race.scan paths) @ findings)
-      else findings
-    in
-    let findings =
-      if !own then
-        List.sort_uniq Finding.compare
-          (timed "own" (fun () -> Own.scan paths) @ findings)
-      else findings
-    in
-    let findings =
-      if !dim then
-        List.sort_uniq Finding.compare
-          (timed "dim" (fun () -> Dim.scan paths) @ findings)
-      else findings
-    in
-    (files, findings)
+    ( files,
+      List.sort_uniq Finding.compare
+        (List.concat_map (fun (pass, run) -> timed pass run) passes) )
   with
   | exception e ->
     Printf.eprintf "leotp-lint: internal failure: %s\n" (Printexc.to_string e);

@@ -41,7 +41,13 @@ let route_with_isls w ~src ~dst ~time ?(min_elevation_deg = 25.0)
         if Geo.visible ~min_elevation_deg ~ground:gp ~sat:pos.(sat) () then
           cands := (Geo.distance gp pos.(sat), sat) :: !cands
       done;
-      let sorted = List.sort compare !cands in
+      let sorted =
+        List.sort
+          (fun (d1, s1) (d2, s2) ->
+            let c = Float.compare d1 d2 in
+            if c <> 0 then c else Int.compare s1 s2)
+          !cands
+      in
       List.iteri
         (fun i (d, sat) -> if i < 4 then Routing.add_edge g node sat d)
         sorted

@@ -3,10 +3,10 @@
    The protocol math is all bare [float]/[int]: seconds next to bytes,
    Mbps next to bytes/second, km next to m.  This pass infers a unit
    for as many expressions as it can and flags arithmetic that mixes
-   incompatible units, on the same syntactic substrate as the other
-   interprocedural passes (per-file defs resolved with
-   Callgraph.resolves, a per-parameter fixpoint shaped like own.ml's
-   role inference).
+   incompatible units, on the Callgraph front end and kernel shared
+   with the other interprocedural passes (per-file defs, cross-file
+   resolution, a per-parameter summary fixpoint like own.ml's role
+   inference).
 
    The lattice is deliberately small:
 
@@ -51,6 +51,7 @@
    "rule-id"]] at the site. *)
 
 open Ppxlib
+open Callgraph
 
 let mixed_id = "dim-mixed-arith"
 let product_id = "dim-bad-product"
@@ -59,40 +60,10 @@ let seqno_id = "dim-seqno-arith"
 let annot_id = "dim-annotation"
 let dim_attr = "leotp.dim"
 
-(* ------------------------------------------------------------------ *)
-(* Small name helpers (each pass keeps its own private copies). *)
-
-let ident_name (lid : Longident.t) =
-  match Longident.flatten_exn lid with
-  | exception _ -> "_"
-  | parts -> String.concat "." parts
-
-let split name = String.split_on_char '.' name
-
-let leaf name =
-  match List.rev (split name) with l :: _ -> l | [] -> name
-
-let rec is_suffix ~suffix l =
-  let ls = List.length suffix and ll = List.length l in
-  if ll < ls then false
-  else if ll = ls then l = suffix
-  else match l with [] -> false | _ :: tl -> is_suffix ~suffix tl
-
-let ends_with_any names n =
-  let segs = split n in
-  List.exists (fun s -> is_suffix ~suffix:(split s) segs) names
-
-let line (loc : Location.t) = loc.loc_start.pos_lnum
-let col (loc : Location.t) = loc.loc_start.pos_cnum - loc.loc_start.pos_bol
-
-let path_segs path =
-  List.filter (fun s -> s <> "") (String.split_on_char '/' path)
-
 (* Findings are scoped to lib/: bench/ and bin/ are presentation code.
    units.ml is the one lib/ file whose business is raw conversions. *)
 let reportable path =
-  (match path_segs path with "lib" :: _ -> true | _ -> false)
-  && Filename.basename path <> "units.ml"
+  (place path).scope = Lib && Filename.basename path <> "units.ml"
 
 (* ------------------------------------------------------------------ *)
 (* The unit lattice *)
@@ -178,15 +149,7 @@ let unit_grammar =
    it, origin first ("Engine.now returns seconds (seed)" -> ...). *)
 type value = { vu : u; vprov : string list }
 
-let elide steps =
-  let n = List.length steps in
-  if n <= 5 then steps
-  else
-    List.filteri (fun i _ -> i < 2) steps
-    @ [ Printf.sprintf "... %d more ..." (n - 4) ]
-    @ List.filteri (fun i _ -> i >= n - 2) steps
-
-let fmt_prov prov = String.concat " -> " (elide prov)
+let fmt_prov prov = String.concat " -> " (elide ~max:5 ~head:2 ~tail:2 prov)
 let describe v = Printf.sprintf "%s (via %s)" (u_name v.vu) (fmt_prov v.vprov)
 
 (* ------------------------------------------------------------------ *)
@@ -312,57 +275,16 @@ let ident_seed n =
 (* ------------------------------------------------------------------ *)
 (* Def extraction *)
 
-type dparam = { dp_name : string; dp_label : string option }
-type fbody = Body of expression | Cases of case list
-
 type ddef = {
   dfile : string;
   dqname : string;
   dscope : string list;
-  dparams : dparam list;
+  dparams : param list;
   dbody : fbody;
   dattrs : (string * Location.t) list;  (** raw [@leotp.dim] payloads *)
   dalias : string option;  (** RHS is a bare ident: [let mbps = Units....] *)
   dfun : bool;  (** binding RHS is a function *)
 }
-
-let binding_name (vb : value_binding) =
-  match vb.pvb_pat.ppat_desc with
-  | Ppat_var { txt; _ } -> Some txt
-  | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) -> Some txt
-  | _ -> None
-
-let rec pat_name (p : pattern) =
-  match p.ppat_desc with
-  | Ppat_var { txt; _ } -> Some txt
-  | Ppat_constraint (inner, _) | Ppat_alias (inner, _) -> pat_name inner
-  | _ -> None
-
-let dparam_of (fp : function_param) =
-  match fp.pparam_desc with
-  | Pparam_val (lbl, _, pat) ->
-    Some
-      {
-        dp_name = (match pat_name pat with Some n -> n | None -> "_");
-        dp_label =
-          (match lbl with Labelled s | Optional s -> Some s | Nolabel -> None);
-      }
-  | Pparam_newtype _ -> None
-
-let rec peel acc (e : expression) =
-  match e.pexp_desc with
-  | Pexp_function (ps, _, Pfunction_body inner) -> peel (acc @ ps) inner
-  | Pexp_function (ps, _, Pfunction_cases (cs, _, _)) ->
-    let scrutinee = { dp_name = "_"; dp_label = None } in
-    (List.filter_map dparam_of (acc @ ps) @ [ scrutinee ], Cases cs)
-  | Pexp_constraint (inner, _) -> peel acc inner
-  | _ -> (List.filter_map dparam_of acc, Body e)
-
-let is_function (e : expression) =
-  match e.pexp_desc with
-  | Pexp_function _ -> true
-  | Pexp_constraint ({ pexp_desc = Pexp_function _; _ }, _) -> true
-  | _ -> false
 
 let rec alias_of (e : expression) =
   match e.pexp_desc with
@@ -370,80 +292,21 @@ let rec alias_of (e : expression) =
   | Pexp_constraint (inner, _) -> alias_of inner
   | _ -> None
 
-let attr_payload (attr : attribute) =
-  match attr.attr_payload with
-  | PStr
-      [
-        {
-          pstr_desc =
-            Pstr_eval
-              ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-          _;
-        };
-      ] ->
-    Some s
-  | _ -> None
-
-let dims_of_attrs (attrs : attributes) =
-  List.filter_map
-    (fun (a : attribute) ->
-      if a.attr_name.txt = dim_attr then
-        Some
-          ((match attr_payload a with Some s -> s | None -> ""), a.attr_loc)
-      else None)
-    attrs
-
-let extract_defs ~path st : ddef list =
-  let modname = Callgraph.module_name_of_path path in
-  let defs = ref [] in
-  let rec items scope sis = List.iter (item scope) sis
-  and item scope (si : structure_item) =
-    match si.pstr_desc with
-    | Pstr_value (_, vbs) -> List.iter (binding scope) vbs
-    | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } ->
-      module_expr (scope @ [ name ]) pmb_expr
-    | Pstr_recmodule mbs ->
-      List.iter
-        (fun (mb : module_binding) ->
-          match mb.pmb_name.txt with
-          | Some name -> module_expr (scope @ [ name ]) mb.pmb_expr
-          | None -> ())
-        mbs
-    | Pstr_include { pincl_mod; _ } -> module_expr scope pincl_mod
-    | _ -> ()
-  and module_expr scope (me : module_expr) =
-    match me.pmod_desc with
-    | Pmod_structure sis -> items scope sis
-    | Pmod_constraint (me, _) -> module_expr scope me
-    | Pmod_functor (_, me) -> module_expr scope me
-    | _ -> ()
-  and binding scope (vb : value_binding) =
-    let qname =
-      match binding_name vb with
-      | Some n -> String.concat "." (scope @ [ n ])
-      | None ->
-        Printf.sprintf "%s.<top:%d>" (String.concat "." scope)
-          (line vb.pvb_loc)
-    in
-    let func = is_function vb.pvb_expr in
-    let params, fb =
-      if func then peel [] vb.pvb_expr else ([], Body vb.pvb_expr)
-    in
-    defs :=
+let extract_defs (u : parsed) : ddef list =
+  List.map
+    (fun (b : binding) ->
+      let func = is_function b.expr in
       {
-        dfile = path;
-        dqname = qname;
-        dscope = scope;
-        dparams = params;
-        dbody = fb;
-        dattrs = dims_of_attrs vb.pvb_attributes;
-        dalias = (if func then None else alias_of vb.pvb_expr);
+        dfile = u.path;
+        dqname = b.qname;
+        dscope = b.scope;
+        dparams = b.params;
+        dbody = b.body;
+        dattrs = payloads dim_attr b.attrs;
+        dalias = (if func then None else alias_of b.expr);
         dfun = func;
-      }
-      :: !defs
-  in
-  items [ modname ] st;
-  List.rev !defs
+      })
+    (bindings ~path:u.path u.ast)
 
 (* ------------------------------------------------------------------ *)
 (* Summaries and the environment *)
@@ -456,33 +319,21 @@ type summary = {
 }
 
 type env = {
-  defs_by_leaf : (string, ddef) Hashtbl.t;
-  summaries : (string * string, summary) Hashtbl.t;
+  defs : ddef index;
+  summary : ddef -> summary;
   mutable changed : bool;
 }
 
-let summary_of env (d : ddef) =
-  match Hashtbl.find_opt env.summaries (d.dfile, d.dqname) with
-  | Some s -> s
-  | None ->
-    let n = List.length d.dparams in
-    let s =
-      {
-        sm_param = Array.make n None;
-        sm_forced = Array.make n false;
-        sm_ret = None;
-        sm_ret_forced = false;
-      }
-    in
-    Hashtbl.replace env.summaries (d.dfile, d.dqname) s;
-    s
+let ddef_key (d : ddef) = (d.dfile, d.dqname)
 
-let resolve_defs env ~scope written =
-  Hashtbl.find_all env.defs_by_leaf (leaf written)
-  |> List.filter (fun (d : ddef) ->
-         Callgraph.resolves ~scope ~written ~qname:d.dqname)
-  |> List.sort (fun (a : ddef) b ->
-         compare (a.dfile, a.dqname) (b.dfile, b.dqname))
+let new_summary (d : ddef) =
+  let n = List.length d.dparams in
+  {
+    sm_param = Array.make n None;
+    sm_forced = Array.make n false;
+    sm_ret = None;
+    sm_ret_forced = false;
+  }
 
 (* Slot of the i-th parameter: its label, or its rank among the
    unlabeled parameters. *)
@@ -490,9 +341,9 @@ let slot_of_params params =
   let pos = ref 0 in
   List.map
     (fun p ->
-      match p.dp_label with
-      | Some s -> (Lbl s, p)
-      | None ->
+      match p.plabel with
+      | Labelled s | Optional s -> (Lbl s, p)
+      | Nolabel ->
         let k = !pos in
         incr pos;
         (Pos k, p))
@@ -540,7 +391,7 @@ let rec callee_sig env ~depth ~scope n : callee_sig =
           | None -> None)
         matching
     in
-    let ds = resolve_defs env ~scope n in
+    let ds = resolve env.defs ~scope n in
     let def_slots, def_ret =
       List.fold_left
         (fun (slots, ret) (d : ddef) ->
@@ -549,7 +400,7 @@ let rec callee_sig env ~depth ~scope n : callee_sig =
             let s = callee_sig env ~depth:(depth + 1) ~scope:d.dscope target in
             (slots @ s.cs_slots, if ret = None then s.cs_ret else ret)
           | None ->
-            let sm = summary_of env d in
+            let sm = env.summary d in
             let dslots =
               List.mapi
                 (fun i (slot, _) ->
@@ -618,7 +469,7 @@ let parse_dim payload : (clause list, string) result =
    errors are ignored here and reported as dim-annotation findings by
    the report pass. *)
 let apply_pins env (d : ddef) =
-  let sm = summary_of env d in
+  let sm = env.summary d in
   List.iter
     (fun (payload, _) ->
       match parse_dim payload with
@@ -645,7 +496,7 @@ let apply_pins env (d : ddef) =
             | CParams (u, names) ->
               List.iteri
                 (fun i p ->
-                  if List.mem p.dp_name names then begin
+                  if List.mem p.pname names then begin
                     sm.sm_param.(i) <-
                       Some
                         {
@@ -653,7 +504,7 @@ let apply_pins env (d : ddef) =
                           vprov =
                             [
                               Printf.sprintf "%s %s is %s ([@leotp.dim] pin)"
-                                d.dqname p.dp_name (u_name u);
+                                d.dqname p.pname (u_name u);
                             ];
                         };
                     sm.sm_forced.(i) <- true
@@ -665,7 +516,7 @@ let apply_pins env (d : ddef) =
 (* Pin the seed table into the seeded functions' own summaries, so
    their parameters carry units inside their own bodies too. *)
 let apply_seeds env (d : ddef) =
-  let sm = summary_of env d in
+  let sm = env.summary d in
   List.iter
     (fun s ->
       List.iter
@@ -676,7 +527,7 @@ let apply_seeds env (d : ddef) =
                 match (slot, pslot) with
                 | Lbl a, Lbl b -> a = b
                 | Pos a, Pos b -> a = b
-                | Lbl a, Pos _ -> p.dp_name = a
+                | Lbl a, Pos _ -> p.pname = a
                 | _ -> false
               in
               if hit && sm.sm_param.(i) = None then begin
@@ -816,7 +667,7 @@ let evidence ctx venv (e : expression) (expected : value) =
         when ctx.e_sum.sm_param.(i) = None && not ctx.e_sum.sm_forced.(i) ->
         let pname =
           match List.nth_opt ctx.e_def.dparams i with
-          | Some p -> p.dp_name
+          | Some p -> p.pname
           | None -> v
         in
         ctx.e_sum.sm_param.(i) <-
@@ -933,7 +784,7 @@ let rec eval ctx venv (e : expression) : value option =
           (Printf.sprintf "malformed [@leotp.dim] payload %S: %s" payload err);
         v)
     natural
-    (dims_of_attrs e.pexp_attributes)
+    (payloads dim_attr e.pexp_attributes)
 
 and eval_desc ctx venv (e : expression) : value option =
   match e.pexp_desc with
@@ -974,8 +825,8 @@ and eval_desc ctx venv (e : expression) : value option =
       None cases
   | Pexp_function (ps, _, fb) ->
     let venv' =
-      List.filter_map dparam_of ps
-      |> List.fold_left (fun acc p -> (p.dp_name, Vval None) :: acc) venv
+      List.filter_map param_of ps
+      |> List.fold_left (fun acc p -> (p.pname, Vval None) :: acc) venv
     in
     (match fb with
     | Pfunction_body b -> ignore (eval ctx venv' b)
@@ -1040,7 +891,7 @@ and ident_value ctx ~depth n : value option =
     match ident_seed n with
     | Some v -> Some v
     | None ->
-      resolve_defs ctx.e_env ~scope:ctx.e_def.dscope n
+      resolve ctx.e_env.defs ~scope:ctx.e_def.dscope n
       |> List.find_map (fun (d : ddef) ->
              match d.dalias with
              | Some t ->
@@ -1048,7 +899,7 @@ and ident_value ctx ~depth n : value option =
                  ~depth:(depth + 1) t
              | None ->
                if d.dfun then None
-               else (summary_of ctx.e_env d).sm_ret)
+               else (ctx.e_env.summary d).sm_ret)
 
 and eval_apply ctx venv (e : expression) (f : expression) args : value option =
   let fname =
@@ -1225,7 +1076,7 @@ and eval_call ctx venv (e : expression) n args : value option =
 
 let eval_def ctx =
   let venv =
-    List.mapi (fun i p -> (p.dp_name, Pvar i)) ctx.e_def.dparams
+    List.mapi (fun i p -> (p.pname, Pvar i)) ctx.e_def.dparams
   in
   match ctx.e_def.dbody with
   | Body e -> eval ctx venv e
@@ -1244,7 +1095,7 @@ let infer_pass env defs =
   List.iter
     (fun (d : ddef) ->
       if d.dalias = None then begin
-        let sm = summary_of env d in
+        let sm = env.summary d in
         let ctx =
           { e_def = d; e_env = env; e_sum = sm; e_emit = None; e_infer = true }
         in
@@ -1285,7 +1136,7 @@ let report_annotations (d : ddef) ~emit:emit_at =
                   if
                     not
                       (List.exists
-                         (fun p -> p.dp_name = nm)
+                         (fun p -> p.pname = nm)
                          d.dparams)
                   then
                     emit_at ~rule:annot_id ~loc:aloc
@@ -1300,7 +1151,7 @@ let report_annotations (d : ddef) ~emit:emit_at =
 let report_pass env (d : ddef) ~emit:emit_at =
   report_annotations d ~emit:emit_at;
   if d.dalias = None then begin
-    let sm = summary_of env d in
+    let sm = env.summary d in
     let ctx =
       {
         e_def = d;
@@ -1316,99 +1167,27 @@ let report_pass env (d : ddef) ~emit:emit_at =
 (* ------------------------------------------------------------------ *)
 (* Entry points *)
 
-let max_fixpoint_rounds = 12
-
-let analyze (parsed : (string * structure) list) : Finding.t list =
-  let parsed =
-    List.sort (fun (a, _) (b, _) -> String.compare a b) parsed
-  in
-  let defs = List.concat_map (fun (p, st) -> extract_defs ~path:p st) parsed in
-  let allows = List.map (fun (p, st) -> (p, Engine.collect_allows st)) parsed in
+let analyze (units : parsed list) : Finding.t list =
+  let defs = List.concat_map extract_defs units in
   let env =
-    {
-      defs_by_leaf = Hashtbl.create 512;
-      summaries = Hashtbl.create 512;
-      changed = true;
-    }
+    { defs = index ddef_key defs; summary = memo ddef_key new_summary;
+      changed = true }
   in
-  List.iter
-    (fun (d : ddef) -> Hashtbl.add env.defs_by_leaf (leaf d.dqname) d)
-    defs;
   (* seed-table and annotation pins first, then iterate inference to a
      fixpoint (units only ever go Unknown -> Known) *)
   List.iter (fun (d : ddef) -> apply_seeds env d) defs;
   List.iter (fun (d : ddef) -> apply_pins env d) defs;
-  let rounds = ref 0 in
-  while env.changed && !rounds < max_fixpoint_rounds do
-    env.changed <- false;
-    infer_pass env defs;
-    incr rounds
-  done;
-  let suppressed_at ~file rule (loc : Location.t) =
-    match List.assoc_opt file allows with
-    | Some a -> Engine.suppressed a ~rule ~loc
-    | None -> false
-  in
-  let reported : (string * string * int * int, unit) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let findings = ref [] in
-  let emit_at ~file ~rule ~loc message =
-    let key = (file, rule, line loc, col loc) in
-    if (not (Hashtbl.mem reported key)) && not (suppressed_at ~file rule loc)
-    then begin
-      Hashtbl.replace reported key ();
-      findings :=
-        {
-          Finding.rule;
-          severity = Error;
-          file;
-          line = line loc;
-          col = col loc;
-          message;
-        }
-        :: !findings
-    end
-  in
+  fixpoint (fun () ->
+      env.changed <- false;
+      infer_pass env defs;
+      env.changed);
+  let em = emitter units in
   List.iter
     (fun (d : ddef) ->
       if reportable d.dfile then
-        report_pass env d
-          ~emit:(fun ~rule ~loc message ->
-            emit_at ~file:d.dfile ~rule ~loc message))
+        report_pass env d ~emit:(fun ~rule ~loc message ->
+            Callgraph.emit em ~file:d.dfile ~rule ~loc message))
     defs;
-  List.sort_uniq Finding.compare !findings
+  findings em
 
-let analyze_sources sources =
-  let parsed =
-    List.filter_map
-      (fun (path, contents) ->
-        match Engine.parse_impl ~path contents with
-        | Ok st -> Some (path, st)
-        | Error _ -> None)
-      sources
-  in
-  analyze parsed
-
-(* Directory scan for the CLI.  Files that fail to parse are skipped:
-   Engine.scan (which always runs alongside) already reports them as
-   parse-error findings. *)
-let scan paths =
-  let files =
-    List.concat_map
-      (fun p -> if Sys.file_exists p then Engine.ml_files_under p else [])
-      paths
-    |> List.sort_uniq String.compare
-  in
-  let parsed =
-    List.filter_map
-      (fun f ->
-        match In_channel.with_open_bin f In_channel.input_all with
-        | exception Sys_error _ -> None
-        | contents -> (
-          match Engine.parse_impl ~path:f contents with
-          | Ok st -> Some (f, st)
-          | Error _ -> None))
-      files
-  in
-  analyze parsed
+let analyze_sources sources = analyze (of_sources sources)

@@ -1,4 +1,4 @@
-(** leotp-dim: interprocedural dimensional analysis ([--dim]).
+(** leotp-dim: interprocedural dimensional analysis.
 
     Infers a unit of measure for expressions over a small lattice
     (seconds/ms/us, bytes/bits/mb/packets, meters/km, seqno, rates
@@ -26,16 +26,11 @@ val conv_id : string
 val seqno_id : string
 val annot_id : string
 
-val analyze : (string * Ppxlib.structure) list -> Finding.t list
-(** Run the pass over pre-parsed units ([(path, ast)]).  Input order is
-    irrelevant: units are sorted by path and findings ordered by
-    {!Finding.compare}, so output is byte-stable. *)
+val analyze : Callgraph.parsed list -> Finding.t list
+(** Run the pass over parsed units, as {!Callgraph.load} and
+    {!Callgraph.of_sources} yield them (sorted by path); findings are
+    ordered by {!Finding.compare}, so output is byte-stable. *)
 
 val analyze_sources : (string * string) list -> Finding.t list
 (** Like {!analyze} for in-memory sources (tests); unparsable sources
     are skipped. *)
-
-val scan : string list -> Finding.t list
-(** Analyze every [.ml] under the given roots (the walk {!Engine.scan}
-    uses).  Unparsable files are skipped: Engine.scan reports them as
-    parse-error findings. *)

@@ -1,222 +1,78 @@
-(* Driver: parse each .ml with the ppxlib parser, collect
-   [@leotp.allow] suppressions, run every applicable rule, and filter
-   the raw diagnostics through the suppressions. *)
+(* Per-file rules: run every applicable rule of the registry over one
+   parsed unit and filter the raw diagnostics through its
+   [@leotp.allow] suppressions. *)
 
-open Ppxlib
-
-let attr_name = "leotp.allow"
-
-(* A scoped suppression: rule [rule] is allowed anywhere inside the
-   character range [start_c, end_c] of the file. *)
-type allow = { rule : string; start_c : int; end_c : int }
-
-type allows = {
-  mutable file_level : string list;  (* [@@@leotp.allow] — whole file *)
-  mutable scoped : allow list;
-  mutable malformed : Location.t list;
-  mutable unknown : (string * Location.t) list;
-}
-
-let payload_rule (attr : attribute) =
-  match attr.attr_payload with
-  | PStr
-      [
-        {
-          pstr_desc =
-            Pstr_eval
-              ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-          _;
-        };
-      ] ->
-    Some s
-  | _ -> None
-
-let note_attrs acc ~(range : Location.t) ~file_level attrs =
-  List.iter
-    (fun (attr : attribute) ->
-      if attr.attr_name.txt = attr_name then
-        match payload_rule attr with
-        | None -> acc.malformed <- attr.attr_loc :: acc.malformed
-        | Some rule ->
-          if not (List.mem rule Rules.known_ids) then
-            acc.unknown <- (rule, attr.attr_loc) :: acc.unknown;
-          if file_level then acc.file_level <- rule :: acc.file_level
-          else
-            acc.scoped <-
-              {
-                rule;
-                start_c = range.loc_start.pos_cnum;
-                end_c = range.loc_end.pos_cnum;
-              }
-              :: acc.scoped)
-    attrs
-
-let collect_allows st =
-  let acc = { file_level = []; scoped = []; malformed = []; unknown = [] } in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! structure_item si =
-        (match si.pstr_desc with
-        | Pstr_attribute attr ->
-          note_attrs acc ~range:si.pstr_loc ~file_level:true [ attr ]
-        | Pstr_eval (_, attrs) ->
-          note_attrs acc ~range:si.pstr_loc ~file_level:false attrs
-        | _ -> ());
-        super#structure_item si
-
-      method! expression e =
-        note_attrs acc ~range:e.pexp_loc ~file_level:false e.pexp_attributes;
-        super#expression e
-
-      method! value_binding vb =
-        note_attrs acc ~range:vb.pvb_loc ~file_level:false vb.pvb_attributes;
-        super#value_binding vb
-
-      method! module_binding mb =
-        note_attrs acc ~range:mb.pmb_loc ~file_level:false mb.pmb_attributes;
-        super#module_binding mb
-    end
-  in
-  it#structure st;
-  acc
-
-let suppressed allows ~rule ~(loc : Location.t) =
-  List.mem rule allows.file_level
-  || List.exists
-       (fun a ->
-         a.rule = rule
-         && a.start_c <= loc.loc_start.pos_cnum
-         && loc.loc_start.pos_cnum <= a.end_c)
-       allows.scoped
-
-let finding_of ~path ~rule ~(severity : Finding.severity) ~(loc : Location.t)
-    message =
+let finding_of ~path ~rule ~(severity : Finding.severity)
+    ~(loc : Ppxlib.Location.t) message =
   {
     Finding.rule;
     severity;
     file = path;
-    line = loc.loc_start.pos_lnum;
-    col = loc.loc_start.pos_cnum - loc.loc_start.pos_bol;
+    line = Callgraph.line loc;
+    col = Callgraph.col loc;
     message;
   }
 
-let parse_error ~path msg =
-  { Finding.rule = "parse-error"; severity = Error; file = path; line = 1;
-    col = 0; message = msg }
-
-let parse_impl ~path contents =
-  let lexbuf = Lexing.from_string contents in
-  Lexing.set_filename lexbuf path;
-  match Parse.implementation lexbuf with
-  | st -> Ok st
-  | exception exn ->
-    let msg =
-      match Location.Error.of_exn exn with
-      | Some e -> Location.Error.message e
-      | None -> Printexc.to_string exn
-    in
-    Error msg
-
-let lint_source ~path ?mli_exists contents =
-  match parse_impl ~path contents with
-  | Error msg -> [ parse_error ~path ("file does not parse: " ^ msg) ]
-  | Ok st ->
-    let scope = Rules.scope_of_path path in
-    let allows = collect_allows st in
-    let raw = ref [] in
-    List.iter
-      (fun (r : Rules.t) ->
-        if r.applies scope then
-          r.check
-            ~emit:(fun ~loc message ->
-              raw := (r.id, r.severity, loc, message) :: !raw)
-            st)
-      Rules.all;
-    let findings =
-      List.filter_map
-        (fun (rule, severity, loc, message) ->
-          if suppressed allows ~rule ~loc then None
-          else Some (finding_of ~path ~rule ~severity ~loc message))
-        !raw
-    in
-    (* missing-interface is a file-system property, not an AST one. *)
-    let findings =
-      match mli_exists with
-      | Some false
-        when Rules.scope_of_path path = Lib
-             && not (List.mem Rules.missing_interface_id allows.file_level) ->
-        {
-          Finding.rule = Rules.missing_interface_id;
-          severity = Warning;
-          file = path;
-          line = 1;
-          col = 0;
-          message =
-            "module has no .mli; add one (or a justified \
-             [@@@leotp.allow \"missing-interface\"]) so the public \
-             surface is explicit";
-        }
-        :: findings
-      | _ -> findings
-    in
-    let findings =
-      List.map
-        (fun loc ->
-          finding_of ~path ~rule:"malformed-allow" ~severity:Error ~loc
-            "malformed [@leotp.allow] payload; expected a single string \
-             literal rule id")
-        allows.malformed
-      @ List.map
-          (fun (rule, loc) ->
-            finding_of ~path ~rule:"unknown-rule" ~severity:Warning ~loc
-              (Printf.sprintf
-                 "[@leotp.allow %S] names no known rule (known: %s)" rule
-                 (String.concat ", " Rules.known_ids)))
-          allows.unknown
-      @ findings
-    in
-    List.sort_uniq Finding.compare findings
-
-let lint_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error msg -> [ parse_error ~path ("cannot read: " ^ msg) ]
-  | contents ->
-    lint_source ~path ~mli_exists:(Sys.file_exists (path ^ "i")) contents
-
-let skip_dirs = [ "_build"; ".git"; "_opam"; "node_modules" ]
-
-let rec ml_files_under path =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list
-    |> List.filter (fun name ->
-           (not (List.mem name skip_dirs)) && name.[0] <> '.')
-    |> List.concat_map (fun name -> ml_files_under (Filename.concat path name))
-  else if Filename.check_suffix path ".ml" then [ path ]
-  else []
-
-type report = { files : int; findings : Finding.t list }
-
-let scan paths =
-  let files =
-    List.concat_map
-      (fun p ->
-        if Sys.file_exists p then ml_files_under p
-        else [ (* surface missing roots as findings, not silence *) p ])
-      paths
-    |> List.sort_uniq String.compare
+let lint ?mli_exists ({ path; ast; allows } : Callgraph.parsed) =
+  let scope = (Callgraph.place path).scope in
+  let raw = ref [] in
+  List.iter
+    (fun (r : Rules.t) ->
+      if r.applies scope then
+        r.check
+          ~emit:(fun ~loc message ->
+            raw := (r.id, r.severity, loc, message) :: !raw)
+          ast)
+    Rules.all;
+  let findings =
+    List.filter_map
+      (fun (rule, severity, loc, message) ->
+        if Callgraph.suppressed allows ~rule ~loc then None
+        else Some (finding_of ~path ~rule ~severity ~loc message))
+      !raw
+  in
+  (* missing-interface is a file-system property, not an AST one. *)
+  let findings =
+    match mli_exists with
+    | Some false
+      when scope = Rules.Lib
+           && not (List.mem Rules.missing_interface_id allows.file_level) ->
+      {
+        Finding.rule = Rules.missing_interface_id;
+        severity = Warning;
+        file = path;
+        line = 1;
+        col = 0;
+        message =
+          "module has no .mli; add one (or a justified \
+           [@@@leotp.allow \"missing-interface\"]) so the public \
+           surface is explicit";
+      }
+      :: findings
+    | _ -> findings
   in
   let findings =
-    List.concat_map
-      (fun f ->
-        if Sys.file_exists f then lint_file f
-        else [ parse_error ~path:f "no such file or directory" ])
-      files
+    List.map
+      (fun loc ->
+        finding_of ~path ~rule:"malformed-allow" ~severity:Error ~loc
+          "malformed [@leotp.allow] payload; expected a single string \
+           literal rule id")
+      allows.malformed
+    @ List.filter_map
+        (fun (rule, loc) ->
+          if List.mem rule Rules.known_ids then None
+          else
+            Some
+              (finding_of ~path ~rule:"unknown-rule" ~severity:Warning ~loc
+                 (Printf.sprintf
+                    "[@leotp.allow %S] names no known rule (known: %s)" rule
+                    (String.concat ", " Rules.known_ids))))
+        allows.ids
+    @ findings
   in
-  (* sort_uniq: identical findings from re-scanned files collapse, and
-     repeated runs emit byte-identical reports. *)
-  {
-    files = List.length files;
-    findings = List.sort_uniq Finding.compare findings;
-  }
+  List.sort_uniq Finding.compare findings
+
+let lint_source ~path ?mli_exists contents =
+  match Callgraph.parse ~path contents with
+  | Error f -> [ f ]
+  | Ok u -> lint ?mli_exists u

@@ -1,40 +1,13 @@
-(** Analyzer driver: parse, run rules, apply [[@leotp.allow]]
-    suppressions, report. *)
+(** Per-file rules: run the registry over one parsed unit, apply its
+    [[@leotp.allow]] suppressions, report. *)
+
+val lint : ?mli_exists:bool -> Callgraph.parsed -> Finding.t list
+(** Lint one parsed unit.  Its path determines the rule scope (lib/ vs
+    bench/ vs bin/) and is echoed in findings; pass [~mli_exists] to
+    enable the missing-interface check.  Findings are sorted with exact
+    duplicates collapsed. *)
 
 val lint_source : path:string -> ?mli_exists:bool -> string -> Finding.t list
-(** Lint one compilation unit given as a string.  [path] determines the
-    rule scope (lib/ vs bench/ vs bin/) and is echoed in findings; pass
-    [~mli_exists] to enable the missing-interface check (omitted for
-    in-memory fixtures).  A file that does not parse yields a single
-    ["parse-error"] finding rather than an exception. *)
-
-val lint_file : string -> Finding.t list
-(** Read and lint one file; [mli_exists] is taken from the file system. *)
-
-type report = { files : int; findings : Finding.t list }
-
-val scan : string list -> report
-(** Recursively lint every [.ml] under the given files/directories
-    (skipping [_build], dot-dirs and the like), in sorted order and with
-    exact-duplicate findings collapsed, so the report is deterministic
-    and byte-identical across runs. *)
-
-(** {2 Shared plumbing for other passes (Race)} *)
-
-val parse_impl :
-  path:string -> string -> (Ppxlib.structure, string) result
-(** Parse one implementation with positions attributed to [path]. *)
-
-val ml_files_under : string -> string list
-(** Every [.ml] file under a root (the walk {!scan} uses): skips
-    [_build], dot-dirs, [_opam], [node_modules]. *)
-
-type allows
-(** Collected [[@leotp.allow]] suppressions of one unit. *)
-
-val collect_allows : Ppxlib.structure -> allows
-
-val suppressed :
-  allows -> rule:string -> loc:Ppxlib.Location.t -> bool
-(** Is [rule] allowed at [loc] — by a file-level [[@@@leotp.allow]] or
-    an item/expression allow whose range contains [loc]? *)
+(** Parse and lint one compilation unit given as a string.  A file that
+    does not parse yields a single ["parse-error"] finding rather than
+    an exception. *)

@@ -1,9 +1,9 @@
 (* leotp-own: interprocedural packet-ownership, allocation-effect and
    time-taint analysis.
 
-   Three rule families share one syntactic substrate (per-file function
-   defs with parameter lists and bodies, resolved across files with
-   Callgraph.resolves, exactly like Race):
+   Three rule families share the Callgraph front end and kernel
+   (per-file function defs with parameter lists and bodies, resolved
+   across files like Race):
 
    (a) ownership — every [Packet.t] born at [Packet_pool.acquire] /
        [clone] has exactly one owner.  A fixpoint over the call graph
@@ -49,6 +49,7 @@
    [[@leotp.allow "rule-id"]] at the site. *)
 
 open Ppxlib
+open Callgraph
 
 let leak_id = "own-leak"
 let double_id = "own-double-release"
@@ -58,32 +59,6 @@ let annot_id = "own-annotation"
 let alloc_id = "hot-path-may-alloc"
 let taint_id = "time-taint"
 let owns_attr = "leotp.owns"
-
-(* ------------------------------------------------------------------ *)
-(* Small name helpers (Callgraph keeps its own copies private). *)
-
-let ident_name (lid : Longident.t) =
-  match Longident.flatten_exn lid with
-  | exception _ -> "_"
-  | parts -> String.concat "." parts
-
-let split name = String.split_on_char '.' name
-
-let leaf name =
-  match List.rev (split name) with l :: _ -> l | [] -> name
-
-let rec is_suffix ~suffix l =
-  let ls = List.length suffix and ll = List.length l in
-  if ll < ls then false
-  else if ll = ls then l = suffix
-  else match l with [] -> false | _ :: tl -> is_suffix ~suffix tl
-
-let ends_with_any names n =
-  let segs = split n in
-  List.exists (fun s -> is_suffix ~suffix:(split s) segs) names
-
-let line (loc : Location.t) = loc.loc_start.pos_lnum
-let col (loc : Location.t) = loc.loc_start.pos_cnum - loc.loc_start.pos_bol
 
 (* ------------------------------------------------------------------ *)
 (* Builtin knowledge: the packet pool API under both its spellings
@@ -185,25 +160,17 @@ let async_capture_sinks =
 
 let is_async_capture = ends_with_any async_capture_sinks
 
-let path_segs path =
-  List.filter (fun s -> s <> "") (String.split_on_char '/' path)
-
 let datapath_dirs = [ "core"; "net"; "tcp"; "gateway" ]
 
 let in_datapath path =
-  let rec scan = function
-    | "lib" :: d :: _ -> List.mem d datapath_dirs
-    | _ :: tl -> scan tl
-    | [] -> false
-  in
-  scan (path_segs path)
+  match (place path).lib_dir with
+  | Some d -> List.mem d datapath_dirs
+  | None -> false
 
 (* Time strata: everything under lib/ except lib/lint is sim-time. *)
 let sim_time_stratum path =
-  match path_segs path with
-  | "lib" :: "lint" :: _ -> false
-  | "lib" :: _ -> true
-  | _ -> false
+  let p = place path in
+  p.scope = Lib && p.lib_dir <> Some "lint"
 
 (* Known allocating stdlib calls (suffix-matched).  Combinators that
    only *call* their argument (fold, iter) are absent: a literal
@@ -290,14 +257,6 @@ let join_role a b = if role_rank a >= role_rank b then a else b
 (* ------------------------------------------------------------------ *)
 (* Def extraction *)
 
-type fbody = Body of expression | Cases of case list
-
-type param = {
-  pname : string;  (** "_" when the pattern is not a plain variable *)
-  popt : bool;  (** optional argument (affects partial-app detection) *)
-  ptyped_packet : bool;  (** pattern carries a [: Packet.t] constraint *)
-}
-
 type odef = {
   ofile : string;
   oqname : string;
@@ -315,18 +274,6 @@ type odef = {
       (** char ranges of debug-gated / error-path subtrees *)
 }
 
-let binding_name (vb : value_binding) =
-  match vb.pvb_pat.ppat_desc with
-  | Ppat_var { txt; _ } -> Some txt
-  | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) -> Some txt
-  | _ -> None
-
-let rec pat_name (p : pattern) =
-  match p.ppat_desc with
-  | Ppat_var { txt; _ } -> Some txt
-  | Ppat_constraint (inner, _) | Ppat_alias (inner, _) -> pat_name inner
-  | _ -> None
-
 let rec pat_typed_packet (p : pattern) =
   match p.ppat_desc with
   | Ppat_constraint (inner, ty) ->
@@ -337,62 +284,8 @@ let rec pat_typed_packet (p : pattern) =
     || pat_typed_packet inner
   | _ -> false
 
-let param_of (fp : function_param) =
-  match fp.pparam_desc with
-  | Pparam_val (lbl, _, pat) ->
-    Some
-      {
-        pname = (match pat_name pat with Some n -> n | None -> "_");
-        popt = (match lbl with Optional _ -> true | _ -> false);
-        ptyped_packet = pat_typed_packet pat;
-      }
-  | Pparam_newtype _ -> None
-
-(* Peel the (possibly nested) [fun]-chain of a binding RHS into a flat
-   parameter list and the innermost body. *)
-let rec peel acc (e : expression) =
-  match e.pexp_desc with
-  | Pexp_function (ps, _, Pfunction_body inner) -> peel (acc @ ps) inner
-  | Pexp_function (ps, _, Pfunction_cases (cs, _, _)) ->
-    let scrutinee = { pname = "_"; popt = false; ptyped_packet = false } in
-    (List.filter_map param_of (acc @ ps) @ [ scrutinee ], Cases cs)
-  | Pexp_constraint (inner, _) -> peel acc inner
-  | _ -> (List.filter_map param_of acc, Body e)
-
-let is_function (e : expression) =
-  match e.pexp_desc with
-  | Pexp_function _ -> true
-  | Pexp_constraint ({ pexp_desc = Pexp_function _; _ }, _) -> true
-  | _ -> false
-
-let owns_payload (attr : attribute) =
-  match attr.attr_payload with
-  | PStr
-      [
-        {
-          pstr_desc =
-            Pstr_eval
-              ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-          _;
-        };
-      ] ->
-    Some s
-  | _ -> None
-
-let owns_of_attrs (attrs : attributes) =
-  List.filter_map
-    (fun (a : attribute) ->
-      if a.attr_name.txt = owns_attr then
-        Some
-          ((match owns_payload a with Some s -> s | None -> ""), a.attr_loc)
-      else None)
-    attrs
-
-let range_of (loc : Location.t) =
-  (loc.loc_start.pos_cnum, loc.loc_end.pos_cnum)
-
-let in_range (s, e) (loc : Location.t) =
-  s <= loc.loc_start.pos_cnum && loc.loc_start.pos_cnum <= e
+let typed_packet (p : param) =
+  match p.ppat with Some pat -> pat_typed_packet pat | None -> false
 
 let error_heads = [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]
 
@@ -424,131 +317,73 @@ let debug_cond (c : expression) =
    ranges of debug-gated / error-path subtrees (calls inside them do
    not count against the steady-state allocation effect). *)
 let body_facts (body : expression) =
-  let idents = ref [] in
-  let hot_closures = ref [] in
   let guards = ref [] in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! expression e =
-        (match e.pexp_desc with
-        | Pexp_ident { txt; _ } ->
-          idents := (ident_name txt, e.pexp_loc) :: !idents
-        | Pexp_ifthenelse (c, t, _) when debug_cond c ->
-          guards := range_of t.pexp_loc :: !guards
-        | Pexp_assert inner -> guards := range_of inner.pexp_loc :: !guards
-        | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
-          let n = ident_name txt in
-          if is_hot_closure_sink n then
-            List.iter
-              (fun ((_, a) : arg_label * expression) ->
-                if is_function a then hot_closures := a :: !hot_closures)
-              args;
-          if ends_with_any error_heads n then
-            guards := range_of e.pexp_loc :: !guards
-        | _ -> ());
-        super#expression e
-    end
+  let visit (e : expression) =
+    match e.pexp_desc with
+    | Pexp_ifthenelse (c, t, _) when debug_cond c ->
+      guards := range_of t.pexp_loc :: !guards
+    | Pexp_assert inner -> guards := range_of inner.pexp_loc :: !guards
+    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _)
+      when ends_with_any error_heads (ident_name txt) ->
+      guards := range_of e.pexp_loc :: !guards
+    | _ -> ()
   in
-  it#expression body;
-  (List.rev !idents, List.rev !hot_closures, List.rev !guards)
+  let idents, hot_closures =
+    scan ~visit ~sinks:hot_closure_sinks ~is_closure:is_function body
+  in
+  (idents, hot_closures, !guards)
 
-let extract_defs ~path st : odef list =
-  let modname = Callgraph.module_name_of_path path in
-  let datapath = in_datapath path in
-  let defs = ref [] in
-  let rec items scope sis = List.iter (item scope) sis
-  and item scope (si : structure_item) =
-    match si.pstr_desc with
-    | Pstr_value (_, vbs) -> List.iter (binding scope) vbs
-    | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } ->
-      module_expr (scope @ [ name ]) pmb_expr
-    | Pstr_recmodule mbs ->
-      List.iter
-        (fun (mb : module_binding) ->
-          match mb.pmb_name.txt with
-          | Some name -> module_expr (scope @ [ name ]) mb.pmb_expr
-          | None -> ())
-        mbs
-    | Pstr_include { pincl_mod; _ } -> module_expr scope pincl_mod
-    | _ -> ()
-  and module_expr scope (me : module_expr) =
-    match me.pmod_desc with
-    | Pmod_structure sis -> items scope sis
-    | Pmod_constraint (me, _) -> module_expr scope me
-    | Pmod_functor (_, me) -> module_expr scope me
-    | _ -> ()
-  and binding scope (vb : value_binding) =
-    if is_function vb.pvb_expr then begin
-      let qname =
-        match binding_name vb with
-        | Some n -> String.concat "." (scope @ [ n ])
-        | None ->
-          Printf.sprintf "%s.<top:%d>" (String.concat "." scope)
-            (line vb.pvb_loc)
-      in
-      let params, fb = peel [] vb.pvb_expr in
-      let facts_root =
-        match fb with Body e -> e | Cases _ -> vb.pvb_expr
-      in
-      let idents, hot_closures, guards = body_facts facts_root in
-      let hot_ranges =
-        if datapath then
+let facts_root (c : expression) = function Body e -> e | Cases _ -> c
+
+let extract_defs (u : parsed) : odef list =
+  let datapath = in_datapath u.path in
+  List.concat_map
+    (fun (b : binding) ->
+      if not (is_function b.expr) then []
+      else
+        let idents, hot_closures, guards = body_facts (facts_root b.expr b.body) in
+        let hot_closures = if datapath then hot_closures else [] in
+        let hot_ranges =
           List.map (fun (c : expression) -> range_of c.pexp_loc) hot_closures
-        else []
-      in
-      let own_refs =
-        List.filter
-          (fun (_, loc) ->
-            not (List.exists (fun r -> in_range r loc) hot_ranges))
-          idents
-      in
-      defs :=
+        in
         {
-          ofile = path;
-          oqname = qname;
-          oscope = scope;
-          oloc = vb.pvb_loc;
-          oparams = params;
-          obody = fb;
-          oowns = owns_of_attrs vb.pvb_attributes;
-          orefs = own_refs;
-          ohot_root = ends_with_any hot_root_defs qname;
+          ofile = u.path;
+          oqname = b.qname;
+          oscope = b.scope;
+          oloc = b.loc;
+          oparams = b.params;
+          obody = b.body;
+          oowns = payloads owns_attr b.attrs;
+          orefs =
+            List.filter
+              (fun (_, loc) ->
+                not (List.exists (fun r -> in_range r loc) hot_ranges))
+              idents;
+          ohot_root = ends_with_any hot_root_defs b.qname;
           ohot_ranges = hot_ranges;
           oguards = guards;
         }
-        :: !defs;
-      (* Each literal closure handed to a hot sink in the datapath is
-         its own allocation-free root. *)
-      if datapath then
-        List.iter
-          (fun (c : expression) ->
-            let cparams, cbody = peel [] c in
-            let croot = match cbody with Body e -> e | Cases _ -> c in
-            let cidents, _, cguards = body_facts croot in
-            defs :=
-              {
-                ofile = path;
-                oqname =
-                  Printf.sprintf "%s.<hot:%d:%d>" qname (line c.pexp_loc)
-                    (col c.pexp_loc);
-                oscope = scope;
-                oloc = c.pexp_loc;
-                oparams = cparams;
-                obody = cbody;
-                oowns = [];
-                orefs = cidents;
-                ohot_root = true;
-                ohot_ranges = [];
-                oguards = cguards;
-              }
-              :: !defs)
-          hot_closures
-    end
-  in
-  items [ modname ] st;
-  List.rev !defs
+        (* Each literal closure handed to a hot sink in the datapath is
+           its own allocation-free root. *)
+        :: List.map
+             (fun (c : expression) ->
+               let cparams, cbody = peel c in
+               let cidents, _, cguards = body_facts (facts_root c cbody) in
+               {
+                 ofile = u.path;
+                 oqname = closure_qname b.qname "hot" c;
+                 oscope = b.scope;
+                 oloc = c.pexp_loc;
+                 oparams = cparams;
+                 obody = cbody;
+                 oowns = [];
+                 orefs = cidents;
+                 ohot_root = true;
+                 ohot_ranges = [];
+                 oguards = cguards;
+               })
+             hot_closures)
+    (bindings ~path:u.path u.ast)
 
 (* ------------------------------------------------------------------ *)
 (* Summaries and their fixpoint *)
@@ -564,34 +399,22 @@ type summary = {
 }
 
 type env = {
-  defs_by_leaf : (string, odef) Hashtbl.t;
-  summaries : (string * string, summary) Hashtbl.t;
+  defs : odef index;
+  summary : odef -> summary;
   mutable changed : bool;
 }
 
-let summary_of env (d : odef) =
-  match Hashtbl.find_opt env.summaries (d.ofile, d.oqname) with
-  | Some s -> s
-  | None ->
-    let n = List.length d.oparams in
-    let s =
-      {
-        s_packetish = Array.make n false;
-        s_role = Array.make n Borrows;
-        s_forced = Array.make n false;
-        s_returns_packet = false;
-        s_transfers_ok = false;
-      }
-    in
-    Hashtbl.replace env.summaries (d.ofile, d.oqname) s;
-    s
+let odef_key (d : odef) = (d.ofile, d.oqname)
 
-let resolve_defs env ~scope written =
-  Hashtbl.find_all env.defs_by_leaf (leaf written)
-  |> List.filter (fun (d : odef) ->
-         Callgraph.resolves ~scope ~written ~qname:d.oqname)
-  |> List.sort (fun (a : odef) b ->
-         compare (a.ofile, a.oqname) (b.ofile, b.oqname))
+let new_summary (d : odef) =
+  let n = List.length d.oparams in
+  {
+    s_packetish = Array.make n false;
+    s_role = Array.make n Borrows;
+    s_forced = Array.make n false;
+    s_returns_packet = false;
+    s_transfers_ok = false;
+  }
 
 (* Parsed [@leotp.owns] payload: "role [param ...]"; no params = all. *)
 type owns_spec = {
@@ -708,16 +531,9 @@ let trail_push sh desc loc =
   | _ -> sh.sh_trail <- (desc, loc) :: sh.sh_trail
 
 let fmt_trail sh ~first ~last =
-  let steps = (first :: List.rev_map fst sh.sh_trail) @ [ last ] in
-  let n = List.length steps in
-  let steps =
-    if n <= 6 then steps
-    else
-      List.filteri (fun i _ -> i < 3) steps
-      @ [ Printf.sprintf "... %d more ..." (n - 5) ]
-      @ List.filteri (fun i _ -> i >= n - 2) steps
-  in
-  String.concat " -> " steps
+  String.concat " -> "
+    (elide ~max:6 ~head:3 ~tail:2
+       ((first :: List.rev_map fst sh.sh_trail) @ [ last ]))
 
 let is_var var (e : expression) =
   let rec go (e : expression) =
@@ -812,7 +628,7 @@ let move_event sh bits ~desc (loc : Location.t) =
   bits land lnot owned lor moved
 
 let escape_event ctx sh bits ~op (loc : Location.t) =
-  let s = summary_of ctx.c_env ctx.c_def in
+  let s = ctx.c_env.summary ctx.c_def in
   if not s.s_transfers_ok then
     ctx.c_emit ~rule:escape_id ~loc
       (Printf.sprintf
@@ -832,19 +648,19 @@ let arg_role ctx ~scope written i =
   if is_release written then Consumes
   else if is_transfer_sink written then Transfers
   else
-    let cands = resolve_defs ctx.c_env ~scope written in
+    let cands = resolve ctx.c_env.defs ~scope written in
     List.fold_left
       (fun acc (d : odef) ->
-        let s = summary_of ctx.c_env d in
+        let s = ctx.c_env.summary d in
         if i < Array.length s.s_role then join_role acc s.s_role.(i) else acc)
       Borrows cands
 
 let callee_packetish ctx ~scope written i =
   List.exists
     (fun (d : odef) ->
-      let s = summary_of ctx.c_env d in
+      let s = ctx.c_env.summary d in
       i < Array.length s.s_packetish && s.s_packetish.(i))
-    (resolve_defs ctx.c_env ~scope written)
+    (resolve ctx.c_env.defs ~scope written)
 
 let rec eval ctx sh ~tail bits (e : expression) : int =
   let var = sh.sh_var in
@@ -917,7 +733,7 @@ let rec eval ctx sh ~tail bits (e : expression) : int =
          inside it), then stop judging — the closure may legitimately
          release the packet later, so neither a leak nor a later
          release can be blamed with confidence. *)
-      (let _, fb = peel [] e in
+      (let _, fb = peel e in
        match fb with
        | Body b -> ignore (eval ctx sh ~tail:false bits b)
        | Cases cs ->
@@ -1021,7 +837,7 @@ and eval_apply ctx sh bits head args =
        zero or more times right here, so it is evaluated inline like a
        loop body. *)
     let eval_closure_body bits (a : expression) =
-      let cparams, fb = peel [] a in
+      let cparams, fb = peel a in
       if List.exists (fun (p : param) -> p.pname = var) cparams then bits
       else
         match fb with
@@ -1102,14 +918,14 @@ and eval_apply ctx sh bits head args =
               is_transfer_sink n
               || List.exists
                    (fun (d : odef) ->
-                     let s = summary_of ctx.c_env d in
+                     let s = ctx.c_env.summary d in
                      List.exists
                        (fun (i, _) ->
                          i < Array.length s.s_forced
                          && s.s_forced.(i)
                          && s.s_role.(i) = Transfers)
                        var_positions)
-                   (resolve_defs ctx.c_env ~scope n)
+                   (resolve ctx.c_env.defs ~scope n)
             in
             if forced then
               (* programmer-asserted hand-off: arm the
@@ -1179,8 +995,8 @@ let source_desc_of env ~scope (e : expression) =
     else if is_clone n then Some "Packet_pool.clone"
     else if
       List.exists
-        (fun (d : odef) -> (summary_of env d).s_returns_packet)
-        (resolve_defs env ~scope n)
+        (fun (d : odef) -> (env.summary d).s_returns_packet)
+        (resolve env.defs ~scope n)
     then Some (Printf.sprintf "call to %s" n)
     else None
 
@@ -1280,7 +1096,7 @@ let run_param_track ctx (d : odef) (p : param) =
       sh_released_ever = false;
       sh_moved_ever = false;
       sh_abandoned = false;
-      sh_packetish = p.ptyped_packet;
+      sh_packetish = typed_packet p;
       sh_trail = [];
     }
   in
@@ -1292,7 +1108,7 @@ let silent_emit ~rule:_ ~loc:_ _ = ()
 let infer_pass env (defs : odef list) =
   List.iter
     (fun (d : odef) ->
-      let s = summary_of env d in
+      let s = env.summary d in
       let ctx = { c_def = d; c_env = env; c_emit = silent_emit } in
       List.iteri
         (fun i (p : param) ->
@@ -1343,8 +1159,8 @@ let infer_pass env (defs : odef list) =
           let n = ident_name txt in
           is_acquire n || is_clone n
           || List.exists
-               (fun (cd : odef) -> (summary_of env cd).s_returns_packet)
-               (resolve_defs env ~scope:d.oscope n)
+               (fun (cd : odef) -> (env.summary cd).s_returns_packet)
+               (resolve env.defs ~scope:d.oscope n)
         | _ -> false
       in
       let rp =
@@ -1394,7 +1210,7 @@ let report_ownership env (defs : odef list) ~emit =
          constraint, an [@leotp.owns] annotation, a pool call on it, or
          propagated callee evidence.  Without the gate, every int that
          is stored into a container would trip the ownership rules. *)
-      let s = summary_of env d in
+      let s = env.summary d in
       List.iteri
         (fun i (p : param) ->
           if p.pname <> "_" then begin
@@ -1500,14 +1316,18 @@ let alloc_sites env (d : odef) : alloc_site list =
         if is_allocating_call n then
           add head.pexp_loc (Printf.sprintf "a call to %s" n)
         else begin
-          let cands = resolve_defs env ~scope:d.oscope n in
+          let cands = resolve env.defs ~scope:d.oscope n in
           let nargs = List.length args in
           if
             cands <> []
             && List.for_all
                  (fun (cd : odef) ->
                    List.length cd.oparams > nargs
-                   && not (List.exists (fun (p : param) -> p.popt) cd.oparams))
+                   && not
+                        (List.exists
+                           (fun (p : param) ->
+                             match p.plabel with Optional _ -> true | _ -> false)
+                           cd.oparams))
                  cands
           then
             add head.pexp_loc (Printf.sprintf "partial application of %s" n)
@@ -1557,7 +1377,7 @@ let alloc_sites env (d : odef) : alloc_site list =
 (* Calls into the tracing facility are debug-gated by design
    ([Trace.on] gates the steady state), so they do not count against
    the allocation effect. *)
-let is_trace_ref n = List.mem "Trace" (split n)
+let is_trace_ref n = List.mem "Trace" (String.split_on_char '.' n)
 let is_trace_file path = Filename.basename path = "trace.ml"
 
 (* Refs that count for the effect walk: outside debug-gated / error
@@ -1569,86 +1389,41 @@ let live_refs (d : odef) =
       && not (List.exists (fun r -> in_range r rloc) d.oguards))
     d.orefs
 
-let report_alloc env (defs : odef list) ~suppressed_at ~emit =
-  let site_memo : (string * string, alloc_site list) Hashtbl.t =
-    Hashtbl.create 256
-  in
+let report_alloc env em (defs : odef list) =
   (* A site the author has justified with [@leotp.allow] is not
      evidence either: allowing the pool's amortized grow path, say,
      clears every call chain that bottoms out in it. *)
-  let sites_of (d : odef) =
-    let key = (d.ofile, d.oqname) in
-    match Hashtbl.find_opt site_memo key with
-    | Some s -> s
-    | None ->
-      let s =
+  let sites_of =
+    memo odef_key (fun (d : odef) ->
         alloc_sites env d
         |> List.filter (fun (s : alloc_site) ->
-               not (suppressed_at ~file:d.ofile alloc_id s.a_loc))
-      in
-      Hashtbl.replace site_memo key s;
-      s
+               not (suppressed_at em ~file:d.ofile ~rule:alloc_id s.a_loc)))
   in
-  (* Transitive may-allocate effect of a def, memoized: the first piece
-     of allocation evidence (site, file, qname chain), or [None].
-     Cycles resolve to no-effect on the back edge. *)
-  let effect_memo
-      : (string * string, (alloc_site * string * string list) option) Hashtbl.t
-    =
-    Hashtbl.create 256
-  in
-  let rec effect_of (d : odef) =
-    let key = (d.ofile, d.oqname) in
-    match Hashtbl.find_opt effect_memo key with
-    | Some e -> e
-    | None ->
-      Hashtbl.replace effect_memo key None;
-      let e =
+  (* Transitive may-allocate effect of a def: the first piece of
+     allocation evidence (site, file) and the qname chain to it. *)
+  let effect_of =
+    first_witness odef_key
+      ~direct:(fun (d : odef) ->
         if is_trace_file d.ofile then None
         else
-          match sites_of d with
-          | s :: _ -> Some (s, d.ofile, [ d.oqname ])
-          | [] ->
-            List.fold_left
-              (fun acc ((rname, _) : string * Location.t) ->
-                match acc with
-                | Some _ -> acc
-                | None ->
-                  List.fold_left
-                    (fun acc (callee : odef) ->
-                      match acc with
-                      | Some _ -> acc
-                      | None -> (
-                        match effect_of callee with
-                        | Some (s, f, chain) ->
-                          Some (s, f, d.oqname :: chain)
-                        | None -> None))
-                    None
-                    (resolve_defs env ~scope:d.oscope rname))
-              None (live_refs d)
-      in
-      Hashtbl.replace effect_memo key e;
-      e
-  in
-  let elide steps =
-    let n = List.length steps in
-    if n <= 5 then steps
-    else
-      List.filteri (fun i _ -> i < 2) steps
-      @ [ Printf.sprintf "... %d more ..." (n - 3) ]
-      @ List.filteri (fun i _ -> i >= n - 1) steps
+          match sites_of d with s :: _ -> Some (s, d.ofile) | [] -> None)
+      ~succs:(fun (d : odef) ->
+        if is_trace_file d.ofile then []
+        else
+          List.concat_map
+            (fun (rname, _) -> resolve env.defs ~scope:d.oscope rname)
+            (live_refs d))
   in
   let roots =
     List.filter (fun (d : odef) -> d.ohot_root) defs
-    |> List.sort (fun (a : odef) b ->
-           compare (a.ofile, a.oqname) (b.ofile, b.oqname))
+    |> List.sort (fun a b -> compare (odef_key a) (odef_key b))
   in
   List.iter
     (fun (root : odef) ->
       (* allocations in the root body itself *)
       List.iter
         (fun (s : alloc_site) ->
-          emit ~file:root.ofile ~rule:alloc_id ~loc:s.a_loc
+          emit em ~file:root.ofile ~rule:alloc_id ~loc:s.a_loc
             (Printf.sprintf
                "%s is allocated on the packet hot path; hoist it out of the \
                 per-packet flow or justify with [@leotp.allow %S]; witness: \
@@ -1664,8 +1439,8 @@ let report_alloc env (defs : odef list) ~suppressed_at ~emit =
             (fun (callee : odef) ->
               if not callee.ohot_root then
                 match effect_of callee with
-                | Some (s, sfile, chain) ->
-                  emit ~file:root.ofile ~rule:alloc_id ~loc:rloc
+                | Some ((s, sfile), chain) ->
+                  emit em ~file:root.ofile ~rule:alloc_id ~loc:rloc
                     (Printf.sprintf
                        "call to %s may allocate on the packet hot path (%s \
                         at %s:%d); hoist the allocation, restructure the \
@@ -1673,62 +1448,26 @@ let report_alloc env (defs : odef list) ~suppressed_at ~emit =
                         %s (%s:%d) -> %s -> allocates %s at line %d"
                        rname s.a_what sfile (line s.a_loc) alloc_id
                        root.oqname root.ofile (line root.oloc)
-                       (String.concat " -> " (elide chain))
+                       (String.concat " -> " (elide ~max:5 ~head:2 ~tail:1 chain))
                        s.a_what (line s.a_loc))
                 | None -> ())
-            (resolve_defs env ~scope:root.oscope rname))
+            (resolve env.defs ~scope:root.oscope rname))
         (live_refs root))
     roots
 
 (* ------------------------------------------------------------------ *)
 (* Time taint *)
 
-type taint = {
-  tn_read : string;  (** the wall-clock ident reached *)
-  tn_read_loc : Location.t;
-  tn_chain : string list;  (** qnames from this def to the read *)
-}
-
-let report_taint env (defs : odef list) ~emit =
-  let taint_memo : (string * string, taint option) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let rec taint_of (d : odef) : taint option =
-    let key = (d.ofile, d.oqname) in
-    match Hashtbl.find_opt taint_memo key with
-    | Some t -> t
-    | None ->
-      (* cycles resolve to untainted on the back edge *)
-      Hashtbl.replace taint_memo key None;
-      let direct =
-        List.find_opt (fun ((n, _) : string * Location.t) -> is_wall_clock n)
-          d.orefs
-      in
-      let t =
-        match direct with
-        | Some (n, loc) ->
-          Some { tn_read = n; tn_read_loc = loc; tn_chain = [ d.oqname ] }
-        | None ->
-          List.fold_left
-            (fun acc ((rname, _) : string * Location.t) ->
-              match acc with
-              | Some _ -> acc
-              | None ->
-                List.fold_left
-                  (fun acc (callee : odef) ->
-                    match acc with
-                    | Some _ -> acc
-                    | None -> (
-                      match taint_of callee with
-                      | Some t ->
-                        Some { t with tn_chain = d.oqname :: t.tn_chain }
-                      | None -> None))
-                  None
-                  (resolve_defs env ~scope:d.oscope rname))
-            None d.orefs
-      in
-      Hashtbl.replace taint_memo key t;
-      t
+let report_taint env em (defs : odef list) =
+  (* the wall-clock read reached (name, site) and the qname chain *)
+  let taint_of =
+    first_witness odef_key
+      ~direct:(fun (d : odef) ->
+        List.find_opt (fun (n, _) -> is_wall_clock n) d.orefs)
+      ~succs:(fun (d : odef) ->
+        List.concat_map
+          (fun (rname, _) -> resolve env.defs ~scope:d.oscope rname)
+          d.orefs)
   in
   List.iter
     (fun (d : odef) ->
@@ -1736,7 +1475,7 @@ let report_taint env (defs : odef list) ~emit =
         List.iter
           (fun ((rname, rloc) : string * Location.t) ->
             if is_wall_clock rname then
-              emit ~file:d.ofile ~rule:taint_id ~loc:rloc
+              emit em ~file:d.ofile ~rule:taint_id ~loc:rloc
                 (Printf.sprintf
                    "%s reads the wall clock (%s) but lives in the sim-time \
                     stratum; route real time through the harness or justify \
@@ -1748,122 +1487,45 @@ let report_taint env (defs : odef list) ~emit =
                 (fun (callee : odef) ->
                   if not (sim_time_stratum callee.ofile) then
                     match taint_of callee with
-                    | Some t ->
-                      emit ~file:d.ofile ~rule:taint_id ~loc:rloc
+                    | Some ((read, read_loc), chain) ->
+                      emit em ~file:d.ofile ~rule:taint_id ~loc:rloc
                         (Printf.sprintf
                            "sim-time code %s reaches a wall-clock read \
                             through harness code %s; keep real time out of \
                             the protocol core or justify with [@leotp.allow \
                             %S]; witness: %s -> %s -> reads %s at line %d"
                            d.oqname callee.oqname taint_id d.oqname
-                           (String.concat " -> " t.tn_chain) t.tn_read
-                           (line t.tn_read_loc))
+                           (String.concat " -> " chain) read (line read_loc))
                     | None -> ())
-                (resolve_defs env ~scope:d.oscope rname))
+                (resolve env.defs ~scope:d.oscope rname))
           d.orefs)
     defs
 
 (* ------------------------------------------------------------------ *)
 (* Entry points *)
 
-let max_fixpoint_rounds = 12
-
-let analyze (parsed : (string * structure) list) : Finding.t list =
-  let parsed =
-    List.sort (fun (a, _) (b, _) -> String.compare a b) parsed
-  in
-  let defs = List.concat_map (fun (p, st) -> extract_defs ~path:p st) parsed in
-  let allows = List.map (fun (p, st) -> (p, Engine.collect_allows st)) parsed in
+let analyze (units : parsed list) : Finding.t list =
+  let defs = List.concat_map extract_defs units in
   let env =
-    {
-      defs_by_leaf = Hashtbl.create 512;
-      summaries = Hashtbl.create 512;
-      changed = true;
-    }
+    { defs = index odef_key defs; summary = memo odef_key new_summary;
+      changed = true }
   in
-  List.iter
-    (fun (d : odef) -> Hashtbl.add env.defs_by_leaf (leaf d.oqname) d)
-    defs;
   (* seed annotation-declared summaries, then iterate inference to a
      fixpoint (roles and packet evidence only ever grow) *)
-  List.iter (fun (d : odef) -> apply_owns d (summary_of env d)) defs;
-  let rounds = ref 0 in
-  while env.changed && !rounds < max_fixpoint_rounds do
-    env.changed <- false;
-    infer_pass env defs;
-    incr rounds
-  done;
-  let suppressed_at ~file rule (loc : Location.t) =
-    match List.assoc_opt file allows with
-    | Some a -> Engine.suppressed a ~rule ~loc
-    | None -> false
-  in
-  let reported : (string * string * int * int, unit) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let findings = ref [] in
-  let emit_at ~file ~rule ~loc message =
-    let key = (file, rule, line loc, col loc) in
-    if (not (Hashtbl.mem reported key)) && not (suppressed_at ~file rule loc)
-    then begin
-      Hashtbl.replace reported key ();
-      findings :=
-        {
-          Finding.rule;
-          severity = Error;
-          file;
-          line = line loc;
-          col = col loc;
-          message;
-        }
-        :: !findings
-    end
-  in
-  let own_defs_by_file =
-    List.map
-      (fun (p, _) ->
-        (p, List.filter (fun (d : odef) -> d.ofile = p) defs))
-      parsed
-  in
+  List.iter (fun (d : odef) -> apply_owns d (env.summary d)) defs;
+  fixpoint (fun () ->
+      env.changed <- false;
+      infer_pass env defs;
+      env.changed);
+  let em = emitter units in
   List.iter
-    (fun (file, fdefs) ->
-      report_ownership env fdefs
-        ~emit:(fun ~rule ~loc message -> emit_at ~file ~rule ~loc message))
-    own_defs_by_file;
-  report_alloc env defs ~suppressed_at ~emit:emit_at;
-  report_taint env defs ~emit:emit_at;
-  List.sort_uniq Finding.compare !findings
+    (fun (u : parsed) ->
+      report_ownership env
+        (List.filter (fun (d : odef) -> d.ofile = u.path) defs)
+        ~emit:(fun ~rule ~loc message -> emit em ~file:u.path ~rule ~loc message))
+    units;
+  report_alloc env em defs;
+  report_taint env em defs;
+  findings em
 
-let analyze_sources sources =
-  let parsed =
-    List.filter_map
-      (fun (path, contents) ->
-        match Engine.parse_impl ~path contents with
-        | Ok st -> Some (path, st)
-        | Error _ -> None)
-      sources
-  in
-  analyze parsed
-
-(* Directory scan for the CLI.  Files that fail to parse are skipped:
-   Engine.scan (which always runs alongside) already reports them as
-   parse-error findings. *)
-let scan paths =
-  let files =
-    List.concat_map
-      (fun p -> if Sys.file_exists p then Engine.ml_files_under p else [])
-      paths
-    |> List.sort_uniq String.compare
-  in
-  let parsed =
-    List.filter_map
-      (fun f ->
-        match In_channel.with_open_bin f In_channel.input_all with
-        | exception Sys_error _ -> None
-        | contents -> (
-          match Engine.parse_impl ~path:f contents with
-          | Ok st -> Some (f, st)
-          | Error _ -> None))
-      files
-  in
-  analyze parsed
+let analyze_sources sources = analyze (of_sources sources)

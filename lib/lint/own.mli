@@ -1,5 +1,5 @@
 (** leotp-own: interprocedural packet-ownership, allocation-effect and
-    time-taint analysis ([--own]).
+    time-taint analysis.
 
     Three rule families over the syntactic call graph:
 
@@ -30,16 +30,11 @@ val annot_id : string
 val alloc_id : string
 val taint_id : string
 
-val analyze : (string * Ppxlib.structure) list -> Finding.t list
-(** Run all three families over pre-parsed units ([(path, ast)]).
-    Input order is irrelevant: units are sorted by path and findings
+val analyze : Callgraph.parsed list -> Finding.t list
+(** Run all three families over parsed units, as {!Callgraph.load} and
+    {!Callgraph.of_sources} yield them (sorted by path); findings are
     ordered by {!Finding.compare}, so output is byte-stable. *)
 
 val analyze_sources : (string * string) list -> Finding.t list
 (** Like {!analyze} for in-memory sources (tests); unparsable sources
     are skipped. *)
-
-val scan : string list -> Finding.t list
-(** Analyze every [.ml] under the given roots (the walk {!Engine.scan}
-    uses).  Unparsable files are skipped: Engine.scan reports them as
-    parse-error findings. *)

@@ -30,56 +30,34 @@
    Escape hatch: [@leotp.allow "domain-unsafe-access"] at the access
    site, item-level and justified. *)
 
-open Ppxlib
-
 let rule_id = "domain-unsafe-access"
 
 type node = { nfile : string; ndef : Callgraph.def }
 
 type gnode = { gfile : string; g : Callgraph.global }
 
-let leaf name =
-  match List.rev (String.split_on_char '.' name) with
-  | l :: _ -> l
-  | [] -> name
-
-let line (loc : Location.t) = loc.loc_start.pos_lnum
-
-(* Keep witnesses readable: a chain deeper than this elides the
-   middle. *)
-let max_witness = 6
+let line = Callgraph.line
 
 let witness ~(access : Callgraph.reference) path =
   let step (n : node) =
     Printf.sprintf "%s (%s:%d)" n.ndef.qname n.nfile (line n.ndef.loc)
   in
-  let steps = List.map step path in
-  let steps =
-    let n = List.length steps in
-    if n <= max_witness then steps
-    else
-      List.filteri (fun i _ -> i < 3) steps
-      @ [ Printf.sprintf "... %d more ..." (n - 5) ]
-      @ List.filteri (fun i _ -> i >= n - 2) steps
-  in
-  String.concat " -> " (steps @ [ Printf.sprintf "access at line %d" (line access.loc) ])
+  String.concat " -> "
+    (Callgraph.elide ~max:6 ~head:3 ~tail:2 (List.map step path)
+    @ [ Printf.sprintf "access at line %d" (line access.loc) ])
 
-let analyze (parsed : (string * structure) list) : Finding.t list =
-  let parsed =
-    List.sort (fun (a, _) (b, _) -> String.compare a b) parsed
+let analyze (units : Callgraph.parsed list) : Finding.t list =
+  let cgs =
+    List.map (fun (u : Callgraph.parsed) -> Callgraph.of_structure ~path:u.path u.ast) units
   in
-  let cgs = List.map (fun (p, st) -> Callgraph.of_structure ~path:p st) parsed in
-  let allows = List.map (fun (p, st) -> (p, Engine.collect_allows st)) parsed in
-  (* Index defs and candidate globals by their last name segment so
-     resolution is a short candidate scan, not O(all defs). *)
-  let defs_by_leaf : (string, node) Hashtbl.t = Hashtbl.create 512 in
-  List.iter
-    (fun (cg : Callgraph.t) ->
-      List.iter
-        (fun (d : Callgraph.def) ->
-          Hashtbl.add defs_by_leaf (leaf d.qname) { nfile = cg.file; ndef = d })
-        cg.defs)
-    cgs;
+  let node_key n = (n.nfile, n.ndef.qname) in
+  let defs =
+    Callgraph.index node_key
+      (List.concat_map
+         (fun (cg : Callgraph.t) ->
+           List.map (fun d -> { nfile = cg.file; ndef = d }) cg.defs)
+         cgs)
+  in
   (* Tracked globals: explicit mutable creators, plus any top-level
      binding that is the receiver of a field assignment somewhere
      (mutable record detected from use). *)
@@ -126,23 +104,8 @@ let analyze (parsed : (string * structure) list) : Finding.t list =
     in
     created @ field_assigned
   in
-  let globals_by_leaf : (string, gnode) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun gn -> Hashtbl.add globals_by_leaf (leaf gn.g.Callgraph.gqname) gn)
-    globals;
-  let resolve_defs ~scope written =
-    Hashtbl.find_all defs_by_leaf (leaf written)
-    |> List.filter (fun n ->
-           Callgraph.resolves ~scope ~written ~qname:n.ndef.qname)
-    |> List.sort (fun a b ->
-           compare (a.nfile, a.ndef.qname) (b.nfile, b.ndef.qname))
-  in
-  let resolve_globals ~scope written =
-    Hashtbl.find_all globals_by_leaf (leaf written)
-    |> List.filter (fun gn ->
-           Callgraph.resolves ~scope ~written ~qname:gn.g.Callgraph.gqname)
-    |> List.sort (fun a b ->
-           compare (a.gfile, a.g.Callgraph.gqname) (b.gfile, b.g.Callgraph.gqname))
+  let globals =
+    Callgraph.index (fun gn -> (gn.gfile, gn.g.Callgraph.gqname)) globals
   in
   (* Entrypoints: literal closures (entry defs) plus named functions
      passed to spawn sinks, resolved. *)
@@ -161,51 +124,24 @@ let analyze (parsed : (string * structure) list) : Finding.t list =
         (fun (cg : Callgraph.t) ->
           List.concat_map
             (fun (r : Callgraph.reference) ->
-              resolve_defs ~scope:[ cg.module_name ] r.name)
+              Callgraph.resolve defs ~scope:[ cg.module_name ] r.name)
             cg.entry_names)
         cgs
     in
     List.sort_uniq
-      (fun a b -> compare (a.nfile, a.ndef.qname) (b.nfile, b.ndef.qname))
+      (fun a b -> compare (node_key a) (node_key b))
       (literal @ named)
   in
-  let suppressed_at ~file (loc : Location.t) =
-    match List.assoc_opt file allows with
-    | Some a -> Engine.suppressed a ~rule:rule_id ~loc
-    | None -> false
-  in
-  let reported : (string * int * int * string, unit) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let findings = ref [] in
-  let report ~path ~(node : node) ~(access : Callgraph.reference)
-      (gn : gnode) =
-    let loc = access.loc in
-    let col = loc.loc_start.pos_cnum - loc.loc_start.pos_bol in
-    let key = (node.nfile, line loc, col, gn.g.Callgraph.gqname) in
-    if
-      (not (Hashtbl.mem reported key))
-      && not (suppressed_at ~file:node.nfile loc)
-    then begin
-      Hashtbl.replace reported key ();
-      findings :=
-        {
-          Finding.rule = rule_id;
-          severity = Error;
-          file = node.nfile;
-          line = line loc;
-          col;
-          message =
-            Printf.sprintf
-              "unguarded cross-domain access to %s (%s, defined %s:%d); \
-               guard it with Guarded.with_ / Atomic, or justify with an \
-               item-level [@leotp.allow %S]; witness: %s"
-              gn.g.Callgraph.gqname gn.g.Callgraph.creator gn.gfile
-              (line gn.g.Callgraph.gloc) rule_id
-              (witness ~access path);
-        }
-        :: !findings
-    end
+  let em = Callgraph.emitter units in
+  let report ~path ~(node : node) ~(access : Callgraph.reference) (gn : gnode) =
+    Callgraph.emit em ~key:gn.g.Callgraph.gqname ~file:node.nfile ~rule:rule_id
+      ~loc:access.loc
+      (Printf.sprintf
+         "unguarded cross-domain access to %s (%s, defined %s:%d); guard it \
+          with Guarded.with_ / Atomic, or justify with an item-level \
+          [@leotp.allow %S]; witness: %s"
+         gn.g.Callgraph.gqname gn.g.Callgraph.creator gn.gfile
+         (line gn.g.Callgraph.gloc) rule_id (witness ~access path))
   in
   (* DFS from each entrypoint.  [visited] is per-entry and keyed by
      (file, def, guardedness) so a function reached both inside and
@@ -221,55 +157,23 @@ let analyze (parsed : (string * structure) list) : Finding.t list =
           List.iter
             (fun (r : Callgraph.reference) ->
               let safe = guarded || r.guarded in
+              let scope = node.ndef.scope in
               if not safe then
                 List.iter
                   (fun gn -> report ~path ~node ~access:r gn)
-                  (resolve_globals ~scope:node.ndef.scope r.name);
+                  (Callgraph.resolve globals ~scope r.name);
               List.iter
                 (fun callee ->
                   (* don't walk back into entry closures: they are
                      roots of their own *)
                   if not callee.ndef.entry then
                     visit ~path_rev:(node :: path_rev) ~guarded:safe callee)
-                (resolve_defs ~scope:node.ndef.scope r.name))
+                (Callgraph.resolve defs ~scope r.name))
             node.ndef.refs
         end
       in
       visit ~path_rev:[] ~guarded:false entry)
     entries;
-  List.sort_uniq Finding.compare !findings
+  Callgraph.findings em
 
-let analyze_sources sources =
-  let parsed =
-    List.filter_map
-      (fun (path, contents) ->
-        match Engine.parse_impl ~path contents with
-        | Ok st -> Some (path, st)
-        | Error _ -> None)
-      sources
-  in
-  analyze parsed
-
-(* Directory scan for the CLI.  Files that fail to parse are skipped
-   here: Engine.scan (which always runs alongside) already reports them
-   as parse-error findings, and double-reporting would break LINT.json
-   dedup. *)
-let scan paths =
-  let files =
-    List.concat_map
-      (fun p -> if Sys.file_exists p then Engine.ml_files_under p else [])
-      paths
-    |> List.sort_uniq String.compare
-  in
-  let parsed =
-    List.filter_map
-      (fun f ->
-        match In_channel.with_open_bin f In_channel.input_all with
-        | exception Sys_error _ -> None
-        | contents -> (
-          match Engine.parse_impl ~path:f contents with
-          | Ok st -> Some (f, st)
-          | Error _ -> None))
-      files
-  in
-  analyze parsed
+let analyze_sources sources = analyze (Callgraph.of_sources sources)

@@ -1,5 +1,4 @@
-(** leotp-race: interprocedural domain-safety analysis (the [--race]
-    pass of [leotp_lint.exe]).
+(** leotp-race: interprocedural domain-safety analysis.
 
     Reports rule ["domain-unsafe-access"] (error) for every access to a
     top-level mutable value — a [ref] / [Hashtbl] / array / queue
@@ -23,17 +22,12 @@
 val rule_id : string
 (** ["domain-unsafe-access"] *)
 
-val analyze : (string * Ppxlib.structure) list -> Finding.t list
-(** Analyze a set of parsed units ([(path, structure)]); order of the
-    input does not matter (findings are sorted and deduplicated). *)
+val analyze : Callgraph.parsed list -> Finding.t list
+(** Analyze a set of parsed units, as {!Callgraph.load} and
+    {!Callgraph.of_sources} yield them (sorted by path); findings are
+    sorted and deduplicated. *)
 
 val analyze_sources : (string * string) list -> Finding.t list
 (** Parse and analyze in-memory sources ([(path, contents)]); units
     that fail to parse are skipped (use {!Engine.lint_source} to
     surface those). *)
-
-val scan : string list -> Finding.t list
-(** Recursively analyze every [.ml] under the given files/directories,
-    with the same walk as {!Engine.scan}.  Unreadable or unparseable
-    files are skipped here because {!Engine.scan} already reports them
-    as [parse-error] findings. *)

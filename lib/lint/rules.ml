@@ -10,15 +10,7 @@
 
 open Ppxlib
 
-type scope = Lib | Bench | Bin | Other
-
-let scope_of_path path =
-  let parts = String.split_on_char '/' path in
-  let parts = List.filter (fun p -> p <> "" && p <> ".") parts in
-  if List.mem "lib" parts then Lib
-  else if List.mem "bench" parts then Bench
-  else if List.mem "bin" parts then Bin
-  else Other
+type scope = Callgraph.scope = Lib | Bench | Bin | Other
 
 type emit = loc:Location.t -> string -> unit
 
@@ -33,8 +25,7 @@ type t = {
 let lib_only = function Lib -> true | Bench | Bin | Other -> false
 let everywhere _ = true
 
-let ident_name (lid : Longident.t) =
-  String.concat "." (Longident.flatten_exn lid)
+let ident_name = Callgraph.ident_name
 
 (* Visit every value identifier in the structure. *)
 let iter_idents f st =
@@ -287,6 +278,10 @@ let no_direct_print =
 let poly_compare_fns =
   [ "="; "<>"; "=="; "!="; "compare"; "Stdlib.compare"; "Stdlib.=" ]
 
+let poly_sort_fns =
+  sort_fns
+  @ [ "List.fast_sort"; "Array.sort"; "Array.stable_sort"; "Array.fast_sort" ]
+
 (* Functions of the Float module that do *not* return float (so their
    result is safe to compare polymorphically). *)
 let float_fns_not_float =
@@ -372,14 +367,18 @@ let rec lambda_body (e : expression) =
   | _ -> e
 
 (* [floatish] lifted through structure: options, tuples, list cells,
-   map-style builders and let-bound names ([env]) whose right-hand side
-   was itself float-bearing — so [prev <> Some sig_] is caught when
+   refs, map-style builders and let-bound names ([env]) whose right-hand
+   side was itself float-bearing — so [prev <> Some sig_] is caught when
    [sig_] was built from float data. *)
 let rec floatish_deep env (e : expression) =
   floatish e
   ||
   match e.pexp_desc with
   | Pexp_ident { txt = Lident x; _ } -> Hashtbl.mem env x
+  | Pexp_apply
+      ({ pexp_desc = Pexp_ident { txt = Lident ("!" | "ref"); _ }; _ }, [ (_, r) ])
+    ->
+    floatish_deep env r
   | Pexp_constraint (_, t) -> type_mentions_float t
   | Pexp_tuple es -> List.exists (floatish_deep env) es
   | Pexp_construct ({ txt = Lident "Some"; _ }, Some arg) ->
@@ -417,6 +416,20 @@ let collect_float_names st =
         | _ -> ());
         super#value_binding vb
 
+      (* A ref assigned a float-bearing value ([r := (d *. k, i) :: !r])
+         is float-bearing, and so is everything read from it. *)
+      method! expression e =
+        (match e.pexp_desc with
+        | Pexp_apply
+            ( { pexp_desc = Pexp_ident { txt = Lident ":="; _ }; _ },
+              [ (_, { pexp_desc = Pexp_ident { txt = Lident r; _ }; _ }); (_, v) ]
+            )
+          when (not (Hashtbl.mem env r)) && floatish_deep env v ->
+          Hashtbl.add env r ();
+          grew := true
+        | _ -> ());
+        super#expression e
+
       (* Annotated binders anywhere — [(a : float list)] parameters,
          let-patterns — carry their own evidence. *)
       method! pattern p =
@@ -440,9 +453,9 @@ let no_poly_float_compare =
     id = "no-polymorphic-compare-on-float";
     severity = Finding.Error;
     doc =
-      "polymorphic =/compare on floats (or float-containing structures) \
-       is boxed and nan-unsound; use Float.equal / Float.compare \
-       (compose with Option.equal / List.equal)";
+      "polymorphic =/compare on floats (or float-containing structures, \
+       also as a List/Array sort comparator) is boxed and nan-unsound; use \
+       Float.equal / Float.compare (compose with Option.equal / List.equal)";
     applies = lib_only;
     check =
       (fun ~emit st ->
@@ -464,6 +477,19 @@ let no_poly_float_compare =
                       nan-unsound); use Float.equal / Float.compare \
                       (compose with Option.equal / List.equal)"
                      (ident_name txt))
+              | Pexp_apply
+                  ( { pexp_desc = Pexp_ident { txt = sorter; _ }; _ },
+                    (Nolabel, ({ pexp_desc = Pexp_ident { txt; _ }; _ } as fn))
+                    :: data )
+                when List.mem (ident_name sorter) poly_sort_fns
+                     && List.mem (ident_name txt) [ "compare"; "Stdlib.compare" ]
+                     && List.exists (fun (_, a) -> floatish_deep env a) data ->
+                emit ~loc:fn.pexp_loc
+                  (Printf.sprintf
+                     "polymorphic %s as the comparator of %s over \
+                      float-bearing data (boxed, nan-unsound); compare \
+                      components with Float.compare / Int.compare"
+                     (ident_name txt) (ident_name sorter))
               | _ -> ());
               super#expression e
           end
@@ -493,9 +519,9 @@ let missing_interface =
 
 (* Like missing-interface, the AST check here is a no-op: the real
    analysis is interprocedural (entrypoint reachability across files)
-   and lives in Race, run via `leotp_lint.exe --race`.  Registering the
-   id here makes --rules list it and lets allow-validation accept
-   [@leotp.allow "domain-unsafe-access"]. *)
+   and lives in Race.  Registering the id here makes --rules list it
+   and lets allow-validation accept [@leotp.allow
+   "domain-unsafe-access"]. *)
 let domain_unsafe_access_id = "domain-unsafe-access"
 
 let domain_unsafe_access =
@@ -505,7 +531,7 @@ let domain_unsafe_access =
     doc =
       "top-level mutable state reachable from a Domain_pool/Domain.spawn \
        entrypoint must be accessed inside Guarded/Atomic/Mutex critical \
-       sections (interprocedural; run with --race)";
+       sections (interprocedural)";
     applies = everywhere;
     check = (fun ~emit:_ _ -> ());
   }
@@ -571,9 +597,9 @@ let hot_path_alloc =
 
 (* As with domain-unsafe-access, these AST checks are no-ops: the real
    analyses are interprocedural (ownership tracks, allocation-effect
-   and time-taint reachability across files) and live in Own, run via
-   `leotp_lint.exe --own`.  Registering the ids here makes --rules list
-   them and lets allow-validation accept their [@leotp.allow]s. *)
+   and time-taint reachability across files) and live in Own.
+   Registering the ids here makes --rules list them and lets
+   allow-validation accept their [@leotp.allow]s. *)
 
 let own_rule id doc =
   {
@@ -588,27 +614,25 @@ let own_leak =
   own_rule "own-leak"
     "a packet acquired from Packet_pool.acquire/clone is still owned at \
      the end of some path: release it, hand it to a consuming/transferring \
-     callee, or annotate with [@leotp.owns] (interprocedural; run with \
-     --own)"
+     callee, or annotate with [@leotp.owns] (interprocedural)"
 
 let own_double_release =
   own_rule "own-double-release"
     "a packet is released (or consumed by a callee) twice, or released \
      after its ownership was transferred; the record would alias two \
-     future owners (interprocedural; run with --own)"
+     future owners (interprocedural)"
 
 let own_use_after_release =
   own_rule "own-use-after-release"
     "a packet is read or passed on after Packet_pool.release; the record \
-     may already be recycled under another owner (interprocedural; run \
-     with --own)"
+     may already be recycled under another owner (interprocedural)"
 
 let own_escape =
   own_rule "own-escape"
     "a packet is stored into a long-lived container (Hashtbl/Queue/array \
      slot/record field) that is not a registered sink; annotate the \
      function with [@leotp.owns \"transfers\"] if the store is a \
-     deliberate hand-off (interprocedural; run with --own)"
+     deliberate hand-off (interprocedural)"
 
 let own_annotation =
   own_rule "own-annotation"
@@ -621,46 +645,43 @@ let hot_path_may_alloc =
     "a function reachable from the per-packet hot roots (engine dispatch, \
      Shr.on_packet, Seg_store scans, the packet pool, datapath timer \
      closures) may allocate: closures, tuples, records, list cells, \
-     allocating stdlib calls or partial application (interprocedural; run \
-     with --own)"
+     allocating stdlib calls or partial application (interprocedural)"
 
 let time_taint =
   own_rule "time-taint"
     "sim-time code (lib/ outside lib/lint) reaches a wall-clock read, \
      directly or through harness helpers; route real time through the \
-     harness stratum (interprocedural; run with --own)"
+     harness stratum (interprocedural)"
 
 (* -- Rules 17..21: the leotp-dim family ------------------------------ *)
 
 (* Same pattern again: the dimensional analysis is interprocedural
-   (unit inference over the call graph) and lives in Dim, run via
-   `leotp_lint.exe --dim`. *)
+   (unit inference over the call graph) and lives in Dim. *)
 
 let dim_mixed_arith =
   own_rule "dim-mixed-arith"
     "arithmetic or a comparison mixes incompatible units of measure \
      (seconds + bytes, ms passed where a seeded signature expects \
      seconds); convert via Leotp_util.Units or pin with [@leotp.dim] \
-     (interprocedural; run with --dim)"
+     (interprocedural)"
 
 let dim_bad_product =
   own_rule "dim-bad-product"
     "a product multiplies two rates or two durations; no protocol \
      quantity has that unit, so one factor is almost certainly wrong \
-     (interprocedural; run with --dim)"
+     (interprocedural)"
 
 let dim_raw_conversion =
   own_rule "dim-raw-conversion"
     "a magic constant re-derives a Leotp_util.Units conversion on a \
      value with a known unit (*. 1000. on seconds, /. 8. on bits, \
-     ...); call the named Units helper instead (interprocedural; run \
-     with --dim)"
+     ...); call the named Units helper instead (interprocedural)"
 
 let dim_seqno_arith =
   own_rule "dim-seqno-arith"
     "an ordinal sequence number is used as a byte/bit/packet count or \
      vice versa; offsets difference to counts, they do not add to \
-     sizes (interprocedural; run with --dim)"
+     sizes (interprocedural)"
 
 let dim_annotation =
   own_rule "dim-annotation"

@@ -6,10 +6,8 @@
     [[@leotp.allow "rule-id"]] on a binding/expression or
     [[@@@leotp.allow "rule-id"]] for the whole file. *)
 
-type scope = Lib | Bench | Bin | Other
-
-val scope_of_path : string -> scope
-(** Classify a '/'-separated path by its first recognised component. *)
+type scope = Callgraph.scope = Lib | Bench | Bin | Other
+(** Path scope of a file, from {!Callgraph.place}. *)
 
 type emit = loc:Ppxlib.Location.t -> string -> unit
 
@@ -27,7 +25,7 @@ val missing_interface_id : string
 
 val domain_unsafe_access_id : string
 (** Registered here for [--rules] and allow-validation; the analysis
-    itself is interprocedural and lives in {!Race} ([--race]). *)
+    itself is interprocedural and lives in {!Race}. *)
 
 val all : t list
 val known_ids : string list

@@ -13,7 +13,7 @@
    This module *is* the process-wide job-runner singleton, but all of
    its shared state lives in Guarded / Atomic_counter cells, so every
    cross-domain access is a critical section or an atomic op by
-   construction — verified by `leotp_lint.exe --race`, not by a blanket
+   construction — verified by the `leotp_lint.exe` race pass, not by a blanket
    allow. *)
 
 module Guarded = Leotp_util.Guarded

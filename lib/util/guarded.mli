@@ -5,7 +5,7 @@
     singleton, a pool's work queue) lives inside a ['a t]; the payload
     is only reachable through {!with_} and {!await}, both of which hold
     the lock for the duration of the callback.  The leotp-race static
-    pass ([leotp_lint.exe --race]) treats these regions as critical
+    pass of [leotp_lint.exe] treats these regions as critical
     sections, so code written against this interface analyses as
     domain-safe by construction.
 

@@ -5,7 +5,7 @@
     Mbps (decimal megabits) and delays in milliseconds.
 
     Inline conversion constants elsewhere in lib/ are flagged by the
-    leotp-lint [--dim] pass (rule dim-raw-conversion); this module is
+    leotp-lint dim pass (rule dim-raw-conversion); this module is
     where they are allowed to live. *)
 
 let bits_per_byte = 8.0

@@ -5,7 +5,7 @@
     Mbps (decimal megabits) and delays in milliseconds.
 
     Inline conversion constants elsewhere in lib/ are flagged by the
-    leotp-lint [--dim] pass (rule dim-raw-conversion); route
+    leotp-lint dim pass (rule dim-raw-conversion); route
     conversions through these helpers instead. *)
 
 val bits_per_byte : float

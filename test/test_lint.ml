@@ -144,6 +144,23 @@ let test_poly_float_compare () =
     \  Option.equal (List.equal Float.equal) prev (Some s)";
   (* int-shaped structures stay exempt *)
   check_clean ~rule "let f prev h = prev <> Some (List.map succ h)"
+  ;
+  (* polymorphic compare as a sort comparator, over data accumulated
+     through a ref (the route-candidate shape of path_service.ml) *)
+  check_flags ~rule ~line:5
+    "let attach n =\n\
+    \  let cands = ref [] in\n\
+    \  for sat = 0 to n - 1 do cands := (float_of_int sat *. 2.0, sat) :: !cands done;\n\
+    \  ignore n;\n\
+    \  List.sort compare !cands";
+  check_flags ~rule ~line:1 "let f xs = Array.sort compare (Array.map (fun x -> x *. 2.0) xs)";
+  check_clean ~rule
+    "let keys t = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t [])";
+  check_clean ~rule
+    "let attach n =\n\
+    \  let cands = ref [] in\n\
+    \  for sat = 0 to n - 1 do cands := (sat, sat) :: !cands done;\n\
+    \  List.sort compare !cands"
 
 (* ------------------------------------------------------------------ *)
 (* Rule 7: missing-interface *)
@@ -284,6 +301,164 @@ let test_json_report () =
   Alcotest.(check bool) "file" true (contains {|"file":"lib/core/fixture.ml"|});
   Alcotest.(check bool) "errors count" true (contains {|"errors":1|})
 
+(* ------------------------------------------------------------------ *)
+(* Front end: every pass over one source *)
+
+let all_passes path src =
+  Engine.lint_source ~path src
+  @ List.concat_map
+      (fun analyze -> analyze [ (path, src) ])
+      [
+        Leotp_lint.Race.analyze_sources;
+        Leotp_lint.Own.analyze_sources;
+        Leotp_lint.Dim.analyze_sources;
+      ]
+
+(* A functor application in a type path is valid OCaml: no rule or
+   pass may crash on it. *)
+let test_functor_type_path () =
+  Alcotest.(check (list string))
+    "lints cleanly" []
+    (rules_of (all_passes "lib/core/fixture.ml" "let f (x : Set.Make(Int).t) = x\n"))
+
+(* Findings must not depend on how the path to a lib/ file is spelled. *)
+let test_path_spelling () =
+  let planted =
+    "let now () = Unix.gettimeofday ()\n\
+     let bad e m = Engine.now e +. Cc.fmss m\n\
+     let arm t engine =\n\
+    \  ignore (Engine.schedule engine ~after:1.0 (fun () -> t := [ 1 ]))\n\
+     let leak pool node =\n\
+    \  let p = Packet_pool.acquire pool in\n\
+    \  Node.send node p\n"
+  in
+  let sites path =
+    List.sort_uniq compare
+      (List.map
+         (fun f -> (f.Finding.rule, f.Finding.line, f.Finding.col))
+         (all_passes path planted))
+  in
+  let expected = sites "lib/core/a.ml" in
+  List.iter
+    (fun rule ->
+      Alcotest.(check bool)
+        (rule ^ " fires") true
+        (List.exists (fun (r, _, _) -> r = rule) expected))
+    [ "no-wall-clock"; "time-taint"; "dim-mixed-arith"; "hot-path-may-alloc";
+      "own-leak" ];
+  List.iter
+    (fun path ->
+      Alcotest.(check (list (triple string int int))) path expected (sites path))
+    [ "./lib/core/a.ml"; "/abs/x/lib/core/a.ml" ]
+
+(* ------------------------------------------------------------------ *)
+(* Golden text of the interprocedural passes *)
+
+(* A small multi-file corpus with at least one finding per
+   interprocedural rule id, and a call chain of seven or more hops for
+   the race, hot-path-may-alloc, time-taint and dim-provenance
+   witnesses, so every witness-elision shape is exercised. *)
+let golden_corpus =
+  [
+    ("lib/core/state.ml", "let counter = ref 0\nlet bump () = incr counter\n");
+    ( "lib/core/spawn.ml",
+      "let r1 () = State.bump ()\n\
+       let r2 () = r1 ()\n\
+       let r3 () = r2 ()\n\
+       let r4 () = r3 ()\n\
+       let r5 () = r4 ()\n\
+       let r6 () = r5 ()\n\
+       let start () = Domain.spawn (fun () -> r6 ())\n" );
+    ( "lib/core/shr.ml",
+      "let a7 x = [ x ]\n\
+       let a6 x = a7 x\n\
+       let a5 x = a6 x\n\
+       let a4 x = a5 x\n\
+       let a3 x = a4 x\n\
+       let a2 x = a3 x\n\
+       let a1 x = a2 x\n\
+       let on_packet t pkt =\n\
+      \  ignore (a1 pkt);\n\
+      \  t := (pkt, pkt)\n" );
+    ( "lib/core/clock_user.ml",
+      "let now () = Unix.gettimeofday ()\nlet stamp () = Tick.t1 ()\n" );
+    ( "bench/tick.ml",
+      "let t7 () = Unix.gettimeofday ()\n\
+       let t6 () = t7 ()\n\
+       let t5 () = t6 ()\n\
+       let t4 () = t5 ()\n\
+       let t3 () = t4 ()\n\
+       let t2 () = t3 ()\n\
+       let t1 () = t2 ()\n" );
+    ( "lib/core/pool_user.ml",
+      "let look p = ignore p\n\
+       let leak pool =\n\
+      \  let p = Packet_pool.acquire pool in\n\
+      \  look p;\n\
+      \  look p;\n\
+      \  look p;\n\
+      \  look p;\n\
+      \  look p;\n\
+      \  look p\n\
+       let double pool =\n\
+      \  let p = Packet_pool.acquire pool in\n\
+      \  Packet_pool.release pool p;\n\
+      \  Packet_pool.release pool p\n\
+       let uar pool node =\n\
+      \  let p = Packet_pool.acquire pool in\n\
+      \  Packet_pool.release pool p;\n\
+      \  Node.send node p\n\
+       let stash tbl pool k =\n\
+      \  let p = Packet_pool.acquire pool in\n\
+      \  Hashtbl.replace tbl k p\n\
+       let bad_owns p = ignore p [@@leotp.owns \"gives p\"]\n" );
+    ( "lib/core/dimx.ml",
+      "let d0 e = Engine.now e\n\
+       let d1 e = d0 e\n\
+       let d2 e = d1 e\n\
+       let d3 e = d2 e\n\
+       let d4 e = d3 e\n\
+       let d5 e = d4 e\n\
+       let d6 e = d5 e\n\
+       let d7 e = d6 e\n\
+       let mixed e m = d7 e +. Cc.fmss m\n\
+       let product e = Engine.now e *. Engine.now e\n\
+       let raw e = Engine.now e *. 1000.0\n\
+       let seq s len = s + len [@@leotp.dim \"seqno s, bytes len\"]\n\
+       let annot x = x [@@leotp.dim \"parsecs x\"]\n" );
+  ]
+
+let render_golden () =
+  List.concat_map
+    (fun analyze -> List.map Finding.to_text (analyze golden_corpus))
+    [
+      Leotp_lint.Race.analyze_sources;
+      Leotp_lint.Own.analyze_sources;
+      Leotp_lint.Dim.analyze_sources;
+    ]
+
+let golden_expected =
+  {|lib/core/state.ml:2:19: [error] domain-unsafe-access: unguarded cross-domain access to State.counter (ref, defined lib/core/state.ml:1); guard it with Guarded.with_ / Atomic, or justify with an item-level [@leotp.allow "domain-unsafe-access"]; witness: Spawn.start.<entry:7:28> (lib/core/spawn.ml:7) -> Spawn.r6 (lib/core/spawn.ml:6) -> Spawn.r5 (lib/core/spawn.ml:5) -> ... 3 more ... -> Spawn.r1 (lib/core/spawn.ml:1) -> State.bump (lib/core/state.ml:2) -> access at line 2
+lib/core/clock_user.ml:1:13: [error] time-taint: Clock_user.now reads the wall clock (Unix.gettimeofday) but lives in the sim-time stratum; route real time through the harness or justify with [@leotp.allow "time-taint"]; witness: Clock_user.now -> reads Unix.gettimeofday at line 1
+lib/core/clock_user.ml:2:15: [error] time-taint: sim-time code Clock_user.stamp reaches a wall-clock read through harness code Tick.t1; keep real time out of the protocol core or justify with [@leotp.allow "time-taint"]; witness: Clock_user.stamp -> Tick.t1 -> Tick.t2 -> Tick.t3 -> Tick.t4 -> Tick.t5 -> Tick.t6 -> Tick.t7 -> reads Unix.gettimeofday at line 1
+lib/core/pool_user.ml:3:10: [error] own-leak: packet p (Packet_pool.acquire) is never released or handed off in Pool_user.leak; release it on every path, hand it to a consuming/transferring callee, or annotate the callee with [@leotp.owns]; witness: acquired (line 3) -> borrowed by look (line 4) -> borrowed by look (line 5) -> ... 3 more ... -> borrowed by look (line 9) -> end of Pool_user.leak still owned
+lib/core/pool_user.ml:13:27: [error] own-double-release: double release of p: already released (line 12); witness: p in Pool_user.double -> released (line 12) -> released again at line 13
+lib/core/pool_user.ml:17:17: [error] own-use-after-release: use of p after it was released (line 16); the record may already be recycled under another owner; witness: p in Pool_user.uar -> released (line 16) -> use at line 17
+lib/core/pool_user.ml:20:24: [error] own-escape: packet p escapes into a long-lived container (Hashtbl.replace) that is not a registered sink; hand it to Pkt_queue.push, annotate the enclosing function with [@leotp.owns "transfers"], or justify with [@leotp.allow "own-escape"]; witness: p in Pool_user.stash -> stored at line 20
+lib/core/pool_user.ml:21:26: [error] own-annotation: malformed [@leotp.owns] payload "gives p": unknown role "gives" (expected consumes | transfers | borrows | source); grammar: "consumes|transfers|borrows [param ...]" or "source"
+lib/core/shr.ml:9:10: [error] hot-path-may-alloc: call to a1 may allocate on the packet hot path (a list cell at lib/core/shr.ml:1); hoist the allocation, restructure the call, or justify with [@leotp.allow "hot-path-may-alloc"]; witness: Shr.on_packet (lib/core/shr.ml:8) -> Shr.a1 -> Shr.a2 -> ... 4 more ... -> Shr.a7 -> allocates a list cell at line 1
+lib/core/shr.ml:10:7: [error] hot-path-may-alloc: a tuple is allocated on the packet hot path; hoist it out of the per-packet flow or justify with [@leotp.allow "hot-path-may-alloc"]; witness: Shr.on_packet (lib/core/shr.ml:8) -> allocates at line 10
+lib/core/dimx.ml:9:16: [error] dim-mixed-arith: (+.) mixes seconds with bytes; convert one side via Leotp_util.Units or justify with [@leotp.allow "dim-mixed-arith"]; witness: seconds (via Engine.now returns seconds (seed) -> returned by Dimx.d0 -> ... 5 more ... -> returned by Dimx.d6 -> returned by Dimx.d7) vs bytes (via Cc.fmss returns bytes (seed)) at line 9
+lib/core/dimx.ml:10:16: [error] dim-bad-product: suspicious product: seconds x seconds (a duration squared); no quantity in the protocol has this unit — restructure or justify with [@leotp.allow "dim-bad-product"]; witness: seconds (via Engine.now returns seconds (seed)) vs seconds (via Engine.now returns seconds (seed)) at line 10
+lib/core/dimx.ml:11:12: [error] dim-raw-conversion: raw unit conversion: seconds *. 1000 re-derives Units.sec_to_ms; call Leotp_util.Units.sec_to_ms or justify with [@leotp.allow "dim-raw-conversion"]; witness: seconds (via Engine.now returns seconds (seed)) at line 11
+lib/core/dimx.ml:12:16: [error] dim-seqno-arith: (+) mixes seqno with bytes; an ordinal sequence number is not a size; convert explicitly (offset difference, count x size) or justify with [@leotp.allow "dim-seqno-arith"]; witness: seqno (via Dimx.seq s is seqno ([@leotp.dim] pin)) vs bytes (via Dimx.seq len is bytes ([@leotp.dim] pin)) at line 12
+lib/core/dimx.ml:13:16: [error] dim-annotation: malformed [@leotp.dim] payload "parsecs x": unknown unit "parsecs" (expected seconds|ms|us|bytes|bits|mb|packets|meters|km|seqno|mbps|dimensionless|<base>_per_<base>)|}
+
+let test_golden_text () =
+  Alcotest.(check (list string))
+    "finding text" (String.split_on_char '\n' golden_expected)
+    (render_golden ())
+
 let test_registry_docs () =
   (* every advertised rule id is non-empty and unique; doc strings exist *)
   let ids = Rules.known_ids in
@@ -329,4 +504,11 @@ let () =
           Alcotest.test_case "json report" `Quick test_json_report;
           Alcotest.test_case "registry" `Quick test_registry_docs;
         ] );
+      ( "front end",
+        [
+          Alcotest.test_case "functor type path" `Quick test_functor_type_path;
+          Alcotest.test_case "path spelling" `Quick test_path_spelling;
+        ] );
+      ( "golden",
+        [ Alcotest.test_case "interprocedural finding text" `Quick test_golden_text ] );
     ]

@@ -6,7 +6,6 @@
 module Finding = Leotp_lint.Finding
 module Race = Leotp_lint.Race
 module Callgraph = Leotp_lint.Callgraph
-module Engine = Leotp_lint.Engine
 
 let analyze src = Race.analyze_sources [ ("lib/core/fixture.ml", src) ]
 
@@ -211,7 +210,7 @@ let callgraph_roundtrip_prop =
     gen_unit_gen (fun u ->
       let t = List.length u.top in
       let src = render u in
-      match Engine.parse_impl ~path:"lib/core/fixture.ml" src with
+      match Callgraph.parse_impl ~path:"lib/core/fixture.ml" src with
       | Error msg -> QCheck2.Test.fail_reportf "parse failed: %s\n%s" msg src
       | Ok structure ->
         let cg = Callgraph.of_structure ~path:"lib/core/fixture.ml" structure in
