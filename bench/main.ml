@@ -361,7 +361,7 @@ let run_gate ~path perfs =
    flow_sim_seconds_per_wall_second (total per-flow active simulated
    time per second of wall clock — the OpenSN-style scale number), gated
    against bench/baselines.json with its own tolerance band.  The
-   combined FNV digest printed here is the determinism witness: it must
+   combined trace digest printed here is the determinism witness: it must
    be identical under any --jobs N for a fixed --shards. *)
 
 let manyflow_spec ~quick ~flows ~seed ~shards =

@@ -71,21 +71,111 @@ type t = {
   mutable len : int;
   mutable next : int;
   mutable seq : int;
-  mutable digest : int64;
+  mutable digest : int;
   mutable clock : unit -> float;
   mutable sinks : (record -> unit) list;
 }
 
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
+(* The digest is a streaming structural hash: every field of every
+   record is mixed straight into an immediate [int] state, one FNV-style
+   multiply-xor step per word, so digesting allocates nothing per
+   record.  A record feeds its seq, its time, a tag per constructor, then
+   each field in declaration order; strings and lists feed their length
+   first, so the word stream is prefix-free and each step is a bijection
+   of the state.  Combinators take the state last, for [|>] pipelines. *)
+let seed = 0x4bf29ce484222325 (* FNV-1a 64 offset basis, top bit dropped *)
 
-let fnv1a64 h s =
-  let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
+(* The xorshift carries high bits down.  Without it a difference confined
+   to the top bit passes through every multiply unchanged, so two records
+   differing only there would collide when fed in swapped order. *)
+let[@inline] mix x h =
+  let h = (h lxor x) * 0x100000001b3 in
+  h lxor (h lsr 31)
+
+(* Both 32-bit halves: an [int] holds 63 bits, so [Int64.to_int] alone
+   would drop the sign bit. *)
+let[@inline] mix_float f h =
+  let b = Int64.bits_of_float f in
+  h
+  |> mix (Int64.to_int (Int64.shift_right_logical b 32))
+  |> mix (Int64.to_int b land 0xffff_ffff)
+
+let mix_string s h =
+  let h = ref (mix (String.length s) h) in
+  for i = 0 to String.length s - 1 do
+    h := mix (Char.code (String.unsafe_get s i)) !h
+  done;
   !h
+
+let rec mix_pairs l h =
+  match l with [] -> h | (lo, hi) :: tl -> mix_pairs tl (h |> mix lo |> mix hi)
+
+let mix_sacks sacks h = mix_pairs sacks (mix (List.length sacks) h)
+
+let mix_rtt rtt h =
+  match rtt with None -> mix 0 h | Some r -> h |> mix 1 |> mix_float r
+
+let reason_tag = function Tail -> 0 | Error -> 1 | Flush -> 2 | Down -> 3
+let state_tag = function Seg_sent -> 0 | Seg_retx -> 1 | Seg_lost -> 2
+
+let mix_event ev h =
+  match ev with
+  | Link_enq { link; pkt; size } ->
+    h |> mix 0 |> mix_string link |> mix pkt |> mix size
+  | Link_drop { link; pkt; reason } ->
+    h |> mix 1 |> mix_string link |> mix pkt |> mix (reason_tag reason)
+  | Link_deliver { link; pkt; size } ->
+    h |> mix 2 |> mix_string link |> mix pkt |> mix size
+  | Link_dup { link; pkt } -> h |> mix 3 |> mix_string link |> mix pkt
+  | Link_final { link; offered; delivered; dropped; dups; queued; in_flight } ->
+    h |> mix 4 |> mix_string link |> mix offered |> mix delivered
+    |> mix dropped |> mix dups |> mix queued |> mix in_flight
+  | Pit_register { node; flow; lo; hi; forwarded; expiry; pending } ->
+    h |> mix 5 |> mix_string node |> mix flow |> mix lo |> mix hi
+    |> mix (Bool.to_int forwarded) |> mix_float expiry |> mix pending
+  | Pit_satisfy { node; flow; lo; hi; fresh; age; pending } ->
+    h |> mix 6 |> mix_string node |> mix flow |> mix lo |> mix hi
+    |> mix (Bool.to_int fresh) |> mix_float age |> mix pending
+  | Pit_expire { node; flow; lo; hi; pending } ->
+    h |> mix 7 |> mix_string node |> mix flow |> mix lo |> mix hi
+    |> mix pending
+  | Cache_occupancy { node; used; capacity } ->
+    h |> mix 8 |> mix_string node |> mix used |> mix capacity
+  | Deliver { node; flow; pos; len } ->
+    h |> mix 9 |> mix node |> mix flow |> mix pos |> mix len
+  | Complete { node; flow; bytes } ->
+    h |> mix 10 |> mix node |> mix flow |> mix bytes
+  | Rto_fire { who; elapsed; floor } ->
+    h |> mix 11 |> mix_string who |> mix_float elapsed |> mix_float floor
+  | Ack_processed
+      {
+        who;
+        flow;
+        cc;
+        phase;
+        cum_ack;
+        sacks;
+        rtt;
+        snd_una;
+        inflight;
+        lost_pending;
+        cwnd;
+        rto;
+      } ->
+    h |> mix 12 |> mix_string who |> mix flow |> mix_string cc
+    |> mix_string phase |> mix cum_ack |> mix_sacks sacks |> mix_rtt rtt
+    |> mix snd_una |> mix inflight |> mix lost_pending |> mix_float cwnd
+    |> mix_float rto
+  | Seg_state { who; flow; seq; len; state } ->
+    h |> mix 13 |> mix_string who |> mix flow |> mix seq |> mix len
+    |> mix (state_tag state)
+  | Fault { what } -> h |> mix 14 |> mix_string what
+  | Note { what } -> h |> mix 15 |> mix_string what
+
+let mix_record (r : record) h =
+  h |> mix r.seq |> mix_float r.time |> mix_event r.event
+
+let hex h = Printf.sprintf "%016x" h
 
 let create ?(capacity = 65536) ?(digesting = true) () =
   {
@@ -95,7 +185,7 @@ let create ?(capacity = 65536) ?(digesting = true) () =
     len = 0;
     next = 0;
     seq = 0;
-    digest = fnv_offset;
+    digest = seed;
     clock = (fun () -> 0.0);
     sinks = [];
   }
@@ -210,10 +300,7 @@ let json_of_record (r : record) =
 let record t event =
   let r = { seq = t.seq; time = t.clock (); event } in
   t.seq <- t.seq + 1;
-  if t.digesting then begin
-    t.digest <- fnv1a64 t.digest (json_of_record r);
-    t.digest <- fnv1a64 t.digest "\n"
-  end;
+  if t.digesting then t.digest <- mix_record r t.digest;
   if Array.length t.ring = 0 then t.ring <- Array.make t.capacity r;
   t.ring.(t.next) <- r;
   t.next <- (t.next + 1) mod t.capacity;
@@ -235,7 +322,9 @@ let records t =
   List.init t.len (fun i -> t.ring.((start + i) mod t.capacity))
 
 let count t = t.seq
-let digest t = Printf.sprintf "%016Lx" t.digest
+let digest t = hex t.digest
+let digest_records rs = hex (List.fold_left (Fun.flip mix_record) seed rs)
+let combine digests = hex (List.fold_left (Fun.flip mix_string) seed digests)
 
 let write_jsonl t oc =
   List.iter

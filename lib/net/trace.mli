@@ -89,9 +89,8 @@ type t
 val create : ?capacity:int -> ?digesting:bool -> unit -> t
 (** Ring capacity in records (default 65536).  The digest and any sinks
     cover every emitted record regardless of ring retention.
-    [digesting:false] skips the per-record serialization + hash (for
-    sink-only recorders, e.g. pure invariant checking); {!digest} then
-    stays at the FNV offset basis. *)
+    [digesting:false] skips the per-record hash (for sink-only recorders,
+    e.g. pure invariant checking); {!digest} then stays at the seed. *)
 
 val set_clock : t -> (unit -> float) -> unit
 (** Timestamp source, normally [fun () -> Engine.now engine]. *)
@@ -122,10 +121,23 @@ val count : t -> int
 (** Total records emitted, including those evicted from the ring. *)
 
 val digest : t -> string
-(** FNV-1a 64-bit hash over every serialized record, as 16 hex digits. *)
+(** Streaming structural hash over every record, as 16 hex digits.  Each
+    record's seq, time (all 64 bits), constructor and every field in
+    declaration order are mixed into an immediate [int] state, with
+    strings and lists length-prefixed; recording allocates nothing for
+    it. *)
+
+val digest_records : record list -> string
+(** The {!digest} of a fresh recorder that recorded exactly these
+    records, in order (their own [seq] and [time] included). *)
+
+val combine : string list -> string
+(** One digest over several digests, in list order, through the same
+    hash (e.g. a fleet run's shard digests in shard order). *)
 
 val json_of_record : record -> string
-(** One JSON object, no trailing newline; schema in EXPERIMENTS.md. *)
+(** One JSON object, no trailing newline; schema in EXPERIMENTS.md.
+    Export only ([--trace]): the digest never renders JSON. *)
 
 val write_jsonl : t -> out_channel -> unit
 (** Retained records as JSON lines. *)

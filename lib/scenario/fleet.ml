@@ -449,19 +449,6 @@ let run_shard spec ~shard ~arrivals () =
     reports = !reports;
   }
 
-(* FNV-1a over the concatenated shard digests (in shard order): one
-   stable headline digest for the whole fleet run. *)
-let fnv64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h :=
-        Int64.mul
-          (Int64.logxor !h (Int64.of_int (Char.code c)))
-          0x100000001b3L)
-    s;
-  Printf.sprintf "%016Lx" !h
-
 let run spec =
   let arrivals = Workload.generate spec.workload in
   let shards = max 1 spec.shards in
@@ -497,10 +484,10 @@ let run spec =
     pool_live_delta = sum (fun r -> r.pool_live_delta);
     pit_pending_end = sum (fun r -> r.pit_pending_end);
     peak_active = sum (fun r -> r.peak_active);
+    (* One stable headline digest for the whole run: the shard digests
+       combined in shard order. *)
     digest =
-      fnv64
-        (String.concat ","
-           (List.map (fun (r : shard_stats) -> r.digest) results));
+      Trace.combine (List.map (fun (r : shard_stats) -> r.digest) results);
     shards = results;
     invariants_ok =
       List.for_all

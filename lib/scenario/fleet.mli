@@ -50,7 +50,7 @@ type shard_stats = {
   pool_live_delta : int;  (** 0 iff no pooled packet leaked *)
   pit_pending_end : int;  (** 0 iff retirement emptied the PITs *)
   peak_active : int;
-  digest : string;  (** FNV-1a trace digest of this shard *)
+  digest : string;  (** {!Leotp_net.Trace.digest} of this shard *)
   reports : Invariants.report list;
 }
 
@@ -69,7 +69,8 @@ type stats = {
   pool_live_delta : int;
   pit_pending_end : int;
   peak_active : int;  (** summed over shards *)
-  digest : string;  (** FNV-1a over the shard digests, in shard order *)
+  digest : string;
+      (** {!Leotp_net.Trace.combine} of the shard digests, in shard order *)
   shards : shard_stats list;
   invariants_ok : bool;
 }

@@ -246,6 +246,301 @@ let test_digest_across_jobs () =
     (Printf.sprintf "jobs 1 = jobs %d" njobs)
     sequential parallel
 
+(* ------------------------------------------------------------------ *)
+(* Digest: a witness of every field, allocation-free per record *)
+
+(* Field values shared by one event of every constructor.  Each
+   constructor reads a slot at most once, so changing one slot changes at
+   most one field of each record. *)
+type slots = {
+  seq : int;
+  time : float;
+  s : string array;  (** 3 *)
+  i : int array;  (** 6 *)
+  f : float array;  (** 2 *)
+  flag : bool;
+  reason : Trace.drop_reason;
+  state : Trace.seg_state;
+  sacks : (int * int) list;
+  rtt : float option;
+}
+
+let events_of p =
+  let s = p.s and i = p.i and f = p.f in
+  Trace.
+    [
+      Link_enq { link = s.(0); pkt = i.(0); size = i.(1) };
+      Link_drop { link = s.(0); pkt = i.(0); reason = p.reason };
+      Link_deliver { link = s.(0); pkt = i.(0); size = i.(1) };
+      Link_dup { link = s.(0); pkt = i.(0) };
+      Link_final
+        {
+          link = s.(0);
+          offered = i.(0);
+          delivered = i.(1);
+          dropped = i.(2);
+          dups = i.(3);
+          queued = i.(4);
+          in_flight = i.(5);
+        };
+      Pit_register
+        {
+          node = s.(0);
+          flow = i.(0);
+          lo = i.(1);
+          hi = i.(2);
+          forwarded = p.flag;
+          expiry = f.(0);
+          pending = i.(3);
+        };
+      Pit_satisfy
+        {
+          node = s.(0);
+          flow = i.(0);
+          lo = i.(1);
+          hi = i.(2);
+          fresh = p.flag;
+          age = f.(0);
+          pending = i.(3);
+        };
+      Pit_expire
+        { node = s.(0); flow = i.(0); lo = i.(1); hi = i.(2); pending = i.(3) };
+      Cache_occupancy { node = s.(0); used = i.(0); capacity = i.(1) };
+      Deliver { node = i.(0); flow = i.(1); pos = i.(2); len = i.(3) };
+      Complete { node = i.(0); flow = i.(1); bytes = i.(2) };
+      Rto_fire { who = s.(0); elapsed = f.(0); floor = f.(1) };
+      Ack_processed
+        {
+          who = s.(0);
+          flow = i.(0);
+          cc = s.(1);
+          phase = s.(2);
+          cum_ack = i.(1);
+          sacks = p.sacks;
+          rtt = p.rtt;
+          snd_una = i.(2);
+          inflight = i.(3);
+          lost_pending = i.(4);
+          cwnd = f.(0);
+          rto = f.(1);
+        };
+      Seg_state
+        {
+          who = s.(0);
+          flow = i.(0);
+          seq = i.(1);
+          len = i.(2);
+          state = p.state;
+        };
+      Fault { what = s.(0) };
+      Note { what = s.(0) };
+    ]
+
+let records_of p =
+  List.map
+    (fun event -> { Trace.seq = p.seq; time = p.time; event })
+    (events_of p)
+
+let slots_gen =
+  let open QCheck2.Gen in
+  let str = string_size ~gen:printable (int_range 0 4) in
+  let num = oneof [ small_signed_int; int ] in
+  let fl = oneof [ oneofl [ 0.0; -0.0; 1.0 ]; float_range (-1e6) 1e6 ] in
+  let+ seq = nat
+  and+ time = fl
+  and+ s = array_size (return 3) str
+  and+ i = array_size (return 6) num
+  and+ f = array_size (return 2) fl
+  and+ flag = bool
+  and+ reason = oneofl Trace.[ Tail; Error; Flush; Down ]
+  and+ state = oneofl Trace.[ Seg_sent; Seg_retx; Seg_lost ]
+  and+ sacks = small_list (pair num num)
+  and+ rtt = option fl in
+  { seq; time; s; i; f; flag; reason; state; sacks; rtt }
+
+(* Every way to change one slot: ints by their low and top bits, floats
+   by their sign (0.0 -> -0.0) and lowest mantissa bit, strings by
+   length and by a byte moved from [phase] onto [cc], lists by length
+   and content, options by tag and value. *)
+let one_slot_changes p =
+  let each a change =
+    List.concat
+      (List.init (Array.length a) (fun k ->
+           List.map
+             (fun v ->
+               let a = Array.copy a in
+               a.(k) <- v;
+               a)
+             (change a.(k))))
+  in
+  let ints x = [ x + 1; x lxor min_int ] in
+  let floats x = [ Float.neg x; Float.succ x ] in
+  let moved_byte =
+    match p.s with
+    | [| who; cc; phase |] when phase <> "" ->
+      let n = String.length phase in
+      [
+        {
+          p with
+          s = [| who; cc ^ String.sub phase 0 1; String.sub phase 1 (n - 1) |];
+        };
+      ]
+    | _ -> []
+  in
+  List.concat
+    [
+      List.map (fun seq -> { p with seq }) (ints p.seq);
+      List.map (fun time -> { p with time }) (floats p.time);
+      List.map (fun s -> { p with s }) (each p.s (fun x -> [ x ^ "x" ]));
+      moved_byte;
+      List.map (fun i -> { p with i }) (each p.i ints);
+      List.map (fun f -> { p with f }) (each p.f floats);
+      [ { p with flag = not p.flag } ];
+      List.map
+        (fun reason -> { p with reason })
+        Trace.[ Tail; Error; Flush; Down ];
+      List.map
+        (fun state -> { p with state })
+        Trace.[ Seg_sent; Seg_retx; Seg_lost ];
+      [
+        { p with sacks = (0, 0) :: p.sacks };
+        { p with sacks = List.map (fun (lo, hi) -> (lo, hi + 1)) p.sacks };
+        { p with rtt = None };
+        { p with rtt = Some 0.0 };
+      ];
+      List.map
+        (fun r -> { p with rtt = Some r })
+        (Option.fold ~none:[] ~some:floats p.rtt);
+    ]
+
+(* Bit-exact equality: structural, but telling 0.0 from -0.0. *)
+let same_bits a b =
+  Marshal.to_string a [ Marshal.No_sharing ]
+  = Marshal.to_string b [ Marshal.No_sharing ]
+
+let digest1 r = Trace.digest_records [ r ]
+
+let digest_field_sensitivity_prop =
+  let open QCheck2 in
+  Test.make ~name:"digest changes iff one record field changes" ~count:200
+    ~print:(fun p ->
+      String.concat "\n" (List.map Trace.json_of_record (records_of p)))
+    slots_gen
+    (fun p ->
+      let rs = records_of p in
+      let tags_distinct =
+        List.length (List.sort_uniq compare (List.map digest1 rs))
+        = List.length rs
+      in
+      tags_distinct
+      && List.for_all
+           (fun p' ->
+             List.for_all2
+               (fun r r' ->
+                 let same = same_bits r r' in
+                 (digest1 r = digest1 r') = same
+                 && (same
+                    || Trace.digest_records [ r; r' ]
+                       <> Trace.digest_records [ r'; r ]))
+               rs (records_of p'))
+           (one_slot_changes p))
+
+let fixed_slots =
+  {
+    seq = 0;
+    time = 0.0;
+    s = [| "hop1.fwd"; "ab"; "c" |];
+    i = [| 1; 2; 3; 4; 5; 6 |];
+    f = [| 0.0; 1.5 |];
+    flag = true;
+    reason = Trace.Tail;
+    state = Trace.Seg_retx;
+    sacks = [ (1, 2); (4, 5); (7, 9) ];
+    rtt = Some 0.05;
+  }
+
+(* A float from the two 32-bit halves of its bits. *)
+let bits hi lo =
+  Int64.float_of_bits
+    (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
+
+(* The encodings a sloppy hash would confuse, pinned; and the recorder's
+   incremental digest agrees with the pure one over the same records. *)
+let test_digest_pinned_pairs () =
+  let ack p =
+    List.find
+      (fun (r : Trace.record) ->
+        match r.Trace.event with Trace.Ack_processed _ -> true | _ -> false)
+      (records_of p)
+  in
+  let p = fixed_slots in
+  let differ label a b =
+    if Trace.digest_records a = Trace.digest_records b then
+      Alcotest.failf "%s: same digest" label
+  in
+  differ "time 0.0 vs -0.0" [ ack p ] [ ack { p with time = -0.0 } ];
+  differ "cwnd 0.0 vs -0.0" [ ack p ] [ ack { p with f = [| -0.0; 1.5 |] } ];
+  differ "byte moved between cc and phase" [ ack p ]
+    [ ack { p with s = [| "hop1.fwd"; "a"; "bc" |] } ];
+  differ "sacks [] vs [(0,0)]"
+    [ ack { p with sacks = [] } ]
+    [ ack { p with sacks = [ (0, 0) ] } ];
+  differ "rtt None vs Some 0.0"
+    [ ack { p with rtt = None } ]
+    [ ack { p with rtt = Some 0.0 } ];
+  differ "seq" [ ack p ] [ ack { p with seq = 1 } ];
+  differ "time" [ ack p ] [ ack { p with time = 1e-9 } ];
+  let a = ack p and b = ack { p with seq = 1 } in
+  differ "swapped order" [ a; b ] [ b; a ];
+  (* Without the sacks length both would feed ..., 1, 7, 0, ... *)
+  differ "sacks length"
+    [ ack { p with sacks = []; rtt = Some (bits 7 0) } ]
+    [ ack { p with sacks = [ (1, 7) ]; rtt = None } ];
+  (* Without the rtt option tag both streams would end 1, 2, 3, 4, 5, 6,
+     7, 8, 9, 10, 15, 3, 15, 1, 'z': the second pair's extra rtt words
+     shift its next record's seq and time onto the first pair's next
+     record's tag and string. *)
+  let p0 = { p with i = [| 1; 2; 1; 2; 3; 0 |] } in
+  let p1 = { p with i = [| 1; 2; 3; 4; 5; 0 |] } in
+  differ "rtt option tag"
+    [
+      ack { p0 with rtt = None; f = [| bits 4 5; bits 6 7 |] };
+      { Trace.seq = 8; time = bits 9 10; event = Note { what = "\x0f\x01z" } };
+    ]
+    [
+      ack { p1 with rtt = Some (bits 1 2); f = [| bits 6 7; bits 8 9 |] };
+      { Trace.seq = 10; time = bits 15 3; event = Note { what = "z" } };
+    ];
+  let t = Trace.create ~capacity:64 () in
+  Trace.with_recorder t
+    ~clock:(fun () -> 0.25)
+    (fun () -> List.iter Trace.emit (events_of p));
+  Alcotest.(check string)
+    "recorder = digest_records" (Trace.digest t)
+    (Trace.digest_records (Trace.records t))
+
+(* Digesting is allocation-free: what a record costs is the record and
+   the emit machinery, never the hash.  No lint sees this path, because
+   allocation gated on [Trace.on] is exempt from hot-path-may-alloc. *)
+let test_digest_allocation () =
+  let events = Array.of_list (events_of fixed_slots) in
+  let n = 10_000 in
+  let t = Trace.create ~capacity:1 () in
+  let words =
+    Trace.with_recorder t
+      ~clock:(fun () -> 1.25)
+      (fun () ->
+        let w0 = Gc.minor_words () in
+        for k = 0 to n - 1 do
+          Trace.emit events.(k mod Array.length events)
+        done;
+        Gc.minor_words () -. w0)
+  in
+  Alcotest.(check int) "records" n (Trace.count t);
+  let per_record = words /. float_of_int n in
+  if per_record > 16.0 then
+    Alcotest.failf "%.1f minor words per digested record (bound 16)" per_record
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "leotp_faults"
@@ -277,5 +572,9 @@ let () =
         [
           Alcotest.test_case "replay digest" `Quick test_digest_replay_identical;
           Alcotest.test_case "jobs 1 vs 4" `Quick test_digest_across_jobs;
+          qc digest_field_sensitivity_prop;
+          Alcotest.test_case "digest pinned pairs" `Quick
+            test_digest_pinned_pairs;
+          Alcotest.test_case "digest allocation" `Quick test_digest_allocation;
         ] );
     ]
