@@ -1,33 +1,33 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation.
+(* The LEOTP harness: one command-line tool with a subcommand per mode.
 
-   Usage:
-     dune exec bench/main.exe                    # everything, full size
-     dune exec bench/main.exe -- --quick         # shrunk runs
-     dune exec bench/main.exe -- fig12 table2    # selected experiments
-     dune exec bench/main.exe -- fig19           # Bechamel CPU micro-bench
-     dune exec bench/main.exe -- --jobs 4 fig12  # sweep cells on 4 domains
-     dune exec bench/main.exe -- --perf-smoke    # fixed quick subset + JSON
+   Usage (each subcommand has --help):
+     dune exec bench/main.exe -- fig [--quick] [--jobs N] [ID...]
+     dune exec bench/main.exe -- manyflow N | pathtrace gen|replay
+     dune exec bench/main.exe -- faults [SPEC] | fuzz N | fuzz-replay SPEC
+     dune exec bench/main.exe -- sim path|starlink|fairness|ablation|route
 
    --jobs N runs each experiment's independent simulation cells on N
    worker domains; results are bit-identical to --jobs 1 (each cell owns
    its engine/rng/topology and domain-local id counters).
 
-   Every experiment additionally writes a machine-readable perf record
+   Every fig and manyflow run writes a machine-readable perf record
    BENCH_<id>.json (to --out-dir DIR, default '.') so the perf
-   trajectory can be tracked across commits; see EXPERIMENTS.md for the
-   schema.
+   trajectory can be tracked across commits, and --gate FILE checks the
+   records against FILE's baselines (bench/baselines.json); see
+   EXPERIMENTS.md for both schemas.
 
    Absolute numbers are not expected to match the authors' testbed; the
    qualitative shape (who wins, by roughly what factor, where crossovers
    fall) is the reproduction target.  See EXPERIMENTS.md for the
    paper-vs-measured record. *)
 
+open Cmdliner
 module E = Leotp_scenario.Experiments
 module S = Leotp_scenario.Starlink
 module Runner = Leotp_scenario.Runner
 module Common = Leotp_scenario.Common
 module Invariants = Leotp_scenario.Invariants
+module Report = Leotp_scenario.Report
 module Fault = Leotp_sim.Fault
 module Trace = Leotp_net.Trace
 module Fuzz = Leotp_scenario.Fuzz
@@ -35,7 +35,10 @@ module Fleet = Leotp_scenario.Fleet
 module Workload = Leotp_scenario.Workload
 module Pathtrace = Leotp_scenario.Pathtrace
 module Path_trace = Leotp_net.Path_trace
+module Path_service = Leotp_constellation.Path_service
+module Cursor = Leotp_util.Cursor
 module Stats = Leotp_util.Stats
+module Units = Leotp_util.Units
 
 (* ------------------------------------------------------------------ *)
 (* Fig 19: Midnode CPU overhead, as per-packet processing cost          *)
@@ -116,110 +119,199 @@ let fig19 () =
     "  (flat across PLR = the paper's Fig 19 claim: cost dominated by per-packet work)"
 
 (* ------------------------------------------------------------------ *)
-(* Path-trace experiment results, stashed so the BENCH_pathtrace.json
-   perf record can carry the per-cell summary stats alongside the
-   generic perf fields.  Cells run under Runner.map, so everything in
-   this JSON — digests included — is identical for any --jobs N. *)
+(* Perf records.  A run is one field list: [write_record] prints it as
+   BENCH_<id>.json and the gate reads its gated field back by name.
+   Floats print "%.17g" (round-trips) unless a field fixes its decimals;
+   there is no JSON library in the tree. *)
 
-let pathtrace_cells : (Pathtrace.cell * Pathtrace.run_result) list ref =
-  ref []
+type value =
+  | Bool of bool
+  | Int of int
+  | Num of float
+  | Fixed of int * float  (** decimals, value *)
+  | Str of string
+  | Obj of (string * value) list
+  | Arr of value list  (** one element per line *)
 
-let pathtrace_cells_json cells =
-  let cell_json ((c : Pathtrace.cell), (r : Pathtrace.run_result)) =
-    Printf.sprintf
-      "    {\"label\": \"%s\", \"horizon_s\": %.17g, \"isls\": %b, \"seed\": \
-       %d, \"handovers\": %d, \"handover_rate_per_s\": %.17g, \"outages\": \
-       %d, \"outage_fraction\": %.17g, \"mean_hops\": %.17g, \"switches\": \
-       %d, \"goodput_mbps\": %.17g, \"owd_ms_mean\": %.17g, \"owd_ms_p99\": \
-       %.17g, \"digest\": \"%s\"}"
-      c.Pathtrace.label c.Pathtrace.spec.Pathtrace.horizon
-      c.Pathtrace.spec.Pathtrace.isls c.Pathtrace.spec.Pathtrace.seed
-      r.Pathtrace.handovers
-      (if c.Pathtrace.spec.Pathtrace.horizon > 0.0 then
-         float_of_int r.Pathtrace.handovers /. c.Pathtrace.spec.Pathtrace.horizon
-       else 0.0)
-      r.Pathtrace.outages r.Pathtrace.outage_fraction r.Pathtrace.mean_hops
-      r.Pathtrace.switches r.Pathtrace.summary.Common.goodput_mbps
-      (Leotp_util.Units.sec_to_ms (Stats.mean r.Pathtrace.summary.Common.owd))
-      (Leotp_util.Units.sec_to_ms
-         (Stats.percentile r.Pathtrace.summary.Common.owd 99.0))
-      r.Pathtrace.digest
+(* [indent] is the column of the value's line; [None] renders it inline. *)
+let rec render ~indent v =
+  let seq opening closing items =
+    match indent with
+    | None -> opening ^ String.concat ", " items ^ closing
+    | Some n ->
+      let pad = String.make n ' ' in
+      Printf.sprintf "%s\n%s  %s\n%s%s" opening pad
+        (String.concat (",\n  " ^ pad) items)
+        pad closing
   in
-  Printf.sprintf "  \"cells\": [\n%s\n  ]"
-    (String.concat ",\n" (List.map cell_json cells))
+  let quote s = Printf.sprintf "\"%s\"" (Cursor.escape s) in
+  match v with
+  | Bool x -> string_of_bool x
+  | Int i -> string_of_int i
+  | Num f -> Printf.sprintf "%.17g" f
+  | Fixed (d, f) -> Printf.sprintf "%.*f" d f
+  | Str s -> quote s
+  | Obj fields ->
+    let inner = Option.map (fun n -> n + 2) indent in
+    seq "{" "}" (List.map (fun (k, v) -> quote k ^ ": " ^ render ~indent:inner v) fields)
+  | Arr vs -> seq "[" "]" (List.map (render ~indent:None) vs)
 
-let all_experiments =
-  [
-    ("fig2", fun ~quick -> ignore (E.fig02 ~quick ()));
-    ("fig3", fun ~quick:_ -> ignore (E.fig03 ()));
-    ("fig4", fun ~quick -> ignore (E.fig04 ~quick ()));
-    ("fig5", fun ~quick -> ignore (E.fig05 ~quick ()));
-    ("fig10", fun ~quick -> ignore (E.fig10 ~quick ()));
-    ("fig11", fun ~quick -> ignore (E.fig11 ~quick ()));
-    ("fig12", fun ~quick -> ignore (E.fig12 ~quick ()));
-    ("fig13", fun ~quick -> ignore (E.fig13 ~quick ()));
-    ("fig14", fun ~quick -> ignore (E.fig14 ~quick ()));
-    ("fig15", fun ~quick -> ignore (E.fig15 ~quick ()));
-    ("fig16", fun ~quick -> ignore (S.fig16 ~quick ()));
-    ("fig17", fun ~quick -> ignore (S.fig17 ~quick ()));
-    ("fig18", fun ~quick -> ignore (S.fig18 ~quick ()));
-    ("table2", fun ~quick -> ignore (S.table2 ~quick ()));
-    ("pathtrace", fun ~quick -> pathtrace_cells := Pathtrace.experiment ~quick ());
-    ("fig19", fun ~quick:_ -> fig19 ());
-  ]
+let write_record ~out_dir id fields =
+  let path = Filename.concat out_dir (Printf.sprintf "BENCH_%s.json" id) in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (render ~indent:(Some 0) (Obj fields) ^ "\n"));
+  path
 
 (* ------------------------------------------------------------------ *)
-(* Perf records: one BENCH_<id>.json per experiment run.                *)
+(* Perf gate.  bench/baselines.json is a JSON array with one entry per
+   line, read by the strict line cursor before anything runs:
+     [
+     {"id":"fig10","field":"minor_words_per_packet","better":"lower","baseline":246.1,"tolerance_pct":25},
+     ...
+     ]
+   Every entry but the last ends with a comma.  Any other line is an
+   error, so the gate cannot pass by skipping what it cannot read. *)
 
-type perf = {
+type baseline = {
   id : string;
-  quick : bool;
-  jobs : int;
-  wall_s : float;
-  cpu_s : float;
-  jobs_run : int;
-  sim_seconds : float;
-  sim_per_wall : float;
-  minor_words : float;
-  major_words : float;
-  promoted_words : float;
-  worker_alloc_bytes : float;
-  packets_simulated : int;
-  minor_words_per_packet : float;
+  field : string;
+  higher : bool;  (** higher is better: the band is a floor *)
+  base : float;
+  tolerance_pct : float;
 }
 
-let json_of_perf ?(extra = "") p =
-  (* %.17g round-trips any float; no JSON library in the tree. *)
-  Printf.sprintf
-    "{\n\
-    \  \"id\": \"%s\",\n\
-    \  \"quick\": %b,\n\
-    \  \"jobs\": %d,\n\
-    \  \"wall_s\": %.6f,\n\
-    \  \"cpu_s\": %.6f,\n\
-    \  \"jobs_run\": %d,\n\
-    \  \"sim_seconds\": %.3f,\n\
-    \  \"sim_per_wall\": %.3f,\n\
-    \  \"gc\": {\n\
-    \    \"minor_words\": %.17g,\n\
-    \    \"major_words\": %.17g,\n\
-    \    \"promoted_words\": %.17g\n\
-    \  },\n\
-    \  \"worker_alloc_bytes\": %.17g,\n\
-    \  \"packets_simulated\": %d,\n\
-    \  \"minor_words_per_packet\": %.17g%s\n\
-     }\n"
-    p.id p.quick p.jobs p.wall_s p.cpu_s p.jobs_run p.sim_seconds
-    p.sim_per_wall p.minor_words p.major_words p.promoted_words
-    p.worker_alloc_bytes p.packets_simulated p.minor_words_per_packet
-    (if extra = "" then "" else ",\n" ^ extra)
+let parse_baseline ~lineno ~last line =
+  let cur = Cursor.create ~lineno line in
+  let next ?(sep = ",") name read =
+    Cursor.key cur name;
+    let v = read cur ~what:name in
+    Cursor.expect cur sep;
+    v
+  in
+  Cursor.expect cur "{";
+  let id = next "id" Cursor.quoted in
+  let field = next "field" Cursor.quoted in
+  let higher =
+    match next "better" Cursor.quoted with
+    | "lower" -> false
+    | "higher" -> true
+    | other ->
+      Cursor.fail cur "\"better\" must be \"lower\" or \"higher\", not %S" other
+  in
+  let base = next "baseline" Cursor.number in
+  let tolerance_pct = next ~sep:"}" "tolerance_pct" Cursor.number in
+  if base <= 0.0 then Cursor.fail cur "\"baseline\" must be positive";
+  if tolerance_pct < 0.0 || (higher && tolerance_pct >= 100.0) then
+    Cursor.fail cur "\"tolerance_pct\" must be non-negative (below 100 for a floor)";
+  if not last then Cursor.expect cur ",";
+  Cursor.eol cur;
+  { id; field; higher; base; tolerance_pct }
 
-let write_perf ?extra ~out_dir p =
-  let path = Filename.concat out_dir (Printf.sprintf "BENCH_%s.json" p.id) in
-  let oc = open_out path in
-  output_string oc (json_of_perf ?extra p);
-  close_out oc;
-  path
+let read_baselines path =
+  let rec entries lineno acc = function
+    | [ "]" ] when acc <> [] -> List.rev acc
+    | [] | [ "]" ] ->
+      Cursor.fail_line lineno "expected an entry, then ] alone on the last line"
+    | line :: rest ->
+      let b = parse_baseline ~lineno ~last:(rest = [ "]" ]) line in
+      if List.exists (fun a -> a.id = b.id && a.field = b.field) acc then
+        Cursor.fail_line lineno "duplicate entry for %s %s" b.id b.field;
+      entries (lineno + 1) (b :: acc) rest
+  in
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error m -> Error m
+  | text ->
+    Cursor.protect (fun () ->
+        match Cursor.lines text with
+        | "[" :: rest -> (path, entries 2 [] rest)
+        | _ -> Cursor.fail_line 1 "expected [ alone on the first line")
+    |> Result.map_error (Printf.sprintf "%s: %s" path)
+
+let gate_entry fields b =
+  let bound, op, sign =
+    if b.higher then (b.base *. (1.0 -. (b.tolerance_pct /. 100.0)), ">=", "-")
+    else (b.base *. (1.0 +. (b.tolerance_pct /. 100.0)), "<=", "+")
+  in
+  let limit =
+    Printf.sprintf "%s %s %.1f (baseline %.1f %s%.0f%%)" b.field op bound b.base
+      sign b.tolerance_pct
+  in
+  let number = function
+    | Some (Int i) -> Some (float_of_int i)
+    | Some (Num f | Fixed (_, f)) -> Some f
+    | _ -> None
+  in
+  match number (List.assoc_opt b.field fields) with
+  | Some measured ->
+    let ok = if b.higher then measured >= bound else measured <= bound in
+    Printf.printf "  %-8s %s: measured %.1f (%+.1f%%) %s\n" b.id limit measured
+      ((measured -. b.base) /. b.base *. 100.0)
+      (if ok then "OK" else "FAIL");
+    if not ok then
+      Printf.eprintf
+        "perf gate: %s %s = %.1f is outside %s — if the change is \
+         intentional, re-baseline the gate file (see EXPERIMENTS.md)\n"
+        b.id b.field measured limit;
+    ok
+  | None ->
+    Printf.printf "  %-8s %s: no such numeric field in the record FAIL\n" b.id limit;
+    Printf.eprintf "perf gate: %s has no numeric field %S\n" b.id b.field;
+    false
+
+(* Records with no entry are reported and skipped; entries with no record
+   in this run (the manyflow floor during a fig run) are ignored. *)
+let gate g records =
+  match g with
+  | None -> true
+  | Some (path, baselines) ->
+    Printf.printf "\n=== perf gate (%s) ===\n" path;
+    List.fold_left
+      (fun ok (id, fields) ->
+        match List.filter (fun b -> b.id = id) baselines with
+        | [] ->
+          Printf.printf "  %-8s (no baseline; skipped)\n" id;
+          ok
+        | bs -> List.fold_left (fun ok b -> gate_entry fields b && ok) ok bs)
+      true records
+
+(* ------------------------------------------------------------------ *)
+(* Figures: each experiment returns the extra fields of its record.
+   pathtrace's per-cell summaries come from cells run under Runner.map,
+   so everything in them — digests included — is identical for any
+   --jobs N. *)
+
+let pathtrace_cell ((c : Pathtrace.cell), (r : Pathtrace.run_result)) =
+  let spec = c.Pathtrace.spec and s = r.Pathtrace.summary in
+  let horizon = spec.Pathtrace.horizon and handovers = r.Pathtrace.handovers in
+  Obj
+    [ ("label", Str c.Pathtrace.label); ("horizon_s", Num horizon);
+      ("isls", Bool spec.Pathtrace.isls); ("seed", Int spec.Pathtrace.seed);
+      ("handovers", Int handovers);
+      ( "handover_rate_per_s",
+        Num (if horizon > 0.0 then float_of_int handovers /. horizon else 0.0) );
+      ("outages", Int r.Pathtrace.outages);
+      ("outage_fraction", Num r.Pathtrace.outage_fraction);
+      ("mean_hops", Num r.Pathtrace.mean_hops);
+      ("switches", Int r.Pathtrace.switches);
+      ("goodput_mbps", Num s.Common.goodput_mbps);
+      ("owd_ms_mean", Num (Units.sec_to_ms (Stats.mean s.Common.owd)));
+      ("owd_ms_p99", Num (Units.sec_to_ms (Stats.percentile s.Common.owd 99.0)));
+      ("digest", Str r.Pathtrace.digest) ]
+
+let all_experiments =
+  let plain (f : ?quick:bool -> unit -> _) ~quick = ignore (f ~quick ()); [] in
+  [ ("fig2", plain E.fig02);
+    ("fig3", fun ~quick:_ -> ignore (E.fig03 ()); []);
+    ("fig4", plain E.fig04); ("fig5", plain E.fig05);
+    ("fig10", plain E.fig10); ("fig11", plain E.fig11);
+    ("fig12", plain E.fig12); ("fig13", plain E.fig13);
+    ("fig14", plain E.fig14); ("fig15", plain E.fig15);
+    ("fig16", plain S.fig16); ("fig17", plain S.fig17);
+    ("fig18", plain S.fig18); ("table2", plain S.table2);
+    ( "pathtrace",
+      fun ~quick ->
+        [ ("cells", Arr (List.map pathtrace_cell (Pathtrace.experiment ~quick ()))) ] );
+    ("fig19", fun ~quick:_ -> fig19 (); []) ]
 
 (* Run one experiment under full instrumentation.  GC minor/major words
    are the main domain's [Gc.quick_stat] deltas (allocation on worker
@@ -229,220 +321,66 @@ let write_perf ?extra ~out_dir p =
    the packet counters are read on whichever domain ran the job — so it
    is the same number under --jobs 1 and --jobs N and the perf gate can
    compare runs regardless of parallelism. *)
-let run_instrumented ~quick ~out_dir (id, f) =
+let run_instrumented ~quick ~out_dir id =
+  let f = List.assoc id all_experiments in
   Runner.reset_counters ();
   let g0 = Gc.quick_stat () in
   let wall0 = Unix.gettimeofday () in
   let cpu0 = Sys.time () in
-  f ~quick;
+  let extra = f ~quick in
   let wall = Unix.gettimeofday () -. wall0 in
   let cpu = Sys.time () -. cpu0 in
   let g1 = Gc.quick_stat () in
   let c = Runner.counters () in
-  let p =
-    {
-      id;
-      quick;
-      jobs = Runner.jobs ();
-      wall_s = wall;
-      cpu_s = cpu;
-      jobs_run = c.Runner.jobs_run;
-      sim_seconds = c.Runner.sim_seconds;
-      sim_per_wall = (if wall > 0.0 then c.Runner.sim_seconds /. wall else 0.0);
-      minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-      major_words = g1.Gc.major_words -. g0.Gc.major_words;
-      promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-      worker_alloc_bytes = c.Runner.alloc_bytes;
-      packets_simulated = c.Runner.packets;
-      minor_words_per_packet =
-        (if c.Runner.packets > 0 then
-           c.Runner.alloc_bytes /. 8.0 /. float_of_int c.Runner.packets
-         else 0.0);
-    }
+  let sim_per_wall = if wall > 0.0 then c.Runner.sim_seconds /. wall else 0.0 in
+  let gc name stat = (name, Num (stat g1 -. stat g0)) in
+  let fields =
+    [ ("id", Str id); ("quick", Bool quick); ("jobs", Int (Runner.jobs ()));
+      ("wall_s", Fixed (6, wall)); ("cpu_s", Fixed (6, cpu));
+      ("jobs_run", Int c.Runner.jobs_run);
+      ("sim_seconds", Fixed (3, c.Runner.sim_seconds));
+      ("sim_per_wall", Fixed (3, sim_per_wall));
+      ( "gc",
+        Obj
+          [ gc "minor_words" (fun g -> g.Gc.minor_words);
+            gc "major_words" (fun g -> g.Gc.major_words);
+            gc "promoted_words" (fun g -> g.Gc.promoted_words) ] );
+      ("worker_alloc_bytes", Num c.Runner.alloc_bytes);
+      ("packets_simulated", Int c.Runner.packets);
+      ( "minor_words_per_packet",
+        Num
+          (if c.Runner.packets > 0 then
+             c.Runner.alloc_bytes /. 8.0 /. float_of_int c.Runner.packets
+           else 0.0) ) ]
+    @ extra
   in
-  let extra =
-    match (id, !pathtrace_cells) with
-    | "pathtrace", (_ :: _ as cells) -> Some (pathtrace_cells_json cells)
-    | _ -> None
-  in
-  let path = write_perf ?extra ~out_dir p in
+  let path = write_record ~out_dir id fields in
   Printf.printf "  [%s done in %.1fs wall / %.1fs cpu, %d jobs, %.0f sim-s/wall-s -> %s]\n%!"
-    id wall cpu c.Runner.jobs_run p.sim_per_wall path;
-  p
+    id wall cpu c.Runner.jobs_run sim_per_wall path;
+  (id, fields)
 
-(* Fixed quick subset for perf sanity checks: one pure-computation
-   experiment, one simulation sweep that exercises the runner, the
-   retransmission-latency figure whose per-packet allocation number the
-   perf gate tracks, and the trace-driven path replay. *)
-let perf_smoke_ids = [ "fig3"; "fig10"; "fig12"; "pathtrace" ]
-
-(* ------------------------------------------------------------------ *)
-(* Perf-regression gate: compare this run's per-packet allocation
-   metric against the checked-in baselines (bench/baselines.json).
-   The parser is deliberately minimal — the file is one flat JSON
-   object of "key": number pairs (experiment ids plus "tolerance_pct"),
-   re-baselined by copying minor_words_per_packet out of a trusted
-   BENCH_<id>.json; see EXPERIMENTS.md. *)
-
-let parse_baselines path =
-  let ic = open_in path in
-  let tolerance = ref 25.0 in
-  let entries = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       (* A line of interest looks like:   "fig10": 249.4,   *)
-       match String.index_opt line '"' with
-       | None -> ()
-       | Some q0 -> (
-         match String.index_from_opt line (q0 + 1) '"' with
-         | None -> ()
-         | Some q1 -> (
-           let key = String.sub line (q0 + 1) (q1 - q0 - 1) in
-           match String.index_from_opt line q1 ':' with
-           | None -> ()
-           | Some c -> (
-             let v =
-               String.trim
-                 (String.sub line (c + 1) (String.length line - c - 1))
-             in
-             let v =
-               if v <> "" && v.[String.length v - 1] = ',' then
-                 String.sub v 0 (String.length v - 1)
-               else v
-             in
-             match float_of_string_opt v with
-             | None -> ()
-             | Some f ->
-               if key = "tolerance_pct" then tolerance := f
-               else entries := (key, f) :: !entries)))
-     done
-   with End_of_file -> close_in ic);
-  (!tolerance, List.rev !entries)
-
-let run_gate ~path perfs =
-  let tolerance, baselines = parse_baselines path in
-  Printf.printf "\n=== perf gate (%s, tolerance +%.0f%%) ===\n" path tolerance;
-  let failures = ref [] in
-  List.iter
-    (fun p ->
-      match List.assoc_opt p.id baselines with
-      | None -> Printf.printf "  %-8s (no baseline; skipped)\n" p.id
-      | Some base ->
-        let limit = base *. (1.0 +. (tolerance /. 100.0)) in
-        let delta =
-          if base > 0.0 then
-            (p.minor_words_per_packet -. base) /. base *. 100.0
-          else 0.0
-        in
-        let ok = p.minor_words_per_packet <= limit in
-        Printf.printf "  %-8s baseline=%10.1f measured=%10.1f (%+6.1f%%) %s\n"
-          p.id base p.minor_words_per_packet delta
-          (if ok then "OK" else "FAIL");
-        if not ok then failures := (p, base) :: !failures)
-    perfs;
-  match List.rev !failures with
-  | [] -> true
-  | fs ->
-    List.iter
-      (fun (p, base) ->
-        Printf.eprintf
-          "perf gate: %s minor_words_per_packet regressed: measured %.1f \
-           exceeds baseline %.1f by more than %.0f%% — if the growth is \
-           intentional, re-baseline bench/baselines.json (see \
-           EXPERIMENTS.md)\n"
-          p.id p.minor_words_per_packet base tolerance)
-      fs;
-    false
+let run_figs ~quick ~out_dir ~gate:g ids =
+  Printf.printf "LEOTP reproduction benchmarks%s (jobs=%d)\n"
+    (if quick then " (quick mode)" else "")
+    (Runner.jobs ());
+  let ids = if ids = [] then List.map fst all_experiments else ids in
+  gate g (List.map (run_instrumented ~quick ~out_dir) ids)
 
 (* ------------------------------------------------------------------ *)
 (* Many-flow mode: an open-loop Workload over the live Walker
    constellation, run by the Fleet shard engine.  The headline metric is
    flow_sim_seconds_per_wall_second (total per-flow active simulated
-   time per second of wall clock — the OpenSN-style scale number), gated
-   against bench/baselines.json with its own tolerance band.  The
+   time per second of wall clock — the OpenSN-style scale number).  The
    combined trace digest printed here is the determinism witness: it must
    be identical under any --jobs N for a fixed --shards. *)
 
-let manyflow_spec ~quick ~flows ~seed ~shards =
+let run_manyflow ~quick ~out_dir ~flows ~seed ~shards ~gate:g =
   let wl =
-    {
-      Workload.default with
-      Workload.seed;
-      horizon = (if quick then 30.0 else 60.0);
-    }
+    { Workload.default with Workload.seed; horizon = (if quick then 30.0 else 60.0) }
   in
-  let wl = Workload.scale_to wl ~flows in
-  { Fleet.default with Fleet.workload = wl; shards }
-
-let json_of_manyflow ~quick ~seed ~jobs ~wall (s : Fleet.stats) =
-  Printf.sprintf
-    "{\n\
-    \  \"id\": \"manyflow\",\n\
-    \  \"quick\": %b,\n\
-    \  \"seed\": %d,\n\
-    \  \"jobs\": %d,\n\
-    \  \"shards\": %d,\n\
-    \  \"wall_s\": %.6f,\n\
-    \  \"flows_offered\": %d,\n\
-    \  \"flows_started\": %d,\n\
-    \  \"flows_completed\": %d,\n\
-    \  \"flows_skipped\": %d,\n\
-    \  \"bytes_delivered\": %d,\n\
-    \  \"packets_simulated\": %d,\n\
-    \  \"events\": %d,\n\
-    \  \"peak_active\": %d,\n\
-    \  \"sim_seconds\": %.3f,\n\
-    \  \"flow_sim_seconds\": %.3f,\n\
-    \  \"flow_sim_seconds_per_wall_second\": %.17g,\n\
-    \  \"route_queries\": %d,\n\
-    \  \"route_computes\": %d,\n\
-    \  \"pool_live_delta\": %d,\n\
-    \  \"pit_pending_end\": %d,\n\
-    \  \"digest\": \"%s\",\n\
-    \  \"invariants_ok\": %b\n\
-     }\n"
-    quick seed jobs (List.length s.Fleet.shards) wall s.Fleet.flows_offered
-    s.Fleet.flows_started s.Fleet.flows_completed s.Fleet.flows_skipped
-    s.Fleet.bytes_delivered s.Fleet.packets s.Fleet.events s.Fleet.peak_active
-    s.Fleet.sim_seconds s.Fleet.flow_sim_seconds
-    (if wall > 0.0 then s.Fleet.flow_sim_seconds /. wall else 0.0)
-    s.Fleet.route_queries s.Fleet.route_computes s.Fleet.pool_live_delta
-    s.Fleet.pit_pending_end s.Fleet.digest s.Fleet.invariants_ok
-
-(* Higher is better for the throughput-style manyflow metric, so the
-   gate direction is reversed from the allocation gate: fail when the
-   measured rate falls below baseline * (1 - tolerance). *)
-let gate_manyflow ~path ~wall (s : Fleet.stats) =
-  let _, entries = parse_baselines path in
-  match List.assoc_opt "manyflow_flow_sim_per_wall" entries with
-  | None ->
-    print_endline "  manyflow: no baseline in gate file; skipped";
-    true
-  | Some base ->
-    let tol =
-      match List.assoc_opt "manyflow_tolerance_pct" entries with
-      | Some t -> t
-      | None -> 60.0
-    in
-    let measured = if wall > 0.0 then s.Fleet.flow_sim_seconds /. wall else 0.0 in
-    let floor = base *. (1.0 -. (tol /. 100.0)) in
-    let ok = measured >= floor in
-    Printf.printf
-      "  manyflow flow_sim_s/wall_s baseline=%8.1f measured=%8.1f \
-       (floor %.1f, -%.0f%%) %s\n"
-      base measured floor tol
-      (if ok then "OK" else "FAIL");
-    if not ok then
-      Printf.eprintf
-        "perf gate: manyflow flow_sim_seconds_per_wall_second dropped below \
-         %.1f (baseline %.1f - %.0f%%) — if the slowdown is intentional, \
-         re-baseline bench/baselines.json (see EXPERIMENTS.md)\n"
-        floor base tol;
-    ok
-
-let run_manyflow ~quick ~out_dir ~flows ~seed ~shards ~gate =
-  let spec = manyflow_spec ~quick ~flows ~seed ~shards in
+  let spec =
+    { Fleet.default with Fleet.workload = Workload.scale_to wl ~flows; shards }
+  in
   Printf.printf
     "\n=== manyflow: ~%d flows, %d cities -> %d origins, %d shards, \
      horizon %.0fs (jobs=%d) ===\n%!"
@@ -452,6 +390,7 @@ let run_manyflow ~quick ~out_dir ~flows ~seed ~shards ~gate =
   let wall0 = Unix.gettimeofday () in
   let s = Fleet.run spec in
   let wall = Unix.gettimeofday () -. wall0 in
+  let per_wall = if wall > 0.0 then s.Fleet.flow_sim_seconds /. wall else 0.0 in
   Printf.printf
     "  %d offered, %d started, %d completed, %d skipped (no route); peak \
      %d concurrent\n"
@@ -460,8 +399,7 @@ let run_manyflow ~quick ~out_dir ~flows ~seed ~shards ~gate =
   Printf.printf
     "  %d packets, %d events in %.1fs wall; %.0f flow-sim-s (%.0f per \
      wall-s)\n"
-    s.Fleet.packets s.Fleet.events wall s.Fleet.flow_sim_seconds
-    (if wall > 0.0 then s.Fleet.flow_sim_seconds /. wall else 0.0);
+    s.Fleet.packets s.Fleet.events wall s.Fleet.flow_sim_seconds per_wall;
   Printf.printf "  routes: %d queries -> %d computes (memo)\n"
     s.Fleet.route_queries s.Fleet.route_computes;
   Printf.printf "  pool live delta %d, pit pending %d\n" s.Fleet.pool_live_delta
@@ -482,16 +420,27 @@ let run_manyflow ~quick ~out_dir ~flows ~seed ~shards ~gate =
           print_endline (Invariants.to_string r.Fleet.reports)
         end)
       s.Fleet.shards;
-  let path = Filename.concat out_dir "BENCH_manyflow.json" in
-  let oc = open_out path in
-  output_string oc
-    (json_of_manyflow ~quick ~seed ~jobs:(Runner.jobs ()) ~wall s);
-  close_out oc;
-  Printf.printf "  wrote %s\n%!" path;
-  let gate_ok =
-    match gate with Some p -> gate_manyflow ~path:p ~wall s | None -> true
+  let fields =
+    [ ("id", Str "manyflow"); ("quick", Bool quick); ("seed", Int seed);
+      ("jobs", Int (Runner.jobs ())); ("shards", Int (List.length s.Fleet.shards));
+      ("wall_s", Fixed (6, wall)); ("flows_offered", Int s.Fleet.flows_offered);
+      ("flows_started", Int s.Fleet.flows_started);
+      ("flows_completed", Int s.Fleet.flows_completed);
+      ("flows_skipped", Int s.Fleet.flows_skipped);
+      ("bytes_delivered", Int s.Fleet.bytes_delivered);
+      ("packets_simulated", Int s.Fleet.packets); ("events", Int s.Fleet.events);
+      ("peak_active", Int s.Fleet.peak_active);
+      ("sim_seconds", Fixed (3, s.Fleet.sim_seconds));
+      ("flow_sim_seconds", Fixed (3, s.Fleet.flow_sim_seconds));
+      ("flow_sim_seconds_per_wall_second", Num per_wall);
+      ("route_queries", Int s.Fleet.route_queries);
+      ("route_computes", Int s.Fleet.route_computes);
+      ("pool_live_delta", Int s.Fleet.pool_live_delta);
+      ("pit_pending_end", Int s.Fleet.pit_pending_end);
+      ("digest", Str s.Fleet.digest); ("invariants_ok", Bool s.Fleet.invariants_ok) ]
   in
-  s.Fleet.invariants_ok && gate_ok
+  Printf.printf "  wrote %s\n%!" (write_record ~out_dir "manyflow" fields);
+  gate g [ ("manyflow", fields) ] && s.Fleet.invariants_ok
 
 (* ------------------------------------------------------------------ *)
 (* Fault lab: one LEOTP bulk flow over a 4-hop chain under a fault
@@ -499,27 +448,15 @@ let run_manyflow ~quick ~out_dir ~flows ~seed ~shards ~gate =
    invariants checked.  The printed digest is the determinism witness:
    the same spec and seed must reproduce it exactly. *)
 
-let parse_faults ~duration = function
-  | None -> []
-  | Some spec -> (
-    match String.split_on_char ':' spec with
-    | [ "random"; seed; n ] -> (
-      match (int_of_string_opt seed, int_of_string_opt n) with
-      | Some seed, Some n when n >= 1 ->
-        Fault.random ~rng:(Leotp_util.Rng.create ~seed) ~duration ~n ()
-      | _ ->
-        Printf.eprintf "--faults random:SEED:N expects integers, got %S\n" spec;
-        exit 1)
-    | _ -> (
-      match Fault.of_string spec with
-      | Ok sched -> sched
-      | Error msg ->
-        Printf.eprintf "--faults: %s\n" msg;
-        exit 1))
-
-let run_fault_lab ~quick ~out_dir ~spec ~trace_wanted =
+let run_fault_lab ~quick ~out_dir ~trace_wanted spec =
   let duration = if quick then 10.0 else 30.0 in
-  let faults = parse_faults ~duration spec in
+  let faults =
+    match spec with
+    | None -> []
+    | Some (`Schedule s) -> s
+    | Some (`Random (seed, n)) ->
+      Fault.random ~rng:(Leotp_util.Rng.create ~seed) ~duration ~n ()
+  in
   (* A one-slot ring still digests every event; only keep records around
      when they are going to be exported. *)
   let trace = Trace.create ~capacity:(if trace_wanted then 1 lsl 18 else 1) () in
@@ -538,9 +475,7 @@ let run_fault_lab ~quick ~out_dir ~spec ~trace_wanted =
     (Trace.digest trace);
   if trace_wanted then begin
     let path = Filename.concat out_dir "TRACE_faultlab.jsonl" in
-    let oc = open_out path in
-    Trace.write_jsonl trace oc;
-    close_out oc;
+    Out_channel.with_open_bin path (Trace.write_jsonl trace);
     Printf.printf "  wrote %d records to %s\n"
       (min (Trace.count trace) (1 lsl 18))
       path
@@ -555,86 +490,66 @@ let run_fault_lab ~quick ~out_dir ~spec ~trace_wanted =
    written file must print the same digest — the bit-identical replay
    guarantee that bin/ci.sh checks. *)
 
-let print_pathtrace_run ~tag (r : Pathtrace.run_result) =
+let print_pathtrace_run ~tag ~interp ~step tr =
+  let interp =
+    match interp with
+    | `Hold -> Leotp_net.Dynamic_path.Hold_last
+    | `Linear -> Leotp_net.Dynamic_path.Linear { substep = step /. 4.0 }
+  in
+  let r = Pathtrace.run ~interp tr in
   Printf.printf
     "  %s: tput=%5.2f Mbps  owd(avg)=%6.1fms  switches %d\n" tag
     r.Pathtrace.summary.Common.goodput_mbps
-    (Leotp_util.Units.sec_to_ms (Stats.mean r.Pathtrace.summary.Common.owd))
+    (Units.sec_to_ms (Stats.mean r.Pathtrace.summary.Common.owd))
     r.Pathtrace.switches;
   Printf.printf "  digest %s\n" r.Pathtrace.digest
 
-let interp_of ~step = function
-  | `Hold -> Leotp_net.Dynamic_path.Hold_last
-  | `Linear -> Leotp_net.Dynamic_path.Linear { substep = step /. 4.0 }
+let print_pathtrace_header mode (m : Path_trace.meta) =
+  Printf.printf "\n=== path-trace %s: %s -> %s (%s) %.0fs @ %gs, seed %d ===\n%!"
+    mode m.Path_trace.src m.Path_trace.dst
+    (if m.Path_trace.isls then "isls" else "bent-pipe")
+    m.Path_trace.horizon m.Path_trace.step m.Path_trace.seed
 
-let run_path_trace ~mode ~file ~pair ~isls ~horizon ~step ~route_epoch ~interp
-    ~seed =
-  match mode with
-  | `Gen -> (
-    let src, dst = pair in
-    let spec = { Pathtrace.src; dst; isls; horizon; step; route_epoch; seed } in
-    Printf.printf "\n=== path-trace gen: %s -> %s (%s) %.0fs @ %gs, seed %d ===\n%!"
-      src dst
-      (if isls then "isls" else "bent-pipe")
-      horizon step seed;
-    match Pathtrace.generate spec with
-    | exception Not_found ->
-      Printf.eprintf "--path-trace gen: unknown city in pair %S:%S\n" src dst;
-      false
-    | tr ->
-      Path_trace.to_file tr file;
-      Printf.printf
-        "  wrote %d records to %s (handovers %d, outages %d, outage \
-         fraction %.1f%%)\n"
-        (List.length tr.Path_trace.records)
-        file
-        (Path_trace.handover_count tr)
-        (List.length (Path_trace.outage_intervals tr))
-        (100.0 *. Path_trace.outage_fraction tr);
-      if Path_trace.route_count tr = 0 then begin
-        Printf.printf "  no route records: skipping the live replay\n";
-        true
-      end
-      else begin
-        print_pathtrace_run ~tag:"live"
-          (Pathtrace.run ~interp:(interp_of ~step interp) tr);
-        true
-      end)
-  | `Replay -> (
-    match Path_trace.of_file file with
-    | Error msg ->
-      Printf.eprintf "--path-trace replay: %s: %s\n" file msg;
-      false
-    | Ok tr ->
-      let m = tr.Path_trace.meta in
-      Printf.printf
-        "\n=== path-trace replay: %s -> %s (%s) %.0fs @ %gs, seed %d ===\n%!"
-        m.Path_trace.src m.Path_trace.dst
-        (if m.Path_trace.isls then "isls" else "bent-pipe")
-        m.Path_trace.horizon m.Path_trace.step m.Path_trace.seed;
-      if Path_trace.route_count tr = 0 then begin
-        Printf.eprintf "--path-trace replay: trace has no route records\n";
-        false
-      end
-      else begin
-        print_pathtrace_run ~tag:"replay"
-          (Pathtrace.run
-             ~interp:(interp_of ~step:m.Path_trace.step interp)
-             tr);
-        true
-      end)
+let run_gen ~file ~src ~dst ~isls ~horizon ~step ~route_epoch ~interp ~seed =
+  print_pathtrace_header "gen" { Path_trace.src; dst; isls; horizon; step; seed };
+  let tr =
+    Pathtrace.generate { Pathtrace.src; dst; isls; horizon; step; route_epoch; seed }
+  in
+  match Path_trace.to_file tr file with
+  | exception Sys_error m ->
+    prerr_endline ("pathtrace gen: " ^ m);
+    false
+  | () ->
+    Printf.printf
+      "  wrote %d records to %s (handovers %d, outages %d, outage fraction \
+       %.1f%%)\n"
+      (List.length tr.Path_trace.records)
+      file
+      (Path_trace.handover_count tr)
+      (List.length (Path_trace.outage_intervals tr))
+      (100.0 *. Path_trace.outage_fraction tr);
+    if Path_trace.route_count tr = 0 then
+      Printf.printf "  no route records: skipping the live replay\n"
+    else print_pathtrace_run ~tag:"live" ~interp ~step tr;
+    true
+
+let run_replay ~file ~interp =
+  match Path_trace.of_file file with
+  | Error msg ->
+    Printf.eprintf "pathtrace replay: %s: %s\n" file msg;
+    false
+  | Ok tr ->
+    let m = tr.Path_trace.meta in
+    print_pathtrace_header "replay" m;
+    let ok = Path_trace.route_count tr > 0 in
+    if ok then print_pathtrace_run ~tag:"replay" ~interp ~step:m.Path_trace.step tr
+    else Printf.eprintf "pathtrace replay: trace has no route records\n";
+    ok
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz mode: random scenarios through the differential oracle
    (Leotp_check) and invariant checker, failures shrunk to a replay
    spec.  Deterministic in --seed; cells parallelize under --jobs. *)
-
-let print_failure (f : Fuzz.failure) =
-  Printf.printf "  FAIL %-10s seed=%d  (%d shrink runs)\n" f.Fuzz.protocol
-    f.Fuzz.spec.Fuzz.seed f.Fuzz.shrink_runs;
-  List.iter (fun p -> Printf.printf "    %s\n" p) f.Fuzz.problems;
-  Printf.printf "    replay: --fuzz-replay '%s'\n"
-    (Fuzz.replay_to_string ~protocol:f.Fuzz.protocol f.Fuzz.spec)
 
 let run_fuzz ~cases ~seed =
   Printf.printf
@@ -647,295 +562,354 @@ let run_fuzz ~cases ~seed =
     out.Fuzz.runs out.Fuzz.oracle_acks
     (List.length out.Fuzz.failures)
     (Unix.gettimeofday () -. wall0);
-  List.iter print_failure out.Fuzz.failures;
+  List.iter
+    (fun (f : Fuzz.failure) ->
+      Printf.printf "  FAIL %-10s seed=%d  (%d shrink runs)\n" f.Fuzz.protocol
+        f.Fuzz.spec.Fuzz.seed f.Fuzz.shrink_runs;
+      List.iter (fun p -> Printf.printf "    %s\n" p) f.Fuzz.problems;
+      Printf.printf "    replay: dune exec bench/main.exe -- fuzz-replay '%s'\n"
+        (Fuzz.replay_to_string ~protocol:f.Fuzz.protocol f.Fuzz.spec))
+    out.Fuzz.failures;
   out.Fuzz.failures = []
 
 let run_fuzz_replay spec =
   match Fuzz.replay spec with
   | Error e ->
-    Printf.eprintf "--fuzz-replay: %s\n" e;
-    exit 1
+    Printf.eprintf "fuzz-replay: %s\n" e;
+    false
   | Ok (protocol, s, problems) ->
     Printf.printf "\n=== fuzz replay: %s, seed %d ===\n" protocol s.Fuzz.seed;
-    if problems = [] then begin
-      print_endline "  clean: no oracle divergence, no invariant failure";
-      true
-    end
-    else begin
-      List.iter (fun p -> Printf.printf "  %s\n" p) problems;
-      false
-    end
+    if problems = [] then
+      print_endline "  clean: no oracle divergence, no invariant failure"
+    else List.iter (fun p -> Printf.printf "  %s\n" p) problems;
+    problems = []
 
-let usage () =
-  Printf.eprintf
-    "usage: main.exe [--quick] [--jobs N] [--out-dir DIR] [--perf-smoke]\n\
-    \       [--check] [--faults SPEC] [--trace] [--fuzz N] [--seed S]\n\
-    \       [--fuzz-replay SPEC] [--manyflow N] [--shards K]\n\
-    \       [--path-trace gen|replay] [--trace-file PATH] [--pair SRC:DST]\n\
-    \       [--bent-pipe] [--horizon S] [--step S] [--route-epoch S]\n\
-    \       [--interp hold|linear] [EXPERIMENT...]\n\
-     known experiments: %s\n\
-     --check        attach the invariant checker to every scenario (fail on violation)\n\
-     --faults SPEC  run the fault lab; SPEC = '<t>@<verb>:<target>[=args];...' or random:SEED:N\n\
-     --trace        run the fault lab and export its packet trace as JSONL\n\
-     --fuzz N       run N random scenarios through the protocol oracle (exit 1 on divergence)\n\
-     --seed S       root seed for --fuzz / --manyflow (default 7)\n\
-     --manyflow N   run ~N open-loop flows over the live constellation\n\
-    \                (writes BENCH_manyflow.json; exit 1 on invariant failure)\n\
-     --shards K     fixed shard count for --manyflow (default 8; digests\n\
-    \                depend on K but never on --jobs)\n\
-     --fuzz-replay SPEC  re-run one spec printed by a failing --fuzz\n\
-     --path-trace gen     sample the constellation into --trace-file\n\
-    \                (TRACE_PATH jsonl), then replay it live and print the digest\n\
-     --path-trace replay  replay an existing --trace-file and print the digest\n\
-    \                (gen/replay digests must match; --seed seeds the generator)\n\
-     --pair SRC:DST  city pair for --path-trace gen (default Beijing:New York)\n\
-     --bent-pipe     disable ISLs for --path-trace gen (single-satellite relay)\n\
-     --horizon S / --step S / --route-epoch S  gen horizon, sample step,\n\
-    \                routing recompute quantum (defaults 3600 / 1 / 5)\n\
-     --interp hold|linear  replay interpolation policy (default hold-last)\n\
-     --gate FILE    after the experiments, compare minor_words_per_packet\n\
-                    against FILE's baselines; exit 1 on regression\n"
-    (String.concat ", " (List.map fst all_experiments));
-  exit 1
+(* ------------------------------------------------------------------ *)
+(* Single scenarios (the sim subcommands). *)
+
+let print_summary (s : Common.summary) =
+  Printf.printf "protocol      : %s\n" s.Common.protocol;
+  Printf.printf "goodput       : %.3f Mbps\n" s.Common.goodput_mbps;
+  Printf.printf "owd mean/p99  : %.1f / %.1f ms\n"
+    (Report.ms (Stats.mean s.Common.owd))
+    (Report.ms (Stats.percentile s.Common.owd 99.0));
+  Printf.printf "queuing mean  : %.1f ms\n"
+    (Report.ms (Stats.mean s.Common.queuing_delay));
+  Printf.printf "retransmits   : %d\n" s.Common.retransmissions;
+  Printf.printf "wire bytes    : %d\n" s.Common.wire_bytes;
+  Option.iter (Printf.printf "completion    : %.2f s\n") s.Common.completion_time
+
+(* [sim path]'s goodput window opens after this warmup. *)
+let path_warmup = 10.0
+
+let sim_path protocol hops bw delay_ms plr bytes duration seed =
+  let link = Common.link ~plr ~bw ~delay:(Units.ms_to_sec delay_ms) () in
+  print_summary
+    (Common.run_chain ~seed ?bytes ~duration ~warmup:path_warmup
+       ~hops:(Common.uniform_hops ~n:hops link) protocol)
+
+let sim_starlink protocol src dst bent_pipe quick seed =
+  let r = S.run_pair ~quick ~seed ~src ~dst ~isls:(not bent_pipe) protocol in
+  Printf.printf "route         : mean %.1f hops, min propagation %.1f ms, %d switches\n"
+    r.S.mean_hops (Report.ms r.S.min_propagation) r.S.switches;
+  print_summary r.S.summary
+
+(* Three flows start at 0, d/4 and d/2; rates are measured over
+   [d/2 + 20, d], which is empty unless d > 40. *)
+let sim_fairness protocol same_rtt duration =
+  let access_delays =
+    if same_rtt then [ 0.0075; 0.0075; 0.0075 ] else [ 0.015; 0.0225; 0.03 ]
+  in
+  let starts = [ 0.0; duration /. 4.0; duration /. 2.0 ] in
+  let summaries, _ =
+    Common.run_flows_dumbbell ~duration ~access_delays
+      ~bottleneck:(Common.link ~bw:5.0 ~delay:0.015 ())
+      ~access:(Common.link ~bw:100.0 ~delay:0.0075 ())
+      ~starts protocol
+  in
+  let lo = List.nth starts 2 +. 20.0 in
+  let rates =
+    List.map
+      (fun s ->
+        Units.bytes_per_sec_to_mbps
+          (Leotp_util.Timeseries.window_sum s.Common.delivery ~lo ~hi:duration
+          /. (duration -. lo)))
+      summaries
+  in
+  List.iteri (fun i r -> Printf.printf "flow %d: %.3f Mbps\n" (i + 1) r) rates;
+  Printf.printf "jain index: %.3f\n" (Stats.jain_index rates)
+
+let sim_ablation src dst quick =
+  List.iter
+    (fun (label, ablation) ->
+      let cfg = Leotp.Config.with_ablation ablation Leotp.Config.default in
+      let r = S.run_pair ~quick ~src ~dst ~isls:true (Common.Leotp cfg) in
+      Printf.printf "%s: %.2f Mbps, OWD %.1f ms\n" label
+        r.S.summary.Common.goodput_mbps
+        (Report.ms (Stats.mean r.S.summary.Common.owd)))
+    [ ("A (full)        ", Leotp.Config.Full);
+      ("B (no cache)    ", Leotp.Config.No_cache);
+      ("C (e2e cc)      ", Leotp.Config.E2e_cc);
+      ("D (no midnodes) ", Leotp.Config.No_midnodes) ]
+
+let sim_route src dst duration =
+  let w = Leotp_constellation.Walker.create Leotp_constellation.Walker.starlink in
+  let city = Leotp_constellation.Cities.find_exn in
+  List.iter
+    (fun (t, hops) ->
+      Printf.printf "t=%5.0fs: %2d hops, %.1f ms one-way\n" t
+        (Path_service.hop_count hops)
+        (Report.ms (Path_service.total_delay hops)))
+    (Path_service.snapshots w ~src:(city src) ~dst:(city dst) ~isls:true
+       ~t_end:duration ~step:10.0)
+
+(* ------------------------------------------------------------------ *)
+(* Command line.  Every value is checked by its converter, so hostile
+   input gets a diagnostic (exit 124) instead of a crash or a nonsense
+   number; a run that fails its checks or its gate exits 1. *)
+
+let checked ~docv ~what parse ok pp =
+  let parse s =
+    match parse s with
+    | Some v when ok v -> Ok v
+    | _ -> Error (Printf.sprintf "expected %s, got %S" what s)
+  in
+  Arg.conv' ~docv (parse, pp)
+
+let positive_int =
+  checked ~docv:"N" ~what:"a positive integer" int_of_string_opt (fun n -> n >= 1)
+    Format.pp_print_int
+
+let float_in ~docv ~what ok =
+  checked ~docv ~what float_of_string_opt
+    (fun v -> Float.is_finite v && ok v)
+    Format.pp_print_float
+
+let positive = float_in ~docv:"X" ~what:"a positive number" (fun v -> v > 0.0)
+
+let city =
+  checked ~docv:"CITY" ~what:"a known city" Option.some
+    (fun s -> Leotp_constellation.Cities.find s <> None)
+    Format.pp_print_string
+
+let city_pair =
+  let parse s =
+    match String.index_opt s ':' with
+    | None -> Error (Printf.sprintf "expected SRC:DST, got %S" s)
+    | Some i -> (
+      let part a b = Arg.conv_parser city (String.sub s a b) in
+      match (part 0 i, part (i + 1) (String.length s - i - 1)) with
+      | Ok src, Ok dst -> Ok (src, dst)
+      | Error (`Msg m), _ | _, Error (`Msg m) -> Error m)
+  in
+  Arg.conv' ~docv:"SRC:DST" (parse, fun ppf (s, d) -> Format.fprintf ppf "%s:%s" s d)
+
+let fault_spec =
+  let parse spec =
+    match String.split_on_char ':' spec with
+    | [ "random"; seed; n ] -> (
+      match (int_of_string_opt seed, int_of_string_opt n) with
+      | Some seed, Some n when n >= 1 -> Ok (`Random (seed, n))
+      | _ -> Error (Printf.sprintf "random:SEED:N expects integers, got %S" spec))
+    | _ -> Result.map (fun s -> `Schedule s) (Fault.of_string spec)
+  in
+  let print ppf = function
+    | `Random (seed, n) -> Format.fprintf ppf "random:%d:%d" seed n
+    | `Schedule s -> Format.pp_print_string ppf (Fault.to_string s)
+  in
+  Arg.conv' ~docv:"SPEC" (parse, print)
+
+let opt c default name ~docv doc =
+  Arg.(value & opt c default & info [ name ] ~docv ~doc)
+let flag name doc = Arg.(value & flag & info [ name ] ~doc)
+let pos_req i c ~docv doc = Arg.(required & pos i (some c) None & info [] ~docv ~doc)
+let quick = flag "quick" "Shrunk runs."
+let seed default = opt Arg.int default "seed" ~docv:"S" "Root seed."
+let bent_pipe = flag "bent-pipe" "Disable inter-satellite links."
+let trace_file =
+  opt Arg.string "TRACE_path.jsonl" "trace-file" ~docv:"PATH" "TRACE_PATH file."
+
+let out_dir =
+  opt Arg.dir "." "out-dir" ~docv:"DIR" "Existing directory for records and traces."
+
+let protocol =
+  let proto =
+    checked ~docv:"PROTO" ~what:"a known protocol" Common.protocol_of_name
+      (fun _ -> true)
+      (fun ppf p -> Format.pp_print_string ppf (Common.protocol_name p))
+  in
+  Arg.(
+    value
+    & opt proto (Common.Leotp Leotp.Config.default)
+    & info [ "p"; "protocol" ] ~docv:"PROTO"
+        ~doc:
+          "Transport: leotp, leotp-b/c/d (ablations), or a TCP variant \
+           (newreno, cubic, hybla, westwood, vegas, bbr, pcc), optionally \
+           prefixed with split- for Split TCP.")
+
+let duration ~above ~why =
+  let what = Printf.sprintf "a duration above %g s (%s)" above why in
+  Arg.(
+    value
+    & opt (float_in ~docv:"SECONDS" ~what (fun v -> v > above)) 60.0
+    & info [ "d"; "duration" ] ~docv:"SECONDS" ~doc:"Simulated duration.")
+
+let interp =
+  opt (Arg.enum [ ("hold", `Hold); ("linear", `Linear) ]) `Hold "interp"
+    ~docv:"POLICY" "Replay interpolation: hold or linear."
+
+let jobs =
+  Term.(
+    const Runner.set_jobs
+    $ opt positive_int 1 "jobs" ~docv:"N" "Run simulation cells on N worker domains.")
+
+let check =
+  Term.(
+    const (fun on -> if on then Atomic.set Invariants.self_check true)
+    $ flag "check" "Attach the invariant checker to every scenario.")
+
+(* [gated run] adds --gate FILE to a record-writing command.  The
+   baselines are read before anything runs; a file the strict reader
+   rejects fails the command (exit 1) without running it. *)
+let gated run =
+  Term.(
+    const (fun path run ->
+        match Option.map read_baselines path with
+        | None -> run None
+        | Some (Ok g) -> run (Some g)
+        | Some (Error m) ->
+          prerr_endline ("--gate " ^ m);
+          false)
+    $ opt (Arg.some Arg.file) None "gate" ~docv:"FILE"
+        "Check the records against FILE's baselines; exit 1 on a regression."
+    $ run)
+
+let cmd name ~doc term =
+  Cmd.v (Cmd.info name ~doc) Term.(const (fun ok -> if ok then 0 else 1) $ term)
+
+let sim name ~doc term = cmd name ~doc Term.(const (fun () -> true) $ term)
+
+let fig_cmd =
+  let ids =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun (id, _) -> (id, id)) all_experiments)) []
+      & info [] ~docv:"ID" ~doc:"Experiments to run (default: all).")
+  in
+  cmd "fig" ~doc:"Regenerate the paper's figures and tables."
+    (gated
+       Term.(
+         const (fun () () quick out_dir ids gate -> run_figs ~quick ~out_dir ~gate ids)
+         $ jobs $ check $ quick $ out_dir $ ids))
+
+let manyflow_cmd =
+  cmd "manyflow" ~doc:"Run ~N open-loop flows over the live constellation."
+    (gated
+       Term.(
+         const (fun () () flows quick out_dir seed shards gate ->
+             run_manyflow ~quick ~out_dir ~flows ~seed ~shards ~gate)
+         $ jobs $ check
+         $ pos_req 0 positive_int ~docv:"N" "Target flow count."
+         $ quick $ out_dir $ seed 7
+         $ opt positive_int 8 "shards" ~docv:"K"
+             "Fixed shard count; digests depend on K but never on --jobs."))
+
+let pathtrace_cmd =
+  let d = Pathtrace.default in
+  let seconds name default doc = opt positive default name ~docv:"S" doc in
+  let gen =
+    cmd "gen" ~doc:"Sample the constellation into --trace-file, then replay it."
+      Term.(
+        const (fun () file (src, dst) bent_pipe horizon step route_epoch interp seed ->
+            run_gen ~file ~src ~dst ~isls:(not bent_pipe) ~horizon ~step
+              ~route_epoch ~interp ~seed)
+        $ check $ trace_file
+        $ opt city_pair (d.Pathtrace.src, d.Pathtrace.dst) "pair" ~docv:"SRC:DST"
+            "City pair."
+        $ bent_pipe
+        $ seconds "horizon" d.Pathtrace.horizon "Orbital time to sample."
+        $ seconds "step" d.Pathtrace.step "Sampling step."
+        $ seconds "route-epoch" d.Pathtrace.route_epoch "Routing recompute quantum."
+        $ interp $ seed 7)
+  in
+  let replay =
+    cmd "replay" ~doc:"Replay --trace-file and print its digest."
+      Term.(
+        const (fun () file interp -> run_replay ~file ~interp)
+        $ check $ trace_file $ interp)
+  in
+  Cmd.group
+    (Cmd.info "pathtrace"
+       ~doc:"Trace-driven paths: gen and replay print the same digest.")
+    [ gen; replay ]
+
+let faults_cmd =
+  cmd "faults" ~doc:"LEOTP over a 4-hop chain under a fault schedule."
+    Term.(
+      const (fun quick out_dir trace_wanted ->
+          run_fault_lab ~quick ~out_dir ~trace_wanted)
+      $ quick $ out_dir
+      $ flag "trace" "Export the packet trace as JSONL."
+      $ Arg.(
+          value
+          & pos 0 (some fault_spec) None
+          & info [] ~docv:"SPEC"
+              ~doc:"'<t>@<verb>:<target>[=args];...' or random:SEED:N."))
+
+let fuzz_cmd =
+  cmd "fuzz" ~doc:"Run N random scenarios through the protocol oracle."
+    Term.(
+      const (fun () cases seed -> run_fuzz ~cases ~seed)
+      $ jobs $ pos_req 0 positive_int ~docv:"N" "Cases." $ seed 7)
+
+let fuzz_replay_cmd =
+  cmd "fuzz-replay" ~doc:"Re-run one spec printed by a failing fuzz."
+    Term.(const run_fuzz_replay $ pos_req 0 Arg.string ~docv:"SPEC" "Replay spec.")
+
+let sim_cmd =
+  let endpoint i default =
+    Arg.(value & pos i city default & info [] ~docv:(if i = 0 then "SRC" else "DST"))
+  in
+  let in_range ~docv ~what lo hi = float_in ~docv ~what (fun v -> v >= lo && v <= hi) in
+  Cmd.group
+    (Cmd.info "sim" ~doc:"Single scenarios on the simulator.")
+    [ sim "path" ~doc:"One flow over a static chain."
+        Term.(
+          const sim_path $ protocol
+          $ opt positive_int 5 "hops" ~docv:"N" "Hop count."
+          $ opt positive 20.0 "bw" ~docv:"MBPS" "Per-hop bandwidth."
+          $ opt (in_range ~docv:"MS" ~what:"a non-negative delay" 0.0 infinity) 10.0
+              "delay" ~docv:"MS" "Per-hop one-way delay (ms)."
+          $ opt (in_range ~docv:"P" ~what:"a probability in [0, 1]" 0.0 1.0) 0.0
+              "plr" ~docv:"P" "Per-hop loss rate."
+          $ opt (Arg.some positive_int) None "bytes" ~docv:"N"
+              "Fixed transfer size (bulk flow if absent)."
+          $ duration ~above:path_warmup ~why:"the goodput window opens after the warmup"
+          $ seed 42);
+      sim "starlink" ~doc:"One flow over the emulated constellation."
+        Term.(
+          const sim_starlink $ protocol $ endpoint 0 "Beijing" $ endpoint 1 "New York"
+          $ bent_pipe $ quick $ seed 42);
+      sim "fairness" ~doc:"Three staggered flows on a dumbbell."
+        Term.(
+          const sim_fairness $ protocol
+          $ flag "same-rtt" "All flows share one RTT (default: 90/120/150 ms)."
+          $ duration ~above:40.0 ~why:"rates are measured over [d/2 + 20, d]");
+      sim "ablation" ~doc:"Table II ablations on a city pair."
+        Term.(
+          const sim_ablation $ endpoint 0 "Beijing" $ endpoint 1 "Hong Kong"
+          $ quick);
+      sim "route" ~doc:"Print orbital routes for a city pair over time."
+        Term.(
+          const sim_route $ endpoint 0 "Beijing" $ endpoint 1 "New York"
+          $ duration ~above:0.0 ~why:"a positive horizon") ]
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let quick = ref false in
-  let jobs = ref 1 in
-  let out_dir = ref "." in
-  let perf_smoke = ref false in
-  let check = ref false in
-  let faults_spec = ref None in
-  let trace_flag = ref false in
-  let fuzz_cases = ref None in
-  let fuzz_seed = ref 7 in
-  let fuzz_replay = ref None in
-  let gate = ref None in
-  let manyflow = ref None in
-  let shards = ref 8 in
-  let pt_mode = ref None in
-  let pt_file = ref "TRACE_path.jsonl" in
-  let pt_pair = ref (Pathtrace.default.Pathtrace.src, Pathtrace.default.Pathtrace.dst) in
-  let pt_isls = ref true in
-  let pt_horizon = ref Pathtrace.default.Pathtrace.horizon in
-  let pt_step = ref Pathtrace.default.Pathtrace.step in
-  let pt_epoch = ref Pathtrace.default.Pathtrace.route_epoch in
-  let pt_interp = ref `Hold in
-  let selected = ref [] in
-  let positive_float flag s k =
-    match float_of_string_opt s with
-    | Some v when v > 0.0 && Float.is_finite v -> k v
-    | _ ->
-      Printf.eprintf "%s expects a positive number, got %S\n" flag s;
-      usage ()
-  in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--check" :: rest ->
-      check := true;
-      parse rest
-    | "--faults" :: spec :: rest ->
-      faults_spec := Some spec;
-      parse rest
-    | "--trace" :: rest ->
-      trace_flag := true;
-      parse rest
-    | "--perf-smoke" :: rest ->
-      perf_smoke := true;
-      parse rest
-    | "--fuzz" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1 ->
-        fuzz_cases := Some n;
-        parse rest
-      | _ ->
-        Printf.eprintf "--fuzz expects a positive integer, got %S\n" n;
-        usage ())
-    | "--seed" :: s :: rest -> (
-      match int_of_string_opt s with
-      | Some s ->
-        fuzz_seed := s;
-        parse rest
-      | _ ->
-        Printf.eprintf "--seed expects an integer, got %S\n" s;
-        usage ())
-    | "--fuzz-replay" :: spec :: rest ->
-      fuzz_replay := Some spec;
-      parse rest
-    | "--path-trace" :: mode :: rest -> (
-      match mode with
-      | "gen" ->
-        pt_mode := Some `Gen;
-        parse rest
-      | "replay" ->
-        pt_mode := Some `Replay;
-        parse rest
-      | _ ->
-        Printf.eprintf "--path-trace expects 'gen' or 'replay', got %S\n" mode;
-        usage ())
-    | "--trace-file" :: path :: rest ->
-      pt_file := path;
-      parse rest
-    | "--pair" :: pair :: rest -> (
-      match String.index_opt pair ':' with
-      | Some i when i > 0 && i < String.length pair - 1 ->
-        pt_pair :=
-          ( String.sub pair 0 i,
-            String.sub pair (i + 1) (String.length pair - i - 1) );
-        parse rest
-      | _ ->
-        Printf.eprintf "--pair expects \"SRC:DST\", got %S\n" pair;
-        usage ())
-    | "--bent-pipe" :: rest ->
-      pt_isls := false;
-      parse rest
-    | "--horizon" :: s :: rest ->
-      positive_float "--horizon" s (fun v ->
-          pt_horizon := v;
-          parse rest)
-    | "--step" :: s :: rest ->
-      positive_float "--step" s (fun v ->
-          pt_step := v;
-          parse rest)
-    | "--route-epoch" :: s :: rest ->
-      positive_float "--route-epoch" s (fun v ->
-          pt_epoch := v;
-          parse rest)
-    | "--interp" :: policy :: rest -> (
-      match policy with
-      | "hold" ->
-        pt_interp := `Hold;
-        parse rest
-      | "linear" ->
-        pt_interp := `Linear;
-        parse rest
-      | _ ->
-        Printf.eprintf "--interp expects 'hold' or 'linear', got %S\n" policy;
-        usage ())
-    | "--manyflow" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1 ->
-        manyflow := Some n;
-        parse rest
-      | _ ->
-        Printf.eprintf "--manyflow expects a positive integer, got %S\n" n;
-        usage ())
-    | "--shards" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1 ->
-        shards := n;
-        parse rest
-      | _ ->
-        Printf.eprintf "--shards expects a positive integer, got %S\n" n;
-        usage ())
-    | "--gate" :: path :: rest ->
-      if not (Sys.file_exists path) then begin
-        Printf.eprintf "--gate %S does not exist\n" path;
-        usage ()
-      end;
-      gate := Some path;
-      parse rest
-    | "--jobs" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1 ->
-        jobs := n;
-        parse rest
-      | _ ->
-        Printf.eprintf "--jobs expects a positive integer, got %S\n" n;
-        usage ())
-    | "--out-dir" :: dir :: rest ->
-      (* Fail before the experiments run, not at the first write. *)
-      if not (Sys.file_exists dir && Sys.is_directory dir) then begin
-        Printf.eprintf "--out-dir %S is not an existing directory\n" dir;
-        usage ()
-      end;
-      out_dir := dir;
-      parse rest
-    | arg :: _ when String.length arg > 1 && arg.[0] = '-' ->
-      Printf.eprintf "unknown option %S\n" arg;
-      usage ()
-    | name :: rest ->
-      if List.mem_assoc name all_experiments then begin
-        selected := name :: !selected;
-        parse rest
-      end
-      else begin
-        Printf.eprintf "unknown experiment %S\n" name;
-        usage ()
-      end
-  in
-  parse args;
-  if !perf_smoke then quick := true;
-  Runner.set_jobs !jobs;
-  if !check then Atomic.set Invariants.self_check true;
-  (match !fuzz_replay with
-  | Some spec -> exit (if run_fuzz_replay spec then 0 else 1)
-  | None -> ());
-  (match !fuzz_cases with
-  | Some cases ->
-    let ok = run_fuzz ~cases ~seed:!fuzz_seed in
-    if not ok then exit 1;
-    (* Like the fault lab, --fuzz replaces the experiment sweep unless
-       experiments were selected alongside it. *)
-    if !selected = [] && !faults_spec = None && not !trace_flag then exit 0
-  | None -> ());
-  (match !manyflow with
-  | Some flows ->
-    let ok =
-      run_manyflow ~quick:!quick ~out_dir:!out_dir ~flows ~seed:!fuzz_seed
-        ~shards:!shards ~gate:!gate
-    in
-    if not ok then exit 1;
-    (* Like --fuzz, --manyflow replaces the experiment sweep unless
-       experiments were selected alongside it. *)
-    if !selected = [] && !faults_spec = None && not !trace_flag then exit 0
-  | None -> ());
-  if !faults_spec <> None || !trace_flag then begin
-    let ok =
-      run_fault_lab ~quick:!quick ~out_dir:!out_dir ~spec:!faults_spec
-        ~trace_wanted:!trace_flag
-    in
-    if not ok then exit 1;
-    (* The fault lab replaces the experiment sweep unless some were
-       explicitly selected alongside it. *)
-    if !selected = [] then exit 0
-  end;
-  (match !pt_mode with
-  | Some mode ->
-    let src, dst = !pt_pair in
-    let ok =
-      run_path_trace ~mode ~file:!pt_file ~pair:(src, dst) ~isls:!pt_isls
-        ~horizon:!pt_horizon ~step:!pt_step ~route_epoch:!pt_epoch
-        ~interp:!pt_interp ~seed:!fuzz_seed
-    in
-    if not ok then exit 1;
-    (* Like the fault lab, --path-trace replaces the experiment sweep
-       unless some were explicitly selected alongside it. *)
-    if !selected = [] then exit 0
-  | None -> ());
-  let to_run =
-    if !perf_smoke then
-      List.filter (fun (id, _) -> List.mem id perf_smoke_ids) all_experiments
-    else
-      match List.rev !selected with
-      | [] -> all_experiments
-      | names ->
-        List.map (fun name -> (name, List.assoc name all_experiments)) names
-  in
-  Printf.printf "LEOTP reproduction benchmarks%s (jobs=%d)\n"
-    (if !quick then " (quick mode)" else "")
-    !jobs;
-  let perfs =
-    List.map (run_instrumented ~quick:!quick ~out_dir:!out_dir) to_run
-  in
-  if !perf_smoke then begin
-    print_endline "\n=== perf smoke summary ===";
-    List.iter (fun p -> print_string (json_of_perf p)) perfs
-  end;
-  match !gate with
-  | Some path -> if not (run_gate ~path perfs) then exit 1
-  | None -> ()
+  exit
+    (Cmd.eval'
+       (Cmd.group
+          (Cmd.info "leotp" ~version:"1.0.0"
+             ~doc:"LEOTP reproduction: figures, scale, trace, fault and fuzz \
+                   runs, and single scenarios.")
+          [ fig_cmd; manyflow_cmd; pathtrace_cmd; faults_cmd; fuzz_cmd;
+            fuzz_replay_cmd; sim_cmd ]))

@@ -1,7 +1,6 @@
 #!/bin/sh
-# CI smoke check: lint + build + full test suite, then an end-to-end
-# bench run (fixed quick subset, 2 worker domains) that exercises the
-# parallel runner and the BENCH_*.json perf records.
+# CI smoke check: lint + build + full test suite (with the test/cli.t
+# cram suite), then an end-to-end run of every bench/main.exe subcommand.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -36,31 +35,34 @@ LEOTP_TEST_JOBS=2 dune exec test/test_scenario.exe -- test harness
 LEOTP_TEST_JOBS=2 dune exec test/test_faults.exe -- test determinism
 
 # Perf smoke + regression gate: the quick figure subset writes its
-# BENCH_*.json records and the gate compares minor_words_per_packet
-# against the checked-in baselines (bench/baselines.json), printing a
-# before/after line per figure and exiting non-zero, naming the
-# offending metric, on any regression beyond the tolerance band.
+# BENCH_*.json records and the gate checks each bench/baselines.json
+# entry (record id, field, direction, baseline, tolerance) against them,
+# printing one line per record and exiting non-zero, naming the
+# offending field, on any regression beyond the tolerance band.
 out_dir="$(mktemp -d)"
 trap 'rm -rf "$out_dir"' EXIT
-dune exec bench/main.exe -- --perf-smoke --jobs 2 --out-dir "$out_dir" \
-  --gate bench/baselines.json
+smoke_ids="fig3 fig10 fig12 pathtrace"
+dune exec bench/main.exe -- fig --quick --jobs 2 --out-dir "$out_dir" \
+  --gate bench/baselines.json $smoke_ids
 
-for id in fig3 fig10 fig12 pathtrace; do
+echo "=== perf smoke records ==="
+for id in $smoke_ids; do
   test -s "$out_dir/BENCH_$id.json" || {
     echo "ci.sh: missing perf record BENCH_$id.json" >&2
     exit 1
   }
+  cat "$out_dir/BENCH_$id.json"
 done
 
 # Path-trace smoke: generate a short bent-pipe TRACE_PATH timeline, then
 # replay the written file with the invariant checker attached.  Both runs
 # print the packet-trace digest, and they must match — the bit-identical
 # replay guarantee (see EXPERIMENTS.md, "Trace-driven paths").
-gen_out="$(dune exec bench/main.exe -- --path-trace gen \
+gen_out="$(dune exec bench/main.exe -- pathtrace gen \
   --trace-file "$out_dir/TRACE_path.jsonl" --pair "Beijing:Shanghai" \
   --bent-pipe --horizon 60 --step 1 --route-epoch 1)"
 printf '%s\n' "$gen_out"
-replay_out="$(dune exec bench/main.exe -- --path-trace replay \
+replay_out="$(dune exec bench/main.exe -- pathtrace replay \
   --trace-file "$out_dir/TRACE_path.jsonl" --check)"
 printf '%s\n' "$replay_out"
 gen_digest="$(printf '%s\n' "$gen_out" | sed -n 's/^  digest //p')"
@@ -77,7 +79,7 @@ fi
 # in bench/baselines.json has its own generous tolerance band).  The
 # combined digest must be identical for any --jobs, so running on 2
 # worker domains here also re-checks shard determinism.
-dune exec bench/main.exe -- --manyflow 500 --seed 1 --check --jobs 2 \
+dune exec bench/main.exe -- manyflow 500 --seed 1 --check --jobs 2 \
   --out-dir "$out_dir" --gate bench/baselines.json
 test -s "$out_dir/BENCH_manyflow.json" || {
   echo "ci.sh: missing perf record BENCH_manyflow.json" >&2
@@ -86,13 +88,16 @@ test -s "$out_dir/BENCH_manyflow.json" || {
 
 # Fault lab: a seeded random fault schedule over a LEOTP transfer, with
 # the five trace invariants checked (non-zero exit on any violation).
-dune exec bench/main.exe -- --quick --out-dir "$out_dir" \
-  --faults random:7:12
+dune exec bench/main.exe -- faults --quick --out-dir "$out_dir" random:7:12
 
 # Oracle fuzz sweep: 25 random scenarios x (LEOTP + every TCP variant)
 # replayed against the differential sender model and per-CC semantic
 # oracles (see EXPERIMENTS.md).  Exits non-zero on any divergence,
-# printing a --fuzz-replay spec for each shrunk failure.
-dune exec bench/main.exe -- --fuzz 25 --seed 7 --jobs 2
+# printing a fuzz-replay command for each shrunk failure.
+dune exec bench/main.exe -- fuzz 25 --seed 7 --jobs 2
+
+# Single scenarios: a fixed transfer over a lossy chain, a route table.
+dune exec bench/main.exe -- sim path --hops 5 --plr 0.01 --bytes 10000000
+dune exec bench/main.exe -- sim route Beijing Paris -d 300
 
 echo "ci.sh: OK"

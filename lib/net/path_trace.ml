@@ -17,29 +17,18 @@ type t = { meta : meta; records : record list }
 let version = 1
 let schema_name = "TRACE_PATH"
 
+module C = Leotp_util.Cursor
+
 (* ------------------------------------------------------------------ *)
 (* Writer.  Canonical layout, fixed key order, "%.17g" floats: parsing
    and re-printing a trace reproduces it byte for byte. *)
-
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      if Char.code c < 0x20 then
-        invalid_arg "Path_trace: control character in string field"
-      else begin
-        if c = '"' || c = '\\' then Buffer.add_char b '\\';
-        Buffer.add_char b c
-      end)
-    s;
-  Buffer.contents b
 
 let kind_to_string = function Gsl -> "gsl" | Isl -> "isl"
 
 let add_header b m =
   Printf.bprintf b
     "{\"schema\":\"%s\",\"version\":%d,\"seed\":%d,\"src\":\"%s\",\"dst\":\"%s\",\"isls\":%b,\"step\":%.17g,\"horizon\":%.17g}\n"
-    schema_name version m.seed (escape m.src) (escape m.dst) m.isls m.step
+    schema_name version m.seed (C.escape m.src) (C.escape m.dst) m.isls m.step
     m.horizon
 
 let add_record b r =
@@ -67,239 +56,133 @@ let to_file t path =
   close_out oc
 
 (* ------------------------------------------------------------------ *)
-(* Strict line/field parser.  No JSON library in the tree; the grammar
-   is the canonical writer output, so the cursor expects exact keys in
-   order and reports the first mismatch with its line and column. *)
-
-exception Bad of string
-
-type cursor = { buf : string; mutable pos : int; lineno : int }
-
-let fail cur fmt =
-  Printf.ksprintf
-    (fun m -> raise (Bad (Printf.sprintf "line %d: %s" cur.lineno m)))
-    fmt
-
-let expect cur lit =
-  let n = String.length lit in
-  if cur.pos + n <= String.length cur.buf && String.sub cur.buf cur.pos n = lit
-  then cur.pos <- cur.pos + n
-  else fail cur "expected %s at column %d" lit (cur.pos + 1)
-
-let key cur name = expect cur (Printf.sprintf "\"%s\":" name)
-
-let looking_at cur lit =
-  let n = String.length lit in
-  cur.pos + n <= String.length cur.buf && String.sub cur.buf cur.pos n = lit
-
-let is_num_char c =
-  (c >= '0' && c <= '9') || c = '+' || c = '-' || c = '.' || c = 'e' || c = 'E'
-
-let number cur ~what =
-  let start = cur.pos in
-  while cur.pos < String.length cur.buf && is_num_char cur.buf.[cur.pos] do
-    cur.pos <- cur.pos + 1
-  done;
-  if cur.pos = start then fail cur "expected a number for %S" what;
-  match float_of_string_opt (String.sub cur.buf start (cur.pos - start)) with
-  | Some f when Float.is_finite f -> f
-  | _ ->
-    fail cur "%S is not a finite number for %S"
-      (String.sub cur.buf start (cur.pos - start))
-      what
-
-let int_field cur ~what =
-  let start = cur.pos in
-  while
-    cur.pos < String.length cur.buf
-    && ((cur.buf.[cur.pos] >= '0' && cur.buf.[cur.pos] <= '9')
-       || cur.buf.[cur.pos] = '-')
-  do
-    cur.pos <- cur.pos + 1
-  done;
-  match int_of_string_opt (String.sub cur.buf start (cur.pos - start)) with
-  | Some i -> i
-  | None -> fail cur "expected an integer for %S" what
-
-let bool_field cur ~what =
-  if looking_at cur "true" then begin
-    cur.pos <- cur.pos + 4;
-    true
-  end
-  else if looking_at cur "false" then begin
-    cur.pos <- cur.pos + 5;
-    false
-  end
-  else fail cur "expected true or false for %S" what
-
-let quoted cur ~what =
-  expect cur "\"";
-  let b = Buffer.create 16 in
-  let rec go () =
-    if cur.pos >= String.length cur.buf then
-      fail cur "unterminated string for %S" what
-    else begin
-      let c = cur.buf.[cur.pos] in
-      cur.pos <- cur.pos + 1;
-      if c = '"' then Buffer.contents b
-      else if c = '\\' then begin
-        if cur.pos >= String.length cur.buf then
-          fail cur "unterminated escape in %S" what;
-        let e = cur.buf.[cur.pos] in
-        cur.pos <- cur.pos + 1;
-        match e with
-        | '"' | '\\' ->
-          Buffer.add_char b e;
-          go ()
-        | _ -> fail cur "unsupported escape '\\%c' in %S" e what
-      end
-      else if Char.code c < 0x20 then fail cur "control character in %S" what
-      else begin
-        Buffer.add_char b c;
-        go ()
-      end
-    end
-  in
-  go ()
-
-let eol cur =
-  if cur.pos <> String.length cur.buf then
-    fail cur "trailing characters at column %d" (cur.pos + 1)
+(* Strict line/field parser over {!Leotp_util.Cursor}: the grammar is the
+   canonical writer output, so the cursor expects exact keys in order and
+   reports the first mismatch with its line and column. *)
 
 let parse_header line =
-  let cur = { buf = line; pos = 0; lineno = 1 } in
-  expect cur "{";
-  key cur "schema";
-  let schema = quoted cur ~what:"schema" in
+  let cur = C.create ~lineno:1 line in
+  C.expect cur "{";
+  C.key cur "schema";
+  let schema = C.quoted cur ~what:"schema" in
   if schema <> schema_name then
-    fail cur "unknown schema %S (expected %S)" schema schema_name;
-  expect cur ",";
-  key cur "version";
-  let v = int_field cur ~what:"version" in
+    C.fail cur "unknown schema %S (expected %S)" schema schema_name;
+  C.expect cur ",";
+  C.key cur "version";
+  let v = C.int_field cur ~what:"version" in
   if v <> version then
-    fail cur "unsupported %s version %d (this reader supports %d)" schema_name
-      v version;
-  expect cur ",";
-  key cur "seed";
-  let seed = int_field cur ~what:"seed" in
-  expect cur ",";
-  key cur "src";
-  let src = quoted cur ~what:"src" in
-  expect cur ",";
-  key cur "dst";
-  let dst = quoted cur ~what:"dst" in
-  expect cur ",";
-  key cur "isls";
-  let isls = bool_field cur ~what:"isls" in
-  expect cur ",";
-  key cur "step";
-  let step = number cur ~what:"step" in
-  if step <= 0.0 then fail cur "\"step\" must be positive";
-  expect cur ",";
-  key cur "horizon";
-  let horizon = number cur ~what:"horizon" in
-  if horizon < 0.0 then fail cur "\"horizon\" must be non-negative";
-  expect cur "}";
-  eol cur;
+    C.fail cur "unsupported %s version %d (this reader supports %d)"
+      schema_name v version;
+  C.expect cur ",";
+  C.key cur "seed";
+  let seed = C.int_field cur ~what:"seed" in
+  C.expect cur ",";
+  C.key cur "src";
+  let src = C.quoted cur ~what:"src" in
+  C.expect cur ",";
+  C.key cur "dst";
+  let dst = C.quoted cur ~what:"dst" in
+  C.expect cur ",";
+  C.key cur "isls";
+  let isls = C.bool_field cur ~what:"isls" in
+  C.expect cur ",";
+  C.key cur "step";
+  let step = C.number cur ~what:"step" in
+  if step <= 0.0 then C.fail cur "\"step\" must be positive";
+  C.expect cur ",";
+  C.key cur "horizon";
+  let horizon = C.number cur ~what:"horizon" in
+  if horizon < 0.0 then C.fail cur "\"horizon\" must be non-negative";
+  C.expect cur "}";
+  C.eol cur;
   { seed; src; dst; isls; step; horizon }
 
 let parse_hop cur =
-  expect cur "{";
-  key cur "d";
-  let delay = number cur ~what:"d" in
-  if delay < 0.0 then fail cur "\"d\" (hop delay) must be non-negative";
-  expect cur ",";
-  key cur "bw";
-  let bw_mbps = number cur ~what:"bw" in
-  if bw_mbps <= 0.0 then fail cur "\"bw\" (hop bandwidth) must be positive";
-  expect cur ",";
-  key cur "plr";
-  let plr = number cur ~what:"plr" in
-  if plr < 0.0 || plr > 1.0 then fail cur "\"plr\" must be within [0, 1]";
-  expect cur ",";
-  key cur "k";
+  C.expect cur "{";
+  C.key cur "d";
+  let delay = C.number cur ~what:"d" in
+  if delay < 0.0 then C.fail cur "\"d\" (hop delay) must be non-negative";
+  C.expect cur ",";
+  C.key cur "bw";
+  let bw_mbps = C.number cur ~what:"bw" in
+  if bw_mbps <= 0.0 then C.fail cur "\"bw\" (hop bandwidth) must be positive";
+  C.expect cur ",";
+  C.key cur "plr";
+  let plr = C.number cur ~what:"plr" in
+  if plr < 0.0 || plr > 1.0 then C.fail cur "\"plr\" must be within [0, 1]";
+  C.expect cur ",";
+  C.key cur "k";
   let kind =
-    match quoted cur ~what:"k" with
+    match C.quoted cur ~what:"k" with
     | "gsl" -> Gsl
     | "isl" -> Isl
-    | other -> fail cur "unknown link kind %S (expected \"gsl\" or \"isl\")" other
+    | other ->
+      C.fail cur "unknown link kind %S (expected \"gsl\" or \"isl\")" other
   in
-  expect cur "}";
+  C.expect cur "}";
   { delay; bw_mbps; plr; kind }
 
 let parse_record ~lineno line =
-  let cur = { buf = line; pos = 0; lineno } in
-  expect cur "{";
-  key cur "t";
-  let time = number cur ~what:"t" in
-  expect cur ",";
-  if looking_at cur "\"outage\"" then begin
-    key cur "outage";
-    expect cur "true";
-    expect cur "}";
-    eol cur;
+  let cur = C.create ~lineno line in
+  C.expect cur "{";
+  C.key cur "t";
+  let time = C.number cur ~what:"t" in
+  C.expect cur ",";
+  if C.looking_at cur "\"outage\"" then begin
+    C.key cur "outage";
+    C.expect cur "true";
+    C.expect cur "}";
+    C.eol cur;
     { time; event = No_route }
   end
   else begin
-    key cur "hops";
-    expect cur "[";
-    if looking_at cur "]" then fail cur "\"hops\" must not be empty";
+    C.key cur "hops";
+    C.expect cur "[";
+    if C.looking_at cur "]" then C.fail cur "\"hops\" must not be empty";
     let rec hops acc =
       let h = parse_hop cur in
-      if looking_at cur "," then begin
-        cur.pos <- cur.pos + 1;
+      if C.looking_at cur "," then begin
+        C.expect cur ",";
         hops (h :: acc)
       end
       else begin
-        expect cur "]";
+        C.expect cur "]";
         List.rev (h :: acc)
       end
     in
     let hs = hops [] in
-    expect cur ",";
-    key cur "ho";
-    let handover = bool_field cur ~what:"ho" in
-    expect cur "}";
-    eol cur;
+    C.expect cur ",";
+    C.key cur "ho";
+    let handover = C.bool_field cur ~what:"ho" in
+    C.expect cur "}";
+    C.eol cur;
     { time; event = Route { hops = Array.of_list hs; handover } }
   end
 
 let of_string s =
-  let lines = String.split_on_char '\n' s in
-  (* A canonical trace ends with a newline: drop the final empty chunk
-     only. *)
-  let lines =
-    match List.rev lines with "" :: rev -> List.rev rev | _ -> lines
-  in
-  match lines with
+  match C.lines s with
   | [] -> Error "line 1: empty trace"
-  | header :: rest -> (
-    try
-      let meta = parse_header header in
-      let _, records =
-        List.fold_left
-          (fun (lineno, acc) line ->
-            let r = parse_record ~lineno line in
-            (match acc with
-            | prev :: _ ->
-              if r.time <= prev.time then
-                raise
-                  (Bad
-                     (Printf.sprintf
-                        "line %d: record times must be strictly increasing \
-                         (%.17g after %.17g)"
-                        lineno r.time prev.time))
-            | [] ->
-              if r.time < 0.0 then
-                raise
-                  (Bad
-                     (Printf.sprintf "line %d: record time must be >= 0"
-                        lineno)));
-            (lineno + 1, r :: acc))
-          (2, []) rest
-      in
-      Ok { meta; records = List.rev records }
-    with Bad m -> Error m)
+  | header :: rest ->
+    C.protect (fun () ->
+        let meta = parse_header header in
+        let _, records =
+          List.fold_left
+            (fun (lineno, acc) line ->
+              let r = parse_record ~lineno line in
+              (match acc with
+              | prev :: _ ->
+                if r.time <= prev.time then
+                  C.fail_line lineno
+                    "record times must be strictly increasing (%.17g after \
+                     %.17g)"
+                    r.time prev.time
+              | [] ->
+                if r.time < 0.0 then
+                  C.fail_line lineno "record time must be >= 0");
+              (lineno + 1, r :: acc))
+            (2, []) rest
+        in
+        { meta; records = List.rev records })
 
 let of_file path =
   match In_channel.with_open_bin path In_channel.input_all with

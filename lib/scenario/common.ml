@@ -27,6 +27,22 @@ let protocol_name = function
     | Leotp.Config.No_midnodes -> "leotp-D(e2e)")
   | Leotp_partial (_, cov) -> Printf.sprintf "leotp-%.0f%%cov" (cov *. 100.0)
 
+let protocol_of_name name =
+  let ablated a =
+    Some (Leotp (Leotp.Config.with_ablation a Leotp.Config.default))
+  in
+  let cc wrap s = Option.map wrap (Leotp_tcp.Cc.algo_of_name s) in
+  match String.lowercase_ascii name with
+  | "leotp" -> Some (Leotp Leotp.Config.default)
+  | "leotp-b" | "leotp-no-cache" | "leotp-b(no-cache)" ->
+    ablated Leotp.Config.No_cache
+  | "leotp-c" | "leotp-e2e-cc" | "leotp-c(e2e-cc)" -> ablated Leotp.Config.E2e_cc
+  | "leotp-d" | "leotp-e2e" | "leotp-d(e2e)" -> ablated Leotp.Config.No_midnodes
+  | s -> (
+    match String.split_on_char '-' s with
+    | [ "split"; algo ] -> cc (fun a -> Split_tcp a) algo
+    | _ -> cc (fun a -> Tcp a) s)
+
 type link_params = {
   bandwidth_mbps : float;
   delay : float;

@@ -9,6 +9,12 @@ type protocol =
 
 val protocol_name : protocol -> string
 
+val protocol_of_name : string -> protocol option
+(** Inverse of {!protocol_name} (case-insensitive) for LEOTP, its three
+    ablations, and plain and Split TCP; the ablations also parse as
+    [leotp-b]/[leotp-no-cache], [leotp-c]/[leotp-e2e-cc] and
+    [leotp-d]/[leotp-e2e].  Partial-coverage names do not parse. *)
+
 type link_params = {
   bandwidth_mbps : float;
   delay : float;  (** one-way propagation per hop, seconds *)

@@ -50,11 +50,6 @@ let protocols () =
        (fun a -> (Leotp_tcp.Cc.algo_name a, Common.Tcp a))
        Leotp_tcp.Cc.all
 
-let protocol_of_name name =
-  if name = "leotp" then Some (Common.Leotp Leotp.Config.default)
-  else
-    Option.map (fun a -> Common.Tcp a) (Leotp_tcp.Cc.algo_of_name name)
-
 let gen_spec ~rng ~seed =
   let duration = 30.0 in
   let hops = 1 + Rng.int rng 5 in
@@ -243,7 +238,7 @@ let replay s =
   match replay_of_string s with
   | Error e -> Error e
   | Ok (name, spec) -> (
-    match protocol_of_name name with
+    match Common.protocol_of_name name with
     | None -> Error (Printf.sprintf "replay spec: unknown protocol %S" name)
     | Some protocol -> Ok (name, spec, fst (run_one spec protocol)))
 
@@ -270,7 +265,7 @@ let run ?(shrinking = true) ~seed ~cases () =
         else
           (* Re-run the shrunk spec so the reported problems match it. *)
           let shrunk, shrink_runs, problems =
-            match (shrinking, protocol_of_name name) with
+            match (shrinking, Common.protocol_of_name name) with
             | true, Some p ->
               let s, r = shrink spec p in
               (s, r, fst (run_one s p))

@@ -22,6 +22,33 @@ let test_summary_fields () =
   Alcotest.(check bool) "queuing >= 0" true (Stats.min s.C.queuing_delay >= 0.0);
   Alcotest.(check bool) "wire bytes counted" true (s.C.wire_bytes > s.C.app_bytes / 2)
 
+let test_protocol_names_round_trip () =
+  let cfg a = Leotp.Config.with_ablation a Leotp.Config.default in
+  let protocols =
+    [ leotp; C.Leotp (cfg Leotp.Config.No_cache);
+      C.Leotp (cfg Leotp.Config.E2e_cc); C.Leotp (cfg Leotp.Config.No_midnodes) ]
+    @ List.map (fun a -> C.Tcp a) Cc.all
+    @ List.map (fun a -> C.Split_tcp a) Cc.all
+  in
+  Alcotest.(check int) "3 ablations + 7 + 7 TCP" 18 (List.length protocols);
+  List.iter
+    (fun p ->
+      let name = C.protocol_name p in
+      Alcotest.(check bool) name true (C.protocol_of_name name = Some p))
+    protocols;
+  List.iter
+    (fun (alias, p) ->
+      Alcotest.(check bool) alias true (C.protocol_of_name alias = Some p))
+    [ ("leotp-b", C.Leotp (cfg Leotp.Config.No_cache));
+      ("LEOTP-no-cache", C.Leotp (cfg Leotp.Config.No_cache));
+      ("leotp-e2e-cc", C.Leotp (cfg Leotp.Config.E2e_cc));
+      ("leotp-d", C.Leotp (cfg Leotp.Config.No_midnodes));
+      ("split-bbr", C.Split_tcp Cc.Bbr) ];
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) bad true (C.protocol_of_name bad = None))
+    [ ""; "tcp"; "split-"; "split-leotp"; "leotp-50%cov"; "split-cubic-x" ]
+
 let test_leotp_loss_insensitive_vs_cubic () =
   (* The Fig 12 shape: at 1%/hop loss LEOTP retains most of its clean
      throughput while Cubic collapses. *)
@@ -191,6 +218,8 @@ let () =
           Alcotest.test_case "theory rows" `Quick test_theory_experiment_values;
           Alcotest.test_case "parallel determinism" `Quick
             test_runner_parallel_determinism;
+          Alcotest.test_case "protocol names round-trip" `Quick
+            test_protocol_names_round_trip;
         ] );
       ( "shapes",
         [
