@@ -54,6 +54,12 @@ for id in $smoke_ids; do
   cat "$out_dir/BENCH_$id.json"
 done
 
+# Invariant smoke: the Starlink emulation and the trace replays share
+# the single-flow runner, so --check attaches the five invariants to
+# every one of their runs (a violation exits non-zero).
+dune exec bench/main.exe -- fig --quick --check --jobs 2 --out-dir "$out_dir" \
+  fig16 pathtrace
+
 # Path-trace smoke: generate a short bent-pipe TRACE_PATH timeline, then
 # replay the written file with the invariant checker attached.  Both runs
 # print the packet-trace digest, and they must match — the bit-identical

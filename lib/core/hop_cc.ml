@@ -40,7 +40,6 @@ let hop_rtt t =
   if Float.is_nan v then None else Some v
 
 let hop_rtt_min t ~now = Leotp_util.Windowed_min.get t.rtt_min ~now
-let throughput t = t.thr_ewma
 let in_slow_start t = t.slow_start
 let cwnd t = t.cwnd
 

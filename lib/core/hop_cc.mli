@@ -34,9 +34,6 @@ val rate : t -> now:float -> float
 (** cwnd / hopRTT — the window expressed as a rate (input to eq 10). *)
 
 val hop_rtt : t -> float option
-val hop_rtt_min : t -> now:float -> float option
-val throughput : t -> float
-(** smoothed delivery rate, bytes/s *)
 
 val queue_len : t -> now:float -> float
 (** eq (7) estimate, bytes *)

@@ -346,28 +346,6 @@ let flow_stats t ~flow =
         : flow_stats)
   | None -> None
 
-let debug_flow t ~flow =
-  match Hashtbl.find_opt t.flows flow with
-  | None -> "<no flow>"
-  | Some fs ->
-    let now = Engine.now t.engine in
-    Printf.sprintf
-      "cwnd=%.0f rtt=%s rttmin=%s thr=%.0f q=%.0f ss=%b bl=%d myrate=%.0f adv=%.0f"
-      (Hop_cc.cwnd fs.cc)
-      (match Hop_cc.hop_rtt fs.cc with
-      | Some r -> Printf.sprintf "%.1fms" (r *. 1000.)
-      | None -> "-")
-      (match Hop_cc.hop_rtt_min fs.cc ~now with
-      | Some r -> Printf.sprintf "%.1fms" (r *. 1000.)
-      | None -> "-")
-      (Hop_cc.throughput fs.cc)
-      (Hop_cc.queue_len fs.cc ~now)
-      (Hop_cc.in_slow_start fs.cc)
-      (Send_buffer.len fs.buffer)
-      (Send_buffer.rate fs.buffer)
-      (upstream_rate t fs)
-
 let cache t = t.cache
-let flows t = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.flows [])
 let pit_blocked t = t.pit_blocked
 let pit_pending t = Pit.pending t.pit

@@ -30,11 +30,7 @@ type flow_stats = {
 
 val flow_stats : t -> flow:int -> flow_stats option
 
-val debug_flow : t -> flow:int -> string
-(** One-line dump of the control state (tests / diagnosis). *)
-
 val cache : t -> Cache.t
-val flows : t -> int list
 
 val crash : t -> unit
 (** Fault injection: lose all soft state (cache, PIT, per-flow SHR / CC /

@@ -7,7 +7,6 @@ type stats = {
   mutable drops_flush : int;
   mutable drops_down : int;
   mutable dups : int;
-  queue_delay : Leotp_util.Stats.t;
 }
 
 type t = {
@@ -25,9 +24,6 @@ type t = {
   mutable reorder_jitter : float;
   rng : Leotp_util.Rng.t;
   queue : Pkt_queue.t;
-      (** enqueue time rides in each packet's [Packet.link_slot] float
-          slot — a packet has exactly one owner, so the slot is free
-          while it sits in this queue *)
   mutable queued_bytes : int;
   mutable busy : bool;
   mutable in_flight : int;
@@ -69,7 +65,6 @@ let create engine ~name ~src ~dst ~bandwidth ~delay ?(plr = 0.0)
         drops_flush = 0;
         drops_down = 0;
         dups = 0;
-        queue_delay = Leotp_util.Stats.create ();
       };
   }
 
@@ -118,12 +113,10 @@ let deliver t pkt =
 let rec start_transmission t =
   if (not t.busy) && not (Pkt_queue.is_empty t.queue) then begin
     let pkt = Pkt_queue.pop t.queue in
-    let enqueued_at = pkt.Packet.f.(Packet.link_slot) in
     t.queued_bytes <- t.queued_bytes - pkt.Packet.size;
     t.busy <- true;
     t.in_flight <- t.in_flight + 1;
     let now = Leotp_sim.Engine.now t.engine in
-    Leotp_util.Stats.add t.stats.queue_delay (now -. enqueued_at);
     let rate = Float.max 1.0 (Bandwidth.at t.bandwidth now) in
     let tx_time = float_of_int pkt.Packet.size /. rate in
     let epoch = t.epoch in
@@ -205,7 +198,6 @@ let send t pkt =
     drop t pkt Trace.Tail
   end
   else begin
-    pkt.Packet.f.(Packet.link_slot) <- Leotp_sim.Engine.now t.engine;
     Pkt_queue.push t.queue pkt;
     t.queued_bytes <- t.queued_bytes + pkt.Packet.size;
     start_transmission t

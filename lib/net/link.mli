@@ -19,7 +19,6 @@ type stats = {
   mutable drops_flush : int;  (** link switching *)
   mutable drops_down : int;  (** offered while the link was down *)
   mutable dups : int;  (** fault-injected duplicate deliveries *)
-  queue_delay : Leotp_util.Stats.t;  (** seconds spent queued, per packet *)
 }
 
 val create :

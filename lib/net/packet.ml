@@ -31,8 +31,7 @@ type t = {
   mutable i6 : int;
   mutable i7 : int;
   f : float array;
-      (** [float_slots] unboxed float slots; payload layouts use 0..2,
-          slot [link_slot] is link-queue scratch (enqueue time) *)
+      (** [float_slots] unboxed float slots, used by the payload layouts *)
   mutable str : string;
 }
 
@@ -46,8 +45,7 @@ let flag_free = 256
 (** set while the record sits in the pool's free list (double-release
     and use-after-release detection) *)
 
-let float_slots = 4
-let link_slot = 3
+let float_slots = 3
 
 let get_flag t bit = t.flags land bit <> 0
 

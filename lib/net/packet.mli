@@ -25,7 +25,7 @@ type t = {
   mutable i5 : int;
   mutable i6 : int;
   mutable i7 : int;
-  f : float array;  (** [float_slots] entries; see [link_slot] *)
+  f : float array;  (** [float_slots] entries *)
   mutable str : string;  (** opaque payload ([kind_raw], tests) *)
 }
 
@@ -42,10 +42,6 @@ val flag_free : int
     pool's debug mode to catch double releases *)
 
 val float_slots : int
-
-val link_slot : int
-(** index in [f] reserved for link bookkeeping (enqueue timestamp) —
-    payload layouts must not use it *)
 
 val get_flag : t -> int -> bool
 val set_flag : t -> int -> bool -> unit

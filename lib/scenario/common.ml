@@ -203,102 +203,103 @@ let observed ~engine ~links ?trace ?on_reports ?(sweep = fun ~now:_ -> ())
                     (Invariants.to_string reports))));
         result)
 
-let run_chain ?(seed = 42) ?bytes ?(duration = 60.0) ?(warmup = 10.0)
-    ?bottleneck ?(bandwidth_schedule = []) ?(faults = []) ?trace ?on_reports
-    ~hops protocol =
+(* Packet and node ids restart from zero for every run (the trace
+   digests depend on them), on a new engine and root rng. *)
+let fresh_engine ~seed =
   Leotp_net.Packet.reset_ids ();
   Node.reset_ids ();
-  let engine = Engine.create () in
-  let rng = Leotp_util.Rng.create ~seed in
-  let hops =
-    match bottleneck with
-    | None -> hops
-    | Some (idx, p) -> List.mapi (fun i h -> if i = idx then p else h) hops
-  in
-  let floor = List.fold_left (fun acc h -> acc +. h.delay) 0.0 hops in
-  let specs = Array.of_list (List.map to_spec hops) in
-  let chain = Topology.chain engine ~rng specs in
-  List.iter
-    (fun (idx, bw) ->
-      let d = chain.Topology.hops.(idx) in
-      Leotp_net.Link.set_bandwidth d.Topology.fwd bw;
-      Leotp_net.Link.set_bandwidth d.Topology.rev bw)
-    bandwidth_schedule;
-  let n = Array.length chain.Topology.nodes - 1 in
+  (Engine.create (), Leotp_util.Rng.create ~seed)
+
+type tcp_direction = Head_to_tail | Tail_to_head
+
+let run_flow ?bytes ?(faults = []) ?trace ?on_reports ?links ?label ~engine
+    ~rng ~chain ~tcp ~floor ~warmup ~duration protocol =
+  let links = Option.value links ~default:(chain_links chain) in
   let midnodes = ref [] in
   if faults <> [] then
     Fault.install engine
       ~apply:(apply_fault ~hops:chain.Topology.hops ~midnodes)
       faults;
-  observed ~engine ~links:(chain_links chain) ?trace ?on_reports
+  observed ~engine ~links ?trace ?on_reports
     ~sweep:(fun ~now ->
       List.iter (fun m -> Leotp.Midnode.sweep_pit m ~now) !midnodes)
-    ~label:(protocol_name protocol)
+    ~label:(Option.value label ~default:(protocol_name protocol))
   @@ fun () ->
+  let source =
+    match bytes with
+    | Some b -> Leotp_tcp.Sender.Fixed b
+    | None -> Leotp_tcp.Sender.Unlimited
+  in
+  (* TCP's data sender first, its receiver last. *)
+  let tcp_nodes =
+    let nodes = chain.Topology.nodes in
+    let n = Array.length nodes in
+    match tcp with
+    | Head_to_tail -> nodes
+    | Tail_to_head -> Array.init n (fun i -> nodes.(n - 1 - i))
+  in
+  let leotp ?coverage ?coverage_rng cfg =
+    let session =
+      Leotp.Session.over_chain engine ~config:cfg ~chain ~flow:1
+        ?total_bytes:bytes ?coverage ?coverage_rng ()
+    in
+    midnodes := session.Leotp.Session.midnodes;
+    Leotp.Session.start session;
+    session.Leotp.Session.metrics
+  in
   let metrics =
     match protocol with
     | Tcp cc ->
-      let source =
-        match bytes with
-        | Some b -> Leotp_tcp.Sender.Fixed b
-        | None -> Leotp_tcp.Sender.Unlimited
-      in
       let session =
-        Leotp_tcp.Session.connect engine ~src_node:chain.Topology.nodes.(0)
-          ~dst_node:chain.Topology.nodes.(n) ~flow:1 ~cc ~source ()
+        Leotp_tcp.Session.connect engine ~src_node:tcp_nodes.(0)
+          ~dst_node:tcp_nodes.(Array.length tcp_nodes - 1)
+          ~flow:1 ~cc ~source ()
       in
       Leotp_tcp.Session.start session;
       session.Leotp_tcp.Session.metrics
     | Split_tcp cc ->
-      let source =
-        match bytes with
-        | Some b -> Leotp_tcp.Sender.Fixed b
-        | None -> Leotp_tcp.Sender.Unlimited
-      in
       let split =
-        Leotp_tcp.Split.connect engine ~nodes:chain.Topology.nodes ~flow:1 ~cc
-          ~source ()
+        Leotp_tcp.Split.connect engine ~nodes:tcp_nodes ~flow:1 ~cc ~source ()
       in
       Leotp_tcp.Split.start split;
       Leotp_tcp.Split.metrics split
-    | Leotp cfg ->
-      let session =
-        Leotp.Session.over_chain engine ~config:cfg ~chain ~flow:1
-          ?total_bytes:bytes ()
-      in
-      midnodes := session.Leotp.Session.midnodes;
-      Leotp.Session.start session;
-      session.Leotp.Session.metrics
+    | Leotp cfg -> leotp cfg
     | Leotp_partial (cfg, coverage) ->
-      let session =
-        Leotp.Session.over_chain engine ~config:cfg ~chain ~flow:1
-          ?total_bytes:bytes ~coverage
-          ~coverage_rng:(Leotp_util.Rng.substream rng "coverage")
-          ()
-      in
-      midnodes := session.Leotp.Session.midnodes;
-      Leotp.Session.start session;
-      session.Leotp.Session.metrics
+      leotp cfg ~coverage
+        ~coverage_rng:(Leotp_util.Rng.substream rng "coverage")
   in
   Engine.run ~until:duration engine;
   Runner.note_sim_seconds (Engine.now engine);
   let congestion_drops =
-    Array.fold_left
-      (fun acc d ->
-        acc
-        + (Leotp_net.Link.stats d.Topology.fwd).Leotp_net.Link.drops_tail
-        + (Leotp_net.Link.stats d.Topology.rev).Leotp_net.Link.drops_tail)
-      0 chain.Topology.hops
+    List.fold_left (fun acc l -> acc + (Link.stats l).Link.drops_tail) 0 links
   in
   summarize ~congestion_drops ~protocol:(protocol_name protocol) ~metrics
     ~floor ~warmup ~duration ()
 
+let run_chain ?(seed = 42) ?bytes ?(duration = 60.0) ?(warmup = 10.0)
+    ?bottleneck ?(bandwidth_schedule = []) ?faults ?trace ?on_reports ~hops
+    protocol =
+  let engine, rng = fresh_engine ~seed in
+  let hops =
+    match bottleneck with
+    | None -> hops
+    | Some (idx, p) -> List.mapi (fun i h -> if i = idx then p else h) hops
+  in
+  let chain = Topology.chain engine ~rng (Array.of_list (List.map to_spec hops)) in
+  List.iter
+    (fun (idx, bw) ->
+      let d = chain.Topology.hops.(idx) in
+      Link.set_bandwidth d.Topology.fwd bw;
+      Link.set_bandwidth d.Topology.rev bw)
+    bandwidth_schedule;
+  run_flow ?bytes ?faults ?trace ?on_reports ~engine ~rng ~chain
+    ~tcp:Head_to_tail
+    ~floor:(List.fold_left (fun acc h -> acc +. h.delay) 0.0 hops)
+    ~warmup ~duration protocol
+
 let run_flows_dumbbell ?(seed = 42) ?bytes ?(duration = 600.0) ?(faults = [])
     ?trace ?on_reports ~access_delays ~bottleneck ~access ~starts protocol =
-  Leotp_net.Packet.reset_ids ();
-  Node.reset_ids ();
-  let engine = Engine.create () in
-  let rng = Leotp_util.Rng.create ~seed in
+  let engine, rng = fresh_engine ~seed in
   let n = List.length access_delays in
   assert (List.length starts = n);
   let access_specs =

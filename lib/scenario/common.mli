@@ -1,5 +1,9 @@
 (** Shared experiment plumbing: build a path, run one protocol over it,
-    return a uniform summary.  Every figure/table module builds on this. *)
+    return a uniform summary.  {!run_flow} is the one single-flow body:
+    the static chains ({!run_chain}), the emulated Starlink paths, the
+    trace replays and the path-switching figure each build their chain
+    and hand it to it.  {!run_flows_dumbbell} runs the multi-flow
+    fairness topology. *)
 
 type protocol =
   | Tcp of Leotp_tcp.Cc.algo
@@ -56,6 +60,45 @@ val observed :
     invariant finalization.  In self-check mode a failed invariant raises
     {!Invariants.Violation} tagged with [label]. *)
 
+val fresh_engine : seed:int -> Leotp_sim.Engine.t * Leotp_util.Rng.t
+(** Start a run: reset the packet and node id counters (the trace digests
+    depend on them), then create the engine and the root rng. *)
+
+type tcp_direction =
+  | Head_to_tail  (** TCP data from [nodes.(0)] to the last node *)
+  | Tail_to_head
+      (** from the last node to [nodes.(0)]: the way LEOTP's Data
+          travels, so both cross the same bottleneck on the emulated
+          satellite paths *)
+
+val run_flow :
+  ?bytes:int ->
+  ?faults:Leotp_sim.Fault.schedule ->
+  ?trace:Leotp_net.Trace.t ->
+  ?on_reports:(Invariants.report list -> unit) ->
+  ?links:Leotp_net.Link.t list ->
+  ?label:string ->
+  engine:Leotp_sim.Engine.t ->
+  rng:Leotp_util.Rng.t ->
+  chain:Leotp_net.Topology.chain ->
+  tcp:tcp_direction ->
+  floor:float ->
+  warmup:float ->
+  duration:float ->
+  protocol ->
+  summary
+(** Run one flow of [protocol] over a chain the caller has built on
+    [engine] (LEOTP's Consumer on [nodes.(0)], its Producer on the last
+    node; TCP in direction [tcp]) until [duration], under {!observed}
+    with the midnodes' end-of-run PIT sweep, and summarize it.  [floor]
+    is the propagation floor of the queuing statistic.  [faults], when
+    non-empty, is installed on [engine] before the session starts (see
+    {!run_chain}).  [links] fixes the order of the end-of-run link
+    records (default: hop order, [fwd] before [rev]); [label] names the
+    run in an invariant violation (default: the protocol name).  The
+    Partial-coverage variant draws the ["coverage"] substream of [rng]
+    when the session is created. *)
+
 val run_chain :
   ?seed:int ->
   ?bytes:int ->
@@ -106,8 +149,9 @@ val summarize :
   duration:float ->
   unit ->
   summary
-(** Build a summary from raw flow metrics (used by scenario runners that
-    assemble their own topologies, e.g. the Starlink emulation). *)
+(** Build a summary from raw flow metrics.  Bulk flows measure goodput
+    over [warmup, duration); a completed transfer divides its bytes by
+    its completion time. *)
 
 val run_flows_dumbbell :
   ?seed:int ->

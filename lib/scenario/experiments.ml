@@ -252,10 +252,7 @@ let fig13 ?(quick = false) () =
   (* 4 hops at 20 Mbps; alternating total one-way delay 40 ms <-> 45 ms
      (RTT 80 <-> 90 ms); each switch flushes in-flight packets. *)
   let run proto interval =
-    Leotp_net.Packet.reset_ids ();
-    Leotp_net.Node.reset_ids ();
-    let engine = Leotp_sim.Engine.create () in
-    let rng = Leotp_util.Rng.create ~seed:42 in
+    let engine, rng = Common.fresh_engine ~seed:42 in
     let hop d =
       {
         Leotp_net.Dynamic_path.delay = d;
@@ -268,61 +265,21 @@ let fig13 ?(quick = false) () =
       Leotp_net.Dynamic_path.create engine ~rng ~max_hops:4
         ~initial:(snapshot 0.01) ()
     in
-    let rec schedule i =
+    let rec switches i =
       let time = interval *. float_of_int i in
-      if time < duration then begin
-        let d = if i mod 2 = 0 then 0.01 else 0.01125 in
-        ignore
-          (Leotp_sim.Engine.schedule_at engine ~time (fun () ->
-               Leotp_net.Dynamic_path.apply dp (snapshot d)));
-        schedule (i + 1)
-      end
+      if time < duration then
+        (time, snapshot (if i mod 2 = 0 then 0.01 else 0.01125)) :: switches (i + 1)
+      else []
     in
-    schedule 1;
-    let chain = Leotp_net.Dynamic_path.chain dp in
-    let links =
-      Array.fold_right
-        (fun (d : Leotp_net.Topology.duplex) acc ->
-          d.Leotp_net.Topology.fwd :: d.Leotp_net.Topology.rev :: acc)
-        chain.Leotp_net.Topology.hops []
-    in
-    let midnodes = ref [] in
-    let metrics =
-      Common.observed ~engine ~links
-        ~sweep:(fun ~now ->
-          List.iter (fun m -> Leotp.Midnode.sweep_pit m ~now) !midnodes)
+    Leotp_net.Dynamic_path.schedule dp (switches 1);
+    let s =
+      Common.run_flow
         ~label:(Printf.sprintf "fig13:%s" (Common.protocol_name proto))
-      @@ fun () ->
-      let metrics =
-        match proto with
-        | Common.Tcp cc ->
-          let n = Array.length chain.Leotp_net.Topology.nodes - 1 in
-          let session =
-            Leotp_tcp.Session.connect engine
-              ~src_node:chain.Leotp_net.Topology.nodes.(0)
-              ~dst_node:chain.Leotp_net.Topology.nodes.(n)
-              ~flow:1 ~cc ~source:Leotp_tcp.Sender.Unlimited ()
-          in
-          Leotp_tcp.Session.start session;
-          session.Leotp_tcp.Session.metrics
-        | Common.Leotp cfg ->
-          let session =
-            Leotp.Session.over_chain engine ~config:cfg ~chain ~flow:1 ()
-          in
-          midnodes := session.Leotp.Session.midnodes;
-          Leotp.Session.start session;
-          session.Leotp.Session.metrics
-        | _ -> invalid_arg "fig13"
-      in
-      Leotp_sim.Engine.run ~until:duration engine;
-      metrics
+        ~engine ~rng
+        ~chain:(Leotp_net.Dynamic_path.chain dp)
+        ~tcp:Common.Head_to_tail ~floor:0.04 ~warmup:10.0 ~duration proto
     in
-    Runner.note_sim_seconds (Leotp_sim.Engine.now engine);
-    Leotp_util.Units.bytes_per_sec_to_mbps
-      (Leotp_util.Timeseries.window_sum
-         (Leotp_net.Flow_metrics.delivery metrics)
-         ~lo:10.0 ~hi:duration
-      /. (duration -. 10.0))
+    s.Common.goodput_mbps
   in
   let results =
     Runner.grid protos intervals run

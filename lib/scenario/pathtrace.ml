@@ -1,10 +1,8 @@
-module Engine = Leotp_sim.Engine
 module Dynamic_path = Leotp_net.Dynamic_path
 module Path_trace = Leotp_net.Path_trace
 module Path_service = Leotp_constellation.Path_service
 module Walker = Leotp_constellation.Walker
 module Cities = Leotp_constellation.Cities
-module Geo = Leotp_constellation.Geo
 module Rng = Leotp_util.Rng
 module Stats = Leotp_util.Stats
 
@@ -32,92 +30,43 @@ let default =
 (* ------------------------------------------------------------------ *)
 (* Generator: drive the Walker constellation over [horizon], sampling
    the route every [step] seconds (Dijkstra runs once per [route_epoch]
-   via the Memo), and emit the per-hop timeline.  Bandwidth policy
-   matches the parametric Starlink scenario — the Producer uplink is the
-   ~10 Mbps bottleneck with the handover "V" dip and per-second bias,
-   other hops 20 Mbps, per-kind loss — but here the samples are baked
-   into the trace, so a replay needs no RNG agreement with the
-   generator. *)
+   via the Memo), and emit the per-hop timeline under Starlink's path
+   model: the Producer uplink is the ~10 Mbps bottleneck with the
+   handover "V" dip and per-second bias, other hops 20 Mbps, per-kind
+   loss.  The samples are baked into the trace, so a replay needs no RNG
+   agreement with the generator. *)
 
 let generate spec =
   let w = Walker.create Walker.starlink in
   let src = Cities.find_exn spec.src and dst = Cities.find_exn spec.dst in
-  let samples =
-    Path_service.snapshots_with_gaps ~epoch:spec.route_epoch w ~src ~dst
-      ~isls:spec.isls ~t_end:spec.horizon ~step:spec.step
-  in
-  (* Handover flags: the route signature changed vs the last seen route
-     (so reacquisition after an outage counts as a handover too). *)
   let flagged =
-    let rec go prev acc = function
-      | [] -> List.rev acc
-      | (t, `No_route) :: rest -> go prev ((t, `No_route, false) :: acc) rest
-      | (t, `Route hops) :: rest ->
-        let sig_ = Path_service.signature hops in
-        let same = Option.equal (List.equal Float.equal) prev (Some sig_) in
-        let ho = (not same) && Option.is_some prev in
-        go (Some sig_) ((t, `Route hops, ho) :: acc) rest
-    in
-    go None [] samples
+    Starlink.flag_handovers
+      (Path_service.snapshots_with_gaps ~epoch:spec.route_epoch w ~src ~dst
+         ~isls:spec.isls ~t_end:spec.horizon ~step:spec.step)
   in
-  let handovers =
-    List.filter_map (fun (t, _, ho) -> if ho then Some t else None) flagged
-  in
-  let rng = Rng.substream (Rng.create ~seed:spec.seed) "uplink-bias" in
-  let bias =
-    Array.init
-      (int_of_float spec.horizon + 2)
-      (fun _ -> Rng.uniform rng (-0.5) 0.5)
-  in
-  (* Same shape as Starlink.uplink_trace: a "V" dip of up to 3 Mbps
-     within +/-2 s of each handover, +/-0.5 Mbps bias per second. *)
-  let uplink_mbps t =
-    let v_dip =
-      List.fold_left
-        (fun acc h ->
-          let x = Float.abs (t -. h) in
-          if x < 2.0 then Float.max acc (3.0 *. (1.0 -. (x /. 2.0))) else acc)
-        0.0 handovers
-    in
-    Float.max 1.0 (Starlink.uplink_mean_bw -. v_dip +. bias.(int_of_float t))
+  let uplink_mbps =
+    Starlink.uplink_mbps
+      ~rng:(Rng.substream (Rng.create ~seed:spec.seed) "uplink-bias")
+      ~handovers:(Starlink.handover_times flagged)
+      ~t_end:spec.horizon
   in
   let records =
     List.map
-      (fun (t, entry, ho) ->
+      (fun ((t, entry), handover) ->
         match entry with
         | `No_route -> { Path_trace.time = t; event = Path_trace.No_route }
-        | `Route hops ->
-          let mapped =
-            List.mapi
-              (fun i (h : Path_service.hop) ->
-                let delay = Geo.propagation_delay h.Path_service.distance in
-                let bw_mbps, plr =
-                  match h.Path_service.kind with
-                  | Path_service.Gsl when i = 0 ->
-                    (* Producer ground station uplink: the bottleneck. *)
-                    (uplink_mbps t, Starlink.gsl_plr)
-                  | Path_service.Gsl -> (Starlink.other_bw, Starlink.gsl_plr)
-                  | Path_service.Isl -> (Starlink.other_bw, Starlink.isl_plr)
-                in
+        | `Route route ->
+          let hops =
+            Starlink.consumer_first route ~hop:(fun h ~delay ~uplink ~plr ->
                 let kind =
                   match h.Path_service.kind with
                   | Path_service.Gsl -> Path_trace.Gsl
                   | Path_service.Isl -> Path_trace.Isl
                 in
+                let bw_mbps = if uplink then uplink_mbps t else Starlink.other_bw in
                 { Path_trace.delay; bw_mbps; plr; kind })
-              hops
           in
-          (* Routes are Producer side first; trace hops are stored in the
-             Dynamic_path orientation (Consumer side first). *)
-          {
-            Path_trace.time = t;
-            event =
-              Path_trace.Route
-                {
-                  hops = Array.of_list (List.rev mapped);
-                  handover = ho;
-                };
-          })
+          { Path_trace.time = t; event = Path_trace.Route { hops; handover } })
       flagged
   in
   {
@@ -151,18 +100,11 @@ let run ?seed ?(interp = Dynamic_path.Hold_last) ?duration
     (trace : Path_trace.t) =
   if Path_trace.route_count trace = 0 then
     invalid_arg "Pathtrace.run: trace has no route records";
-  Leotp_net.Packet.reset_ids ();
-  Leotp_net.Node.reset_ids ();
   let meta = trace.Path_trace.meta in
-  let seed =
-    match seed with Some s -> s | None -> meta.Path_trace.seed
+  let duration = Option.value duration ~default:meta.Path_trace.horizon in
+  let engine, rng =
+    Common.fresh_engine ~seed:(Option.value seed ~default:meta.Path_trace.seed)
   in
-  let duration =
-    match duration with Some d -> d | None -> meta.Path_trace.horizon
-  in
-  let warmup = Float.min 15.0 (0.15 *. duration) in
-  let engine = Engine.create () in
-  let rng = Rng.create ~seed in
   let max_hops = min 24 (Path_trace.max_hop_count trace) in
   let initial =
     match
@@ -179,58 +121,19 @@ let run ?seed ?(interp = Dynamic_path.Hold_last) ?duration
   let dp = Dynamic_path.create engine ~rng ~max_hops ~initial () in
   Dynamic_path.schedule_trace ~interp dp trace;
   let chain = Dynamic_path.chain dp in
-  let links =
-    Array.fold_left
-      (fun acc (d : Leotp_net.Topology.duplex) ->
-        d.Leotp_net.Topology.fwd :: d.Leotp_net.Topology.rev :: acc)
-      []
-      chain.Leotp_net.Topology.hops
-  in
   let recorder = Leotp_net.Trace.create ~capacity:1 () in
-  let n = Array.length chain.Leotp_net.Topology.nodes - 1 in
-  let metrics =
-    Common.observed ~engine ~links ~trace:recorder ~label (fun () ->
-        let metrics =
-          match protocol with
-          | Common.Tcp cc ->
-            (* Data flows producer (node n) -> consumer (node 0), the
-               LEOTP orientation, so the same bottleneck applies. *)
-            let session =
-              Leotp_tcp.Session.connect engine
-                ~src_node:chain.Leotp_net.Topology.nodes.(n)
-                ~dst_node:chain.Leotp_net.Topology.nodes.(0)
-                ~flow:1 ~cc ~source:Leotp_tcp.Sender.Unlimited ()
-            in
-            Leotp_tcp.Session.start session;
-            session.Leotp_tcp.Session.metrics
-          | Common.Leotp cfg ->
-            let session =
-              Leotp.Session.over_chain engine ~config:cfg ~chain ~flow:1 ()
-            in
-            Leotp.Session.start session;
-            session.Leotp.Session.metrics
-          | Common.Leotp_partial (cfg, coverage) ->
-            let session =
-              Leotp.Session.over_chain engine ~config:cfg ~chain ~flow:1
-                ~coverage
-                ~coverage_rng:(Rng.substream rng "coverage")
-                ()
-            in
-            Leotp.Session.start session;
-            session.Leotp.Session.metrics
-          | Common.Split_tcp _ ->
-            invalid_arg "Pathtrace.run: split tcp not used here"
-        in
-        Engine.run ~until:duration engine;
-        metrics)
-  in
-  Runner.note_sim_seconds (Engine.now engine);
   let summary =
-    Common.summarize
-      ~protocol:(Common.protocol_name protocol)
-      ~metrics
+    Common.run_flow ~trace:recorder ~label ~engine ~rng ~chain
+      ~links:
+        (* last hop first: the end-of-run link records the digest covers *)
+        (Array.fold_left
+           (fun acc (d : Leotp_net.Topology.duplex) ->
+             d.Leotp_net.Topology.fwd :: d.Leotp_net.Topology.rev :: acc)
+           [] chain.Leotp_net.Topology.hops)
+      ~tcp:Common.Tail_to_head
       ~floor:(Path_trace.min_total_delay trace)
-      ~warmup ~duration ()
+      ~warmup:(Float.min 15.0 (0.15 *. duration))
+      ~duration protocol
   in
   {
     summary;

@@ -1,4 +1,3 @@
-module Engine = Leotp_sim.Engine
 module Bandwidth = Leotp_net.Bandwidth
 module Dynamic_path = Leotp_net.Dynamic_path
 module Path_service = Leotp_constellation.Path_service
@@ -21,55 +20,65 @@ let isl_plr = 0.001
 let other_bw = 20.0
 let uplink_mean_bw = 10.0
 
-(* GSL uplink bandwidth trace: 10 Mbps mean, a "V" dip of up to 3 Mbps
-   within +/-2 s of each handover, and a +/-0.5 Mbps bias resampled each
-   second (paper §V-C (ii) and (iv)). *)
-let uplink_trace ~rng ~handovers ~t_end =
-  let step = 0.25 in
-  let n = int_of_float (t_end /. step) + 2 in
-  let steps =
-    Array.init n (fun i ->
-        let t = float_of_int i *. step in
-        let v_dip =
-          List.fold_left
-            (fun acc h ->
-              let x = Float.abs (t -. h) in
-              if x < 2.0 then Float.max acc (3.0 *. (1.0 -. (x /. 2.0))) else acc)
-            0.0 handovers
-        in
-        (t, v_dip))
-  in
-  (* Bias: one draw per second, shared across the 0.25 s grid. *)
-  let bias = Array.init (int_of_float t_end + 2) (fun _ -> Leotp_util.Rng.uniform rng (-0.5) 0.5) in
-  Bandwidth.Steps
-    (Array.map
-       (fun (t, dip) ->
-         let b = bias.(int_of_float t) in
-         (t, mbps (Float.max 1.0 (uplink_mean_bw -. dip +. b))))
-       steps)
+type sample = float * [ `Route of Path_service.hop list | `No_route ]
 
-(* Convert a route (Producer side first) into a Dynamic_path snapshot
-   (Consumer side first). *)
-let to_snapshot ~uplink_bw hops =
+(* Signatures are float lists, so the comparison is
+   [Option.equal (List.equal Float.equal)]: polymorphic [<>] on a
+   float-containing structure is boxed and nan-unsound. *)
+let flag_handovers (samples : sample list) =
+  let rec go prev acc = function
+    | [] -> List.rev acc
+    | ((_, `No_route) as s) :: rest -> go prev ((s, false) :: acc) rest
+    | ((_, `Route hops) as s) :: rest ->
+      let sig_ = Some (Path_service.signature hops) in
+      let ho =
+        Option.is_some prev && not (Option.equal (List.equal Float.equal) prev sig_)
+      in
+      go sig_ ((s, ho) :: acc) rest
+  in
+  go None [] samples
+
+let handover_times flagged =
+  List.filter_map (fun ((t, _), ho) -> if ho then Some t else None) flagged
+
+(* Paper §V-C (ii) and (iv). *)
+let uplink_mbps ~rng ~handovers ~t_end =
+  let bias =
+    Array.init (int_of_float t_end + 2) (fun _ -> Leotp_util.Rng.uniform rng (-0.5) 0.5)
+  in
+  fun t ->
+    let v_dip =
+      List.fold_left
+        (fun acc h ->
+          let x = Float.abs (t -. h) in
+          if x < 2.0 then Float.max acc (3.0 *. (1.0 -. (x /. 2.0))) else acc)
+        0.0 handovers
+    in
+    Float.max 1.0 (uplink_mean_bw -. v_dip +. bias.(int_of_float t))
+
+let consumer_first ~hop route =
   let mapped =
     List.mapi
       (fun i (h : Path_service.hop) ->
         let delay = Leotp_constellation.Geo.propagation_delay h.Path_service.distance in
         match h.Path_service.kind with
-        | Path_service.Gsl when i = 0 ->
-          (* Uplink out of the Producer's ground station: the bottleneck. *)
-          { Dynamic_path.delay; bandwidth = uplink_bw; plr = gsl_plr }
-        | Path_service.Gsl ->
-          { Dynamic_path.delay; bandwidth = Bandwidth.Constant (mbps other_bw); plr = gsl_plr }
-        | Path_service.Isl ->
-          { Dynamic_path.delay; bandwidth = Bandwidth.Constant (mbps other_bw); plr = isl_plr })
-      hops
+        | Path_service.Gsl -> hop h ~delay ~uplink:(i = 0) ~plr:gsl_plr
+        | Path_service.Isl -> hop h ~delay ~uplink:false ~plr:isl_plr)
+      route
   in
   Array.of_list (List.rev mapped)
 
+let to_snapshot ~uplink_bw ~max_hops route =
+  let s =
+    consumer_first route ~hop:(fun _ ~delay ~uplink ~plr ->
+        let bandwidth =
+          if uplink then uplink_bw else Bandwidth.Constant (mbps other_bw)
+        in
+        { Dynamic_path.delay; bandwidth; plr })
+  in
+  if Array.length s > max_hops then Array.sub s 0 max_hops else s
+
 let run_pair ?(quick = false) ?(seed = 42) ~src ~dst ~isls protocol =
-  Leotp_net.Packet.reset_ids ();
-  Leotp_net.Node.reset_ids ();
   let duration = if quick then 25.0 else 100.0 in
   let warmup = if quick then 6.0 else 15.0 in
   let recompute = 5.0 in
@@ -87,81 +96,38 @@ let run_pair ?(quick = false) ?(seed = 42) ~src ~dst ~isls protocol =
       (fun acc (_, h) -> Float.min acc (Path_service.total_delay h))
       Float.infinity snaps
   in
-  (* Handover times: route (hop-count or per-hop distance) changes.
-     Signatures are float lists, so the comparison must be
-     [Option.equal (List.equal Float.equal)] — polymorphic [<>] on a
-     float-containing structure is boxed and nan-unsound (and is now
-     caught by the no-polymorphic-compare-on-float lint rule). *)
   let handovers =
-    let rec go prev = function
-      | [] -> []
-      | (t, h) :: rest ->
-        let sig_ = Path_service.signature h in
-        let same = Option.equal (List.equal Float.equal) prev (Some sig_) in
-        if (not same) && Option.is_some prev then t :: go (Some sig_) rest
-        else go (Some sig_) rest
-    in
-    go None snaps
+    handover_times (flag_handovers (List.map (fun (t, h) -> (t, `Route h)) snaps))
   in
-  let engine = Engine.create () in
-  let rng = Leotp_util.Rng.create ~seed in
-  let uplink_bw = uplink_trace ~rng:(Leotp_util.Rng.substream rng "uplink") ~handovers ~t_end:duration in
+  let engine, rng = Common.fresh_engine ~seed in
+  let uplink =
+    uplink_mbps ~rng:(Leotp_util.Rng.substream rng "uplink") ~handovers ~t_end:duration
+  in
+  let uplink_bw =
+    Bandwidth.Steps
+      (Array.init
+         (int_of_float (duration /. 0.25) + 2)
+         (fun i ->
+           let t = float_of_int i *. 0.25 in
+           (t, mbps (uplink t))))
+  in
   let max_hops =
     min 24 (List.fold_left (fun acc (_, h) -> max acc (Path_service.hop_count h)) 2 snaps)
   in
-  let initial = to_snapshot ~uplink_bw (snd (List.hd snaps)) in
-  let initial =
-    if Array.length initial > max_hops then Array.sub initial 0 max_hops
-    else initial
+  let dp =
+    Dynamic_path.create engine ~rng ~max_hops
+      ~initial:(to_snapshot ~uplink_bw ~max_hops (snd (List.hd snaps)))
+      ()
   in
-  let dp = Dynamic_path.create engine ~rng ~max_hops ~initial () in
   Dynamic_path.schedule dp
     (List.filter_map
        (fun (t, h) ->
          if Float.equal t 0.0 then None
-         else begin
-           let s = to_snapshot ~uplink_bw h in
-           let s = if Array.length s > max_hops then Array.sub s 0 max_hops else s in
-           Some (t, s)
-         end)
+         else Some (t, to_snapshot ~uplink_bw ~max_hops h))
        snaps);
-  let chain = Dynamic_path.chain dp in
-  let n = Array.length chain.Leotp_net.Topology.nodes - 1 in
-  let metrics =
-    match protocol with
-    | Common.Tcp cc ->
-      (* Data flows producer (node n) -> consumer (node 0) to match the
-         LEOTP orientation, so the same snapshot bottleneck applies. *)
-      let session =
-        Leotp_tcp.Session.connect engine
-          ~src_node:chain.Leotp_net.Topology.nodes.(n)
-          ~dst_node:chain.Leotp_net.Topology.nodes.(0)
-          ~flow:1 ~cc ~source:Leotp_tcp.Sender.Unlimited ()
-      in
-      Leotp_tcp.Session.start session;
-      session.Leotp_tcp.Session.metrics
-    | Common.Leotp cfg ->
-      let session =
-        Leotp.Session.over_chain engine ~config:cfg ~chain ~flow:1 ()
-      in
-      Leotp.Session.start session;
-      session.Leotp.Session.metrics
-    | Common.Leotp_partial (cfg, coverage) ->
-      let session =
-        Leotp.Session.over_chain engine ~config:cfg ~chain ~flow:1 ~coverage
-          ~coverage_rng:(Leotp_util.Rng.substream rng "coverage")
-          ()
-      in
-      Leotp.Session.start session;
-      session.Leotp.Session.metrics
-    | Common.Split_tcp _ -> invalid_arg "run_pair: split tcp not used here"
-  in
-  Engine.run ~until:duration engine;
-  Runner.note_sim_seconds (Engine.now engine);
   let summary =
-    Common.summarize
-      ~protocol:(Common.protocol_name protocol)
-      ~metrics ~floor:min_propagation ~warmup ~duration ()
+    Common.run_flow ~engine ~rng ~chain:(Dynamic_path.chain dp)
+      ~tcp:Common.Tail_to_head ~floor:min_propagation ~warmup ~duration protocol
   in
   {
     summary;

@@ -8,15 +8,45 @@
     light and change with the orbits (link switching drops in-flight
     packets). *)
 
-val gsl_plr : float
-val isl_plr : float
-
 val other_bw : float
 (** Mbps on non-bottleneck (downlink / ISL) hops. *)
 
-val uplink_mean_bw : float
-(** Mbps, mean of the bottleneck GSL uplink; shared with the
-    trace-driven generator ({!Pathtrace}). *)
+(** {2 Path model}
+
+    Shared by the live emulation ({!run_pair}) and the trace-driven
+    generator ({!Pathtrace.generate}). *)
+
+type sample = float * [ `Route of Leotp_constellation.Path_service.hop list | `No_route ]
+(** A route sample, as {!Leotp_constellation.Path_service.snapshots_with_gaps}
+    returns them. *)
+
+val flag_handovers : sample list -> (sample * bool) list
+(** Pair each route sample with its handover flag: the route signature
+    differs from the last route seen, so reacquisition after an outage
+    counts too.  [`No_route] samples are never handovers. *)
+
+val handover_times : (sample * bool) list -> float list
+
+val uplink_mbps :
+  rng:Leotp_util.Rng.t -> handovers:float list -> t_end:float -> float -> float
+(** The GSL uplink rate (Mbps) at a time in [0, t_end]: 10 Mbps with a
+    "V" dip of up to 3 Mbps within +/-2 s of each handover, plus a
+    +/-0.5 Mbps bias drawn from [rng] once per second (all draws happen
+    up front); never below 1 Mbps. *)
+
+val consumer_first :
+  hop:
+    (Leotp_constellation.Path_service.hop ->
+    delay:float ->
+    uplink:bool ->
+    plr:float ->
+    'h) ->
+  Leotp_constellation.Path_service.hop list ->
+  'h array
+(** Map a route (Producer side first) to hops Consumer side first.  Each
+    hop gets its propagation delay, whether it is the Producer's GSL
+    uplink (the bottleneck; other hops run at {!other_bw}), and its loss
+    rate (1% on GSLs, 0.1% on ISLs). *)
 
 type pair_result = {
   summary : Common.summary;

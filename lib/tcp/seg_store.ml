@@ -35,7 +35,6 @@ let dummy =
 
 let create () = { buf = Array.make 64 dummy; head = 0; count = 0 }
 let is_empty t = t.count = 0
-let cardinal t = t.count
 let get t i = t.buf.((t.head + i) mod Array.length t.buf)
 
 let grow t =

@@ -17,7 +17,6 @@ type t
 
 val create : unit -> t
 val is_empty : t -> bool
-val cardinal : t -> int
 
 val push_back : t -> seg -> unit
 (** Append; [seg.seq] must exceed every stored sequence number. *)

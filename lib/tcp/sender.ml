@@ -295,8 +295,7 @@ and schedule_pump t ~at =
 
 let cancel_pump t =
   (* Clear the field as well as cancelling: a cancelled-but-present timer
-     would still be reported armed by [debug_state] and would make
-     [schedule_pump] skip [Engine.is_pending] bookkeeping. *)
+     would make [schedule_pump] skip [Engine.is_pending] bookkeeping. *)
   match t.pump_timer with
   | Some timer ->
     Engine.cancel timer;
@@ -472,7 +471,6 @@ let snd_una t = t.snd_una
 let snd_nxt t = t.snd_nxt
 let inflight t = t.inflight
 let lost_pending t = t.lost_pending
-let cwnd t = t.cc.Cc.cwnd ()
 let srtt t = Leotp_util.Rto.srtt t.rto
 let metrics t = t.metrics
 let cc_name t = t.cc.Cc.name
@@ -486,17 +484,3 @@ let timers_idle t = t.rto_timer = None && t.pump_timer = None
 let timer_pending t =
   (match t.rto_timer with Some tm -> Engine.is_pending tm | None -> false)
   || match t.pump_timer with Some tm -> Engine.is_pending tm | None -> false
-
-let debug_state t =
-  Printf.sprintf
-    "una=%d nxt=%d infl=%d lost_pend=%d segs=%d rto_armed=%b pump_armed=%b avail=%d fin=%b"
-    t.snd_una t.snd_nxt t.inflight t.lost_pending (Seg_store.cardinal t.segments)
-    (match t.rto_timer with
-    | Some tm -> Engine.is_pending tm
-    | None -> false)
-    (match t.pump_timer with
-    | Some tm -> Engine.is_pending tm
-    | None -> false)
-    (let a = available_bytes t in
-     if a = max_int then -1 else a)
-    t.finished

@@ -51,8 +51,6 @@ val inflight : t -> int
 val lost_pending : t -> int
 (** Segments declared lost and not yet retransmitted. *)
 
-val cwnd : t -> float
-
 val srtt : t -> float option
 (** Smoothed RTT estimate; [None] until the first valid sample. *)
 
@@ -68,7 +66,3 @@ val timers_idle : t -> bool
 val timer_pending : t -> bool
 (** Some timer is still armed in the engine ({!Leotp_sim.Engine.is_pending});
     must be [false] once the sender has finished or been stopped. *)
-
-(**/**)
-
-val debug_state : t -> string

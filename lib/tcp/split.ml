@@ -136,20 +136,4 @@ let stop t =
 
 let metrics t = t.metrics
 
-let proxy_backlogs t =
-  Array.map
-    (fun p -> Receiver.delivered_bytes p.rx - Sender.snd_una p.tx)
-    t.proxies
-
 let complete t = !(t.completed)
-
-let debug_proxy_tx t =
-  Array.map
-    (fun p ->
-      ( Sender.snd_una p.tx,
-        Sender.inflight p.tx,
-        Sender.cwnd p.tx,
-        Sender.finished p.tx ))
-    t.proxies
-
-let debug_proxy_str t = Array.map (fun p -> Sender.debug_state p.tx) t.proxies

@@ -28,15 +28,4 @@ val stop : t -> unit
 val metrics : t -> Leotp_net.Flow_metrics.t
 (** End-to-end metrics: origin wire bytes, end-receiver delivery/OWD. *)
 
-val proxy_backlogs : t -> int array
-(** Bytes buffered at each proxy (received in-order upstream but not yet
-    acknowledged downstream). *)
-
 val complete : t -> bool
-
-(**/**)
-
-val debug_proxy_tx : t -> (int * int * float * bool) array
-(** (snd_una, inflight, cwnd, finished) per proxy — for tests/diagnosis. *)
-
-val debug_proxy_str : t -> string array

@@ -1,12 +1,15 @@
 (* Golden regression over the paper-figure drivers: every
-   [Experiments.fig*] runs in quick mode with the invariant checker
-   attached ({!Leotp_scenario.Invariants.self_check}), so a violated
-   protocol invariant fails the test, and each result is checked for
-   structural sanity (non-empty rows, finite non-negative throughputs and
-   delays, Jain index in [0, 1]).  Values are deliberately not pinned:
-   the reproduction target is qualitative shape, not exact numbers. *)
+   [Experiments.fig*] and [Starlink] figure runs in quick mode with the
+   invariant checker attached ({!Leotp_scenario.Invariants.self_check}),
+   so a violated protocol invariant fails the test, and each result is
+   checked for structural sanity (non-empty rows, finite non-negative
+   throughputs and delays, Jain index in [0, 1]).  Values are
+   deliberately not pinned: the reproduction target is qualitative
+   shape, not exact numbers. *)
 
 module E = Leotp_scenario.Experiments
+module S = Leotp_scenario.Starlink
+module C = Leotp_scenario.Common
 
 let finite x = Float.is_finite x
 
@@ -114,6 +117,33 @@ let test_fig15 () =
       List.iter (check_nonneg ("fig15 " ^ label ^ " flow Mbps")) per_flow)
     r
 
+(* Starlink emulation (Figs 16-18, Table II). *)
+
+let check_pairs fig r =
+  check_rows fig r;
+  List.iter
+    (fun (proto, (p : S.pair_result)) ->
+      let s = p.S.summary in
+      check_nonneg (fig ^ " " ^ proto ^ " throughput") s.C.goodput_mbps;
+      check_nonneg
+        (fig ^ " " ^ proto ^ " owd")
+        (Leotp_util.Stats.mean s.C.owd))
+    r
+
+let check_quads fig r =
+  check_rows fig r;
+  List.iter
+    (fun (pair, label, owd_or_tput, tput_or_owd) ->
+      List.iter
+        (check_nonneg (Printf.sprintf "%s %s %s" fig pair label))
+        [ owd_or_tput; tput_or_owd ])
+    r
+
+let test_fig16 () = check_pairs "fig16" (S.fig16 ~quick:true ())
+let test_fig17 () = check_pairs "fig17" (S.fig17 ~quick:true ())
+let test_fig18 () = check_quads "fig18" (S.fig18 ~quick:true ())
+let test_table2 () = check_quads "table2" (S.table2 ~quick:true ())
+
 let () =
   (* Every scenario in this binary runs with the five protocol invariants
      checked; a violation raises and fails the figure's test case. *)
@@ -132,5 +162,9 @@ let () =
           Alcotest.test_case "fig13" `Quick test_fig13;
           Alcotest.test_case "fig14" `Quick test_fig14;
           Alcotest.test_case "fig15" `Quick test_fig15;
+          Alcotest.test_case "fig16" `Quick test_fig16;
+          Alcotest.test_case "fig17" `Quick test_fig17;
+          Alcotest.test_case "fig18" `Quick test_fig18;
+          Alcotest.test_case "table2" `Quick test_table2;
         ] );
     ]

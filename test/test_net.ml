@@ -69,12 +69,7 @@ let test_link_queueing () =
   Leotp_sim.Engine.run engine;
   Alcotest.(check (list (float 1e-6)))
     "pipelined arrivals" [ 0.011; 0.012; 0.013 ] (List.rev !times);
-  let st = Link.stats link in
-  Alcotest.(check int) "delivered" 3 st.packets_delivered;
-  (* First packet waits 0, second 1ms, third 2ms. *)
-  Alcotest.(check (float 1e-6))
-    "mean queue delay" 0.001
-    (Leotp_util.Stats.mean st.queue_delay)
+  Alcotest.(check int) "delivered" 3 (Link.stats link).packets_delivered
 
 let test_link_tail_drop () =
   let engine, rng = setup () in

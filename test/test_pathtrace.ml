@@ -241,6 +241,26 @@ let test_replay_digest_matches_live () =
   Alcotest.(check bool) "seed matters" false
     (String.equal live.Pathtrace.digest other.Pathtrace.digest)
 
+(* A path that goes dark halfway strands Interests in the midnode PITs:
+   the replay must sweep them at end of run, like every other runner,
+   or the self-checking invariants report an entry leaked past expiry. *)
+let test_outage_replay_self_checks () =
+  let gsl = [| hop (); hop (); hop () |] in
+  let tr =
+    mk
+      ~meta:(mk_meta ~horizon:20.0 ())
+      (List.init 20 (fun i ->
+           let t = float_of_int i in
+           if i < 10 then route t gsl else dark t))
+  in
+  let saved = Atomic.get Leotp_scenario.Invariants.self_check in
+  Atomic.set Leotp_scenario.Invariants.self_check true;
+  Fun.protect
+    ~finally:(fun () -> Atomic.set Leotp_scenario.Invariants.self_check saved)
+    (fun () ->
+      let r = Pathtrace.run ~label:"outage" tr in
+      Alcotest.(check int) "one outage" 1 r.Pathtrace.outages)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "leotp_pathtrace"
@@ -262,5 +282,7 @@ let () =
             test_generate_deterministic;
           Alcotest.test_case "replay digest == live" `Quick
             test_replay_digest_matches_live;
+          Alcotest.test_case "outage replay self-checks" `Quick
+            test_outage_replay_self_checks;
         ] );
     ]
