@@ -2,25 +2,20 @@
 
    Every pass starts here.  [load] reads and parses each file once and
    attaches its [@leotp.allow] set; [bindings] is the one structure walk
-   (module-qualified value bindings through nested modules, module
-   constraints and functor bodies); [scan] lists a body's raw identifier
-   references and the literal closures it hands to a given sink set.
-   The kernel then gives the interprocedural passes (Race, Own, Dim)
-   what they share: name resolution over a leaf-name index, the path
-   classifier, a suppress-and-dedupe emitter, the bounded summary
-   fixpoint, memoised first-witness reachability and witness elision.
+   (module-qualified value bindings through nested and anonymous
+   modules, module constraints and functor bodies), and [defs] turns
+   the parsed units into the one def table the race, own and dim passes
+   share.  [scan] lists a body's raw identifier references and the
+   literal closures it hands to a given sink set; [closure_def] makes
+   such a closure a def of its own.
 
-   The rest is the race pass's call graph: each function binding
-   becomes a [def] carrying the identifier references of its body, and
-   each closure passed to a domain-spawning sink (Domain.spawn,
-   Domain_pool.submit/run/map) a synthetic entrypoint def of its own.
-
-   Guard regions are recorded as character ranges: everything inside an
-   argument of Guarded.with_/await/get/set or an Atomic /
-   Atomic_counter operation, and everything sequenced after a
-   Mutex.lock (the `Mutex.lock l; ...` / `Fun.protect ~finally:unlock`
-   idiom), is considered to run inside a critical section; references
-   in those ranges are marked [guarded]. *)
+   The kernel gives the interprocedural passes what they share: name
+   resolution over a leaf-name index, the path classifier, a
+   suppress-and-dedupe emitter, the bounded summary fixpoint, memoised
+   first-witness reachability and witness elision.  Its index, summary
+   memo and witness table are all keyed by def identity, [key] =
+   (file, qname, start offset), so two same-named bindings in one module
+   are two defs with a summary each. *)
 
 open Ppxlib
 
@@ -28,9 +23,12 @@ open Ppxlib
 (* Names and matching *)
 
 let ident_name (lid : Longident.t) =
-  match Longident.flatten_exn lid with
-  | exception _ -> "_"
-  | parts -> String.concat "." parts
+  match lid with
+  | Lident s -> s
+  | _ -> (
+    match Longident.flatten_exn lid with
+    | exception _ -> "_"
+    | parts -> String.concat "." parts)
 
 let split name = String.split_on_char '.' name
 let leaf name = match List.rev (split name) with l :: _ -> l | [] -> name
@@ -251,13 +249,14 @@ let load paths =
   (List.length files, units, failures)
 
 (* ------------------------------------------------------------------ *)
-(* The structure walk *)
+(* The structure walk: the one def table *)
 
 type fbody = Body of expression | Cases of case list
 
 type param = { pname : string; plabel : arg_label; ppat : pattern option }
 
-type binding = {
+type def = {
+  file : string;
   qname : string;
   scope : string list;
   loc : Location.t;
@@ -267,6 +266,10 @@ type binding = {
   params : param list;
   body : fbody;
 }
+
+type key = string * string * int
+
+let key d = (d.file, d.qname, d.loc.loc_start.pos_cnum)
 
 let is_lambda (e : expression) =
   match e.pexp_desc with Pexp_function _ -> true | _ -> false
@@ -317,30 +320,29 @@ let bindings ~path st =
   and item scope (si : structure_item) =
     match si.pstr_desc with
     | Pstr_value (_, vbs) ->
-      List.iter (fun vb -> acc := binding scope vb :: !acc) vbs
-    | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } ->
-      module_expr (scope @ [ name ]) pmb_expr
-    | Pstr_recmodule mbs ->
-      List.iter
-        (fun (mb : module_binding) ->
-          match mb.pmb_name.txt with
-          | Some name -> module_expr (scope @ [ name ]) mb.pmb_expr
-          | None -> ())
-        mbs
+      List.iter (fun vb -> acc := of_binding scope vb :: !acc) vbs
+    | Pstr_module mb -> module_binding scope mb
+    | Pstr_recmodule mbs -> List.iter (module_binding scope) mbs
     | Pstr_include { pincl_mod; _ } -> module_expr scope pincl_mod
     | _ -> ()
+  (* [module _ = struct ... end] keeps the enclosing scope *)
+  and module_binding scope (mb : module_binding) =
+    match mb.pmb_name.txt with
+    | Some name -> module_expr (scope @ [ name ]) mb.pmb_expr
+    | None -> module_expr scope mb.pmb_expr
   and module_expr scope (me : module_expr) =
     match me.pmod_desc with
     | Pmod_structure sis -> items scope sis
     | Pmod_constraint (me, _) | Pmod_functor (_, me) -> module_expr scope me
     | _ -> ()
-  and binding scope (vb : value_binding) =
+  and of_binding scope (vb : value_binding) =
     let name = binding_name vb in
     let params, body =
       if is_function vb.pvb_expr then peel vb.pvb_expr
       else ([], Body vb.pvb_expr)
     in
     {
+      file = path;
       qname =
         (match name with
         | Some n -> String.concat "." (scope @ [ n ])
@@ -359,8 +361,23 @@ let bindings ~path st =
   items [ module_name_of_path path ] st;
   List.rev !acc
 
-let closure_qname parent kind (c : expression) =
-  Printf.sprintf "%s.<%s:%d:%d>" parent kind (line c.pexp_loc) (col c.pexp_loc)
+let defs units =
+  List.concat_map (fun (u : parsed) -> bindings ~path:u.path u.ast) units
+
+let closure_def parent kind (c : expression) =
+  let params, body = peel c in
+  {
+    parent with
+    qname =
+      Printf.sprintf "%s.<%s:%d:%d>" parent.qname kind (line c.pexp_loc)
+        (col c.pexp_loc);
+    loc = c.pexp_loc;
+    named = false;
+    expr = c;
+    attrs = [];
+    params;
+    body;
+  }
 
 let scan ?(visit = ignore) ~sinks ~is_closure root =
   let idents = ref [] and closures = ref [] in
@@ -386,39 +403,57 @@ let scan ?(visit = ignore) ~sinks ~is_closure root =
   it#expression root;
   (List.rev !idents, List.rev !closures)
 
+exception Found
+
+let exists_ident p root =
+  let it =
+    object
+      inherit Ast_traverse.iter as super
+
+      method! expression e =
+        (match e.pexp_desc with
+        | Pexp_ident { txt; _ } when p (ident_name txt) -> raise_notrace Found
+        | _ -> ());
+        super#expression e
+    end
+  in
+  match it#expression root with () -> false | exception Found -> true
+
 (* ------------------------------------------------------------------ *)
-(* The kernel *)
+(* The kernel: every table is keyed by def identity *)
 
-type 'a index = { key : 'a -> string * string; by_leaf : (string, 'a) Hashtbl.t }
+type 'a index = { def_of : 'a -> def; by_leaf : (string, 'a) Hashtbl.t }
 
-let index key items =
+let index def_of items =
   let by_leaf = Hashtbl.create 512 in
-  List.iter (fun x -> Hashtbl.add by_leaf (leaf (snd (key x))) x) items;
-  { key; by_leaf }
+  List.iter (fun x -> Hashtbl.add by_leaf (leaf (def_of x).qname) x) items;
+  { def_of; by_leaf }
 
 let resolve idx ~scope written =
   Hashtbl.find_all idx.by_leaf (leaf written)
-  |> List.filter (fun x -> resolves ~scope ~written ~qname:(snd (idx.key x)))
-  |> List.sort (fun a b -> compare (idx.key a) (idx.key b))
+  |> List.filter (fun x -> resolves ~scope ~written ~qname:(idx.def_of x).qname)
+  |> List.sort (fun a b -> compare (key (idx.def_of a)) (key (idx.def_of b)))
 
-let memo key init =
+let memo def_of init =
   let tbl = Hashtbl.create 512 in
   fun x ->
-    match Hashtbl.find_opt tbl (key x) with
+    let k = key (def_of x) in
+    match Hashtbl.find_opt tbl k with
     | Some v -> v
     | None ->
       let v = init x in
-      Hashtbl.replace tbl (key x) v;
+      Hashtbl.replace tbl k v;
       v
 
 let fixpoint round =
   let rec go n = if n < 12 && round () then go (n + 1) in
   go 0
 
-let first_witness key ~direct ~succs =
+let first_witness def_of ~direct ~succs =
   let tbl = Hashtbl.create 256 in
   let rec go x =
-    let k = key x in
+    let d = def_of x in
+    let k = key d in
     match Hashtbl.find_opt tbl k with
     | Some w -> w
     | None ->
@@ -426,10 +461,11 @@ let first_witness key ~direct ~succs =
       Hashtbl.replace tbl k None;
       let w =
         match direct x with
-        | Some d -> Some (d, [ snd k ])
+        | Some w -> Some (w, [ d.qname ])
         | None ->
           List.find_map
-            (fun y -> Option.map (fun (d, chain) -> (d, snd k :: chain)) (go y))
+            (fun y ->
+              Option.map (fun (w, chain) -> (w, d.qname :: chain)) (go y))
             (succs x)
       in
       Hashtbl.replace tbl k w;
@@ -470,165 +506,3 @@ let emit em ?key ~file ~rule ~loc message =
   end
 
 let findings em = List.sort_uniq Finding.compare em.out
-
-(* ------------------------------------------------------------------ *)
-(* The race pass's call graph *)
-
-type reference = { name : string; loc : Location.t; guarded : bool }
-
-type def = {
-  qname : string;
-  scope : string list;
-  loc : Location.t;
-  entry : bool;
-  refs : reference list;
-}
-
-type global = { gqname : string; gloc : Location.t; creator : string }
-
-type t = {
-  file : string;
-  module_name : string;
-  defs : def list;
-  globals : global list;
-  bindings : (string * Location.t) list;
-  entry_names : reference list;
-  setfields : reference list;
-}
-
-(* Creators whose result is shared-mutable when bound at top level.
-   Atomic.make and Mutex.create are deliberately absent: an
-   ['a Atomic.t] only admits atomic operations, and a mutex *is* a
-   guard, not a hazard. *)
-let mutable_creators =
-  [
-    "ref";
-    "Hashtbl.create";
-    "Queue.create";
-    "Stack.create";
-    "Buffer.create";
-    "Bytes.create";
-    "Bytes.make";
-    "Array.make";
-    "Array.init";
-    "Array.create_float";
-  ]
-
-let rec creator_of_rhs (e : expression) =
-  match e.pexp_desc with
-  | Pexp_constraint (inner, _) -> creator_of_rhs inner
-  | Pexp_array _ -> Some "[| |]"
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) ->
-    let n = ident_name txt in
-    if List.mem n mutable_creators then Some n else None
-  | _ -> None
-
-(* Application heads that move their function argument onto another
-   domain: those arguments are domain entrypoints. *)
-let spawn_sinks =
-  [ "Domain.spawn"; "Domain_pool.submit"; "Domain_pool.run"; "Domain_pool.map" ]
-
-(* Application heads whose arguments run inside a critical section or
-   are atomic operations.  Module *aliases* are only recognised when
-   the alias keeps the module's own name (module Guarded =
-   Leotp_util.Guarded); a rename hides the guard and the access will be
-   flagged — prefer same-name aliases. *)
-let guard_fns =
-  [
-    "Guarded.with_";
-    "Guarded.await";
-    "Guarded.get";
-    "Guarded.set";
-    "Guarded.create";
-    "Atomic.get";
-    "Atomic.set";
-    "Atomic.make";
-    "Atomic.exchange";
-    "Atomic.incr";
-    "Atomic.decr";
-    "Atomic.fetch_and_add";
-    "Atomic.compare_and_set";
-  ]
-
-let is_guard_fn n =
-  ends_with_any guard_fns n
-  ||
-  (* Atomic_counter.incr / Atomic_counter.Sum.add / ... — every
-     operation of the counter module is atomic by construction. *)
-  List.exists (fun seg -> seg = "Atomic_counter") (split n)
-
-let of_structure ~path st =
-  let entry_names = ref [] and setfields = ref [] in
-  let unguarded (name, loc) = { name; loc; guarded = false } in
-  let defs_of (b : binding) =
-    let guards = ref [] in
-    let visit (e : expression) =
-      match e.pexp_desc with
-      | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
-        let n = ident_name txt in
-        List.iter
-          (fun ((_, a) : arg_label * expression) ->
-            if is_guard_fn n then guards := range_of a.pexp_loc :: !guards;
-            match a.pexp_desc with
-            | Pexp_ident { txt; _ } when ends_with_any spawn_sinks n ->
-              entry_names := unguarded (ident_name txt, a.pexp_loc) :: !entry_names
-            | _ -> ())
-          args
-      | Pexp_sequence
-          ({ pexp_desc = Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _); _ }, e2)
-        when ends_with_any [ "Mutex.lock" ] (ident_name txt) ->
-        guards := range_of e2.pexp_loc :: !guards
-      | Pexp_setfield (({ pexp_desc = Pexp_ident { txt; _ }; _ } as recv), _, _) ->
-        setfields := unguarded (ident_name txt, recv.pexp_loc) :: !setfields
-      | _ -> ()
-    in
-    let idents, entries =
-      scan ~visit ~sinks:spawn_sinks ~is_closure:is_lambda b.expr
-    in
-    let refs_where pred =
-      List.filter_map
-        (fun (name, loc) ->
-          if pred loc then
-            Some { name; loc; guarded = List.exists (fun r -> in_range r loc) !guards }
-          else None)
-        idents
-    in
-    let entry_ranges = List.map (fun (e : expression) -> range_of e.pexp_loc) entries in
-    (* The binding itself is a node only if it is a function (its body
-       runs when called); a plain top-level value's RHS runs once at
-       module init, on the main domain, and is never re-entered. *)
-    (if is_lambda b.expr then
-       [ { qname = b.qname; scope = b.scope; loc = b.loc; entry = false;
-           refs =
-             refs_where (fun loc ->
-                 not (List.exists (fun r -> in_range r loc) entry_ranges)) } ]
-     else [])
-    (* Each literal closure handed to a spawn sink is its own
-       entrypoint node, carrying exactly the refs of its body. *)
-    @ List.map
-        (fun (e : expression) ->
-          { qname = closure_qname b.qname "entry" e; scope = b.scope;
-            loc = e.pexp_loc; entry = true;
-            refs = refs_where (in_range (range_of e.pexp_loc)) })
-        entries
-  in
-  let bs = bindings ~path st in
-  let defs = List.concat_map defs_of bs in
-  {
-    file = path;
-    module_name = module_name_of_path path;
-    defs;
-    globals =
-      List.filter_map
-        (fun (b : binding) ->
-          Option.map
-            (fun creator -> { gqname = b.qname; gloc = b.loc; creator })
-            (creator_of_rhs b.expr))
-        bs;
-    bindings =
-      List.filter_map
-        (fun (b : binding) -> if b.named then Some (b.qname, b.loc) else None)
-        bs;
-    entry_names = !entry_names;
-    setfields = !setfields;
-  }

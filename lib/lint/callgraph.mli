@@ -1,13 +1,13 @@
 (** The leotp-lint front end and interprocedural kernel.
 
     {!load} reads and parses each file once and attaches its
-    [[@leotp.allow]] set; {!bindings} is the one structure walk;
-    {!scan} lists a body's identifier references and the closures it
-    hands to a sink set.  The kernel (index, emitter, fixpoint,
-    first-witness reachability, elision) serves the interprocedural
-    passes {!Race}, {!Own} and {!Dim}; the per-file rules run through
-    {!Engine}.  Last comes the race pass's call graph
-    ({!of_structure}). *)
+    [[@leotp.allow]] set; {!bindings} is the one structure walk, and
+    {!defs} is the one def table of the interprocedural passes {!Race},
+    {!Own} and {!Dim}; {!scan} lists a body's identifier references and
+    the closures it hands to a sink set.  The kernel (index, summary
+    memo, fixpoint, first-witness reachability, elision, emitter) keys
+    every table by def identity ({!key}), so same-named bindings are
+    separate defs.  The per-file rules run through {!Engine}. *)
 
 open Ppxlib
 
@@ -30,8 +30,10 @@ val resolves : scope:string list -> written:string -> qname:string -> bool
     by segment suffix in either direction (so both
     ["Leotp_scenario.Runner.map"] and ["Runner.map"] reach
     ["Runner.map"], and ["Inner.f"] reaches ["Mod.Inner.f"]).
-    Over-approximates on collisions; every pass reports per-file
-    witnesses, so collisions surface visibly rather than silently. *)
+    Over-approximates on collisions: a reference to a name bound twice
+    resolves to both defs, and every pass follows all of them.  Every
+    pass reports per-file witnesses, so collisions surface visibly
+    rather than silently. *)
 
 val ends_with_any : string list -> string -> bool
 (** Does the dotted name end with one of the listed dotted names? *)
@@ -88,7 +90,7 @@ val load : string list -> int * parsed list * Finding.t list
     path: the file count, the parsed units, and a ["parse-error"]
     finding for each missing root or unreadable/unparsable file. *)
 
-(** {2 The structure walk} *)
+(** {2 The def table} *)
 
 type fbody = Body of expression | Cases of case list
 
@@ -98,22 +100,43 @@ type param = {
   ppat : pattern option;  (** [None] for the scrutinee of a [function] *)
 }
 
-type binding = {
+type def = {
+  file : string;  (** path of the unit the def lives in *)
   qname : string;
       (** module-qualified, file module included: ["Runner.set_jobs"];
-          ["<Scope>.<top:LINE>"] when the pattern is not a variable *)
+          ["<Scope>.<top:LINE>"] when the pattern is not a variable;
+          ["<parent>.<kind:LINE:COL>"] for a {!closure_def} *)
   scope : string list;  (** enclosing module path, e.g. [["Runner"]] *)
   loc : Location.t;
   named : bool;
-  expr : expression;  (** the right-hand side *)
+  expr : expression;  (** the right-hand side, or the closure *)
   attrs : attributes;
   params : param list;  (** [[]] unless {!is_function} [expr] *)
   body : fbody;  (** [Body expr] unless {!is_function} [expr] *)
 }
 
-val bindings : path:string -> structure -> binding list
-(** Every value binding in source order, recursing through nested
-    (named) modules, module constraints, functor bodies and includes. *)
+type key = string * string * int
+(** A def's identity: (file, qname, start offset). *)
+
+val key : def -> key
+
+val bindings : path:string -> structure -> def list
+(** Every value binding of one unit in source order, as defs of file
+    [path], recursing through nested modules, module constraints,
+    functor bodies and includes.  An anonymous [module _ = struct ...
+    end] keeps the enclosing scope. *)
+
+val defs : parsed list -> def list
+(** {!bindings} of every unit, in unit order. *)
+
+val closure_def : def -> string -> expression -> def
+(** [closure_def parent kind c] is literal closure [c], found in
+    [parent]'s body, as a def of its own: qname
+    ["<parent>.<kind:LINE:COL>"], [parent]'s file and scope, no
+    attributes, and [c]'s parameters and body. *)
+
+val is_lambda : expression -> bool
+(** A [fun]/[function] literal. *)
 
 val is_function : expression -> bool
 (** A [fun]/[function] literal, possibly under one type constraint. *)
@@ -141,24 +164,26 @@ val scan :
     the arguments satisfying [is_closure] of every call whose head ends
     with one of [sinks].  [visit] sees every sub-expression. *)
 
-val closure_qname : string -> string -> expression -> string
-(** [closure_qname parent kind c] is ["<parent>.<kind:LINE:COL>"], the
-    name of a synthetic def for closure [c]. *)
+val exists_ident : (string -> bool) -> expression -> bool
+(** Does some identifier of the expression (dotted path as written)
+    satisfy the predicate?  Stops at the first that does. *)
 
-(** {2 The kernel} *)
+(** {2 The kernel}
+
+    Each table takes a projection ['a -> def] from the pass's own node
+    type and is keyed by the {!key} of the def it projects to. *)
 
 type 'a index
 
-val index : ('a -> string * string) -> 'a list -> 'a index
-(** Index items by the leaf of their qname; the key function gives
-    (file, qname). *)
+val index : ('a -> def) -> 'a list -> 'a index
+(** Index items by the leaf of their def's qname. *)
 
 val resolve : 'a index -> scope:string list -> string -> 'a list
 (** Items a reference written inside [scope] {!resolves} to, ordered
-    by (file, qname). *)
+    by {!key}. *)
 
-val memo : ('a -> 'k) -> ('a -> 'v) -> 'a -> 'v
-(** Per-key table whose entries [init] creates on first use: the
+val memo : ('a -> def) -> ('a -> 'v) -> 'a -> 'v
+(** Per-def table whose entries [init] creates on first use: the
     summary store of a pass. *)
 
 val fixpoint : (unit -> bool) -> unit
@@ -166,7 +191,7 @@ val fixpoint : (unit -> bool) -> unit
     does, at most 12 rounds. *)
 
 val first_witness :
-  ('a -> string * string) ->
+  ('a -> def) ->
   direct:('a -> 'w option) ->
   succs:('a -> 'a list) ->
   'a ->
@@ -195,59 +220,3 @@ val emit :
 
 val findings : emitter -> Finding.t list
 (** Everything emitted, sorted and deduplicated. *)
-
-(** {2 The race pass's call graph}
-
-    Nodes are top-level function bindings plus one synthetic
-    {e entrypoint} node per literal closure passed to a domain-spawning
-    sink ([Domain.spawn], [Domain_pool.submit]/[run]/[map]).  Each node
-    carries the raw identifier references of its body, tagged with
-    whether they sit inside a recognised critical section
-    ([Guarded.with_]/[await]/[get]/[set] argument, an [Atomic] /
-    [Atomic_counter] operation, or code sequenced after a
-    [Mutex.lock]). *)
-
-type reference = {
-  name : string;  (** dotted path exactly as written, e.g. "Runner.map" *)
-  loc : Location.t;
-  guarded : bool;  (** inside a recognised critical section / atomic op *)
-}
-
-type def = {
-  qname : string;  (** entrypoint closures: ["<parent>.<entry:LINE:COL>"] *)
-  scope : string list;
-  loc : Location.t;
-  entry : bool;  (** a closure passed straight to a domain-spawning sink *)
-  refs : reference list;
-}
-
-type global = {
-  gqname : string;
-  gloc : Location.t;
-  creator : string;
-      (** which constructor made it mutable: ["ref"],
-          ["Hashtbl.create"], ["[| |]"], ... or ["mutable-field"] when
-          inferred from a [x.f <- e] assignment *)
-}
-
-type t = {
-  file : string;
-  module_name : string;
-  defs : def list;
-  globals : global list;
-      (** top-level bindings whose right-hand side is a known mutable
-          creator.  [Atomic.make] and [Mutex.create] are deliberately
-          not tracked: atomics only admit atomic operations, and a
-          mutex is a guard. *)
-  bindings : (string * Location.t) list;
-      (** every named top-level value binding, mutable or not *)
-  entry_names : reference list;
-      (** named functions passed to a spawning sink *)
-  setfields : reference list;
-      (** receivers of [x.f <- e]: evidence that a binding holds a
-          mutable record *)
-}
-
-val of_structure : path:string -> structure -> t
-(** Build the graph for one parsed unit; [path] determines the file
-    module name. *)

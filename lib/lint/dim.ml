@@ -60,6 +60,32 @@ let seqno_id = "dim-seqno-arith"
 let annot_id = "dim-annotation"
 let dim_attr = "leotp.dim"
 
+let rules =
+  [
+    ( mixed_id,
+      "arithmetic or a comparison mixes incompatible units of measure \
+       (seconds + bytes, ms passed where a seeded signature expects \
+       seconds); convert via Leotp_util.Units or pin with [@leotp.dim] \
+       (interprocedural)" );
+    ( product_id,
+      "a product multiplies two rates or two durations; no protocol \
+       quantity has that unit, so one factor is almost certainly wrong \
+       (interprocedural)" );
+    ( conv_id,
+      "a magic constant re-derives a Leotp_util.Units conversion on a \
+       value with a known unit (*. 1000. on seconds, /. 8. on bits, \
+       ...); call the named Units helper instead (interprocedural)" );
+    ( seqno_id,
+      "an ordinal sequence number is used as a byte/bit/packet count or \
+       vice versa; offsets difference to counts, they do not add to \
+       sizes (interprocedural)" );
+    ( annot_id,
+      "a [@leotp.dim] payload does not follow the grammar \"<unit> \
+       <param>...\" | \"returns <unit>\" | \"<unit>\" (clauses \
+       comma-separated), uses an unknown unit, or names a parameter the \
+       function does not have" );
+  ]
+
 (* Findings are scoped to lib/: bench/ and bin/ are presentation code.
    units.ml is the one lib/ file whose business is raw conversions. *)
 let reportable path =
@@ -273,18 +299,7 @@ let ident_seed n =
     ident_seeds
 
 (* ------------------------------------------------------------------ *)
-(* Def extraction *)
-
-type ddef = {
-  dfile : string;
-  dqname : string;
-  dscope : string list;
-  dparams : param list;
-  dbody : fbody;
-  dattrs : (string * Location.t) list;  (** raw [@leotp.dim] payloads *)
-  dalias : string option;  (** RHS is a bare ident: [let mbps = Units....] *)
-  dfun : bool;  (** binding RHS is a function *)
-}
+(* Aliases *)
 
 let rec alias_of (e : expression) =
   match e.pexp_desc with
@@ -292,21 +307,9 @@ let rec alias_of (e : expression) =
   | Pexp_constraint (inner, _) -> alias_of inner
   | _ -> None
 
-let extract_defs (u : parsed) : ddef list =
-  List.map
-    (fun (b : binding) ->
-      let func = is_function b.expr in
-      {
-        dfile = u.path;
-        dqname = b.qname;
-        dscope = b.scope;
-        dparams = b.params;
-        dbody = b.body;
-        dattrs = payloads dim_attr b.attrs;
-        dalias = (if func then None else alias_of b.expr);
-        dfun = func;
-      })
-    (bindings ~path:u.path u.ast)
+(* The target of an alias binding, whose RHS is a bare ident
+   ([let mbps = Units....]). *)
+let alias (d : def) = if is_function d.expr then None else alias_of d.expr
 
 (* ------------------------------------------------------------------ *)
 (* Summaries and the environment *)
@@ -319,15 +322,13 @@ type summary = {
 }
 
 type env = {
-  defs : ddef index;
-  summary : ddef -> summary;
+  defs : def index;
+  summary : def -> summary;
   mutable changed : bool;
 }
 
-let ddef_key (d : ddef) = (d.dfile, d.dqname)
-
-let new_summary (d : ddef) =
-  let n = List.length d.dparams in
+let new_summary (d : def) =
+  let n = List.length d.params in
   {
     sm_param = Array.make n None;
     sm_forced = Array.make n false;
@@ -394,10 +395,10 @@ let rec callee_sig env ~depth ~scope n : callee_sig =
     let ds = resolve env.defs ~scope n in
     let def_slots, def_ret =
       List.fold_left
-        (fun (slots, ret) (d : ddef) ->
-          match d.dalias with
+        (fun (slots, ret) (d : def) ->
+          match alias d with
           | Some target ->
-            let s = callee_sig env ~depth:(depth + 1) ~scope:d.dscope target in
+            let s = callee_sig env ~depth:(depth + 1) ~scope:d.scope target in
             (slots @ s.cs_slots, if ret = None then s.cs_ret else ret)
           | None ->
             let sm = env.summary d in
@@ -407,7 +408,7 @@ let rec callee_sig env ~depth ~scope n : callee_sig =
                   match sm.sm_param.(i) with
                   | Some v -> Some (slot, v)
                   | None -> None)
-                (slot_of_params d.dparams)
+                (slot_of_params d.params)
               |> List.filter_map Fun.id
             in
             (slots @ dslots, if ret = None then sm.sm_ret else ret))
@@ -468,7 +469,7 @@ let parse_dim payload : (clause list, string) result =
 (* Pin a binding's [@leotp.dim] clauses into its summary.  Grammar
    errors are ignored here and reported as dim-annotation findings by
    the report pass. *)
-let apply_pins env (d : ddef) =
+let apply_pins env (d : def) =
   let sm = env.summary d in
   List.iter
     (fun (payload, _) ->
@@ -483,7 +484,7 @@ let apply_pins env (d : ddef) =
                 vprov =
                   [
                     Printf.sprintf "%s returns %s ([@leotp.dim] pin)"
-                      d.dqname (u_name u);
+                      d.qname (u_name u);
                   ];
               };
           sm.sm_ret_forced <- true
@@ -492,7 +493,7 @@ let apply_pins env (d : ddef) =
           (fun cl ->
             match cl with
             | CRet u -> pin_ret u
-            | CBare u -> if d.dparams = [] then pin_ret u
+            | CBare u -> if d.params = [] then pin_ret u
             | CParams (u, names) ->
               List.iteri
                 (fun i p ->
@@ -504,18 +505,18 @@ let apply_pins env (d : ddef) =
                           vprov =
                             [
                               Printf.sprintf "%s %s is %s ([@leotp.dim] pin)"
-                                d.dqname p.pname (u_name u);
+                                d.qname p.pname (u_name u);
                             ];
                         };
                     sm.sm_forced.(i) <- true
                   end)
-                d.dparams)
+                d.params)
           clauses)
-    d.dattrs
+    (payloads dim_attr d.attrs)
 
 (* Pin the seed table into the seeded functions' own summaries, so
    their parameters carry units inside their own bodies too. *)
-let apply_seeds env (d : ddef) =
+let apply_seeds env (d : def) =
   let sm = env.summary d in
   List.iter
     (fun s ->
@@ -543,7 +544,7 @@ let apply_seeds env (d : ddef) =
                     };
                 sm.sm_forced.(i) <- true
               end)
-            (slot_of_params d.dparams))
+            (slot_of_params d.params))
         s.s_args;
       match s.s_ret with
       | Some u when not sm.sm_ret_forced ->
@@ -556,7 +557,7 @@ let apply_seeds env (d : ddef) =
             };
         sm.sm_ret_forced <- true
       | _ -> ())
-    (seeds_for d.dqname)
+    (seeds_for d.qname)
 
 (* ------------------------------------------------------------------ *)
 (* The dimensional algebra *)
@@ -625,7 +626,7 @@ let conversion_of u op lit =
 type entry = Pvar of int | Vval of value option
 
 type ectx = {
-  e_def : ddef;
+  e_def : def;
   e_env : env;
   e_sum : summary;
   e_emit : (rule:string -> loc:Location.t -> string -> unit) option;
@@ -666,7 +667,7 @@ let evidence ctx venv (e : expression) (expected : value) =
       | Some (Pvar i)
         when ctx.e_sum.sm_param.(i) = None && not ctx.e_sum.sm_forced.(i) ->
         let pname =
-          match List.nth_opt ctx.e_def.dparams i with
+          match List.nth_opt ctx.e_def.params i with
           | Some p -> p.pname
           | None -> v
         in
@@ -676,7 +677,7 @@ let evidence ctx venv (e : expression) (expected : value) =
               vu = expected.vu;
               vprov =
                 expected.vprov
-                @ [ Printf.sprintf "flows into %s %s" ctx.e_def.dqname pname ];
+                @ [ Printf.sprintf "flows into %s %s" ctx.e_def.qname pname ];
             };
         ctx.e_env.changed <- true
       | _ -> ())
@@ -891,14 +892,14 @@ and ident_value ctx ~depth n : value option =
     match ident_seed n with
     | Some v -> Some v
     | None ->
-      resolve ctx.e_env.defs ~scope:ctx.e_def.dscope n
-      |> List.find_map (fun (d : ddef) ->
-             match d.dalias with
+      resolve ctx.e_env.defs ~scope:ctx.e_def.scope n
+      |> List.find_map (fun (d : def) ->
+             match alias d with
              | Some t ->
-               ident_value { ctx with e_def = { ctx.e_def with dscope = d.dscope } }
+               ident_value { ctx with e_def = { ctx.e_def with scope = d.scope } }
                  ~depth:(depth + 1) t
              | None ->
-               if d.dfun then None
+               if is_function d.expr then None
                else (ctx.e_env.summary d).sm_ret)
 
 and eval_apply ctx venv (e : expression) (f : expression) args : value option =
@@ -1044,7 +1045,7 @@ and eval_div ctx venv (e : expression) a b : value option =
 
 and eval_call ctx venv (e : expression) n args : value option =
   ignore e;
-  let cs = callee_sig ctx.e_env ~depth:0 ~scope:ctx.e_def.dscope n in
+  let cs = callee_sig ctx.e_env ~depth:0 ~scope:ctx.e_def.scope n in
   let pos = ref 0 in
   List.iter
     (fun ((lbl, a) : arg_label * expression) ->
@@ -1076,9 +1077,9 @@ and eval_call ctx venv (e : expression) n args : value option =
 
 let eval_def ctx =
   let venv =
-    List.mapi (fun i p -> (p.pname, Pvar i)) ctx.e_def.dparams
+    List.mapi (fun i p -> (p.pname, Pvar i)) ctx.e_def.params
   in
-  match ctx.e_def.dbody with
+  match ctx.e_def.body with
   | Body e -> eval ctx venv e
   | Cases cs ->
     List.fold_left
@@ -1093,8 +1094,8 @@ let eval_def ctx =
 
 let infer_pass env defs =
   List.iter
-    (fun (d : ddef) ->
-      if d.dalias = None then begin
+    (fun (d : def) ->
+      if alias d = None then begin
         let sm = env.summary d in
         let ctx =
           { e_def = d; e_env = env; e_sum = sm; e_emit = None; e_infer = true }
@@ -1104,14 +1105,14 @@ let infer_pass env defs =
         | Some v when sm.sm_ret = None && not sm.sm_ret_forced ->
           sm.sm_ret <-
             Some
-              { v with vprov = v.vprov @ [ "returned by " ^ d.dqname ] };
+              { v with vprov = v.vprov @ [ "returned by " ^ d.qname ] };
           env.changed <- true
         | _ -> ()
       end)
     defs
 
 (* Annotation grammar checking, reported once per payload. *)
-let report_annotations (d : ddef) ~emit:emit_at =
+let report_annotations (d : def) ~emit:emit_at =
   List.iter
     (fun ((payload, aloc) : string * Location.t) ->
       match parse_dim payload with
@@ -1124,12 +1125,12 @@ let report_annotations (d : ddef) ~emit:emit_at =
             match cl with
             | CRet _ -> ()
             | CBare _ ->
-              if d.dparams <> [] then
+              if d.params <> [] then
                 emit_at ~rule:annot_id ~loc:aloc
                   (Printf.sprintf
                      "bare unit clause in %S pins a value, but %s has \
                       parameters; name them or use \"returns <unit>\""
-                     payload (leaf d.dqname))
+                     payload (leaf d.qname))
             | CParams (_, names) ->
               List.iter
                 (fun nm ->
@@ -1137,20 +1138,20 @@ let report_annotations (d : ddef) ~emit:emit_at =
                     not
                       (List.exists
                          (fun p -> p.pname = nm)
-                         d.dparams)
+                         d.params)
                   then
                     emit_at ~rule:annot_id ~loc:aloc
                       (Printf.sprintf
                          "[@leotp.dim] names parameter %S which %s does not \
                           have"
-                         nm (leaf d.dqname)))
+                         nm (leaf d.qname)))
                 names)
           clauses)
-    d.dattrs
+    (payloads dim_attr d.attrs)
 
-let report_pass env (d : ddef) ~emit:emit_at =
+let report_pass env (d : def) ~emit:emit_at =
   report_annotations d ~emit:emit_at;
-  if d.dalias = None then begin
+  if alias d = None then begin
     let sm = env.summary d in
     let ctx =
       {
@@ -1168,25 +1169,25 @@ let report_pass env (d : ddef) ~emit:emit_at =
 (* Entry points *)
 
 let analyze (units : parsed list) : Finding.t list =
-  let defs = List.concat_map extract_defs units in
+  let defs = defs units in
   let env =
-    { defs = index ddef_key defs; summary = memo ddef_key new_summary;
+    { defs = index Fun.id defs; summary = memo Fun.id new_summary;
       changed = true }
   in
   (* seed-table and annotation pins first, then iterate inference to a
      fixpoint (units only ever go Unknown -> Known) *)
-  List.iter (fun (d : ddef) -> apply_seeds env d) defs;
-  List.iter (fun (d : ddef) -> apply_pins env d) defs;
+  List.iter (apply_seeds env) defs;
+  List.iter (apply_pins env) defs;
   fixpoint (fun () ->
       env.changed <- false;
       infer_pass env defs;
       env.changed);
   let em = emitter units in
   List.iter
-    (fun (d : ddef) ->
-      if reportable d.dfile then
+    (fun (d : def) ->
+      if reportable d.file then
         report_pass env d ~emit:(fun ~rule ~loc message ->
-            Callgraph.emit em ~file:d.dfile ~rule ~loc message))
+            Callgraph.emit em ~file:d.file ~rule ~loc message))
     defs;
   findings em
 

@@ -26,6 +26,9 @@ val conv_id : string
 val seqno_id : string
 val annot_id : string
 
+val rules : (string * string) list
+(** Each rule id above with its one-line rationale, for the registry. *)
+
 val analyze : Callgraph.parsed list -> Finding.t list
 (** Run the pass over parsed units, as {!Callgraph.load} and
     {!Callgraph.of_sources} yield them (sorted by path); findings are

@@ -60,6 +60,39 @@ let alloc_id = "hot-path-may-alloc"
 let taint_id = "time-taint"
 let owns_attr = "leotp.owns"
 
+let rules =
+  [
+    ( leak_id,
+      "a packet acquired from Packet_pool.acquire/clone is still owned at \
+       the end of some path: release it, hand it to a consuming/transferring \
+       callee, or annotate with [@leotp.owns] (interprocedural)" );
+    ( double_id,
+      "a packet is released (or consumed by a callee) twice, or released \
+       after its ownership was transferred; the record would alias two \
+       future owners (interprocedural)" );
+    ( uar_id,
+      "a packet is read or passed on after Packet_pool.release; the record \
+       may already be recycled under another owner (interprocedural)" );
+    ( escape_id,
+      "a packet is stored into a long-lived container (Hashtbl/Queue/array \
+       slot/record field) that is not a registered sink; annotate the \
+       function with [@leotp.owns \"transfers\"] if the store is a \
+       deliberate hand-off (interprocedural)" );
+    ( annot_id,
+      "a [@leotp.owns] payload does not follow the grammar \
+       \"consumes|transfers|borrows [param ...]\" or \"source\", or names a \
+       parameter the function does not have" );
+    ( alloc_id,
+      "a function reachable from the per-packet hot roots (engine dispatch, \
+       Shr.on_packet, Seg_store scans, the packet pool, datapath timer \
+       closures) may allocate: closures, tuples, records, list cells, \
+       allocating stdlib calls or partial application (interprocedural)" );
+    ( taint_id,
+      "sim-time code (lib/ outside lib/lint) reaches a wall-clock read, \
+       directly or through harness helpers; route real time through the \
+       harness stratum (interprocedural)" );
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Builtin knowledge: the packet pool API under both its spellings
    (lib/core aliases [module Pool = Leotp_net.Packet_pool]). *)
@@ -255,22 +288,16 @@ let role_rank = function Borrows -> 0 | Transfers -> 1 | Consumes -> 2
 let join_role a b = if role_rank a >= role_rank b then a else b
 
 (* ------------------------------------------------------------------ *)
-(* Def extraction *)
+(* Defs: function bindings, and the hot closures inside them *)
 
 type odef = {
-  ofile : string;
-  oqname : string;
-  oscope : string list;
-  oloc : Location.t;
-  oparams : param list;
-  obody : fbody;
-  oowns : (string * Location.t) list;  (** raw [@leotp.owns] payloads *)
-  orefs : (string * Location.t) list;
+  def : def;
+  refs : (string * Location.t) list;
       (** idents of the body, hot sub-closure ranges excluded *)
-  ohot_root : bool;
-  ohot_ranges : (int * int) list;
+  hot_root : bool;
+  hot_ranges : (int * int) list;
       (** char ranges of literal closures handed to hot sinks *)
-  oguards : (int * int) list;
+  guards : (int * int) list;
       (** char ranges of debug-gated / error-path subtrees *)
 }
 
@@ -291,32 +318,16 @@ let error_heads = [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]
 
 (* A condition that gates tracing/debug-only work: allocations under
    its then-branch do not count against the steady-state hot path. *)
-let debug_cond (c : expression) =
-  let found = ref false in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! expression e =
-        (match e.pexp_desc with
-        | Pexp_ident { txt; _ } ->
-          let n = ident_name txt in
-          if
-            ends_with_any [ "Trace.on"; "debug_enabled"; "self_check" ] n
-            || leaf n = "debug"
-          then found := true
-        | _ -> ());
-        super#expression e
-    end
-  in
-  it#expression c;
-  !found
+let debug_cond =
+  exists_ident (fun n ->
+      ends_with_any [ "Trace.on"; "debug_enabled"; "self_check" ] n
+      || leaf n = "debug")
 
 (* Collect the raw idents of an expression, the literal closures passed
    to hot sinks (each becomes a synthetic hot-root def), and the char
    ranges of debug-gated / error-path subtrees (calls inside them do
    not count against the steady-state allocation effect). *)
-let body_facts (body : expression) =
+let body_facts (d : def) =
   let guards = ref [] in
   let visit (e : expression) =
     match e.pexp_desc with
@@ -328,62 +339,38 @@ let body_facts (body : expression) =
       guards := range_of e.pexp_loc :: !guards
     | _ -> ()
   in
+  let root = match d.body with Body e -> e | Cases _ -> d.expr in
   let idents, hot_closures =
-    scan ~visit ~sinks:hot_closure_sinks ~is_closure:is_function body
+    scan ~visit ~sinks:hot_closure_sinks ~is_closure:is_function root
   in
   (idents, hot_closures, !guards)
 
-let facts_root (c : expression) = function Body e -> e | Cases _ -> c
-
-let extract_defs (u : parsed) : odef list =
-  let datapath = in_datapath u.path in
-  List.concat_map
-    (fun (b : binding) ->
-      if not (is_function b.expr) then []
-      else
-        let idents, hot_closures, guards = body_facts (facts_root b.expr b.body) in
-        let hot_closures = if datapath then hot_closures else [] in
-        let hot_ranges =
-          List.map (fun (c : expression) -> range_of c.pexp_loc) hot_closures
-        in
-        {
-          ofile = u.path;
-          oqname = b.qname;
-          oscope = b.scope;
-          oloc = b.loc;
-          oparams = b.params;
-          obody = b.body;
-          oowns = payloads owns_attr b.attrs;
-          orefs =
-            List.filter
-              (fun (_, loc) ->
-                not (List.exists (fun r -> in_range r loc) hot_ranges))
-              idents;
-          ohot_root = ends_with_any hot_root_defs b.qname;
-          ohot_ranges = hot_ranges;
-          oguards = guards;
-        }
-        (* Each literal closure handed to a hot sink in the datapath is
-           its own allocation-free root. *)
-        :: List.map
-             (fun (c : expression) ->
-               let cparams, cbody = peel c in
-               let cidents, _, cguards = body_facts (facts_root c cbody) in
-               {
-                 ofile = u.path;
-                 oqname = closure_qname b.qname "hot" c;
-                 oscope = b.scope;
-                 oloc = c.pexp_loc;
-                 oparams = cparams;
-                 obody = cbody;
-                 oowns = [];
-                 orefs = cidents;
-                 ohot_root = true;
-                 ohot_ranges = [];
-                 oguards = cguards;
-               })
-             hot_closures)
-    (bindings ~path:u.path u.ast)
+let odefs_of (d : def) : odef list =
+  if not (is_function d.expr) then []
+  else
+    let idents, hot_closures, guards = body_facts d in
+    let hot_closures = if in_datapath d.file then hot_closures else [] in
+    let hot_ranges =
+      List.map (fun (c : expression) -> range_of c.pexp_loc) hot_closures
+    in
+    {
+      def = d;
+      refs =
+        List.filter
+          (fun (_, loc) -> not (List.exists (fun r -> in_range r loc) hot_ranges))
+          idents;
+      hot_root = ends_with_any hot_root_defs d.qname;
+      hot_ranges;
+      guards;
+    }
+    (* Each literal closure handed to a hot sink in the datapath is its
+       own allocation-free root. *)
+    :: List.map
+         (fun (c : expression) ->
+           let cd = closure_def d "hot" c in
+           let refs, _, guards = body_facts cd in
+           { def = cd; refs; hot_root = true; hot_ranges = []; guards })
+         hot_closures
 
 (* ------------------------------------------------------------------ *)
 (* Summaries and their fixpoint *)
@@ -404,10 +391,8 @@ type env = {
   mutable changed : bool;
 }
 
-let odef_key (d : odef) = (d.ofile, d.oqname)
-
 let new_summary (d : odef) =
-  let n = List.length d.oparams in
+  let n = List.length d.def.params in
   {
     s_packetish = Array.make n false;
     s_role = Array.make n Borrows;
@@ -491,9 +476,9 @@ let apply_owns (d : odef) (s : summary) =
                 s.s_forced.(i) <- true;
                 s.s_packetish.(i) <- true
               end)
-            d.oparams
+            d.def.params
       end)
-    d.oowns
+    (payloads owns_attr d.def.attrs)
 
 (* ------------------------------------------------------------------ *)
 (* The ownership walk.
@@ -544,21 +529,7 @@ let is_var var (e : expression) =
   in
   go e
 
-let mentions var (e : expression) =
-  let found = ref false in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! expression e2 =
-        (match e2.pexp_desc with
-        | Pexp_ident { txt = Lident v; _ } when v = var -> found := true
-        | _ -> ());
-        if not !found then super#expression e2
-    end
-  in
-  it#expression e;
-  !found
+let mentions var = exists_ident (String.equal var)
 
 let pat_binds var (p : pattern) =
   let found = ref false in
@@ -591,7 +562,7 @@ let use_check ctx sh bits (loc : Location.t) =
           recycled under another owner; witness: %s"
          sh.sh_var how rloc
          (fmt_trail sh
-            ~first:(Printf.sprintf "%s in %s" sh.sh_var ctx.c_def.oqname)
+            ~first:(Printf.sprintf "%s in %s" sh.sh_var ctx.c_def.def.qname)
             ~last:(Printf.sprintf "use at line %d" (line loc))))
   end
 
@@ -606,7 +577,7 @@ let release_event ctx sh bits ~desc (loc : Location.t) =
        (Printf.sprintf "double release of %s: already %s (line %d); witness: %s"
           sh.sh_var how rloc
           (fmt_trail sh
-             ~first:(Printf.sprintf "%s in %s" sh.sh_var ctx.c_def.oqname)
+             ~first:(Printf.sprintf "%s in %s" sh.sh_var ctx.c_def.def.qname)
              ~last:(Printf.sprintf "%s again at line %d" desc (line loc))))
    else if bits land moved <> 0 then
      ctx.c_emit ~rule:double_id ~loc
@@ -615,7 +586,7 @@ let release_event ctx sh bits ~desc (loc : Location.t) =
            will release it too; witness: %s"
           sh.sh_var
           (fmt_trail sh
-             ~first:(Printf.sprintf "%s in %s" sh.sh_var ctx.c_def.oqname)
+             ~first:(Printf.sprintf "%s in %s" sh.sh_var ctx.c_def.def.qname)
              ~last:(Printf.sprintf "%s at line %d" desc (line loc)))));
   if sh.sh_rel = None then sh.sh_rel <- Some (desc, loc);
   sh.sh_released_ever <- true;
@@ -638,7 +609,7 @@ let escape_event ctx sh bits ~op (loc : Location.t) =
           [@leotp.allow %S]; witness: %s"
          sh.sh_var op escape_id
          (fmt_trail sh
-            ~first:(Printf.sprintf "%s in %s" sh.sh_var ctx.c_def.oqname)
+            ~first:(Printf.sprintf "%s in %s" sh.sh_var ctx.c_def.def.qname)
             ~last:(Printf.sprintf "stored at line %d" (line loc))));
   move_event sh bits ~desc:(Printf.sprintf "stored via %s" op) loc
 
@@ -815,7 +786,7 @@ and eval_construction ctx sh ~tail bits loc es =
 
 and eval_apply ctx sh bits head args =
   let var = sh.sh_var in
-  let scope = ctx.c_def.oscope in
+  let scope = ctx.c_def.def.scope in
   match head.pexp_desc with
   | Pexp_ident { txt; _ } -> (
     let n = ident_name txt in
@@ -1100,7 +1071,7 @@ let run_param_track ctx (d : odef) (p : param) =
       sh_trail = [];
     }
   in
-  ignore (eval_body ctx sh ~tail:true owned d.obody);
+  ignore (eval_body ctx sh ~tail:true owned d.def.body);
   sh
 
 let silent_emit ~rule:_ ~loc:_ _ = ()
@@ -1128,7 +1099,7 @@ let infer_pass env (defs : odef list) =
               env.changed <- true
             end
           end)
-        d.oparams;
+        d.def.params;
       (* returns_packet: the tail of the body is a source call or a
          variable bound from one *)
       let rec tail_source bound (e : expression) =
@@ -1143,7 +1114,7 @@ let infer_pass env (defs : odef list) =
               (fun bound (vb : value_binding) ->
                 match
                   ( binding_name vb,
-                    source_desc_of env ~scope:d.oscope vb.pvb_expr )
+                    source_desc_of env ~scope:d.def.scope vb.pvb_expr )
                 with
                 | Some v, Some _ -> v :: bound
                 | _ -> bound)
@@ -1160,11 +1131,11 @@ let infer_pass env (defs : odef list) =
           is_acquire n || is_clone n
           || List.exists
                (fun (cd : odef) -> (env.summary cd).s_returns_packet)
-               (resolve env.defs ~scope:d.oscope n)
+               (resolve env.defs ~scope:d.def.scope n)
         | _ -> false
       in
       let rp =
-        match d.obody with
+        match d.def.body with
         | Body e -> tail_source [] e
         | Cases cs ->
           List.exists (fun (c : case) -> tail_source [] c.pc_rhs) cs
@@ -1175,9 +1146,12 @@ let infer_pass env (defs : odef list) =
       end)
     defs
 
-let report_ownership env (defs : odef list) ~emit =
+let report_ownership env em (defs : odef list) =
   List.iter
     (fun (d : odef) ->
+      let emit ~rule ~loc message =
+        emit em ~file:d.def.file ~rule ~loc message
+      in
       let ctx = { c_def = d; c_env = env; c_emit = emit } in
       (* malformed annotations *)
       List.iter
@@ -1195,15 +1169,15 @@ let report_ownership env (defs : odef list) ~emit =
             List.iter
               (fun pn ->
                 if
-                  not (List.exists (fun (p : param) -> p.pname = pn) d.oparams)
+                  not (List.exists (fun (p : param) -> p.pname = pn) d.def.params)
                 then
                   emit ~rule:annot_id ~loc:aloc
                     (Printf.sprintf
                        "[@leotp.owns] names parameter %S but %s has no such \
                         parameter"
-                       pn d.oqname))
+                       pn d.def.qname))
               spec.o_params)
-        d.oowns;
+        (payloads owns_attr d.def.attrs);
       (* parameter misuse (no leak judgement: the caller owns it).
          Diagnostics are buffered and dropped unless there is positive
          evidence the parameter actually is a packet — a [: Packet.t]
@@ -1234,7 +1208,7 @@ let report_ownership env (defs : odef list) ~emit =
                 (fun (rule, loc, message) -> emit ~rule ~loc message)
                 (List.rev !buf)
           end)
-        d.oparams;
+        d.def.params;
       (* acquire/source tracks: leaks *)
       List.iter
         (fun (t : track) ->
@@ -1259,12 +1233,12 @@ let report_ownership env (defs : odef list) ~emit =
                   with [@leotp.owns]; witness: %s"
                  t.t_var t.t_src
                  (if some_path then
-                    "is still owned on some path through " ^ d.oqname
-                  else "is never released or handed off in " ^ d.oqname)
+                    "is still owned on some path through " ^ d.def.qname
+                  else "is never released or handed off in " ^ d.def.qname)
                  (fmt_trail sh
                     ~first:(Printf.sprintf "acquired (line %d)" (line t.t_loc))
-                    ~last:(Printf.sprintf "end of %s still owned" d.oqname))))
-        (find_tracks env ~scope:d.oscope d.obody))
+                    ~last:(Printf.sprintf "end of %s still owned" d.def.qname))))
+        (find_tracks env ~scope:d.def.scope d.def.body))
     defs
 
 (* ------------------------------------------------------------------ *)
@@ -1316,18 +1290,18 @@ let alloc_sites env (d : odef) : alloc_site list =
         if is_allocating_call n then
           add head.pexp_loc (Printf.sprintf "a call to %s" n)
         else begin
-          let cands = resolve env.defs ~scope:d.oscope n in
+          let cands = resolve env.defs ~scope:d.def.scope n in
           let nargs = List.length args in
           if
             cands <> []
             && List.for_all
                  (fun (cd : odef) ->
-                   List.length cd.oparams > nargs
+                   List.length cd.def.params > nargs
                    && not
                         (List.exists
                            (fun (p : param) ->
                              match p.plabel with Optional _ -> true | _ -> false)
-                           cd.oparams))
+                           cd.def.params))
                  cands
           then
             add head.pexp_loc (Printf.sprintf "partial application of %s" n)
@@ -1336,7 +1310,7 @@ let alloc_sites env (d : odef) : alloc_site list =
           (fun ((_, a) : arg_label * expression) ->
             if
               is_hot_closure_sink n && is_function a
-              && List.exists (fun r -> in_range r a.pexp_loc) d.ohot_ranges
+              && List.exists (fun r -> in_range r a.pexp_loc) d.hot_ranges
             then
               (* the closure record itself is allocated here, per
                  event; its body is audited as a separate root *)
@@ -1364,7 +1338,7 @@ let alloc_sites env (d : odef) : alloc_site list =
     in
     it#expression e
   in
-  (match d.obody with
+  (match d.def.body with
   | Body e -> go e
   | Cases cs ->
     List.iter
@@ -1386,49 +1360,49 @@ let live_refs (d : odef) =
   List.filter
     (fun ((rname, rloc) : string * Location.t) ->
       (not (is_trace_ref rname))
-      && not (List.exists (fun r -> in_range r rloc) d.oguards))
-    d.orefs
+      && not (List.exists (fun r -> in_range r rloc) d.guards))
+    d.refs
 
 let report_alloc env em (defs : odef list) =
   (* A site the author has justified with [@leotp.allow] is not
      evidence either: allowing the pool's amortized grow path, say,
      clears every call chain that bottoms out in it. *)
   let sites_of =
-    memo odef_key (fun (d : odef) ->
+    memo (fun d -> d.def) (fun (d : odef) ->
         alloc_sites env d
         |> List.filter (fun (s : alloc_site) ->
-               not (suppressed_at em ~file:d.ofile ~rule:alloc_id s.a_loc)))
+               not (suppressed_at em ~file:d.def.file ~rule:alloc_id s.a_loc)))
   in
   (* Transitive may-allocate effect of a def: the first piece of
      allocation evidence (site, file) and the qname chain to it. *)
   let effect_of =
-    first_witness odef_key
+    first_witness (fun d -> d.def)
       ~direct:(fun (d : odef) ->
-        if is_trace_file d.ofile then None
+        if is_trace_file d.def.file then None
         else
-          match sites_of d with s :: _ -> Some (s, d.ofile) | [] -> None)
+          match sites_of d with s :: _ -> Some (s, d.def.file) | [] -> None)
       ~succs:(fun (d : odef) ->
-        if is_trace_file d.ofile then []
+        if is_trace_file d.def.file then []
         else
           List.concat_map
-            (fun (rname, _) -> resolve env.defs ~scope:d.oscope rname)
+            (fun (rname, _) -> resolve env.defs ~scope:d.def.scope rname)
             (live_refs d))
   in
   let roots =
-    List.filter (fun (d : odef) -> d.ohot_root) defs
-    |> List.sort (fun a b -> compare (odef_key a) (odef_key b))
+    List.filter (fun (d : odef) -> d.hot_root) defs
+    |> List.sort (fun a b -> compare (key a.def) (key b.def))
   in
   List.iter
     (fun (root : odef) ->
       (* allocations in the root body itself *)
       List.iter
         (fun (s : alloc_site) ->
-          emit em ~file:root.ofile ~rule:alloc_id ~loc:s.a_loc
+          emit em ~file:root.def.file ~rule:alloc_id ~loc:s.a_loc
             (Printf.sprintf
                "%s is allocated on the packet hot path; hoist it out of the \
                 per-packet flow or justify with [@leotp.allow %S]; witness: \
                 %s (%s:%d) -> allocates at line %d"
-               s.a_what alloc_id root.oqname root.ofile (line root.oloc)
+               s.a_what alloc_id root.def.qname root.def.file (line root.def.loc)
                (line s.a_loc)))
         (sites_of root);
       (* calls from the root body into code with a may-allocate effect:
@@ -1437,21 +1411,21 @@ let report_alloc env em (defs : odef list) =
         (fun ((rname, rloc) : string * Location.t) ->
           List.iter
             (fun (callee : odef) ->
-              if not callee.ohot_root then
+              if not callee.hot_root then
                 match effect_of callee with
                 | Some ((s, sfile), chain) ->
-                  emit em ~file:root.ofile ~rule:alloc_id ~loc:rloc
+                  emit em ~file:root.def.file ~rule:alloc_id ~loc:rloc
                     (Printf.sprintf
                        "call to %s may allocate on the packet hot path (%s \
                         at %s:%d); hoist the allocation, restructure the \
                         call, or justify with [@leotp.allow %S]; witness: \
                         %s (%s:%d) -> %s -> allocates %s at line %d"
                        rname s.a_what sfile (line s.a_loc) alloc_id
-                       root.oqname root.ofile (line root.oloc)
+                       root.def.qname root.def.file (line root.def.loc)
                        (String.concat " -> " (elide ~max:5 ~head:2 ~tail:1 chain))
                        s.a_what (line s.a_loc))
                 | None -> ())
-            (resolve env.defs ~scope:root.oscope rname))
+            (resolve env.defs ~scope:root.def.scope rname))
         (live_refs root))
     roots
 
@@ -1461,54 +1435,54 @@ let report_alloc env em (defs : odef list) =
 let report_taint env em (defs : odef list) =
   (* the wall-clock read reached (name, site) and the qname chain *)
   let taint_of =
-    first_witness odef_key
+    first_witness (fun d -> d.def)
       ~direct:(fun (d : odef) ->
-        List.find_opt (fun (n, _) -> is_wall_clock n) d.orefs)
+        List.find_opt (fun (n, _) -> is_wall_clock n) d.refs)
       ~succs:(fun (d : odef) ->
         List.concat_map
-          (fun (rname, _) -> resolve env.defs ~scope:d.oscope rname)
-          d.orefs)
+          (fun (rname, _) -> resolve env.defs ~scope:d.def.scope rname)
+          d.refs)
   in
   List.iter
     (fun (d : odef) ->
-      if sim_time_stratum d.ofile then
+      if sim_time_stratum d.def.file then
         List.iter
           (fun ((rname, rloc) : string * Location.t) ->
             if is_wall_clock rname then
-              emit em ~file:d.ofile ~rule:taint_id ~loc:rloc
+              emit em ~file:d.def.file ~rule:taint_id ~loc:rloc
                 (Printf.sprintf
                    "%s reads the wall clock (%s) but lives in the sim-time \
                     stratum; route real time through the harness or justify \
                     with [@leotp.allow %S]; witness: %s -> reads %s at line \
                     %d"
-                   d.oqname rname taint_id d.oqname rname (line rloc))
+                   d.def.qname rname taint_id d.def.qname rname (line rloc))
             else
               List.iter
                 (fun (callee : odef) ->
-                  if not (sim_time_stratum callee.ofile) then
+                  if not (sim_time_stratum callee.def.file) then
                     match taint_of callee with
                     | Some ((read, read_loc), chain) ->
-                      emit em ~file:d.ofile ~rule:taint_id ~loc:rloc
+                      emit em ~file:d.def.file ~rule:taint_id ~loc:rloc
                         (Printf.sprintf
                            "sim-time code %s reaches a wall-clock read \
                             through harness code %s; keep real time out of \
                             the protocol core or justify with [@leotp.allow \
                             %S]; witness: %s -> %s -> reads %s at line %d"
-                           d.oqname callee.oqname taint_id d.oqname
+                           d.def.qname callee.def.qname taint_id d.def.qname
                            (String.concat " -> " chain) read (line read_loc))
                     | None -> ())
-                (resolve env.defs ~scope:d.oscope rname))
-          d.orefs)
+                (resolve env.defs ~scope:d.def.scope rname))
+          d.refs)
     defs
 
 (* ------------------------------------------------------------------ *)
 (* Entry points *)
 
 let analyze (units : parsed list) : Finding.t list =
-  let defs = List.concat_map extract_defs units in
+  let defs = List.concat_map odefs_of (Callgraph.defs units) in
   let env =
-    { defs = index odef_key defs; summary = memo odef_key new_summary;
-      changed = true }
+    { defs = index (fun d -> d.def) defs;
+      summary = memo (fun d -> d.def) new_summary; changed = true }
   in
   (* seed annotation-declared summaries, then iterate inference to a
      fixpoint (roles and packet evidence only ever grow) *)
@@ -1518,12 +1492,7 @@ let analyze (units : parsed list) : Finding.t list =
       infer_pass env defs;
       env.changed);
   let em = emitter units in
-  List.iter
-    (fun (u : parsed) ->
-      report_ownership env
-        (List.filter (fun (d : odef) -> d.ofile = u.path) defs)
-        ~emit:(fun ~rule ~loc message -> emit em ~file:u.path ~rule ~loc message))
-    units;
+  report_ownership env em defs;
   report_alloc env em defs;
   report_taint env em defs;
   findings em

@@ -30,6 +30,9 @@ val annot_id : string
 val alloc_id : string
 val taint_id : string
 
+val rules : (string * string) list
+(** Each rule id above with its one-line rationale, for the registry. *)
+
 val analyze : Callgraph.parsed list -> Finding.t list
 (** Run all three families over parsed units, as {!Callgraph.load} and
     {!Callgraph.of_sources} yield them (sorted by path); findings are

@@ -17,10 +17,14 @@
     thunks stored in data structures (e.g. the job lists handed to
     {!Leotp_scenario.Runner.map}) are not followed — the dynamic
     [--jobs 1] vs [--jobs N] digest-identity tests remain the backstop
-    for those. *)
+    for those.  A name bound twice resolves to both bindings, and both
+    are followed. *)
 
 val rule_id : string
 (** ["domain-unsafe-access"] *)
+
+val rules : (string * string) list
+(** The pass's rule id with its one-line rationale, for the registry. *)
 
 val analyze : Callgraph.parsed list -> Finding.t list
 (** Analyze a set of parsed units, as {!Callgraph.load} and

@@ -195,40 +195,10 @@ let rec creator_of_rhs (e : expression) =
 
 (* Only *top-level* bindings are flagged: a ref local to a function is
    per-call state, but a module-level ref/Hashtbl is shared by every
-   Domain_pool job and breaks --jobs N determinism.  Recurses into
-   nested top-level modules but not into expressions. *)
+   Domain_pool job and breaks --jobs N determinism.  The structure walk
+   enters nested top-level modules but not expressions; only right-hand
+   sides and locations are read, so no path qualifies the names. *)
 let no_global_mutable_state =
-  let rec check_items ~emit items =
-    List.iter
-      (fun (si : structure_item) ->
-        match si.pstr_desc with
-        | Pstr_value (_, vbs) ->
-          List.iter
-            (fun (vb : value_binding) ->
-              match creator_of_rhs vb.pvb_expr with
-              | Some n ->
-                emit ~loc:vb.pvb_loc
-                  (Printf.sprintf
-                     "top-level mutable state (%s) is shared across \
-                      Domain_pool jobs and breaks --jobs N determinism; \
-                      thread it through function arguments or add a \
-                      justified [@leotp.allow \"no-global-mutable-state\"]"
-                     n)
-              | None -> ())
-            vbs
-        | Pstr_module { pmb_expr; _ } -> check_module_expr ~emit pmb_expr
-        | Pstr_recmodule mbs ->
-          List.iter (fun mb -> check_module_expr ~emit mb.pmb_expr) mbs
-        | Pstr_include { pincl_mod; _ } -> check_module_expr ~emit pincl_mod
-        | _ -> ())
-      items
-  and check_module_expr ~emit (me : module_expr) =
-    match me.pmod_desc with
-    | Pmod_structure items -> check_items ~emit items
-    | Pmod_constraint (me, _) -> check_module_expr ~emit me
-    | Pmod_functor (_, me) -> check_module_expr ~emit me
-    | _ -> ()
-  in
   {
     id = "no-global-mutable-state";
     severity = Finding.Error;
@@ -236,7 +206,21 @@ let no_global_mutable_state =
       "module-level ref/Hashtbl/Buffer/... in lib/ is shared across \
        Domain_pool jobs; state must be threaded through values";
     applies = lib_only;
-    check = (fun ~emit st -> check_items ~emit st);
+    check =
+      (fun ~emit st ->
+        List.iter
+          (fun (d : Callgraph.def) ->
+            match creator_of_rhs d.expr with
+            | Some n ->
+              emit ~loc:d.loc
+                (Printf.sprintf
+                   "top-level mutable state (%s) is shared across Domain_pool \
+                    jobs and breaks --jobs N determinism; thread it through \
+                    function arguments or add a justified [@leotp.allow \
+                    \"no-global-mutable-state\"]"
+                   n)
+            | None -> ())
+          (Callgraph.bindings ~path:"" st));
   }
 
 (* -- Rule 5: no-direct-print ----------------------------------------- *)
@@ -515,27 +499,6 @@ let missing_interface =
     check = (fun ~emit:_ _ -> ());
   }
 
-(* -- Rule 8: domain-unsafe-access ------------------------------------ *)
-
-(* Like missing-interface, the AST check here is a no-op: the real
-   analysis is interprocedural (entrypoint reachability across files)
-   and lives in Race.  Registering the id here makes --rules list it
-   and lets allow-validation accept [@leotp.allow
-   "domain-unsafe-access"]. *)
-let domain_unsafe_access_id = "domain-unsafe-access"
-
-let domain_unsafe_access =
-  {
-    id = domain_unsafe_access_id;
-    severity = Finding.Error;
-    doc =
-      "top-level mutable state reachable from a Domain_pool/Domain.spawn \
-       entrypoint must be accessed inside Guarded/Atomic/Mutex critical \
-       sections (interprocedural)";
-    applies = everywhere;
-    check = (fun ~emit:_ _ -> ());
-  }
-
 (* -- Rule 9: hot-path-alloc ------------------------------------------ *)
 
 (* Packets are pooled (Leotp_net.Packet_pool): the steady-state hot path
@@ -593,102 +556,15 @@ let hot_path_alloc =
           st);
   }
 
-(* -- Rules 10..16: the leotp-own families ---------------------------- *)
+(* -- The interprocedural rules ----------------------------------------- *)
 
-(* As with domain-unsafe-access, these AST checks are no-ops: the real
-   analyses are interprocedural (ownership tracks, allocation-effect
-   and time-taint reachability across files) and live in Own.
-   Registering the ids here makes --rules list them and lets
-   allow-validation accept their [@leotp.allow]s. *)
-
-let own_rule id doc =
-  {
-    id;
-    severity = Finding.Error;
-    doc;
-    applies = everywhere;
-    check = (fun ~emit:_ _ -> ());
-  }
-
-let own_leak =
-  own_rule "own-leak"
-    "a packet acquired from Packet_pool.acquire/clone is still owned at \
-     the end of some path: release it, hand it to a consuming/transferring \
-     callee, or annotate with [@leotp.owns] (interprocedural)"
-
-let own_double_release =
-  own_rule "own-double-release"
-    "a packet is released (or consumed by a callee) twice, or released \
-     after its ownership was transferred; the record would alias two \
-     future owners (interprocedural)"
-
-let own_use_after_release =
-  own_rule "own-use-after-release"
-    "a packet is read or passed on after Packet_pool.release; the record \
-     may already be recycled under another owner (interprocedural)"
-
-let own_escape =
-  own_rule "own-escape"
-    "a packet is stored into a long-lived container (Hashtbl/Queue/array \
-     slot/record field) that is not a registered sink; annotate the \
-     function with [@leotp.owns \"transfers\"] if the store is a \
-     deliberate hand-off (interprocedural)"
-
-let own_annotation =
-  own_rule "own-annotation"
-    "a [@leotp.owns] payload does not follow the grammar \
-     \"consumes|transfers|borrows [param ...]\" or \"source\", or names a \
-     parameter the function does not have"
-
-let hot_path_may_alloc =
-  own_rule "hot-path-may-alloc"
-    "a function reachable from the per-packet hot roots (engine dispatch, \
-     Shr.on_packet, Seg_store scans, the packet pool, datapath timer \
-     closures) may allocate: closures, tuples, records, list cells, \
-     allocating stdlib calls or partial application (interprocedural)"
-
-let time_taint =
-  own_rule "time-taint"
-    "sim-time code (lib/ outside lib/lint) reaches a wall-clock read, \
-     directly or through harness helpers; route real time through the \
-     harness stratum (interprocedural)"
-
-(* -- Rules 17..21: the leotp-dim family ------------------------------ *)
-
-(* Same pattern again: the dimensional analysis is interprocedural
-   (unit inference over the call graph) and lives in Dim. *)
-
-let dim_mixed_arith =
-  own_rule "dim-mixed-arith"
-    "arithmetic or a comparison mixes incompatible units of measure \
-     (seconds + bytes, ms passed where a seeded signature expects \
-     seconds); convert via Leotp_util.Units or pin with [@leotp.dim] \
-     (interprocedural)"
-
-let dim_bad_product =
-  own_rule "dim-bad-product"
-    "a product multiplies two rates or two durations; no protocol \
-     quantity has that unit, so one factor is almost certainly wrong \
-     (interprocedural)"
-
-let dim_raw_conversion =
-  own_rule "dim-raw-conversion"
-    "a magic constant re-derives a Leotp_util.Units conversion on a \
-     value with a known unit (*. 1000. on seconds, /. 8. on bits, \
-     ...); call the named Units helper instead (interprocedural)"
-
-let dim_seqno_arith =
-  own_rule "dim-seqno-arith"
-    "an ordinal sequence number is used as a byte/bit/packet count or \
-     vice versa; offsets difference to counts, they do not add to \
-     sizes (interprocedural)"
-
-let dim_annotation =
-  own_rule "dim-annotation"
-    "a [@leotp.dim] payload does not follow the grammar \"<unit> \
-     <param>...\" | \"returns <unit>\" | \"<unit>\" (clauses \
-     comma-separated), uses an unknown unit, or names a parameter the \
-     function does not have"
+(* Their AST checks are no-ops: the analyses run across files and live
+   in Race, Own and Dim, which define each id and rationale.  Listing
+   them here makes --rules show them and lets allow-validation accept
+   their [@leotp.allow]s. *)
+let interprocedural (id, doc) =
+  { id; severity = Finding.Error; doc; applies = everywhere;
+    check = (fun ~emit:_ _ -> ()) }
 
 let all =
   [
@@ -699,20 +575,9 @@ let all =
     no_direct_print;
     no_poly_float_compare;
     missing_interface;
-    domain_unsafe_access;
-    hot_path_alloc;
-    own_leak;
-    own_double_release;
-    own_use_after_release;
-    own_escape;
-    own_annotation;
-    hot_path_may_alloc;
-    time_taint;
-    dim_mixed_arith;
-    dim_bad_product;
-    dim_raw_conversion;
-    dim_seqno_arith;
-    dim_annotation;
   ]
+  @ List.map interprocedural Race.rules
+  @ [ hot_path_alloc ]
+  @ List.map interprocedural (Own.rules @ Dim.rules)
 
 let known_ids = List.map (fun r -> r.id) all

@@ -23,9 +23,9 @@ val missing_interface_id : string
 (** The one rule not driven by the AST: the engine checks for a sibling
     [.mli] on the file system and reports under this id. *)
 
-val domain_unsafe_access_id : string
-(** Registered here for [--rules] and allow-validation; the analysis
-    itself is interprocedural and lives in {!Race}. *)
-
 val all : t list
+(** The per-file rules, then the interprocedural ids of {!Race}, {!Own}
+    and {!Dim} (no-op checks, listed for [--rules] and
+    allow-validation). *)
+
 val known_ids : string list

@@ -371,6 +371,13 @@ let order_independent () =
   Alcotest.(check bool) "found the bug" true
     (contains out1 "dim-mixed-arith")
 
+(* Two bindings of one name with different arities are two defs with a
+   summary each, not one summary indexed past its end. *)
+let same_name_arities () =
+  check_none
+    (Dim.analyze_sources
+       [ ("lib/core/a.ml", "let f x = x\nlet f x y = x + y\n") ])
+
 let bench_paths_exempt () =
   let fs =
     analyze ~path:"bench/main.ml"
@@ -486,6 +493,7 @@ let () =
           Alcotest.test_case "byte-stable across input order" `Quick
             order_independent;
           Alcotest.test_case "bench paths exempt" `Quick bench_paths_exempt;
+          Alcotest.test_case "same-named arities" `Quick same_name_arities;
         ] );
       ( "oracle-sensitivity",
         [

@@ -93,6 +93,9 @@ let test_global_mutable () =
     "let a = 1\nlet tbl : (int, int) Hashtbl.t = Hashtbl.create 7";
   check_flags ~rule:"no-global-mutable-state" ~line:2
     "module Inner = struct\n  let buf = Buffer.create 16\nend";
+  (* an anonymous module is still module level *)
+  check_flags ~rule:"no-global-mutable-state" ~line:2
+    "module _ = struct\n  let tbl = Hashtbl.create 16\nend";
   (* refs local to a function are per-call state, not global *)
   check_clean ~rule:"no-global-mutable-state"
     "let fresh () = ref 0\nlet use () = let r = ref 1 in !r";

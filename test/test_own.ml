@@ -45,6 +45,17 @@ let check_clean ~rule findings =
       f.Finding.line f.Finding.message
 
 (* ------------------------------------------------------------------ *)
+(* Def identity *)
+
+(* Two bindings of one name with different arities are two defs with a
+   summary each, not one summary indexed past its end. *)
+let test_same_name_arities () =
+  Alcotest.(check int) "no findings" 0
+    (List.length
+       (Own.analyze_sources
+          [ ("lib/core/a.ml", "let f x = x\nlet f x y = x + y\n") ]))
+
+(* ------------------------------------------------------------------ *)
 (* Ownership: own-leak *)
 
 (* The canonical leak: a packet acquired and used but never released or
@@ -267,6 +278,21 @@ let test_alloc_allow_suppresses () =
   in
   check_clean ~rule:Own.alloc_id (analyze ~path:"lib/core/shr.ml" src)
 
+(* Two bindings of one name are two defs: a hot-root call reaches the
+   allocating one whichever of them comes first. *)
+let test_alloc_same_name_order () =
+  let alloc = "let f x = [ x ]\n" and clean = "let f x = x\n" in
+  List.iter
+    (fun (order, fs) ->
+      let src =
+        String.concat "" fs ^ "let on_packet t pkt = ignore (f pkt); ignore t\n"
+      in
+      let hits =
+        with_rule Own.alloc_id (errors (analyze ~path:"lib/core/shr.ml" src))
+      in
+      Alcotest.(check int) order 1 (List.length hits))
+    [ ("allocating first", [ alloc; clean ]); ("clean first", [ clean; alloc ]) ]
+
 (* ------------------------------------------------------------------ *)
 (* Time taint *)
 
@@ -290,6 +316,21 @@ let test_time_taint_transitive () =
 let test_time_taint_harness_clean () =
   let src = "let now () = Unix.gettimeofday ()\n" in
   check_clean ~rule:Own.taint_id (analyze ~path:"bench/main.ml" src)
+
+(* Sim-time code calling a harness name bound twice reaches the
+   wall-clock read whichever binding comes first. *)
+let test_time_taint_same_name_order () =
+  let wall = "let t () = Unix.gettimeofday ()\n" and sim = "let t () = 0.0\n" in
+  List.iter
+    (fun (order, fs) ->
+      let found =
+        Own.analyze_sources
+          [ ("bench/tick.ml", String.concat "" fs);
+            ("lib/core/u.ml", "let stamp () = Tick.t ()\n") ]
+      in
+      Alcotest.(check int) order 1
+        (List.length (with_rule Own.taint_id (errors found))))
+    [ ("wall clock first", [ wall; sim ]); ("sim first", [ sim; wall ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Byte stability *)
@@ -356,6 +397,8 @@ let () =
           Alcotest.test_case "hot root clean" `Quick test_hot_root_clean;
           Alcotest.test_case "allow suppresses" `Quick
             test_alloc_allow_suppresses;
+          Alcotest.test_case "same-named bindings either order" `Quick
+            test_alloc_same_name_order;
         ] );
       ( "taint",
         [
@@ -363,7 +406,12 @@ let () =
           Alcotest.test_case "transitive" `Quick test_time_taint_transitive;
           Alcotest.test_case "harness clean" `Quick
             test_time_taint_harness_clean;
+          Alcotest.test_case "same-named bindings either order" `Quick
+            test_time_taint_same_name_order;
         ] );
       ( "stability",
-        [ Alcotest.test_case "byte stable" `Quick test_byte_stable ] );
+        [
+          Alcotest.test_case "byte stable" `Quick test_byte_stable;
+          Alcotest.test_case "same-named arities" `Quick test_same_name_arities;
+        ] );
     ]

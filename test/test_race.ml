@@ -142,13 +142,27 @@ let test_unreachable_mutation_clean () =
   Alcotest.(check int) "no entrypoints, no findings" 0
     (List.length (errors (analyze src)))
 
+(* Two bindings of one name are two defs, and a call follows both: the
+   racy one is reported whichever of them comes first. *)
+let test_same_name_both_followed () =
+  let racy = "let f () = incr counter\n" and clean = "let f () = ()\n" in
+  List.iter
+    (fun (order, fs) ->
+      let src =
+        "let counter = ref 0\n" ^ String.concat "" fs
+        ^ "let start () = Domain.spawn (fun () -> f ())\n"
+      in
+      Alcotest.(check int) order 1 (List.length (errors (analyze src))))
+    [ ("racy first", [ racy; clean ]); ("clean first", [ clean; racy ]) ]
+
 (* ------------------------------------------------------------------ *)
 (* QCheck: call-graph round-trip on generated modules *)
 
 (* Generate a unit with t top-level defs f0..f(t-1) and m defs g0..
    g(m-1) inside `module Inner`, where each def calls a subset of the
    defs declared before it (encoded as a bitmask).  Render to source,
-   parse, build the call graph, and check that the recovered def names
+   parse, build the call graph (the unit's defs and the identifier
+   references of each body), and check that the recovered def names
    and resolved call edges match the generated ones exactly. *)
 
 type gen_unit = { top : int list list; inner : int list list }
@@ -213,14 +227,15 @@ let callgraph_roundtrip_prop =
       match Callgraph.parse_impl ~path:"lib/core/fixture.ml" src with
       | Error msg -> QCheck2.Test.fail_reportf "parse failed: %s\n%s" msg src
       | Ok structure ->
-        let cg = Callgraph.of_structure ~path:"lib/core/fixture.ml" structure in
+        let defs = Callgraph.bindings ~path:"lib/core/fixture.ml" structure in
+        let refs (d : Callgraph.def) =
+          fst (Callgraph.scan ~sinks:[] ~is_closure:(fun _ -> false) d.expr)
+        in
         let expected_qnames =
           List.mapi (fun i _ -> "Fixture." ^ name_of_index ~t i)
             (u.top @ u.inner)
         in
-        let got_qnames =
-          List.map (fun (d : Callgraph.def) -> d.qname) cg.Callgraph.defs
-        in
+        let got_qnames = List.map (fun (d : Callgraph.def) -> d.qname) defs in
         if List.sort compare got_qnames <> List.sort compare expected_qnames
         then
           QCheck2.Test.fail_reportf "def mismatch: got [%s]\n%s"
@@ -245,14 +260,14 @@ let callgraph_roundtrip_prop =
                     (fun j ->
                       j <> idx
                       && List.exists
-                           (fun (r : Callgraph.reference) ->
-                             Callgraph.resolves ~scope:d.scope ~written:r.name
+                           (fun (name, _) ->
+                             Callgraph.resolves ~scope:d.scope ~written:name
                                ~qname:(qname_of j))
-                           d.refs)
+                           (refs d))
                     indices
                 in
                 resolved = expected)
-            cg.Callgraph.defs
+            defs
         end)
 
 let () =
@@ -276,6 +291,8 @@ let () =
             test_input_order_independent;
           Alcotest.test_case "unreachable mutation clean" `Quick
             test_unreachable_mutation_clean;
+          Alcotest.test_case "same-named bindings both followed" `Quick
+            test_same_name_both_followed;
         ] );
       ("callgraph", [ qc callgraph_roundtrip_prop ]);
     ]
