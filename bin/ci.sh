@@ -83,8 +83,8 @@ fi
 # with the invariant checker attached, gated on the headline
 # flow_sim_seconds_per_wall_second metric (higher is better; the floor
 # in bench/baselines.json has its own generous tolerance band).  The
-# combined digest must be identical for any --jobs, so running on 2
-# worker domains here also re-checks shard determinism.
+# combined digest must be identical for any --jobs: test/witness.t
+# (part of @runtest above) pins it at --jobs 1 and --jobs 2.
 dune exec bench/main.exe -- manyflow 500 --seed 1 --check --jobs 2 \
   --out-dir "$out_dir" --gate bench/baselines.json
 test -s "$out_dir/BENCH_manyflow.json" || {

@@ -152,5 +152,4 @@ let check (t : t) (c : claim) =
 
 let snd_una (t : t) = t.snd_una
 let inflight (t : t) = t.inflight
-let lost_pending (t : t) = t.lost_pending
 let outstanding t = List.length t.segs

@@ -38,7 +38,6 @@ val check : t -> claim -> string list
 
 val snd_una : t -> int
 val inflight : t -> int
-val lost_pending : t -> int
 
 val outstanding : t -> int
 (** Number of segments the model still tracks. *)

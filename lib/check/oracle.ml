@@ -48,15 +48,17 @@ type conn = {
 
 type t = {
   mss : int;
-  eps : float;
   conns : (string * int, conn) Hashtbl.t;
   mutable divergences : divergence list;  (** newest first *)
   mutable acks : int;
   mutable seg_events : int;
 }
 
-let create ?(eps = 1e-6) ~mss () =
-  { mss; eps; conns = Hashtbl.create 8; divergences = []; acks = 0; seg_events = 0 }
+(* Float-comparison slack. *)
+let eps = 1e-6
+
+let create ~mss () =
+  { mss; conns = Hashtbl.create 8; divergences = []; acks = 0; seg_events = 0 }
 
 let conn t key =
   match Hashtbl.find_opt t.conns key with
@@ -122,7 +124,7 @@ let check_cc t (c : conn) ~time ~who ~flow ~cc ~phase ~cwnd ~acked =
     (* Loss-based AIMD: acks grow the window by at most the bytes they
        acknowledge; every other transition (loss, RTO) shrinks it. *)
     match c.prev_cwnd with
-    | Some prev when cwnd > prev +. float_of_int acked +. t.eps ->
+    | Some prev when cwnd > prev +. float_of_int acked +. eps ->
       fail
         (Printf.sprintf
            "cc %s: cwnd grew %g -> %g on %d acked bytes (AIMD bound %g)" cc
@@ -131,15 +133,15 @@ let check_cc t (c : conn) ~time ~who ~flow ~cc ~phase ~cwnd ~acked =
     | _ -> ())
   | "vegas" ->
     (match c.prev_cwnd with
-    | Some prev when cwnd > prev +. t.eps ->
+    | Some prev when cwnd > prev +. eps ->
       (* Window growth is gated to once per RTT and bounded by one MSS
          (congestion avoidance) or a doubling (slow start). *)
-      if time +. t.eps < c.vegas_next_growth then
+      if time +. eps < c.vegas_next_growth then
         fail
           (Printf.sprintf
              "cc vegas: window grew at %.6f, earliest legal growth %.6f (once per RTT)"
              time c.vegas_next_growth);
-      if cwnd -. prev > Float.max prev fmss +. t.eps then
+      if cwnd -. prev > Float.max prev fmss +. eps then
         fail
           (Printf.sprintf
              "cc vegas: growth %g exceeds max(cwnd, mss) = %g" (cwnd -. prev)
@@ -152,7 +154,7 @@ let check_cc t (c : conn) ~time ~who ~flow ~cc ~phase ~cwnd ~acked =
     | Some prev when not (bbr_step_ok ~prev ~next:phase) ->
       fail (Printf.sprintf "cc bbr: illegal gain-cycle step %s -> %s" prev phase)
     | _ -> ());
-    if phase = "probe_rtt" && Float.abs (cwnd -. (4.0 *. fmss)) > t.eps then
+    if phase = "probe_rtt" && Float.abs (cwnd -. (4.0 *. fmss)) > eps then
       fail
         (Printf.sprintf "cc bbr: probe_rtt window %g, expected 4*MSS = %g" cwnd
            (4.0 *. fmss))
@@ -198,7 +200,7 @@ let sink t (r : Trace.record) =
          else (0.875 *. c.vegas_srtt) +. (0.125 *. sample))
     | None -> ());
     let floor = Rto_replica.floor c.rto in
-    if rto +. t.eps < floor then
+    if rto +. eps < floor then
       diverge t ~time:r.Trace.time ~who ~flow
         (Printf.sprintf "rto %.9f below RFC 6298 floor %.9f (SRTT+4*RTTVAR)"
            rto floor);

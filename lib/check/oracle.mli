@@ -22,13 +22,12 @@ type t
 
 type divergence = { time : float; who : string; flow : int; what : string }
 
-val create : ?eps:float -> mss:int -> unit -> t
-(** [eps] is the float-comparison slack (default [1e-6]); [mss] must
-    match the senders under test. *)
+val create : mss:int -> unit -> t
+(** [mss] must match the senders under test.  Float comparisons allow
+    1e-6 of slack. *)
 
-val sink : t -> Leotp_net.Trace.record -> unit
 val attach : t -> Leotp_net.Trace.t -> unit
-(** [attach t trace] registers {!sink} on [trace]. *)
+(** [attach t trace] feeds every record of [trace] to the oracle. *)
 
 val divergences : t -> divergence list
 (** All divergences so far, oldest first. *)

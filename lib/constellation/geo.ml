@@ -1,6 +1,5 @@
 type vec3 = { x : float; y : float; z : float }
 
-let add a b = { x = a.x +. b.x; y = a.y +. b.y; z = a.z +. b.z }
 let sub a b = { x = a.x -. b.x; y = a.y -. b.y; z = a.z -. b.z }
 let scale k v = { x = k *. v.x; y = k *. v.y; z = k *. v.z }
 let dot a b = (a.x *. b.x) +. (a.y *. b.y) +. (a.z *. b.z)
@@ -34,8 +33,10 @@ let elevation_deg ~ground ~sat =
   (* Elevation = 90 deg - zenith angle. *)
   90.0 -. (Float.acos (Float.min 1.0 (Float.max (-1.0) cos_zenith)) *. 180.0 /. Float.pi)
 
-let visible ?(min_elevation_deg = 25.0) ~ground ~sat () =
-  elevation_deg ~ground ~sat >= min_elevation_deg
+(* Starlink terminals' elevation mask, degrees. *)
+let elevation_mask_deg = 25.0
+
+let visible ~ground ~sat = elevation_deg ~ground ~sat >= elevation_mask_deg
 
 let great_circle_distance ~lat1 ~lon1 ~lat2 ~lon2 =
   let p1 = deg_to_rad lat1 and p2 = deg_to_rad lat2 in

@@ -6,8 +6,6 @@
 
 type vec3 = { x : float; y : float; z : float }
 
-val add : vec3 -> vec3 -> vec3
-val sub : vec3 -> vec3 -> vec3
 val scale : float -> vec3 -> vec3
 val dot : vec3 -> vec3 -> float
 val norm : vec3 -> float
@@ -18,9 +16,6 @@ val rot_z : float -> vec3 -> vec3
 
 val rot_x : float -> vec3 -> vec3
 
-val earth_rotation_rate : float
-(** rad/s (sidereal). *)
-
 val ground_position : lat_deg:float -> lon_deg:float -> time:float -> vec3
 (** ECI position of a point on the Earth's surface at [time] seconds
     (Earth rotation included). *)
@@ -28,8 +23,9 @@ val ground_position : lat_deg:float -> lon_deg:float -> time:float -> vec3
 val elevation_deg : ground:vec3 -> sat:vec3 -> float
 (** Elevation angle of [sat] above the local horizon at [ground]. *)
 
-val visible : ?min_elevation_deg:float -> ground:vec3 -> sat:vec3 -> unit -> bool
-(** Default minimum elevation: 25 degrees (Starlink terminals). *)
+val visible : ground:vec3 -> sat:vec3 -> bool
+(** [sat] is at least 25 degrees above [ground]'s horizon (the Starlink
+    terminals' elevation mask). *)
 
 val great_circle_distance : lat1:float -> lon1:float -> lat2:float -> lon2:float -> float
 (** Surface distance in meters between two lat/lon points (degrees). *)

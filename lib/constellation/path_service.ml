@@ -4,8 +4,7 @@ type hop = { distance : float; kind : link_kind }
 let ground_pos (c : Cities.t) ~time =
   Geo.ground_position ~lat_deg:c.Cities.lat ~lon_deg:c.Cities.lon ~time
 
-let route_with_isls w ~src ~dst ~time ?(min_elevation_deg = 25.0)
-    ?(gsl_policy = `Nearest) () =
+let route_with_isls w ~src ~dst ~time () =
   let n = Walker.count w in
   let g = Routing.create ~nodes:(n + 2) in
   let src_node = n and dst_node = n + 1 in
@@ -19,41 +18,31 @@ let route_with_isls w ~src ~dst ~time ?(min_elevation_deg = 25.0)
       (Walker.isl_neighbors w ~sat)
   done;
   let gp1 = ground_pos src ~time and gp2 = ground_pos dst ~time in
-  (match gsl_policy with
-  | `All_visible ->
-    (* GSLs to every visible satellite. *)
+  (* One GSL per ground station (the HYPATIA-style model), but offer the
+     few nearest visible satellites as candidates: a station's single
+     dish tracks one satellite, and routing decides which attachment
+     serves the path (the strictly-nearest satellite can be on a
+     grid-distant ascending/descending pass, which would send the route
+     half-way around the orbit). *)
+  let attach node gp =
+    let cands = ref [] in
     for sat = 0 to n - 1 do
-      if Geo.visible ~min_elevation_deg ~ground:gp1 ~sat:pos.(sat) () then
-        Routing.add_edge g src_node sat (Geo.distance gp1 pos.(sat));
-      if Geo.visible ~min_elevation_deg ~ground:gp2 ~sat:pos.(sat) () then
-        Routing.add_edge g dst_node sat (Geo.distance gp2 pos.(sat))
-    done
-  | `Nearest ->
-    (* One GSL per ground station (the HYPATIA-style model), but offer
-       the few nearest visible satellites as candidates: a station's
-       single dish tracks one satellite, and routing decides which
-       attachment serves the path (the strictly-nearest satellite can be
-       on a grid-distant ascending/descending pass, which would send the
-       route half-way around the orbit). *)
-    let attach node gp =
-      let cands = ref [] in
-      for sat = 0 to n - 1 do
-        if Geo.visible ~min_elevation_deg ~ground:gp ~sat:pos.(sat) () then
-          cands := (Geo.distance gp pos.(sat), sat) :: !cands
-      done;
-      let sorted =
-        List.sort
-          (fun (d1, s1) (d2, s2) ->
-            let c = Float.compare d1 d2 in
-            if c <> 0 then c else Int.compare s1 s2)
-          !cands
-      in
-      List.iteri
-        (fun i (d, sat) -> if i < 4 then Routing.add_edge g node sat d)
-        sorted
+      if Geo.visible ~ground:gp ~sat:pos.(sat) then
+        cands := (Geo.distance gp pos.(sat), sat) :: !cands
+    done;
+    let sorted =
+      List.sort
+        (fun (d1, s1) (d2, s2) ->
+          let c = Float.compare d1 d2 in
+          if c <> 0 then c else Int.compare s1 s2)
+        !cands
     in
-    attach src_node gp1;
-    attach dst_node gp2);
+    List.iteri
+      (fun i (d, sat) -> if i < 4 then Routing.add_edge g node sat d)
+      sorted
+  in
+  attach src_node gp1;
+  attach dst_node gp2;
   match Routing.dijkstra g ~src:src_node ~dst:dst_node with
   | None -> None
   | Some (path, _) ->
@@ -69,9 +58,9 @@ let route_with_isls w ~src ~dst ~time ?(min_elevation_deg = 25.0)
     in
     Some (hops path)
 
-let route_bent_pipe w ~src ~dst ~time ?(min_elevation_deg = 25.0) () =
+let route_bent_pipe w ~src ~dst ~time =
   let gp1 = ground_pos src ~time and gp2 = ground_pos dst ~time in
-  match Walker.common_visible w ~ground1:gp1 ~ground2:gp2 ~time ~min_elevation_deg () with
+  match Walker.common_visible w ~ground1:gp1 ~ground2:gp2 ~time with
   | None -> None
   | Some sat ->
     let pos = Walker.position w ~sat ~time in
@@ -112,7 +101,7 @@ module Memo = struct
       t.computes <- t.computes + 1;
       let r =
         if isls then route_with_isls t.walker ~src ~dst ~time ()
-        else route_bent_pipe t.walker ~src ~dst ~time ()
+        else route_bent_pipe t.walker ~src ~dst ~time
       in
       Hashtbl.replace t.table key r;
       r

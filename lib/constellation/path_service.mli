@@ -13,23 +13,19 @@ val route_with_isls :
   src:Cities.t ->
   dst:Cities.t ->
   time:float ->
-  ?min_elevation_deg:float ->
-  ?gsl_policy:[ `Nearest | `All_visible ] ->
   unit ->
   hop list option
 (** Shortest path src-ground -> (GSL) -> satellites (+grid ISLs) ->
-    (GSL) -> dst-ground, by total distance.  [`Nearest] (default, the
-    HYPATIA model the paper uses) gives each ground station a single GSL
-    to its closest visible satellite; [`All_visible] lets routing pick
-    any visible satellite. *)
+    (GSL) -> dst-ground, by total distance.  Each ground station gets a
+    single GSL (the HYPATIA model the paper uses), chosen by routing
+    among its four nearest satellites above the 25 degree elevation
+    mask ({!Geo.visible}). *)
 
 val route_bent_pipe :
   Walker.t ->
   src:Cities.t ->
   dst:Cities.t ->
   time:float ->
-  ?min_elevation_deg:float ->
-  unit ->
   hop list option
 (** The no-ISL network: up to a satellite visible from both cities and
     straight back down (2 GSL hops); [None] when no common satellite is

@@ -15,9 +15,6 @@ let add_edge g a b w =
   upsert a b;
   upsert b a
 
-let neighbors g u = g.adj.(u)
-let node_count g = g.n
-
 let dijkstra g ~src ~dst =
   let dist = Array.make g.n Float.infinity in
   let prev = Array.make g.n (-1) in

@@ -12,9 +12,6 @@ val create : nodes:int -> graph
 val add_edge : graph -> int -> int -> float -> unit
 (** Undirected, keeps the smaller weight on duplicates. *)
 
-val neighbors : graph -> int -> (int * float) list
-val node_count : graph -> int
-
 val dijkstra : graph -> src:int -> dst:int -> (int list * float) option
 (** Node path (inclusive of endpoints) and total weight. *)
 

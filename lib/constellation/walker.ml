@@ -25,7 +25,6 @@ let create p =
   in
   { p; radius; period }
 
-let params t = t.p
 let count t = t.p.planes * t.p.sats_per_plane
 let sat_id t s = (s.plane * t.p.sats_per_plane) + s.index
 
@@ -62,11 +61,11 @@ let isl_neighbors t ~sat =
     sat_id t { s with plane = (s.plane + np - 1) mod np };
   ]
 
-let nearest_visible t ~ground ~time ?(min_elevation_deg = 25.0) () =
+let nearest_visible t ~ground ~time =
   let best = ref None in
   for sat = 0 to count t - 1 do
     let pos = position t ~sat ~time in
-    if Geo.visible ~min_elevation_deg ~ground ~sat:pos () then begin
+    if Geo.visible ~ground ~sat:pos then begin
       let d = Geo.distance ground pos in
       match !best with
       | Some (_, bd) when bd <= d -> ()
@@ -75,13 +74,13 @@ let nearest_visible t ~ground ~time ?(min_elevation_deg = 25.0) () =
   done;
   Option.map fst !best
 
-let common_visible t ~ground1 ~ground2 ~time ?(min_elevation_deg = 25.0) () =
+let common_visible t ~ground1 ~ground2 ~time =
   let best = ref None in
   for sat = 0 to count t - 1 do
     let pos = position t ~sat ~time in
     if
-      Geo.visible ~min_elevation_deg ~ground:ground1 ~sat:pos ()
-      && Geo.visible ~min_elevation_deg ~ground:ground2 ~sat:pos ()
+      Geo.visible ~ground:ground1 ~sat:pos
+      && Geo.visible ~ground:ground2 ~sat:pos
     then begin
       let d = Geo.distance ground1 pos +. Geo.distance ground2 pos in
       match !best with

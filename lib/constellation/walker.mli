@@ -19,7 +19,6 @@ val starlink : params
 type t
 
 val create : params -> t
-val params : t -> params
 val count : t -> int
 
 type sat = { plane : int; index : int }
@@ -37,17 +36,14 @@ val isl_neighbors : t -> sat:int -> int list
 (** +grid: the two intra-plane neighbours and the same-index satellites
     of the two adjacent planes. *)
 
-val nearest_visible :
-  t -> ground:Geo.vec3 -> time:float -> ?min_elevation_deg:float -> unit -> int option
-(** Closest satellite above the elevation mask, if any. *)
+val nearest_visible : t -> ground:Geo.vec3 -> time:float -> int option
+(** Closest satellite above the elevation mask ({!Geo.visible}), if any. *)
 
 val common_visible :
   t ->
   ground1:Geo.vec3 ->
   ground2:Geo.vec3 ->
   time:float ->
-  ?min_elevation_deg:float ->
-  unit ->
   int option
 (** Satellite visible from both points minimizing the total bent-pipe
     distance (the no-ISL relay of §V-A's first network). *)

@@ -21,7 +21,6 @@ type key = int * int (* flow, block index *)
 type stats = {
   mutable hits : int;
   mutable misses : int;
-  mutable insertions : int;
   mutable evictions : int;
 }
 
@@ -41,7 +40,7 @@ let create ?(label = "cache") ~config () =
     blocks = Leotp_util.Lru.create ();
     meta_capacity = (config.Config.cache_block / config.Config.mss) + 2;
     used = 0;
-    stats = { hits = 0; misses = 0; insertions = 0; evictions = 0 };
+    stats = { hits = 0; misses = 0; evictions = 0 };
   }
 
 let trace_occupancy t =
@@ -103,7 +102,6 @@ let iter_blocks t ~flow ~lo ~hi f =
 
 let insert t ~flow ~lo ~hi ~first_sent ~retx =
   if hi > lo then begin
-    t.stats.insertions <- t.stats.insertions + 1;
     (* per-insert block-walk closure — one cell per cached Data, dwarfed
        by the interval-set and LRU updates the insert performs anyway *)
     iter_blocks t ~flow ~lo ~hi

@@ -14,7 +14,6 @@ type t
 type stats = {
   mutable hits : int;
   mutable misses : int;
-  mutable insertions : int;
   mutable evictions : int;
 }
 

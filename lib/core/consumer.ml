@@ -407,10 +407,6 @@ let start t =
 let complete t = t.completed
 let received_bytes t = Interval_set.cardinal t.received
 let delivered_prefix t = t.prefix
-let outstanding_bytes t = t.outstanding_bytes
-let cwnd t = Hop_cc.cwnd t.cc
-let hop_rtt t = Hop_cc.hop_rtt t.cc
-let metrics t = t.metrics
 let interests_sent t = t.interests_sent
 let interest_retx t = t.interest_retx
 

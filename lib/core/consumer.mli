@@ -35,10 +35,6 @@ val received_bytes : t -> int
 val delivered_prefix : t -> int
 (** Length of the contiguous in-order prefix delivered so far. *)
 
-val outstanding_bytes : t -> int
-val cwnd : t -> float
-val hop_rtt : t -> float option
-val metrics : t -> Leotp_net.Flow_metrics.t
 val interests_sent : t -> int
 val interest_retx : t -> int
 val stop : t -> unit

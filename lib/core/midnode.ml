@@ -38,7 +38,6 @@ type t = {
   flows : (int, flow_state) Hashtbl.t;
   mutable pit_blocked : int;
   mutable crashed : bool;
-  mutable crash_count : int;
 }
 
 (* Allocates only on the first packet of a flow (the miss arm builds the
@@ -282,7 +281,6 @@ let create engine ~config ~node () =
       flows = Hashtbl.create 8;
       pit_blocked = 0;
       crashed = false;
-      crash_count = 0;
     }
   in
   Node.set_handler node (fun ~from pkt -> handler t ~from pkt);
@@ -296,7 +294,6 @@ let create engine ~config ~node () =
 let crash t =
   if not t.crashed then begin
     t.crashed <- true;
-    t.crash_count <- t.crash_count + 1;
     (* Order-insensitive: each per-flow buffer is cleared independently
        and no event or trace record is emitted per entry. *)
     (Hashtbl.iter [@leotp.allow "ordered-iteration"])
@@ -313,9 +310,6 @@ let restart t =
     t.crashed <- false;
     Node.set_handler t.node (fun ~from pkt -> handler t ~from pkt)
   end
-
-let crashed t = t.crashed
-let crash_count t = t.crash_count
 
 let sweep_pit t ~now = Pit.expire_before t.pit ~now
 

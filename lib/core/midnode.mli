@@ -40,9 +40,6 @@ val crash : t -> unit
 val restart : t -> unit
 (** Re-install the intercepting handler with cold state. *)
 
-val crashed : t -> bool
-val crash_count : t -> int
-
 val sweep_pit : t -> now:float -> unit
 (** Expire stale PIT entries (end-of-run cleanup for the invariant
     checker; also happens amortized during operation). *)

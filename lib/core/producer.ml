@@ -18,8 +18,6 @@ type t = {
   mutable last_req_owd : float;  (** latest Interest OWD on the last hop *)
   mutable pending : (int * int * int) list;
       (** (lo, hi, consumer) requests beyond the available prefix *)
-  mutable interests_received : int;
-  mutable retransmissions : int;
 }
 
 let create engine ~config ~node ~flow ?total_bytes ?available ?metrics () =
@@ -58,8 +56,6 @@ let create engine ~config ~node ~flow ?total_bytes ?available ?metrics () =
       first_sent = IntMap.empty;
       last_req_owd = 0.0;
       pending = [];
-      interests_received = 0;
-      retransmissions = 0;
     }
   in
   t_ref := Some t;
@@ -84,7 +80,6 @@ let rec serve_chunks t ~now ~consumer ~lo:range_lo ~hi =
     let first_sent, retx =
       (match IntMap.find_opt lo t.first_sent with
       | Some ts ->
-        t.retransmissions <- t.retransmissions + 1;
         Leotp_net.Flow_metrics.on_retransmit t.metrics;
         (ts, true)
       | None ->
@@ -125,7 +120,6 @@ let notify_data_available t =
 (* Terminal handler: the Interest dies here whether or not it matches. *)
 let handle_interest t pkt =
   if Wire.is_interest pkt && pkt.Packet.flow = t.flow then begin
-    t.interests_received <- t.interests_received + 1;
     let now = Engine.now t.engine in
     let req_owd = Float.max 0.0 (now -. Wire.timestamp pkt) in
     t.last_req_owd <- req_owd;
@@ -140,10 +134,3 @@ let handle_interest t pkt =
 let stop t =
   Send_buffer.clear t.buffer;
   t.pending <- []
-
-let buffer_len t = Send_buffer.len t.buffer
-let metrics t = t.metrics
-let interests_received t = t.interests_received
-let retransmissions t = t.retransmissions
-
-let buffer_rate t = Send_buffer.rate t.buffer

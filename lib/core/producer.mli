@@ -35,11 +35,3 @@ val stop : t -> unit
     callers normally unwire the handler at the same time. *)
 
 val handle_interest : t -> Leotp_net.Packet.t -> unit
-val buffer_len : t -> int
-val metrics : t -> Leotp_net.Flow_metrics.t
-val interests_received : t -> int
-val retransmissions : t -> int
-
-(**/**)
-
-val buffer_rate : t -> float

@@ -107,7 +107,6 @@ let set_rate t r =
 
 let rate t = Leotp_util.Token_bucket.rate t.bucket
 let len t = t.queued_bytes
-let packets t = Pkt_queue.length t.queue
 let drops t = t.drops
 
 let clear t =

@@ -26,7 +26,6 @@ val rate : t -> float
 val len : t -> int
 (** queued bytes *)
 
-val packets : t -> int
 val drops : t -> int
 
 val clear : t -> unit

@@ -25,7 +25,6 @@
 
 module Packet = Leotp_net.Packet
 module Pool = Leotp_net.Packet_pool
-module Codec = Leotp_net.Codec
 
 (* Kind registry: net reserves 0 (raw); LEOTP takes 1-2, TCP takes 3-4
    (lib/tcp/wire.ml) — distinct because gateway nodes carry both. *)
@@ -100,61 +99,3 @@ let reoriginate_interest p ~timestamp ~send_rate =
   Packet.assign_fresh_id p;
   p.Packet.f.(0) <- timestamp;
   p.Packet.f.(1) <- send_rate
-
-(* ------------------------------------------------------------------ *)
-(* Cursor codecs: the byte serialization of each kind.  Decode fills a
-   caller-owned (pool-acquired) record so the pair is allocation-free. *)
-
-let header_encoded_size = 1 + (4 * 8)  (* kind tag + src/dst/flow/size *)
-let interest_encoded_size = header_encoded_size + (2 * 8) + (2 * 8) + 1
-let data_encoded_size = header_encoded_size + (3 * 8) + (3 * 8) + 1
-
-let encode_header w (p : Packet.t) =
-  Codec.w_u8 w p.Packet.kind;
-  Codec.w_int w p.Packet.src;
-  Codec.w_int w p.Packet.dst;
-  Codec.w_int w p.Packet.flow;
-  Codec.w_int w p.Packet.size
-
-let decode_header r (p : Packet.t) =
-  p.Packet.kind <- Codec.r_u8 r;
-  p.Packet.src <- Codec.r_int r;
-  p.Packet.dst <- Codec.r_int r;
-  p.Packet.flow <- Codec.r_int r;
-  p.Packet.size <- Codec.r_int r
-
-let encode_interest w (p : Packet.t) =
-  encode_header w p;
-  Codec.w_int w p.Packet.i0;
-  Codec.w_int w p.Packet.i1;
-  Codec.w_float w p.Packet.f.(0);
-  Codec.w_float w p.Packet.f.(1);
-  Codec.w_bool w (retx p)
-
-let decode_interest r (p : Packet.t) =
-  decode_header r p;
-  p.Packet.i0 <- Codec.r_int r;
-  p.Packet.i1 <- Codec.r_int r;
-  p.Packet.f.(0) <- Codec.r_float r;
-  p.Packet.f.(1) <- Codec.r_float r;
-  Packet.set_flag p Packet.flag_retx (Codec.r_bool r)
-
-let encode_data w (p : Packet.t) =
-  encode_header w p;
-  Codec.w_int w p.Packet.i0;
-  Codec.w_int w p.Packet.i1;
-  Codec.w_int w p.Packet.i2;
-  Codec.w_float w p.Packet.f.(0);
-  Codec.w_float w p.Packet.f.(1);
-  Codec.w_float w p.Packet.f.(2);
-  Codec.w_bool w (retx p)
-
-let decode_data r (p : Packet.t) =
-  decode_header r p;
-  p.Packet.i0 <- Codec.r_int r;
-  p.Packet.i1 <- Codec.r_int r;
-  p.Packet.i2 <- Codec.r_int r;
-  p.Packet.f.(0) <- Codec.r_float r;
-  p.Packet.f.(1) <- Codec.r_float r;
-  p.Packet.f.(2) <- Codec.r_float r;
-  Packet.set_flag p Packet.flag_retx (Codec.r_bool r)

@@ -9,7 +9,6 @@ type t = {
   consumer : Leotp.Consumer.t;
   tcp_out : Leotp_tcp.Sender.t;
   rx_out : Leotp_tcp.Receiver.t;
-  m_in : Flow_metrics.t;
   m_leotp : Flow_metrics.t;
   m_out : Flow_metrics.t;
   completed : bool ref;
@@ -109,7 +108,6 @@ let create engine ~config ~tcp_cc ~sender_node ~ingress_node ~egress_node
     consumer;
     tcp_out;
     rx_out;
-    m_in;
     m_leotp;
     m_out;
     completed;
@@ -121,7 +119,6 @@ let start t =
   Leotp_tcp.Sender.start t.tcp_out
 
 let complete t = !(t.completed)
-let tcp_in_metrics t = t.m_in
 let leotp_metrics t = t.m_leotp
 let tcp_out_metrics t = t.m_out
 

@@ -39,9 +39,6 @@ val create :
 val start : t -> unit
 val complete : t -> bool
 
-val tcp_in_metrics : t -> Leotp_net.Flow_metrics.t
-(** Terrestrial leg into the ingress gateway. *)
-
 val leotp_metrics : t -> Leotp_net.Flow_metrics.t
 (** Satellite segment. *)
 

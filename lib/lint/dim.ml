@@ -215,7 +215,6 @@ let seeds =
     { s_fn = "Engine.schedule_at"; s_args = [ (Lbl "time", Base Seconds) ]; s_ret = None };
     { s_fn = "Engine.every"; s_args = [ (Lbl "period", Base Seconds); (Lbl "start", Base Seconds) ]; s_ret = None };
     { s_fn = "Engine.run"; s_args = [ (Lbl "until", Base Seconds) ]; s_ret = None };
-    { s_fn = "Engine.run_slice"; s_args = [ (Lbl "until", Base Seconds) ]; s_ret = None };
     (* Links and bandwidth processes. *)
     { s_fn = "Link.create"; s_args = [ (Lbl "delay", Base Seconds) ]; s_ret = None };
     { s_fn = "Link.delay"; s_args = []; s_ret = Some (Base Seconds) };
@@ -233,7 +232,7 @@ let seeds =
     { s_fn = "Bandwidth.mean_over"; s_args = [ (Lbl "t_end", Base Seconds) ]; s_ret = Some bps };
     (* RTO estimation (RFC 6298): everything is seconds. *)
     { s_fn = "Rto.create";
-      s_args = [ (Lbl "initial_rto", Base Seconds); (Lbl "min_rto", Base Seconds); (Lbl "max_rto", Base Seconds) ];
+      s_args = [ (Lbl "min_rto", Base Seconds); (Lbl "max_rto", Base Seconds) ];
       s_ret = None };
     { s_fn = "Rto.observe"; s_args = [ (Pos 1, Base Seconds) ]; s_ret = None };
     { s_fn = "Rto.rto"; s_args = []; s_ret = Some (Base Seconds) };

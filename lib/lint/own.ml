@@ -147,7 +147,6 @@ let is_wall_clock = ends_with_any wall_clock_fns
 let hot_root_defs =
   [
     "Engine.step";
-    "Engine.run_slice";
     "Shr.on_packet";
     "Seg_store.iter";
     "Seg_store.iter_from_while";

@@ -506,12 +506,12 @@ let missing_interface =
    record.  Direct allocation via [Packet.blank] bypasses the free list,
    and [Packet.assign_fresh_id] consumes a fresh id — the deterministic
    id sequence that --jobs N bit-identity rests on — so both are
-   restricted to the packet/pool/codec layer itself.  The file allowlist
+   restricted to the packet/pool/wire layer itself.  The file allowlist
    keys on the location's filename (the engine parses with the real path),
    so the rule needs no plumbing through [applies]. *)
 
 let hot_path_sanctioned_files =
-  [ "packet.ml"; "packet_pool.ml"; "codec.ml"; "wire.ml" ]
+  [ "packet.ml"; "packet_pool.ml"; "wire.ml" ]
 
 let hot_path_banned =
   let blank_msg =

@@ -1,25 +1,19 @@
 type hop_state = { delay : float; bandwidth : Bandwidth.t; plr : float }
 type snapshot = hop_state array
 
-type epsilons = { delay_eps : float; bw_eps : float; plr_eps : float }
-
-(* Delay: 50 us ~ 15 km of path change, well above numeric jitter and
-   well below any real handover.  Bandwidth: 4 Mbps, so the paper's
-   per-second +/-0.5 Mbps bias and the 1.5 Mbps/s handover "V" slope do
-   not read as switches while a 10 -> 20 Mbps hop swap does.  Plr: GSL
-   (1%) vs ISL (0.1%) hop substitutions are above it. *)
-let default_epsilons =
-  {
-    delay_eps = 50e-6;
-    bw_eps = Leotp_util.Units.mbps_to_bytes_per_sec 4.0;
-    plr_eps = 5e-3;
-  }
+(* Switch thresholds.  Delay: 50 us ~ 15 km of path change, well above
+   numeric jitter and well below any real handover.  Bandwidth: 4 Mbps,
+   so the paper's per-second +/-0.5 Mbps bias and the 1.5 Mbps/s handover
+   "V" slope do not read as switches while a 10 -> 20 Mbps hop swap does.
+   Plr: GSL (1%) vs ISL (0.1%) hop substitutions are above it. *)
+let delay_eps = 50e-6
+let bw_eps = Leotp_util.Units.mbps_to_bytes_per_sec 4.0
+let plr_eps = 5e-3
 
 type t = {
   engine : Leotp_sim.Engine.t;
   chain : Topology.chain;
   max_hops : int;
-  eps : epsilons;
   mutable active_hops : int;
   mutable switch_count : int;
 }
@@ -29,31 +23,22 @@ type t = {
 let pass_through_delay = 20e-6
 let pass_through_bw = Bandwidth.constant_mbps 10_000.0
 
-let to_spec ?(buffer_bytes = 256 * 1024) (h : hop_state) =
-  Topology.hop ~plr:h.plr ~buffer_bytes ~bandwidth:h.bandwidth ~delay:h.delay
-    ()
+let to_spec (h : hop_state) =
+  Topology.hop ~plr:h.plr ~bandwidth:h.bandwidth ~delay:h.delay ()
 
-let create engine ~rng ~max_hops ~initial ?(buffer_bytes = 256 * 1024)
-    ?switch_epsilon ?(epsilons = default_epsilons) () =
+let create engine ~rng ~max_hops ~initial () =
   assert (Array.length initial <= max_hops);
-  let eps =
-    match switch_epsilon with
-    | None -> epsilons
-    | Some d -> { epsilons with delay_eps = d }
-  in
   let specs =
     Array.init max_hops (fun i ->
-        if i < Array.length initial then to_spec ~buffer_bytes initial.(i)
+        if i < Array.length initial then to_spec initial.(i)
         else
-          Topology.hop ~buffer_bytes ~bandwidth:pass_through_bw
-            ~delay:pass_through_delay ())
+          Topology.hop ~bandwidth:pass_through_bw ~delay:pass_through_delay ())
   in
   let chain = Topology.chain engine ~rng specs in
   {
     engine;
     chain;
     max_hops;
-    eps;
     active_hops = Array.length initial;
     switch_count = 0;
   }
@@ -63,11 +48,11 @@ let chain t = t.chain
 (* A switch is any above-epsilon change in *any* dimension: a handover
    that keeps the delay but lands on a different-rate (or lossier) link
    must still flush in-flight packets and count in [switch_count]. *)
-let update_link link ~delay ~bandwidth ~plr ~eps =
+let update_link link ~delay ~bandwidth ~plr =
   let changed =
-    Float.abs (Link.delay link -. delay) > eps.delay_eps
-    || not (Bandwidth.approx_equal ~epsilon:eps.bw_eps (Link.bandwidth link) bandwidth)
-    || Float.abs (Link.plr link -. plr) > eps.plr_eps
+    Float.abs (Link.delay link -. delay) > delay_eps
+    || not (Bandwidth.approx_equal ~epsilon:bw_eps (Link.bandwidth link) bandwidth)
+    || Float.abs (Link.plr link -. plr) > plr_eps
   in
   Link.set_delay link delay;
   Link.set_bandwidth link bandwidth;
@@ -87,10 +72,10 @@ let apply t snapshot =
       else (pass_through_delay, pass_through_bw, 0.0)
     in
     let d = t.chain.Topology.hops.(i) in
-    let c1 = update_link d.Topology.fwd ~delay ~bandwidth ~plr ~eps:t.eps in
+    let c1 = update_link d.Topology.fwd ~delay ~bandwidth ~plr in
     (* The reverse direction keeps the same delay/plr; its bandwidth is the
        forward one too (Interest/ACK traffic is tiny). *)
-    let c2 = update_link d.Topology.rev ~delay ~bandwidth ~plr ~eps:t.eps in
+    let c2 = update_link d.Topology.rev ~delay ~bandwidth ~plr in
     if c1 || c2 then any_switch := true
   done;
   t.active_hops <- n;

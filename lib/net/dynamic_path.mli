@@ -7,13 +7,16 @@
     change — which is exactly the property LEOTP's connectionless design
     exploits, while TCP endpoints simply observe a changed end-to-end path.
 
-    Any hop that changes by more than the per-dimension epsilons — delay,
-    bandwidth or loss rate — is flushed: queued and in-flight packets are
-    dropped, reproducing the paper's "link switching causes inevitable
-    packet loss" (§V-B).  Besides explicit snapshot lists, a path can
-    replay a recorded {!Path_trace} timeline, including its outage
-    windows (chain-wide link-down intervals through the
-    {!Leotp_sim.Fault} plumbing). *)
+    Any hop that changes by more than a per-dimension epsilon — 50 us of
+    delay, 4 Mbps of bandwidth or 5e-3 of loss rate — is flushed: queued
+    and in-flight packets are dropped, reproducing the paper's "link
+    switching causes inevitable packet loss" (§V-B).  The thresholds are
+    tight enough to catch any real handover, loose enough that the
+    paper's per-second bandwidth bias and handover "V" ramps do not read
+    as switches.  Besides explicit snapshot lists, a path can replay a
+    recorded {!Path_trace} timeline, including its outage windows
+    (chain-wide link-down intervals through the {!Leotp_sim.Fault}
+    plumbing). *)
 
 type hop_state = {
   delay : float;
@@ -24,19 +27,6 @@ type hop_state = {
 type snapshot = hop_state array
 (** Active hops, source side first; length <= max hops of the chain. *)
 
-type epsilons = {
-  delay_eps : float;  (** seconds *)
-  bw_eps : float;  (** bytes/second (see {!Bandwidth.approx_equal}) *)
-  plr_eps : float;  (** absolute loss-probability delta *)
-}
-(** A reconfiguration counts as a switch (and flushes the hop) when any
-    dimension moves by more than its epsilon. *)
-
-val default_epsilons : epsilons
-(** 50 us delay, 4 Mbps bandwidth, 5e-3 plr: tight enough to catch any
-    real handover, loose enough that the paper's per-second bandwidth
-    bias and handover "V" ramps do not read as switches. *)
-
 type t
 
 val create :
@@ -44,13 +34,10 @@ val create :
   rng:Leotp_util.Rng.t ->
   max_hops:int ->
   initial:snapshot ->
-  ?buffer_bytes:int ->
-  ?switch_epsilon:float ->
-  ?epsilons:epsilons ->
   unit ->
   t
-(** Default epsilons {!default_epsilons}; [switch_epsilon] overrides the
-    delay component only (the pre-trace API).  Default buffer 256 KB. *)
+(** A chain of [max_hops] hops, each with a 256 KB drop-tail buffer;
+    hops past [initial] start as pass-through. *)
 
 val chain : t -> Topology.chain
 val apply : t -> snapshot -> unit

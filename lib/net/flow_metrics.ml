@@ -23,7 +23,6 @@ let create ~flow =
     finished = None;
   }
 
-let flow t = t.flow
 let on_send t ~bytes = t.wire_bytes_sent <- t.wire_bytes_sent + bytes
 let on_retransmit t = t.retransmissions <- t.retransmissions + 1
 
@@ -41,8 +40,6 @@ let retransmissions t = t.retransmissions
 let owd t = t.owd
 let retx_owd t = t.retx_owd
 let delivery t = t.delivery
-let started t = t.started
-let finished t = t.finished
 
 let completion_time t =
   match t.finished with Some f -> Some (f -. t.started) | None -> None
@@ -50,9 +47,3 @@ let completion_time t =
 let goodput t ~lo ~hi =
   if hi <= lo then 0.0
   else Leotp_util.Timeseries.window_sum t.delivery ~lo ~hi /. (hi -. lo)
-
-let mean_throughput_mbps t ~duration =
-  if duration <= 0.0 then 0.0
-  else
-    Leotp_util.Units.bytes_per_sec_to_mbps
-      (float_of_int t.app_bytes /. duration)

@@ -10,7 +10,6 @@
 type t
 
 val create : flow:int -> t
-val flow : t -> int
 
 val on_send : t -> bytes:int -> unit
 (** Origin sender put [bytes] on the wire (including retransmissions). *)
@@ -29,11 +28,7 @@ val retransmissions : t -> int
 val owd : t -> Leotp_util.Stats.t
 val retx_owd : t -> Leotp_util.Stats.t
 val delivery : t -> Leotp_util.Timeseries.t
-val started : t -> float
-val finished : t -> float option
 
 val completion_time : t -> float option
 val goodput : t -> lo:float -> hi:float -> float
 (** Application bytes/second delivered in the window. *)
-
-val mean_throughput_mbps : t -> duration:float -> float

@@ -69,9 +69,6 @@ let create engine ~name ~src ~dst ~bandwidth ~delay ?(plr = 0.0)
   }
 
 let set_sink t sink = t.sink <- sink
-let src t = t.src
-let dst t = t.dst
-let name t = t.name
 let delay t = t.delay
 let set_delay t d = t.delay <- d
 let plr t = t.plr
@@ -84,7 +81,6 @@ let queue_bytes t = t.queued_bytes
 let queued_packets t = Pkt_queue.length t.queue
 let in_flight t = t.in_flight
 let stats t = t.stats
-let up t = t.up
 let set_dup_prob t p = t.dup_prob <- p
 
 let set_reorder t ~prob ~jitter =

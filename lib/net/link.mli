@@ -45,9 +45,6 @@ val send : t -> Packet.t -> unit
 
 val flush : t -> unit
 
-val src : t -> int
-val dst : t -> int
-val name : t -> string
 val delay : t -> float
 val set_delay : t -> float -> unit
 val plr : t -> float
@@ -66,7 +63,6 @@ val in_flight : t -> int
 (** Packets taken off the queue whose delivery or drop has not resolved
     yet (serializing or propagating). *)
 
-val up : t -> bool
 val set_up : t -> bool -> unit
 (** Taking a link down flushes queued and in-flight packets and drops
     everything offered until it comes back up ([drops_down]). *)

@@ -35,7 +35,6 @@ let id t = t.id
 let name t = t.name
 let add_route t ~dst link = Hashtbl.replace t.routes dst link
 let remove_route t ~dst = Hashtbl.remove t.routes dst
-let route_to t ~dst = Hashtbl.find_opt t.routes dst
 let clear_routes t = Hashtbl.reset t.routes
 let set_handler t h = t.handler <- h
 let receive t ~from pkt = t.handler ~from pkt

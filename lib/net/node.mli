@@ -24,7 +24,6 @@ val remove_route : t -> dst:int -> unit
     this to unwire per-flow entries from shared gateway nodes; packets
     still in flight toward [dst] then die as {!no_route_drops}. *)
 
-val route_to : t -> dst:int -> Link.t option
 val clear_routes : t -> unit
 
 val set_handler : t -> (from:int -> Packet.t -> unit) -> unit

@@ -97,6 +97,3 @@ let assign_fresh_id t =
 
 let reset_ids () = Domain.DLS.get counter := 0
 let created_on_domain () = !(Domain.DLS.get created)
-
-let pp ppf t =
-  Format.fprintf ppf "#%d flow=%d %d->%d %dB" t.id t.flow t.src t.dst t.size

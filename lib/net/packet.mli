@@ -3,7 +3,7 @@
     A packet's payload lives inline in fixed slots — [kind] selects the
     layout (int fields in [i0]..[i7], floats in [f], flags bits in
     [flags]); the owning wire module documents and owns each layout and
-    provides the cursor codecs.  Records come from {!Packet_pool} and are
+    its constructors.  Records come from {!Packet_pool} and are
     released back to it at every sink, so the steady-state hot path
     allocates nothing per packet.  [size] is the total on-wire size in
     bytes and is what links charge for serialization and queue
@@ -64,5 +64,3 @@ val created_on_domain : unit -> int
 (** Lifetime count of logical packets created on the calling domain.
     Not affected by {!reset_ids}; the bench runner reads deltas around
     each job for per-packet allocation accounting. *)
-
-val pp : Format.formatter -> t -> unit

@@ -67,8 +67,6 @@ let poison (p : Packet.t) =
   done;
   p.Packet.str <- "\xde\xad"
 
-let free_count () = (Domain.DLS.get pool).len
-
 let release (p : Packet.t) =
   if Packet.get_flag p Packet.flag_free then begin
     (* Already in the free list: releasing again would alias the record

@@ -37,9 +37,6 @@ val debug_enabled : unit -> bool
 val poison_int : int
 val poison_float : float
 
-val free_count : unit -> int
-(** Records currently in this domain's free list (tests). *)
-
 val live_count : unit -> int
 (** Packets acquired (or cloned) on this domain and not yet released.
     Leak checks snapshot this before a run and assert a zero delta after

@@ -14,6 +14,7 @@ type meta = {
 
 type t = { meta : meta; records : record list }
 
+(* Schema version this writer emits and the parser accepts. *)
 let version = 1
 let schema_name = "TRACE_PATH"
 

@@ -1,22 +1,20 @@
 type hop_spec = {
   bandwidth : Bandwidth.t;
-  rev_bandwidth : Bandwidth.t option;
   delay : float;
   plr : float;
   buffer_bytes : int;
 }
 
-let hop ?rev_bandwidth ?(plr = 0.0) ?(buffer_bytes = 256 * 1024) ~bandwidth
-    ~delay () =
-  { bandwidth; rev_bandwidth; delay; plr; buffer_bytes }
+let hop ?(plr = 0.0) ?(buffer_bytes = 256 * 1024) ~bandwidth ~delay () =
+  { bandwidth; delay; plr; buffer_bytes }
 
 type duplex = { fwd : Link.t; rev : Link.t }
 
 let connect engine ~rng a b spec =
-  let mk ~name ~src_node ~dst_node ~bandwidth =
+  let mk ~name ~src_node ~dst_node =
     let link =
       Link.create engine ~name ~src:(Node.id src_node) ~dst:(Node.id dst_node)
-        ~bandwidth ~delay:spec.delay ~plr:spec.plr
+        ~bandwidth:spec.bandwidth ~delay:spec.delay ~plr:spec.plr
         ~buffer_bytes:spec.buffer_bytes
         ~rng:(Leotp_util.Rng.substream rng name)
         ()
@@ -28,15 +26,12 @@ let connect engine ~rng a b spec =
   let fwd =
     mk
       ~name:(Printf.sprintf "%s->%s" (Node.name a) (Node.name b))
-      ~src_node:a ~dst_node:b ~bandwidth:spec.bandwidth
-  in
-  let rev_bw =
-    match spec.rev_bandwidth with Some b -> b | None -> spec.bandwidth
+      ~src_node:a ~dst_node:b
   in
   let rev =
     mk
       ~name:(Printf.sprintf "%s->%s" (Node.name b) (Node.name a))
-      ~src_node:b ~dst_node:a ~bandwidth:rev_bw
+      ~src_node:b ~dst_node:a
   in
   { fwd; rev }
 

@@ -1,26 +1,24 @@
 (** Topology builders: wiring nodes and duplex links.
 
-    A "hop" is a duplex link pair.  [hop_spec] gives the forward-direction
-    bandwidth; the reverse direction gets [rev_bandwidth] (defaults to the
-    forward bandwidth) — the paper's scenarios are single-direction bulk
+    A "hop" is a duplex link pair; both directions get the same
+    bandwidth — the paper's scenarios are single-direction bulk
     transfers, with the reverse path carrying only Interests / ACKs. *)
 
 type hop_spec = {
-  bandwidth : Bandwidth.t;
-  rev_bandwidth : Bandwidth.t option;
+  bandwidth : Bandwidth.t;  (** each direction *)
   delay : float;  (** one-way propagation, seconds *)
   plr : float;
   buffer_bytes : int;
 }
 
 val hop :
-  ?rev_bandwidth:Bandwidth.t ->
   ?plr:float ->
   ?buffer_bytes:int ->
   bandwidth:Bandwidth.t ->
   delay:float ->
   unit ->
   hop_spec
+(** Defaults: no loss, a 256 KB drop-tail buffer per direction. *)
 
 type duplex = { fwd : Link.t; rev : Link.t }
 

@@ -190,7 +190,6 @@ let create ?(capacity = 65536) ?(digesting = true) () =
     sinks = [];
   }
 
-let set_clock t f = t.clock <- f
 let add_sink t sink = t.sinks <- t.sinks @ [ sink ]
 
 (* Domain-local recorder, mirroring the Packet/Node id counters so that

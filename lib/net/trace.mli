@@ -92,17 +92,8 @@ val create : ?capacity:int -> ?digesting:bool -> unit -> t
     [digesting:false] skips the per-record hash (for sink-only recorders,
     e.g. pure invariant checking); {!digest} then stays at the seed. *)
 
-val set_clock : t -> (unit -> float) -> unit
-(** Timestamp source, normally [fun () -> Engine.now engine]. *)
-
 val add_sink : t -> (record -> unit) -> unit
 (** Live callback per record (e.g. an invariant checker). *)
-
-val install : t -> unit
-(** Make [t] the current domain's recorder. *)
-
-val uninstall : unit -> unit
-val installed : unit -> t option
 
 val on : unit -> bool
 (** [true] iff a recorder is installed on this domain; guard for emit

@@ -277,14 +277,8 @@ let run_flow ?bytes ?(faults = []) ?trace ?on_reports ?links ?label ~engine
     ~floor ~warmup ~duration ()
 
 let run_chain ?(seed = 42) ?bytes ?(duration = 60.0) ?(warmup = 10.0)
-    ?bottleneck ?(bandwidth_schedule = []) ?faults ?trace ?on_reports ~hops
-    protocol =
+    ?(bandwidth_schedule = []) ?faults ?trace ?on_reports ~hops protocol =
   let engine, rng = fresh_engine ~seed in
-  let hops =
-    match bottleneck with
-    | None -> hops
-    | Some (idx, p) -> List.mapi (fun i h -> if i = idx then p else h) hops
-  in
   let chain = Topology.chain engine ~rng (Array.of_list (List.map to_spec hops)) in
   List.iter
     (fun (idx, bw) ->

@@ -104,7 +104,6 @@ val run_chain :
   ?bytes:int ->
   ?duration:float ->
   ?warmup:float ->
-  ?bottleneck:int * link_params ->
   ?bandwidth_schedule:(int * Leotp_net.Bandwidth.t) list ->
   ?faults:Leotp_sim.Fault.schedule ->
   ?trace:Leotp_net.Trace.t ->
@@ -114,10 +113,10 @@ val run_chain :
   summary
 (** Run one flow over a chain of [hops].  [bytes] = fixed transfer (the
     run ends at completion or [duration]); omitted = bulk flow measured
-    over [warmup, duration).  [bottleneck] replaces hop [i]'s parameters;
-    [bandwidth_schedule] overrides the bandwidth model of selected hops
-    (e.g. square-wave bottlenecks).  Propagation floor for the queuing
-    statistic is the sum of hop delays.
+    over [warmup, duration).  [bandwidth_schedule] overrides the
+    bandwidth model of selected hops (e.g. square-wave bottlenecks).
+    Propagation floor for the queuing statistic is the sum of hop
+    delays.
 
     [faults] installs a {!Leotp_sim.Fault} schedule: [Hop i] targets the
     chain's hop [i mod n] (both directions), [Mid k] the session's

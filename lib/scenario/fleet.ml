@@ -52,7 +52,6 @@ type spec = {
   isl_plr : float;
   retire_grace : float;
   drain : float;
-  batch : int;
 }
 
 let default =
@@ -69,7 +68,6 @@ let default =
     isl_plr = 0.001;
     retire_grace = 2.0;
     drain = 120.0;
-    batch = 4096;
   }
 
 type shard_stats = {
@@ -81,7 +79,6 @@ type shard_stats = {
   bytes_delivered : int;
   packets : int;
   events : int;
-  slices : int;
   flow_sim_seconds : float;
   sim_end : float;
   route_queries : int;
@@ -158,7 +155,6 @@ type shard_state = {
   mutable bytes_delivered : int;
   mutable flow_sim_seconds : float;
   mutable peak_active : int;
-  mutable slices : int;
 }
 
 let access_delay = 0.0005
@@ -341,15 +337,6 @@ let admit st (a : Workload.arrival) =
     st.started <- st.started + 1;
     st.peak_active <- max st.peak_active (Hashtbl.length st.flows)
 
-let pump st ~until =
-  let continue = ref true in
-  while !continue do
-    st.slices <- st.slices + 1;
-    match Engine.run_slice ~max_events:st.spec.batch st.engine ~until with
-    | `Events -> ()
-    | `Until | `Quiescent -> continue := false
-  done
-
 let active_flows st =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) st.flows [])
 
@@ -382,7 +369,6 @@ let run_shard spec ~shard ~arrivals () =
       bytes_delivered = 0;
       flow_sim_seconds = 0.0;
       peak_active = 0;
-      slices = 0;
     }
   in
   let recorder = Trace.create ~capacity:1 ~digesting:true () in
@@ -395,16 +381,16 @@ let run_shard spec ~shard ~arrivals () =
     (fun () ->
       List.iter
         (fun (a : Workload.arrival) ->
-          pump st ~until:a.Workload.at;
+          Engine.run engine ~until:a.Workload.at;
           admit st a)
         arrivals;
-      pump st ~until:(spec.workload.Workload.horizon +. spec.drain);
+      Engine.run engine ~until:(spec.workload.Workload.horizon +. spec.drain);
       (* Stragglers: stop and retire whatever is still running, then
          flush every link and let the epoch-stale deliveries drain so
          all pooled packets come home. *)
       List.iter (retire st) (active_flows st);
       List.iter Link.flush (List.rev st.links);
-      pump st ~until:(Engine.now engine +. spec.retire_grace +. 1.0);
+      Engine.run engine ~until:(Engine.now engine +. spec.retire_grace +. 1.0);
       let now = Engine.now engine in
       Array.iter
         (function
@@ -437,7 +423,6 @@ let run_shard spec ~shard ~arrivals () =
     bytes_delivered = st.bytes_delivered;
     packets = Packet.created_on_domain () - packets0;
     events = Engine.events_processed engine;
-    slices = st.slices;
     flow_sim_seconds = st.flow_sim_seconds;
     sim_end = Engine.now engine;
     route_queries = Path_service.Memo.queries st.memo;

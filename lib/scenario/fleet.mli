@@ -28,7 +28,6 @@ type spec = {
   isl_plr : float;
   retire_grace : float;  (** completion -> slot reclaim delay, seconds *)
   drain : float;  (** extra sim time after the last arrival *)
-  batch : int;  (** engine events per {!Leotp_sim.Engine.run_slice} *)
 }
 
 val default : spec
@@ -42,7 +41,6 @@ type shard_stats = {
   bytes_delivered : int;
   packets : int;  (** packet records created in this shard *)
   events : int;  (** engine events fired *)
-  slices : int;  (** run_slice batches *)
   flow_sim_seconds : float;  (** sum over flows of active sim time *)
   sim_end : float;
   route_queries : int;
@@ -80,7 +78,3 @@ val run : spec -> stats
     {!Runner.map} (parallel per [Runner.set_jobs]) and aggregate.
     Raises {!Invariants.Violation} from a shard when
     [Invariants.self_check] is set and an invariant fails. *)
-
-val run_shard :
-  spec -> shard:int -> arrivals:Workload.arrival list -> unit -> shard_stats
-(** One shard as a bare thunk (exposed for tests). *)

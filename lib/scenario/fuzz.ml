@@ -205,29 +205,30 @@ let replay_of_string s =
     | Some v -> Ok v
     | None -> Error (Printf.sprintf "replay spec: missing %s=" k)
   in
-  let num k conv =
+  (* A value the simulator cannot mean is refused like a malformed one. *)
+  let num k conv ~what valid =
     let* v = get k in
     match conv v with
-    | Some x -> Ok x
+    | Some x when valid x -> Ok x
+    | Some _ -> Error (Printf.sprintf "replay spec: %s=%s is not %s" k v what)
     | None -> Error (Printf.sprintf "replay spec: bad %s=%s" k v)
   in
-  let* protocol = get "cc" in
-  let* seed = num "seed" int_of_string_opt in
-  let* hops = num "hops" int_of_string_opt in
-  (* [flows=] postdates the first replay specs; absent means 1. *)
-  let* flows =
-    match List.assoc_opt "flows" fields with
-    | None -> Ok 1
-    | Some v -> (
-      match int_of_string_opt v with
-      | Some f when f >= 1 -> Ok f
-      | _ -> Error (Printf.sprintf "replay spec: bad flows=%s" v))
+  let count k = num k int_of_string_opt ~what:">= 1" (fun n -> n >= 1) in
+  let real k ~what valid =
+    num k float_of_string_opt ~what (fun x -> Float.is_finite x && valid x)
   in
-  let* bw_mbps = num "bw" float_of_string_opt in
-  let* delay = num "delay" float_of_string_opt in
-  let* plr = num "plr" float_of_string_opt in
-  let* bytes = num "bytes" int_of_string_opt in
-  let* duration = num "dur" float_of_string_opt in
+  let* protocol = get "cc" in
+  let* seed = num "seed" int_of_string_opt ~what:"an integer" (fun _ -> true) in
+  let* hops = count "hops" in
+  (* [flows=] postdates the first replay specs; absent means 1. *)
+  let* flows = if List.mem_assoc "flows" fields then count "flows" else Ok 1 in
+  let* bw_mbps = real "bw" ~what:"finite and > 0" (fun b -> b > 0.0) in
+  let* delay = real "delay" ~what:"finite and >= 0" (fun d -> d >= 0.0) in
+  let* plr =
+    real "plr" ~what:"a probability in [0, 1]" (fun p -> p >= 0.0 && p <= 1.0)
+  in
+  let* bytes = count "bytes" in
+  let* duration = real "dur" ~what:"finite and > 0" (fun d -> d > 0.0) in
   let* fault_spec = get "faults" in
   let* faults = Fault.of_string fault_spec in
   Ok
@@ -244,7 +245,7 @@ let replay s =
 
 (* --- top-level sweep --------------------------------------------------- *)
 
-let run ?(shrinking = true) ~seed ~cases () =
+let run ~seed ~cases () =
   let specs = gen ~seed cases in
   let cells =
     List.concat_map
@@ -265,11 +266,11 @@ let run ?(shrinking = true) ~seed ~cases () =
         else
           (* Re-run the shrunk spec so the reported problems match it. *)
           let shrunk, shrink_runs, problems =
-            match (shrinking, Common.protocol_of_name name) with
-            | true, Some p ->
+            match Common.protocol_of_name name with
+            | Some p ->
               let s, r = shrink spec p in
               (s, r, fst (run_one s p))
-            | _ -> (spec, 0, problems)
+            | None -> (spec, 0, problems)
           in
           Some
             { protocol = name; spec = shrunk; original = spec; problems;

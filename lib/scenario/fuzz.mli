@@ -28,7 +28,7 @@ type spec = {
 
 type failure = {
   protocol : string;  (** "leotp" or a CC name *)
-  spec : spec;  (** shrunk spec (equals [original] when shrinking is off) *)
+  spec : spec;  (** shrunk spec *)
   original : spec;
   problems : string list;  (** oracle divergences + invariant failures *)
   shrink_runs : int;  (** simulations spent shrinking *)
@@ -44,9 +44,9 @@ type outcome = {
 val gen : seed:int -> int -> spec list
 (** [gen ~seed n] is the deterministic case list for a sweep. *)
 
-val run : ?shrinking:bool -> seed:int -> cases:int -> unit -> outcome
-(** Full sweep; shrinking (on by default) is sequential and only runs
-    for failing cells. *)
+val run : seed:int -> cases:int -> unit -> outcome
+(** Full sweep; shrinking is sequential and only runs for failing
+    cells. *)
 
 val replay_to_string : protocol:string -> spec -> string
 (** One-line replay spec, [|]-separated [key=value] fields; floats use

@@ -96,7 +96,8 @@ let check_pending a ~node ~pending =
       (Printf.sprintf "%s: advertised %d pending, replay has %d" node pending
          (Hashtbl.length a.open_entries))
 
-let eps_default = 1e-9
+(* Slack on time comparisons, seconds. *)
+let eps = 1e-9
 
 let sink t (r : Trace.record) =
   t.events <- t.events + 1;
@@ -132,7 +133,7 @@ let sink t (r : Trace.record) =
     if not (Hashtbl.mem a.open_entries key) then
       pit_error a (Printf.sprintf "%s: satisfy for unregistered entry" node)
     else Hashtbl.remove a.open_entries key;
-    if fresh && age > a.expiry +. eps_default then
+    if fresh && age > a.expiry +. eps then
       t.pit_satisfy_stale <- t.pit_satisfy_stale + 1;
     check_pending a ~node ~pending
   | Trace.Pit_expire { node; flow; lo; hi; pending } ->
@@ -168,7 +169,7 @@ let sink t (r : Trace.record) =
     a.completed <- Some bytes
   | Trace.Rto_fire { who; elapsed; floor } ->
     t.rto_events <- t.rto_events + 1;
-    if elapsed +. eps_default < floor && t.rto_violation = None then
+    if elapsed +. eps < floor && t.rto_violation = None then
       t.rto_violation <- Some (who, elapsed, floor)
   (* Ack_processed / Seg_state feed the differential oracle
      (Leotp_check.Oracle), a separate sink. *)
@@ -178,7 +179,7 @@ let sink t (r : Trace.record) =
 let sorted_hashtbl_bindings tbl =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
-let finalize ?(eps = eps_default) ~now t =
+let finalize ~now t =
   let pit_report =
     let errors = ref [] in
     let entries = ref 0 in
@@ -305,10 +306,3 @@ let to_string reports =
            (if r.ok then "OK" else "FAIL")
            r.detail)
        reports)
-
-let check ?eps ~now ~label t =
-  let reports = finalize ?eps ~now t in
-  if not (all_ok reports) then
-    raise
-      (Violation
-         (Printf.sprintf "%s: invariant violation\n%s" label (to_string reports)))

@@ -29,9 +29,9 @@ type t
 val create : unit -> t
 val sink : t -> Leotp_net.Trace.record -> unit
 
-val finalize : ?eps:float -> now:float -> t -> report list
-(** [now] is the end-of-run clock (for PIT end-of-run ages); [eps]
-    defaults to 1e-9 seconds of slack on time comparisons. *)
+val finalize : now:float -> t -> report list
+(** [now] is the end-of-run clock (for PIT end-of-run ages).  Time
+    comparisons allow 1e-9 seconds of slack. *)
 
 val all_ok : report list -> bool
 val to_string : report list -> string
@@ -43,7 +43,3 @@ val self_check : bool Atomic.t
     raises {!Violation} at the end of the run if any invariant fails.
     Atomic (it is read from worker domains); set it before the first
     job runs so every run of a sweep is checked alike. *)
-
-val check : ?eps:float -> now:float -> label:string -> t -> unit
-(** Finalize and raise {!Violation} (prefixed with [label]) unless all
-    five invariants hold. *)

@@ -96,8 +96,7 @@ type run_result = {
 }
 
 let run ?seed ?(interp = Dynamic_path.Hold_last) ?duration
-    ?(protocol = Common.Leotp Leotp.Config.default) ?(label = "pathtrace")
-    (trace : Path_trace.t) =
+    ?(label = "pathtrace") (trace : Path_trace.t) =
   if Path_trace.route_count trace = 0 then
     invalid_arg "Pathtrace.run: trace has no route records";
   let meta = trace.Path_trace.meta in
@@ -133,7 +132,7 @@ let run ?seed ?(interp = Dynamic_path.Hold_last) ?duration
       ~tcp:Common.Tail_to_head
       ~floor:(Path_trace.min_total_delay trace)
       ~warmup:(Float.min 15.0 (0.15 *. duration))
-      ~duration protocol
+      ~duration (Common.Leotp Leotp.Config.default)
   in
   {
     summary;
@@ -153,6 +152,8 @@ let run ?seed ?(interp = Dynamic_path.Hold_last) ?duration
 
 type cell = { label : string; spec : spec }
 
+(* Hong Kong-Tokyo sits near the edge of common visibility; quick mode
+   shrinks horizons and drops the comparison pairs. *)
 let family ~quick =
   if quick then
     [

@@ -48,22 +48,15 @@ val run :
   ?seed:int ->
   ?interp:Leotp_net.Dynamic_path.interp ->
   ?duration:float ->
-  ?protocol:Common.protocol ->
   ?label:string ->
   Leotp_net.Path_trace.t ->
   run_result
-(** One bulk flow over the replayed trace.  Defaults: transport seed =
-    the trace's generator seed, duration = the trace horizon, hold-last
-    interpolation, LEOTP with the default config.  Raises
+(** One LEOTP bulk flow (default config) over the replayed trace.
+    Defaults: transport seed = the trace's generator seed, duration =
+    the trace horizon, hold-last interpolation.  Raises
     [Invalid_argument] on a trace with no route records. *)
 
 type cell = { label : string; spec : spec }
-
-val family : quick:bool -> cell list
-(** The long-horizon experiment family: ISL long haul (Beijing-New
-    York), bent-pipe outage storm (Hong Kong-Tokyo, a pair near the
-    edge of common visibility), polar vs equatorial pairs; quick mode
-    shrinks horizons and drops the comparison pairs. *)
 
 val experiment : ?quick:bool -> unit -> (cell * run_result) list
 (** Generate + replay every cell under {!Runner.map} (bit-identical for

@@ -10,19 +10,8 @@ let ms s = Leotp_util.Units.sec_to_ms s
 let header title =
   Printf.printf "\n=== %s ===\n" title
 
-let subheader s = Printf.printf "--- %s ---\n" s
-
 let row fmt = Printf.printf fmt
 let newline () = print_newline ()
-
-let summary_line (s : Common.summary) =
-  Printf.printf
-    "  %-20s  tput=%6.2f Mbps  owd(avg/p99)=%6.1f/%6.1f ms  queue(avg)=%6.1f ms  retx=%d\n"
-    s.Common.protocol s.Common.goodput_mbps
-    (ms (Leotp_util.Stats.mean s.Common.owd))
-    (ms (Leotp_util.Stats.percentile s.Common.owd 99.0))
-    (ms (Leotp_util.Stats.mean s.Common.queuing_delay))
-    s.Common.retransmissions
 
 let cdf_rows ?(points = 10) name stats =
   Printf.printf "  CDF %s:" name;
@@ -30,12 +19,3 @@ let cdf_rows ?(points = 10) name stats =
     (fun (v, f) -> Printf.printf " (%.1fms, %.2f)" (ms v) f)
     (Leotp_util.Stats.cdf_points ~points stats);
   print_newline ()
-
-let percentiles name stats =
-  Printf.printf "  %-12s mean=%6.1f p50=%6.1f p90=%6.1f p99=%6.1f max=%6.1f (ms)\n"
-    name
-    (ms (Leotp_util.Stats.mean stats))
-    (ms (Leotp_util.Stats.percentile stats 50.0))
-    (ms (Leotp_util.Stats.percentile stats 90.0))
-    (ms (Leotp_util.Stats.percentile stats 99.0))
-    (ms (Leotp_util.Stats.max stats))

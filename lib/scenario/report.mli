@@ -10,18 +10,10 @@ val ms : float -> float
 val header : string -> unit
 (** [=== title ===] banner. *)
 
-val subheader : string -> unit
-
 val row : ('a, out_channel, unit) format -> 'a
 (** Printf-style row under the current header. *)
 
 val newline : unit -> unit
 
-val summary_line : Common.summary -> unit
-(** One protocol summary row: goodput, OWD mean/p99, queuing, retx. *)
-
 val cdf_rows : ?points:int -> string -> Leotp_util.Stats.t -> unit
 (** Evenly spaced CDF sample points of a delay distribution, in ms. *)
-
-val percentiles : string -> Leotp_util.Stats.t -> unit
-(** mean/p50/p90/p99/max row of a delay distribution, in ms. *)

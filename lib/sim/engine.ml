@@ -32,7 +32,12 @@ let create () =
 
 let now t = t.clock
 
+(* Kept out of line so the accepting path is one comparison. *)
+let non_finite fn time =
+  invalid_arg (Printf.sprintf "Engine.%s: non-finite time %g" fn time)
+
 let schedule_at t ~time action =
+  if not (Float.is_finite time) then non_finite "schedule_at" time;
   let time = Float.max time t.clock in
   let timer =
     (* the timer record is the simulator's unit of work — one per
@@ -100,6 +105,7 @@ let run ?until t =
   match until with
   | None -> while step t do () done
   | Some limit ->
+    if Float.is_nan limit then non_finite "run ~until" limit;
     let continue = ref true in
     while !continue do
       match Leotp_util.Pqueue.peek t.queue with
@@ -112,37 +118,12 @@ let run ?until t =
         continue := false
     done
 
-(* Bounded variant of [run]: fire at most [max_events] events with
-   [time <= until].  The caller loops, regaining control between slices —
-   the seam where a progress callback runs today and where a partitioned
-   (per-shard) queue would hand control across shards tomorrow. *)
-let rec slice_loop t ~until budget fired =
-  if fired >= budget then `Events
-  else
-    match Leotp_util.Pqueue.peek t.queue with
-    | Some timer when timer.cancelled ->
-      ignore (Leotp_util.Pqueue.pop t.queue);
-      note_popped t timer;
-      slice_loop t ~until budget fired
-    | Some timer when timer.time <= until ->
-      ignore (step t);
-      slice_loop t ~until budget (fired + 1)
-    | Some _ ->
-      t.clock <- Float.max t.clock until;
-      `Until
-    | None ->
-      t.clock <- Float.max t.clock until;
-      `Quiescent
-
-let run_slice ?max_events t ~until =
-  let budget = match max_events with None -> max_int | Some n -> max 1 n in
-  slice_loop t ~until budget 0
-
 let pending_events t = Leotp_util.Pqueue.length t.queue
 let cancelled_pending t = t.cancelled_pending
 let events_processed t = t.processed
 
 let every t ~period ?start action =
+  if not (Float.is_finite period) then non_finite "every" period;
   assert (period > 0.0);
   let start = match start with Some s -> s | None -> period in
   (* The recurrence is controlled through a proxy handle whose [cancelled]

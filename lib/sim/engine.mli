@@ -17,10 +17,12 @@ val now : t -> float
 
 val schedule : t -> after:float -> (unit -> unit) -> timer
 (** [schedule t ~after f] runs [f] at [now t +. after].  [after] is clamped
-    to be non-negative. *)
+    to be non-negative.  Raises [Invalid_argument] if [after] is NaN or
+    positive infinity. *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> timer
-(** Absolute-time variant; [time] in the past fires immediately (at [now]). *)
+(** Absolute-time variant; [time] in the past fires immediately (at [now]).
+    Raises [Invalid_argument] naming [time] if it is NaN or infinite. *)
 
 val cancel : timer -> unit
 (** Idempotent.  A fired timer is also safe to cancel.  Cancellation is
@@ -32,22 +34,8 @@ val is_pending : timer -> bool
 
 val run : ?until:float -> t -> unit
 (** Process events in order until the queue drains or the clock would pass
-    [until] (the clock is left at [until] in that case). *)
-
-val step : t -> bool
-(** Process one event; [false] if the queue was empty. *)
-
-val run_slice :
-  ?max_events:int -> t -> until:float -> [ `Events | `Until | `Quiescent ]
-(** Bounded batch of [run]: fire at most [max_events] events (default:
-    unlimited) whose time is [<= until], in order.  Returns [`Events] when
-    the budget stopped the slice (more work may remain before [until]),
-    [`Until] when the next event lies beyond [until] (clock advanced to
-    [until]), and [`Quiescent] when the queue drained (clock advanced to
-    [until]).  Calling in a loop until a non-[`Events] result is
-    equivalent to [run ~until].  This is the engine's event-batching seam:
-    callers regain control between slices (progress reporting today,
-    per-shard queue partitioning groundwork tomorrow). *)
+    [until] (the clock is left at [until] in that case).  Raises
+    [Invalid_argument] if [until] is NaN. *)
 
 val events_processed : t -> int
 (** Total events fired since [create] (monotonic; instrumentation). *)
@@ -60,4 +48,6 @@ val cancelled_pending : t -> int
 
 val every : t -> period:float -> ?start:float -> (unit -> unit) -> timer
 (** Recurring event; the returned handle cancels the whole recurrence.
-    First firing at [now + start] (default: [now + period]). *)
+    First firing at [now + start] (default: [now + period]).  Raises
+    [Invalid_argument] on a NaN or infinite [period] and, like
+    {!schedule}, on a NaN or positive-infinity [start]. *)

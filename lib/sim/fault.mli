@@ -35,7 +35,6 @@ type action =
 type event = { time : float; action : action }
 type schedule = event list
 
-val action_to_string : action -> string
 val event_to_string : event -> string
 
 val to_string : schedule -> string
@@ -43,21 +42,23 @@ val to_string : schedule -> string
     [of_string (to_string s)] round-trips exactly. *)
 
 val of_string : string -> (schedule, string) result
-(** Parse a spec.  [Error msg] names the first offending item. *)
+(** Parse a spec.  [Error msg] names the first offending item, including
+    one the simulator cannot mean: a time that is not finite and >= 0, a
+    probability outside [0, 1], a bandwidth that is not finite and > 0,
+    or a reorder jitter that is not finite and >= 0. *)
 
 val random :
   rng:Leotp_util.Rng.t ->
   duration:float ->
   ?hops:int ->
-  ?mids:int ->
-  ?bw_mbps:float ->
   n:int ->
   unit ->
   schedule
 (** At least [n] events (paired so every down/crash/degradation gets a
     matching recovery), with onsets in [0.05, 0.7] of [duration] so a
     transfer can still complete.  Deterministic in [rng].  Default
-    [hops] 4, [mids] 1, [bw_mbps] 20 (restore value for bandwidth dips). *)
+    [hops] 4; crashes target [mid0], and bandwidth dips restore to
+    20 Mbps. *)
 
 val install : Engine.t -> apply:(event -> unit) -> schedule -> unit
 (** Schedule every event on the engine; [apply] runs at the event's

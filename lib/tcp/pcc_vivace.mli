@@ -3,9 +3,4 @@
     c*thr*loss, with paired probe MIs deciding gradient-style rate
     steps. *)
 
-val utility : thr_bps:float -> rtt_grad:float -> loss_rate:float -> float
-(** The Vivace utility of one monitor interval (throughput in bytes/s,
-    RTT gradient in s/s, loss rate in [0,1]); exposed for the
-    conformance tests. *)
-
 val create : mss:int -> now:float -> Cc_intf.t

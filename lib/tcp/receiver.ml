@@ -104,6 +104,4 @@ let handle_data t pkt =
   else Leotp_net.Packet_pool.release pkt
 
 let delivered_bytes t = t.delivered
-let received_bytes t = Interval_set.cardinal t.received
 let complete t = t.completed
-let metrics t = t.metrics

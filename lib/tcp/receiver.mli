@@ -23,8 +23,4 @@ val handle_data : t -> Leotp_net.Packet.t -> unit
 val delivered_bytes : t -> int
 (** Length of the delivered in-order prefix. *)
 
-val received_bytes : t -> int
-(** Total distinct bytes received (including out-of-order). *)
-
 val complete : t -> bool
-val metrics : t -> Leotp_net.Flow_metrics.t

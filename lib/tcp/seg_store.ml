@@ -122,8 +122,3 @@ let rec drop_below t ~cum ~on_drop ~on_straddle =
       seg.len <- seg.len - head
     end
   end
-
-let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) dummy;
-  t.head <- 0;
-  t.count <- 0

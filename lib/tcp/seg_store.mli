@@ -41,5 +41,3 @@ val drop_below :
   t -> cum:int -> on_drop:(seg -> unit) -> on_straddle:(seg -> int -> unit) -> unit
 (** Remove every segment entirely below [cum]; a straddler is truncated
     in place after [on_straddle seg head] reports its acked head. *)
-
-val clear : t -> unit

@@ -470,10 +470,7 @@ let finished t = t.finished
 let snd_una t = t.snd_una
 let snd_nxt t = t.snd_nxt
 let inflight t = t.inflight
-let lost_pending t = t.lost_pending
 let srtt t = Leotp_util.Rto.srtt t.rto
-let metrics t = t.metrics
-let cc_name t = t.cc.Cc.name
 
 let stop t =
   cancel_rto t;

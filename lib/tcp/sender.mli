@@ -48,14 +48,9 @@ val snd_nxt : t -> int
 
 val inflight : t -> int
 
-val lost_pending : t -> int
-(** Segments declared lost and not yet retransmitted. *)
-
 val srtt : t -> float option
 (** Smoothed RTT estimate; [None] until the first valid sample. *)
 
-val metrics : t -> Leotp_net.Flow_metrics.t
-val cc_name : t -> string
 val stop : t -> unit
 (** Cancel timers (end of experiment). *)
 

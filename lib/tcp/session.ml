@@ -7,14 +7,13 @@ type t = {
   metrics : Leotp_net.Flow_metrics.t;
 }
 
-let connect engine ~src_node ~dst_node ~flow ~cc ?mss ?source ?on_complete ()
-    =
+let connect engine ~src_node ~dst_node ~flow ~cc ?source ?on_complete () =
   let metrics = Leotp_net.Flow_metrics.create ~flow in
   let expected_bytes =
     match source with Some (Sender.Fixed n) -> Some n | _ -> None
   in
   let sender =
-    Sender.create engine ~node:src_node ~dst:(Node.id dst_node) ~flow ~cc ?mss
+    Sender.create engine ~node:src_node ~dst:(Node.id dst_node) ~flow ~cc
       ?source ~metrics ?on_complete ()
   in
   let receiver =

@@ -13,12 +13,12 @@ val connect :
   dst_node:Leotp_net.Node.t ->
   flow:int ->
   cc:Cc.algo ->
-  ?mss:int ->
   ?source:Sender.source ->
   ?on_complete:(unit -> unit) ->
   unit ->
   t
-(** Replaces both nodes' handlers.  Call {!start} to begin transmission. *)
+(** Replaces both nodes' handlers.  Segments carry {!Wire.default_mss}
+    bytes.  Call {!start} to begin transmission. *)
 
 val start : t -> unit
 val stop : t -> unit

@@ -43,8 +43,7 @@ let prune_origin proxy upto =
       (match at with Some v -> IntMap.add k v above | None -> above)
   | None -> ()
 
-let connect engine ~nodes ~flow ~cc ?(mss = Wire.default_mss) ?source
-    ?on_complete () =
+let connect engine ~nodes ~flow ~cc ?source ?on_complete () =
   let n = Array.length nodes in
   assert (n >= 2);
   let metrics = Leotp_net.Flow_metrics.create ~flow in
@@ -73,7 +72,7 @@ let connect engine ~nodes ~flow ~cc ?(mss = Wire.default_mss) ?source
     let rx_ref = ref None and tx_ref = ref None in
     let proxy_ref = ref None in
     let tx =
-      Sender.create engine ~node ~dst:(Node.id nodes.(i + 1)) ~flow ~cc ~mss
+      Sender.create engine ~node ~dst:(Node.id nodes.(i + 1)) ~flow ~cc
         ~source:
           (Sender.Dynamic
              (fun () ->
@@ -118,7 +117,7 @@ let connect engine ~nodes ~flow ~cc ?(mss = Wire.default_mss) ?source
   let proxies = Array.map Option.get proxies in
   let origin_sender =
     Sender.create engine ~node:nodes.(0) ~dst:(Node.id nodes.(1)) ~flow ~cc
-      ~mss ?source ~metrics ()
+      ?source ~metrics ()
   in
   Node.set_handler nodes.(0) (fun ~from:_ pkt ->
       if Wire.is_ack_seg pkt && pkt.Packet.flow = flow then
@@ -129,10 +128,6 @@ let connect engine ~nodes ~flow ~cc ?(mss = Wire.default_mss) ?source
 let start t =
   Sender.start t.origin_sender;
   Array.iter (fun p -> Sender.start p.tx) t.proxies
-
-let stop t =
-  Sender.stop t.origin_sender;
-  Array.iter (fun p -> Sender.stop p.tx) t.proxies
 
 let metrics t = t.metrics
 

@@ -14,16 +14,15 @@ val connect :
   nodes:Leotp_net.Node.t array ->
   flow:int ->
   cc:Cc.algo ->
-  ?mss:int ->
   ?source:Sender.source ->
   ?on_complete:(unit -> unit) ->
   unit ->
   t
 (** [nodes.(0)] is the origin sender, the last node the end receiver, and
-    every interior node a proxy.  Handlers are installed on all of them. *)
+    every interior node a proxy.  Handlers are installed on all of them.
+    Every hop's connection uses {!Wire.default_mss}. *)
 
 val start : t -> unit
-val stop : t -> unit
 
 val metrics : t -> Leotp_net.Flow_metrics.t
 (** End-to-end metrics: origin wire bytes, end-receiver delivery/OWD. *)

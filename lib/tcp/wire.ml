@@ -21,7 +21,6 @@
 
 module Packet = Leotp_net.Packet
 module Pool = Leotp_net.Packet_pool
-module Codec = Leotp_net.Codec
 
 (* Kind registry: 1-2 are LEOTP's (lib/core/wire.ml). *)
 let kind_data_seg = 3
@@ -108,71 +107,3 @@ let sack_list (p : Packet.t) =
 
 let is_data_seg (p : Packet.t) = p.Packet.kind = kind_data_seg
 let is_ack_seg (p : Packet.t) = p.Packet.kind = kind_ack_seg
-
-(* ------------------------------------------------------------------ *)
-(* Cursor codecs: byte serialization of each kind.  Decode fills a
-   caller-owned (pool-acquired) record so the pair is allocation-free. *)
-
-let header_encoded_size = 1 + (4 * 8)
-let data_seg_encoded_size = header_encoded_size + (2 * 8) + (2 * 8) + 1
-
-let ack_seg_encoded_size =
-  header_encoded_size + (2 * 8) + (2 * max_sacks * 8) + 1 + 8
-
-let encode_header w (p : Packet.t) =
-  Codec.w_u8 w p.Packet.kind;
-  Codec.w_int w p.Packet.src;
-  Codec.w_int w p.Packet.dst;
-  Codec.w_int w p.Packet.flow;
-  Codec.w_int w p.Packet.size
-
-let decode_header r (p : Packet.t) =
-  p.Packet.kind <- Codec.r_u8 r;
-  p.Packet.src <- Codec.r_int r;
-  p.Packet.dst <- Codec.r_int r;
-  p.Packet.flow <- Codec.r_int r;
-  p.Packet.size <- Codec.r_int r
-
-let encode_data_seg w (p : Packet.t) =
-  encode_header w p;
-  Codec.w_int w p.Packet.i0;
-  Codec.w_int w p.Packet.i1;
-  Codec.w_float w p.Packet.f.(0);
-  Codec.w_float w p.Packet.f.(1);
-  Codec.w_u8 w ((if retx p then 1 else 0) lor if fin p then 2 else 0)
-
-let decode_data_seg r (p : Packet.t) =
-  decode_header r p;
-  p.Packet.i0 <- Codec.r_int r;
-  p.Packet.i1 <- Codec.r_int r;
-  p.Packet.f.(0) <- Codec.r_float r;
-  p.Packet.f.(1) <- Codec.r_float r;
-  let fl = Codec.r_u8 r in
-  Packet.set_flag p Packet.flag_retx (fl land 1 <> 0);
-  Packet.set_flag p Packet.flag_fin (fl land 2 <> 0)
-
-let encode_ack_seg w (p : Packet.t) =
-  encode_header w p;
-  Codec.w_int w p.Packet.i0;
-  Codec.w_int w p.Packet.i1;
-  Codec.w_int w p.Packet.i2;
-  Codec.w_int w p.Packet.i3;
-  Codec.w_int w p.Packet.i4;
-  Codec.w_int w p.Packet.i5;
-  Codec.w_int w p.Packet.i6;
-  Codec.w_int w p.Packet.i7;
-  Codec.w_bool w (has_ts_echo p);
-  Codec.w_float w p.Packet.f.(0)
-
-let decode_ack_seg r (p : Packet.t) =
-  decode_header r p;
-  p.Packet.i0 <- Codec.r_int r;
-  p.Packet.i1 <- Codec.r_int r;
-  p.Packet.i2 <- Codec.r_int r;
-  p.Packet.i3 <- Codec.r_int r;
-  p.Packet.i4 <- Codec.r_int r;
-  p.Packet.i5 <- Codec.r_int r;
-  p.Packet.i6 <- Codec.r_int r;
-  p.Packet.i7 <- Codec.r_int r;
-  Packet.set_flag p Packet.flag_ts_echo (Codec.r_bool r);
-  p.Packet.f.(0) <- Codec.r_float r

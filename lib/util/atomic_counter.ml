@@ -5,7 +5,7 @@
 
 type t = int Atomic.t
 
-let create ?(initial = 0) () = Atomic.make initial
+let create () = Atomic.make 0
 let incr = Atomic.incr
 let add t n = ignore (Atomic.fetch_and_add t n : int)
 let get = Atomic.get

@@ -8,7 +8,9 @@
 type t
 (** A monotonically updated integer counter. *)
 
-val create : ?initial:int -> unit -> t
+val create : unit -> t
+(** Starts at 0. *)
+
 val incr : t -> unit
 val add : t -> int -> unit
 val get : t -> int

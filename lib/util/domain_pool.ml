@@ -22,8 +22,6 @@ type t = {
          only ever touched by the owning (submitting) domain *)
 }
 
-let size t = t.size
-
 let rec worker_loop state =
   match
     Guarded.await state (fun s ->

@@ -11,8 +11,6 @@ type t
 val create : size:int -> t
 (** Spawn [size] worker domains ([size >= 1]). *)
 
-val size : t -> int
-
 val submit : t -> (unit -> unit) -> unit
 (** Enqueue a task.  Raises [Invalid_argument] after {!shutdown}. *)
 

@@ -130,9 +130,3 @@ let first_missing ~lo t =
 
 let union a b = fold (fun lo hi acc -> add ~lo ~hi acc) a b
 let equal a b = M.equal Int.equal a.ivals b.ivals
-
-let pp ppf t =
-  let pp_iv ppf (lo, hi) = Format.fprintf ppf "[%d,%d)" lo hi in
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ") pp_iv)
-    (intervals t)

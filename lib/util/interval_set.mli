@@ -45,4 +45,3 @@ val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val union : t -> t -> t
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

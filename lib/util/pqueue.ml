@@ -95,7 +95,3 @@ let filter_in_place t ~keep =
     sift_down t i
   done
 [@@leotp.allow "hot-path-may-alloc"]
-
-let clear t =
-  t.data <- [||];
-  t.size <- 0

@@ -22,5 +22,3 @@ val filter_in_place : 'a t -> keep:('a -> bool) -> unit
     store is reallocated to fit, so references to dropped elements are
     released immediately (used by the engine to compact lazily-cancelled
     timers). *)
-
-val clear : 'a t -> unit

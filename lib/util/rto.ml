@@ -1,7 +1,6 @@
 type t = {
   min_rto : float;
   max_rto : float;
-  initial_rto : float;
   backoff_factor : float;
   mutable srtt : float;
   mutable rttvar : float;
@@ -9,12 +8,13 @@ type t = {
   mutable backoff_mult : float;
 }
 
-let create ?(initial_rto = 1.0) ?(min_rto = 0.2) ?(max_rto = 60.0)
-    ?(backoff_factor = 2.0) () =
+(* The timeout before the first RTT sample, seconds. *)
+let initial_rto = 1.0
+
+let create ?(min_rto = 0.2) ?(max_rto = 60.0) ?(backoff_factor = 2.0) () =
   {
     min_rto;
     max_rto;
-    initial_rto;
     backoff_factor;
     srtt = 0.0;
     rttvar = 0.0;
@@ -36,7 +36,7 @@ let observe t r =
   t.backoff_mult <- 1.0
 
 let base_rto t =
-  if not t.primed then t.initial_rto
+  if not t.primed then initial_rto
   else
     Float.min t.max_rto
       (Float.max t.min_rto (t.srtt +. Float.max 0.000_1 (4.0 *. t.rttvar)))

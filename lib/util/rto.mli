@@ -9,13 +9,9 @@
 type t
 
 val create :
-  ?initial_rto:float ->
-  ?min_rto:float ->
-  ?max_rto:float ->
-  ?backoff_factor:float ->
-  unit ->
-  t
-(** Defaults: initial 1 s, min 0.2 s, max 60 s, backoff factor 2.0. *)
+  ?min_rto:float -> ?max_rto:float -> ?backoff_factor:float -> unit -> t
+(** The timeout is 1 s until the first RTT sample (RFC 6298).  Defaults:
+    min 0.2 s, max 60 s, backoff factor 2.0. *)
 
 val observe : t -> float -> unit
 (** Feed an RTT sample (seconds); resets any backoff. *)

@@ -26,12 +26,6 @@ let add t ~time v =
 
 let length t = t.size
 
-let to_list t =
-  let rec go i acc =
-    if i < 0 then acc else go (i - 1) ((t.times.(i), t.values.(i)) :: acc)
-  in
-  go (t.size - 1) []
-
 let window_fold f init t ~lo ~hi =
   let acc = ref init in
   for i = 0 to t.size - 1 do

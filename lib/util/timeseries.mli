@@ -8,7 +8,6 @@ type t
 val create : unit -> t
 val add : t -> time:float -> float -> unit
 val length : t -> int
-val to_list : t -> (float * float) list
 
 val window_sum : t -> lo:float -> hi:float -> float
 (** Sum of values with [lo <= time < hi]. *)

@@ -42,7 +42,3 @@ let time_until t ~now n =
   if deficit <= slack then 0.0
   else if t.rate <= 0.0 then Float.infinity
   else Float.max 1e-6 (deficit /. t.rate)
-
-let available t ~now =
-  refill t now;
-  t.tokens

@@ -19,5 +19,3 @@ val try_consume : t -> now:float -> int -> bool
 
 val time_until : t -> now:float -> int -> float
 (** Seconds from [now] until [n] tokens will be available (0 if already). *)
-
-val available : t -> now:float -> float

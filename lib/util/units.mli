@@ -8,8 +8,6 @@
     leotp-lint dim pass (rule dim-raw-conversion); route
     conversions through these helpers instead. *)
 
-val bits_per_byte : float
-
 val speed_of_light : float
 (** m/s (used for ISL propagation delays). *)
 

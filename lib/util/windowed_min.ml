@@ -44,5 +44,3 @@ let get t ~now =
 
 let get_or t ~now ~default =
   match get t ~now with Some v -> v | None -> default
-
-let clear t = t.dq <- []

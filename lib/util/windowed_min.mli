@@ -19,4 +19,3 @@ val set_window : t -> float -> unit
 val add : t -> now:float -> float -> unit
 val get : t -> now:float -> float option
 val get_or : t -> now:float -> default:float -> float
-val clear : t -> unit

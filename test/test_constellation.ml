@@ -41,10 +41,10 @@ let test_elevation () =
   (* Satellite directly overhead. *)
   let overhead = Geo.scale ((Leotp_util.Units.earth_radius +. 1_150_000.0) /. Leotp_util.Units.earth_radius) ground in
   close ~eps:1e-6 "overhead = 90 deg" 90.0 (Geo.elevation_deg ~ground ~sat:overhead);
-  Alcotest.(check bool) "visible" true (Geo.visible ~ground ~sat:overhead ());
+  Alcotest.(check bool) "visible" true (Geo.visible ~ground ~sat:overhead);
   (* Satellite on the opposite side of the Earth. *)
   let opposite = Geo.scale (-1.0) overhead in
-  Alcotest.(check bool) "not visible" false (Geo.visible ~ground ~sat:opposite ())
+  Alcotest.(check bool) "not visible" false (Geo.visible ~ground ~sat:opposite)
 
 let test_great_circle () =
   (* Equatorial quarter circumference. *)
@@ -136,7 +136,7 @@ let test_isl_neighbors () =
 let test_visibility_search () =
   let bj = Cities.find_exn "Beijing" in
   let ground = Geo.ground_position ~lat_deg:bj.Cities.lat ~lon_deg:bj.Cities.lon ~time:0.0 in
-  match Walker.nearest_visible w ~ground ~time:0.0 () with
+  match Walker.nearest_visible w ~ground ~time:0.0 with
   | Some sat ->
     let pos = Walker.position w ~sat ~time:0.0 in
     Alcotest.(check bool) "above mask" true (Geo.elevation_deg ~ground ~sat:pos >= 25.0)
@@ -197,7 +197,7 @@ let test_fw_path () =
 
 let test_bent_pipe_close_pair () =
   let bj = Cities.find_exn "Beijing" and sh = Cities.find_exn "Shanghai" in
-  match Path_service.route_bent_pipe w ~src:bj ~dst:sh ~time:0.0 () with
+  match Path_service.route_bent_pipe w ~src:bj ~dst:sh ~time:0.0 with
   | Some hops ->
     Alcotest.(check int) "2 GSL hops" 2 (List.length hops);
     List.iter
@@ -212,7 +212,7 @@ let test_bent_pipe_close_pair () =
 let test_no_bent_pipe_transcontinental () =
   let bj = Cities.find_exn "Beijing" and ny = Cities.find_exn "New York" in
   Alcotest.(check bool) "no common satellite across the Pacific" true
-    (Path_service.route_bent_pipe w ~src:bj ~dst:ny ~time:0.0 () = None)
+    (Path_service.route_bent_pipe w ~src:bj ~dst:ny ~time:0.0 = None)
 
 let test_isl_route_transcontinental () =
   let bj = Cities.find_exn "Beijing" and ny = Cities.find_exn "New York" in

@@ -47,6 +47,12 @@ let test_spec_errors () =
       "x@down:hop1";
       "1.0@plr:hop1";  (* missing argument *)
       "1.0@down:hop1=3";  (* unexpected argument *)
+      (* well-formed, but nothing the simulator can mean *)
+      "nan@plr:hop0=0.1";
+      "1@plr:hop0=2";
+      "1@bw:hop1=-5";
+      "1@reorder:hop0=0.5,-1";
+      "1e400@down:hop2";
     ]
 
 let spec_roundtrip_prop =

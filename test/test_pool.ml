@@ -1,7 +1,7 @@
-(* QCheck properties for the zero-allocation packet layer: round-trips
-   for every cursor codec (both wire modules), and the pool-recycling
-   contract (acquire-after-release never shows stale fields; debug
-   poisoning catches a planted use-after-release). *)
+(* QCheck properties for the zero-allocation packet layer: constructors
+   and accessors agree for every packet kind (both wire modules), and the
+   pool-recycling contract (acquire-after-release never shows stale
+   fields; debug poisoning catches a planted use-after-release). *)
 
 module Packet = Leotp_net.Packet
 module Pool = Leotp_net.Packet_pool
@@ -36,27 +36,20 @@ let float_gen =
 let node_gen = Gen.int_bound 10_000
 let flow_gen = Gen.int_bound 1_000
 
-(* Encode [p] with [encode]/[size], decode into a fresh pool record, and
-   hand both to [check]; releases both packets afterwards. *)
-let round_trip ~size ~encode ~decode p check =
-  let buf = Bytes.create size in
-  encode (Leotp_net.Codec.writer buf) p;
-  let q = Pool.acquire ~src:0 ~dst:0 ~flow:0 ~size:1 ~kind:Packet.kind_raw in
-  decode (Leotp_net.Codec.reader buf) q;
-  let ok = check p q in
+(* Hand the constructed packet to [check], then release it.  Packets
+   are never serialized: each "round-trip" below goes through a wire
+   module's constructor and back out through its accessors. *)
+let checked p check =
+  let ok = check p in
   Pool.release p;
-  Pool.release q;
   ok
 
-let header_eq (p : Packet.t) (q : Packet.t) =
-  p.Packet.kind = q.Packet.kind
-  && p.Packet.src = q.Packet.src
-  && p.Packet.dst = q.Packet.dst
-  && p.Packet.flow = q.Packet.flow
-  && p.Packet.size = q.Packet.size
+let header_is ~src ~dst ~flow ~size (p : Packet.t) =
+  p.Packet.src = src && p.Packet.dst = dst && p.Packet.flow = flow
+  && p.Packet.size = size
 
 (* ------------------------------------------------------------------ *)
-(* LEOTP codecs: Interest and Data (VPH = Data with length 0).          *)
+(* LEOTP packets: Interest and Data (VPH = Data with length 0).         *)
 
 let config = Leotp.Config.default
 
@@ -71,9 +64,8 @@ let interest_round_trip =
     Lwire.interest_packet ~config ~src ~dst ~flow ~lo ~hi ~timestamp:ts
       ~send_rate:rate ~retx
   in
-  round_trip ~size:Lwire.interest_encoded_size ~encode:Lwire.encode_interest
-    ~decode:Lwire.decode_interest p (fun p q ->
-      header_eq p q
+  checked p (fun q ->
+      header_is ~src ~dst ~flow ~size:config.Leotp.Config.header_bytes q
       && Lwire.is_interest q
       && Lwire.lo q = lo && Lwire.hi q = hi
       && float_eq (Lwire.timestamp q) ts
@@ -86,7 +78,7 @@ let data_round_trip =
       tup5 (pair node_gen node_gen) (pair flow_gen pos_gen)
         (triple float_gen float_gen float_gen)
         bool
-        (* vph: encode a zero-length virtual packet header *)
+        (* vph: a zero-length virtual packet header *)
         bool)
   @@ fun ((src, dst), (flow, lo), (ts, owd, first), retx, vph) ->
   let hi = if vph then lo else lo + 1400 in
@@ -96,9 +88,10 @@ let data_round_trip =
       Lwire.data_packet ~config ~src ~dst ~flow ~lo ~hi ~timestamp:ts
         ~req_owd:owd ~first_sent:first ~retx
   in
-  round_trip ~size:Lwire.data_encoded_size ~encode:Lwire.encode_data
-    ~decode:Lwire.decode_data p (fun p q ->
-      header_eq p q
+  checked p (fun q ->
+      header_is ~src ~dst ~flow
+        ~size:(config.Leotp.Config.header_bytes + hi - lo)
+        q
       && Lwire.is_data q
       && Lwire.lo q = lo && Lwire.hi q = hi
       && Lwire.length q = (if vph then 0 else hi - lo)
@@ -107,7 +100,7 @@ let data_round_trip =
       && (vph || (float_eq (Lwire.req_owd q) owd && Lwire.retx q = retx)))
 
 (* ------------------------------------------------------------------ *)
-(* TCP codecs: Data_seg (retx/fin flag byte) and Ack_seg (0..3 SACK     *)
+(* TCP packets: Data_seg (retx/fin flags) and Ack_seg (0..3 SACK        *)
 (* slots, ts_echo presence flag — t=0.0 must survive as a valid echo).  *)
 
 let data_seg_round_trip =
@@ -120,9 +113,8 @@ let data_seg_round_trip =
     Twire.data_packet ~src ~dst ~flow ~seq ~len:1400 ~sent_at:sent
       ~first_sent:first ~retx ~fin
   in
-  round_trip ~size:Twire.data_seg_encoded_size ~encode:Twire.encode_data_seg
-    ~decode:Twire.decode_data_seg p (fun p q ->
-      header_eq p q
+  checked p (fun q ->
+      header_is ~src ~dst ~flow ~size:(Twire.header_bytes + 1400) q
       && Twire.is_data_seg q
       && Twire.seq q = seq && Twire.len q = 1400
       && float_eq (Twire.sent_at q) sent
@@ -140,9 +132,8 @@ let ack_seg_round_trip =
   let p = Twire.ack_packet ~src ~dst ~flow ~cum_ack:cum in
   List.iter (fun (lo, len) -> Twire.add_sack p ~lo ~hi:(lo + len)) sacks;
   (match ts_echo with Some t -> Twire.set_ts_echo p t | None -> ());
-  round_trip ~size:Twire.ack_seg_encoded_size ~encode:Twire.encode_ack_seg
-    ~decode:Twire.decode_ack_seg p (fun p q ->
-      header_eq p q
+  checked p (fun q ->
+      header_is ~src ~dst ~flow ~size:Twire.header_bytes q
       && Twire.is_ack_seg q
       && Twire.cum_ack q = cum
       && Twire.sack_count q = List.length sacks

@@ -8,9 +8,9 @@ module Stats = Leotp_util.Stats
 
 let leotp = C.Leotp Leotp.Config.default
 
-let run ?(hops = 5) ?(plr = 0.0) ?(duration = 40.0) ?bottleneck
-    ?bandwidth_schedule proto =
-  C.run_chain ~duration ?bottleneck ?bandwidth_schedule
+let run ?(hops = 5) ?(plr = 0.0) ?(duration = 40.0) ?bandwidth_schedule
+    proto =
+  C.run_chain ~duration ?bandwidth_schedule
     ~hops:(C.uniform_hops ~n:hops (C.link ~plr ~bw:20.0 ~delay:0.01 ()))
     proto
 

@@ -61,73 +61,10 @@ let test_run_until () =
   done;
   Engine.run ~until:5.5 e;
   Alcotest.(check int) "only first five" 5 !count;
+  Alcotest.(check int) "processed counter" 5 (Engine.events_processed e);
   Alcotest.(check (float 1e-9)) "clock at limit" 5.5 (Engine.now e);
   Engine.run e;
   Alcotest.(check int) "rest" 10 !count
-
-let test_run_slice () =
-  let e = Engine.create () in
-  let count = ref 0 in
-  for i = 1 to 10 do
-    ignore (Engine.schedule e ~after:(float_of_int i) (fun () -> incr count))
-  done;
-  (* Budget smaller than the pending work: stop on the event budget with
-     the clock still inside the slice. *)
-  let r = Engine.run_slice ~max_events:3 e ~until:20.0 in
-  Alcotest.(check bool) "stopped on budget" true (r = `Events);
-  Alcotest.(check int) "three fired" 3 !count;
-  (* Time horizon before the next event: advance the clock, fire none. *)
-  let r = Engine.run_slice ~max_events:100 e ~until:3.5 in
-  Alcotest.(check bool) "stopped on horizon" true (r = `Until);
-  Alcotest.(check int) "no extra events" 3 !count;
-  Alcotest.(check (float 1e-9)) "clock at horizon" 3.5 (Engine.now e);
-  (* Run dry: the queue empties inside the horizon. *)
-  let r = Engine.run_slice e ~until:100.0 in
-  Alcotest.(check bool) "quiescent" true (r = `Quiescent);
-  Alcotest.(check int) "all fired" 10 !count;
-  Alcotest.(check (float 1e-9)) "clock at final horizon" 100.0 (Engine.now e)
-
-let test_run_slice_counts_events () =
-  let e = Engine.create () in
-  for i = 1 to 5 do
-    ignore (Engine.schedule e ~after:(float_of_int i) ignore)
-  done;
-  let before = Engine.events_processed e in
-  ignore (Engine.run_slice e ~until:10.0);
-  Alcotest.(check int) "processed counter advanced" 5
-    (Engine.events_processed e - before);
-  (* Slicing is equivalent to one long run: interleaved slices fire
-     handlers in the same order as Engine.run. *)
-  let run_sliced () =
-    let e = Engine.create () in
-    let log = ref [] in
-    let rng = Leotp_util.Rng.create ~seed:9 in
-    for i = 0 to 30 do
-      let t = Leotp_util.Rng.float rng 10.0 in
-      ignore (Engine.schedule e ~after:t (fun () -> log := i :: !log))
-    done;
-    let until = ref 0.0 in
-    let quiet = ref false in
-    while not !quiet do
-      match Engine.run_slice ~max_events:2 e ~until:!until with
-      | `Events -> ()
-      | `Until -> until := !until +. 1.0
-      | `Quiescent -> quiet := true
-    done;
-    List.rev !log
-  in
-  let run_direct () =
-    let e = Engine.create () in
-    let log = ref [] in
-    let rng = Leotp_util.Rng.create ~seed:9 in
-    for i = 0 to 30 do
-      let t = Leotp_util.Rng.float rng 10.0 in
-      ignore (Engine.schedule e ~after:t (fun () -> log := i :: !log))
-    done;
-    Engine.run e;
-    List.rev !log
-  in
-  Alcotest.(check (list int)) "sliced = direct" (run_direct ()) (run_sliced ())
 
 let test_clock_monotone_negative_after () =
   let e = Engine.create () in
@@ -138,13 +75,6 @@ let test_clock_monotone_negative_after () =
   ignore (Engine.schedule e ~after:(-3.0) (fun () -> fired_at := Engine.now e));
   Engine.run e;
   Alcotest.(check (float 1e-9)) "clamped" 5.0 !fired_at
-
-let test_step () =
-  let e = Engine.create () in
-  Alcotest.(check bool) "empty step" false (Engine.step e);
-  ignore (Engine.schedule e ~after:1.0 ignore);
-  Alcotest.(check bool) "one step" true (Engine.step e);
-  Alcotest.(check bool) "drained" false (Engine.step e)
 
 let test_every () =
   let e = Engine.create () in
@@ -217,6 +147,314 @@ let test_determinism () =
   in
   Alcotest.(check (list int)) "identical runs" (run ()) (run ())
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let test_non_finite_times () =
+  (* A NaN time would sort ahead of every event: [run ~until] would stop
+     at once with nothing fired, and a plain [run] would set the clock to
+     NaN.  Every entry point refuses it, naming the time. *)
+  let e = Engine.create () in
+  let fired = ref 0 in
+  ignore (Engine.schedule_at e ~time:1.0 (fun () -> incr fired));
+  List.iter
+    (fun (what, shown, f) ->
+      match f () with
+      | () -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names %s" what msg shown)
+          true (contains msg shown))
+    [
+      ("schedule_at nan", "nan",
+       fun () -> ignore (Engine.schedule_at e ~time:Float.nan ignore));
+      ("schedule_at inf", "inf",
+       fun () -> ignore (Engine.schedule_at e ~time:Float.infinity ignore));
+      ("schedule_at -inf", "-inf",
+       fun () -> ignore (Engine.schedule_at e ~time:Float.neg_infinity ignore));
+      ("schedule nan", "nan",
+       fun () -> ignore (Engine.schedule e ~after:Float.nan ignore));
+      ("schedule inf", "inf",
+       fun () -> ignore (Engine.schedule e ~after:Float.infinity ignore));
+      ("every nan period", "nan",
+       fun () -> ignore (Engine.every e ~period:Float.nan ignore));
+      ("every inf start", "inf",
+       fun () ->
+         ignore (Engine.every e ~period:1.0 ~start:Float.infinity ignore));
+      ("run until nan", "nan", fun () -> Engine.run ~until:Float.nan e);
+    ];
+  Alcotest.(check int) "only the finite event queued" 1
+    (Engine.pending_events e);
+  Engine.run ~until:10.0 e;
+  Alcotest.(check int) "finite event fired" 1 !fired;
+  Alcotest.(check (float 0.0)) "clock at limit" 10.0 (Engine.now e)
+
+(* ------------------------------------------------------------------ *)
+(* Differential model: random scripts run on the engine and on a list  *)
+(* kept sorted by (time, seq), comparing fire order, the clock and the *)
+(* event count after every step.                                       *)
+
+type handler =
+  | Leaf
+  | Spawn of float  (** schedule a leaf this far ahead *)
+  | Cancel_other of int  (** cancel a handle, by index modulo the count *)
+
+type op =
+  | Sched of float * handler  (** [schedule ~after] *)
+  | Sched_at of float * handler  (** [schedule_at], past times included *)
+  | Batch of int * float  (** [n] leaves from [after] on, with ties *)
+  | Cancel of int
+  | Cancel_all_but of int  (** every handle whose index mod [k] <> 0 *)
+  | Every of float * float option * int
+      (** period, start; the action cancels its own handle on firing [k] *)
+  | Run of float  (** [run ~until:(now + d)] *)
+
+let show_handler = function
+  | Leaf -> "leaf"
+  | Spawn d -> Printf.sprintf "spawn %g" d
+  | Cancel_other i -> Printf.sprintf "cancel %d" i
+
+let show_op = function
+  | Sched (d, h) -> Printf.sprintf "sched %g (%s)" d (show_handler h)
+  | Sched_at (t, h) -> Printf.sprintf "sched_at %g (%s)" t (show_handler h)
+  | Batch (n, d) -> Printf.sprintf "batch %d %g" n d
+  | Cancel i -> Printf.sprintf "cancel %d" i
+  | Cancel_all_but k -> Printf.sprintf "cancel_all_but %d" k
+  | Every (p, s, k) ->
+    Printf.sprintf "every %g%s x%d" p
+      (match s with Some s -> Printf.sprintf " start %g" s | None -> "")
+      k
+  | Run d -> Printf.sprintf "run +%g" d
+
+(* What both sides expose to a script: the engine, or the model. *)
+module type SIM = sig
+  type t
+  type handle
+
+  val create : unit -> t
+  val now : t -> float
+  val schedule : t -> after:float -> (unit -> unit) -> handle
+  val schedule_at : t -> time:float -> (unit -> unit) -> handle
+  val every : t -> period:float -> ?start:float -> (unit -> unit) -> handle
+  val cancel : handle -> unit
+  val run : ?until:float -> t -> unit
+  val events_processed : t -> int
+  val live_events : t -> int
+end
+
+module Model : SIM = struct
+  type entry = {
+    time : float;
+    seq : int;
+    fire : unit -> unit;
+    mutable state : [ `Pending | `Fired | `Cancelled ];
+  }
+
+  type t = {
+    mutable clock : float;
+    mutable seq : int;
+    mutable queue : entry list;  (* pending only, sorted by (time, seq) *)
+    mutable processed : int;
+  }
+
+  type handle = One of t * entry | Recurring of bool ref
+
+  let create () = { clock = 0.0; seq = 0; queue = []; processed = 0 }
+  let now m = m.clock
+
+  let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+  let schedule_at m ~time fire =
+    let e = { time = Float.max time m.clock; seq = m.seq; fire; state = `Pending } in
+    m.seq <- m.seq + 1;
+    let rec insert = function
+      | x :: rest when before x e -> x :: insert rest
+      | rest -> e :: rest
+    in
+    m.queue <- insert m.queue;
+    One (m, e)
+
+  let schedule m ~after fire =
+    schedule_at m ~time:(m.clock +. Float.max 0.0 after) fire
+
+  let every m ~period ?(start = period) action =
+    let cancelled = ref false in
+    let rec fire () =
+      if not !cancelled then begin
+        action ();
+        if not !cancelled then ignore (schedule m ~after:period fire)
+      end
+    in
+    ignore (schedule m ~after:start fire);
+    Recurring cancelled
+
+  let cancel = function
+    | Recurring c -> c := true
+    | One (m, e) ->
+      if e.state = `Pending then begin
+        e.state <- `Cancelled;
+        m.queue <- List.filter (fun x -> x != e) m.queue
+      end
+
+  let rec run ?until m =
+    match m.queue with
+    | e :: rest
+      when match until with Some u -> e.time <= u | None -> true ->
+      m.queue <- rest;
+      m.clock <- Float.max m.clock e.time;
+      e.state <- `Fired;
+      m.processed <- m.processed + 1;
+      e.fire ();
+      run ?until m
+    | _ -> Option.iter (fun u -> m.clock <- Float.max m.clock u) until
+
+  let events_processed m = m.processed
+  let live_events m = List.length m.queue
+end
+
+module Real : SIM with type t = Engine.t and type handle = Engine.timer = struct
+  include Engine
+
+  type handle = timer
+
+  let live_events e = Engine.pending_events e - Engine.cancelled_pending e
+end
+
+(* Run [script] on [S].  Returns the observation trace — every fired
+   action as (handle index, time), then (clock, events processed, live
+   events) after each op — and calls [probe] at every action and op. *)
+let play (type t h) (module S : SIM with type t = t and type handle = h)
+    ~(probe : t -> unit) ~(on_cancel : t -> h -> unit) script =
+  let sim = S.create () in
+  let handles : (int, h) Hashtbl.t = Hashtbl.create 64 in
+  let count = ref 0 in
+  let trace = ref [] in
+  let note x = trace := x :: !trace in
+  let add mk =
+    let id = !count in
+    incr count;
+    Hashtbl.replace handles id (mk id)
+  in
+  let cancel i =
+    if !count > 0 then on_cancel sim (Hashtbl.find handles (i mod !count))
+  in
+  let rec action id handler () =
+    note (`Fire (id, S.now sim));
+    probe sim;
+    match handler with
+    | Leaf -> ()
+    | Spawn d -> add (fun id -> S.schedule sim ~after:d (action id Leaf))
+    | Cancel_other i -> cancel i
+  in
+  let step = function
+    | Sched (d, h) -> add (fun id -> S.schedule sim ~after:d (action id h))
+    | Sched_at (t, h) ->
+      add (fun id -> S.schedule_at sim ~time:t (action id h))
+    | Batch (n, d) ->
+      for i = 0 to n - 1 do
+        add (fun id ->
+            S.schedule sim ~after:(d +. (0.25 *. float_of_int (i mod 7)))
+              (action id Leaf))
+      done
+    | Cancel i -> cancel i
+    | Cancel_all_but k ->
+      for i = 0 to !count - 1 do
+        if i mod k <> 0 then cancel i
+      done
+    | Every (period, start, k) ->
+      add (fun id ->
+          let fired = ref 0 in
+          let self = ref None in
+          let h =
+            S.every sim ~period ?start (fun () ->
+                note (`Fire (id, S.now sim));
+                probe sim;
+                incr fired;
+                if !fired >= k then Option.iter S.cancel !self)
+          in
+          self := Some h;
+          h)
+    | Run d -> S.run ~until:(S.now sim +. d) sim
+  in
+  List.iter
+    (fun op ->
+      step op;
+      probe sim;
+      note (`After (S.now sim, S.events_processed sim, S.live_events sim)))
+    script;
+  S.run sim;
+  note (`After (S.now sim, S.events_processed sim, S.live_events sim));
+  List.rev !trace
+
+let grid = QCheck2.Gen.map (fun k -> 0.25 *. float_of_int k)
+
+let script_gen =
+  let open QCheck2.Gen in
+  let delay = grid (int_bound 8) in
+  let handler =
+    frequency
+      [
+        (5, pure Leaf);
+        (2, map (fun d -> Spawn d) delay);
+        (1, map (fun i -> Cancel_other i) (int_bound 1000));
+      ]
+  in
+  let op =
+    frequency
+      [
+        (4, map2 (fun d h -> Sched (d, h)) delay handler);
+        (2, map2 (fun t h -> Sched_at (t, h)) (grid (int_range (-8) 80)) handler);
+        (1, map2 (fun n d -> Batch (n, d)) (int_range 1 40) delay);
+        (3, map (fun i -> Cancel i) (int_bound 1000));
+        (1, map (fun k -> Cancel_all_but k) (int_range 2 5));
+        ( 1,
+          map3
+            (fun p s k -> Every (p, s, k))
+            (grid (int_range 1 8)) (opt delay) (int_range 1 6) );
+        (3, map (fun d -> Run d) delay);
+      ]
+  in
+  (* The far-future batch and the cancellation that follows it are
+     always there: well over 64 timers and over half the queue die at
+     once, so the engine's compaction runs in every script (at most 40
+     ops of at most 2 s each cannot reach t = 100 first). *)
+  let* n = int_range 150 220 in
+  let* k = int_range 3 5 in
+  let* pre = list_size (int_bound 20) op in
+  let* mid = list_size (int_bound 10) op in
+  let* post = list_size (int_bound 10) op in
+  pure (pre @ [ Batch (n, 100.0) ] @ mid @ [ Cancel_all_but k ] @ post)
+
+let engine_matches_model =
+  QCheck2.Test.make ~name:"engine matches sorted-list model" ~count:300
+    ~print:(fun s -> String.concat "; " (List.map show_op s))
+    script_gen
+  @@ fun script ->
+  let expected =
+    play (module Model) ~probe:ignore ~on_cancel:(fun _ h -> Model.cancel h)
+      script
+  in
+  let bounded = ref true in
+  let compacted = ref false in
+  let probe e =
+    let c = Engine.cancelled_pending e in
+    if c < 0 || c > Engine.pending_events e then bounded := false
+  in
+  (* A cancel that kills a queued timer adds one to [cancelled_pending]
+     unless it triggered a compaction. *)
+  let on_cancel e h =
+    let queued = Engine.is_pending h in
+    let before = Engine.cancelled_pending e in
+    Engine.cancel h;
+    if queued && Engine.cancelled_pending e < before then compacted := true
+  in
+  let actual = play (module Real) ~probe ~on_cancel script in
+  if not !bounded then QCheck2.Test.fail_report "cancelled_pending out of bounds";
+  if not !compacted then QCheck2.Test.fail_report "compaction never ran";
+  actual = expected
+
 let () =
   Alcotest.run "leotp_sim"
     [
@@ -227,17 +465,16 @@ let () =
           Alcotest.test_case "nested scheduling" `Quick test_schedule_from_handler;
           Alcotest.test_case "cancel" `Quick test_cancel;
           Alcotest.test_case "run until" `Quick test_run_until;
-          Alcotest.test_case "run slice" `Quick test_run_slice;
-          Alcotest.test_case "run slice counters" `Quick
-            test_run_slice_counts_events;
           Alcotest.test_case "negative delay clamp" `Quick
             test_clock_monotone_negative_after;
-          Alcotest.test_case "step" `Quick test_step;
           Alcotest.test_case "every" `Quick test_every;
           Alcotest.test_case "every with start" `Quick test_every_start;
           Alcotest.test_case "cancel compaction" `Quick test_cancel_compaction;
           Alcotest.test_case "compaction keeps order" `Quick
             test_cancel_compaction_order;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "non-finite times rejected" `Quick
+            test_non_finite_times;
+          QCheck_alcotest.to_alcotest engine_matches_model;
         ] );
     ]

@@ -508,7 +508,7 @@ let test_ewma () =
 (* Rto *)
 
 let test_rto_first_sample () =
-  let r = Rto.create ~min_rto:0.0 ~initial_rto:1.0 () in
+  let r = Rto.create ~min_rto:0.0 () in
   check_float "initial" 1.0 (Rto.rto r);
   Rto.observe r 0.1;
   (* RFC 6298: srtt = R, rttvar = R/2, rto = srtt + 4*rttvar = 3R *)
