@@ -488,15 +488,10 @@ let run_fault_lab ~quick ~out_dir ~trace_wanted spec =
    constellation (and replay it in-memory), or replay a trace file.
    Both print the packet-trace digest; gen(live) and a replay of the
    written file must print the same digest — the bit-identical replay
-   guarantee that bin/ci.sh checks. *)
+   guarantee that test/witness.t pins. *)
 
-let print_pathtrace_run ~tag ~interp ~step tr =
-  let interp =
-    match interp with
-    | `Hold -> Leotp_net.Dynamic_path.Hold_last
-    | `Linear -> Leotp_net.Dynamic_path.Linear { substep = step /. 4.0 }
-  in
-  let r = Pathtrace.run ~interp tr in
+let print_pathtrace_run ~tag tr =
+  let r = Pathtrace.run tr in
   Printf.printf
     "  %s: tput=%5.2f Mbps  owd(avg)=%6.1fms  switches %d\n" tag
     r.Pathtrace.summary.Common.goodput_mbps
@@ -510,7 +505,7 @@ let print_pathtrace_header mode (m : Path_trace.meta) =
     (if m.Path_trace.isls then "isls" else "bent-pipe")
     m.Path_trace.horizon m.Path_trace.step m.Path_trace.seed
 
-let run_gen ~file ~src ~dst ~isls ~horizon ~step ~route_epoch ~interp ~seed =
+let run_gen ~file ~src ~dst ~isls ~horizon ~step ~route_epoch ~seed =
   print_pathtrace_header "gen" { Path_trace.src; dst; isls; horizon; step; seed };
   let tr =
     Pathtrace.generate { Pathtrace.src; dst; isls; horizon; step; route_epoch; seed }
@@ -530,19 +525,18 @@ let run_gen ~file ~src ~dst ~isls ~horizon ~step ~route_epoch ~interp ~seed =
       (100.0 *. Path_trace.outage_fraction tr);
     if Path_trace.route_count tr = 0 then
       Printf.printf "  no route records: skipping the live replay\n"
-    else print_pathtrace_run ~tag:"live" ~interp ~step tr;
+    else print_pathtrace_run ~tag:"live" tr;
     true
 
-let run_replay ~file ~interp =
+let run_replay ~file =
   match Path_trace.of_file file with
   | Error msg ->
-    Printf.eprintf "pathtrace replay: %s: %s\n" file msg;
+    prerr_endline ("pathtrace replay: " ^ msg);
     false
   | Ok tr ->
-    let m = tr.Path_trace.meta in
-    print_pathtrace_header "replay" m;
+    print_pathtrace_header "replay" tr.Path_trace.meta;
     let ok = Path_trace.route_count tr > 0 in
-    if ok then print_pathtrace_run ~tag:"replay" ~interp ~step:m.Path_trace.step tr
+    if ok then print_pathtrace_run ~tag:"replay" tr
     else Printf.eprintf "pathtrace replay: trace has no route records\n";
     ok
 
@@ -754,10 +748,6 @@ let duration ~above ~why =
     & opt (float_in ~docv:"SECONDS" ~what (fun v -> v > above)) 60.0
     & info [ "d"; "duration" ] ~docv:"SECONDS" ~doc:"Simulated duration.")
 
-let interp =
-  opt (Arg.enum [ ("hold", `Hold); ("linear", `Linear) ]) `Hold "interp"
-    ~docv:"POLICY" "Replay interpolation: hold or linear."
-
 let jobs =
   Term.(
     const Runner.set_jobs
@@ -820,9 +810,9 @@ let pathtrace_cmd =
   let gen =
     cmd "gen" ~doc:"Sample the constellation into --trace-file, then replay it."
       Term.(
-        const (fun () file (src, dst) bent_pipe horizon step route_epoch interp seed ->
+        const (fun () file (src, dst) bent_pipe horizon step route_epoch seed ->
             run_gen ~file ~src ~dst ~isls:(not bent_pipe) ~horizon ~step
-              ~route_epoch ~interp ~seed)
+              ~route_epoch ~seed)
         $ check $ trace_file
         $ opt city_pair (d.Pathtrace.src, d.Pathtrace.dst) "pair" ~docv:"SRC:DST"
             "City pair."
@@ -830,13 +820,13 @@ let pathtrace_cmd =
         $ seconds "horizon" d.Pathtrace.horizon "Orbital time to sample."
         $ seconds "step" d.Pathtrace.step "Sampling step."
         $ seconds "route-epoch" d.Pathtrace.route_epoch "Routing recompute quantum."
-        $ interp $ seed 7)
+        $ seed 7)
   in
   let replay =
     cmd "replay" ~doc:"Replay --trace-file and print its digest."
       Term.(
-        const (fun () file interp -> run_replay ~file ~interp)
-        $ check $ trace_file $ interp)
+        const (fun () file -> run_replay ~file)
+        $ check $ trace_file)
   in
   Cmd.group
     (Cmd.info "pathtrace"

@@ -7,7 +7,6 @@ module IntMap = Map.Make (Int)
 type interest_state = {
   lo : int;
   hi : int;
-  first_requested : float;
   mutable last_requested : float;
   mutable deadline : float;
   mutable retx_count : int;
@@ -29,8 +28,6 @@ type t = {
   cc : Hop_cc.t;
   shr : Shr.t;
   rto : Leotp_util.Rto.t;
-  path_rtt_min : Leotp_util.Windowed_min.t;
-      (** minimum Interest->Data delay: the path's propagation RTT *)
   mutable outstanding : interest_state IntMap.t;  (** keyed by range lo *)
   mutable outstanding_bytes : int;
   mutable stale_bytes : int;
@@ -74,7 +71,6 @@ let create engine ~config ~node ~producer ~flow ?total_bytes ?metrics
       Leotp_util.Rto.create ~min_rto:0.05 ~max_rto:2.0
         ~backoff_factor:config.Config.tr_backoff ();
     last_shared_backoff = 0.0;
-    path_rtt_min = Leotp_util.Windowed_min.create_min ~window:10.0;
     outstanding = IntMap.empty;
     outstanding_bytes = 0;
     stale_bytes = 0;
@@ -246,7 +242,6 @@ and pump_loop t now =
         ({
            lo;
            hi;
-           first_requested = now;
            last_requested = now;
            deadline = now +. timeout;
            retx_count = 0;
@@ -338,7 +333,6 @@ let handle_data t ~lo ~hi ~first_sent ~retx =
         if st.retx_count = 0 then begin
           let loop_rtt = now -. st.last_requested in
           Leotp_util.Rto.observe t.rto loop_rtt;
-          Leotp_util.Windowed_min.add t.path_rtt_min ~now loop_rtt;
           Hop_cc.on_data t.cc ~now ~interest_owd:loop_rtt ~data_owd:0.0
             ~bytes:(st.hi - st.lo)
         end

@@ -7,7 +7,6 @@ type flow_stats = {
   vph_sent : int;
   shr_interests : int;
   cache_hits : int;
-  buffer_len : int;
 }
 
 (* Multicast (paper par.VII): a second Consumer's Interest for a range
@@ -335,7 +334,6 @@ let flow_stats t ~flow =
          vph_sent = fs.vph_sent;
          shr_interests = fs.shr_interests;
          cache_hits = fs.cache_hits;
-         buffer_len = Send_buffer.len fs.buffer;
        }
         : flow_stats)
   | None -> None

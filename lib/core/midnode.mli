@@ -25,7 +25,6 @@ type flow_stats = {
   vph_sent : int;
   shr_interests : int;
   cache_hits : int;
-  buffer_len : int;
 }
 
 val flow_stats : t -> flow:int -> flow_stats option

@@ -35,7 +35,7 @@ let attach engine ~config ~consumer_node ~producer_node ~midnodes ~flow
   { consumer; producer; midnodes; metrics }
 
 let over_chain engine ~config ~chain ~flow ?total_bytes ?(coverage = 1.0)
-    ?coverage_rng ?on_complete () =
+    ?coverage_rng () =
   let nodes = chain.Leotp_net.Topology.nodes in
   let n = Array.length nodes in
   assert (n >= 2);
@@ -69,7 +69,7 @@ let over_chain engine ~config ~chain ~flow ?total_bytes ?(coverage = 1.0)
       List.map (fun node -> Midnode.create engine ~config ~node ()) chosen
   in
   attach engine ~config ~consumer_node:nodes.(0) ~producer_node:nodes.(n - 1)
-    ~midnodes ~flow ?total_bytes ?on_complete ()
+    ~midnodes ~flow ?total_bytes ()
 
 let start t = Consumer.start t.consumer
 

@@ -36,7 +36,6 @@ val over_chain :
   ?total_bytes:int ->
   ?coverage:float ->
   ?coverage_rng:Leotp_util.Rng.t ->
-  ?on_complete:(unit -> unit) ->
   unit ->
   t
 (** Consumer at [chain.nodes.(0)], Producer at the far end.  [coverage]

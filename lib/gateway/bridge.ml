@@ -5,17 +5,15 @@ module Flow_metrics = Leotp_net.Flow_metrics
 type t = {
   tcp_in : Leotp_tcp.Sender.t;
   rx_in : Leotp_tcp.Receiver.t;
-  producer : Leotp.Producer.t;
   consumer : Leotp.Consumer.t;
   tcp_out : Leotp_tcp.Sender.t;
-  rx_out : Leotp_tcp.Receiver.t;
   m_leotp : Flow_metrics.t;
   m_out : Flow_metrics.t;
   completed : bool ref;
 }
 
 let create engine ~config ~tcp_cc ~sender_node ~ingress_node ~egress_node
-    ~receiver_node ~flow ~bytes ?on_complete () =
+    ~receiver_node ~flow ~bytes () =
   let m_in = Flow_metrics.create ~flow in
   let m_leotp = Flow_metrics.create ~flow in
   let m_out = Flow_metrics.create ~flow in
@@ -70,12 +68,10 @@ let create engine ~config ~tcp_cc ~sender_node ~ingress_node ~egress_node
       ()
   in
   consumer_ref := Some consumer;
-  let rx_out =
+  let receiver =
     Leotp_tcp.Receiver.create engine ~node:receiver_node
       ~src:(Node.id egress_node) ~flow ~metrics:m_out ~expected_bytes:bytes
-      ~on_complete:(fun () ->
-        completed := true;
-        match on_complete with Some f -> f () | None -> ())
+      ~on_complete:(fun () -> completed := true)
       ()
   in
 
@@ -99,19 +95,9 @@ let create engine ~config ~tcp_cc ~sender_node ~ingress_node ~egress_node
       else Node.forward egress_node ~from:0 pkt);
   Node.set_handler receiver_node (fun ~from:_ pkt ->
       if Leotp_tcp.Wire.is_data_seg pkt && pkt.Packet.flow = flow then
-        Leotp_tcp.Receiver.handle_data rx_out pkt
+        Leotp_tcp.Receiver.handle_data receiver pkt
       else Node.forward receiver_node ~from:0 pkt);
-  {
-    tcp_in;
-    rx_in;
-    producer;
-    consumer;
-    tcp_out;
-    rx_out;
-    m_leotp;
-    m_out;
-    completed;
-  }
+  { tcp_in; rx_in; consumer; tcp_out; m_leotp; m_out; completed }
 
 let start t =
   Leotp_tcp.Sender.start t.tcp_in;

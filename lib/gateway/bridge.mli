@@ -29,7 +29,6 @@ val create :
   receiver_node:Leotp_net.Node.t ->
   flow:int ->
   bytes:int ->
-  ?on_complete:(unit -> unit) ->
   unit ->
   t
 (** Installs handlers on all four nodes.  The satellite segment (between

@@ -95,8 +95,6 @@ let switch_count t = t.switch_count
 (* ------------------------------------------------------------------ *)
 (* Trace replay. *)
 
-type interp = Hold_last | Linear of { substep : float }
-
 let hop_state_of_trace (h : Path_trace.hop) =
   {
     delay = h.Path_trace.delay;
@@ -110,66 +108,6 @@ let snapshot_of_hops ~max_hops (hops : Path_trace.hop array) =
   Array.init
     (min (Array.length hops) max_hops)
     (fun i -> hop_state_of_trace hops.(i))
-
-(* Linearly interpolated snapshot between two same-length hop arrays. *)
-let lerp_snapshot ~max_hops a b frac =
-  Array.init
-    (min (Array.length a) max_hops)
-    (fun i ->
-      let ha : Path_trace.hop = a.(i) and hb : Path_trace.hop = b.(i) in
-      {
-        delay = ha.Path_trace.delay +. (frac *. (hb.Path_trace.delay -. ha.Path_trace.delay));
-        bandwidth =
-          Bandwidth.Constant
-            (Leotp_util.Units.mbps_to_bytes_per_sec
-               (ha.Path_trace.bw_mbps
-               +. (frac *. (hb.Path_trace.bw_mbps -. ha.Path_trace.bw_mbps))));
-        plr =
-          ha.Path_trace.plr +. (frac *. (hb.Path_trace.plr -. ha.Path_trace.plr));
-      })
-
-let trace_snapshots ~max_hops ~interp (tr : Path_trace.t) =
-  let routes =
-    List.filter_map
-      (fun (r : Path_trace.record) ->
-        match r.Path_trace.event with
-        | Path_trace.Route { hops; _ } -> Some (r.Path_trace.time, hops)
-        | Path_trace.No_route -> None)
-      tr.Path_trace.records
-  in
-  match interp with
-  | Hold_last ->
-    List.map
-      (fun (time, hops) -> (time, snapshot_of_hops ~max_hops hops))
-      routes
-  | Linear { substep } ->
-    let substep = Float.max substep 1e-3 in
-    let rec expand acc = function
-      | [] -> List.rev acc
-      | [ (t0, h0) ] -> List.rev ((t0, snapshot_of_hops ~max_hops h0) :: acc)
-      | (t0, h0) :: ((t1, h1) :: _ as rest) ->
-        let acc = (t0, snapshot_of_hops ~max_hops h0) :: acc in
-        let acc =
-          (* Only interpolate along an unchanged route shape; a hop-count
-             change is a reroute and must stay a step. *)
-          if Array.length h0 <> Array.length h1 then acc
-          else begin
-            let k =
-              int_of_float (Float.round ((t1 -. t0) /. substep))
-            in
-            let rec fill acc j =
-              if j >= k then acc
-              else
-                let frac = float_of_int j /. float_of_int k in
-                let tj = t0 +. (frac *. (t1 -. t0)) in
-                fill ((tj, lerp_snapshot ~max_hops h0 h1 frac) :: acc) (j + 1)
-            in
-            if k > 1 then fill acc 1 else acc
-          end
-        in
-        expand acc rest
-    in
-    expand [] routes
 
 let apply_outage t (ev : Leotp_sim.Fault.event) =
   let set_hop i v =
@@ -204,8 +142,15 @@ let outage_schedule t (tr : Path_trace.t) =
              ])))
     (Path_trace.outage_intervals tr)
 
-let schedule_trace ?(interp = Hold_last) t (tr : Path_trace.t) =
-  schedule t (trace_snapshots ~max_hops:t.max_hops ~interp tr);
+let schedule_trace t (tr : Path_trace.t) =
+  schedule t
+    (List.filter_map
+       (fun (r : Path_trace.record) ->
+         match r.Path_trace.event with
+         | Path_trace.Route { hops; _ } ->
+           Some (r.Path_trace.time, snapshot_of_hops ~max_hops:t.max_hops hops)
+         | Path_trace.No_route -> None)
+       tr.Path_trace.records);
   (* Snapshots are scheduled before outage events, so at an outage-ending
      instant the new route's parameters apply first and the link comes
      back up second — deterministically, via the engine's FIFO tie-break. *)

@@ -45,23 +45,18 @@ val apply : t -> snapshot -> unit
 val schedule : t -> (float * snapshot) list -> unit
 (** Apply each snapshot at its absolute time. *)
 
-type interp =
-  | Hold_last  (** each trace sample holds until the next one *)
-  | Linear of { substep : float }
-      (** linearly interpolate delay/bandwidth/plr between consecutive
-          same-hop-count samples, applied every [substep] seconds;
-          reroutes (hop-count changes) remain steps *)
-
 val snapshot_of_hops : max_hops:int -> Path_trace.hop array -> snapshot
 (** Truncate to [max_hops] and convert Mbps rates to {!Bandwidth.t}
     (trace hops are already Consumer side first). *)
 
-val schedule_trace : ?interp:interp -> t -> Path_trace.t -> unit
-(** Replay a recorded timeline: schedule every route sample (under the
-    interpolation policy, default {!Hold_last}) and turn every outage
-    interval into a chain-wide link-down window via
+val schedule_trace : t -> Path_trace.t -> unit
+(** Replay a recorded timeline: schedule one snapshot per route record,
+    in record order, each held unchanged until the next one applies, and
+    turn every outage interval into a chain-wide link-down window via
     {!Leotp_sim.Fault.install}, so going dark drops in-flight packets
-    exactly like an injected fault. *)
+    exactly like an injected fault.  Snapshots are scheduled before the
+    outage events, so at an outage-ending instant the new route applies
+    first and the links come back up second. *)
 
 val active_hops : t -> int
 val switch_count : t -> int

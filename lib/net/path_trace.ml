@@ -187,8 +187,12 @@ let of_string s =
 
 let of_file path =
   match In_channel.with_open_bin path In_channel.input_all with
-  | s -> of_string s
-  | exception Sys_error m -> Error m
+  | s -> Result.map_error (fun m -> path ^ ": " ^ m) (of_string s)
+  | exception Sys_error m ->
+    (* An open error names the file already; a read error (a directory)
+       does not. *)
+    let named = String.starts_with ~prefix:(path ^ ": ") m in
+    Error (if named then m else path ^ ": " ^ m)
 
 (* ------------------------------------------------------------------ *)
 (* Derived statistics. *)

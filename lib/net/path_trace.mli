@@ -61,7 +61,8 @@ val of_string : string -> (t, string) result
 val to_file : t -> string -> unit
 
 val of_file : string -> (t, string) result
-(** [Error] also covers unreadable files. *)
+(** [Error] also covers unreadable files; its message names the path
+    once, then the reason. *)
 
 val route_count : t -> int
 val handover_count : t -> int

@@ -43,15 +43,9 @@ let protocol_of_name name =
     | [ "split"; algo ] -> cc (fun a -> Split_tcp a) algo
     | _ -> cc (fun a -> Tcp a) s)
 
-type link_params = {
-  bandwidth_mbps : float;
-  delay : float;
-  plr : float;
-  buffer_bytes : int;
-}
+type link_params = { bandwidth_mbps : float; delay : float; plr : float }
 
-let link ?(plr = 0.0) ?(buffer_bytes = 256 * 1024) ~bw ~delay () =
-  { bandwidth_mbps = bw; delay; plr; buffer_bytes }
+let link ?(plr = 0.0) ~bw ~delay () = { bandwidth_mbps = bw; delay; plr }
 
 type summary = {
   protocol : string;
@@ -71,7 +65,7 @@ type summary = {
 let uniform_hops ~n p = List.init n (fun _ -> p)
 
 let to_spec p =
-  Topology.hop ~plr:p.plr ~buffer_bytes:p.buffer_bytes
+  Topology.hop ~plr:p.plr
     ~bandwidth:(Bandwidth.Constant (mbps p.bandwidth_mbps))
     ~delay:p.delay ()
 
@@ -400,11 +394,10 @@ let run_flows_dumbbell ?(seed = 42) ?bytes ?(duration = 600.0) ?(faults = [])
   in
   (summaries, series)
 
-let run_faulted ?seed ?bytes ?duration ?warmup ?(faults = []) ?trace ~hops
-    protocol =
+let run_faulted ?bytes ?duration ?warmup ?(faults = []) ?trace ~hops protocol =
   let reports = ref [] in
   let summary =
-    run_chain ?seed ?bytes ?duration ?warmup ~faults ?trace
+    run_chain ?bytes ?duration ?warmup ~faults ?trace
       ~on_reports:(fun r -> reports := r)
       ~hops protocol
   in

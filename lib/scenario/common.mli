@@ -23,10 +23,11 @@ type link_params = {
   bandwidth_mbps : float;
   delay : float;  (** one-way propagation per hop, seconds *)
   plr : float;
-  buffer_bytes : int;
 }
+(** Every hop built from these gets {!Leotp_net.Topology.hop}'s 256 KB
+    drop-tail buffer. *)
 
-val link : ?plr:float -> ?buffer_bytes:int -> bw:float -> delay:float -> unit -> link_params
+val link : ?plr:float -> bw:float -> delay:float -> unit -> link_params
 
 type summary = {
   protocol : string;
@@ -57,8 +58,10 @@ val observed :
     {!Invariants.self_check} is set (then a one-slot sink-only ring is
     used); otherwise [f] just runs.  After [f]: [sweep ~now] (e.g. PIT
     end-of-run expiry), {!Leotp_net.Link.trace_final} on every link,
-    invariant finalization.  In self-check mode a failed invariant raises
-    {!Invariants.Violation} tagged with [label]. *)
+    invariant finalization.  [sweep] may also finalize links created
+    during [f], which the caller cannot pass as [links] up front.  In
+    self-check mode a failed invariant raises {!Invariants.Violation}
+    tagged with [label]. *)
 
 val fresh_engine : seed:int -> Leotp_sim.Engine.t * Leotp_util.Rng.t
 (** Start a run: reset the packet and node id counters (the trace digests
@@ -125,7 +128,6 @@ val run_chain :
     verdicts (see {!observed}). *)
 
 val run_faulted :
-  ?seed:int ->
   ?bytes:int ->
   ?duration:float ->
   ?warmup:float ->
@@ -134,8 +136,8 @@ val run_faulted :
   hops:link_params list ->
   protocol ->
   summary * Invariants.report list
-(** {!run_chain} with the invariant checker always attached; returns the
-    verdicts instead of raising. *)
+(** {!run_chain} at seed 42 with the invariant checker always attached;
+    returns the verdicts instead of raising. *)
 
 val uniform_hops : n:int -> link_params -> link_params list
 

@@ -3,11 +3,12 @@
    A [Workload] schedule is partitioned into a fixed number of shards by
    origin city (all flows sourced at one city share that city's uplink,
    and nothing else couples flows), so every shard is an independent
-   simulation: its own engine, rng, trace recorder and invariant
-   checker.  Shards run as [Runner] jobs; because the shard count is
-   fixed and each job resets the domain-local id counters, the per-shard
-   trace digests — and hence the combined digest — are bit-identical for
-   [--jobs 1] and [--jobs N].
+   simulation: its own engine and rng ([Common.fresh_engine]) and its own
+   trace recorder and invariant checker ([Common.observed]).  Shards run
+   as [Runner] jobs; because the shard count is fixed and each job resets
+   the domain-local id counters, the per-shard trace digests — and hence
+   the combined digest — are bit-identical for [--jobs 1] and
+   [--jobs N].
 
    Per origin city the shard lazily builds shared infrastructure: a
    ground gateway and an attachment-satellite node, both running LEOTP
@@ -39,36 +40,19 @@ module Rng = Leotp_util.Rng
 
 let mbps = Leotp_util.Units.mbps_to_bytes_per_sec
 
-type spec = {
-  workload : Workload.spec;
-  shards : int;
-  config : Leotp.Config.t;
-  tcp_cc : Leotp_tcp.Cc.algo;
-  route_epoch : float;
-  uplink_mbps : float;
-  access_mbps : float;
-  space_mbps : float;
-  gsl_plr : float;
-  isl_plr : float;
-  retire_grace : float;
-  drain : float;
-}
+type spec = { workload : Workload.spec; shards : int; gsl_plr : float }
 
-let default =
-  {
-    workload = Workload.default;
-    shards = 8;
-    config = Leotp.Config.default;
-    tcp_cc = Leotp_tcp.Cc.Cubic;
-    route_epoch = 30.0;
-    uplink_mbps = 100.0;
-    access_mbps = 400.0;
-    space_mbps = 100.0;
-    gsl_plr = 0.003;
-    isl_plr = 0.001;
-    retire_grace = 2.0;
-    drain = 120.0;
-  }
+let default = { workload = Workload.default; shards = 8; gsl_plr = 0.003 }
+
+let config = Leotp.Config.default
+let tcp_cc = Leotp_tcp.Cc.Cubic
+let route_epoch = 30.0
+let uplink_mbps = 100.0
+let access_mbps = 400.0
+let space_mbps = 100.0
+let isl_plr = 0.001
+let retire_grace = 2.0
+let drain = 120.0
 
 type shard_stats = {
   shard : int;
@@ -130,8 +114,6 @@ type site = {
 }
 
 type active = {
-  arrival : Workload.arrival;
-  flow : int;
   slot : slot;
   site_origin : int;
   session :
@@ -142,7 +124,6 @@ type active = {
 
 type shard_state = {
   spec : spec;
-  shard : int;
   engine : Engine.t;
   rng : Rng.t;
   memo : Path_service.Memo.t;
@@ -174,7 +155,7 @@ let space_params spec route ~uplink_delay =
       (List.filter (fun h -> h.Path_service.kind = Path_service.Isl) route)
   in
   let p_ok =
-    ((1.0 -. spec.isl_plr) ** float_of_int isls) *. (1.0 -. spec.gsl_plr)
+    ((1.0 -. isl_plr) ** float_of_int isls) *. (1.0 -. spec.gsl_plr)
   in
   (delay, 1.0 -. p_ok)
 
@@ -193,16 +174,12 @@ let get_site st ~origin ~route =
     let uplink =
       Topology.connect st.engine ~rng:st.rng gateway sky
         (Topology.hop
-           ~bandwidth:(Bandwidth.Constant (mbps st.spec.uplink_mbps))
+           ~bandwidth:(Bandwidth.Constant (mbps uplink_mbps))
            ~delay:uplink_delay ~plr:st.spec.gsl_plr ())
     in
     st.links <- uplink.Topology.rev :: uplink.Topology.fwd :: st.links;
-    let gw_mid =
-      Leotp.Midnode.create st.engine ~config:st.spec.config ~node:gateway ()
-    in
-    let sky_mid =
-      Leotp.Midnode.create st.engine ~config:st.spec.config ~node:sky ()
-    in
+    let gw_mid = Leotp.Midnode.create st.engine ~config ~node:gateway () in
+    let sky_mid = Leotp.Midnode.create st.engine ~config ~node:sky () in
     let site =
       { gateway; sky; uplink; gw_mid; sky_mid; free_slots = []; next_slot = 0 }
     in
@@ -222,13 +199,13 @@ let get_slot st ~origin site =
     let access =
       Topology.connect st.engine ~rng:st.rng producer_node site.gateway
         (Topology.hop
-           ~bandwidth:(Bandwidth.Constant (mbps st.spec.access_mbps))
+           ~bandwidth:(Bandwidth.Constant (mbps access_mbps))
            ~delay:access_delay ())
     in
     let space =
       Topology.connect st.engine ~rng:st.rng site.sky consumer_node
         (Topology.hop
-           ~bandwidth:(Bandwidth.Constant (mbps st.spec.space_mbps))
+           ~bandwidth:(Bandwidth.Constant (mbps space_mbps))
            ~delay:0.01 ())
     in
     st.links <-
@@ -301,14 +278,14 @@ let admit st (a : Workload.arrival) =
     let on_complete () =
       st.completed <- st.completed + 1;
       ignore
-        (Engine.schedule st.engine ~after:st.spec.retire_grace (fun () ->
+        (Engine.schedule st.engine ~after:retire_grace (fun () ->
              retire st flow))
     in
     let session =
       match a.protocol with
       | Workload.Leotp ->
         let s =
-          Leotp.Session.attach st.engine ~config:st.spec.config
+          Leotp.Session.attach st.engine ~config
             ~consumer_node:slot.consumer_node ~producer_node:slot.producer_node
             ~midnodes:[ site.gw_mid; site.sky_mid ] ~flow
             ~total_bytes:a.bytes ~on_complete ()
@@ -318,22 +295,14 @@ let admit st (a : Workload.arrival) =
       | Workload.Tcp ->
         let s =
           Leotp_tcp.Session.connect st.engine ~src_node:slot.producer_node
-            ~dst_node:slot.consumer_node ~flow ~cc:st.spec.tcp_cc
+            ~dst_node:slot.consumer_node ~flow ~cc:tcp_cc
             ~source:(Leotp_tcp.Sender.Fixed a.bytes) ~on_complete ()
         in
         Leotp_tcp.Session.start s;
         `Tcp s
     in
     Hashtbl.replace st.flows flow
-      {
-        arrival = a;
-        flow;
-        slot;
-        site_origin = a.origin;
-        session;
-        started = now;
-        retired = false;
-      };
+      { slot; site_origin = a.origin; session; started = now; retired = false };
     st.started <- st.started + 1;
     st.peak_active <- max st.peak_active (Hashtbl.length st.flows)
 
@@ -341,24 +310,16 @@ let active_flows st =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) st.flows [])
 
 let run_shard spec ~shard ~arrivals () =
-  Packet.reset_ids ();
-  Node.reset_ids ();
+  let engine, root = Common.fresh_engine ~seed:spec.workload.Workload.seed in
   let pool_live0 = Pool.live_count () in
   let packets0 = Packet.created_on_domain () in
-  let engine = Engine.create () in
-  let rng =
-    Rng.substream
-      (Rng.create ~seed:spec.workload.Workload.seed)
-      (Printf.sprintf "fleet-shard-%02d" shard)
-  in
   let st =
     {
       spec;
-      shard;
       engine;
-      rng;
+      rng = Rng.substream root (Printf.sprintf "fleet-shard-%02d" shard);
       memo =
-        Path_service.Memo.create ~epoch:spec.route_epoch
+        Path_service.Memo.create ~epoch:route_epoch
           (Walker.create Walker.starlink);
       sites = Array.make Cities.count None;
       flows = Hashtbl.create 64;
@@ -372,47 +333,41 @@ let run_shard spec ~shard ~arrivals () =
     }
   in
   let recorder = Trace.create ~capacity:1 ~digesting:true () in
-  let checker = Invariants.create () in
-  Trace.add_sink recorder (Invariants.sink checker);
   let reports = ref [] in
   let pit_end = ref 0 in
-  Trace.with_recorder recorder
-    ~clock:(fun () -> Engine.now engine)
+  (* The slot links are created mid-run, so [sweep] finalizes them (in
+     creation order) instead of [~links]. *)
+  let sweep ~now =
+    Array.iter
+      (function
+        | None -> ()
+        | Some site ->
+          Leotp.Midnode.sweep_pit site.gw_mid ~now;
+          Leotp.Midnode.sweep_pit site.sky_mid ~now;
+          pit_end :=
+            !pit_end
+            + Leotp.Midnode.pit_pending site.gw_mid
+            + Leotp.Midnode.pit_pending site.sky_mid)
+      st.sites;
+    List.iter Link.trace_final (List.rev st.links)
+  in
+  Common.observed ~engine ~links:[] ~trace:recorder
+    ~on_reports:(fun r -> reports := r)
+    ~sweep
+    ~label:(Printf.sprintf "fleet shard %d" shard)
     (fun () ->
       List.iter
         (fun (a : Workload.arrival) ->
           Engine.run engine ~until:a.Workload.at;
           admit st a)
         arrivals;
-      Engine.run engine ~until:(spec.workload.Workload.horizon +. spec.drain);
+      Engine.run engine ~until:(spec.workload.Workload.horizon +. drain);
       (* Stragglers: stop and retire whatever is still running, then
          flush every link and let the epoch-stale deliveries drain so
          all pooled packets come home. *)
       List.iter (retire st) (active_flows st);
       List.iter Link.flush (List.rev st.links);
-      Engine.run engine ~until:(Engine.now engine +. spec.retire_grace +. 1.0);
-      let now = Engine.now engine in
-      Array.iter
-        (function
-          | None -> ()
-          | Some site ->
-            Leotp.Midnode.sweep_pit site.gw_mid ~now;
-            Leotp.Midnode.sweep_pit site.sky_mid ~now;
-            pit_end :=
-              !pit_end
-              + Leotp.Midnode.pit_pending site.gw_mid
-              + Leotp.Midnode.pit_pending site.sky_mid)
-        st.sites;
-      List.iter Link.trace_final (List.rev st.links);
-      reports := Invariants.finalize ~now checker;
-      if
-        Atomic.get Invariants.self_check
-        && not (Invariants.all_ok !reports)
-      then
-        raise
-          (Invariants.Violation
-             (Printf.sprintf "fleet shard %d: invariant violation\n%s" shard
-                (Invariants.to_string !reports))));
+      Engine.run engine ~until:(Engine.now engine +. retire_grace +. 1.0));
   Runner.note_sim_seconds (Engine.now engine);
   {
     shard;

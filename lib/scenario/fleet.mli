@@ -18,19 +18,20 @@
 type spec = {
   workload : Workload.spec;
   shards : int;  (** fixed partition count — independent of [--jobs] *)
-  config : Leotp.Config.t;
-  tcp_cc : Leotp_tcp.Cc.algo;
-  route_epoch : float;  (** Path_service memo quantum, seconds *)
-  uplink_mbps : float;  (** shared per-origin-city GSL bandwidth *)
-  access_mbps : float;  (** producer access link *)
-  space_mbps : float;  (** per-flow folded ISL+down-GSL link *)
   gsl_plr : float;
-  isl_plr : float;
-  retire_grace : float;  (** completion -> slot reclaim delay, seconds *)
-  drain : float;  (** extra sim time after the last arrival *)
 }
 
 val default : spec
+(** 8 shards, 0.3 % GSL loss.  Every run also uses these constants:
+    - LEOTP sessions run {!Leotp.Config.default}, TCP flows Cubic;
+    - routes are memoized per 30 s epoch
+      ({!Leotp_constellation.Path_service.Memo});
+    - each origin city's shared uplink runs at 100 Mbps, each flow's
+      producer access link at 400 Mbps and its folded ISL + down-GSL
+      "space" link at 100 Mbps;
+    - each ISL hop loses 0.1 % of packets;
+    - a completed flow's slot is reclaimed 2 s after completion;
+    - the run drains for 120 s of sim time after the workload horizon. *)
 
 type shard_stats = {
   shard : int;

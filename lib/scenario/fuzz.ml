@@ -29,13 +29,11 @@ type spec = {
 type failure = {
   protocol : string;
   spec : spec;  (** shrunk when [shrink_runs > 0] *)
-  original : spec;
   problems : string list;
   shrink_runs : int;
 }
 
 type outcome = {
-  cases : int;
   runs : int;
   oracle_acks : int;
   failures : failure list;
@@ -273,13 +271,7 @@ let run ~seed ~cases () =
             | None -> (spec, 0, problems)
           in
           Some
-            { protocol = name; spec = shrunk; original = spec; problems;
-              shrink_runs })
+            { protocol = name; spec = shrunk; problems; shrink_runs })
       outcomes
   in
-  {
-    cases;
-    runs = List.length cells;
-    oracle_acks;
-    failures;
-  }
+  { runs = List.length cells; oracle_acks; failures }

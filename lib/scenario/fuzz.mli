@@ -29,13 +29,11 @@ type spec = {
 type failure = {
   protocol : string;  (** "leotp" or a CC name *)
   spec : spec;  (** shrunk spec *)
-  original : spec;
   problems : string list;  (** oracle divergences + invariant failures *)
   shrink_runs : int;  (** simulations spent shrinking *)
 }
 
 type outcome = {
-  cases : int;
   runs : int;  (** simulations in the main sweep (cases x protocols) *)
   oracle_acks : int;  (** ACK events checked across the sweep *)
   failures : failure list;

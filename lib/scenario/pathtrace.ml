@@ -95,8 +95,7 @@ type run_result = {
   digest : string;  (** packet-trace digest: the determinism witness *)
 }
 
-let run ?seed ?(interp = Dynamic_path.Hold_last) ?duration
-    ?(label = "pathtrace") (trace : Path_trace.t) =
+let run ?seed ?duration ?(label = "pathtrace") (trace : Path_trace.t) =
   if Path_trace.route_count trace = 0 then
     invalid_arg "Pathtrace.run: trace has no route records";
   let meta = trace.Path_trace.meta in
@@ -118,7 +117,7 @@ let run ?seed ?(interp = Dynamic_path.Hold_last) ?duration
     | None -> assert false
   in
   let dp = Dynamic_path.create engine ~rng ~max_hops ~initial () in
-  Dynamic_path.schedule_trace ~interp dp trace;
+  Dynamic_path.schedule_trace dp trace;
   let chain = Dynamic_path.chain dp in
   let recorder = Leotp_net.Trace.create ~capacity:1 () in
   let summary =

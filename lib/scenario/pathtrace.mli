@@ -46,14 +46,13 @@ type run_result = {
 
 val run :
   ?seed:int ->
-  ?interp:Leotp_net.Dynamic_path.interp ->
   ?duration:float ->
   ?label:string ->
   Leotp_net.Path_trace.t ->
   run_result
-(** One LEOTP bulk flow (default config) over the replayed trace.
-    Defaults: transport seed = the trace's generator seed, duration =
-    the trace horizon, hold-last interpolation.  Raises
+(** One LEOTP bulk flow (default config) over the replayed trace, each
+    route sample holding until the next.  Defaults: transport seed = the
+    trace's generator seed, duration = the trace horizon.  Raises
     [Invalid_argument] on a trace with no route records. *)
 
 type cell = { label : string; spec : spec }

@@ -8,15 +8,10 @@ module IntMap = Map.Make (Int)
    behind, pruned below the downstream snd_una) as data moves on. *)
 type origin_info = { first_sent : float; retx : bool }
 
-type proxy = {
-  rx : Receiver.t;
-  tx : Sender.t;
-  mutable origin : origin_info IntMap.t;
-}
+type proxy = { tx : Sender.t; mutable origin : origin_info IntMap.t }
 
 type t = {
   origin_sender : Sender.t;
-  end_receiver : Receiver.t;
   proxies : proxy array;
   metrics : Leotp_net.Flow_metrics.t;
   completed : bool ref;
@@ -43,7 +38,7 @@ let prune_origin proxy upto =
       (match at with Some v -> IntMap.add k v above | None -> above)
   | None -> ()
 
-let connect engine ~nodes ~flow ~cc ?source ?on_complete () =
+let connect engine ~nodes ~flow ~cc ?source () =
   let n = Array.length nodes in
   assert (n >= 2);
   let metrics = Leotp_net.Flow_metrics.create ~flow in
@@ -53,17 +48,15 @@ let connect engine ~nodes ~flow ~cc ?source ?on_complete () =
   let completed = ref false in
   (* Build from the receiver side backwards so each proxy's sender knows
      its downstream node. *)
-  let end_receiver =
+  let receiver =
     Receiver.create engine ~node:nodes.(n - 1) ~src:(Node.id nodes.(n - 2))
       ~flow ~metrics ?expected_bytes
-      ~on_complete:(fun () ->
-        completed := true;
-        match on_complete with Some f -> f () | None -> ())
+      ~on_complete:(fun () -> completed := true)
       ()
   in
   Node.set_handler nodes.(n - 1) (fun ~from:_ pkt ->
       if Wire.is_data_seg pkt && pkt.Packet.flow = flow then
-        Receiver.handle_data end_receiver pkt
+        Receiver.handle_data receiver pkt
       else Node.forward nodes.(n - 1) ~from:0 pkt);
   (* Proxies at interior nodes, downstream-first. *)
   let proxies = Array.make (max 0 (n - 2)) None in
@@ -93,7 +86,7 @@ let connect engine ~nodes ~flow ~cc ?source ?on_complete () =
         ()
     in
     rx_ref := Some rx;
-    let proxy = { rx; tx; origin = IntMap.empty } in
+    let proxy = { tx; origin = IntMap.empty } in
     proxy_ref := Some proxy;
     proxies.(i - 1) <- Some proxy;
     Node.set_handler node (fun ~from:_ pkt ->
@@ -123,7 +116,7 @@ let connect engine ~nodes ~flow ~cc ?source ?on_complete () =
       if Wire.is_ack_seg pkt && pkt.Packet.flow = flow then
         Sender.handle_ack origin_sender pkt
       else Node.forward nodes.(0) ~from:0 pkt);
-  { origin_sender; end_receiver; proxies; metrics; completed }
+  { origin_sender; proxies; metrics; completed }
 
 let start t =
   Sender.start t.origin_sender;

@@ -15,7 +15,6 @@ val connect :
   flow:int ->
   cc:Cc.algo ->
   ?source:Sender.source ->
-  ?on_complete:(unit -> unit) ->
   unit ->
   t
 (** [nodes.(0)] is the origin sender, the last node the end receiver, and

@@ -431,6 +431,97 @@ let test_dynamic_path_below_epsilon_no_switch () =
     (Dynamic_path.switch_count dp);
   ignore engine
 
+(* Trace replay holds each route record until the next one: a 2-hop
+   route at 0 s, a 3-hop route with other delays at 1 s, an outage at
+   2 s and the first route again at 3 s. *)
+let test_dynamic_path_trace_replay () =
+  let engine, rng = setup () in
+  let hop delay bw_mbps plr =
+    { Path_trace.delay; bw_mbps; plr; kind = Path_trace.Gsl }
+  in
+  let route_a = [| hop 0.01 10.0 0.0; hop 0.02 20.0 0.0 |]
+  and route_b =
+    [| hop 0.03 20.0 0.02; hop 0.005 20.0 0.0; hop 0.015 30.0 0.001 |]
+  in
+  let route hops = Path_trace.Route { hops; handover = true } in
+  let trace =
+    {
+      Path_trace.meta =
+        {
+          seed = 1;
+          src = "A";
+          dst = "B";
+          isls = true;
+          step = 1.0;
+          horizon = 4.0;
+        };
+      records =
+        [
+          { time = 0.0; event = route route_a };
+          { time = 1.0; event = route route_b };
+          { time = 2.0; event = Path_trace.No_route };
+          { time = 3.0; event = route route_a };
+        ];
+    }
+  in
+  let dp =
+    Dynamic_path.create engine ~rng ~max_hops:3
+      ~initial:(Dynamic_path.snapshot_of_hops ~max_hops:3 route_a)
+      ()
+  in
+  Dynamic_path.schedule_trace dp trace;
+  let chain = Dynamic_path.chain dp in
+  let src = chain.Topology.nodes.(0)
+  and dst = chain.Topology.nodes.(3) in
+  let arrivals = ref 0 in
+  Node.set_handler dst (fun ~from:_ pkt ->
+      incr arrivals;
+      Packet_pool.release pkt);
+  let offer () =
+    Node.send src
+      (mk ~src:(Node.id src) ~dst:(Node.id dst) ~flow:0 ~size:1000 "x")
+  in
+  let drops_down () =
+    (Link.stats chain.Topology.hops.(0).Topology.fwd).Link.drops_down
+  in
+  (* Surplus hops are pass-through: 20 us, 10 Gbps, no loss. *)
+  let expected (hops : Path_trace.hop array) i =
+    if i < Array.length hops then
+      let h = hops.(i) in
+      (h.Path_trace.delay, h.Path_trace.bw_mbps, h.Path_trace.plr)
+    else (20e-6, 10_000.0, 0.0)
+  in
+  let check_at time hops ~switches =
+    Leotp_sim.Engine.run engine ~until:time;
+    let at = Printf.sprintf "t=%g " time in
+    Array.iteri
+      (fun i (d : Topology.duplex) ->
+        let delay, bw_mbps, plr = expected hops i in
+        List.iter
+          (fun (dir, l) ->
+            let name = Printf.sprintf "%shop %d %s" at i dir in
+            Alcotest.(check (float 0.0)) (name ^ " delay") delay (Link.delay l);
+            Alcotest.(check (float 1e-6)) (name ^ " rate") (mbps bw_mbps)
+              (Link.current_rate l);
+            Alcotest.(check (float 0.0)) (name ^ " plr") plr (Link.plr l))
+          [ ("fwd", d.Topology.fwd); ("rev", d.Topology.rev) ])
+      chain.Topology.hops;
+    Alcotest.(check int) (at ^ "active hops") (Array.length hops)
+      (Dynamic_path.active_hops dp);
+    Alcotest.(check int) (at ^ "switches") switches
+      (Dynamic_path.switch_count dp)
+  in
+  check_at 0.5 route_a ~switches:0;
+  check_at 1.5 route_b ~switches:1;
+  check_at 2.5 route_b ~switches:1;
+  offer ();
+  Alcotest.(check int) "offered during the outage" 1 (drops_down ());
+  check_at 3.5 route_a ~switches:2;
+  offer ();
+  Leotp_sim.Engine.run engine ~until:4.0;
+  Alcotest.(check int) "no drop after the outage" 1 (drops_down ());
+  Alcotest.(check int) "delivered after the outage" 1 !arrivals
+
 (* ------------------------------------------------------------------ *)
 (* Node routing edge cases *)
 
@@ -518,6 +609,8 @@ let () =
             test_dynamic_path_plr_only_switch;
           Alcotest.test_case "below-epsilon no switch" `Quick
             test_dynamic_path_below_epsilon_no_switch;
+          Alcotest.test_case "trace replay holds each record" `Quick
+            test_dynamic_path_trace_replay;
         ] );
       ( "node",
         [
