@@ -1,22 +1,29 @@
-module Interval_set = Leotp_util.Interval_set
+(* A block holds the byte ranges of one [cache_block]-sized slice of a
+   flow that are present, as sorted, disjoint, non-adjacent absolute
+   [lo, hi) pairs in [spans] (the first [n_spans] pairs), plus per-block
+   origin metadata: a bounded ring of (range_start_abs, first_sent, retx)
+   entries, newest overwriting oldest.  The ring only needs to resolve
+   lookups for ranges still in the block, so one slot per MSS-grained
+   insertion (plus slack) suffices.
 
-(* Per-block origin metadata: a bounded ring of (range_start_abs,
-   first_sent, retx) entries, newest overwriting oldest.  The ring only
-   needs to resolve lookups for ranges still in the block, so one slot
-   per MSS-grained insertion (plus slack) suffices; a ring keeps insert
-   O(1) where the previous list representation paid [List.length] +
-   [List.filteri] — O(n²) per block — on every insert. *)
+   Blocks sit on a circular recency list threaded through them, around a
+   sentinel block: [newer] runs from the least recently used block to the
+   most recently used one, [older] the other way. *)
 type block = {
-  mutable present : Interval_set.t;  (** byte ranges present, block-relative *)
+  mutable key : int;  (** packed (flow, block index); see [key] *)
+  mutable spans : int array;
+  mutable n_spans : int;
   meta_lo : int array;
   meta_first_sent : float array;
   meta_retx : bool array;
   mutable meta_len : int;  (** live entries, <= capacity *)
   mutable meta_next : int;  (** next write slot *)
   mutable bytes : int;
+  mutable newer : block;
+  mutable older : block;
 }
 
-type key = int * int (* flow, block index *)
+module Index = Hashtbl.Make (Int)
 
 type stats = {
   mutable hits : int;
@@ -27,17 +34,42 @@ type stats = {
 type t = {
   config : Config.t;
   label : string;
-  blocks : (key, block) Leotp_util.Lru.t;
+  blocks : block Index.t;
+  lru : block;
+      (** the sentinel: [lru.newer] is the least recently used block,
+          [lru.older] the most recently used one *)
+  mutable spare : block;  (** the last evicted block, or [lru] *)
   meta_capacity : int;
   mutable used : int;
   stats : stats;
 }
 
+let sentinel () =
+  let rec s =
+    {
+      key = -1;
+      spans = [||];
+      n_spans = 0;
+      meta_lo = [||];
+      meta_first_sent = [||];
+      meta_retx = [||];
+      meta_len = 0;
+      meta_next = 0;
+      bytes = 0;
+      newer = s;
+      older = s;
+    }
+  in
+  s
+
 let create ?(label = "cache") ~config () =
+  let lru = sentinel () in
   {
     config;
     label;
-    blocks = Leotp_util.Lru.create ();
+    blocks = Index.create 64;
+    lru;
+    spare = lru;
     meta_capacity = (config.Config.cache_block / config.Config.mss) + 2;
     used = 0;
     stats = { hits = 0; misses = 0; evictions = 0 };
@@ -55,21 +87,140 @@ let trace_occupancy t =
 
 let block_size t = t.config.Config.cache_block
 
-(* One block record (plus its meta arrays) per [cache_block] bytes of
-   fresh content entering the cache — amortized over the block's many
-   packets, and recycled through the LRU thereafter. *)
-let fresh_block t =
-  ({
-    present = Interval_set.empty;
-    meta_lo = (Array.make [@leotp.allow "hot-path-may-alloc"]) t.meta_capacity 0;
-    meta_first_sent =
-      (Array.make [@leotp.allow "hot-path-may-alloc"]) t.meta_capacity 0.0;
-    meta_retx =
-      (Array.make [@leotp.allow "hot-path-may-alloc"]) t.meta_capacity false;
+(* One int per (flow, block) so a lookup builds no tuple: the flow in
+   the high bits, the block index in the low 32. *)
+let block_bits = 32
+let max_flow = (1 lsl (Sys.int_size - 1 - block_bits)) - 1
+
+let key ~flow b =
+  if flow < 0 || flow > max_flow || b < 0 || b lsr block_bits <> 0 then
+    invalid_arg
+      (Printf.sprintf "Cache: flow %d, block %d outside the packable range"
+         flow b);
+  (flow lsl block_bits) lor b
+
+let flow_of blk = blk.key lsr block_bits
+
+(* ------------------------------------------------------------------ *)
+(* Recency list *)
+
+let unlink blk =
+  blk.newer.older <- blk.older;
+  blk.older.newer <- blk.newer
+
+let push_mru t blk =
+  let mru = t.lru.older in
+  blk.newer <- t.lru;
+  blk.older <- mru;
+  mru.newer <- blk;
+  t.lru.older <- blk
+
+let touch t blk =
+  unlink blk;
+  push_mru t blk
+
+(* The block under [key], or the sentinel. *)
+let find t key =
+  match Index.find t.blocks key with blk -> blk | exception Not_found -> t.lru
+
+let new_block t key =
+  {
+    key;
+    spans = Array.make 8 0;
+    n_spans = 0;
+    meta_lo = Array.make t.meta_capacity 0;
+    meta_first_sent = Array.make t.meta_capacity 0.0;
+    meta_retx = Array.make t.meta_capacity false;
     meta_len = 0;
     meta_next = 0;
     bytes = 0;
-  } [@leotp.allow "hot-path-may-alloc"])
+    newer = t.lru;
+    older = t.lru;
+  }
+(* one record (plus its arrays) per block of fresh content while the
+   cache fills — amortized over the block's many packets *)
+[@@leotp.allow "hot-path-may-alloc"]
+
+(* A fresh block is the last evicted one, emptied, when there is one: a
+   full cache then admits new content without allocating a block (the
+   index still takes one bucket cell per block admitted). *)
+let fresh_block t key =
+  let blk =
+    if t.spare == t.lru then new_block t key
+    else begin
+      let blk = t.spare in
+      t.spare <- t.lru;
+      blk.key <- key;
+      blk.n_spans <- 0;
+      blk.meta_len <- 0;
+      blk.meta_next <- 0;
+      blk.bytes <- 0;
+      blk
+    end
+  in
+  Index.replace t.blocks key blk;
+  push_mru t blk;
+  blk
+
+(* ------------------------------------------------------------------ *)
+(* Byte ranges *)
+
+(* Index of the first span ending at or after [lo]: the first one that
+   overlaps or abuts [lo, ...). *)
+let rec first_touching s n lo i =
+  if i < n && s.((2 * i) + 1) < lo then first_touching s n lo (i + 1) else i
+
+(* Index past the last span starting at or before [hi]. *)
+let rec past_touching s n hi j =
+  if j < n && s.(2 * j) <= hi then past_touching s n hi (j + 1) else j
+
+let rec covered_in s k j acc =
+  if k = j then acc
+  else covered_in s (k + 1) j (acc + s.((2 * k) + 1) - s.(2 * k))
+
+let grow_spans blk =
+  let s = blk.spans in
+  let s' = Array.make (2 * Array.length s) 0 in
+  Array.blit s 0 s' 0 (2 * blk.n_spans);
+  blk.spans <- s'
+(* doubling growth: a block holds few disjoint ranges *)
+[@@leotp.allow "hot-path-may-alloc"]
+
+(* Adds [lo, hi) (non-empty) to the block's spans, merging every span it
+   overlaps or abuts; returns the bytes newly covered. *)
+let add_span blk lo hi =
+  let n = blk.n_spans in
+  let i = first_touching blk.spans n lo 0 in
+  let j = past_touching blk.spans n hi i in
+  if i = j then begin
+    if 2 * (n + 1) > Array.length blk.spans then grow_spans blk;
+    let s = blk.spans in
+    Array.blit s (2 * i) s (2 * (i + 1)) (2 * (n - i));
+    s.(2 * i) <- lo;
+    s.((2 * i) + 1) <- hi;
+    blk.n_spans <- n + 1;
+    hi - lo
+  end
+  else begin
+    let s = blk.spans in
+    let lo' = min lo s.(2 * i) and hi' = max hi s.((2 * (j - 1)) + 1) in
+    let before = covered_in s i j 0 in
+    s.(2 * i) <- lo';
+    s.((2 * i) + 1) <- hi';
+    Array.blit s (2 * j) s (2 * (i + 1)) (2 * (n - j));
+    blk.n_spans <- n - (j - i - 1);
+    hi' - lo' - before
+  end
+
+let rec covers_from s n lo hi k =
+  k < n
+  && ((s.(2 * k) <= lo && hi <= s.((2 * k) + 1))
+     || covers_from s n lo hi (k + 1))
+
+let covers blk lo hi = lo >= hi || covers_from blk.spans blk.n_spans lo hi 0
+
+(* ------------------------------------------------------------------ *)
+(* Insert and evict *)
 
 let push_meta t blk ~lo ~first_sent ~retx =
   let cap = t.meta_capacity in
@@ -80,118 +231,122 @@ let push_meta t blk ~lo ~first_sent ~retx =
   blk.meta_next <- (i + 1) mod cap;
   if blk.meta_len < cap then blk.meta_len <- blk.meta_len + 1
 
-let evict_until_fits t =
-  while t.used > t.config.Config.cache_capacity do
-    match Leotp_util.Lru.evict_lru t.blocks with
-    | Some (_, blk) ->
+let rec evict_until_fits t =
+  if t.used > t.config.Config.cache_capacity then begin
+    let blk = t.lru.newer in
+    if blk == t.lru then t.used <- 0
+    else begin
+      unlink blk;
+      Index.remove t.blocks blk.key;
       t.used <- t.used - blk.bytes;
-      t.stats.evictions <- t.stats.evictions + 1
-    | None -> t.used <- 0
-  done
+      t.stats.evictions <- t.stats.evictions + 1;
+      t.spare <- blk
+    end;
+    evict_until_fits t
+  end
 
-(* Apply [f] to every (block_key, block_lo, block_hi) slice of [lo, hi). *)
-let iter_blocks t ~flow ~lo ~hi f =
-  let bs = block_size t in
-  let b0 = lo / bs and b1 = (hi - 1) / bs in
-  for b = b0 to b1 do
-    let blo = max lo (b * bs) and bhi = min hi ((b + 1) * bs) in
-    (* the (flow, block) pair is the LRU key — one per block touched,
-       inherent to a hashtable-keyed block store *)
-    f ((flow, b) [@leotp.allow "hot-path-may-alloc"]) blo bhi
-  done
+(* Adds [lo, hi) block slice by block slice, from the block holding
+   [lo] on. *)
+let rec insert_from t ~flow ~hi ~first_sent ~retx lo =
+  if lo < hi then begin
+    let bs = block_size t in
+    let b = lo / bs in
+    let bhi = min hi ((b + 1) * bs) in
+    let k = key ~flow b in
+    let blk = find t k in
+    let blk = if blk == t.lru then fresh_block t k else (touch t blk; blk) in
+    let added = add_span blk lo bhi in
+    blk.bytes <- blk.bytes + added;
+    t.used <- t.used + added;
+    push_meta t blk ~lo ~first_sent ~retx;
+    insert_from t ~flow ~hi ~first_sent ~retx bhi
+  end
 
 let insert t ~flow ~lo ~hi ~first_sent ~retx =
   if hi > lo then begin
-    (* per-insert block-walk closure — one cell per cached Data, dwarfed
-       by the interval-set and LRU updates the insert performs anyway *)
-    iter_blocks t ~flow ~lo ~hi
-      ((fun key blo bhi ->
-        let blk =
-          match Leotp_util.Lru.find t.blocks key with
-          | Some blk -> blk
-          | None ->
-            let blk = fresh_block t in
-            Leotp_util.Lru.put t.blocks key blk;
-            blk
-        in
-        let before = Interval_set.cardinal blk.present in
-        blk.present <- Interval_set.add ~lo:blo ~hi:bhi blk.present;
-        let added = Interval_set.cardinal blk.present - before in
-        blk.bytes <- blk.bytes + added;
-        t.used <- t.used + added;
-        push_meta t blk ~lo:blo ~first_sent ~retx)
-      [@leotp.allow "hot-path-may-alloc"]);
+    insert_from t ~flow ~hi ~first_sent ~retx lo;
     evict_until_fits t;
     trace_occupancy t
   end
 
-(* Entry with the largest start <= lo (the insertion that covered [lo]);
-   falls back to the newest entry.  Scans the ring newest-first so ties
-   on start resolve to the most recent insertion, matching the previous
-   newest-first list fold. *)
-(* Per-probe scratch cells and the (first_sent, retx) option result are
-   the lookup API's currency — a handful of words per Interest probe,
-   dwarfed by the Data response a hit produces. *)
-let find_meta t blk ~lo =
-  if blk.meta_len = 0 then None
-  else begin
-    let cap = t.meta_capacity in
-    let best = ref (-1) in
-    for k = 0 to blk.meta_len - 1 do
-      let i = (blk.meta_next - 1 - k + (2 * cap)) mod cap in
-      let s = blk.meta_lo.(i) in
-      if s <= lo && (!best < 0 || s > blk.meta_lo.(!best)) then best := i
-    done;
-    let i = if !best >= 0 then !best else (blk.meta_next - 1 + cap) mod cap in
-    Some (blk.meta_first_sent.(i), blk.meta_retx.(i))
-  end
-[@@leotp.allow "hot-path-may-alloc"]
+(* ------------------------------------------------------------------ *)
+(* Lookup *)
 
-let lookup_inner t ~touch ~flow ~lo ~hi =
-  let ok = ref true in
-  let meta = ref None in
-  iter_blocks t ~flow ~lo ~hi (fun key blo bhi ->
-      if !ok then begin
-        let blk =
-          if touch then Leotp_util.Lru.find t.blocks key
-          else Leotp_util.Lru.peek t.blocks key
-        in
-        match blk with
-        | Some blk when Interval_set.covers ~lo:blo ~hi:bhi blk.present ->
-          if !meta = None then meta := find_meta t blk ~lo:blo
-        | Some _ | None -> ok := false
-      end);
-  if !ok then Some (match !meta with Some m -> m | None -> (0.0, false))
-  else None
-[@@leotp.allow "hot-path-may-alloc"]
+(* Ring slot of the entry with the largest start <= lo (the insertion
+   that covered [lo]), scanning newest-first so ties on start resolve to
+   the most recent insertion; falls back to the newest entry, and to -1
+   when the block has none. *)
+let rec best_meta blk ~cap ~lo k best =
+  if k = blk.meta_len then
+    if best >= 0 || k = 0 then best else (blk.meta_next - 1 + cap) mod cap
+  else begin
+    let i = (blk.meta_next - 1 - k + (2 * cap)) mod cap in
+    let s = blk.meta_lo.(i) in
+    let best =
+      if s <= lo && (best < 0 || s > blk.meta_lo.(best)) then i else best
+    in
+    best_meta blk ~cap ~lo (k + 1) best
+  end
+
+(* Whether blocks [b, b1] of the flow hold all of [lo, hi); stops at the
+   first block that does not, after touching it. *)
+let rec cached t ~touch:tch ~flow ~lo ~hi b b1 =
+  b > b1
+  ||
+  let blk = find t (key ~flow b) in
+  blk != t.lru
+  && begin
+       if tch then touch t blk;
+       let bs = block_size t in
+       covers blk (max lo (b * bs)) (min hi ((b + 1) * bs))
+       && cached t ~touch:tch ~flow ~lo ~hi (b + 1) b1
+     end
 
 let lookup t ~flow ~lo ~hi =
-  match lookup_inner t ~touch:true ~flow ~lo ~hi with
-  | Some m ->
+  let bs = block_size t in
+  let b0 = lo / bs and b1 = (hi - 1) / bs in
+  if cached t ~touch:true ~flow ~lo ~hi b0 b1 then begin
     t.stats.hits <- t.stats.hits + 1;
-    Some m
-  | None ->
+    (* The range starts in block [b0]; an empty range may touch none,
+       and the sentinel has no metadata. *)
+    let blk = if b0 > b1 then t.lru else find t (key ~flow b0) in
+    let i = best_meta blk ~cap:t.meta_capacity ~lo:(max lo (b0 * bs)) 0 (-1) in
+    (* the (first_sent, retx) result is the lookup API's currency, one
+       per hit; the Data response it produces dwarfs it *)
+    (Some
+       (if i < 0 then (0.0, false)
+        else (blk.meta_first_sent.(i), blk.meta_retx.(i)))
+    [@leotp.allow "hot-path-may-alloc"])
+  end
+  else begin
     t.stats.misses <- t.stats.misses + 1;
     None
+  end
 
 let contains t ~flow ~lo ~hi =
-  lookup_inner t ~touch:false ~flow ~lo ~hi <> None
+  let bs = block_size t in
+  cached t ~touch:false ~flow ~lo ~hi (lo / bs) ((hi - 1) / bs)
 
 let used_bytes t = t.used
 let stats t = t.stats
 
 let clear t =
-  Leotp_util.Lru.clear t.blocks;
+  Index.reset t.blocks;
+  t.lru.newer <- t.lru;
+  t.lru.older <- t.lru;
+  t.spare <- t.lru;
   t.used <- 0;
   trace_occupancy t
 
-let drop_flow t ~flow =
-  let keys = ref [] in
-  Leotp_util.Lru.iter
-    (fun ((f, _) as key) blk -> if f = flow then keys := (key, blk.bytes) :: !keys)
-    t.blocks;
-  List.iter
-    (fun (key, bytes) ->
-      Leotp_util.Lru.remove t.blocks key;
-      t.used <- t.used - bytes)
-    !keys
+let rec drop_from t ~flow blk =
+  if blk != t.lru then begin
+    let older = blk.older in
+    if flow_of blk = flow then begin
+      unlink blk;
+      Index.remove t.blocks blk.key;
+      t.used <- t.used - blk.bytes
+    end;
+    drop_from t ~flow older
+  end
+
+let drop_flow t ~flow = drop_from t ~flow t.lru.older

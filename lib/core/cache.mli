@@ -7,7 +7,10 @@
     needed to re-serve a range.
 
     Capacity is in bytes of cached payload; eviction removes whole
-    blocks. *)
+    blocks.  A block is keyed by one packed int: [insert], [lookup] and
+    [contains] raise [Invalid_argument] for a negative flow or one of
+    [2^30] or more, and for a byte offset whose block index is negative
+    or needs more than 32 bits. *)
 
 type t
 

@@ -213,6 +213,7 @@ let seeds =
     { s_fn = "Engine.now"; s_args = []; s_ret = Some (Base Seconds) };
     { s_fn = "Engine.schedule"; s_args = [ (Lbl "after", Base Seconds) ]; s_ret = None };
     { s_fn = "Engine.schedule_at"; s_args = [ (Lbl "time", Base Seconds) ]; s_ret = None };
+    { s_fn = "Engine.post"; s_args = [ (Lbl "after", Base Seconds) ]; s_ret = None };
     { s_fn = "Engine.every"; s_args = [ (Lbl "period", Base Seconds); (Lbl "start", Base Seconds) ]; s_ret = None };
     { s_fn = "Engine.run"; s_args = [ (Lbl "until", Base Seconds) ]; s_ret = None };
     (* Links and bandwidth processes. *)

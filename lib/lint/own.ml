@@ -147,6 +147,7 @@ let is_wall_clock = ends_with_any wall_clock_fns
 let hot_root_defs =
   [
     "Engine.step";
+    "Engine.post";
     "Shr.on_packet";
     "Seg_store.iter";
     "Seg_store.iter_from_while";
@@ -169,6 +170,7 @@ let hot_closure_sinks =
     "Engine.schedule";
     "Engine.schedule_at";
     "Engine.every";
+    "Engine.handler";
     "Node.set_handler";
     "Link.set_sink";
   ]

@@ -1,3 +1,5 @@
+module Engine = Leotp_sim.Engine
+
 type stats = {
   mutable packets_in : int;
   mutable packets_delivered : int;
@@ -10,7 +12,7 @@ type stats = {
 }
 
 type t = {
-  engine : Leotp_sim.Engine.t;
+  engine : Engine.t;
   name : string;
   src : int;
   dst : int;
@@ -26,47 +28,20 @@ type t = {
   queue : Pkt_queue.t;
   mutable queued_bytes : int;
   mutable busy : bool;
-  mutable in_flight : int;
-      (** taken off the queue, delivery (or drop) not yet resolved *)
   mutable epoch : int;
   mutable sink : Packet.t -> unit;
   stats : stats;
+  (* Packets taken off the queue and not yet delivered or dropped
+     (serializing or propagating), by slot.  A slot is the int argument
+     of the link's two typed events and keeps the epoch its packet
+     started serializing in.  Free slots form a stack. *)
+  mutable slot_pkt : Packet.t array;
+  mutable slot_epoch : int array;
+  mutable free : int array;
+  mutable n_free : int;
+  mutable transmitted : Engine.handler;  (** serialization done; arg = slot *)
+  mutable arrived : Engine.handler;  (** propagation done; arg = slot *)
 }
-
-let create engine ~name ~src ~dst ~bandwidth ~delay ?(plr = 0.0)
-    ?(buffer_bytes = 256 * 1024) ~rng () =
-  {
-    engine;
-    name;
-    src;
-    dst;
-    bandwidth;
-    delay;
-    plr;
-    buffer_bytes;
-    up = true;
-    dup_prob = 0.0;
-    reorder_prob = 0.0;
-    reorder_jitter = 0.0;
-    rng;
-    queue = Pkt_queue.create ();
-    queued_bytes = 0;
-    busy = false;
-    in_flight = 0;
-    epoch = 0;
-    sink = (fun _ -> ());
-    stats =
-      {
-        packets_in = 0;
-        packets_delivered = 0;
-        bytes_delivered = 0;
-        drops_tail = 0;
-        drops_error = 0;
-        drops_flush = 0;
-        drops_down = 0;
-        dups = 0;
-      };
-  }
 
 let set_sink t sink = t.sink <- sink
 let delay t = t.delay
@@ -75,11 +50,11 @@ let plr t = t.plr
 let set_plr t p = t.plr <- p
 let bandwidth t = t.bandwidth
 let set_bandwidth t b = t.bandwidth <- b
-let current_rate t = Bandwidth.at t.bandwidth (Leotp_sim.Engine.now t.engine)
+let current_rate t = Bandwidth.at t.bandwidth (Engine.now t.engine)
 let set_buffer_bytes t n = t.buffer_bytes <- n
 let queue_bytes t = t.queued_bytes
 let queued_packets t = Pkt_queue.length t.queue
-let in_flight t = t.in_flight
+let in_flight t = Array.length t.slot_pkt - t.n_free
 let stats t = t.stats
 let set_dup_prob t p = t.dup_prob <- p
 
@@ -106,78 +81,154 @@ let deliver t pkt =
          { link = t.name; pkt = pkt.Packet.id; size = pkt.Packet.size });
   t.sink pkt
 
+(* Doubles the slot table.  [pkt] (the packet about to be stored) fills
+   the fresh cells, so the table needs no placeholder packet. *)
+let grow_slots t pkt =
+  let n = Array.length t.slot_pkt in
+  let cap = max 4 (2 * n) in
+  let pkts = Array.make cap pkt in
+  let epochs = Array.make cap 0 in
+  let free = Array.make cap 0 in
+  Array.blit t.slot_pkt 0 pkts 0 n;
+  Array.blit t.slot_epoch 0 epochs 0 n;
+  (* Every old slot is taken; the new ones pop in increasing order. *)
+  for k = 0 to cap - n - 1 do
+    free.(k) <- cap - 1 - k
+  done;
+  t.slot_pkt <- pkts;
+  t.slot_epoch <- epochs;
+  t.free <- free;
+  t.n_free <- cap - n
+(* doubling growth, bounded by the link's bandwidth-delay product:
+   amortized O(1), not a steady-state allocation *)
+[@@leotp.allow "hot-path-may-alloc"]
+
+let take_slot t pkt =
+  if t.n_free = 0 then grow_slots t pkt;
+  t.n_free <- t.n_free - 1;
+  let slot = t.free.(t.n_free) in
+  t.slot_pkt.(slot) <- pkt;
+  t.slot_epoch.(slot) <- t.epoch;
+  slot
+
+let free_slot t slot =
+  t.free.(t.n_free) <- slot;
+  t.n_free <- t.n_free + 1
+
 let rec start_transmission t =
   if (not t.busy) && not (Pkt_queue.is_empty t.queue) then begin
     let pkt = Pkt_queue.pop t.queue in
     t.queued_bytes <- t.queued_bytes - pkt.Packet.size;
     t.busy <- true;
-    t.in_flight <- t.in_flight + 1;
-    let now = Leotp_sim.Engine.now t.engine in
+    let slot = take_slot t pkt in
+    let now = Engine.now t.engine in
     let rate = Float.max 1.0 (Bandwidth.at t.bandwidth now) in
     let tx_time = float_of_int pkt.Packet.size /. rate in
-    let epoch = t.epoch in
-    ignore
-      (* the transmission-completion event is this closure — one per
-         packet per hop is the cost of discrete-event simulation *)
-      (Leotp_sim.Engine.schedule t.engine ~after:tx_time
-         ((fun () -> complete_transmission t pkt epoch)
-         [@leotp.allow "hot-path-may-alloc"]))
+    Engine.post t.engine ~after:tx_time t.transmitted slot
   end
 
-and complete_transmission t pkt epoch =
+and complete_transmission t slot =
+  let pkt = t.slot_pkt.(slot) in
   t.busy <- false;
-  if epoch = t.epoch then begin
+  if t.slot_epoch.(slot) = t.epoch then begin
     (* Corruption consumes the hop's bandwidth but the packet vanishes. *)
     if Leotp_util.Rng.bernoulli t.rng t.plr then begin
       t.stats.drops_error <- t.stats.drops_error + 1;
-      t.in_flight <- t.in_flight - 1;
+      free_slot t slot;
       drop t pkt Trace.Error
     end
     else begin
-      let arrival_epoch = t.epoch in
       (* Fault-injected reordering: an extra one-off propagation delay
-         lets later packets overtake this one. *)
+         lets later packets overtake this one.  The slot keeps its epoch:
+         it is still the current one. *)
       let extra =
         if Leotp_util.Rng.bernoulli t.rng t.reorder_prob then
           Leotp_util.Rng.float t.rng t.reorder_jitter
         else 0.0
       in
-      ignore
-        (* the propagation event is this closure — one per packet per hop
-           is the cost of discrete-event simulation, not an oversight *)
-        (Leotp_sim.Engine.schedule t.engine ~after:(t.delay +. extra)
-           ((fun () ->
-             t.in_flight <- t.in_flight - 1;
-             if arrival_epoch = t.epoch then begin
-               (* Fault-injected duplication at the receiving end.  The
-                  dup decision and the copy are taken *before* the first
-                  delivery: its sink chain consumes (and may recycle) the
-                  record.  Nothing in the synchronous deliver cascade
-                  draws from this rng, so hoisting the bernoulli draw
-                  leaves the stream — and the trace — bit-identical. *)
-               if Leotp_util.Rng.bernoulli t.rng t.dup_prob then begin
-                 let copy = Packet_pool.clone pkt in
-                 deliver t pkt;
-                 t.stats.dups <- t.stats.dups + 1;
-                 if Trace.on () then
-                   Trace.emit
-                     (Trace.Link_dup { link = t.name; pkt = copy.Packet.id });
-                 deliver t copy
-               end
-               else deliver t pkt
-             end
-             else begin
-               t.stats.drops_flush <- t.stats.drops_flush + 1;
-               drop t pkt Trace.Flush
-             end) [@leotp.allow "hot-path-may-alloc"]))
+      Engine.post t.engine ~after:(t.delay +. extra) t.arrived slot
     end
   end
   else begin
     t.stats.drops_flush <- t.stats.drops_flush + 1;
-    t.in_flight <- t.in_flight - 1;
+    free_slot t slot;
     drop t pkt Trace.Flush
   end;
   start_transmission t
+
+let arrive t slot =
+  let pkt = t.slot_pkt.(slot) in
+  let current = t.slot_epoch.(slot) = t.epoch in
+  free_slot t slot;
+  if current then begin
+    (* Fault-injected duplication at the receiving end.  The dup decision
+       and the copy are taken *before* the first delivery: its sink chain
+       consumes (and may recycle) the record.  Nothing in the synchronous
+       deliver cascade draws from this rng, so hoisting the bernoulli
+       draw leaves the stream — and the trace — bit-identical. *)
+    if Leotp_util.Rng.bernoulli t.rng t.dup_prob then begin
+      let copy = Packet_pool.clone pkt in
+      deliver t pkt;
+      t.stats.dups <- t.stats.dups + 1;
+      if Trace.on () then
+        Trace.emit (Trace.Link_dup { link = t.name; pkt = copy.Packet.id });
+      deliver t copy
+    end
+    else deliver t pkt
+  end
+  else begin
+    t.stats.drops_flush <- t.stats.drops_flush + 1;
+    drop t pkt Trace.Flush
+  end
+
+let create engine ~name ~src ~dst ~bandwidth ~delay ?(plr = 0.0)
+    ?(buffer_bytes = 256 * 1024) ~rng () =
+  (* The two handlers close over the record, so it starts with a
+     stand-in that is replaced before [create] returns. *)
+  let unset = Engine.handler engine ignore in
+  let t =
+    {
+      engine;
+      name;
+      src;
+      dst;
+      bandwidth;
+      delay;
+      plr;
+      buffer_bytes;
+      up = true;
+      dup_prob = 0.0;
+      reorder_prob = 0.0;
+      reorder_jitter = 0.0;
+      rng;
+      queue = Pkt_queue.create ();
+      queued_bytes = 0;
+      busy = false;
+      epoch = 0;
+      sink = (fun _ -> ());
+      stats =
+        {
+          packets_in = 0;
+          packets_delivered = 0;
+          bytes_delivered = 0;
+          drops_tail = 0;
+          drops_error = 0;
+          drops_flush = 0;
+          drops_down = 0;
+          dups = 0;
+        };
+      slot_pkt = [||];
+      slot_epoch = [||];
+      free = [||];
+      n_free = 0;
+      transmitted = unset;
+      arrived = unset;
+    }
+  in
+  t.transmitted <-
+    Engine.handler engine (fun slot -> complete_transmission t slot);
+  t.arrived <- Engine.handler engine (fun slot -> arrive t slot);
+  t
 
 let send t pkt =
   t.stats.packets_in <- t.stats.packets_in + 1;
@@ -230,5 +281,5 @@ let trace_final t =
              + t.stats.drops_down;
            dups = t.stats.dups;
            queued = Pkt_queue.length t.queue;
-           in_flight = t.in_flight;
+           in_flight = in_flight t;
          })

@@ -2,8 +2,11 @@
 
     Events at equal times fire in scheduling order (a monotonically
     increasing sequence number breaks ties), so runs are fully reproducible.
-    Timers are cancellable; cancellation is O(1) (lazily discarded when
-    popped). *)
+    Closure timers ({!schedule}) are cancellable; cancellation is O(1)
+    (lazily discarded when popped).  Typed events ({!post}) pair a
+    {!handler} built once with an int argument: scheduling and firing one
+    allocates nothing, which is what the per-packet, per-hop link events
+    use.  Both kinds share one sequence counter. *)
 
 type t
 
@@ -23,6 +26,19 @@ val schedule : t -> after:float -> (unit -> unit) -> timer
 val schedule_at : t -> time:float -> (unit -> unit) -> timer
 (** Absolute-time variant; [time] in the past fires immediately (at [now]).
     Raises [Invalid_argument] naming [time] if it is NaN or infinite. *)
+
+type handler
+(** The code of a typed event, built once and posted many times. *)
+
+val handler : t -> (int -> unit) -> handler
+(** [handler t f] makes [f] postable on [t].  Build it at set-up (a link
+    builds two at [create]); the engine keeps no registry of handlers. *)
+
+val post : t -> after:float -> handler -> int -> unit
+(** [post t ~after h arg] runs [h]'s function with [arg] at
+    [now t +. after], with [after] clamped to be non-negative.  A typed
+    event cannot be cancelled.  Raises [Invalid_argument] if [after] is
+    NaN or positive infinity, or if [h] was built for another engine. *)
 
 val cancel : timer -> unit
 (** Idempotent.  A fired timer is also safe to cancel.  Cancellation is

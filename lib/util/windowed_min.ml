@@ -1,46 +1,76 @@
-(* The deque is a short list (O(samples in window)) rebuilt per sample —
-   endpoint RTT filtering, not the relay forwarding path; the list cells
-   are the design. *)
-[@@@leotp.allow "hot-path-may-alloc"]
-
 type kind = Min | Max
 
+(* Monotonic wedge, front = best (oldest surviving), back = newest.
+   Values are increasing for Min / decreasing for Max, so the extremum
+   over the window is always the front element.  The wedge is a ring of
+   [len] (timestamp, value) pairs from [head], in two float arrays whose
+   length is zero or a power of two. *)
 type t = {
   kind : kind;
   mutable window : float;
-  (* Monotonic wedge, front = best (oldest surviving), back = newest.
-     Values are increasing for Min / decreasing for Max, so the extremum
-     over the window is always the front element. *)
-  mutable dq : (float * float) list;
+  mutable ts : float array;
+  mutable vs : float array;
+  mutable head : int;
+  mutable len : int;
 }
 
-let create kind window = { kind; window; dq = [] }
+(* one filter per controller, made when a flow is first seen *)
+let create kind window =
+  ({ kind; window; ts = [||]; vs = [||]; head = 0; len = 0 }
+  [@leotp.allow "hot-path-may-alloc"])
+
 let create_min ~window = create Min window
 let create_max ~window = create Max window
 let set_window t w = t.window <- w
 
-let dominates kind new_v old_v =
-  match kind with Min -> new_v <= old_v | Max -> new_v >= old_v
+let slot t i = (t.head + i) land (Array.length t.ts - 1)
 
-let expire t now =
-  let cutoff = now -. t.window in
-  let rec drop = function
-    | (ts, _) :: rest when ts < cutoff -> drop rest
-    | l -> l
-  in
-  t.dq <- drop t.dq
+let grow t =
+  let cap = max 8 (2 * Array.length t.ts) in
+  let ts = Array.make cap 0.0 in
+  let vs = Array.make cap 0.0 in
+  for i = 0 to t.len - 1 do
+    let j = slot t i in
+    ts.(i) <- t.ts.(j);
+    vs.(i) <- t.vs.(j)
+  done;
+  t.ts <- ts;
+  t.vs <- vs;
+  t.head <- 0
+(* doubling growth: the ring holds the samples of one window *)
+[@@leotp.allow "hot-path-may-alloc"]
+
+let rec expire t now =
+  if t.len > 0 && t.ts.(t.head) < now -. t.window then begin
+    t.head <- slot t 1;
+    t.len <- t.len - 1;
+    expire t now
+  end
+
+(* Drops the newest samples that [v] dominates ([<=] for Min, [>=] for
+   Max). *)
+let rec strip t v =
+  if t.len > 0 then begin
+    let last = t.vs.(slot t (t.len - 1)) in
+    if match t.kind with Min -> v <= last | Max -> v >= last then begin
+      t.len <- t.len - 1;
+      strip t v
+    end
+  end
 
 let add t ~now v =
-  let rec strip = function
-    | (_, ov) :: rest when dominates t.kind v ov -> strip rest
-    | l -> l
-  in
-  t.dq <- List.rev ((now, v) :: strip (List.rev t.dq));
+  strip t v;
+  if t.len = Array.length t.ts then grow t;
+  let i = slot t t.len in
+  t.ts.(i) <- now;
+  t.vs.(i) <- v;
+  t.len <- t.len + 1;
   expire t now
 
 let get t ~now =
   expire t now;
-  match t.dq with [] -> None | (_, v) :: _ -> Some v
+  if t.len = 0 then None else Some t.vs.(t.head)
 
 let get_or t ~now ~default =
-  match get t ~now with Some v -> v | None -> default
+  expire t now;
+  if t.len = 0 then default else t.vs.(t.head)

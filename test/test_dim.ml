@@ -413,6 +413,25 @@ let arm engine r =
   in
   check_one ~rule:"dim-mixed-arith" ~witness:"ms" (analyze slipped)
 
+(* A typed event's ~after is seconds, like a closure timer's: a link
+   that posted its propagation event in milliseconds is caught. *)
+let planted_post_ms_slip () =
+  let correct =
+    {|
+let propagate engine h l slot =
+  Leotp_sim.Engine.post engine ~after:(Leotp_net.Link.delay l) h slot
+|}
+  in
+  check_none (analyze correct);
+  let slipped =
+    {|
+let propagate engine h l slot =
+  let d = Leotp_util.Units.sec_to_ms (Leotp_net.Link.delay l) in
+  Leotp_sim.Engine.post engine ~after:d h slot
+|}
+  in
+  check_one ~rule:"dim-mixed-arith" ~witness:"Engine.post" (analyze slipped)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -499,5 +518,7 @@ let () =
         [
           Alcotest.test_case "planted RTO-floor ms slip caught" `Quick
             planted_rto_floor_slip;
+          Alcotest.test_case "planted post ~after ms slip caught" `Quick
+            planted_post_ms_slip;
         ] );
     ]

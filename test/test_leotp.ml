@@ -100,30 +100,423 @@ let test_cache_drop_flow () =
   Alcotest.(check bool) "flow 1 gone" true (Cache.lookup c ~flow:1 ~lo:0 ~hi:1400 = None);
   Alcotest.(check bool) "flow 2 kept" true (Cache.lookup c ~flow:2 ~lo:0 ~hi:1400 <> None)
 
+(* A block's key packs (flow, block index) into one int; what does not
+   fit is refused, never aliased onto another block. *)
+let test_cache_key_range () =
+  let c = Cache.create ~config () in
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "negative flow" (fun () ->
+      Cache.insert c ~flow:(-1) ~lo:0 ~hi:10 ~first_sent:0.0 ~retx:false);
+  refused "flow 2^30" (fun () ->
+      ignore (Cache.lookup c ~flow:(1 lsl 30) ~lo:0 ~hi:10));
+  let far = config.Config.cache_block lsl 32 in
+  refused "block 2^32" (fun () ->
+      ignore (Cache.contains c ~flow:1 ~lo:far ~hi:(far + 1)));
+  Cache.insert c ~flow:((1 lsl 30) - 1) ~lo:0 ~hi:10 ~first_sent:0.0 ~retx:false;
+  Alcotest.(check bool)
+    "largest flow kept apart" false
+    (Cache.contains c ~flow:0 ~lo:0 ~hi:10);
+  Alcotest.(check int) "nothing else stored" 10 (Cache.used_bytes c)
+
+(* A warm insert into a block the cache already holds allocates
+   nothing: the block's byte ranges and metadata are updated in place. *)
+let test_cache_insert_allocates_nothing () =
+  let c = Cache.create ~config () in
+  let insert lo hi = Cache.insert c ~flow:1 ~lo ~hi ~first_sent:0.5 ~retx:false in
+  insert 0 1400;
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let idle = words ignore in
+  let w =
+    words (fun () ->
+        insert 2800 4096;
+        insert 1400 2800;
+        for i = 0 to 999 do
+          let lo = i * 7 mod 3000 in
+          insert lo (lo + 1000)
+        done)
+    -. idle
+  in
+  Alcotest.(check int) "one full block" 4096 (Cache.used_bytes c);
+  Alcotest.(check (float 0.0)) "words" 0.0 w
+
+(* Byte-set model of the cache: blocks keyed by (flow, block index),
+   most recently used first, each with its present bytes and its
+   (start, first_sent, retx) insertions, newest first. *)
+module Cache_model = struct
+  type block = { present : bool array; mutable meta : (int * float * bool) list }
+
+  type t = {
+    bs : int;
+    capacity : int;
+    meta_cap : int;
+    mutable blocks : ((int * int) * block) list;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+  }
+
+  let create (config : Config.t) =
+    {
+      bs = config.Config.cache_block;
+      capacity = config.Config.cache_capacity;
+      meta_cap = (config.Config.cache_block / config.Config.mss) + 2;
+      blocks = [];
+      hits = 0;
+      misses = 0;
+      evictions = 0;
+    }
+
+  let count a = Array.fold_left (fun n b -> if b then n + 1 else n) 0 a
+
+  let used m =
+    List.fold_left (fun n (_, blk) -> n + count blk.present) 0 m.blocks
+
+  let touch m key blk = m.blocks <- (key, blk) :: List.remove_assoc key m.blocks
+
+  let rec evict m =
+    if used m > m.capacity then
+      match List.rev m.blocks with
+      | (key, _) :: _ ->
+        m.blocks <- List.remove_assoc key m.blocks;
+        m.evictions <- m.evictions + 1;
+        evict m
+      | [] -> ()
+
+  let insert m ~flow ~lo ~hi ~first_sent ~retx =
+    if hi > lo then begin
+      for b = lo / m.bs to (hi - 1) / m.bs do
+        let key = (flow, b) in
+        let blk =
+          match List.assoc_opt key m.blocks with
+          | Some blk -> blk
+          | None -> { present = Array.make m.bs false; meta = [] }
+        in
+        touch m key blk;
+        let blo = max lo (b * m.bs) and bhi = min hi ((b + 1) * m.bs) in
+        for x = blo to bhi - 1 do
+          blk.present.(x - (b * m.bs)) <- true
+        done;
+        blk.meta <-
+          List.filteri
+            (fun i _ -> i < m.meta_cap)
+            ((blo, first_sent, retx) :: blk.meta)
+      done;
+      evict m
+    end
+
+  (* Blocks in order until the first one missing or not covering its
+     slice, touching each one visited when [touch]. *)
+  let covered m ~touch:tch ~flow ~lo ~hi =
+    let rec go b =
+      b > (hi - 1) / m.bs
+      ||
+      match List.assoc_opt (flow, b) m.blocks with
+      | None -> false
+      | Some blk ->
+        if tch then touch m (flow, b) blk;
+        let base = b * m.bs in
+        let ok = ref true in
+        for x = max lo base to min hi (base + m.bs) - 1 do
+          if not blk.present.(x - base) then ok := false
+        done;
+        !ok && go (b + 1)
+    in
+    go (lo / m.bs)
+
+  let lookup m ~flow ~lo ~hi =
+    if covered m ~touch:true ~flow ~lo ~hi then begin
+      m.hits <- m.hits + 1;
+      let b0 = lo / m.bs in
+      let meta =
+        if b0 > (hi - 1) / m.bs then []
+        else (List.assoc (flow, b0) m.blocks).meta
+      in
+      let lo = max lo (b0 * m.bs) in
+      let best =
+        List.fold_left
+          (fun best ((s, _, _) as e) ->
+            match best with
+            | Some (bs, _, _) when s <= bs -> best
+            | _ when s <= lo -> Some e
+            | _ -> best)
+          None meta
+      in
+      match (best, meta) with
+      | Some (_, fs, r), _ | None, (_, fs, r) :: _ -> Some (fs, r)
+      | None, [] -> Some (0.0, false)
+    end
+    else begin
+      m.misses <- m.misses + 1;
+      None
+    end
+
+  let contains m ~flow ~lo ~hi = covered m ~touch:false ~flow ~lo ~hi
+  let drop_flow m ~flow =
+    m.blocks <- List.filter (fun ((f, _), _) -> f <> flow) m.blocks
+
+  let clear m = m.blocks <- []
+
+  (* Maximal runs of present and of missing bytes, absolute. *)
+  let runs m (flow, b) =
+    match List.assoc_opt (flow, b) m.blocks with
+    | None -> ([], [ (b * m.bs, (b + 1) * m.bs) ])
+    | Some blk ->
+      let base = b * m.bs in
+      let rec go x acc_in acc_out =
+        if x = m.bs then (List.rev acc_in, List.rev acc_out)
+        else begin
+          let v = blk.present.(x) in
+          let y = ref x in
+          while !y < m.bs && blk.present.(!y) = v do
+            incr y
+          done;
+          let run = (base + x, base + !y) in
+          if v then go !y (run :: acc_in) acc_out else go !y acc_in (run :: acc_out)
+        end
+      in
+      go 0 [] []
+end
+
+type cache_op =
+  | C_insert of int * int * int * bool  (** flow, lo, hi, retx *)
+  | C_lookup of int * int * int
+  | C_contains of int * int * int
+  | C_drop of int
+  | C_clear
+
+let show_cache_op = function
+  | C_insert (f, lo, hi, r) ->
+    Printf.sprintf "insert %d [%d,%d)%s" f lo hi (if r then " retx" else "")
+  | C_lookup (f, lo, hi) -> Printf.sprintf "lookup %d [%d,%d)" f lo hi
+  | C_contains (f, lo, hi) -> Printf.sprintf "contains %d [%d,%d)" f lo hi
+  | C_drop f -> Printf.sprintf "drop %d" f
+  | C_clear -> "clear"
+
+let cache_flows = 3
+let cache_span = 6 * config.Config.cache_block
+
+(* MSS-aligned ranges (what the protocol inserts) and arbitrary ones,
+   overlapping and spanning blocks; queries may be empty. *)
+let cache_range ~min_len =
+  let open QCheck2.Gen in
+  let mss = config.Config.mss in
+  oneof
+    [
+      map2
+        (fun k n -> (k * mss, (k + n) * mss))
+        (int_bound ((cache_span / mss) - 3))
+        (int_range 1 3);
+      map2
+        (fun lo n -> (lo, lo + n))
+        (int_bound (cache_span - 1))
+        (int_range min_len 6000);
+    ]
+
+let cache_op_gen =
+  let open QCheck2.Gen in
+  let flow = int_range 1 cache_flows in
+  frequency
+    [
+      ( 6,
+        map3
+          (fun f (lo, hi) r -> C_insert (f, lo, hi, r))
+          flow (cache_range ~min_len:1) bool );
+      ( 4,
+        map2 (fun f (lo, hi) -> C_lookup (f, lo, hi)) flow
+          (cache_range ~min_len:0) );
+      ( 2,
+        map2 (fun f (lo, hi) -> C_contains (f, lo, hi)) flow
+          (cache_range ~min_len:0) );
+      (1, map (fun f -> C_drop f) flow);
+      (1, pure C_clear);
+    ]
+
 let cache_model_prop =
   let open QCheck2 in
-  Test.make ~name:"cache lookup consistent with inserted ranges" ~count:100
-    Gen.(list_size (int_range 1 30) (pair (int_range 0 20) (int_range 1 8)))
-    (fun inserts ->
-      let c = Cache.create ~config () in
-      let model = Hashtbl.create 16 in
+  let bs = config.Config.cache_block in
+  Test.make ~name:"cache lookup consistent with inserted ranges" ~count:300
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "capacity %d: %s" cap
+        (String.concat "; " (List.map show_cache_op ops)))
+    Gen.(
+      pair
+        (oneof [ pure config.Config.cache_capacity; int_range bs (5 * bs) ])
+        (list_size (int_range 1 60) cache_op_gen))
+    (fun (capacity, ops) ->
+      let config = { config with Config.cache_capacity = capacity } in
+      let c = Cache.create ~config () and m = Cache_model.create config in
+      let fail fmt = Printf.ksprintf (fun s -> Test.fail_report s) fmt in
+      (* Every run of the model is cached and the first and last byte of
+         every gap is not; with equal [used_bytes] the byte sets agree. *)
+      let check_resident () =
+        for flow = 1 to cache_flows do
+          for b = 0 to (cache_span / bs) - 1 do
+            let present, missing = Cache_model.runs m (flow, b) in
+            List.iter
+              (fun (lo, hi) ->
+                if not (Cache.contains c ~flow ~lo ~hi) then
+                  fail "flow %d [%d,%d) should be cached" flow lo hi)
+              present;
+            List.iter
+              (fun (lo, hi) ->
+                if Cache.contains c ~flow ~lo ~hi:(lo + 1)
+                   || Cache.contains c ~flow ~lo:(hi - 1) ~hi
+                then fail "flow %d gap [%d,%d) should not be cached" flow lo hi)
+              missing
+          done
+        done
+      in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | C_insert (flow, lo, hi, retx) ->
+            let first_sent = float_of_int i in
+            Cache.insert c ~flow ~lo ~hi ~first_sent ~retx;
+            Cache_model.insert m ~flow ~lo ~hi ~first_sent ~retx
+          | C_lookup (flow, lo, hi) ->
+            let got = Cache.lookup c ~flow ~lo ~hi
+            and want = Cache_model.lookup m ~flow ~lo ~hi in
+            if got <> want then fail "op %d: lookup differs" i
+          | C_contains (flow, lo, hi) ->
+            if Cache.contains c ~flow ~lo ~hi <> Cache_model.contains m ~flow ~lo ~hi
+            then fail "op %d: contains differs" i
+          | C_drop flow ->
+            Cache.drop_flow c ~flow;
+            Cache_model.drop_flow m ~flow
+          | C_clear ->
+            Cache.clear c;
+            Cache_model.clear m);
+          let st = Cache.stats c in
+          if Cache.used_bytes c <> Cache_model.used m then
+            fail "op %d: used_bytes %d, model %d" i (Cache.used_bytes c)
+              (Cache_model.used m);
+          if (st.Cache.hits, st.Cache.misses, st.Cache.evictions)
+             <> (m.Cache_model.hits, m.Cache_model.misses, m.Cache_model.evictions)
+          then fail "op %d: stats differ" i;
+          check_resident ())
+        ops;
+      true)
+
+(* ------------------------------------------------------------------ *)
+(* The cache's LRU of blocks *)
+
+let block = config.Config.cache_block
+
+(* Whole blocks [b] of [flow]; [first_sent] tells the insertions apart. *)
+let put c ~flow b =
+  Cache.insert c ~flow ~lo:(b * block) ~hi:((b + 1) * block)
+    ~first_sent:(float_of_int ((10 * flow) + b)) ~retx:false
+
+let find c ~flow b = Cache.lookup c ~flow ~lo:(b * block) ~hi:((b + 1) * block)
+let resident c ~flow b = Cache.contains c ~flow ~lo:(b * block) ~hi:((b + 1) * block)
+
+let test_lru_basic () =
+  let c = Cache.create ~config () in
+  List.iter (fun flow -> put c ~flow 0) [ 1; 2; 3 ];
+  Alcotest.(check int) "three blocks" (3 * block) (Cache.used_bytes c);
+  let meta = Alcotest.(option (pair (float 0.0) bool)) in
+  Alcotest.check meta "find" (Some (20.0, false)) (find c ~flow:2 0);
+  Alcotest.(check bool) "contains" true (resident c ~flow:1 0);
+  Alcotest.check meta "missing" None (find c ~flow:9 0);
+  let st = Cache.stats c in
+  Alcotest.(check (pair int int))
+    "contains counts nothing" (1, 1)
+    (st.Cache.hits, st.Cache.misses)
+
+let test_lru_eviction_order () =
+  let c =
+    Cache.create ~config:{ config with Config.cache_capacity = 3 * block } ()
+  in
+  List.iter (put c ~flow:1) [ 0; 1; 2 ];
+  (* Touch block 0: now block 1 is the least recently used. *)
+  ignore (find c ~flow:1 0);
+  let left () = List.filter (resident c ~flow:1) [ 0; 1; 2; 3; 4; 5 ] in
+  put c ~flow:1 3;
+  Alcotest.(check (list int)) "evicts 1" [ 0; 2; 3 ] (left ());
+  put c ~flow:1 4;
+  Alcotest.(check (list int)) "then 2" [ 0; 3; 4 ] (left ());
+  put c ~flow:1 5;
+  Alcotest.(check (list int)) "then 0" [ 3; 4; 5 ] (left ());
+  Alcotest.(check int) "evictions" 3 (Cache.stats c).Cache.evictions;
+  (* [contains] does not touch: block 3 stays the least recently used. *)
+  ignore (resident c ~flow:1 3);
+  put c ~flow:1 6;
+  Alcotest.(check (list int)) "then 3" [ 4; 5 ] (left ())
+
+let test_lru_replace () =
+  let c = Cache.create ~config () in
+  Cache.insert c ~flow:1 ~lo:0 ~hi:1400 ~first_sent:1.0 ~retx:false;
+  Cache.insert c ~flow:1 ~lo:0 ~hi:1400 ~first_sent:2.0 ~retx:true;
+  Alcotest.(check int) "no duplicate bytes" 1400 (Cache.used_bytes c);
+  Alcotest.(check (option (pair (float 0.0) bool)))
+    "newest insertion" (Some (2.0, true))
+    (Cache.lookup c ~flow:1 ~lo:0 ~hi:1400);
+  Cache.drop_flow c ~flow:1;
+  Alcotest.(check int) "removed" 0 (Cache.used_bytes c);
+  Alcotest.(check bool) "gone" false (Cache.contains c ~flow:1 ~lo:0 ~hi:1);
+  Cache.drop_flow c ~flow:1 (* idempotent *);
+  Alcotest.(check int) "still empty" 0 (Cache.used_bytes c)
+
+let lru_model_prop =
+  let open QCheck2 in
+  let slots = 4 in
+  Test.make ~name:"lru matches a naive model" ~count:200
+    Gen.(list_size (int_range 1 80)
+           (triple
+              (frequency
+                 [
+                   (4, return `Put);
+                   (3, return `Find);
+                   (1, return `Drop);
+                   (1, return `Clear);
+                 ])
+              (int_range 1 2) (int_range 0 9)))
+    (fun ops ->
+      let c =
+        Cache.create
+          ~config:{ config with Config.cache_capacity = slots * block }
+          ()
+      in
+      (* Model: resident (flow, block) keys, most recent first. *)
+      let model = ref [] in
+      let ok = ref true in
       List.iter
-        (fun (block, len) ->
-          let lo = block * 1000 and hi = (block * 1000) + (len * 100) in
-          Cache.insert c ~flow:1 ~lo ~hi ~first_sent:0.0 ~retx:false;
-          for b = lo to hi - 1 do
-            Hashtbl.replace model b ()
-          done)
-        inserts;
-      (* No eviction at this size: containment must match the model. *)
-      List.for_all
-        (fun (block, len) ->
-          let lo = block * 1000 and hi = (block * 1000) + (len * 100) in
-          Cache.contains c ~flow:1 ~lo ~hi
-          &&
-          let missing = lo = hi in
-          not missing)
-        inserts)
+        (fun (op, flow, b) ->
+          let key = (flow, b) in
+          match op with
+          | `Put ->
+            put c ~flow b;
+            model :=
+              List.filteri
+                (fun i _ -> i < slots)
+                (key :: List.filter (( <> ) key) !model)
+          | `Find ->
+            let hit = find c ~flow b <> None in
+            if hit <> List.mem key !model then ok := false;
+            if hit then model := key :: List.filter (( <> ) key) !model
+          | `Drop ->
+            Cache.drop_flow c ~flow;
+            model := List.filter (fun (f, _) -> f <> flow) !model
+          | `Clear ->
+            Cache.clear c;
+            model := [])
+        ops;
+      !ok
+      && Cache.used_bytes c = block * List.length !model
+      && List.for_all
+           (fun flow ->
+             List.for_all
+               (fun b -> resident c ~flow b = List.mem (flow, b) !model)
+               (List.init 10 Fun.id))
+           [ 1; 2 ])
 
 (* ------------------------------------------------------------------ *)
 (* SHR: Algorithm 1 *)
@@ -641,6 +1034,17 @@ let () =
           Alcotest.test_case "eviction" `Quick test_cache_eviction;
           Alcotest.test_case "drop flow" `Quick test_cache_drop_flow;
           qc cache_model_prop;
+          Alcotest.test_case "warm insert allocates nothing" `Quick
+            test_cache_insert_allocates_nothing;
+          Alcotest.test_case "keys outside the packable range" `Quick
+            test_cache_key_range;
+        ] );
+      ( "lru",
+        [
+          Alcotest.test_case "basic" `Quick test_lru_basic;
+          Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
+          Alcotest.test_case "replace/remove" `Quick test_lru_replace;
+          qc lru_model_prop;
         ] );
       ( "shr",
         [

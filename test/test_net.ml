@@ -139,6 +139,90 @@ let test_link_flush_in_flight () =
   Leotp_sim.Engine.run engine;
   Alcotest.(check int) "in-flight dropped" 0 !delivered
 
+(* Reorder jitter, duplicates and corruption on one link, a flush while
+   packets serialize and propagate, then a down/up cycle.  The
+   (time, packet id) delivery sequence and the stats are pinned: they
+   move if the epoch checks, the order of the rng draws (loss, reorder,
+   dup) or the accounting of in-flight packets change. *)
+let test_link_faults_pinned () =
+  let engine, rng = setup () in
+  let live0 = Packet_pool.live_count () in
+  let link = mk_link ~delay:0.02 ~plr:0.1 engine rng in
+  Link.set_reorder link ~prob:0.3 ~jitter:0.005;
+  Link.set_dup_prob link 0.3;
+  let log = ref [] in
+  Link.set_sink link (fun p ->
+      log := (Leotp_sim.Engine.now engine, p.Packet.id) :: !log;
+      Packet_pool.release p);
+  let burst n =
+    for _ = 1 to n do
+      Link.send link (raw_pkt ())
+    done
+  in
+  burst 12;
+  Leotp_sim.Engine.run ~until:0.026 engine;
+  Alcotest.(check int) "in flight at the flush" 5 (Link.in_flight link);
+  Link.flush link;
+  burst 12;
+  Leotp_sim.Engine.run ~until:0.052 engine;
+  Alcotest.(check int) "in flight when going down" 8 (Link.in_flight link);
+  Link.set_up link false;
+  burst 3;
+  Link.set_up link true;
+  burst 20;
+  Leotp_sim.Engine.run engine;
+  Alcotest.(check (list (pair (float 0.0) int)))
+    "deliveries"
+    [
+      (0x1.5810624dd2f1bp-6, 1);
+      (0x1.6872b020c49bap-6, 2);
+      (0x1.78d4fdf3b645ap-6, 3);
+      (0x1.999999999999ap-6, 5);
+      (0x1.810624dd2f1aap-5, 13);
+      (0x1.89374bc6a7efap-5, 14);
+      (0x1.999999999999ap-5, 16);
+      (0x1.999999999999ap-5, 16);
+      (0x1.a1cac083126eap-5, 17);
+      (0x1.2b020c49ba5e3p-4, 28);
+      (0x1.2b020c49ba5e3p-4, 28);
+      (0x1.3333333333333p-4, 30);
+      (0x1.3b645a1cac083p-4, 32);
+      (0x1.4395810624dd3p-4, 34);
+      (0x1.4395810624dd3p-4, 34);
+      (0x1.47ae147ae147bp-4, 35);
+      (0x1.488d40750d7fp-4, 31);
+      (0x1.53f7ced916873p-4, 38);
+      (0x1.5810624dd2f1bp-4, 39);
+      (0x1.5c28f5c28f5c3p-4, 40);
+      (0x1.5d8b2fac685c7p-4, 37);
+      (0x1.5d8b2fac685c7p-4, 37);
+      (0x1.604189374bc6bp-4, 41);
+      (0x1.645a1cac08313p-4, 42);
+      (0x1.71bf4d5032025p-4, 44);
+      (0x1.764ffee15aa35p-4, 43);
+      (0x1.764ffee15aa35p-4, 43);
+      (0x1.781930c3ce473p-4, 46);
+      (0x1.78d4fdf3b645bp-4, 47);
+      (0x1.7bc14c8fdba43p-4, 45);
+    ]
+    (List.rev !log);
+  let s = Link.stats link in
+  Alcotest.(check (list int))
+    "in, delivered, bytes, tail, error, flush, down, dups"
+    [ 47; 30; 30000; 0; 6; 13; 3; 5 ]
+    [
+      s.packets_in;
+      s.packets_delivered;
+      s.bytes_delivered;
+      s.drops_tail;
+      s.drops_error;
+      s.drops_flush;
+      s.drops_down;
+      s.dups;
+    ];
+  Alcotest.(check int) "pool live delta" 0 (Packet_pool.live_count () - live0);
+  Alcotest.(check int) "nothing in flight" 0 (Link.in_flight link)
+
 let test_link_time_varying_bw () =
   let engine, rng = setup () in
   let link = mk_link engine rng in
@@ -584,6 +668,7 @@ let () =
           Alcotest.test_case "loss rate" `Quick test_link_loss_rate;
           Alcotest.test_case "flush queued" `Quick test_link_flush;
           Alcotest.test_case "flush in-flight" `Quick test_link_flush_in_flight;
+          Alcotest.test_case "faults replay pinned" `Quick test_link_faults_pinned;
           Alcotest.test_case "time-varying bandwidth" `Quick
             test_link_time_varying_bw;
         ] );

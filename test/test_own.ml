@@ -256,6 +256,30 @@ let test_hot_closure_sink () =
   Alcotest.(check bool) "closure body flagged" true
     (List.exists (fun f -> f.Finding.rule = Own.alloc_id) (errors fs))
 
+(* The closures a link hands to Engine.handler at create run once per
+   packet per hop, as typed events: each is a hot root, directly and
+   through what it calls. *)
+let test_typed_event_handler () =
+  let direct =
+    "let create engine t =\n\
+     \  Engine.handler engine (fun slot -> t := [ slot ])\n"
+  in
+  ignore (check_one ~rule:Own.alloc_id (analyze ~path:"lib/net/link.ml" direct));
+  let through =
+    "let complete t slot = t := [ slot ]\n\
+     let create engine t =\n\
+     \  Engine.handler engine (fun slot -> complete t slot)\n"
+  in
+  ignore
+    (check_one ~rule:Own.alloc_id ~witness:"Link.complete"
+       (analyze ~path:"lib/net/link.ml" through));
+  let clean =
+    "let complete t slot = t := slot\n\
+     let create engine t =\n\
+     \  Engine.handler engine (fun slot -> complete t slot)\n"
+  in
+  check_clean ~rule:Own.alloc_id (analyze ~path:"lib/net/link.ml" clean)
+
 (* The same closure outside the datapath directories is setup code. *)
 let test_non_datapath_clean () =
   let src =
@@ -392,6 +416,8 @@ let () =
           Alcotest.test_case "transitive chain" `Quick
             test_hot_root_transitive_alloc;
           Alcotest.test_case "hot closure sink" `Quick test_hot_closure_sink;
+          Alcotest.test_case "typed-event handler" `Quick
+            test_typed_event_handler;
           Alcotest.test_case "non-datapath clean" `Quick
             test_non_datapath_clean;
           Alcotest.test_case "hot root clean" `Quick test_hot_root_clean;

@@ -184,6 +184,13 @@ let test_non_finite_times () =
        fun () ->
          ignore (Engine.every e ~period:1.0 ~start:Float.infinity ignore));
       ("run until nan", "nan", fun () -> Engine.run ~until:Float.nan e);
+      ("post nan", "nan",
+       fun () -> Engine.post e ~after:Float.nan (Engine.handler e ignore) 0);
+      ("post inf", "inf",
+       fun () -> Engine.post e ~after:Float.infinity (Engine.handler e ignore) 0);
+      ("post foreign handler", "another engine",
+       fun () ->
+         Engine.post e ~after:1.0 (Engine.handler (Engine.create ()) ignore) 0);
     ];
   Alcotest.(check int) "only the finite event queued" 1
     (Engine.pending_events e);
@@ -210,6 +217,10 @@ type op =
   | Every of float * float option * int
       (** period, start; the action cancels its own handle on firing [k] *)
   | Run of float  (** [run ~until:(now + d)] *)
+  | Post of float * int
+      (** [post ~after] of the script's typed handler; on firing with
+          [n > 0] it posts [n - 1] again (even [n]) or schedules a leaf
+          and posts [n - 1] at once (odd [n]) *)
 
 let show_handler = function
   | Leaf -> "leaf"
@@ -227,6 +238,7 @@ let show_op = function
       (match s with Some s -> Printf.sprintf " start %g" s | None -> "")
       k
   | Run d -> Printf.sprintf "run +%g" d
+  | Post (d, n) -> Printf.sprintf "post %g %d" d n
 
 (* What both sides expose to a script: the engine, or the model. *)
 module type SIM = sig
@@ -239,6 +251,11 @@ module type SIM = sig
   val schedule_at : t -> time:float -> (unit -> unit) -> handle
   val every : t -> period:float -> ?start:float -> (unit -> unit) -> handle
   val cancel : handle -> unit
+
+  type handler
+
+  val handler : t -> (int -> unit) -> handler
+  val post : t -> after:float -> handler -> int -> unit
   val run : ?until:float -> t -> unit
   val events_processed : t -> int
   val live_events : t -> int
@@ -298,6 +315,12 @@ module Model : SIM = struct
         m.queue <- List.filter (fun x -> x != e) m.queue
       end
 
+  (* A typed event is an uncancellable timer sharing the sequence. *)
+  type handler = int -> unit
+
+  let handler _ f = f
+  let post m ~after h arg = ignore (schedule m ~after (fun () -> h arg))
+
   let rec run ?until m =
     match m.queue with
     | e :: rest
@@ -348,6 +371,19 @@ let play (type t h) (module S : SIM with type t = t and type handle = h)
     | Spawn d -> add (fun id -> S.schedule sim ~after:d (action id Leaf))
     | Cancel_other i -> cancel i
   in
+  let rec on_post n =
+    note (`Post (n, S.now sim));
+    probe sim;
+    if n > 0 then
+      if n land 1 = 0 then
+        S.post sim ~after:(0.25 *. float_of_int (n mod 5)) (Lazy.force posted)
+          (n - 1)
+      else begin
+        add (fun id ->
+            S.schedule sim ~after:(0.25 *. float_of_int n) (action id Leaf));
+        S.post sim ~after:0.0 (Lazy.force posted) (n - 1)
+      end
+  and posted = lazy (S.handler sim on_post) in
   let step = function
     | Sched (d, h) -> add (fun id -> S.schedule sim ~after:d (action id h))
     | Sched_at (t, h) ->
@@ -377,6 +413,7 @@ let play (type t h) (module S : SIM with type t = t and type handle = h)
           self := Some h;
           h)
     | Run d -> S.run ~until:(S.now sim +. d) sim
+    | Post (d, n) -> S.post sim ~after:d (Lazy.force posted) n
   in
   List.iter
     (fun op ->
@@ -427,11 +464,7 @@ let script_gen =
   let* post = list_size (int_bound 10) op in
   pure (pre @ [ Batch (n, 100.0) ] @ mid @ [ Cancel_all_but k ] @ post)
 
-let engine_matches_model =
-  QCheck2.Test.make ~name:"engine matches sorted-list model" ~count:300
-    ~print:(fun s -> String.concat "; " (List.map show_op s))
-    script_gen
-  @@ fun script ->
+let check_against_model script =
   let expected =
     play (module Model) ~probe:ignore ~on_cancel:(fun _ h -> Model.cancel h)
       script
@@ -455,6 +488,71 @@ let engine_matches_model =
   if not !compacted then QCheck2.Test.fail_report "compaction never ran";
   actual = expected
 
+let show_script s = String.concat "; " (List.map show_op s)
+
+let engine_matches_model =
+  QCheck2.Test.make ~name:"engine matches sorted-list model" ~count:300
+    ~print:show_script script_gen check_against_model
+
+(* The same scripts with typed events posted in between: posts share the
+   (time, seq) order with closure timers, and their handler posts and
+   schedules in turn. *)
+let posts_gen =
+  let open QCheck2.Gen in
+  let* script = script_gen in
+  let* posts =
+    list_size (int_range 1 20)
+      (triple (int_bound (List.length script)) (grid (int_bound 8))
+         (int_bound 6))
+  in
+  let at i =
+    List.filter_map
+      (fun (j, d, n) -> if i = j then Some (Post (d, n)) else None)
+      posts
+  in
+  pure
+    (List.concat (List.mapi (fun i op -> at i @ [ op ]) script)
+    @ at (List.length script))
+
+let engine_with_posts_matches_model =
+  QCheck2.Test.make ~name:"engine with typed events matches the model" ~count:300
+    ~print:show_script posts_gen check_against_model
+
+(* Typed events are the per-packet, per-hop events: once the heap has
+   grown, posting and firing one allocates nothing.  A delay of zero
+   keeps the clock still; an advancing clock costs its one box. *)
+let test_post_allocates_nothing () =
+  let e = Engine.create () in
+  let left = ref 0 in
+  let rec h =
+    lazy
+      (Engine.handler e (fun arg ->
+           if !left > 0 then begin
+             decr left;
+             Engine.post e ~after:0.0 (Lazy.force h) arg
+           end))
+  in
+  let h = Lazy.force h in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let burst n () =
+    left := n;
+    for i = 1 to 64 do
+      Engine.post e ~after:0.0 h i
+    done;
+    Engine.run e
+  in
+  burst 1000 ();
+  let idle = words ignore in
+  let fired = Engine.events_processed e in
+  let w = words (burst 10_000) -. idle in
+  Alcotest.(check int) "events fired" (10_000 + 64)
+    (Engine.events_processed e - fired);
+  Alcotest.(check (float 0.0)) "words per typed event" 0.0 w
+
 let () =
   Alcotest.run "leotp_sim"
     [
@@ -476,5 +574,8 @@ let () =
           Alcotest.test_case "non-finite times rejected" `Quick
             test_non_finite_times;
           QCheck_alcotest.to_alcotest engine_matches_model;
+          QCheck_alcotest.to_alcotest engine_with_posts_matches_model;
+          Alcotest.test_case "typed events allocate nothing" `Quick
+            test_post_allocates_nothing;
         ] );
     ]

@@ -278,8 +278,7 @@ let test_pqueue_order () =
 let test_pqueue_empty () =
   let q = Pqueue.create ~cmp:Int.compare in
   Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
-  Alcotest.(check (option int)) "pop none" None (Pqueue.pop q);
-  Alcotest.(check (option int)) "peek none" None (Pqueue.peek q)
+  Alcotest.(check (option int)) "pop none" None (Pqueue.pop q)
 
 let pqueue_sort_prop =
   let open QCheck2 in
@@ -294,38 +293,6 @@ let pqueue_sort_prop =
         | Some x -> drain (x :: acc)
       in
       drain [] = List.sort Int.compare xs)
-
-let test_pqueue_filter () =
-  let q = Pqueue.create ~cmp:Int.compare in
-  List.iter (Pqueue.push q) (List.init 100 Fun.id);
-  Pqueue.filter_in_place q ~keep:(fun x -> x mod 2 = 0);
-  Alcotest.(check int) "half kept" 50 (Pqueue.length q);
-  let rec drain acc =
-    match Pqueue.pop q with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list int))
-    "still a heap"
-    (List.init 50 (fun i -> 2 * i))
-    (drain []);
-  Pqueue.push q 3;
-  Pqueue.filter_in_place q ~keep:(fun _ -> false);
-  Alcotest.(check bool) "empty after drop-all" true (Pqueue.is_empty q)
-
-let pqueue_filter_prop =
-  let open QCheck2 in
-  Test.make ~name:"filter_in_place keeps heap invariant" ~count:200
-    Gen.(pair (list_size (int_range 0 150) (int_range 0 1000)) (int_range 1 5))
-    (fun (xs, k) ->
-      let q = Pqueue.create ~cmp:Int.compare in
-      List.iter (Pqueue.push q) xs;
-      Pqueue.filter_in_place q ~keep:(fun x -> x mod k <> 0);
-      let rec drain acc =
-        match Pqueue.pop q with
-        | None -> List.rev acc
-        | Some x -> drain (x :: acc)
-      in
-      drain []
-      = List.sort Int.compare (List.filter (fun x -> x mod k <> 0) xs))
 
 (* ------------------------------------------------------------------ *)
 (* Domain_pool *)
@@ -720,95 +687,6 @@ let test_rng_exponential_mean () =
   Alcotest.(check bool) "mean approx 5" true (Float.abs (m -. 5.0) < 0.2)
 
 (* ------------------------------------------------------------------ *)
-(* Lru *)
-
-let test_lru_basic () =
-  let l = Lru.create () in
-  Lru.put l "a" 1;
-  Lru.put l "b" 2;
-  Lru.put l "c" 3;
-  Alcotest.(check int) "length" 3 (Lru.length l);
-  Alcotest.(check (option int)) "find" (Some 2) (Lru.find l "b");
-  Alcotest.(check (option int)) "peek" (Some 1) (Lru.peek l "a");
-  Alcotest.(check (option int)) "missing" None (Lru.find l "z")
-
-let test_lru_eviction_order () =
-  let l = Lru.create () in
-  Lru.put l 1 ();
-  Lru.put l 2 ();
-  Lru.put l 3 ();
-  (* Touch 1: now 2 is the least recently used. *)
-  ignore (Lru.find l 1);
-  (match Lru.evict_lru l with
-  | Some (k, ()) -> Alcotest.(check int) "evicts 2" 2 k
-  | None -> Alcotest.fail "expected eviction");
-  (match Lru.evict_lru l with
-  | Some (k, ()) -> Alcotest.(check int) "then 3" 3 k
-  | None -> Alcotest.fail "expected eviction");
-  (match Lru.evict_lru l with
-  | Some (k, ()) -> Alcotest.(check int) "then 1" 1 k
-  | None -> Alcotest.fail "expected eviction");
-  Alcotest.(check bool) "empty" true (Lru.evict_lru l = None)
-
-let test_lru_replace () =
-  let l = Lru.create () in
-  Lru.put l "k" 1;
-  Lru.put l "k" 2;
-  Alcotest.(check int) "no duplicate" 1 (Lru.length l);
-  Alcotest.(check (option int)) "new value" (Some 2) (Lru.find l "k");
-  Lru.remove l "k";
-  Alcotest.(check int) "removed" 0 (Lru.length l);
-  Lru.remove l "k" (* idempotent *)
-
-let lru_model_prop =
-  let open QCheck2 in
-  Test.make ~name:"lru matches a naive model" ~count:200
-    Gen.(list_size (int_range 1 80)
-           (pair
-              (frequency
-                 [
-                   (4, return `Put);
-                   (3, return `Find);
-                   (2, return `Remove);
-                   (2, return `Evict);
-                   (1, return `Clear);
-                 ])
-              (int_range 0 9)))
-    (fun ops ->
-      let l = Lru.create () in
-      (* Model: association list, most recent first. *)
-      let model = ref [] in
-      let ok = ref true in
-      List.iter
-        (fun (op, k) ->
-          match op with
-          | `Put ->
-            Lru.put l k k;
-            model := (k, k) :: List.remove_assoc k !model
-          | `Find ->
-            let got = Lru.find l k in
-            let expect = List.assoc_opt k !model in
-            if got <> expect then ok := false;
-            (match expect with
-            | Some v -> model := (k, v) :: List.remove_assoc k !model
-            | None -> ())
-          | `Remove ->
-            Lru.remove l k;
-            model := List.remove_assoc k !model
-          | `Evict -> (
-            match (Lru.evict_lru l, List.rev !model) with
-            | Some (ek, _), (mk, _) :: _ ->
-              if ek <> mk then ok := false;
-              model := List.remove_assoc mk !model
-            | None, [] -> ()
-            | _ -> ok := false)
-          | `Clear ->
-            Lru.clear l;
-            model := [])
-        ops;
-      !ok && Lru.length l = List.length !model)
-
-(* ------------------------------------------------------------------ *)
 (* Timeseries *)
 
 let test_timeseries () =
@@ -852,9 +730,7 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_pqueue_order;
           Alcotest.test_case "empty" `Quick test_pqueue_empty;
-          Alcotest.test_case "filter_in_place" `Quick test_pqueue_filter;
           qc pqueue_sort_prop;
-          qc pqueue_filter_prop;
         ] );
       ( "domain_pool",
         [
@@ -907,13 +783,6 @@ let () =
           Alcotest.test_case "substreams" `Quick test_rng_substreams_independent;
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
           Alcotest.test_case "exponential" `Quick test_rng_exponential_mean;
-        ] );
-      ( "lru",
-        [
-          Alcotest.test_case "basic" `Quick test_lru_basic;
-          Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
-          Alcotest.test_case "replace/remove" `Quick test_lru_replace;
-          qc lru_model_prop;
         ] );
       ("timeseries", [ Alcotest.test_case "windows" `Quick test_timeseries ]);
     ]
