@@ -71,7 +71,7 @@ let midnode_stream ~plr () =
             ~hi:((i + 1) * bench_mss)
             ~timestamp:0.0 ~req_owd:0.001 ~first_sent:0.0 ~retx:false
         in
-        Leotp_net.Node.receive node ~from:1 pkt)
+        Leotp_net.Node.receive node pkt)
       kept
 
 let cache_ops () =
@@ -726,10 +726,9 @@ let trace_file =
 let out_dir =
   opt Arg.dir "." "out-dir" ~docv:"DIR" "Existing directory for records and traces."
 
-let protocol =
+let protocol_in ~what ok =
   let proto =
-    checked ~docv:"PROTO" ~what:"a known protocol" Common.protocol_of_name
-      (fun _ -> true)
+    checked ~docv:"PROTO" ~what Common.protocol_of_name ok
       (fun ppf p -> Format.pp_print_string ppf (Common.protocol_name p))
   in
   Arg.(
@@ -739,7 +738,13 @@ let protocol =
         ~doc:
           "Transport: leotp, leotp-b/c/d (ablations), or a TCP variant \
            (newreno, cubic, hybla, westwood, vegas, bbr, pcc), optionally \
-           prefixed with split- for Split TCP.")
+           prefixed with split- for Split TCP (single-flow scenarios only).")
+
+let protocol = protocol_in ~what:"a known protocol" (fun _ -> true)
+
+let dumbbell_protocol =
+  protocol_in ~what:"a protocol with a dumbbell form (not split-TCP)"
+    Common.runs_on_dumbbell
 
 let duration ~above ~why =
   let what = Printf.sprintf "a duration above %g s (%s)" above why in
@@ -882,7 +887,7 @@ let sim_cmd =
           $ bent_pipe $ quick $ seed 42);
       sim "fairness" ~doc:"Three staggered flows on a dumbbell."
         Term.(
-          const sim_fairness $ protocol
+          const sim_fairness $ dumbbell_protocol
           $ flag "same-rtt" "All flows share one RTT (default: 90/120/150 ms)."
           $ duration ~above:40.0 ~why:"rates are measured over [d/2 + 20, d]");
       sim "ablation" ~doc:"Table II ablations on a city pair."

@@ -47,18 +47,18 @@ let () =
     Leotp.Producer.create engine ~config ~node:producer_node ~flow
       ~total_bytes:bytes ~metrics ()
   in
-  Node.set_handler producer_node (fun ~from:_ pkt ->
+  Node.set_handler producer_node (fun pkt ->
       if Leotp.Wire.is_interest pkt then
         Leotp.Producer.handle_interest producer pkt
-      else Node.forward producer_node ~from:0 pkt);
+      else Node.send producer_node pkt);
   let consumer_at node =
     let c =
       Leotp.Consumer.create engine ~config ~node
         ~producer:(Node.id producer_node) ~flow ~total_bytes:bytes ()
     in
-    Node.set_handler node (fun ~from:_ pkt ->
+    Node.set_handler node (fun pkt ->
         if Leotp.Wire.is_data pkt then Leotp.Consumer.handle_packet c pkt
-        else Node.forward node ~from:0 pkt);
+        else Node.send node pkt);
     c
   in
   let ca = consumer_at a_node in

@@ -45,6 +45,6 @@ val divergence_to_string : divergence -> string
 
 val sender_quiescent : Leotp_tcp.Sender.t -> string option
 (** Engine-level timer assertion for a finished or stopped sender:
-    [None] when both timer slots are cleared and nothing remains armed
-    in the engine ({!Leotp_sim.Engine.is_pending}); otherwise a
-    description of the leak. *)
+    [None] when neither of its timers remains armed in the engine
+    ({!Leotp_sim.Engine.is_pending}); otherwise a description of the
+    leak. *)

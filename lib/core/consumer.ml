@@ -42,49 +42,11 @@ type t = {
   mutable interest_retx : int;
   mutable next_send_time : float;
   mutable last_shared_backoff : float;
-  mutable scan_timer : Engine.timer option;
-  mutable pump_timer : Engine.timer option;
+  mutable scan_timer : Engine.timer;  (** TR scan (§III-B) *)
+  mutable pump_timer : Engine.timer;  (** eq (10) pacing *)
   mutable completed : bool;
   mutable started : bool;
 }
-
-let create engine ~config ~node ~producer ~flow ?total_bytes ?metrics
-    ?(on_complete = fun () -> ()) ?(on_prefix = fun ~pos:_ ~len:_ -> ()) () =
-  let metrics =
-    match metrics with
-    | Some m -> m
-    | None -> Leotp_net.Flow_metrics.create ~flow
-  in
-  {
-    engine;
-    config;
-    node;
-    producer;
-    flow;
-    total_bytes;
-    metrics;
-    on_complete;
-    on_prefix;
-    cc = Hop_cc.create ~pipe_full_exit:false ~config ~now:(Engine.now engine) ();
-    shr = Shr.create ~config;
-    rto =
-      Leotp_util.Rto.create ~min_rto:0.05 ~max_rto:2.0
-        ~backoff_factor:config.Config.tr_backoff ();
-    last_shared_backoff = 0.0;
-    outstanding = IntMap.empty;
-    outstanding_bytes = 0;
-    stale_bytes = 0;
-    next_to_request = 0;
-    received = Interval_set.empty;
-    prefix = 0;
-    interests_sent = 0;
-    interest_retx = 0;
-    next_send_time = Engine.now engine;
-    scan_timer = None;
-    pump_timer = None;
-    completed = false;
-    started = false;
-  }
 
 let advertised_rate t =
   (* The Consumer has no sending buffer: its application drains data
@@ -168,24 +130,9 @@ let scan t =
   end
 [@@leotp.allow "hot-path-may-alloc"]
 
-(* Re-arming the scan timer allocates its action closure: one per scan
-   period, inherent to the [Engine.schedule] API. *)
-let rec ensure_scan_timer ~pump t =
-  if (not t.completed) && t.scan_timer = None then
-    t.scan_timer <-
-      Some
-        (Engine.schedule t.engine ~after:t.config.Config.tr_scan_interval
-           (fun () ->
-             t.scan_timer <- None;
-             if not t.completed then begin
-               scan t;
-               (* The periodic tick is also the liveness backstop for a
-                  window-blocked pump (nothing else fires when every
-                  outstanding Interest's response was lost). *)
-               pump t;
-               ensure_scan_timer ~pump t
-             end))
-[@@leotp.allow "hot-path-may-alloc"]
+let ensure_scan_timer t =
+  if (not t.completed) && not (Engine.is_pending t.scan_timer) then
+    Engine.arm t.scan_timer ~after:t.config.Config.tr_scan_interval
 
 let want_more t =
   match t.total_bytes with
@@ -197,17 +144,11 @@ let want_more t =
    pipeline spans the whole path, so outstanding data legitimately exceeds
    one hop's window.  A safety cap of ~2x the path's
    bandwidth-delay product (path RTT from the TR estimator) bounds the
-   flood if the path black-holes. *)
-let rec pump t =
-  if not t.completed then begin
-    pump_loop t (Engine.now t.engine);
-    ensure_scan_timer ~pump t
-  end
-
-(* Recursive issue loop (no while+ref: [pump] runs per received Data and
-   per pacing timer, and a local [ref] is a minor-heap cell).  Stops when
-   the window or pacing gate closes or the stream is fully requested. *)
-and pump_loop t now =
+   flood if the path black-holes.  The loop recurses (no while+ref: it
+   runs per received Data and per pacing timer, and a local [ref] is a
+   minor-heap cell) and stops when the window or pacing gate closes or
+   the stream is fully requested. *)
+let rec pump_loop t now =
   if want_more t then begin
     (* Window over the pull loop: outstanding (non-lost) data is
        bounded by cwnd, giving the self-clocking a pure rate pacer
@@ -228,7 +169,10 @@ and pump_loop t now =
       float_of_int (occupying + len) > cap
       || float_of_int (t.outstanding_bytes + len) > 2.0 *. cap
     then ()
-    else if now < t.next_send_time then schedule_pump t ~at:t.next_send_time
+    else if now < t.next_send_time then begin
+      if not (Engine.is_pending t.pump_timer) then
+        Engine.arm_at t.pump_timer ~time:t.next_send_time
+    end
     else begin
       let rate = Float.max 1000.0 (advertised_rate t) in
       t.next_send_time <-
@@ -256,18 +200,21 @@ and pump_loop t now =
     end
   end
 
-and schedule_pump t ~at =
-  match t.pump_timer with
-  | Some timer when Engine.is_pending timer -> ()
-  | _ ->
-    t.pump_timer <-
-      (* arming the pacing timer allocates its action closure: one per
-         pacing gap, inherent to the [Engine.schedule_at] API *)
-      Some
-        (Engine.schedule_at t.engine ~time:at
-           ((fun () ->
-              t.pump_timer <- None;
-              pump t) [@leotp.allow "hot-path-may-alloc"]))
+let pump t =
+  if not t.completed then begin
+    pump_loop t (Engine.now t.engine);
+    ensure_scan_timer t
+  end
+
+(* A scan tick: expire overdue Interests, then pump, which re-arms the
+   tick.  The tick is also the liveness backstop for a window-blocked
+   pump (nothing else fires when every outstanding Interest's response
+   was lost). *)
+let on_scan t =
+  if not t.completed then begin
+    scan t;
+    pump t
+  end
 
 let finish t =
   if not t.completed then begin
@@ -277,8 +224,8 @@ let finish t =
         (Leotp_net.Trace.Complete
            { node = Node.id t.node; flow = t.flow; bytes = t.prefix });
     Leotp_net.Flow_metrics.set_finished t.metrics (Engine.now t.engine);
-    (match t.scan_timer with Some tm -> Engine.cancel tm | None -> ());
-    (match t.pump_timer with Some tm -> Engine.cancel tm | None -> ());
+    Engine.cancel t.scan_timer;
+    Engine.cancel t.pump_timer;
     t.on_complete ()
   end
 
@@ -391,6 +338,53 @@ let handle_packet t pkt =
   end
   else Leotp_net.Packet_pool.release pkt
 
+let create engine ~config ~node ~producer ~flow ?total_bytes ?metrics
+    ?(on_complete = fun () -> ()) ?(on_prefix = fun ~pos:_ ~len:_ -> ()) () =
+  let metrics =
+    match metrics with
+    | Some m -> m
+    | None -> Leotp_net.Flow_metrics.create ~flow
+  in
+  (* The timers' actions close over the record, so it starts with a
+     stand-in that is replaced before [create] returns. *)
+  let unset = Engine.timer engine ignore in
+  let t =
+    {
+      engine;
+      config;
+      node;
+      producer;
+      flow;
+      total_bytes;
+      metrics;
+      on_complete;
+      on_prefix;
+      cc =
+        Hop_cc.create ~pipe_full_exit:false ~config ~now:(Engine.now engine) ();
+      shr = Shr.create ~config;
+      rto =
+        Leotp_util.Rto.create ~min_rto:0.05 ~max_rto:2.0
+          ~backoff_factor:config.Config.tr_backoff ();
+      last_shared_backoff = 0.0;
+      outstanding = IntMap.empty;
+      outstanding_bytes = 0;
+      stale_bytes = 0;
+      next_to_request = 0;
+      received = Interval_set.empty;
+      prefix = 0;
+      interests_sent = 0;
+      interest_retx = 0;
+      next_send_time = Engine.now engine;
+      scan_timer = unset;
+      pump_timer = unset;
+      completed = false;
+      started = false;
+    }
+  in
+  t.scan_timer <- Engine.timer engine (fun () -> on_scan t);
+  t.pump_timer <- Engine.timer engine (fun () -> pump t);
+  t
+
 let start t =
   if not t.started then begin
     t.started <- true;
@@ -405,6 +399,6 @@ let interests_sent t = t.interests_sent
 let interest_retx t = t.interest_retx
 
 let stop t =
-  (match t.scan_timer with Some tm -> Engine.cancel tm | None -> ());
-  (match t.pump_timer with Some tm -> Engine.cancel tm | None -> ());
+  Engine.cancel t.scan_timer;
+  Engine.cancel t.pump_timer;
   t.completed <- true

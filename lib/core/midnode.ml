@@ -264,10 +264,10 @@ let handle_data t pkt =
     ignore (Send_buffer.push fs.buffer pkt)
   else Node.send t.node pkt
 
-let handler t ~from:_ pkt =
+let handler t pkt =
   if Wire.is_interest pkt then handle_interest t pkt
   else if Wire.is_data pkt then handle_data t pkt
-  else Node.forward t.node ~from:0 pkt
+  else Node.send t.node pkt
 
 let create engine ~config ~node () =
   let t =
@@ -282,7 +282,7 @@ let create engine ~config ~node () =
       crashed = false;
     }
   in
-  Node.set_handler node (fun ~from pkt -> handler t ~from pkt);
+  Node.set_handler node (fun pkt -> handler t pkt);
   t
 
 (* Crash model (paper §VII: midnode state is soft and "can be
@@ -301,13 +301,13 @@ let crash t =
     Hashtbl.reset t.flows;
     Cache.clear t.cache;
     Pit.clear t.pit;
-    Node.set_handler t.node (fun ~from pkt -> Node.forward t.node ~from pkt)
+    Node.set_handler t.node (fun pkt -> Node.send t.node pkt)
   end
 
 let restart t =
   if t.crashed then begin
     t.crashed <- false;
-    Node.set_handler t.node (fun ~from pkt -> handler t ~from pkt)
+    Node.set_handler t.node (fun pkt -> handler t pkt)
   end
 
 let sweep_pit t ~now = Pit.expire_before t.pit ~now

@@ -15,7 +15,7 @@ type t = {
          under timeout retransmission). *)
   mutable queued_bytes : int;
   mutable drops : int;
-  mutable drain_timer : Engine.timer option;
+  mutable drain_timer : Engine.timer;
 }
 
 (* Only real Data carries a dedup name; VPHs and Interests pass through. *)
@@ -26,24 +26,6 @@ let has_name pkt = pkt.Packet.kind = Wire.kind_data && pkt.Packet.i2 > 0
 let name_key pkt =
   ((pkt.Packet.flow, pkt.Packet.i0, pkt.Packet.i1)
   [@leotp.allow "hot-path-may-alloc"])
-
-(* One buffer record per flow at first contact — setup, not per-packet. *)
-let create engine ~config ~send () =
-  ({
-    engine;
-    config;
-    send;
-    queue = Pkt_queue.create ();
-    queued_names = Hashtbl.create 64;
-    bucket =
-      Leotp_util.Token_bucket.create
-        ~rate:(10.0 *. float_of_int config.Config.mss)
-        ~burst:(2.0 *. float_of_int config.Config.mss)
-        ~now:(Engine.now engine);
-    queued_bytes = 0;
-    drops = 0;
-    drain_timer = None;
-  } [@leotp.allow "hot-path-may-alloc"])
 
 let rec drain t =
   if not (Pkt_queue.is_empty t.queue) then begin
@@ -58,24 +40,38 @@ let rec drain t =
     end
     else begin
       let wait = Leotp_util.Token_bucket.time_until t.bucket ~now pkt.Packet.size in
-      if Float.is_finite wait then schedule t ~after:wait
       (* A zero advertised rate pauses the buffer; a later set_rate
          restarts it. *)
+      if Float.is_finite wait && not (Engine.is_pending t.drain_timer) then
+        Engine.arm t.drain_timer ~after:wait
     end
   end
 
-and schedule t ~after =
-  match t.drain_timer with
-  | Some timer when Engine.is_pending timer -> ()
-  | _ ->
-    t.drain_timer <-
-      (* arming the drain timer allocates its action closure: one per
-         pacing gap, inherent to the [Engine.schedule] API *)
-      Some
-        (Engine.schedule t.engine ~after
-           ((fun () ->
-              t.drain_timer <- None;
-              drain t) [@leotp.allow "hot-path-may-alloc"]))
+(* One buffer record, drain timer and closure per flow at first contact
+   — setup, not per-packet.  The timer's action closes over the record,
+   so the record starts with a stand-in timer that is replaced before
+   [create] returns. *)
+let create engine ~config ~send () =
+  let t =
+    {
+      engine;
+      config;
+      send;
+      queue = Pkt_queue.create ();
+      queued_names = Hashtbl.create 64;
+      bucket =
+        Leotp_util.Token_bucket.create
+          ~rate:(10.0 *. float_of_int config.Config.mss)
+          ~burst:(2.0 *. float_of_int config.Config.mss)
+          ~now:(Engine.now engine);
+      queued_bytes = 0;
+      drops = 0;
+      drain_timer = Engine.timer engine ignore;
+    }
+  in
+  t.drain_timer <- Engine.timer engine (fun () -> drain t);
+  t
+[@@leotp.allow "hot-path-may-alloc"]
 
 (* [push] always takes ownership: absorbed duplicates and capacity drops
    go back to the pool here, queued packets die later in [t.send]'s
@@ -110,8 +106,7 @@ let len t = t.queued_bytes
 let drops t = t.drops
 
 let clear t =
-  (match t.drain_timer with Some tm -> Engine.cancel tm | None -> ());
-  t.drain_timer <- None;
+  Engine.cancel t.drain_timer;
   Pkt_queue.iter (fun pkt -> Pool.release pkt) t.queue;
   Pkt_queue.clear t.queue;
   Hashtbl.reset t.queued_names;

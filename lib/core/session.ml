@@ -24,14 +24,14 @@ let attach engine ~config ~consumer_node ~producer_node ~midnodes ~flow
      several flows' endpoints in multi-flow experiments — each flow
      re-installs a handler, so endpoint nodes are one-flow in practice;
      scenarios give each flow its own endpoint nodes). *)
-  Node.set_handler consumer_node (fun ~from:_ pkt ->
+  Node.set_handler consumer_node (fun pkt ->
       if Wire.is_data pkt && pkt.Packet.flow = flow then
         Consumer.handle_packet consumer pkt
-      else Node.forward consumer_node ~from:0 pkt);
-  Node.set_handler producer_node (fun ~from:_ pkt ->
+      else Node.send consumer_node pkt);
+  Node.set_handler producer_node (fun pkt ->
       if Wire.is_interest pkt && pkt.Packet.flow = flow then
         Producer.handle_interest producer pkt
-      else Node.forward producer_node ~from:0 pkt);
+      else Node.send producer_node pkt);
   { consumer; producer; midnodes; metrics }
 
 let over_chain engine ~config ~chain ~flow ?total_bytes ?(coverage = 1.0)

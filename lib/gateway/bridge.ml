@@ -77,26 +77,26 @@ let create engine ~config ~tcp_cc ~sender_node ~ingress_node ~egress_node
 
   (* Handlers: each node dispatches by packet kind, forwarding anything
      that is not for it (the gateways sit on routed paths). *)
-  Node.set_handler sender_node (fun ~from:_ pkt ->
+  Node.set_handler sender_node (fun pkt ->
       if Leotp_tcp.Wire.is_ack_seg pkt && pkt.Packet.flow = flow then
         Leotp_tcp.Sender.handle_ack tcp_in pkt
-      else Node.forward sender_node ~from:0 pkt);
-  Node.set_handler ingress_node (fun ~from:_ pkt ->
+      else Node.send sender_node pkt);
+  Node.set_handler ingress_node (fun pkt ->
       if Leotp_tcp.Wire.is_data_seg pkt && pkt.Packet.flow = flow then
         Leotp_tcp.Receiver.handle_data rx_in pkt
       else if Leotp.Wire.is_interest pkt && pkt.Packet.flow = flow then
         Leotp.Producer.handle_interest producer pkt
-      else Node.forward ingress_node ~from:0 pkt);
-  Node.set_handler egress_node (fun ~from:_ pkt ->
+      else Node.send ingress_node pkt);
+  Node.set_handler egress_node (fun pkt ->
       if Leotp.Wire.is_data pkt && pkt.Packet.flow = flow then
         Leotp.Consumer.handle_packet consumer pkt
       else if Leotp_tcp.Wire.is_ack_seg pkt && pkt.Packet.flow = flow then
         Leotp_tcp.Sender.handle_ack tcp_out pkt
-      else Node.forward egress_node ~from:0 pkt);
-  Node.set_handler receiver_node (fun ~from:_ pkt ->
+      else Node.send egress_node pkt);
+  Node.set_handler receiver_node (fun pkt ->
       if Leotp_tcp.Wire.is_data_seg pkt && pkt.Packet.flow = flow then
         Leotp_tcp.Receiver.handle_data receiver pkt
-      else Node.forward receiver_node ~from:0 pkt);
+      else Node.send receiver_node pkt);
   { tcp_in; rx_in; consumer; tcp_out; m_leotp; m_out; completed }
 
 let start t =

@@ -17,7 +17,7 @@
    Values start Unknown and only become Known through evidence:
 
    - {b seeds} — known signatures: every [Leotp_util.Units] conversion,
-     [Engine.now]/[schedule]/[every]/[run] times, [Link] delay and rate
+     [Engine.now]/[schedule]/[post]/[arm]/[run] times, [Link] delay and rate
      accessors, [Bandwidth] Mbps constructors, [Rto] times, [Cc]
      window sizes, [Geo] distances, and the packet wire accessors
      ([Wire.timestamp] is seconds, [Wire.send_rate] bytes/s, ...).
@@ -214,7 +214,8 @@ let seeds =
     { s_fn = "Engine.schedule"; s_args = [ (Lbl "after", Base Seconds) ]; s_ret = None };
     { s_fn = "Engine.schedule_at"; s_args = [ (Lbl "time", Base Seconds) ]; s_ret = None };
     { s_fn = "Engine.post"; s_args = [ (Lbl "after", Base Seconds) ]; s_ret = None };
-    { s_fn = "Engine.every"; s_args = [ (Lbl "period", Base Seconds); (Lbl "start", Base Seconds) ]; s_ret = None };
+    { s_fn = "Engine.arm"; s_args = [ (Lbl "after", Base Seconds) ]; s_ret = None };
+    { s_fn = "Engine.arm_at"; s_args = [ (Lbl "time", Base Seconds) ]; s_ret = None };
     { s_fn = "Engine.run"; s_args = [ (Lbl "until", Base Seconds) ]; s_ret = None };
     (* Links and bandwidth processes. *)
     { s_fn = "Link.create"; s_args = [ (Lbl "delay", Base Seconds) ]; s_ret = None };

@@ -28,8 +28,9 @@
        and walks them from the per-packet hot roots: the engine
        dispatch loop, [Shr.on_packet], [Seg_store] scans, [Pkt_queue]
        and the packet pool itself, plus literal closures handed to
-       [Engine.schedule]/[schedule_at]/[every], [Node.set_handler] and
-       [Link.set_sink] inside the datapath directories.  Error paths
+       [Engine.schedule]/[schedule_at]/[timer]/[handler],
+       [Node.set_handler] and [Link.set_sink] inside the datapath
+       directories.  Error paths
        ([raise]/[failwith]/[invalid_arg]/[assert]) and debug-guarded
        branches ([if Trace.on () then ...]) are exempt.
 
@@ -148,6 +149,8 @@ let hot_root_defs =
   [
     "Engine.step";
     "Engine.post";
+    "Engine.arm";
+    "Engine.arm_at";
     "Shr.on_packet";
     "Seg_store.iter";
     "Seg_store.iter_from_while";
@@ -169,7 +172,7 @@ let hot_closure_sinks =
   [
     "Engine.schedule";
     "Engine.schedule_at";
-    "Engine.every";
+    "Engine.timer";
     "Engine.handler";
     "Node.set_handler";
     "Link.set_sink";

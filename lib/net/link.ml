@@ -14,8 +14,6 @@ type stats = {
 type t = {
   engine : Engine.t;
   name : string;
-  src : int;
-  dst : int;
   mutable bandwidth : Bandwidth.t;
   mutable delay : float;
   mutable plr : float;
@@ -181,7 +179,7 @@ let arrive t slot =
     drop t pkt Trace.Flush
   end
 
-let create engine ~name ~src ~dst ~bandwidth ~delay ?(plr = 0.0)
+let create engine ~name ~bandwidth ~delay ?(plr = 0.0)
     ?(buffer_bytes = 256 * 1024) ~rng () =
   (* The two handlers close over the record, so it starts with a
      stand-in that is replaced before [create] returns. *)
@@ -190,8 +188,6 @@ let create engine ~name ~src ~dst ~bandwidth ~delay ?(plr = 0.0)
     {
       engine;
       name;
-      src;
-      dst;
       bandwidth;
       delay;
       plr;

@@ -24,8 +24,6 @@ type stats = {
 val create :
   Leotp_sim.Engine.t ->
   name:string ->
-  src:int ->
-  dst:int ->
   bandwidth:Bandwidth.t ->
   delay:float ->
   ?plr:float ->
@@ -33,9 +31,8 @@ val create :
   rng:Leotp_util.Rng.t ->
   unit ->
   t
-(** [src]/[dst] are the node ids of the link endpoints; [delay] is the
-    one-way propagation delay in seconds.  Default [plr] 0, default buffer
-    256 KB. *)
+(** [delay] is the one-way propagation delay in seconds.  Default [plr]
+    0, default buffer 256 KB. *)
 
 val set_sink : t -> (Packet.t -> unit) -> unit
 (** Delivery callback (wired by {!Topology}). *)

@@ -2,7 +2,7 @@ type t = {
   id : int;
   name : string;
   routes : (int, Link.t) Hashtbl.t;
-  mutable handler : from:int -> Packet.t -> unit;
+  mutable handler : Packet.t -> unit;
   mutable no_route_drops : int;
 }
 
@@ -17,8 +17,6 @@ let send t pkt =
     t.no_route_drops <- t.no_route_drops + 1;
     Packet_pool.release pkt
 
-let forward t ~from:_ pkt = send t pkt
-
 let create ~name =
   let c = Domain.DLS.get counter in
   incr c;
@@ -27,7 +25,7 @@ let create ~name =
       id = !c;
       name;
       routes = Hashtbl.create 16;
-      handler = (fun ~from pkt -> forward t ~from pkt);
+      handler = (fun pkt -> send t pkt);
       no_route_drops = 0;
     }
   in
@@ -40,5 +38,5 @@ let add_route t ~dst link = Hashtbl.replace t.routes dst link
 let remove_route t ~dst = Hashtbl.remove t.routes dst
 let clear_routes t = Hashtbl.reset t.routes
 let set_handler t h = t.handler <- h
-let receive t ~from pkt = t.handler ~from pkt
+let receive t pkt = t.handler pkt
 let no_route_drops t = t.no_route_drops

@@ -26,17 +26,14 @@ val remove_route : t -> dst:int -> unit
 
 val clear_routes : t -> unit
 
-val set_handler : t -> (from:int -> Packet.t -> unit) -> unit
-(** [from] is the node id of the upstream end of the delivering link. *)
+val set_handler : t -> (Packet.t -> unit) -> unit
+(** Replace the handler; the default one {!send}s every packet onward. *)
 
-val receive : t -> from:int -> Packet.t -> unit
+val receive : t -> Packet.t -> unit
+(** Hand a delivered packet to the node's handler. *)
 
 val send : t -> Packet.t -> unit
 (** Route by [pkt.dst] and transmit.  Packets with no route are counted in
     {!no_route_drops} and dropped (happens transiently during rerouting). *)
 
 val no_route_drops : t -> int
-
-val forward : t -> from:int -> Packet.t -> unit
-(** The default handler: deliver locally is impossible for a plain node, so
-    everything is routed onward. *)

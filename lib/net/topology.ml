@@ -11,28 +11,19 @@ let hop ?(plr = 0.0) ?(buffer_bytes = 256 * 1024) ~bandwidth ~delay () =
 type duplex = { fwd : Link.t; rev : Link.t }
 
 let connect engine ~rng a b spec =
-  let mk ~name ~src_node ~dst_node =
+  let mk src dst =
+    let name = Printf.sprintf "%s->%s" (Node.name src) (Node.name dst) in
     let link =
-      Link.create engine ~name ~src:(Node.id src_node) ~dst:(Node.id dst_node)
-        ~bandwidth:spec.bandwidth ~delay:spec.delay ~plr:spec.plr
-        ~buffer_bytes:spec.buffer_bytes
+      Link.create engine ~name ~bandwidth:spec.bandwidth ~delay:spec.delay
+        ~plr:spec.plr ~buffer_bytes:spec.buffer_bytes
         ~rng:(Leotp_util.Rng.substream rng name)
         ()
     in
-    Link.set_sink link (fun pkt ->
-        Node.receive dst_node ~from:(Node.id src_node) pkt);
+    Link.set_sink link (fun pkt -> Node.receive dst pkt);
     link
   in
-  let fwd =
-    mk
-      ~name:(Printf.sprintf "%s->%s" (Node.name a) (Node.name b))
-      ~src_node:a ~dst_node:b
-  in
-  let rev =
-    mk
-      ~name:(Printf.sprintf "%s->%s" (Node.name b) (Node.name a))
-      ~src_node:b ~dst_node:a
-  in
+  let fwd = mk a b in
+  let rev = mk b a in
   { fwd; rev }
 
 type chain = { nodes : Node.t array; hops : duplex array }

@@ -285,6 +285,10 @@ let run_chain ?(seed = 42) ?bytes ?(duration = 60.0) ?(warmup = 10.0)
     ~floor:(List.fold_left (fun acc h -> acc +. h.delay) 0.0 hops)
     ~warmup ~duration protocol
 
+let runs_on_dumbbell = function
+  | Tcp _ | Leotp _ -> true
+  | Split_tcp _ | Leotp_partial _ -> false
+
 let run_flows_dumbbell ?(seed = 42) ?bytes ?(duration = 600.0) ?(faults = [])
     ?trace ?on_reports ~access_delays ~bottleneck ~access ~starts protocol =
   let engine, rng = fresh_engine ~seed in

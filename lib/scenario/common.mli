@@ -154,6 +154,11 @@ val summarize :
     over [warmup, duration); a completed transfer divides its bytes by
     its completion time. *)
 
+val runs_on_dumbbell : protocol -> bool
+(** Whether {!run_flows_dumbbell} runs the protocol: plain TCP and
+    LEOTP do; Split TCP and partial coverage, which place proxies or
+    midnodes on one chain, do not. *)
+
 val run_flows_dumbbell :
   ?seed:int ->
   ?bytes:int ->
@@ -173,4 +178,5 @@ val run_flows_dumbbell :
     flow (default: unlimited sources); [faults] resolve against a pool
     of bottleneck-then-access duplexes, so [Hop 0] is always the shared
     link.  Used by the fuzzer's many-flow dimension with the oracle
-    attached to [trace]. *)
+    attached to [trace].  Raises [Invalid_argument] unless
+    {!runs_on_dumbbell}. *)

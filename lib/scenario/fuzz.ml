@@ -239,6 +239,13 @@ let replay s =
   | Ok (name, spec) -> (
     match Common.protocol_of_name name with
     | None -> Error (Printf.sprintf "replay spec: unknown protocol %S" name)
+    | Some protocol when spec.flows > 1 && not (Common.runs_on_dumbbell protocol)
+      ->
+      Error
+        (Printf.sprintf
+           "replay spec: cc=%s has no dumbbell form, so flows=%d is not \
+            replayable (flows=1 runs it on a chain)"
+           name spec.flows)
     | Some protocol -> Ok (name, spec, fst (run_one spec protocol)))
 
 (* --- top-level sweep --------------------------------------------------- *)

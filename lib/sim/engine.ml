@@ -1,19 +1,15 @@
-(* A pending event is a closure timer (one record per [schedule]) or a
-   typed event: a [handler] built once and posted many times with an
-   int argument, so dispatching it allocates nothing. *)
-type event =
-  | Timer of {
-      seq : int;  (** < 0 for the proxy handle of an [every] recurrence *)
-      action : unit -> unit;
-      mutable cancelled : bool;
-      mutable fired : bool;
-      owner : t;
-    }
-  | Handler of { owner : t; run : int -> unit }
+(* One event record serves both kinds of event.  A typed handler
+   ([armed = typed]) is built once and posted many times with an int
+   argument, so it may sit in many heap slots, all live.  A timer is
+   built once and queued at most once: [armed] holds the seq of its one
+   slot, or [unarmed].  A slot whose seq no longer matches its timer's
+   [armed] (the timer was cancelled, or re-armed since) is dead and is
+   dropped when it reaches the root or the heap compacts. *)
+type event = { owner : t; run : int -> unit; mutable armed : int }
 
 (* Pending events form a binary min-heap on (time, seq), stored as
    parallel arrays so an event's time stays an unboxed float and its
-   argument an immediate int.  Slots [0, size) are live. *)
+   argument an immediate int.  Slots [0, size) are in use. *)
 and t = {
   mutable clock : float;
       (** boxed: [now] returns it without allocating; written only when
@@ -25,13 +21,17 @@ and t = {
   mutable events : event array;
   mutable size : int;
   mutable cancelled_pending : int;
-      (** cancelled-but-not-yet-popped timers still in the heap *)
+      (** dead timer slots still in the heap *)
   mutable processed : int;  (** events fired over the engine's lifetime *)
-  idle : event;  (** inert; fills the heap's unused cells *)
+  idle : event;  (** inert; fills the heap's unused slots *)
 }
 
 type timer = event
 type handler = event
+
+(* Seqs are non-negative, so neither mark matches a slot's seq. *)
+let typed = -2
+let unarmed = -1
 
 let create () =
   let rec t =
@@ -45,7 +45,7 @@ let create () =
       size = 0;
       cancelled_pending = 0;
       processed = 0;
-      idle = Handler { owner = t; run = ignore };
+      idle = { owner = t; run = ignore; armed = typed };
     }
   in
   t
@@ -144,50 +144,15 @@ let remove_root t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Scheduling *)
-
-let schedule_at t ~time action =
-  if not (Float.is_finite time) then non_finite "schedule_at" time;
-  let timer =
-    (* the timer record is a closure timer's unit of work; the per-packet
-       link events are typed and allocate none *)
-    (Timer { seq = t.next_seq; action; cancelled = false; fired = false; owner = t }
-    [@leotp.allow "hot-path-may-alloc"])
-  in
-  let i = reserve t in
-  t.times.(i) <- Float.max time t.clock;
-  enqueue t i timer 0;
-  timer
-
-let schedule t ~after action =
-  schedule_at t ~time:(t.clock +. Float.max 0.0 after) action
-
-(* One handler record per link at set-up, not per event. *)
-let handler t run = Handler { owner = t; run }
-
-let foreign_handler () = invalid_arg "Engine.post: handler of another engine"
-
-let post t ~after h arg =
-  let time = t.clock +. Float.max 0.0 after in
-  if not (Float.is_finite time) then non_finite "post" time;
-  (match h with
-  | Handler { owner; _ } when owner == t -> ()
-  | Handler _ | Timer _ -> foreign_handler ());
-  let i = reserve t in
-  t.times.(i) <- Float.max time t.clock;
-  enqueue t i h arg
-
-(* ------------------------------------------------------------------ *)
-(* Cancellation stays O(1) and lazy, but once cancelled timers dominate
-   the heap we compact it: a long-lived engine that keeps rescheduling
-   and cancelling RTO timers would otherwise retain every dead timer
-   (and its action closure) until its pop time arrives. *)
+(* Cancellation stays O(1) and lazy, but once dead slots dominate the
+   heap we compact it: a long-lived engine that keeps re-arming and
+   cancelling RTO timers would otherwise retain every dead slot until
+   its pop time arrives. *)
 let compact_min = 64
 
 let live t i =
-  match t.events.(i) with
-  | Timer { cancelled; _ } -> not cancelled
-  | Handler _ -> true
+  let armed = t.events.(i).armed in
+  armed = typed || armed = t.seqs.(i)
 
 (* Slides the live events of [i, size) down to [j, ...); returns how
    many are live in all. *)
@@ -206,52 +171,96 @@ let compact t =
   for i = (n / 2) - 1 downto 0 do
     sift_down t i
   done;
-  (* Drop the references to the dead timers: the point of compacting is
-     releasing what the heap was retaining. *)
+  (* Drop the references the vacated slots hold: the point of compacting
+     is releasing what the heap was retaining (a cancelled one-shot and
+     its closure). *)
   Array.fill t.events n (Array.length t.events - n) t.idle;
   t.cancelled_pending <- 0
 
-let cancel = function
-  | Timer ({ cancelled = false; fired = false; _ } as r) ->
-    r.cancelled <- true;
-    (* Proxy handles from [every] (seq < 0) never enter the heap. *)
-    if r.seq >= 0 then begin
-      let t = r.owner in
-      t.cancelled_pending <- t.cancelled_pending + 1;
-      if t.cancelled_pending >= compact_min && 2 * t.cancelled_pending > t.size
-      then compact t
-    end
-  | Timer _ | Handler _ -> ()
+let cancel tm =
+  if tm.armed >= 0 then begin
+    tm.armed <- unarmed;
+    let t = tm.owner in
+    t.cancelled_pending <- t.cancelled_pending + 1;
+    if t.cancelled_pending >= compact_min && 2 * t.cancelled_pending > t.size
+    then compact t
+  end
 
-let is_pending = function
-  | Timer { cancelled; fired; _ } -> (not cancelled) && not fired
-  | Handler _ -> false
+let is_pending tm = tm.armed >= 0
+
+(* ------------------------------------------------------------------ *)
+(* Scheduling.  Arming a queued timer first kills its old slot, the way
+   [cancel] does, so the timer keeps at most one live slot. *)
+
+let timer t f = { owner = t; run = (fun _ -> f ()); armed = unarmed }
+(* one record and closure per timer, built at set-up and re-armed for
+   its lifetime: not a per-event allocation *)
+[@@leotp.allow "hot-path-may-alloc"]
+
+let arm tm ~after =
+  let t = tm.owner in
+  let time = t.clock +. Float.max 0.0 after in
+  if not (Float.is_finite time) then non_finite "arm" time;
+  cancel tm;
+  let i = reserve t in
+  t.times.(i) <- Float.max time t.clock;
+  tm.armed <- t.next_seq;
+  enqueue t i tm 0
+
+let arm_at tm ~time =
+  if not (Float.is_finite time) then non_finite "arm_at" time;
+  let t = tm.owner in
+  cancel tm;
+  let i = reserve t in
+  t.times.(i) <- Float.max time t.clock;
+  tm.armed <- t.next_seq;
+  enqueue t i tm 0
+
+let schedule t ~after f =
+  let tm = timer t f in
+  arm tm ~after;
+  tm
+
+let schedule_at t ~time f =
+  let tm = timer t f in
+  arm_at tm ~time;
+  tm
+
+let handler t run = { owner = t; run; armed = typed }
+
+let foreign_handler () = invalid_arg "Engine.post: handler of another engine"
+
+let post t ~after h arg =
+  let time = t.clock +. Float.max 0.0 after in
+  if not (Float.is_finite time) then non_finite "post" time;
+  if h.owner != t then foreign_handler ();
+  let i = reserve t in
+  t.times.(i) <- Float.max time t.clock;
+  enqueue t i h arg
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch *)
 
-let advance t =
+let fire t ev arg =
   let time = t.times.(0) in
-  if time > t.clock then t.clock <- time
+  if time > t.clock then t.clock <- time;
+  remove_root t;
+  t.processed <- t.processed + 1;
+  ev.run arg
 
-(* Fires (or discards, if cancelled) the earliest event; [size > 0]. *)
+(* Fires (or drops, if dead) the earliest event; [size > 0]. *)
 let step t =
-  let arg = t.args.(0) in
-  match t.events.(0) with
-  | Timer { cancelled = true; _ } ->
+  let ev = t.events.(0) in
+  if ev.armed = typed then fire t ev t.args.(0)
+  else if ev.armed = t.seqs.(0) then begin
+    (* unarmed before it runs, so its action may re-arm it *)
+    ev.armed <- unarmed;
+    fire t ev 0
+  end
+  else begin
     remove_root t;
     t.cancelled_pending <- t.cancelled_pending - 1
-  | Timer ({ action; _ } as r) ->
-    advance t;
-    remove_root t;
-    r.fired <- true;
-    t.processed <- t.processed + 1;
-    action ()
-  | Handler { run; _ } ->
-    advance t;
-    remove_root t;
-    t.processed <- t.processed + 1;
-    run arg
+  end
 
 let run ?until t =
   match until with
@@ -261,7 +270,7 @@ let run ?until t =
     done
   | Some limit ->
     if Float.is_nan limit then non_finite "run ~until" limit;
-    (* A cancelled timer at the root is discarded whatever its time. *)
+    (* A dead slot at the root is dropped whatever its time. *)
     while t.size > 0 && ((not (live t 0)) || t.times.(0) <= limit) do
       step t
     done;
@@ -270,21 +279,3 @@ let run ?until t =
 let pending_events t = t.size
 let cancelled_pending t = t.cancelled_pending
 let events_processed t = t.processed
-
-let every t ~period ?start action =
-  if not (Float.is_finite period) then non_finite "every" period;
-  assert (period > 0.0);
-  let start = match start with Some s -> s | None -> period in
-  (* The recurrence is controlled through a proxy handle whose [cancelled]
-     flag is inherited by each rescheduling. *)
-  let handle =
-    Timer { seq = -1; action = ignore; cancelled = false; fired = false; owner = t }
-  in
-  let rec fire () =
-    if is_pending handle then begin
-      action ();
-      if is_pending handle then ignore (schedule t ~after:period fire)
-    end
-  in
-  ignore (schedule t ~after:start fire);
-  handle

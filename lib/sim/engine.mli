@@ -1,52 +1,79 @@
 (** Deterministic discrete-event simulation engine.
 
     Events at equal times fire in scheduling order (a monotonically
-    increasing sequence number breaks ties), so runs are fully reproducible.
-    Closure timers ({!schedule}) are cancellable; cancellation is O(1)
-    (lazily discarded when popped).  Typed events ({!post}) pair a
-    {!handler} built once with an int argument: scheduling and firing one
-    allocates nothing, which is what the per-packet, per-hop link events
-    use.  Both kinds share one sequence counter. *)
+    increasing sequence number breaks ties), so runs are fully
+    reproducible.  There is one kind of event, built once and queued
+    many times, in two roles:
+
+    - a {!timer} runs a [unit -> unit] action.  It is queued at most
+      once: {!arm} re-arms it in place (a queued timer's old slot dies),
+      {!cancel} disarms it in O(1) (the dead slot is discarded lazily).
+      A protocol holds one timer per purpose (RTO, pacing, scan) for its
+      lifetime; {!schedule} is the one-shot shorthand.
+    - a {!handler} is posted ({!post}) with an int argument and may be
+      queued any number of times at once; it cannot be cancelled.  The
+      per-packet, per-hop link events use it.
+
+    Once the heap has grown, arming or posting an event and firing it
+    allocate nothing (apart from a boxed [after]/[time] argument the
+    caller computes).  Every arm, schedule and post consumes one
+    sequence number; building and cancelling consume none. *)
 
 type t
 
 type timer
-(** Handle for a scheduled event. *)
+(** An action that is queued at most once at a time. *)
 
 val create : unit -> t
 
 val now : t -> float
 (** Current simulation time, seconds. *)
 
+val timer : t -> (unit -> unit) -> timer
+(** [timer t f] builds a disarmed timer that runs [f] on [t] each time
+    it fires.  Build it at set-up and re-arm it: the engine keeps no
+    registry of timers. *)
+
+val arm : timer -> after:float -> unit
+(** [arm tm ~after] queues [tm] to fire at [now +. after], with [after]
+    clamped to be non-negative; if [tm] is already queued, its earlier
+    slot is cancelled first.  A firing timer is disarmed before its
+    action runs, so the action may re-arm it.  Raises
+    [Invalid_argument] if [after] is NaN or positive infinity. *)
+
+val arm_at : timer -> time:float -> unit
+(** Absolute-time variant of {!arm}; [time] in the past fires
+    immediately (at [now]).  Raises [Invalid_argument] naming [time] if
+    it is NaN or infinite. *)
+
 val schedule : t -> after:float -> (unit -> unit) -> timer
-(** [schedule t ~after f] runs [f] at [now t +. after].  [after] is clamped
-    to be non-negative.  Raises [Invalid_argument] if [after] is NaN or
-    positive infinity. *)
+(** One-shot: [schedule t ~after f] is a {!timer} for [f] armed
+    [~after]. *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> timer
-(** Absolute-time variant; [time] in the past fires immediately (at [now]).
-    Raises [Invalid_argument] naming [time] if it is NaN or infinite. *)
+(** One-shot: a {!timer} armed with {!arm_at}. *)
+
+val cancel : timer -> unit
+(** Disarms; idempotent, and safe on a fired or never-armed timer.
+    When dead slots come to dominate the queue (more than half, past a
+    small floor) the queue is compacted so cancelled one-shots and their
+    closures are not retained until their pop time. *)
+
+val is_pending : timer -> bool
+(** Armed and not yet fired or cancelled. *)
 
 type handler
 (** The code of a typed event, built once and posted many times. *)
 
 val handler : t -> (int -> unit) -> handler
 (** [handler t f] makes [f] postable on [t].  Build it at set-up (a link
-    builds two at [create]); the engine keeps no registry of handlers. *)
+    builds two at [create]). *)
 
 val post : t -> after:float -> handler -> int -> unit
 (** [post t ~after h arg] runs [h]'s function with [arg] at
-    [now t +. after], with [after] clamped to be non-negative.  A typed
-    event cannot be cancelled.  Raises [Invalid_argument] if [after] is
-    NaN or positive infinity, or if [h] was built for another engine. *)
-
-val cancel : timer -> unit
-(** Idempotent.  A fired timer is also safe to cancel.  Cancellation is
-    O(1); when cancelled timers come to dominate the queue (more than
-    half, past a small floor) the queue is compacted so dead timers and
-    their closures are not retained until their pop time. *)
-
-val is_pending : timer -> bool
+    [now t +. after], with [after] clamped to be non-negative.  Raises
+    [Invalid_argument] if [after] is NaN or positive infinity, or if [h]
+    was built for another engine. *)
 
 val run : ?until:float -> t -> unit
 (** Process events in order until the queue drains or the clock would pass
@@ -59,11 +86,6 @@ val events_processed : t -> int
 val pending_events : t -> int
 
 val cancelled_pending : t -> int
-(** Cancelled timers still occupying the queue (awaiting lazy discard or
-    compaction).  Exposed for tests and instrumentation. *)
-
-val every : t -> period:float -> ?start:float -> (unit -> unit) -> timer
-(** Recurring event; the returned handle cancels the whole recurrence.
-    First firing at [now + start] (default: [now + period]).  Raises
-    [Invalid_argument] on a NaN or infinite [period] and, like
-    {!schedule}, on a NaN or positive-infinity [start]. *)
+(** Dead slots (a cancelled timer, or one re-armed since) still
+    occupying the queue, awaiting lazy discard or compaction.  Exposed
+    for tests and instrumentation. *)

@@ -37,67 +37,18 @@ type t = {
   mutable delivered : int;
   mutable bw_clock : float;
   mutable bw_delivered : int;
-  mutable rto_timer : Engine.timer option;
+  mutable rto_timer : Engine.timer;
   mutable rto_armed_at : float;
   mutable rto_floor : float;
       (** min (SRTT + 4*RTTVAR, armed timeout) at arm time, for the trace
           invariant that the RTO never fires early *)
-  mutable pump_timer : Engine.timer option;
+  mutable pump_timer : Engine.timer;  (** pacing *)
   mutable next_send_time : float;
   mutable finished : bool;
   mutable started : bool;
 }
 
 let dupthresh_bytes t = 3 * t.mss
-
-let create engine ~node ~dst ~flow ~cc ?(mss = Wire.default_mss)
-    ?(source = Unlimited) ?metrics ?(on_complete = fun () -> ())
-    ?first_sent_of () =
-  let metrics =
-    match metrics with Some m -> m | None -> Flow_metrics.create ~flow
-  in
-  let now = Engine.now engine in
-  let t =
-    {
-      engine;
-      node;
-      dst;
-      flow;
-      mss;
-      cc = Cc.create cc ~mss ~now;
-      rto = Leotp_util.Rto.create ~min_rto:0.2 ();
-      source;
-      metrics;
-      on_complete;
-      first_sent_of = (fun ~pos:_ ~len:_ -> (now, false));
-      segments = Seg_store.create ();
-      snd_nxt = 0;
-      snd_una = 0;
-      inflight = 0;
-      lost_pending = 0;
-      high_sacked = 0;
-      recovery_point = 0;
-      delivered = 0;
-      bw_clock = now;
-      bw_delivered = 0;
-      rto_timer = None;
-      rto_armed_at = now;
-      rto_floor = 0.0;
-      pump_timer = None;
-      next_send_time = now;
-      finished = false;
-      started = false;
-    }
-  in
-  (match first_sent_of with
-  | Some f -> t.first_sent_of <- f
-  | None ->
-    t.first_sent_of <-
-      (fun ~pos ~len ->
-        match Seg_store.find t.segments pos with
-        | Some seg when seg.len = len -> (seg.first_sent, seg.retx_count > 0)
-        | _ -> (Engine.now engine, false)));
-  t
 
 let available_bytes t =
   match t.source with
@@ -127,15 +78,8 @@ let mark_lost t seg =
    scans below run on every ack over O(window) segments). *)
 let seq_iter_while m ~from f = Seg_store.iter_from_while m ~from f
 
-let cancel_rto t =
-  match t.rto_timer with
-  | Some timer ->
-    Engine.cancel timer;
-    t.rto_timer <- None
-  | None -> ()
-
+(* [finish] disarms the RTO and nothing re-arms it afterwards. *)
 let rec arm_rto t =
-  cancel_rto t;
   if not t.finished then begin
     let timeout = Leotp_util.Rto.rto t.rto in
     t.rto_armed_at <- Engine.now t.engine;
@@ -148,18 +92,12 @@ let rec arm_rto t =
         match Leotp_util.Rto.rttvar t.rto with
         | Some v -> Float.min (s +. (4.0 *. v)) timeout
         | None -> 0.0));
-    t.rto_timer <-
-      (* arming a timer allocates its action closure: one per re-arm,
-         bounded by acks, inherent to the [Engine.schedule] API *)
-      Some
-        (Engine.schedule t.engine ~after:timeout
-           ((fun () -> on_rto_fire t) [@leotp.allow "hot-path-may-alloc"]))
+    Engine.arm t.rto_timer ~after:timeout
   end
 
 (* Loss recovery after a retransmission timeout: fires once per RTO, not
    per packet, so its scan closures are off the steady-state budget. *)
 and on_rto_fire t =
-  t.rto_timer <- None;
   if (not t.finished) && not (Seg_store.is_empty t.segments) then begin
     if Leotp_net.Trace.on () then
       Leotp_net.Trace.emit
@@ -212,7 +150,7 @@ and send_segment t seg ~retx =
   in
   Flow_metrics.on_send t.metrics ~bytes:pkt.Packet.size;
   Node.send t.node pkt;
-  if t.rto_timer = None then arm_rto t
+  if not (Engine.is_pending t.rto_timer) then arm_rto t
 
 (* One segment the window currently allows, if any: lost segments first,
    then new data.  The option/pair result is the send decision — one
@@ -260,7 +198,10 @@ and pump_loop t now =
     else begin
       match t.cc.Cc.pacing_rate () with
       | Some rate when rate > 0.0 ->
-        if now < t.next_send_time then schedule_pump t ~at:t.next_send_time
+        if now < t.next_send_time then begin
+          if not (Engine.is_pending t.pump_timer) then
+            Engine.arm_at t.pump_timer ~time:t.next_send_time
+        end
         else begin
           t.next_send_time <-
             Float.max now t.next_send_time
@@ -280,36 +221,68 @@ and dispatch t seg is_retx =
   end;
   send_segment t seg ~retx:is_retx
 
-and schedule_pump t ~at =
-  match t.pump_timer with
-  | Some timer when Engine.is_pending timer -> ()
-  | _ ->
-    t.pump_timer <-
-      (* arming the pacing timer allocates its action closure: one per
-         pacing gap, inherent to the [Engine.schedule_at] API *)
-      Some
-        (Engine.schedule_at t.engine ~time:at
-           ((fun () ->
-              t.pump_timer <- None;
-              pump t) [@leotp.allow "hot-path-may-alloc"]))
-
-let cancel_pump t =
-  (* Clear the field as well as cancelling: a cancelled-but-present timer
-     would make [schedule_pump] skip [Engine.is_pending] bookkeeping. *)
-  match t.pump_timer with
-  | Some timer ->
-    Engine.cancel timer;
-    t.pump_timer <- None
-  | None -> ()
-
 let finish t =
   if not t.finished then begin
     t.finished <- true;
     Flow_metrics.set_finished t.metrics (Engine.now t.engine);
-    cancel_rto t;
-    cancel_pump t;
+    Engine.cancel t.rto_timer;
+    Engine.cancel t.pump_timer;
     t.on_complete ()
   end
+
+let create engine ~node ~dst ~flow ~cc ?(mss = Wire.default_mss)
+    ?(source = Unlimited) ?metrics ?(on_complete = fun () -> ())
+    ?first_sent_of () =
+  let metrics =
+    match metrics with Some m -> m | None -> Flow_metrics.create ~flow
+  in
+  let now = Engine.now engine in
+  (* The timers' actions close over the record, so it starts with a
+     stand-in that is replaced before [create] returns. *)
+  let unset = Engine.timer engine ignore in
+  let t =
+    {
+      engine;
+      node;
+      dst;
+      flow;
+      mss;
+      cc = Cc.create cc ~mss ~now;
+      rto = Leotp_util.Rto.create ~min_rto:0.2 ();
+      source;
+      metrics;
+      on_complete;
+      first_sent_of = (fun ~pos:_ ~len:_ -> (now, false));
+      segments = Seg_store.create ();
+      snd_nxt = 0;
+      snd_una = 0;
+      inflight = 0;
+      lost_pending = 0;
+      high_sacked = 0;
+      recovery_point = 0;
+      delivered = 0;
+      bw_clock = now;
+      bw_delivered = 0;
+      rto_timer = unset;
+      rto_armed_at = now;
+      rto_floor = 0.0;
+      pump_timer = unset;
+      next_send_time = now;
+      finished = false;
+      started = false;
+    }
+  in
+  (match first_sent_of with
+  | Some f -> t.first_sent_of <- f
+  | None ->
+    t.first_sent_of <-
+      (fun ~pos ~len ->
+        match Seg_store.find t.segments pos with
+        | Some seg when seg.len = len -> (seg.first_sent, seg.retx_count > 0)
+        | _ -> (Engine.now engine, false)));
+  t.rto_timer <- Engine.timer engine (fun () -> on_rto_fire t);
+  t.pump_timer <- Engine.timer engine (fun () -> pump t);
+  t
 
 (* Per-ack bookkeeping allocates a handful of short-lived closures and
    accumulator cells for the [Seg_store] callback scans; the per-packet
@@ -453,7 +426,7 @@ let handle_ack t pkt =
     Leotp_net.Packet_pool.release pkt;
     (match total_bytes t with
     | Some n when t.snd_una >= n -> finish t
-    | _ -> if Seg_store.is_empty t.segments then cancel_rto t);
+    | _ -> if Seg_store.is_empty t.segments then Engine.cancel t.rto_timer);
     pump t
   end
 [@@leotp.allow "hot-path-may-alloc"]
@@ -473,11 +446,8 @@ let inflight t = t.inflight
 let srtt t = Leotp_util.Rto.srtt t.rto
 
 let stop t =
-  cancel_rto t;
-  cancel_pump t
-
-let timers_idle t = t.rto_timer = None && t.pump_timer = None
+  Engine.cancel t.rto_timer;
+  Engine.cancel t.pump_timer
 
 let timer_pending t =
-  (match t.rto_timer with Some tm -> Engine.is_pending tm | None -> false)
-  || match t.pump_timer with Some tm -> Engine.is_pending tm | None -> false
+  Engine.is_pending t.rto_timer || Engine.is_pending t.pump_timer

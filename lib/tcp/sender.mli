@@ -54,10 +54,6 @@ val srtt : t -> float option
 val stop : t -> unit
 (** Cancel timers (end of experiment). *)
 
-val timers_idle : t -> bool
-(** Both the RTO and pump timer slots are empty (not merely cancelled).
-    Holds after {!stop} and after the flow finishes. *)
-
 val timer_pending : t -> bool
-(** Some timer is still armed in the engine ({!Leotp_sim.Engine.is_pending});
+(** The RTO or pacing timer is armed ({!Leotp_sim.Engine.is_pending});
     must be [false] once the sender has finished or been stopped. *)

@@ -20,14 +20,14 @@ let connect engine ~src_node ~dst_node ~flow ~cc ?source ?on_complete () =
     Receiver.create engine ~node:dst_node ~src:(Node.id src_node) ~flow
       ~metrics ?expected_bytes ()
   in
-  Node.set_handler src_node (fun ~from:_ pkt ->
+  Node.set_handler src_node (fun pkt ->
       if Wire.is_ack_seg pkt && pkt.Packet.flow = flow then
         Sender.handle_ack sender pkt
-      else Node.forward src_node ~from:0 pkt);
-  Node.set_handler dst_node (fun ~from:_ pkt ->
+      else Node.send src_node pkt);
+  Node.set_handler dst_node (fun pkt ->
       if Wire.is_data_seg pkt && pkt.Packet.flow = flow then
         Receiver.handle_data receiver pkt
-      else Node.forward dst_node ~from:0 pkt);
+      else Node.send dst_node pkt);
   { sender; receiver; metrics }
 
 let start t = Sender.start t.sender

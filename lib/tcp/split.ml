@@ -54,10 +54,10 @@ let connect engine ~nodes ~flow ~cc ?source () =
       ~on_complete:(fun () -> completed := true)
       ()
   in
-  Node.set_handler nodes.(n - 1) (fun ~from:_ pkt ->
+  Node.set_handler nodes.(n - 1) (fun pkt ->
       if Wire.is_data_seg pkt && pkt.Packet.flow = flow then
         Receiver.handle_data receiver pkt
-      else Node.forward nodes.(n - 1) ~from:0 pkt);
+      else Node.send nodes.(n - 1) pkt);
   (* Proxies at interior nodes, downstream-first. *)
   let proxies = Array.make (max 0 (n - 2)) None in
   for i = n - 2 downto 1 do
@@ -89,7 +89,7 @@ let connect engine ~nodes ~flow ~cc ?source () =
     let proxy = { tx; origin = IntMap.empty } in
     proxy_ref := Some proxy;
     proxies.(i - 1) <- Some proxy;
-    Node.set_handler node (fun ~from:_ pkt ->
+    Node.set_handler node (fun pkt ->
         if Wire.is_data_seg pkt && pkt.Packet.flow = flow then begin
           (* Record origin info before handing the packet on: the receiver
              recycles it. *)
@@ -105,17 +105,17 @@ let connect engine ~nodes ~flow ~cc ?source () =
         end
         else if Wire.is_ack_seg pkt && pkt.Packet.flow = flow then
           Sender.handle_ack tx pkt
-        else Node.forward node ~from:0 pkt)
+        else Node.send node pkt)
   done;
   let proxies = Array.map Option.get proxies in
   let origin_sender =
     Sender.create engine ~node:nodes.(0) ~dst:(Node.id nodes.(1)) ~flow ~cc
       ?source ~metrics ()
   in
-  Node.set_handler nodes.(0) (fun ~from:_ pkt ->
+  Node.set_handler nodes.(0) (fun pkt ->
       if Wire.is_ack_seg pkt && pkt.Packet.flow = flow then
         Sender.handle_ack origin_sender pkt
-      else Node.forward nodes.(0) ~from:0 pkt);
+      else Node.send nodes.(0) pkt);
   { origin_sender; proxies; metrics; completed }
 
 let start t =

@@ -432,6 +432,34 @@ let propagate engine h l slot =
   in
   check_one ~rule:"dim-mixed-arith" ~witness:"Engine.post" (analyze slipped)
 
+(* A protocol timer is re-armed in seconds, relative or absolute: an RTO
+   re-armed in milliseconds, or a pacing deadline kept in milliseconds,
+   is caught at the arm. *)
+let planted_arm_ms_slip () =
+  let correct =
+    {|
+let rearm tm r = Leotp_sim.Engine.arm tm ~after:(Leotp_util.Rto.rto r)
+let pace tm engine gap = Leotp_sim.Engine.arm_at tm ~time:(Leotp_sim.Engine.now engine +. gap)
+|}
+  in
+  check_none (analyze correct);
+  let slipped_after =
+    {|
+let rearm tm r =
+  let rto_ms = Leotp_util.Units.sec_to_ms (Leotp_util.Rto.rto r) in
+  Leotp_sim.Engine.arm tm ~after:rto_ms
+|}
+  in
+  check_one ~rule:"dim-mixed-arith" ~witness:"Engine.arm" (analyze slipped_after);
+  let slipped_at =
+    {|
+let pace tm engine =
+  let now_ms = Leotp_util.Units.sec_to_ms (Leotp_sim.Engine.now engine) in
+  Leotp_sim.Engine.arm_at tm ~time:now_ms
+|}
+  in
+  check_one ~rule:"dim-mixed-arith" ~witness:"Engine.arm_at" (analyze slipped_at)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -520,5 +548,7 @@ let () =
             planted_rto_floor_slip;
           Alcotest.test_case "planted post ~after ms slip caught" `Quick
             planted_post_ms_slip;
+          Alcotest.test_case "planted arm ~after / arm_at ~time ms slip caught"
+            `Quick planted_arm_ms_slip;
         ] );
     ]

@@ -11,7 +11,7 @@ let setup () =
   (Leotp_sim.Engine.create (), Leotp_util.Rng.create ~seed:5)
 
 let mk_link ?(bw = 8.0) ?(delay = 0.01) ?(plr = 0.0) ?buffer_bytes engine rng =
-  Link.create engine ~name:"l" ~src:1 ~dst:2
+  Link.create engine ~name:"l"
     ~bandwidth:(Bandwidth.Constant (mbps bw))
     ~delay ~plr ?buffer_bytes ~rng ()
 
@@ -254,7 +254,7 @@ let test_chain_end_to_end () =
   let src = chain.Topology.nodes.(0) in
   let dst = chain.Topology.nodes.(3) in
   let got = ref None in
-  Node.set_handler dst (fun ~from pkt -> got := Some (from, pkt));
+  Node.set_handler dst (fun pkt -> got := Some pkt);
   let pkt =
     mk ~src:(Node.id src) ~dst:(Node.id dst) ~flow:1 ~size:1000
       "payload"
@@ -262,15 +262,14 @@ let test_chain_end_to_end () =
   Node.send src pkt;
   Leotp_sim.Engine.run engine;
   (match !got with
-  | Some (from, p) ->
-    Alcotest.(check int) "last hop sender" (Node.id chain.Topology.nodes.(2)) from;
+  | Some p ->
     Alcotest.(check int) "flow" 1 p.Packet.flow;
     (* 3 hops x (1 ms serialization + 10 ms prop) *)
     Alcotest.(check (float 1e-6)) "arrival" 0.033 (Leotp_sim.Engine.now engine)
   | None -> Alcotest.fail "packet not delivered");
   (* Reverse direction also routes. *)
   let back = ref false in
-  Node.set_handler src (fun ~from:_ _ -> back := true);
+  Node.set_handler src (fun _ -> back := true);
   Node.send dst
     (mk ~src:(Node.id dst) ~dst:(Node.id src) ~flow:1 ~size:100
        "ack");
@@ -287,7 +286,7 @@ let test_chain_middle_routing () =
   let n1 = chain.Topology.nodes.(1) in
   let hits = ref [] in
   let watch i =
-    Node.set_handler chain.Topology.nodes.(i) (fun ~from:_ _ ->
+    Node.set_handler chain.Topology.nodes.(i) (fun _ ->
         hits := i :: !hits)
   in
   watch 3;
@@ -319,7 +318,7 @@ let test_dumbbell_routing () =
   let db = Topology.dumbbell engine ~rng ~access ~bottleneck in
   let delivered = Array.make 3 false in
   Array.iteri
-    (fun i r -> Node.set_handler r (fun ~from:_ _ -> delivered.(i) <- true))
+    (fun i r -> Node.set_handler r (fun _ -> delivered.(i) <- true))
     db.Topology.receivers;
   Array.iteri
     (fun i s ->
@@ -378,7 +377,7 @@ let test_dynamic_path_reconfig () =
   let src = chain.Topology.nodes.(0)
   and dst = chain.Topology.nodes.(4) in
   let arrivals = ref [] in
-  Node.set_handler dst (fun ~from:_ _ ->
+  Node.set_handler dst (fun _ ->
       arrivals := Leotp_sim.Engine.now engine :: !arrivals);
   let send () =
     Node.send src
@@ -415,7 +414,7 @@ let test_dynamic_path_switch_drops () =
   let src = chain.Topology.nodes.(0)
   and dst = chain.Topology.nodes.(2) in
   let count = ref 0 in
-  Node.set_handler dst (fun ~from:_ _ -> incr count);
+  Node.set_handler dst (fun _ -> incr count);
   Node.send src
     (mk ~src:(Node.id src) ~dst:(Node.id dst) ~flow:0 ~size:1000
        "x");
@@ -457,7 +456,7 @@ let test_dynamic_path_bandwidth_only_switch () =
   let src = chain.Topology.nodes.(0)
   and dst = chain.Topology.nodes.(2) in
   let count = ref 0 in
-  Node.set_handler dst (fun ~from:_ _ -> incr count);
+  Node.set_handler dst (fun _ -> incr count);
   Node.send src
     (mk ~src:(Node.id src) ~dst:(Node.id dst) ~flow:0 ~size:1000
        "x");
@@ -558,7 +557,7 @@ let test_dynamic_path_trace_replay () =
   let src = chain.Topology.nodes.(0)
   and dst = chain.Topology.nodes.(3) in
   let arrivals = ref 0 in
-  Node.set_handler dst (fun ~from:_ pkt ->
+  Node.set_handler dst (fun pkt ->
       incr arrivals;
       Packet_pool.release pkt);
   let offer () =
@@ -617,7 +616,7 @@ let test_no_route_drops () =
   Node.send n (mk ~src:1 ~dst:999 ~flow:0 ~size:100 "x");
   Alcotest.(check int) "counted" 1 (Node.no_route_drops n);
   Node.add_route n ~dst:999
-    (Link.create (Leotp_sim.Engine.create ()) ~name:"l" ~src:1 ~dst:999
+    (Link.create (Leotp_sim.Engine.create ()) ~name:"l"
        ~bandwidth:(Bandwidth.Constant 1e6) ~delay:0.01
        ~rng:(Leotp_util.Rng.create ~seed:1) ());
   Node.send n (mk ~src:1 ~dst:999 ~flow:0 ~size:100 "y");

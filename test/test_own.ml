@@ -280,6 +280,24 @@ let test_typed_event_handler () =
   in
   check_clean ~rule:Own.alloc_id (analyze ~path:"lib/net/link.ml" clean)
 
+(* A protocol timer's action, handed to Engine.timer at set-up, runs
+   every time the timer fires; arming it runs per ack or pacing gap.
+   The action is a hot root, and so are Engine.arm and Engine.arm_at. *)
+let test_timer_roots () =
+  let action =
+    "let create engine t =\n\
+     \  Engine.timer engine (fun () -> t := [ 1 ])\n"
+  in
+  ignore (check_one ~rule:Own.alloc_id (analyze ~path:"lib/tcp/sender.ml" action));
+  let arm = "let arm tm ~after = tm := [ after ]\n" in
+  ignore
+    (check_one ~rule:Own.alloc_id ~witness:"Engine.arm"
+       (analyze ~path:"lib/sim/engine.ml" arm));
+  let arm_at = "let arm_at tm ~time = tm := [ time ]\n" in
+  ignore
+    (check_one ~rule:Own.alloc_id ~witness:"Engine.arm_at"
+       (analyze ~path:"lib/sim/engine.ml" arm_at))
+
 (* The same closure outside the datapath directories is setup code. *)
 let test_non_datapath_clean () =
   let src =
@@ -416,6 +434,8 @@ let () =
           Alcotest.test_case "transitive chain" `Quick
             test_hot_root_transitive_alloc;
           Alcotest.test_case "hot closure sink" `Quick test_hot_closure_sink;
+          Alcotest.test_case "timer action, arm and arm_at" `Quick
+            test_timer_roots;
           Alcotest.test_case "typed-event handler" `Quick
             test_typed_event_handler;
           Alcotest.test_case "non-datapath clean" `Quick

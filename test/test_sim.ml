@@ -76,22 +76,33 @@ let test_clock_monotone_negative_after () =
   Engine.run e;
   Alcotest.(check (float 1e-9)) "clamped" 5.0 !fired_at
 
-let test_every () =
+(* A recurrence is a timer whose action re-arms it: it is disarmed
+   before its action runs. *)
+let periodic e ~period times =
+  let rec tm =
+    lazy
+      (Engine.timer e (fun () ->
+           times := Engine.now e :: !times;
+           Engine.arm (Lazy.force tm) ~after:period))
+  in
+  Lazy.force tm
+
+let test_rearmed_timer () =
   let e = Engine.create () in
   let times = ref [] in
-  let h = Engine.every e ~period:1.0 (fun () -> times := Engine.now e :: !times) in
+  let tm = periodic e ~period:1.0 times in
+  Engine.arm tm ~after:1.0;
   Engine.run ~until:3.5 e;
   Alcotest.(check (list (float 1e-9))) "periodic" [ 1.0; 2.0; 3.0 ] (List.rev !times);
-  Engine.cancel h;
+  Alcotest.(check bool) "re-armed by its action" true (Engine.is_pending tm);
+  Engine.cancel tm;
   Engine.run ~until:10.0 e;
   Alcotest.(check int) "cancelled" 3 (List.length !times)
 
-let test_every_start () =
+let test_rearmed_timer_start () =
   let e = Engine.create () in
   let times = ref [] in
-  ignore
-    (Engine.every e ~period:2.0 ~start:0.5 (fun () ->
-         times := Engine.now e :: !times));
+  Engine.arm (periodic e ~period:2.0 times) ~after:0.5;
   Engine.run ~until:5.0 e;
   Alcotest.(check (list (float 1e-9)))
     "start offset" [ 0.5; 2.5; 4.5 ] (List.rev !times)
@@ -159,6 +170,7 @@ let test_non_finite_times () =
   let e = Engine.create () in
   let fired = ref 0 in
   ignore (Engine.schedule_at e ~time:1.0 (fun () -> incr fired));
+  let tm = Engine.timer e ignore in
   List.iter
     (fun (what, shown, f) ->
       match f () with
@@ -178,11 +190,10 @@ let test_non_finite_times () =
        fun () -> ignore (Engine.schedule e ~after:Float.nan ignore));
       ("schedule inf", "inf",
        fun () -> ignore (Engine.schedule e ~after:Float.infinity ignore));
-      ("every nan period", "nan",
-       fun () -> ignore (Engine.every e ~period:Float.nan ignore));
-      ("every inf start", "inf",
-       fun () ->
-         ignore (Engine.every e ~period:1.0 ~start:Float.infinity ignore));
+      ("arm nan", "nan", fun () -> Engine.arm tm ~after:Float.nan);
+      ("arm inf", "inf", fun () -> Engine.arm tm ~after:Float.infinity);
+      ("arm_at nan", "nan", fun () -> Engine.arm_at tm ~time:Float.nan);
+      ("arm_at -inf", "-inf", fun () -> Engine.arm_at tm ~time:Float.neg_infinity);
       ("run until nan", "nan", fun () -> Engine.run ~until:Float.nan e);
       ("post nan", "nan",
        fun () -> Engine.post e ~after:Float.nan (Engine.handler e ignore) 0);
@@ -207,6 +218,9 @@ type handler =
   | Leaf
   | Spawn of float  (** schedule a leaf this far ahead *)
   | Cancel_other of int  (** cancel a handle, by index modulo the count *)
+  | Rearm_other of int * float
+      (** re-arm a handle (itself included) [~after] this much, on the
+          action's first firing only, so every script terminates *)
 
 type op =
   | Sched of float * handler  (** [schedule ~after] *)
@@ -214,8 +228,14 @@ type op =
   | Batch of int * float  (** [n] leaves from [after] on, with ties *)
   | Cancel of int
   | Cancel_all_but of int  (** every handle whose index mod [k] <> 0 *)
-  | Every of float * float option * int
-      (** period, start; the action cancels its own handle on firing [k] *)
+  | Periodic of float * float option * int
+      (** period, start: a timer first armed [~after:start] (default the
+          period) whose action re-arms it [~after:period] until it has
+          fired [k] times *)
+  | Rearm of int * float
+      (** [arm ~after] a handle, pending (its old slot dies), fired or
+          cancelled alike *)
+  | Rearm_at of int * float  (** [arm_at], past times included *)
   | Run of float  (** [run ~until:(now + d)] *)
   | Post of float * int
       (** [post ~after] of the script's typed handler; on firing with
@@ -226,6 +246,7 @@ let show_handler = function
   | Leaf -> "leaf"
   | Spawn d -> Printf.sprintf "spawn %g" d
   | Cancel_other i -> Printf.sprintf "cancel %d" i
+  | Rearm_other (i, d) -> Printf.sprintf "rearm %d %g" i d
 
 let show_op = function
   | Sched (d, h) -> Printf.sprintf "sched %g (%s)" d (show_handler h)
@@ -233,10 +254,12 @@ let show_op = function
   | Batch (n, d) -> Printf.sprintf "batch %d %g" n d
   | Cancel i -> Printf.sprintf "cancel %d" i
   | Cancel_all_but k -> Printf.sprintf "cancel_all_but %d" k
-  | Every (p, s, k) ->
-    Printf.sprintf "every %g%s x%d" p
+  | Periodic (p, s, k) ->
+    Printf.sprintf "periodic %g%s x%d" p
       (match s with Some s -> Printf.sprintf " start %g" s | None -> "")
       k
+  | Rearm (i, d) -> Printf.sprintf "rearm %d %g" i d
+  | Rearm_at (i, t) -> Printf.sprintf "rearm_at %d %g" i t
   | Run d -> Printf.sprintf "run +%g" d
   | Post (d, n) -> Printf.sprintf "post %g %d" d n
 
@@ -247,10 +270,13 @@ module type SIM = sig
 
   val create : unit -> t
   val now : t -> float
+  val timer : t -> (unit -> unit) -> handle
+  val arm : handle -> after:float -> unit
+  val arm_at : handle -> time:float -> unit
   val schedule : t -> after:float -> (unit -> unit) -> handle
   val schedule_at : t -> time:float -> (unit -> unit) -> handle
-  val every : t -> period:float -> ?start:float -> (unit -> unit) -> handle
   val cancel : handle -> unit
+  val is_pending : handle -> bool
 
   type handler
 
@@ -262,12 +288,7 @@ module type SIM = sig
 end
 
 module Model : SIM = struct
-  type entry = {
-    time : float;
-    seq : int;
-    fire : unit -> unit;
-    mutable state : [ `Pending | `Fired | `Cancelled ];
-  }
+  type entry = { time : float; seq : int; fire : unit -> unit }
 
   type t = {
     mutable clock : float;
@@ -276,50 +297,62 @@ module Model : SIM = struct
     mutable processed : int;
   }
 
-  type handle = One of t * entry | Recurring of bool ref
+  (* A timer owns at most one queue entry. *)
+  type handle = { m : t; action : unit -> unit; mutable queued : entry option }
 
   let create () = { clock = 0.0; seq = 0; queue = []; processed = 0 }
   let now m = m.clock
 
   let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
-  let schedule_at m ~time fire =
-    let e = { time = Float.max time m.clock; seq = m.seq; fire; state = `Pending } in
+  let push m ~time fire =
+    let e = { time = Float.max time m.clock; seq = m.seq; fire } in
     m.seq <- m.seq + 1;
     let rec insert = function
       | x :: rest when before x e -> x :: insert rest
       | rest -> e :: rest
     in
     m.queue <- insert m.queue;
-    One (m, e)
+    e
 
-  let schedule m ~after fire =
-    schedule_at m ~time:(m.clock +. Float.max 0.0 after) fire
+  let timer m action = { m; action; queued = None }
 
-  let every m ~period ?(start = period) action =
-    let cancelled = ref false in
-    let rec fire () =
-      if not !cancelled then begin
-        action ();
-        if not !cancelled then ignore (schedule m ~after:period fire)
-      end
-    in
-    ignore (schedule m ~after:start fire);
-    Recurring cancelled
+  let cancel h =
+    match h.queued with
+    | Some e ->
+      h.queued <- None;
+      h.m.queue <- List.filter (fun x -> x != e) h.m.queue
+    | None -> ()
 
-  let cancel = function
-    | Recurring c -> c := true
-    | One (m, e) ->
-      if e.state = `Pending then begin
-        e.state <- `Cancelled;
-        m.queue <- List.filter (fun x -> x != e) m.queue
-      end
+  let is_pending h = h.queued <> None
 
-  (* A typed event is an uncancellable timer sharing the sequence. *)
+  let arm_at h ~time =
+    cancel h;
+    h.queued <-
+      Some
+        (push h.m ~time (fun () ->
+             h.queued <- None;
+             h.action ()))
+
+  let arm h ~after = arm_at h ~time:(h.m.clock +. Float.max 0.0 after)
+
+  let schedule_at m ~time f =
+    let h = timer m f in
+    arm_at h ~time;
+    h
+
+  let schedule m ~after f =
+    let h = timer m f in
+    arm h ~after;
+    h
+
+  (* A typed event is an uncancellable one-shot sharing the sequence. *)
   type handler = int -> unit
 
   let handler _ f = f
-  let post m ~after h arg = ignore (schedule m ~after (fun () -> h arg))
+
+  let post m ~after h arg =
+    ignore (push m ~time:(m.clock +. Float.max 0.0 after) (fun () -> h arg))
 
   let rec run ?until m =
     match m.queue with
@@ -327,7 +360,6 @@ module Model : SIM = struct
       when match until with Some u -> e.time <= u | None -> true ->
       m.queue <- rest;
       m.clock <- Float.max m.clock e.time;
-      e.state <- `Fired;
       m.processed <- m.processed + 1;
       e.fire ();
       run ?until m
@@ -347,9 +379,11 @@ end
 
 (* Run [script] on [S].  Returns the observation trace — every fired
    action as (handle index, time), then (clock, events processed, live
-   events) after each op — and calls [probe] at every action and op. *)
+   events, which handles are pending) after each op — and calls [probe]
+   at every action and op.  Every cancel and re-arm of a handle goes
+   through [kill], which gets the handle and runs the operation. *)
 let play (type t h) (module S : SIM with type t = t and type handle = h)
-    ~(probe : t -> unit) ~(on_cancel : t -> h -> unit) script =
+    ~(probe : t -> unit) ~(kill : t -> h -> (unit -> unit) -> unit) script =
   let sim = S.create () in
   let handles : (int, h) Hashtbl.t = Hashtbl.create 64 in
   let count = ref 0 in
@@ -360,9 +394,18 @@ let play (type t h) (module S : SIM with type t = t and type handle = h)
     incr count;
     Hashtbl.replace handles id (mk id)
   in
+  let nth i = Hashtbl.find handles (i mod !count) in
   let cancel i =
-    if !count > 0 then on_cancel sim (Hashtbl.find handles (i mod !count))
+    if !count > 0 then
+      let h = nth i in
+      kill sim h (fun () -> S.cancel h)
   in
+  let rearm i arm =
+    if !count > 0 then
+      let h = nth i in
+      kill sim h (fun () -> arm h)
+  in
+  let rearmed = Hashtbl.create 16 in
   let rec action id handler () =
     note (`Fire (id, S.now sim));
     probe sim;
@@ -370,6 +413,11 @@ let play (type t h) (module S : SIM with type t = t and type handle = h)
     | Leaf -> ()
     | Spawn d -> add (fun id -> S.schedule sim ~after:d (action id Leaf))
     | Cancel_other i -> cancel i
+    | Rearm_other (i, d) ->
+      if not (Hashtbl.mem rearmed id) then begin
+        Hashtbl.replace rearmed id ();
+        rearm i (S.arm ~after:d)
+      end
   in
   let rec on_post n =
     note (`Post (n, S.now sim));
@@ -399,30 +447,41 @@ let play (type t h) (module S : SIM with type t = t and type handle = h)
       for i = 0 to !count - 1 do
         if i mod k <> 0 then cancel i
       done
-    | Every (period, start, k) ->
+    | Periodic (period, start, k) ->
       add (fun id ->
           let fired = ref 0 in
-          let self = ref None in
-          let h =
-            S.every sim ~period ?start (fun () ->
-                note (`Fire (id, S.now sim));
-                probe sim;
-                incr fired;
-                if !fired >= k then Option.iter S.cancel !self)
+          let rec tm =
+            lazy
+              (S.timer sim (fun () ->
+                   note (`Fire (id, S.now sim));
+                   probe sim;
+                   incr fired;
+                   if !fired < k then S.arm (Lazy.force tm) ~after:period))
           in
-          self := Some h;
-          h)
+          let tm = Lazy.force tm in
+          S.arm tm ~after:(Option.value start ~default:period);
+          tm)
+    | Rearm (i, d) -> rearm i (S.arm ~after:d)
+    | Rearm_at (i, t) -> rearm i (S.arm_at ~time:t)
     | Run d -> S.run ~until:(S.now sim +. d) sim
     | Post (d, n) -> S.post sim ~after:d (Lazy.force posted) n
+  in
+  let observe () =
+    note
+      (`After
+        ( S.now sim,
+          S.events_processed sim,
+          S.live_events sim,
+          List.init !count (fun i -> S.is_pending (Hashtbl.find handles i)) ))
   in
   List.iter
     (fun op ->
       step op;
       probe sim;
-      note (`After (S.now sim, S.events_processed sim, S.live_events sim)))
+      observe ())
     script;
   S.run sim;
-  note (`After (S.now sim, S.events_processed sim, S.live_events sim));
+  observe ();
   List.rev !trace
 
 let grid = QCheck2.Gen.map (fun k -> 0.25 *. float_of_int k)
@@ -436,6 +495,7 @@ let script_gen =
         (5, pure Leaf);
         (2, map (fun d -> Spawn d) delay);
         (1, map (fun i -> Cancel_other i) (int_bound 1000));
+        (1, map2 (fun i d -> Rearm_other (i, d)) (int_bound 1000) delay);
       ]
   in
   let op =
@@ -448,8 +508,12 @@ let script_gen =
         (1, map (fun k -> Cancel_all_but k) (int_range 2 5));
         ( 1,
           map3
-            (fun p s k -> Every (p, s, k))
+            (fun p s k -> Periodic (p, s, k))
             (grid (int_range 1 8)) (opt delay) (int_range 1 6) );
+        (3, map2 (fun i d -> Rearm (i, d)) (int_bound 1000) delay);
+        ( 1,
+          map2 (fun i t -> Rearm_at (i, t)) (int_bound 1000)
+            (grid (int_range (-8) 80)) );
         (3, map (fun d -> Run d) delay);
       ]
   in
@@ -466,8 +530,7 @@ let script_gen =
 
 let check_against_model script =
   let expected =
-    play (module Model) ~probe:ignore ~on_cancel:(fun _ h -> Model.cancel h)
-      script
+    play (module Model) ~probe:ignore ~kill:(fun _ _ op -> op ()) script
   in
   let bounded = ref true in
   let compacted = ref false in
@@ -475,15 +538,15 @@ let check_against_model script =
     let c = Engine.cancelled_pending e in
     if c < 0 || c > Engine.pending_events e then bounded := false
   in
-  (* A cancel that kills a queued timer adds one to [cancelled_pending]
-     unless it triggered a compaction. *)
-  let on_cancel e h =
+  (* A cancel or re-arm that kills a queued timer's slot adds one to
+     [cancelled_pending] unless it triggered a compaction. *)
+  let kill e h op =
     let queued = Engine.is_pending h in
     let before = Engine.cancelled_pending e in
-    Engine.cancel h;
+    op ();
     if queued && Engine.cancelled_pending e < before then compacted := true
   in
-  let actual = play (module Real) ~probe ~on_cancel script in
+  let actual = play (module Real) ~probe ~kill script in
   if not !bounded then QCheck2.Test.fail_report "cancelled_pending out of bounds";
   if not !compacted then QCheck2.Test.fail_report "compaction never ran";
   actual = expected
@@ -553,6 +616,41 @@ let test_post_allocates_nothing () =
     (Engine.events_processed e - fired);
   Alcotest.(check (float 0.0)) "words per typed event" 0.0 w
 
+(* A protocol timer (RTO, pacing, TR scan) is built once and re-armed
+   for life: once the heap has grown, re-arming it, re-arming it again
+   while it is queued (its old slot dies) and firing it allocate
+   nothing. *)
+let test_rearm_allocates_nothing () =
+  let e = Engine.create () in
+  let left = ref 0 in
+  let rec tm =
+    lazy
+      (Engine.timer e (fun () ->
+           if !left > 0 then begin
+             decr left;
+             Engine.arm (Lazy.force tm) ~after:0.0;
+             Engine.arm_at (Lazy.force tm) ~time:0.0
+           end))
+  in
+  let tm = Lazy.force tm in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let burst n () =
+    left := n;
+    Engine.arm tm ~after:0.0;
+    Engine.run e
+  in
+  burst 1000 ();
+  let idle = words ignore in
+  let fired = Engine.events_processed e in
+  let w = words (burst 10_000) -. idle in
+  Alcotest.(check int) "timer fired" 10_001 (Engine.events_processed e - fired);
+  Alcotest.(check int) "dead slots discarded" 0 (Engine.cancelled_pending e);
+  Alcotest.(check (float 0.0)) "words per re-arm and fire" 0.0 w
+
 let () =
   Alcotest.run "leotp_sim"
     [
@@ -565,8 +663,9 @@ let () =
           Alcotest.test_case "run until" `Quick test_run_until;
           Alcotest.test_case "negative delay clamp" `Quick
             test_clock_monotone_negative_after;
-          Alcotest.test_case "every" `Quick test_every;
-          Alcotest.test_case "every with start" `Quick test_every_start;
+          Alcotest.test_case "re-armed timer" `Quick test_rearmed_timer;
+          Alcotest.test_case "re-armed timer with start" `Quick
+            test_rearmed_timer_start;
           Alcotest.test_case "cancel compaction" `Quick test_cancel_compaction;
           Alcotest.test_case "compaction keeps order" `Quick
             test_cancel_compaction_order;
@@ -577,5 +676,7 @@ let () =
           QCheck_alcotest.to_alcotest engine_with_posts_matches_model;
           Alcotest.test_case "typed events allocate nothing" `Quick
             test_post_allocates_nothing;
+          Alcotest.test_case "re-armed timers allocate nothing" `Quick
+            test_rearm_allocates_nothing;
         ] );
     ]

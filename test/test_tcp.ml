@@ -294,10 +294,10 @@ let test_dynamic_source_sender () =
   let receiver =
     Receiver.create engine ~node:dst ~src:(Node.id src) ~flow:1 ~metrics ()
   in
-  Node.set_handler src (fun ~from:_ pkt ->
+  Node.set_handler src (fun pkt ->
       if Wire.is_ack_seg pkt then Sender.handle_ack sender pkt
       else Leotp_net.Packet_pool.release pkt);
-  Node.set_handler dst (fun ~from:_ pkt ->
+  Node.set_handler dst (fun pkt ->
       if Wire.is_data_seg pkt then Receiver.handle_data receiver pkt
       else Leotp_net.Packet_pool.release pkt);
   Sender.start sender;
@@ -319,7 +319,7 @@ let test_receiver_sack_limit () =
   ignore rng;
   let node = Node.create ~name:"rx" in
   let sacks = ref [] in
-  Node.set_handler node (fun ~from:_ pkt ->
+  Node.set_handler node (fun pkt ->
       if Wire.is_ack_seg pkt then begin
         sacks := Wire.sack_list pkt;
         Leotp_net.Packet_pool.release pkt
@@ -331,7 +331,7 @@ let test_receiver_sack_limit () =
     Leotp_net.Topology.hop ~bandwidth:(Bandwidth.Constant 1e9) ~delay:1e-6 ()
   in
   let d = Leotp_net.Topology.connect engine ~rng:(Leotp_util.Rng.create ~seed:1) node node self_spec in
-  Node.set_handler node (fun ~from:_ pkt ->
+  Node.set_handler node (fun pkt ->
       if Wire.is_ack_seg pkt then begin
         sacks := Wire.sack_list pkt;
         Leotp_net.Packet_pool.release pkt
@@ -447,20 +447,18 @@ let test_rtt_sample_at_time_zero () =
 
 let test_stop_clears_timers () =
   (* PCC paces from the first packet, so the pump timer is armed as soon
-     as the sender starts.  Pre-fix, [stop] cancelled the engine event
-     but left the handle set, so [timers_idle] stayed false forever. *)
+     as the sender starts; [stop] must disarm it. *)
   let _engine, _node, sender = drive_sender ~cc:Cc.Pcc ~bytes:50_000 () in
   Alcotest.(check bool) "pacing armed a timer" true (Sender.timer_pending sender);
   Sender.stop sender;
   Alcotest.(check bool) "no engine event pending" false
-    (Sender.timer_pending sender);
-  Alcotest.(check bool) "timer slots cleared" true (Sender.timers_idle sender)
+    (Sender.timer_pending sender)
 
 let test_finished_transfer_quiescent () =
   let session, _ = run_transfer ~cc:Cc.Bbr () in
   Alcotest.(check bool) "finished" true (Sender.finished session.Session.sender);
-  Alcotest.(check bool) "timers idle after completion" true
-    (Sender.timers_idle session.Session.sender)
+  Alcotest.(check bool) "no timer armed after completion" false
+    (Sender.timer_pending session.Session.sender)
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
