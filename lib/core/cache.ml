@@ -1,24 +1,23 @@
+module Interval_set = Leotp_util.Interval_set
+
 (* A block holds the byte ranges of one [cache_block]-sized slice of a
-   flow that are present, as sorted, disjoint, non-adjacent absolute
-   [lo, hi) pairs in [spans] (the first [n_spans] pairs), plus per-block
-   origin metadata: a bounded ring of (range_start_abs, first_sent, retx)
-   entries, newest overwriting oldest.  The ring only needs to resolve
-   lookups for ranges still in the block, so one slot per MSS-grained
-   insertion (plus slack) suffices.
+   flow that are present, as absolute [lo, hi) ranges in [present], plus
+   per-block origin metadata: a bounded ring of (range_start_abs,
+   first_sent, retx) entries, newest overwriting oldest.  The ring only
+   needs to resolve lookups for ranges still in the block, so one slot
+   per MSS-grained insertion (plus slack) suffices.
 
    Blocks sit on a circular recency list threaded through them, around a
    sentinel block: [newer] runs from the least recently used block to the
    most recently used one, [older] the other way. *)
 type block = {
   mutable key : int;  (** packed (flow, block index); see [key] *)
-  mutable spans : int array;
-  mutable n_spans : int;
+  present : Interval_set.t;
   meta_lo : int array;
   meta_first_sent : float array;
   meta_retx : bool array;
   mutable meta_len : int;  (** live entries, <= capacity *)
   mutable meta_next : int;  (** next write slot *)
-  mutable bytes : int;
   mutable newer : block;
   mutable older : block;
 }
@@ -48,14 +47,12 @@ let sentinel () =
   let rec s =
     {
       key = -1;
-      spans = [||];
-      n_spans = 0;
+      present = Interval_set.create ();
       meta_lo = [||];
       meta_first_sent = [||];
       meta_retx = [||];
       meta_len = 0;
       meta_next = 0;
-      bytes = 0;
       newer = s;
       older = s;
     }
@@ -126,14 +123,12 @@ let find t key =
 let new_block t key =
   {
     key;
-    spans = Array.make 8 0;
-    n_spans = 0;
+    present = Interval_set.create ();
     meta_lo = Array.make t.meta_capacity 0;
     meta_first_sent = Array.make t.meta_capacity 0.0;
     meta_retx = Array.make t.meta_capacity false;
     meta_len = 0;
     meta_next = 0;
-    bytes = 0;
     newer = t.lru;
     older = t.lru;
   }
@@ -151,73 +146,15 @@ let fresh_block t key =
       let blk = t.spare in
       t.spare <- t.lru;
       blk.key <- key;
-      blk.n_spans <- 0;
+      Interval_set.clear blk.present;
       blk.meta_len <- 0;
       blk.meta_next <- 0;
-      blk.bytes <- 0;
       blk
     end
   in
   Index.replace t.blocks key blk;
   push_mru t blk;
   blk
-
-(* ------------------------------------------------------------------ *)
-(* Byte ranges *)
-
-(* Index of the first span ending at or after [lo]: the first one that
-   overlaps or abuts [lo, ...). *)
-let rec first_touching s n lo i =
-  if i < n && s.((2 * i) + 1) < lo then first_touching s n lo (i + 1) else i
-
-(* Index past the last span starting at or before [hi]. *)
-let rec past_touching s n hi j =
-  if j < n && s.(2 * j) <= hi then past_touching s n hi (j + 1) else j
-
-let rec covered_in s k j acc =
-  if k = j then acc
-  else covered_in s (k + 1) j (acc + s.((2 * k) + 1) - s.(2 * k))
-
-let grow_spans blk =
-  let s = blk.spans in
-  let s' = Array.make (2 * Array.length s) 0 in
-  Array.blit s 0 s' 0 (2 * blk.n_spans);
-  blk.spans <- s'
-(* doubling growth: a block holds few disjoint ranges *)
-[@@leotp.allow "hot-path-may-alloc"]
-
-(* Adds [lo, hi) (non-empty) to the block's spans, merging every span it
-   overlaps or abuts; returns the bytes newly covered. *)
-let add_span blk lo hi =
-  let n = blk.n_spans in
-  let i = first_touching blk.spans n lo 0 in
-  let j = past_touching blk.spans n hi i in
-  if i = j then begin
-    if 2 * (n + 1) > Array.length blk.spans then grow_spans blk;
-    let s = blk.spans in
-    Array.blit s (2 * i) s (2 * (i + 1)) (2 * (n - i));
-    s.(2 * i) <- lo;
-    s.((2 * i) + 1) <- hi;
-    blk.n_spans <- n + 1;
-    hi - lo
-  end
-  else begin
-    let s = blk.spans in
-    let lo' = min lo s.(2 * i) and hi' = max hi s.((2 * (j - 1)) + 1) in
-    let before = covered_in s i j 0 in
-    s.(2 * i) <- lo';
-    s.((2 * i) + 1) <- hi';
-    Array.blit s (2 * j) s (2 * (i + 1)) (2 * (n - j));
-    blk.n_spans <- n - (j - i - 1);
-    hi' - lo' - before
-  end
-
-let rec covers_from s n lo hi k =
-  k < n
-  && ((s.(2 * k) <= lo && hi <= s.((2 * k) + 1))
-     || covers_from s n lo hi (k + 1))
-
-let covers blk lo hi = lo >= hi || covers_from blk.spans blk.n_spans lo hi 0
 
 (* ------------------------------------------------------------------ *)
 (* Insert and evict *)
@@ -238,7 +175,7 @@ let rec evict_until_fits t =
     else begin
       unlink blk;
       Index.remove t.blocks blk.key;
-      t.used <- t.used - blk.bytes;
+      t.used <- t.used - Interval_set.cardinal blk.present;
       t.stats.evictions <- t.stats.evictions + 1;
       t.spare <- blk
     end;
@@ -255,9 +192,7 @@ let rec insert_from t ~flow ~hi ~first_sent ~retx lo =
     let k = key ~flow b in
     let blk = find t k in
     let blk = if blk == t.lru then fresh_block t k else (touch t blk; blk) in
-    let added = add_span blk lo bhi in
-    blk.bytes <- blk.bytes + added;
-    t.used <- t.used + added;
+    t.used <- t.used + Interval_set.add blk.present ~lo ~hi:bhi;
     push_meta t blk ~lo ~first_sent ~retx;
     insert_from t ~flow ~hi ~first_sent ~retx bhi
   end
@@ -298,7 +233,8 @@ let rec cached t ~touch:tch ~flow ~lo ~hi b b1 =
   && begin
        if tch then touch t blk;
        let bs = block_size t in
-       covers blk (max lo (b * bs)) (min hi ((b + 1) * bs))
+       Interval_set.covers blk.present ~lo:(max lo (b * bs))
+         ~hi:(min hi ((b + 1) * bs))
        && cached t ~touch:tch ~flow ~lo ~hi (b + 1) b1
      end
 
@@ -344,7 +280,7 @@ let rec drop_from t ~flow blk =
     if flow_of blk = flow then begin
       unlink blk;
       Index.remove t.blocks blk.key;
-      t.used <- t.used - blk.bytes
+      t.used <- t.used - Interval_set.cardinal blk.present
     end;
     drop_from t ~flow older
   end

@@ -2,9 +2,10 @@
 
     Data is grouped into fixed-size blocks per flow ("we gather every 4096
     consequent bytes in the same data flow to one block"), indexed by
-    (flow, block) with LRU replacement over blocks.  A block tracks which
-    of its bytes are present plus the origin timestamp / retx metadata
-    needed to re-serve a range.
+    (flow, block) with LRU replacement over blocks.  A block keeps the
+    byte ranges it holds in a {!Leotp_util.Interval_set} (emptied with
+    [clear] when an evicted block is reused), plus the origin timestamp /
+    retx metadata needed to re-serve a range.
 
     Capacity is in bytes of cached payload; eviction removes whole
     blocks.  A block is keyed by one packed int: [insert], [lookup] and

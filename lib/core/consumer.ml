@@ -19,6 +19,7 @@ type t = {
   engine : Engine.t;
   config : Config.t;
   node : Node.t;
+  who : string;  (** this endpoint's name in trace events *)
   producer : int;
   flow : int;
   total_bytes : int option;
@@ -36,7 +37,7 @@ type t = {
           cap ignores them.  The RTO adapts to true request-to-data
           delays, so producer-side queueing does not classify as loss. *)
   mutable next_to_request : int;
-  mutable received : Interval_set.t;
+  received : Interval_set.t;
   mutable prefix : int;  (** delivered in-order prefix length *)
   mutable interests_sent : int;
   mutable interest_retx : int;
@@ -67,20 +68,6 @@ let send_interest t ~lo ~hi ~retx =
   Leotp_net.Flow_metrics.on_send t.metrics ~bytes:pkt.Packet.size;
   Node.send t.node pkt
 
-(* The RFC 6298 floor the invariant checker holds TR timeouts to: a
-   timeout must not fire before SRTT + 4*RTTVAR (clamped by the timeout
-   actually armed, which the estimator's min/max bounds may pull below
-   the raw formula). *)
-let rto_floor t ~timeout =
-  (* nested matches, not a tuple pattern: this runs per issued Interest
-     and a 2-tuple scrutinee is a minor-heap allocation *)
-  match Leotp_util.Rto.srtt t.rto with
-  | None -> 0.0
-  | Some s -> (
-    match Leotp_util.Rto.rttvar t.rto with
-    | Some v -> Float.min (s +. (4.0 *. v)) timeout
-    | None -> 0.0)
-
 let reissue t st =
   let now = Engine.now t.engine in
   st.retx_count <- st.retx_count + 1;
@@ -94,7 +81,7 @@ let reissue t st =
       *. (t.config.Config.tr_backoff ** float_of_int st.retx_count))
   in
   st.deadline <- now +. timeout;
-  st.floor_bound <- rto_floor t ~timeout;
+  st.floor_bound <- Leotp_util.Rto.timeout_floor t.rto ~timeout;
   send_interest t ~lo:st.lo ~hi:st.hi ~retx:true
 
 (* TR: periodic scan of unsatisfied Interests (paper §III-B).  A scan
@@ -115,7 +102,7 @@ let scan t =
           Leotp_net.Trace.emit
             (Leotp_net.Trace.Rto_fire
                {
-                 who = "consumer:" ^ Node.name t.node;
+                 who = t.who;
                  elapsed = now -. st.last_requested;
                  floor = st.floor_bound;
                });
@@ -189,7 +176,7 @@ let rec pump_loop t now =
            last_requested = now;
            deadline = now +. timeout;
            retx_count = 0;
-           floor_bound = rto_floor t ~timeout;
+           floor_bound = Leotp_util.Rto.timeout_floor t.rto ~timeout;
          }
         [@leotp.allow "hot-path-may-alloc"])
       in
@@ -294,14 +281,12 @@ let handle_data t ~lo ~hi ~first_sent ~retx =
       end)
     satisfied;
   (* Deliver fresh bytes. *)
-  let before = Interval_set.cardinal t.received in
-  t.received <- Interval_set.add ~lo ~hi t.received;
-  let fresh = Interval_set.cardinal t.received - before in
+  let fresh = Interval_set.add t.received ~lo ~hi in
   if fresh > 0 then
     Leotp_net.Flow_metrics.on_deliver t.metrics ~now ~bytes:fresh
       ~owd:(now -. first_sent) ~retx;
   (* In-order prefix growth feeds byte-stream consumers (gateways). *)
-  let new_prefix = Interval_set.first_missing ~lo:0 t.received in
+  let new_prefix = Interval_set.first_missing t.received ~lo:0 in
   if new_prefix > t.prefix then begin
     let pos = t.prefix in
     t.prefix <- new_prefix;
@@ -320,7 +305,7 @@ let handle_data t ~lo ~hi ~first_sent ~retx =
     actions.Shr.expired_holes;
   (* Completion. *)
   (match t.total_bytes with
-  | Some n when Interval_set.covers ~lo:0 ~hi:n t.received -> finish t
+  | Some n when Interval_set.covers t.received ~lo:0 ~hi:n -> finish t
   | _ -> ());
   pump t
 [@@leotp.allow "hot-path-may-alloc"]
@@ -353,6 +338,7 @@ let create engine ~config ~node ~producer ~flow ?total_bytes ?metrics
       engine;
       config;
       node;
+      who = "consumer:" ^ Node.name node;
       producer;
       flow;
       total_bytes;
@@ -370,7 +356,7 @@ let create engine ~config ~node ~producer ~flow ?total_bytes ?metrics
       outstanding_bytes = 0;
       stale_bytes = 0;
       next_to_request = 0;
-      received = Interval_set.empty;
+      received = Interval_set.create ();
       prefix = 0;
       interests_sent = 0;
       interest_retx = 0;

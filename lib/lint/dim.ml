@@ -240,7 +240,8 @@ let seeds =
     { s_fn = "Rto.rto"; s_args = []; s_ret = Some (Base Seconds) };
     { s_fn = "Rto.base_rto"; s_args = []; s_ret = Some (Base Seconds) };
     { s_fn = "Rto.srtt"; s_args = []; s_ret = Some (Base Seconds) };
-    { s_fn = "Rto.rttvar"; s_args = []; s_ret = Some (Base Seconds) };
+    { s_fn = "Rto.timeout_floor"; s_args = [ (Lbl "timeout", Base Seconds) ];
+      s_ret = Some (Base Seconds) };
     (* Congestion-control window sizes are bytes (fmss floats an
        integral MSS). *)
     { s_fn = "Cc.fmss"; s_args = []; s_ret = Some (Base Bytes) };

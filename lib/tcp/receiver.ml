@@ -13,7 +13,7 @@ type t = {
   expected_bytes : int option;
   on_deliver : pos:int -> len:int -> first_sent:float -> retx:bool -> unit;
   on_complete : unit -> unit;
-  mutable received : Interval_set.t;
+  received : Interval_set.t;
   mutable delivered : int;  (** in-order prefix length *)
   mutable completed : bool;
 }
@@ -33,14 +33,14 @@ let create engine ~node ~src ~flow ?metrics ?expected_bytes
     expected_bytes;
     on_deliver;
     on_complete;
-    received = Interval_set.empty;
+    received = Interval_set.create ();
     delivered = 0;
     completed = false;
   }
 
 (* Write up to [Wire.max_sacks] out-of-order ranges above [cum] straight
    into the ack's fixed slots — no intermediate list.  The fold closure
-   is one cell per ack, inherent to walking the functional interval set. *)
+   is one cell per ack, capturing the ack and [cum]. *)
 let fill_sacks t ack ~cum =
   ignore
     (Interval_set.fold
@@ -60,15 +60,12 @@ let handle_data t pkt =
     let first_sent = Wire.first_sent pkt and retx = Wire.retx pkt in
     Leotp_net.Packet_pool.release pkt;
     let now = Engine.now t.engine in
-    let fresh = not (Interval_set.covers ~lo:seq ~hi:(seq + len) t.received) in
-    let before = Interval_set.cardinal t.received in
-    t.received <- Interval_set.add ~lo:seq ~hi:(seq + len) t.received;
-    let new_bytes = Interval_set.cardinal t.received - before in
+    let new_bytes = Interval_set.add t.received ~lo:seq ~hi:(seq + len) in
     if new_bytes > 0 then
       Flow_metrics.on_deliver t.metrics ~now ~bytes:new_bytes
         ~owd:(now -. first_sent) ~retx;
     (* Advance the in-order prefix and hand it to the application. *)
-    let prefix = Interval_set.first_missing ~lo:0 t.received in
+    let prefix = Interval_set.first_missing t.received ~lo:0 in
     if prefix > t.delivered then begin
       (* Update state before the callback: consumers (Split proxies) read
          [delivered_bytes] from inside it. *)
@@ -80,7 +77,6 @@ let handle_data t pkt =
              { node = Node.id t.node; flow = t.flow; pos; len = prefix - pos });
       t.on_deliver ~pos ~len:(prefix - pos) ~first_sent ~retx
     end;
-    ignore fresh;
     (* Per-packet ACK with timestamp echo. *)
     let cum = t.delivered in
     let ack =

@@ -18,6 +18,7 @@ type segment = Seg_store.seg = {
 type t = {
   engine : Engine.t;
   node : Node.t;
+  who : string;  (** this endpoint's name in trace events *)
   dst : int;
   flow : int;
   mss : int;
@@ -58,13 +59,11 @@ let available_bytes t =
 
 let total_bytes t = match t.source with Fixed n -> Some n | _ -> None
 
-let trace_who t = "tcp:" ^ Node.name t.node
-
 let trace_seg t seg state =
   if Leotp_net.Trace.on () then
     Leotp_net.Trace.emit
       (Leotp_net.Trace.Seg_state
-         { who = trace_who t; flow = t.flow; seq = seg.seq; len = seg.len; state })
+         { who = t.who; flow = t.flow; seq = seg.seq; len = seg.len; state })
 
 let mark_lost t seg =
   if (not seg.lost) && not seg.sacked then begin
@@ -83,15 +82,7 @@ let rec arm_rto t =
   if not t.finished then begin
     let timeout = Leotp_util.Rto.rto t.rto in
     t.rto_armed_at <- Engine.now t.engine;
-    (* nested matches, not a tuple pattern: [arm_rto] runs per ack and a
-       2-tuple scrutinee is a minor-heap allocation *)
-    t.rto_floor <-
-      (match Leotp_util.Rto.srtt t.rto with
-      | None -> 0.0
-      | Some s -> (
-        match Leotp_util.Rto.rttvar t.rto with
-        | Some v -> Float.min (s +. (4.0 *. v)) timeout
-        | None -> 0.0));
+    t.rto_floor <- Leotp_util.Rto.timeout_floor t.rto ~timeout;
     Engine.arm t.rto_timer ~after:timeout
   end
 
@@ -103,7 +94,7 @@ and on_rto_fire t =
       Leotp_net.Trace.emit
         (Leotp_net.Trace.Rto_fire
            {
-             who = "tcp:" ^ Node.name t.node;
+             who = t.who;
              elapsed = Engine.now t.engine -. t.rto_armed_at;
              floor = t.rto_floor;
            });
@@ -244,6 +235,7 @@ let create engine ~node ~dst ~flow ~cc ?(mss = Wire.default_mss)
     {
       engine;
       node;
+      who = "tcp:" ^ Node.name node;
       dst;
       flow;
       mss;
@@ -410,7 +402,7 @@ let handle_ack t pkt =
       Leotp_net.Trace.emit
         (Leotp_net.Trace.Ack_processed
            {
-             who = trace_who t;
+             who = t.who;
              flow = t.flow;
              cc = t.cc.Cc.name;
              phase = t.cc.Cc.phase ();

@@ -62,7 +62,7 @@ let connect engine ~nodes ~flow ~cc ?source () =
   let proxies = Array.make (max 0 (n - 2)) None in
   for i = n - 2 downto 1 do
     let node = nodes.(i) in
-    let rx_ref = ref None and tx_ref = ref None in
+    let rx_ref = ref None in
     let proxy_ref = ref None in
     let tx =
       Sender.create engine ~node ~dst:(Node.id nodes.(i + 1)) ~flow ~cc
@@ -78,7 +78,6 @@ let connect engine ~nodes ~flow ~cc ?source () =
           | None -> (0.0, false))
         ()
     in
-    tx_ref := Some tx;
     let rx =
       Receiver.create engine ~node ~src:(Node.id nodes.(i - 1)) ~flow
         ~on_deliver:(fun ~pos:_ ~len:_ ~first_sent:_ ~retx:_ ->

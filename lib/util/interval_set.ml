@@ -1,132 +1,91 @@
-(* Intervals keyed by their lower bound; invariant: values are > key,
-   intervals are disjoint and non-adjacent (adjacent runs are merged).
-   The covered-byte count is maintained incrementally so [cardinal] is
-   O(1) — it sits on the midnode cache's per-packet insert path. *)
+(* The set is the first [n] pairs of [spans], pair [k] at [2k] and
+   [2k + 1]: sorted, disjoint, non-adjacent absolute [lo, hi) pairs.
+   [total] counts the points they cover. *)
+type t = { mutable spans : int array; mutable n : int; mutable total : int }
 
-module M = Map.Make (Int)
-
-type t = { ivals : int M.t; total : int }
-
-let empty = { ivals = M.empty; total = 0 }
-let is_empty t = M.is_empty t.ivals
-
-(* The interval containing or preceding [x], if any. *)
-(* No re-boxing match: [find_last_opt] already returns the (lo, hi)
-   option we want.  The predicate closure captures [x] — inherent to the
-   [Map] search API, one closure per lookup, traded for O(log n) ordered
-   search. *)
-let find_before x m =
-  M.find_last_opt ((fun lo -> lo <= x) [@leotp.allow "hot-path-may-alloc"]) m
-
-(* A functional interval map allocates its path of map nodes per insert
-   by design; the receiver keeps O(holes) intervals, and the in-order
-   common case is a single merged node. *)
-let add ~lo ~hi t =
-  if lo >= hi then t
-  else begin
-    (* Extend [lo, hi) to absorb an overlapping-or-adjacent predecessor
-       (which may entirely contain the new range).  [absorbed] counts the
-       bytes of every interval merged away, so the new total follows from
-       the final merged extent alone. *)
-    let absorbed = ref 0 in
-    let lo, hi, m =
-      match find_before lo t.ivals with
-      | Some (plo, phi) when phi >= lo ->
-        absorbed := !absorbed + (phi - plo);
-        (min plo lo, max hi phi, M.remove plo t.ivals)
-      | _ -> (lo, hi, t.ivals)
-    in
-    (* Absorb all successors starting within or adjacent to [lo, hi). *)
-    let rec absorb hi m =
-      match M.find_first_opt (fun l -> l >= lo) m with
-      | Some (slo, shi) when slo <= hi ->
-        absorbed := !absorbed + (shi - slo);
-        absorb (max hi shi) (M.remove slo m)
-      | _ -> (hi, m)
-    in
-    let hi, m = absorb hi m in
-    { ivals = M.add lo hi m; total = t.total + (hi - lo) - !absorbed }
-  end
+let create () = { spans = Array.make 8 0; n = 0; total = 0 }
+(* one record and array per flow endpoint or cache block, not per packet *)
 [@@leotp.allow "hot-path-may-alloc"]
 
-let remove ~lo ~hi t =
-  if lo >= hi then t
-  else begin
-    let removed = ref 0 in
-    let m =
-      match find_before lo t.ivals with
-      | Some (plo, phi) when phi > lo ->
-        removed := !removed + (min phi hi - lo);
-        let m = M.remove plo t.ivals in
-        let m = if plo < lo then M.add plo lo m else m in
-        if phi > hi then M.add hi phi m else m
-      | _ -> t.ivals
-    in
-    let rec strip m =
-      match M.find_first_opt (fun l -> l >= lo) m with
-      | Some (slo, shi) when slo < hi ->
-        removed := !removed + (min shi hi - slo);
-        let m = M.remove slo m in
-        let m = if shi > hi then M.add hi shi m else m in
-        strip m
-      | _ -> m
-    in
-    (* [strip] must run before [!removed] is read (record fields evaluate
-       right to left), hence the explicit binding. *)
-    let m = strip m in
-    { ivals = m; total = t.total - !removed }
-  end
+let clear t =
+  t.n <- 0;
+  t.total <- 0
 
-let mem x t =
-  match find_before x t.ivals with Some (_, hi) -> x < hi | None -> false
-
-let covers ~lo ~hi t =
-  lo >= hi
-  || (match find_before lo t.ivals with
-     | Some (_, phi) -> phi >= hi
-     | None -> false)
-
-let intersects ~lo ~hi t =
-  if lo >= hi then false
-  else
-    (match find_before lo t.ivals with Some (_, phi) -> phi > lo | None -> false)
-    ||
-    (match M.find_first_opt (fun l -> l >= lo) t.ivals with
-    | Some (slo, _) -> slo < hi
-    | None -> false)
-
-let fold f t init = M.fold f t.ivals init
 let cardinal t = t.total
-let intervals t = List.rev (fold (fun lo hi acc -> (lo, hi) :: acc) t [])
-let count_intervals t = M.cardinal t.ivals
 
-(* Walk only the intervals overlapping [lo, hi): start from the interval
-   containing [lo] (if any) and step through successors — O(k log n) for
-   k overlapping intervals instead of O(n) over the whole map. *)
-let gaps ~lo ~hi t =
-  if lo >= hi then []
+(* Index of the first of spans [i, j) ending at or after [x], by binary
+   search over the span ends; [j] when none does. *)
+let rec first_ending s x i j =
+  if i >= j then i
+  else
+    let m = (i + j) lsr 1 in
+    if s.((2 * m) + 1) < x then first_ending s x (m + 1) j
+    else first_ending s x i m
+
+(* Index past the last span starting at or before [hi]. *)
+let rec past_touching s n hi j =
+  if j < n && s.(2 * j) <= hi then past_touching s n hi (j + 1) else j
+
+let rec covered_in s k j acc =
+  if k = j then acc
+  else covered_in s (k + 1) j (acc + s.((2 * k) + 1) - s.(2 * k))
+
+let grow t =
+  let s = Array.make (2 * Array.length t.spans) 0 in
+  Array.blit t.spans 0 s 0 (2 * t.n);
+  t.spans <- s
+(* doubling growth: the array never shrinks, so a set of n spans grows
+   it O(log n) times *)
+[@@leotp.allow "hot-path-may-alloc"]
+
+(* Spans [i, j) are the ones [lo, hi) overlaps or abuts.  With none,
+   [lo, hi) goes in as span [i]; otherwise they and [lo, hi) merge into
+   span [i]. *)
+let add t ~lo ~hi =
+  if lo >= hi then 0
   else begin
-    let start =
-      match find_before lo t.ivals with
-      | Some (_, phi) when phi > lo -> phi
-      | _ -> lo
+    let n = t.n in
+    let i = first_ending t.spans lo 0 n in
+    let j = past_touching t.spans n hi i in
+    let added =
+      if i = j then begin
+        if 2 * (n + 1) > Array.length t.spans then grow t;
+        let s = t.spans in
+        Array.blit s (2 * i) s (2 * (i + 1)) (2 * (n - i));
+        s.(2 * i) <- lo;
+        s.((2 * i) + 1) <- hi;
+        t.n <- n + 1;
+        hi - lo
+      end
+      else begin
+        let s = t.spans in
+        let lo' = min lo s.(2 * i) and hi' = max hi s.((2 * (j - 1)) + 1) in
+        let before = covered_in s i j 0 in
+        s.(2 * i) <- lo';
+        s.((2 * i) + 1) <- hi';
+        Array.blit s (2 * j) s (2 * (i + 1)) (2 * (n - j));
+        t.n <- n - (j - i - 1);
+        hi' - lo' - before
+      end
     in
-    let rec loop cursor acc =
-      if cursor >= hi then List.rev acc
-      else
-        match M.find_first_opt (fun l -> l >= cursor) t.ivals with
-        | Some (slo, shi) when slo < hi ->
-          let acc = if slo > cursor then (cursor, slo) :: acc else acc in
-          loop shi acc
-        | _ -> List.rev ((cursor, hi) :: acc)
-    in
-    loop start []
+    t.total <- t.total + added;
+    added
   end
 
-let first_missing ~lo t =
-  match find_before lo t.ivals with
-  | Some (_, hi) when hi > lo -> hi
-  | _ -> lo
+(* The span ending first at or after [hi] is the only one that can hold
+   all of [lo, hi). *)
+let covers t ~lo ~hi =
+  lo >= hi
+  ||
+  let i = first_ending t.spans hi 0 t.n in
+  i < t.n && t.spans.(2 * i) <= lo
 
-let union a b = fold (fun lo hi acc -> add ~lo ~hi acc) a b
-let equal a b = M.equal Int.equal a.ivals b.ivals
+let first_missing t ~lo =
+  let i = first_ending t.spans (lo + 1) 0 t.n in
+  if i < t.n && t.spans.(2 * i) <= lo then t.spans.((2 * i) + 1) else lo
+
+let rec fold_from f s n k acc =
+  if k = n then acc
+  else fold_from f s n (k + 1) (f s.(2 * k) s.((2 * k) + 1) acc)
+
+let fold f t init = fold_from f t.spans t.n 0 init

@@ -1,47 +1,34 @@
-(** Sets of disjoint half-open integer intervals [lo, hi).
+(** Mutable sets of disjoint half-open integer intervals [lo, hi).
 
-    This is the byte-range algebra shared by LEOTP's sequence-hole tracking
-    (Algorithm 1 of the paper), the Consumer's reassembly buffer, and the
-    TCP receiver's out-of-order store.  All operations keep the internal
-    representation normalized: intervals are disjoint, non-empty and sorted. *)
+    The byte-range set shared by the Consumer's reassembly, the TCP
+    receiver's out-of-order store and each midnode cache block (paper
+    §IV-A).  The intervals are kept in place as a sorted array of
+    disjoint, non-adjacent pairs, with the count of covered points;
+    lookups binary-search the interval ends, and a warm {!add} (the
+    array already grown) allocates nothing. *)
 
 type t
 
-val empty : t
-val is_empty : t -> bool
+val create : unit -> t
+(** An empty set. *)
 
-val add : lo:int -> hi:int -> t -> t
-(** Insert [lo, hi), merging with any overlapping or adjacent intervals.
-    No-op when [lo >= hi]. *)
+val clear : t -> unit
+(** Empty the set, keeping its array for reuse. *)
 
-val remove : lo:int -> hi:int -> t -> t
-(** Remove every point of [lo, hi), splitting intervals as needed. *)
+val add : t -> lo:int -> hi:int -> int
+(** Insert [lo, hi), merging every interval it overlaps or abuts, and
+    return the number of points newly covered.  No-op (0) when
+    [lo >= hi]. *)
 
-val mem : int -> t -> bool
-
-val covers : lo:int -> hi:int -> t -> bool
-(** [covers ~lo ~hi t] is true iff every point of [lo, hi) is in [t]. *)
-
-val intersects : lo:int -> hi:int -> t -> bool
-(** True iff [lo, hi) shares at least one point with [t]. *)
+val covers : t -> lo:int -> hi:int -> bool
+(** True iff every point of [lo, hi) is in the set. *)
 
 val cardinal : t -> int
-(** Total number of points covered.  O(1): the count is maintained
-    incrementally by {!add} and {!remove}. *)
+(** Number of points covered. *)
 
-val intervals : t -> (int * int) list
-(** Intervals in increasing order. *)
-
-val count_intervals : t -> int
-
-val gaps : lo:int -> hi:int -> t -> (int * int) list
-(** Maximal sub-intervals of [lo, hi) not covered by [t], in order. *)
-
-val first_missing : lo:int -> t -> int
-(** Smallest point [>= lo] not in [t]. *)
+val first_missing : t -> lo:int -> int
+(** Smallest point [>= lo] not in the set. *)
 
 val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
-(** [fold f t init] folds [f lo hi] over intervals in increasing order. *)
-
-val union : t -> t -> t
-val equal : t -> t -> bool
+(** [fold f t init] folds [f lo hi] over the intervals in increasing
+    order. *)

@@ -45,4 +45,6 @@ let rto t = Float.min t.max_rto (base_rto t *. t.backoff_mult)
 let backoff t = t.backoff_mult <- t.backoff_mult *. t.backoff_factor
 let reset_backoff t = t.backoff_mult <- 1.0
 let srtt t = if t.primed then Some t.srtt else None
-let rttvar t = if t.primed then Some t.rttvar else None
+
+let timeout_floor t ~timeout =
+  if t.primed then Float.min (t.srtt +. (4.0 *. t.rttvar)) timeout else 0.0

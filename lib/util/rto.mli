@@ -27,4 +27,9 @@ val backoff : t -> unit
 
 val reset_backoff : t -> unit
 val srtt : t -> float option
-val rttvar : t -> float option
+
+val timeout_floor : t -> timeout:float -> float
+(** The RFC 6298 floor a timeout armed now must not fire before:
+    [min (SRTT + 4 * RTTVAR, timeout)], where [timeout] is the one
+    actually armed (the estimator's bounds may pull it below the raw
+    formula); 0 before the first RTT sample. *)

@@ -98,23 +98,6 @@ let jain_index xs =
     let s2 = List.fold_left (fun acc x -> acc +. (x *. x)) 0.0 xs in
     if Float.equal s2 0.0 then 1.0 else s *. s /. (n *. s2)
 
-module Welford = struct
-  type t = { mutable n : int; mutable mean : float; mutable m2 : float }
-
-  let create () = { n = 0; mean = 0.0; m2 = 0.0 }
-
-  let add t x =
-    t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
-
-  let count t = t.n
-  let mean t = if t.n = 0 then Float.nan else t.mean
-  let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-  let stddev t = sqrt (variance t)
-end
-
 module Ewma = struct
   type t = { alpha : float; mutable value : float; mutable primed : bool }
 

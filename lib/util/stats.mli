@@ -1,9 +1,9 @@
 (** Descriptive statistics over float samples.
 
     [t] is an append-only sample collector; summary functions sort lazily
-    and cache the sorted view.  Also provides streaming mean/variance
-    (Welford), exponentially weighted moving averages, Jain's fairness
-    index, and empirical CDF extraction for the paper's CDF figures. *)
+    and cache the sorted view.  Also provides exponentially weighted
+    moving averages, Jain's fairness index, and empirical CDF extraction
+    for the paper's CDF figures. *)
 
 type t
 
@@ -30,18 +30,6 @@ val to_list : t -> float list
 val jain_index : float list -> float
 (** Jain's fairness index of a throughput allocation; 1 = perfectly fair.
     Returns [nan] on the empty list. *)
-
-(** Streaming mean/variance that never stores samples. *)
-module Welford : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  val variance : t -> float
-  val stddev : t -> float
-end
 
 (** Exponentially weighted moving average. *)
 module Ewma : sig

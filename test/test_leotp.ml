@@ -147,6 +147,27 @@ let test_cache_insert_allocates_nothing () =
   Alcotest.(check int) "one full block" 4096 (Cache.used_bytes c);
   Alcotest.(check (float 0.0)) "words" 0.0 w
 
+(* A warm add into a set whose array has already grown allocates
+   nothing, whether it inserts a span between two others or merges
+   spans. *)
+let test_interval_set_add_allocates_nothing () =
+  let module Interval_set = Leotp_util.Interval_set in
+  let s = Interval_set.create () in
+  for i = 0 to 19 do
+    ignore (Interval_set.add s ~lo:(10 * i) ~hi:((10 * i) + 5))
+  done;
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let idle = words ignore in
+  let insert = words (fun () -> ignore (Interval_set.add s ~lo:7 ~hi:8)) in
+  let merge = words (fun () -> ignore (Interval_set.add s ~lo:15 ~hi:30)) in
+  Alcotest.(check int) "both applied" 111 (Interval_set.cardinal s);
+  Alcotest.(check (float 0.0)) "insert between spans" 0.0 (insert -. idle);
+  Alcotest.(check (float 0.0)) "merge" 0.0 (merge -. idle)
+
 (* Byte-set model of the cache: blocks keyed by (flow, block index),
    most recently used first, each with its present bytes and its
    (start, first_sent, retx) insertions, newest first. *)
@@ -1036,6 +1057,8 @@ let () =
           qc cache_model_prop;
           Alcotest.test_case "warm insert allocates nothing" `Quick
             test_cache_insert_allocates_nothing;
+          Alcotest.test_case "interval_set warm add allocates nothing" `Quick
+            test_interval_set_add_allocates_nothing;
           Alcotest.test_case "keys outside the packable range" `Quick
             test_cache_key_range;
         ] );

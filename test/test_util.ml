@@ -9,260 +9,210 @@ let check_floats ?(eps = 1e-9) = Alcotest.(check (float eps))
 (* ------------------------------------------------------------------ *)
 (* Interval_set *)
 
+let intervals t =
+  List.rev (Interval_set.fold (fun lo hi acc -> (lo, hi) :: acc) t [])
+
 let ivs l =
-  List.fold_left (fun acc (lo, hi) -> Interval_set.add ~lo ~hi acc)
-    Interval_set.empty l
+  let t = Interval_set.create () in
+  List.iter (fun (lo, hi) -> ignore (Interval_set.add t ~lo ~hi)) l;
+  t
+
+let check_intervals = Alcotest.(check (list (pair int int)))
+let check_int = Alcotest.(check int)
+let check_bool = Alcotest.(check bool)
+let add t lo hi = Interval_set.add t ~lo ~hi
+let covers t lo hi = Interval_set.covers t ~lo ~hi
+let first_missing t lo = Interval_set.first_missing t ~lo
 
 let test_ivs_empty () =
-  Alcotest.(check bool) "empty" true Interval_set.(is_empty empty);
-  Alcotest.(check int) "cardinal" 0 Interval_set.(cardinal empty);
-  Alcotest.(check bool) "mem" false (Interval_set.mem 3 Interval_set.empty)
+  let t = Interval_set.create () in
+  check_int "cardinal" 0 (Interval_set.cardinal t);
+  check_bool "covers" false (covers t 3 4);
+  check_bool "covers empty range" true (covers t 3 3);
+  check_int "first missing" 3 (first_missing t 3);
+  check_intervals "no intervals" [] (intervals t)
 
 let test_ivs_add_merge () =
   let t = ivs [ (0, 10); (20, 30) ] in
-  Alcotest.(check (list (pair int int)))
-    "disjoint"
-    [ (0, 10); (20, 30) ]
-    (Interval_set.intervals t);
-  let t = Interval_set.add ~lo:10 ~hi:20 t in
-  Alcotest.(check (list (pair int int)))
-    "adjacent merge" [ (0, 30) ] (Interval_set.intervals t);
-  let t = ivs [ (0, 10); (5, 25) ] in
-  Alcotest.(check (list (pair int int)))
-    "overlap merge" [ (0, 25) ] (Interval_set.intervals t);
-  let t = ivs [ (0, 5); (10, 15); (20, 25); (2, 22) ] in
-  Alcotest.(check (list (pair int int)))
-    "absorb several" [ (0, 25) ] (Interval_set.intervals t)
+  check_intervals "disjoint" [ (0, 10); (20, 30) ] (intervals t);
+  check_int "abut adds the gap" 10 (add t 10 20);
+  check_intervals "abutting merge" [ (0, 30) ] (intervals t);
+  let t = ivs [ (0, 10) ] in
+  check_int "overlap adds the rest" 15 (add t 5 25);
+  check_intervals "overlap merge" [ (0, 25) ] (intervals t);
+  check_int "inside adds nothing" 0 (add t 3 7);
+  let t = ivs [ (0, 5); (10, 15); (20, 25) ] in
+  check_int "absorb several adds the gaps" 10 (add t 2 22);
+  check_intervals "absorb several" [ (0, 25) ] (intervals t);
+  check_int "cardinal" 25 (Interval_set.cardinal t);
+  let t = ivs [ (30, 40); (0, 10); (20, 25) ] in
+  check_intervals "inserted in order"
+    [ (0, 10); (20, 25); (30, 40) ]
+    (intervals t)
 
 let test_ivs_add_empty_range () =
-  let t = Interval_set.add ~lo:5 ~hi:5 Interval_set.empty in
-  Alcotest.(check bool) "noop" true (Interval_set.is_empty t);
-  let t = Interval_set.add ~lo:7 ~hi:3 Interval_set.empty in
-  Alcotest.(check bool) "inverted noop" true (Interval_set.is_empty t)
-
-let test_ivs_remove () =
-  let t = ivs [ (0, 30) ] in
-  let t = Interval_set.remove ~lo:10 ~hi:20 t in
-  Alcotest.(check (list (pair int int)))
-    "split"
-    [ (0, 10); (20, 30) ]
-    (Interval_set.intervals t);
-  let t = Interval_set.remove ~lo:0 ~hi:5 t in
-  Alcotest.(check (list (pair int int)))
-    "trim head"
-    [ (5, 10); (20, 30) ]
-    (Interval_set.intervals t);
-  let t = Interval_set.remove ~lo:25 ~hi:100 t in
-  Alcotest.(check (list (pair int int)))
-    "trim tail"
-    [ (5, 10); (20, 25) ]
-    (Interval_set.intervals t);
-  let t = Interval_set.remove ~lo:0 ~hi:100 t in
-  Alcotest.(check bool) "clear" true (Interval_set.is_empty t)
+  let t = ivs [ (0, 10) ] in
+  check_int "empty range" 0 (add t 20 20);
+  check_int "inverted range" 0 (add t 27 23);
+  check_intervals "unchanged" [ (0, 10) ] (intervals t);
+  check_int "cardinal" 10 (Interval_set.cardinal t)
 
 let test_ivs_queries () =
   let t = ivs [ (10, 20); (30, 40) ] in
-  Alcotest.(check bool) "mem in" true (Interval_set.mem 15 t);
-  Alcotest.(check bool) "mem edge lo" true (Interval_set.mem 10 t);
-  Alcotest.(check bool) "mem edge hi" false (Interval_set.mem 20 t);
-  Alcotest.(check bool) "covers" true (Interval_set.covers ~lo:12 ~hi:18 t);
-  Alcotest.(check bool)
-    "covers exact" true
-    (Interval_set.covers ~lo:10 ~hi:20 t);
-  Alcotest.(check bool)
-    "covers gap" false
-    (Interval_set.covers ~lo:15 ~hi:35 t);
-  Alcotest.(check bool)
-    "intersects" true
-    (Interval_set.intersects ~lo:15 ~hi:35 t);
-  Alcotest.(check bool)
-    "no intersect" false
-    (Interval_set.intersects ~lo:20 ~hi:30 t);
-  Alcotest.(check int) "cardinal" 20 (Interval_set.cardinal t);
-  Alcotest.(check int) "count" 2 (Interval_set.count_intervals t)
+  check_bool "covers" true (covers t 12 18);
+  check_bool "covers exact" true (covers t 10 20);
+  check_bool "covers gap" false (covers t 15 35);
+  check_bool "covers below" false (covers t 5 12);
+  check_bool "covers above" false (covers t 38 41);
+  check_int "cardinal" 20 (Interval_set.cardinal t);
+  check_int "first missing" 20 (first_missing t 10);
+  check_int "first missing in gap" 25 (first_missing t 25);
+  check_int "first missing below" 0 (first_missing t 0);
+  check_int "first missing at end" 40 (first_missing t 39)
 
-let test_ivs_gaps () =
-  let t = ivs [ (10, 20); (30, 40) ] in
-  Alcotest.(check (list (pair int int)))
-    "gaps"
-    [ (0, 10); (20, 30); (40, 50) ]
-    (Interval_set.gaps ~lo:0 ~hi:50 t);
-  Alcotest.(check (list (pair int int)))
-    "gaps inside" [ (20, 30) ]
-    (Interval_set.gaps ~lo:10 ~hi:40 t);
-  Alcotest.(check (list (pair int int)))
-    "no gaps" []
-    (Interval_set.gaps ~lo:12 ~hi:18 t);
-  Alcotest.(check int) "first missing" 20 (Interval_set.first_missing ~lo:10 t);
-  Alcotest.(check int) "first missing out" 25 (Interval_set.first_missing ~lo:25 t)
+(* [clear] empties a set whose array has grown; the set then works as a
+   fresh one. *)
+let test_ivs_clear () =
+  let t = ivs (List.init 20 (fun i -> (10 * i, (10 * i) + 5))) in
+  check_int "before" 100 (Interval_set.cardinal t);
+  Interval_set.clear t;
+  check_int "cardinal" 0 (Interval_set.cardinal t);
+  check_intervals "no intervals" [] (intervals t);
+  check_bool "covers" false (covers t 0 5);
+  check_int "first missing" 0 (first_missing t 0);
+  check_int "re-add" 7 (add t 3 10);
+  check_intervals "after re-add" [ (3, 10) ] (intervals t)
 
-let test_ivs_union () =
-  let a = ivs [ (0, 5); (10, 15) ] and b = ivs [ (3, 12); (20, 25) ] in
-  Alcotest.(check (list (pair int int)))
-    "union"
-    [ (0, 15); (20, 25) ]
-    (Interval_set.intervals (Interval_set.union a b))
+(* Bitmap model for the properties below: point [i] of [0, model_size)
+   is in the set iff [model.(i)]. *)
+let model_size = 260
 
-(* Property: a random sequence of adds/removes matches a naive bitmap
-   model. *)
+(* Set [lo, hi) in [model]; the number of points newly set. *)
+let model_add model lo hi =
+  let fresh = ref 0 in
+  for i = lo to hi - 1 do
+    if not model.(i) then incr fresh;
+    model.(i) <- true
+  done;
+  !fresh
+
+let model_cardinal model =
+  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 model
+
+(* The maximal runs of [lo, hi) whose points are all [v] in [model]. *)
+let model_runs model ~v ~lo ~hi =
+  let acc = ref [] and start = ref (-1) in
+  for i = lo to hi - 1 do
+    if model.(i) = v && !start < 0 then start := i;
+    if model.(i) <> v && !start >= 0 then begin
+      acc := (!start, i) :: !acc;
+      start := -1
+    end
+  done;
+  if !start >= 0 then acc := (!start, hi) :: !acc;
+  List.rev !acc
+
+let model_covers model lo hi = model_runs model ~v:false ~lo ~hi = []
+
+(* A range [(lo, len)] to add.  Short (empty and inverted included) and
+   long ranges mix, so sets grow past the initial array and runs of
+   spans merge. *)
+let ivs_range =
+  QCheck2.Gen.(
+    pair (int_range 0 199) (oneof [ int_range (-2) 4; int_range 0 60 ]))
+
+(* The uncovered runs of [lo, hi), read off the folded intervals. *)
+let gaps t ~lo ~hi =
+  let pos, acc =
+    Interval_set.fold
+      (fun a b (pos, acc) ->
+        let a = max a lo and b = min b hi in
+        if a >= b then (pos, acc)
+        else (b, if a > pos then (pos, a) :: acc else acc))
+      t (lo, [])
+  in
+  List.rev (if pos < hi then (pos, hi) :: acc else acc)
+
+(* Property: after every add of a random sequence, [add]'s return,
+   [cardinal], a random [covers] query, [first_missing] from a random
+   point and the folded intervals all agree with the bitmap model. *)
 let ivs_model_prop =
   let open QCheck2 in
-  let op =
-    Gen.(
-      triple (oneofl [ `Add; `Remove ]) (int_range 0 199) (int_range 0 60))
+  let step =
+    Gen.(triple ivs_range (int_range 0 (model_size - 1)) (int_range 0 30))
   in
-  Test.make ~name:"interval_set matches bitmap model" ~count:300
-    Gen.(list_size (int_range 0 40) op)
-    (fun ops ->
-      let model = Array.make 260 false in
-      let t =
-        List.fold_left
-          (fun t (op, lo, len) ->
-            let hi = lo + len in
-            (match op with
-            | `Add ->
-              for i = lo to hi - 1 do
-                model.(i) <- true
-              done
-            | `Remove ->
-              for i = lo to hi - 1 do
-                model.(i) <- false
-              done);
-            match op with
-            | `Add -> Interval_set.add ~lo ~hi t
-            | `Remove -> Interval_set.remove ~lo ~hi t)
-          Interval_set.empty ops
-      in
-      let ok = ref true in
-      for i = 0 to 259 do
-        if Interval_set.mem i t <> model.(i) then ok := false
-      done;
-      let card = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 model in
-      !ok && Interval_set.cardinal t = card)
+  Test.make ~name:"interval_set matches bitmap model" ~count:500
+    Gen.(list_size (int_range 0 60) step)
+    (fun steps ->
+      let model = Array.make model_size false in
+      let t = Interval_set.create () in
+      List.for_all
+        (fun ((lo, len), q, qlen) ->
+          let hi = lo + len in
+          let fresh = model_add model lo hi in
+          let added = add t lo hi in
+          let qhi = min model_size (q + qlen) in
+          let missing = ref q in
+          while !missing < model_size && model.(!missing) do
+            incr missing
+          done;
+          added = fresh
+          && Interval_set.cardinal t = model_cardinal model
+          && covers t q qhi = model_covers model q qhi
+          && first_missing t q = !missing
+          && intervals t = model_runs model ~v:true ~lo:0 ~hi:model_size)
+        steps)
 
-let ivs_gaps_prop =
-  let open QCheck2 in
-  Test.make ~name:"gaps partition the range" ~count:200
-    Gen.(list_size (int_range 0 20) (pair (int_range 0 100) (int_range 1 30)))
-    (fun ranges ->
-      let t =
-        List.fold_left
-          (fun t (lo, len) -> Interval_set.add ~lo ~hi:(lo + len) t)
-          Interval_set.empty ranges
-      in
-      let gaps = Interval_set.gaps ~lo:0 ~hi:150 t in
-      let gap_total = List.fold_left (fun a (l, h) -> a + h - l) 0 gaps in
-      let covered = ref 0 in
-      for i = 0 to 149 do
-        if Interval_set.mem i t then incr covered
-      done;
-      gap_total + !covered = 150
-      && List.for_all
-           (fun (l, h) -> l < h && not (Interval_set.intersects ~lo:l ~hi:h t))
-           gaps)
-
-(* Property: after a random add/remove sequence, [cardinal], [gaps] and
-   [covers] all agree with the naive list-of-booleans reference (guards
-   the incremental byte-count and the range-limited gap walk). *)
-let ivs_model_queries_prop =
+(* Property: [cardinal] agrees with the bitmap model after every op of a
+   random sequence of adds and clears, so the count kept across adds
+   restarts from zero at a clear. *)
+let ivs_cardinal_prop =
   let open QCheck2 in
   let op =
     Gen.(
-      triple (oneofl [ `Add; `Remove ]) (int_range 0 199) (int_range 0 60))
-  in
-  let gen =
-    Gen.triple
-      (Gen.list_size (Gen.int_range 0 60) op)
-      (Gen.int_range 0 250)
-      (Gen.int_range 0 80)
-  in
-  Test.make ~name:"cardinal/gaps/covers match bitmap model" ~count:500 gen
-    (fun (ops, qlo, qlen) ->
-      let size = 260 in
-      let model = Array.make size false in
-      let t =
-        List.fold_left
-          (fun t (op, lo, len) ->
-            let hi = lo + len in
-            match op with
-            | `Add ->
-              for i = lo to hi - 1 do
-                model.(i) <- true
-              done;
-              Interval_set.add ~lo ~hi t
-            | `Remove ->
-              for i = lo to hi - 1 do
-                model.(i) <- false
-              done;
-              Interval_set.remove ~lo ~hi t)
-          Interval_set.empty ops
-      in
-      let card =
-        Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 model
-      in
-      let qhi = min size (qlo + qlen) in
-      let model_covers =
-        let ok = ref true in
-        for i = qlo to qhi - 1 do
-          if not model.(i) then ok := false
-        done;
-        !ok
-      in
-      let model_gaps =
-        let acc = ref [] and start = ref (-1) in
-        for i = qlo to qhi - 1 do
-          if (not model.(i)) && !start < 0 then start := i;
-          if model.(i) && !start >= 0 then begin
-            acc := (!start, i) :: !acc;
-            start := -1
-          end
-        done;
-        if !start >= 0 then acc := (!start, qhi) :: !acc;
-        List.rev !acc
-      in
-      Interval_set.cardinal t = card
-      && Interval_set.covers ~lo:qlo ~hi:qhi t = model_covers
-      && Interval_set.gaps ~lo:qlo ~hi:qhi t = model_gaps)
-
-(* Property: the incrementally-maintained byte count stays consistent
-   with the bitmap model after EVERY operation, not just at the end of
-   the sequence — an incremental-update bug that a later op happens to
-   cancel out would slip past the end-of-sequence check above. *)
-let ivs_cardinal_stepwise_prop =
-  let open QCheck2 in
-  let op =
-    Gen.(
-      triple (oneofl [ `Add; `Remove ]) (int_range 0 199) (int_range 0 60))
+      frequency
+        [ (12, map (fun r -> `Add r) ivs_range); (1, pure `Clear) ])
   in
   Test.make ~name:"cardinal matches bitmap model after every op" ~count:300
-    Gen.(list_size (int_range 0 40) op)
+    Gen.(list_size (int_range 0 60) op)
     (fun ops ->
-      let model = Array.make 260 false in
-      let ok = ref true in
-      ignore
-        (List.fold_left
-           (fun t (op, lo, len) ->
-             let hi = lo + len in
-             let t =
-               match op with
-               | `Add ->
-                 for i = lo to hi - 1 do
-                   model.(i) <- true
-                 done;
-                 Interval_set.add ~lo ~hi t
-               | `Remove ->
-                 for i = lo to hi - 1 do
-                   model.(i) <- false
-                 done;
-                 Interval_set.remove ~lo ~hi t
-             in
-             let card =
-               Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 model
-             in
-             if Interval_set.cardinal t <> card then ok := false;
-             t)
-           Interval_set.empty ops);
-      !ok)
+      let model = Array.make model_size false in
+      let t = Interval_set.create () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Add (lo, len) ->
+            ignore (model_add model lo (lo + len));
+            ignore (add t lo (lo + len))
+          | `Clear ->
+            Array.fill model 0 model_size false;
+            Interval_set.clear t);
+          Interval_set.cardinal t = model_cardinal model)
+        ops)
+
+(* Property: after a random sequence of adds, [cardinal], the gaps of a
+   random query range (read off [fold]) and [covers] of that range all
+   agree with the bitmap model. *)
+let ivs_model_queries_prop =
+  let open QCheck2 in
+  let gen =
+    Gen.triple
+      (Gen.list_size (Gen.int_range 0 60) ivs_range)
+      (Gen.int_range 0 250) (Gen.int_range 0 80)
+  in
+  Test.make ~name:"cardinal/gaps/covers match bitmap model" ~count:500 gen
+    (fun (ranges, qlo, qlen) ->
+      let model = Array.make model_size false in
+      let t = Interval_set.create () in
+      List.iter
+        (fun (lo, len) ->
+          ignore (model_add model lo (lo + len));
+          ignore (add t lo (lo + len)))
+        ranges;
+      let qhi = min model_size (qlo + qlen) in
+      Interval_set.cardinal t = model_cardinal model
+      && gaps t ~lo:qlo ~hi:qhi = model_runs model ~v:false ~lo:qlo ~hi:qhi
+      && covers t qlo qhi = model_covers model qlo qhi)
 
 (* ------------------------------------------------------------------ *)
 (* Pqueue *)
@@ -456,12 +406,6 @@ let jain_bounds_prop =
       (* all-zero allocations are defined as fair *)
       j > 0.0 && j <= 1.0 +. 1e-9)
 
-let test_welford () =
-  let w = Stats.Welford.create () in
-  List.iter (Stats.Welford.add w) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  check_floats ~eps:1e-9 "mean" 5.0 (Stats.Welford.mean w);
-  check_floats ~eps:1e-9 "var" 4.571428571428571 (Stats.Welford.variance w)
-
 let test_ewma () =
   let e = Stats.Ewma.create ~alpha:0.5 in
   Alcotest.(check bool) "unprimed nan" true (Float.is_nan (Stats.Ewma.value e));
@@ -513,6 +457,25 @@ let test_rto_bounds () =
     Rto.backoff r
   done;
   check_float "max clamp" 1.0 (Rto.rto r)
+
+(* The RFC 6298 floor is 0 before the first sample, then
+   min (SRTT + 4 * RTTVAR, timeout) with the backoff and the min/max
+   bounds left out. *)
+let test_rto_timeout_floor () =
+  let r = Rto.create ~min_rto:0.5 ~max_rto:2.0 () in
+  check_float "before samples" 0.0 (Rto.timeout_floor r ~timeout:1.0);
+  Rto.observe r 0.1;
+  (* srtt = 0.1, rttvar = 0.05: the raw formula gives 0.3, under the
+     0.5 s min_rto the armed timeout carries *)
+  check_floats ~eps:1e-12 "raw formula" 0.3 (Rto.timeout_floor r ~timeout:0.5);
+  check_float "clamped by the timeout" 0.25 (Rto.timeout_floor r ~timeout:0.25);
+  Rto.backoff r;
+  check_floats ~eps:1e-12 "backoff leaves it" 0.3
+    (Rto.timeout_floor r ~timeout:(Rto.rto r));
+  Rto.observe r 0.1;
+  check_float "second sample"
+    (0.1 +. (4.0 *. 0.0375))
+    (Rto.timeout_floor r ~timeout:1.0)
 
 (* ------------------------------------------------------------------ *)
 (* Token_bucket *)
@@ -717,14 +680,11 @@ let () =
           Alcotest.test_case "empty" `Quick test_ivs_empty;
           Alcotest.test_case "add/merge" `Quick test_ivs_add_merge;
           Alcotest.test_case "empty ranges" `Quick test_ivs_add_empty_range;
-          Alcotest.test_case "remove" `Quick test_ivs_remove;
           Alcotest.test_case "queries" `Quick test_ivs_queries;
-          Alcotest.test_case "gaps" `Quick test_ivs_gaps;
-          Alcotest.test_case "union" `Quick test_ivs_union;
+          Alcotest.test_case "clear" `Quick test_ivs_clear;
           qc ivs_model_prop;
-          qc ivs_gaps_prop;
+          qc ivs_cardinal_prop;
           qc ivs_model_queries_prop;
-          qc ivs_cardinal_stepwise_prop;
         ] );
       ( "pqueue",
         [
@@ -753,7 +713,6 @@ let () =
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
           Alcotest.test_case "cdf" `Quick test_stats_cdf;
           Alcotest.test_case "jain" `Quick test_jain;
-          Alcotest.test_case "welford" `Quick test_welford;
           Alcotest.test_case "ewma" `Quick test_ewma;
           qc jain_bounds_prop;
         ] );
@@ -763,6 +722,7 @@ let () =
           Alcotest.test_case "smoothing" `Quick test_rto_smoothing;
           Alcotest.test_case "backoff" `Quick test_rto_backoff;
           Alcotest.test_case "bounds" `Quick test_rto_bounds;
+          Alcotest.test_case "timeout floor" `Quick test_rto_timeout_floor;
         ] );
       ( "token_bucket",
         [
