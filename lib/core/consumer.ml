@@ -2,18 +2,7 @@ module Engine = Leotp_sim.Engine
 module Packet = Leotp_net.Packet
 module Node = Leotp_net.Node
 module Interval_set = Leotp_util.Interval_set
-module IntMap = Map.Make (Int)
-
-type interest_state = {
-  lo : int;
-  hi : int;
-  mutable last_requested : float;
-  mutable deadline : float;
-  mutable retx_count : int;
-  mutable floor_bound : float;
-      (** min (SRTT + 4*RTTVAR, armed timeout) when the deadline was set;
-          a TR timeout firing earlier than this violates RFC 6298 *)
-}
+module Seg_store = Leotp_util.Seg_store
 
 type t = {
   engine : Engine.t;
@@ -29,7 +18,8 @@ type t = {
   cc : Hop_cc.t;
   shr : Shr.t;
   rto : Leotp_util.Rto.t;
-  mutable outstanding : interest_state IntMap.t;  (** keyed by range lo *)
+  outstanding : Seg_store.t;
+      (** one disjoint range per Interest, last requested at [last_sent] *)
   mutable outstanding_bytes : int;
   mutable stale_bytes : int;
       (** outstanding ranges that already hit a TR timeout (presumed lost,
@@ -68,11 +58,11 @@ let send_interest t ~lo ~hi ~retx =
   Leotp_net.Flow_metrics.on_send t.metrics ~bytes:pkt.Packet.size;
   Node.send t.node pkt
 
-let reissue t st =
+let resend t (st : Seg_store.seg) =
   let now = Engine.now t.engine in
   st.retx_count <- st.retx_count + 1;
-  if st.retx_count = 1 then t.stale_bytes <- t.stale_bytes + (st.hi - st.lo);
-  st.last_requested <- now;
+  if st.retx_count = 1 then t.stale_bytes <- t.stale_bytes + st.len;
+  st.last_sent <- now;
   (* Resending interval grows by 1.5x per timeout (paper §III-B), with a
      10 s ceiling so a long outage doesn't push deadlines out forever. *)
   let timeout =
@@ -80,42 +70,43 @@ let reissue t st =
       (Leotp_util.Rto.base_rto t.rto
       *. (t.config.Config.tr_backoff ** float_of_int st.retx_count))
   in
-  st.deadline <- now +. timeout;
-  st.floor_bound <- Leotp_util.Rto.timeout_floor t.rto ~timeout;
-  send_interest t ~lo:st.lo ~hi:st.hi ~retx:true
+  st.due <- now +. timeout;
+  st.floor <- Leotp_util.Rto.timeout_floor t.rto ~timeout;
+  send_interest t ~lo:st.seq ~hi:(st.seq + st.len) ~retx:true
+
+(* Resend every Interest due by [now], in ascending range order, and
+   say whether any was. *)
+let rec expire t ~now i any =
+  if i >= Seg_store.length t.outstanding then any
+  else begin
+    let st = Seg_store.get t.outstanding i in
+    let fired = now >= st.due in
+    if fired then begin
+      if Leotp_net.Trace.on () then
+        Leotp_net.Trace.emit
+          (Leotp_net.Trace.Rto_fire
+             { who = t.who; elapsed = now -. st.last_sent; floor = st.floor });
+      resend t st
+    end;
+    expire t ~now (i + 1) (any || fired)
+  end
 
 (* TR: periodic scan of unsatisfied Interests (paper §III-B).  A scan
    that found timeouts also backs off the shared estimator (RFC 6298
    §5.5): under Karn's rule delayed-but-not-lost data never produces
    samples, so without this the base RTO stays small and every new
    Interest times out spuriously. *)
-(* Runs per TR scan tick (a timer period), not per packet — the
-   accumulator cell and iteration closure are off the per-packet budget. *)
 let scan t =
   let now = Engine.now t.engine in
-  let any = ref false in
-  IntMap.iter
-    (fun _ st ->
-      if now >= st.deadline then begin
-        any := true;
-        if Leotp_net.Trace.on () then
-          Leotp_net.Trace.emit
-            (Leotp_net.Trace.Rto_fire
-               {
-                 who = t.who;
-                 elapsed = now -. st.last_requested;
-                 floor = st.floor_bound;
-               });
-        reissue t st
-      end)
-    t.outstanding;
   (* At most one shared backoff per RTO epoch — per-scan compounding
      would explode the base timeout within a second. *)
-  if !any && now -. t.last_shared_backoff >= Leotp_util.Rto.rto t.rto then begin
+  if
+    expire t ~now 0 false
+    && now -. t.last_shared_backoff >= Leotp_util.Rto.rto t.rto
+  then begin
     t.last_shared_backoff <- now;
     Leotp_util.Rto.backoff t.rto
   end
-[@@leotp.allow "hot-path-may-alloc"]
 
 let ensure_scan_timer t =
   if (not t.completed) && not (Engine.is_pending t.scan_timer) then
@@ -167,20 +158,11 @@ let rec pump_loop t now =
       let lo = t.next_to_request in
       t.next_to_request <- hi;
       let timeout = Leotp_util.Rto.rto t.rto in
-      let st =
-        (* one state record per issued Interest — its identity for the
-           whole timeout/retransmission lifetime *)
-        ({
-           lo;
-           hi;
-           last_requested = now;
-           deadline = now +. timeout;
-           retx_count = 0;
-           floor_bound = Leotp_util.Rto.timeout_floor t.rto ~timeout;
-         }
-        [@leotp.allow "hot-path-may-alloc"])
-      in
-      t.outstanding <- IntMap.add lo st t.outstanding;
+      let st = Seg_store.make ~seq:lo ~len in
+      st.last_sent <- now;
+      st.due <- now +. timeout;
+      st.floor <- Leotp_util.Rto.timeout_floor t.rto ~timeout;
+      Seg_store.push_back t.outstanding st;
       t.outstanding_bytes <- t.outstanding_bytes + len;
       send_interest t ~lo ~hi ~retx:false;
       pump_loop t now
@@ -216,70 +198,77 @@ let finish t =
     t.on_complete ()
   end
 
-(* Interests overlapping [lo, hi).  Called once per received VPH — loss
-   signalling, not the per-Data steady state — so the accumulator and
-   sequence cells are off the per-packet budget. *)
-let overlapping_outstanding t ~lo ~hi =
-  let acc = ref [] in
-  let rec go s =
-    match s () with
-    | Seq.Nil -> ()
-    | Seq.Cons ((_, st), rest) ->
-      if st.lo < hi then begin
-        if st.hi > lo then acc := st :: !acc;
-        go rest
-      end
-  in
-  (* Entries are MSS-aligned, so start the scan one MSS below. *)
-  go (IntMap.to_seq_from (lo - t.config.Config.mss) t.outstanding);
-  !acc
-[@@leotp.allow "hot-path-may-alloc"]
+(* The outstanding Interests are disjoint and sorted, so the ones
+   overlapping [lo, hi) are the ranks from [top_overlap] down to the
+   first that ends at or before [lo].  The walks below go down from
+   there, highest range first, as the loss-signalling order requires;
+   removing a rank leaves the ranks below it in place. *)
+let top_overlap t ~hi = Seg_store.lower_bound t.outstanding ~from:hi - 1
 
-(* Runs once per received VPH — SHR loss signalling, not the per-Data
-   steady state; the overlap list and deadline-reset closure are the cost
-   of the paper's timeout-suppression rule. *)
+let overlaps t ~lo i =
+  i >= 0
+  &&
+  let st = Seg_store.get t.outstanding i in
+  st.seq + st.len > lo
+
+let rec extend_due t ~lo ~due i =
+  if overlaps t ~lo i then begin
+    let st = Seg_store.get t.outstanding i in
+    st.due <- Float.max st.due due;
+    extend_due t ~lo ~due (i - 1)
+  end
+
+let rec resend_down t ~lo i =
+  if overlaps t ~lo i then begin
+    resend t (Seg_store.get t.outstanding i);
+    resend_down t ~lo (i - 1)
+  end
+
+(* Resolve the Interests [lo, hi) satisfies.  The Consumer's controller
+   (eqs 6-8) runs on the full pull-loop RTT — its Interest emission to
+   Data arrival.  When the adjacent Midnode's cache responds this IS the
+   paper's hopRTT; for end-to-end responses it is the path RTT, which
+   additionally makes Responder-buffer queueing visible to eq (7). *)
+let rec satisfy t ~now ~lo ~hi i =
+  if overlaps t ~lo i then begin
+    let st = Seg_store.get t.outstanding i in
+    if st.seq >= lo && st.seq + st.len <= hi then begin
+      (* Karn: RTT samples only from un-retransmitted Interests. *)
+      if st.retx_count = 0 then begin
+        let loop_rtt = now -. st.last_sent in
+        Leotp_util.Rto.observe t.rto loop_rtt;
+        Hop_cc.on_data t.cc ~now ~interest_owd:loop_rtt ~data_owd:0.0
+          ~bytes:st.len
+      end
+      else
+        (* Retransmitted ranges still count toward delivered bytes for
+           the throughput estimate, without an RTT sample (Karn). *)
+        Hop_cc.on_delivered t.cc ~now ~bytes:st.len;
+      Seg_store.remove t.outstanding i;
+      t.outstanding_bytes <- t.outstanding_bytes - st.len;
+      if st.retx_count >= 1 then
+        t.stale_bytes <- max 0 (t.stale_bytes - st.len)
+    end;
+    satisfy t ~now ~lo ~hi (i - 1)
+  end
+
+let rec resend_holes t = function
+  | [] -> ()
+  | (lo, hi) :: holes ->
+    resend_down t ~lo (top_overlap t ~hi);
+    resend_holes t holes
+
 let handle_vph t ~lo ~hi =
   (* §III-B: "when the Consumer receives a header, it will reset the
      timestamp of the corresponding Interest to avoid the timeout being
      triggered before the data retransmitted by SHR arrives." *)
-  let now = Engine.now t.engine in
-  List.iter
-    (fun st -> st.deadline <- Float.max st.deadline (now +. Leotp_util.Rto.base_rto t.rto))
-    (overlapping_outstanding t ~lo ~hi);
+  let due = Engine.now t.engine +. Leotp_util.Rto.base_rto t.rto in
+  extend_due t ~lo ~due (top_overlap t ~hi);
   ignore (Shr.on_packet t.shr ~lo ~hi)
-[@@leotp.allow "hot-path-may-alloc"]
 
-(* Endpoint control-loop bookkeeping: the overlap list (typically one
-   element) and its iteration closure are per-Data endpoint cost, not
-   forwarding-path cost — the zero-allocation budget protects relays. *)
 let handle_data t ~lo ~hi ~first_sent ~retx =
   let now = Engine.now t.engine in
-  (* Resolve the satisfied Interests.  The Consumer's controller (eqs 6-8)
-     runs on the full pull-loop RTT — its Interest emission to Data
-     arrival.  When the adjacent Midnode's cache responds this IS the
-     paper's hopRTT; for end-to-end responses it is the path RTT, which
-     additionally makes Responder-buffer queueing visible to eq (7). *)
-  let satisfied = overlapping_outstanding t ~lo ~hi in
-  List.iter
-    (fun st ->
-      if st.lo >= lo && st.hi <= hi then begin
-        (* Karn: RTT samples only from un-retransmitted Interests. *)
-        if st.retx_count = 0 then begin
-          let loop_rtt = now -. st.last_requested in
-          Leotp_util.Rto.observe t.rto loop_rtt;
-          Hop_cc.on_data t.cc ~now ~interest_owd:loop_rtt ~data_owd:0.0
-            ~bytes:(st.hi - st.lo)
-        end
-        else
-          (* Retransmitted ranges still count toward delivered bytes for
-             the throughput estimate, without an RTT sample (Karn). *)
-          Hop_cc.on_delivered t.cc ~now ~bytes:(st.hi - st.lo);
-        t.outstanding <- IntMap.remove st.lo t.outstanding;
-        t.outstanding_bytes <- t.outstanding_bytes - (st.hi - st.lo);
-        if st.retx_count >= 1 then
-          t.stale_bytes <- max 0 (t.stale_bytes - (st.hi - st.lo))
-      end)
-    satisfied;
+  satisfy t ~now ~lo ~hi (top_overlap t ~hi);
   (* Deliver fresh bytes. *)
   let fresh = Interval_set.add t.received ~lo ~hi in
   if fresh > 0 then
@@ -297,18 +286,12 @@ let handle_data t ~lo ~hi ~first_sent ~retx =
     t.on_prefix ~pos ~len:(new_prefix - pos)
   end;
   (* Consumer-side SHR: confirmed holes are re-requested immediately. *)
-  let actions = Shr.on_packet t.shr ~lo ~hi in
-  List.iter
-    (fun (hlo, hhi) ->
-      List.iter (fun st -> reissue t st)
-        (overlapping_outstanding t ~lo:hlo ~hi:hhi))
-    actions.Shr.expired_holes;
+  resend_holes t (Shr.on_packet t.shr ~lo ~hi).Shr.expired_holes;
   (* Completion. *)
   (match t.total_bytes with
   | Some n when Interval_set.covers t.received ~lo:0 ~hi:n -> finish t
   | _ -> ());
   pump t
-[@@leotp.allow "hot-path-may-alloc"]
 
 (* Terminal handler: the Consumer owns the delivered packet and recycles
    it once the slot values are extracted. *)
@@ -352,7 +335,7 @@ let create engine ~config ~node ~producer ~flow ?total_bytes ?metrics
         Leotp_util.Rto.create ~min_rto:0.05 ~max_rto:2.0
           ~backoff_factor:config.Config.tr_backoff ();
       last_shared_backoff = 0.0;
-      outstanding = IntMap.empty;
+      outstanding = Seg_store.create ();
       outstanding_bytes = 0;
       stale_bytes = 0;
       next_to_request = 0;

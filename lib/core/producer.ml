@@ -1,7 +1,7 @@
 module Engine = Leotp_sim.Engine
 module Packet = Leotp_net.Packet
 module Node = Leotp_net.Node
-module IntMap = Map.Make (Int)
+module Index = Hashtbl.Make (Int)
 
 type t = {
   engine : Engine.t;
@@ -14,7 +14,7 @@ type t = {
           TCP-compatibility proxies feed a Producer incrementally) *)
   metrics : Leotp_net.Flow_metrics.t;
   buffer : Send_buffer.t;
-  mutable first_sent : float IntMap.t;  (** range start -> origin send time *)
+  first_sent : float Index.t;  (** range start -> origin send time *)
   mutable last_req_owd : float;  (** latest Interest OWD on the last hop *)
   mutable pending : (int * int * int) list;
       (** (lo, hi, consumer) requests beyond the available prefix *)
@@ -53,7 +53,8 @@ let create engine ~config ~node ~flow ?total_bytes ?available ?metrics () =
       available;
       metrics;
       buffer;
-      first_sent = IntMap.empty;
+      (* small: flow set-up is timed, and the table doubles as it fills *)
+      first_sent = Index.create 16;
       last_req_owd = 0.0;
       pending = [];
     }
@@ -72,18 +73,18 @@ let available_now t =
 let rec serve_chunks t ~now ~consumer ~lo:range_lo ~hi =
   (* Recursion, not while+ref: this runs per served Interest and a local
      [ref] is a minor-heap cell.  The (first_sent, retx) pair and the
-     first-send map node are per-chunk bookkeeping the Data packet
+     first-send table entry are per-chunk bookkeeping the Data packet
      carries — allocation the response itself dwarfs. *)
   if range_lo < hi then begin
     let lo = range_lo in
     let chunk_hi = min hi (lo + t.config.Config.mss) in
     let first_sent, retx =
-      (match IntMap.find_opt lo t.first_sent with
-      | Some ts ->
+      (match Index.find t.first_sent lo with
+      | ts ->
         Leotp_net.Flow_metrics.on_retransmit t.metrics;
         (ts, true)
-      | None ->
-        t.first_sent <- IntMap.add lo now t.first_sent;
+      | exception Not_found ->
+        Index.add t.first_sent lo now;
         (now, false))
       [@leotp.allow "hot-path-may-alloc"]
     in

@@ -8,7 +8,7 @@
 
    Slot registry (kinds must be distinct across protocols because
    gateways carry both on one node):
-     0  raw          [str] opaque payload (tests)
+     0  raw          no payload layout (tests)
      1  leotp Interest   lib/core/wire.ml
      2  leotp Data/VPH   lib/core/wire.ml
      3  tcp Data_seg     lib/tcp/wire.ml
@@ -32,7 +32,6 @@ type t = {
   mutable i7 : int;
   f : float array;
       (** [float_slots] unboxed float slots, used by the payload layouts *)
-  mutable str : string;
 }
 
 let kind_raw = 0
@@ -73,7 +72,6 @@ let blank () =
     i6 = 0;
     i7 = 0;
     f = Array.make float_slots 0.0;
-    str = "";
     } [@leotp.allow "hot-path-may-alloc"])
 
 (* Domain-local so independent simulations running on worker domains

@@ -26,12 +26,11 @@ type t = {
   mutable i6 : int;
   mutable i7 : int;
   f : float array;  (** [float_slots] entries *)
-  mutable str : string;  (** opaque payload ([kind_raw], tests) *)
 }
 
 val kind_raw : int
-(** opaque payload in [str]; protocol kinds are registered in the wire
-    modules (see the slot registry note in packet.ml) *)
+(** no payload layout (test packets); protocol kinds are registered in
+    the wire modules (see the slot registry note in packet.ml) *)
 
 val flag_retx : int
 val flag_fin : int

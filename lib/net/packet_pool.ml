@@ -64,8 +64,7 @@ let poison (p : Packet.t) =
   p.Packet.i7 <- poison_int;
   for i = 0 to Packet.float_slots - 1 do
     p.Packet.f.(i) <- poison_float
-  done;
-  p.Packet.str <- "\xde\xad"
+  done
 
 let release (p : Packet.t) =
   if Packet.get_flag p Packet.flag_free then begin
@@ -131,7 +130,6 @@ let acquire ~src ~dst ~flow ~size ~kind =
   for i = 0 to Packet.float_slots - 1 do
     p.Packet.f.(i) <- 0.0
   done;
-  p.Packet.str <- "";
   p
 
 (* Identical copy, *including* the id: link-level duplication delivers
@@ -173,5 +171,4 @@ let clone (p : Packet.t) =
   c.Packet.i6 <- p.Packet.i6;
   c.Packet.i7 <- p.Packet.i7;
   Array.blit p.Packet.f 0 c.Packet.f 0 Packet.float_slots;
-  c.Packet.str <- p.Packet.str;
   c

@@ -38,19 +38,14 @@ let create engine ~node ~src ~flow ?metrics ?expected_bytes
     completed = false;
   }
 
-(* Write up to [Wire.max_sacks] out-of-order ranges above [cum] straight
-   into the ack's fixed slots — no intermediate list.  The fold closure
-   is one cell per ack, capturing the ack and [cum]. *)
+(* Write the lowest [Wire.max_sacks] out-of-order ranges above [cum]
+   straight into the ack's fixed slots; the walk stops at the last one
+   written.  [cum] is the first missing byte, so each range walked
+   starts above it.  The walk's closure is one cell per ack. *)
 let fill_sacks t ack ~cum =
-  ignore
-    (Interval_set.fold
-       (fun lo hi n ->
-         if n >= Wire.max_sacks || hi <= cum then n
-         else begin
-           Wire.add_sack ack ~lo:(max lo cum) ~hi;
-           n + 1
-         end)
-       t.received 0)
+  Interval_set.iter_from_while t.received ~from:cum (fun lo hi ->
+      Wire.add_sack ack ~lo ~hi;
+      Wire.sack_count ack < Wire.max_sacks)
 [@@leotp.allow "hot-path-may-alloc"]
 
 let handle_data t pkt =

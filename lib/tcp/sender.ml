@@ -2,18 +2,9 @@ module Engine = Leotp_sim.Engine
 module Packet = Leotp_net.Packet
 module Node = Leotp_net.Node
 module Flow_metrics = Leotp_net.Flow_metrics
+module Seg_store = Leotp_util.Seg_store
 
 type source = Fixed of int | Unlimited | Dynamic of (unit -> int)
-
-type segment = Seg_store.seg = {
-  mutable seq : int;
-  mutable len : int;
-  mutable first_sent : float;
-  mutable last_sent : float;
-  mutable retx_count : int;
-  mutable sacked : bool;
-  mutable lost : bool;  (** declared lost, waiting for retransmission *)
-}
 
 type t = {
   engine : Engine.t;
@@ -59,23 +50,19 @@ let available_bytes t =
 
 let total_bytes t = match t.source with Fixed n -> Some n | _ -> None
 
-let trace_seg t seg state =
+let trace_seg t (seg : Seg_store.seg) state =
   if Leotp_net.Trace.on () then
     Leotp_net.Trace.emit
       (Leotp_net.Trace.Seg_state
          { who = t.who; flow = t.flow; seq = seg.seq; len = seg.len; state })
 
-let mark_lost t seg =
+let mark_lost t (seg : Seg_store.seg) =
   if (not seg.lost) && not seg.sacked then begin
     seg.lost <- true;
     t.lost_pending <- t.lost_pending + 1;
     t.inflight <- max 0 (t.inflight - seg.len);
     trace_seg t seg Leotp_net.Trace.Seg_lost
   end
-
-(* Ordered scan with early exit; allocation-free (the SACK and FACK
-   scans below run on every ack over O(window) segments). *)
-let seq_iter_while m ~from f = Seg_store.iter_from_while m ~from f
 
 (* [finish] disarms the RTO and nothing re-arms it afterwards. *)
 let rec arm_rto t =
@@ -106,9 +93,8 @@ and on_rto_fire t =
        as in-flight forever and the connection stalls. *)
     Seg_store.iter t.segments (fun seg -> if not seg.sacked then mark_lost t seg);
     (* Retransmit the first unacknowledged segment immediately. *)
-    (match Seg_store.first t.segments with
-    | Some seg when not seg.sacked -> send_segment t seg ~retx:true
-    | Some _ | None -> ());
+    let seg = Seg_store.get t.segments 0 in
+    if not seg.sacked then send_segment t seg ~retx:true;
     arm_rto t;
     pump t
   end
@@ -158,19 +144,7 @@ and next_sendable t =
     if t.snd_nxt >= avail then None
     else begin
       let len = min t.mss (avail - t.snd_nxt) in
-      let seg =
-        (* one metadata record per new segment entering the window — the
-           segment's identity for its whole retransmission lifetime *)
-        ({
-          seq = t.snd_nxt;
-          len;
-          first_sent = 0.0;
-          last_sent = 0.0;
-          retx_count = 0;
-          sacked = false;
-          lost = false;
-        } [@leotp.allow "hot-path-may-alloc"])
-      in
+      let seg = Seg_store.make ~seq:t.snd_nxt ~len in
       Some (seg, false)
     end
 [@@leotp.allow "hot-path-may-alloc"]
@@ -320,7 +294,7 @@ let handle_ack t pkt =
        live in the ack's fixed slots — no list to walk. *)
     for i = 0 to Wire.sack_count pkt - 1 do
       let lo = Wire.sack_lo pkt i and hi = Wire.sack_hi pkt i in
-      seq_iter_while t.segments ~from:lo (fun seg ->
+      Seg_store.iter_from_while t.segments ~from:lo (fun seg ->
           if seg.seq + seg.len > hi then false
           else begin
             if not seg.sacked then begin
@@ -343,7 +317,7 @@ let handle_ack t pkt =
     let srtt =
       match Leotp_util.Rto.srtt t.rto with Some r -> r | None -> 0.1
     in
-    seq_iter_while t.segments ~from:t.snd_una (fun seg ->
+    Seg_store.iter_from_while t.segments ~from:t.snd_una (fun seg ->
         if seg.seq + seg.len + dupthresh_bytes t <= t.high_sacked then begin
           (* A segment already retransmitted is only declared lost again
              once a full SRTT has passed since that retransmission —

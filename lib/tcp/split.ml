@@ -1,42 +1,50 @@
 module Engine = Leotp_sim.Engine
 module Node = Leotp_net.Node
 module Packet = Leotp_net.Packet
-module IntMap = Map.Make (Int)
-
-(* Per-proxy origin-timestamp bookkeeping: byte position -> (first_sent,
-   retx) recorded from incoming segments.  Entries are consumed (left
-   behind, pruned below the downstream snd_una) as data moves on. *)
-type origin_info = { first_sent : float; retx : bool }
-
-type proxy = { tx : Sender.t; mutable origin : origin_info IntMap.t }
+module Seg_store = Leotp_util.Seg_store
 
 type t = {
   origin_sender : Sender.t;
-  proxies : proxy array;
+  proxies : Sender.t array;  (** each proxy's downstream sender *)
   metrics : Leotp_net.Flow_metrics.t;
   completed : bool ref;
 }
 
-let origin_lookup proxy ~pos ~len:_ =
-  (* Find the recorded range containing [pos]. *)
-  match IntMap.find_last_opt (fun k -> k <= pos) proxy.origin with
-  | Some (_, info) -> (info.first_sent, info.retx)
-  | None -> (0.0, false)
+(* A proxy's origin times: one range per incoming segment start, with
+   the origin's [first_sent] and a [retx_count] of 1 when the segment
+   came in marked retransmitted; ranges are pruned below the downstream
+   snd_una as data moves on.  A lookup answers from the range starting
+   last at or before [pos]. *)
+let origin_lookup origin ~pos ~len:_ =
+  let i = Seg_store.lower_bound origin ~from:(pos + 1) - 1 in
+  if i < 0 then (0.0, false)
+  else
+    let o = Seg_store.get origin i in
+    (o.first_sent, o.retx_count > 0)
 
-let prune_origin proxy upto =
-  (* Keep one entry at or below [upto] (it may still cover bytes >= upto).
-     The predicate closure and the map surgery allocate — per cumulative
-     ack on the proxy, bounded by the origin map the split design keeps. *)
-  match
-    IntMap.find_last_opt
-      ((fun k -> k <= upto) [@leotp.allow "hot-path-may-alloc"])
-      proxy.origin
-  with
-  | Some (k, _) ->
-    let _, at, above = IntMap.split k proxy.origin in
-    proxy.origin <-
-      (match at with Some v -> IntMap.add k v above | None -> above)
-  | None -> ()
+let record_origin origin pkt =
+  let seq = Wire.seq pkt in
+  let i = Seg_store.lower_bound origin ~from:seq in
+  let o =
+    if i < Seg_store.length origin && (Seg_store.get origin i).seq = seq then
+      Seg_store.get origin i
+    else begin
+      let o = Seg_store.make ~seq ~len:(Wire.len pkt) in
+      Seg_store.insert origin i o;
+      o
+    end
+  in
+  o.first_sent <- Wire.first_sent pkt;
+  o.retx_count <- (if Wire.retx pkt then 1 else 0)
+
+(* Keep the last range starting at or below [upto] (it may still cover
+   bytes >= upto) and everything above it. *)
+let rec prune_origin origin upto =
+  if Seg_store.length origin > 1 && (Seg_store.get origin 1).seq <= upto
+  then begin
+    Seg_store.remove origin 0;
+    prune_origin origin upto
+  end
 
 let connect engine ~nodes ~flow ~cc ?source () =
   let n = Array.length nodes in
@@ -63,7 +71,7 @@ let connect engine ~nodes ~flow ~cc ?source () =
   for i = n - 2 downto 1 do
     let node = nodes.(i) in
     let rx_ref = ref None in
-    let proxy_ref = ref None in
+    let origin = Seg_store.create () in
     let tx =
       Sender.create engine ~node ~dst:(Node.id nodes.(i + 1)) ~flow ~cc
         ~source:
@@ -72,11 +80,7 @@ let connect engine ~nodes ~flow ~cc ?source () =
                match !rx_ref with
                | Some rx -> Receiver.delivered_bytes rx
                | None -> 0))
-        ~first_sent_of:(fun ~pos ~len ->
-          match !proxy_ref with
-          | Some p -> origin_lookup p ~pos ~len
-          | None -> (0.0, false))
-        ()
+        ~first_sent_of:(origin_lookup origin) ()
     in
     let rx =
       Receiver.create engine ~node ~src:(Node.id nodes.(i - 1)) ~flow
@@ -85,21 +89,13 @@ let connect engine ~nodes ~flow ~cc ?source () =
         ()
     in
     rx_ref := Some rx;
-    let proxy = { tx; origin = IntMap.empty } in
-    proxy_ref := Some proxy;
-    proxies.(i - 1) <- Some proxy;
+    proxies.(i - 1) <- Some tx;
     Node.set_handler node (fun pkt ->
         if Wire.is_data_seg pkt && pkt.Packet.flow = flow then begin
           (* Record origin info before handing the packet on: the receiver
              recycles it. *)
-          (* per-packet origin bookkeeping is the split proxy's job: the
-             record and map node carry end-to-end timing across the relay *)
-          proxy.origin <-
-            IntMap.add (Wire.seq pkt)
-              ({ first_sent = Wire.first_sent pkt; retx = Wire.retx pkt }
-              [@leotp.allow "hot-path-may-alloc"])
-              proxy.origin;
-          prune_origin proxy (Sender.snd_una proxy.tx);
+          record_origin origin pkt;
+          prune_origin origin (Sender.snd_una tx);
           Receiver.handle_data rx pkt
         end
         else if Wire.is_ack_seg pkt && pkt.Packet.flow = flow then
@@ -119,7 +115,7 @@ let connect engine ~nodes ~flow ~cc ?source () =
 
 let start t =
   Sender.start t.origin_sender;
-  Array.iter (fun p -> Sender.start p.tx) t.proxies
+  Array.iter Sender.start t.proxies
 
 let metrics t = t.metrics
 

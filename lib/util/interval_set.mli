@@ -29,6 +29,7 @@ val cardinal : t -> int
 val first_missing : t -> lo:int -> int
 (** Smallest point [>= lo] not in the set. *)
 
-val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
-(** [fold f t init] folds [f lo hi] over the intervals in increasing
-    order. *)
+val iter_from_while : t -> from:int -> (int -> int -> bool) -> unit
+(** [iter_from_while t ~from f] calls [f lo hi] on each interval holding
+    a point [>= from], in increasing order, and stops when [f] returns
+    [false]. *)

@@ -803,6 +803,100 @@ let run_leotp ?(hops = 5) ?(bw_mbps = 20.0) ?(delay = 0.01) ?(plr = 0.0)
   Engine.run ~until engine;
   (session, chain, engine)
 
+(* ------------------------------------------------------------------ *)
+(* Endpoints driven by hand *)
+
+(* Two nodes joined by a fast link: [src]'s packets reach [dst]'s
+   handler, which records what [record] extracts from each. *)
+let endpoint_pair ~record =
+  let engine, rng = setup () in
+  let src = Node.create ~name:"src" and dst = Node.create ~name:"dst" in
+  let d =
+    Topology.connect engine ~rng src dst
+      (Topology.hop ~bandwidth:(Bandwidth.Constant 1e9) ~delay:1e-6 ())
+  in
+  Node.add_route src ~dst:(Node.id dst) d.Topology.fwd;
+  let got = ref [] in
+  Node.set_handler dst (fun pkt ->
+      (match record pkt with Some x -> got := x :: !got | None -> ());
+      Leotp_net.Packet_pool.release pkt);
+  (engine, src, dst, got)
+
+(* An expired SHR hole spanning two MSS ranges makes the Consumer
+   resend both of its Interests at once, highest range first. *)
+let test_consumer_resends_hole_highest_first () =
+  let engine, node, producer, got =
+    endpoint_pair ~record:(fun pkt ->
+        if Wire.is_interest pkt then Some (Wire.lo pkt, Wire.hi pkt, Wire.retx pkt)
+        else None)
+  in
+  let consumer =
+    Consumer.create engine ~config ~node ~producer:(Node.id producer) ~flow:1
+      ~total_bytes:(20 * mss) ()
+  in
+  Consumer.start consumer;
+  Engine.run ~until:0.01 engine;
+  let asked = List.rev_map (fun (lo, _, _) -> lo / mss) !got in
+  Alcotest.(check (list int)) "initial window" (List.init 10 Fun.id) asked;
+  got := [];
+  let data k =
+    Wire.data_packet ~config ~src:(Node.id producer) ~dst:(Node.id node) ~flow:1
+      ~lo:(k * mss) ~hi:((k + 1) * mss) ~timestamp:(Engine.now engine)
+      ~req_owd:0.0 ~first_sent:0.0 ~retx:false
+  in
+  (* Range 0 arrives, 1 and 2 are lost, and 3..7 skip the hole past the
+     threshold. *)
+  List.iter (fun k -> Consumer.handle_packet consumer (data k)) [ 0; 3; 4; 5; 6; 7 ];
+  Engine.run ~until:0.02 engine;
+  Alcotest.(check (list (pair int int)))
+    "hole resent highest range first"
+    [ (2 * mss, 3 * mss); (mss, 2 * mss) ]
+    (List.filter_map
+       (fun (lo, hi, retx) -> if retx then Some (lo, hi) else None)
+       (List.rev !got));
+  Alcotest.(check int) "two retransmitted Interests" 2
+    (Consumer.interest_retx consumer)
+
+(* Re-served ranges carry the time they were first sent, also for a
+   range first served after a higher one, and each counts once as a
+   retransmission. *)
+let test_producer_keeps_first_sent () =
+  let engine, node, consumer, got =
+    endpoint_pair ~record:(fun pkt ->
+        if Wire.is_data pkt then
+          Some ((Wire.lo pkt, Wire.first_sent pkt), Wire.retx pkt)
+        else None)
+  in
+  let metrics = Flow_metrics.create ~flow:1 in
+  let producer =
+    Producer.create engine ~config ~node ~flow:1 ~total_bytes:(10 * mss) ~metrics ()
+  in
+  let interest at k =
+    ignore
+      (Engine.schedule engine ~after:at (fun () ->
+           Producer.handle_interest producer
+             (Wire.interest_packet ~config ~src:(Node.id consumer)
+                ~dst:(Node.id node) ~flow:1 ~lo:(k * mss) ~hi:((k + 1) * mss)
+                ~timestamp:at ~send_rate:1e9 ~retx:false)))
+  in
+  interest 1.0 0;
+  interest 2.0 2;
+  interest 3.0 1;
+  interest 4.0 1;
+  interest 5.0 0;
+  Engine.run ~until:6.0 engine;
+  Alcotest.(check (list (pair (pair int (float 0.0)) bool)))
+    "first_sent and retx"
+    [
+      ((0, 1.0), false);
+      ((2 * mss, 2.0), false);
+      ((mss, 3.0), false);
+      ((mss, 3.0), true);
+      ((0, 1.0), true);
+    ]
+    (List.rev !got);
+  Alcotest.(check int) "retransmissions" 2 (Flow_metrics.retransmissions metrics)
+
 let test_transfer_completes () =
   let session, _, _ = run_leotp () in
   Alcotest.(check bool) "complete" true (Consumer.complete session.Session.consumer);
@@ -1096,6 +1190,10 @@ let () =
         ] );
       ( "protocol",
         [
+          Alcotest.test_case "consumer resends a hole highest range first"
+            `Quick test_consumer_resends_hole_highest_first;
+          Alcotest.test_case "producer keeps first_sent on re-serve" `Quick
+            test_producer_keeps_first_sent;
           Alcotest.test_case "transfer completes" `Quick test_transfer_completes;
           Alcotest.test_case "reliable under loss" `Quick test_transfer_under_loss;
           Alcotest.test_case "in-network retx active" `Quick

@@ -16,12 +16,10 @@ let mk_link ?(bw = 8.0) ?(delay = 0.01) ?(plr = 0.0) ?buffer_bytes engine rng =
     ~delay ~plr ?buffer_bytes ~rng ()
 
 (* Raw test packets come from the pool like everything else. *)
-let mk ~src ~dst ~flow ~size str =
-  let p = Packet_pool.acquire ~src ~dst ~flow ~size ~kind:Packet.kind_raw in
-  p.Packet.str <- str;
-  p
+let mk ~src ~dst ~flow ~size =
+  Packet_pool.acquire ~src ~dst ~flow ~size ~kind:Packet.kind_raw
 
-let raw_pkt ?(size = 1000) () = mk ~src:1 ~dst:2 ~flow:0 ~size "x"
+let raw_pkt ?(size = 1000) () = mk ~src:1 ~dst:2 ~flow:0 ~size
 
 (* ------------------------------------------------------------------ *)
 (* Bandwidth *)
@@ -257,7 +255,6 @@ let test_chain_end_to_end () =
   Node.set_handler dst (fun pkt -> got := Some pkt);
   let pkt =
     mk ~src:(Node.id src) ~dst:(Node.id dst) ~flow:1 ~size:1000
-      "payload"
   in
   Node.send src pkt;
   Leotp_sim.Engine.run engine;
@@ -271,8 +268,7 @@ let test_chain_end_to_end () =
   let back = ref false in
   Node.set_handler src (fun _ -> back := true);
   Node.send dst
-    (mk ~src:(Node.id dst) ~dst:(Node.id src) ~flow:1 ~size:100
-       "ack");
+    (mk ~src:(Node.id dst) ~dst:(Node.id src) ~flow:1 ~size:100);
   Leotp_sim.Engine.run engine;
   Alcotest.(check bool) "reverse delivery" true !back
 
@@ -293,10 +289,10 @@ let test_chain_middle_routing () =
   watch 0;
   Node.send n1
     (mk ~src:(Node.id n1) ~dst:(Node.id chain.Topology.nodes.(3))
-       ~flow:0 ~size:100 "f");
+       ~flow:0 ~size:100);
   Node.send n1
     (mk ~src:(Node.id n1) ~dst:(Node.id chain.Topology.nodes.(0))
-       ~flow:0 ~size:100 "b");
+       ~flow:0 ~size:100);
   Leotp_sim.Engine.run engine;
   Alcotest.(check (list int)) "both delivered" [ 0; 3 ] (List.sort compare !hits)
 
@@ -325,7 +321,7 @@ let test_dumbbell_routing () =
       Node.send s
         (mk ~src:(Node.id s)
            ~dst:(Node.id db.Topology.receivers.(i))
-           ~flow:i ~size:500 "d"))
+           ~flow:i ~size:500))
     db.Topology.senders;
   Leotp_sim.Engine.run engine;
   Alcotest.(check (array bool))
@@ -348,7 +344,7 @@ let test_dumbbell_shared_bottleneck () =
         Node.send s
           (mk ~src:(Node.id s)
              ~dst:(Node.id db.Topology.receivers.(i))
-             ~flow:i ~size:1000 "d")
+             ~flow:i ~size:1000)
       done)
     db.Topology.senders;
   Leotp_sim.Engine.run engine;
@@ -381,8 +377,7 @@ let test_dynamic_path_reconfig () =
       arrivals := Leotp_sim.Engine.now engine :: !arrivals);
   let send () =
     Node.send src
-      (mk ~src:(Node.id src) ~dst:(Node.id dst) ~flow:0 ~size:1000
-         "x")
+      (mk ~src:(Node.id src) ~dst:(Node.id dst) ~flow:0 ~size:1000)
   in
   send ();
   Leotp_sim.Engine.run engine;
@@ -416,16 +411,14 @@ let test_dynamic_path_switch_drops () =
   let count = ref 0 in
   Node.set_handler dst (fun _ -> incr count);
   Node.send src
-    (mk ~src:(Node.id src) ~dst:(Node.id dst) ~flow:0 ~size:1000
-       "x");
+    (mk ~src:(Node.id src) ~dst:(Node.id dst) ~flow:0 ~size:1000);
   (* Switch while the packet is in flight on hop 0. *)
   Dynamic_path.schedule dp [ (0.02, [| hopstate 0.04; hopstate 0.05 |]) ];
   Leotp_sim.Engine.run engine;
   Alcotest.(check int) "in-flight dropped on switch" 0 !count;
   (* A later packet crosses the new path fine. *)
   Node.send src
-    (mk ~src:(Node.id src) ~dst:(Node.id dst) ~flow:0 ~size:1000
-       "y");
+    (mk ~src:(Node.id src) ~dst:(Node.id dst) ~flow:0 ~size:1000);
   Leotp_sim.Engine.run engine;
   Alcotest.(check int) "post-switch delivery" 1 !count
 
@@ -458,8 +451,7 @@ let test_dynamic_path_bandwidth_only_switch () =
   let count = ref 0 in
   Node.set_handler dst (fun _ -> incr count);
   Node.send src
-    (mk ~src:(Node.id src) ~dst:(Node.id dst) ~flow:0 ~size:1000
-       "x");
+    (mk ~src:(Node.id src) ~dst:(Node.id dst) ~flow:0 ~size:1000);
   (* Same delays, bottleneck cut 8 -> 2 Mbps (well past the 4 Mbps
      epsilon): still a path switch, so the in-flight packet must be
      flushed and the switch counted. *)
@@ -562,7 +554,7 @@ let test_dynamic_path_trace_replay () =
       Packet_pool.release pkt);
   let offer () =
     Node.send src
-      (mk ~src:(Node.id src) ~dst:(Node.id dst) ~flow:0 ~size:1000 "x")
+      (mk ~src:(Node.id src) ~dst:(Node.id dst) ~flow:0 ~size:1000)
   in
   let drops_down () =
     (Link.stats chain.Topology.hops.(0).Topology.fwd).Link.drops_down
@@ -613,16 +605,16 @@ let test_no_route_drops () =
   ignore rng;
   ignore engine;
   let n = Node.create ~name:"lonely" in
-  Node.send n (mk ~src:1 ~dst:999 ~flow:0 ~size:100 "x");
+  Node.send n (mk ~src:1 ~dst:999 ~flow:0 ~size:100);
   Alcotest.(check int) "counted" 1 (Node.no_route_drops n);
   Node.add_route n ~dst:999
     (Link.create (Leotp_sim.Engine.create ()) ~name:"l"
        ~bandwidth:(Bandwidth.Constant 1e6) ~delay:0.01
        ~rng:(Leotp_util.Rng.create ~seed:1) ());
-  Node.send n (mk ~src:1 ~dst:999 ~flow:0 ~size:100 "y");
+  Node.send n (mk ~src:1 ~dst:999 ~flow:0 ~size:100);
   Alcotest.(check int) "routed now" 1 (Node.no_route_drops n);
   Node.clear_routes n;
-  Node.send n (mk ~src:1 ~dst:999 ~flow:0 ~size:100 "z");
+  Node.send n (mk ~src:1 ~dst:999 ~flow:0 ~size:100);
   Alcotest.(check int) "cleared" 2 (Node.no_route_drops n)
 
 (* ------------------------------------------------------------------ *)

@@ -155,14 +155,13 @@ let scribble (p : Packet.t) =
   p.Packet.i3 <- 444; p.Packet.i4 <- 555; p.Packet.i5 <- 666;
   p.Packet.i6 <- 777; p.Packet.i7 <- 888;
   for i = 0 to Packet.float_slots - 1 do p.Packet.f.(i) <- 3.14 done;
-  p.Packet.flags <- Packet.flag_retx lor Packet.flag_fin;
-  p.Packet.str <- "stale"
+  p.Packet.flags <- Packet.flag_retx lor Packet.flag_fin
 
 let clean (p : Packet.t) =
   p.Packet.i0 = 0 && p.Packet.i1 = 0 && p.Packet.i2 = 0 && p.Packet.i3 = 0
   && p.Packet.i4 = 0 && p.Packet.i5 = 0 && p.Packet.i6 = 0 && p.Packet.i7 = 0
   && Array.for_all (fun x -> Float.equal x 0.0) p.Packet.f
-  && p.Packet.flags = 0 && p.Packet.str = ""
+  && p.Packet.flags = 0
 
 let recycle_never_stale =
   Test.make ~name:"release -> acquire never observes stale fields" ~count:300

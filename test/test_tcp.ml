@@ -312,46 +312,41 @@ let test_dynamic_source_sender () =
   Engine.run ~until:20.0 engine;
   Alcotest.(check int) "all delivered" 400_000 (Receiver.delivered_bytes receiver)
 
+(* The receiver advertises at most 3 SACK ranges above the cumulative
+   ack, mirroring real TCP option-space limits: with more out-of-order
+   ranges than that, each ACK carries the lowest three, in order. *)
 let test_receiver_sack_limit () =
-  (* The receiver advertises at most 3 SACK ranges above the cumulative
-     ack, mirroring real TCP option-space limits. *)
   let engine, rng = setup () in
-  ignore rng;
-  let node = Node.create ~name:"rx" in
-  let sacks = ref [] in
-  Node.set_handler node (fun pkt ->
-      if Wire.is_ack_seg pkt then begin
-        sacks := Wire.sack_list pkt;
-        Leotp_net.Packet_pool.release pkt
-      end);
-  (* ACKs are sent to src=node id 0: loop them back into our handler via
-     a direct route to self. *)
-  let rx = Receiver.create engine ~node ~src:(Node.id node) ~flow:1 () in
-  let self_spec =
-    Leotp_net.Topology.hop ~bandwidth:(Bandwidth.Constant 1e9) ~delay:1e-6 ()
+  let node = Node.create ~name:"rx" and peer = Node.create ~name:"tx" in
+  let d =
+    Topology.connect engine ~rng node peer
+      (Topology.hop ~bandwidth:(Bandwidth.Constant 1e9) ~delay:1e-6 ())
   in
-  let d = Leotp_net.Topology.connect engine ~rng:(Leotp_util.Rng.create ~seed:1) node node self_spec in
-  Node.set_handler node (fun pkt ->
-      if Wire.is_ack_seg pkt then begin
-        sacks := Wire.sack_list pkt;
-        Leotp_net.Packet_pool.release pkt
-      end
-      else if Wire.is_data_seg pkt then Receiver.handle_data rx pkt
-      else Leotp_net.Packet_pool.release pkt);
-  Node.add_route node ~dst:(Node.id node) d.Leotp_net.Topology.fwd;
-  (* Five disjoint out-of-order islands: 1400-gap pattern. *)
-  List.iter
-    (fun i ->
-      Receiver.handle_data rx
-        (Wire.data_packet ~src:(Node.id node) ~dst:(Node.id node) ~flow:1
-           ~seq:(i * 2800) ~len:1400 ~sent_at:0.0 ~first_sent:0.0 ~retx:false
-           ~fin:false))
-    [ 1; 2; 3; 4; 5 ];
-  Engine.run engine;
-  Alcotest.(check bool)
-    (Printf.sprintf "%d sack ranges <= 3" (List.length !sacks))
-    true
-    (List.length !sacks <= 3 && List.length !sacks > 0)
+  Node.add_route node ~dst:(Node.id peer) d.Topology.fwd;
+  let acks = ref [] in
+  Node.set_handler peer (fun pkt ->
+      acks := (Wire.cum_ack pkt, Wire.sack_list pkt) :: !acks;
+      Leotp_net.Packet_pool.release pkt);
+  let rx = Receiver.create engine ~node ~src:(Node.id peer) ~flow:1 () in
+  let last_ack_after seqs =
+    List.iter
+      (fun seq ->
+        Receiver.handle_data rx
+          (Wire.data_packet ~src:(Node.id peer) ~dst:(Node.id node) ~flow:1 ~seq
+             ~len:1000 ~sent_at:0.0 ~first_sent:0.0 ~retx:false ~fin:false))
+      seqs;
+    Engine.run engine;
+    List.hd !acks
+  in
+  let ranges = List.map (fun k -> (k * 1000, (k + 1) * 1000)) in
+  Alcotest.(check (pair int (list (pair int int))))
+    "five ranges above the prefix"
+    (1000, ranges [ 2; 4; 6 ])
+    (last_ack_after [ 0; 2000; 4000; 6000; 8000; 10_000 ]);
+  Alcotest.(check (pair int (list (pair int int))))
+    "hole filled: the window moves up"
+    (3000, ranges [ 4; 6; 8 ])
+    (last_ack_after [ 1000 ])
 
 (* ------------------------------------------------------------------ *)
 (* Split TCP *)
@@ -400,6 +395,51 @@ let test_split_owd_tracks_origin () =
   Alcotest.(check bool)
     "origin-stamped OWD >= 4 hops propagation" true
     (Leotp_util.Stats.min owd >= 0.02)
+
+(* A proxy stamps each downstream segment with the origin time of the
+   upstream segment holding its first byte.  Here the upstream sends
+   [0, 1000) at 0.5 s, a retransmitted [1000, 2000) at 0.7 s and
+   [2000, 3000) at 0.9 s; the downstream ack at 1500 lands inside the
+   retransmitted segment and the third segment's arrival prunes the
+   proxy's origin times below it, yet the RTO's retransmission from 1500
+   still carries that segment's time and retx flag. *)
+let test_split_origin_after_prune () =
+  let engine, rng = setup () in
+  let chain = build_chain engine rng ~hops:2 ~bw_mbps:20.0 ~delay:0.005 ~plr:0.0 in
+  let nodes = chain.Topology.nodes in
+  let split = Split.connect engine ~nodes ~flow:1 ~cc:Cc.Newreno () in
+  (* The test plays the upstream: the origin sender's own segments die
+     at its node, and the proxy's acks die on arrival there. *)
+  Node.clear_routes nodes.(0);
+  Node.set_handler nodes.(0) Leotp_net.Packet_pool.release;
+  let sent = ref [] in
+  Node.set_handler nodes.(2) (fun pkt ->
+      if Wire.is_data_seg pkt then
+        sent := (Wire.seq pkt, (Wire.first_sent pkt, Wire.retx pkt)) :: !sent;
+      Leotp_net.Packet_pool.release pkt);
+  let at time f = ignore (Engine.schedule engine ~after:time f) in
+  let upstream time ~seq ~first_sent ~retx =
+    at time (fun () ->
+        Node.receive nodes.(1)
+          (Wire.data_packet ~src:(Node.id nodes.(0)) ~dst:(Node.id nodes.(2))
+             ~flow:1 ~seq ~len:1000 ~sent_at:time ~first_sent ~retx ~fin:false))
+  in
+  upstream 0.1 ~seq:0 ~first_sent:0.5 ~retx:false;
+  upstream 0.2 ~seq:1000 ~first_sent:0.7 ~retx:true;
+  at 0.3 (fun () ->
+      Node.receive nodes.(1)
+        (Wire.ack_packet ~src:(Node.id nodes.(2)) ~dst:(Node.id nodes.(1))
+           ~flow:1 ~cum_ack:1500));
+  upstream 0.4 ~seq:2000 ~first_sent:0.9 ~retx:false;
+  Split.start split;
+  Engine.run ~until:3.0 engine;
+  let sent = List.rev !sent in
+  let check = Alcotest.(check (pair (float 0.0) bool)) in
+  check "first segment" (0.5, false) (List.assoc 0 sent);
+  check "retransmitted upstream" (0.7, true) (List.assoc 1000 sent);
+  check "third segment" (0.9, false) (List.assoc 2000 sent);
+  check "RTO resend inside the retransmitted segment" (0.7, true)
+    (List.assoc 1500 sent)
 
 (* ------------------------------------------------------------------ *)
 (* Sender bookkeeping regressions (each failed before the fix). *)
@@ -512,5 +552,7 @@ let () =
           Alcotest.test_case "beats e2e under loss" `Slow
             test_split_beats_e2e_cubic_under_loss;
           Alcotest.test_case "origin owd" `Quick test_split_owd_tracks_origin;
+          Alcotest.test_case "origin time after prune" `Quick
+            test_split_origin_after_prune;
         ] );
     ]

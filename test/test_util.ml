@@ -9,8 +9,14 @@ let check_floats ?(eps = 1e-9) = Alcotest.(check (float eps))
 (* ------------------------------------------------------------------ *)
 (* Interval_set *)
 
-let intervals t =
-  List.rev (Interval_set.fold (fun lo hi acc -> (lo, hi) :: acc) t [])
+(* The intervals holding a point >= [from], at most [limit] of them. *)
+let intervals ?(from = min_int) ?(limit = max_int) t =
+  let acc = ref [] and n = ref 0 in
+  Interval_set.iter_from_while t ~from (fun lo hi ->
+      acc := (lo, hi) :: !acc;
+      incr n;
+      !n < limit);
+  List.rev !acc
 
 let ivs l =
   let t = Interval_set.create () in
@@ -121,21 +127,22 @@ let ivs_range =
   QCheck2.Gen.(
     pair (int_range 0 199) (oneof [ int_range (-2) 4; int_range 0 60 ]))
 
-(* The uncovered runs of [lo, hi), read off the folded intervals. *)
+(* The uncovered runs of [lo, hi), read off the walked intervals. *)
 let gaps t ~lo ~hi =
   let pos, acc =
-    Interval_set.fold
-      (fun a b (pos, acc) ->
+    List.fold_left
+      (fun (pos, acc) (a, b) ->
         let a = max a lo and b = min b hi in
         if a >= b then (pos, acc)
         else (b, if a > pos then (pos, a) :: acc else acc))
-      t (lo, [])
+      (lo, []) (intervals t)
   in
   List.rev (if pos < hi then (pos, hi) :: acc else acc)
 
 (* Property: after every add of a random sequence, [add]'s return,
    [cardinal], a random [covers] query, [first_missing] from a random
-   point and the folded intervals all agree with the bitmap model. *)
+   point, the walked intervals and a walk from that point stopped after
+   three intervals all agree with the bitmap model. *)
 let ivs_model_prop =
   let open QCheck2 in
   let step =
@@ -156,11 +163,15 @@ let ivs_model_prop =
           while !missing < model_size && model.(!missing) do
             incr missing
           done;
+          let runs = model_runs model ~v:true ~lo:0 ~hi:model_size in
           added = fresh
           && Interval_set.cardinal t = model_cardinal model
           && covers t q qhi = model_covers model q qhi
           && first_missing t q = !missing
-          && intervals t = model_runs model ~v:true ~lo:0 ~hi:model_size)
+          && intervals t = runs
+          && intervals ~from:q ~limit:3 t
+             = List.filteri (fun i _ -> i < 3)
+                 (List.filter (fun (_, b) -> b > q) runs))
         steps)
 
 (* Property: [cardinal] agrees with the bitmap model after every op of a
@@ -671,6 +682,173 @@ let test_timeseries () =
     [ (0.0, 15.0); (2.0, 15.0) ]
     rates
 
+(* ------------------------------------------------------------------ *)
+(* Seg_store *)
+
+(* A range tagged through [retx_count], so the model can check that each
+   rank holds the very record put there. *)
+let seg ~seq ~len ~tag =
+  {
+    Seg_store.seq;
+    len;
+    first_sent = 0.0;
+    last_sent = 0.0;
+    retx_count = tag;
+    sacked = false;
+    lost = false;
+    due = 0.0;
+    floor = 0.0;
+  }
+
+let store_contents t =
+  List.init (Seg_store.length t) (fun i ->
+      let s = Seg_store.get t i in
+      (s.Seg_store.seq, s.Seg_store.len, s.Seg_store.retx_count))
+
+(* Property: the store agrees with a sorted list of (seq, len, tag)
+   after every op of a random script of [push_back], [insert] at
+   [lower_bound], [remove] at a random rank, [drop_below] (its dropped
+   and straddled ranges too) and an [iter_from_while] scan stopped after
+   [k] ranges, with [lower_bound] and [find] from the scan's start.
+   Ranges are disjoint, the range of key [k] inside [10k, 10k + 10), as
+   in every user of the store.  Scripts run up to 300 ops from the 64
+   slots of a fresh store, so they grow it, wrap around its ring and
+   move both sides on insert and remove. *)
+let seg_store_model_prop =
+  let open QCheck2 in
+  let op =
+    Gen.(
+      frequency
+        [
+          (6, map2 (fun gap len -> `Push (gap, len)) (int_range 0 2) (int_range 1 10));
+          (3, map2 (fun p len -> `Insert (p, len)) (int_range 0 1000) (int_range 1 10));
+          (2, map (fun r -> `Remove r) nat);
+          (1, map (fun d -> `Drop d) (int_range 0 30));
+          (2, map2 (fun p k -> `Scan (p, k)) (int_range 0 1000) (int_range 0 4));
+        ])
+  in
+  Test.make ~name:"seg_store matches sorted-list model" ~count:300
+    Gen.(list_size (int_range 0 300) op)
+    (fun ops ->
+      let t = Seg_store.create () in
+      let model = ref [] and next = ref 0 in
+      let model_lower_bound from =
+        let rec go i = function
+          | (s, _, _) :: rest when s < from -> go (i + 1) rest
+          | _ -> i
+        in
+        go 0 !model
+      in
+      let tag (_, _, g) = g in
+      (* A position [p] permille of the way up the stored keys. *)
+      let at p =
+        match List.rev !model with
+        | [] -> 0
+        | (s, _, _) :: _ -> p * (s + 20) / 1000
+      in
+      List.for_all
+        (fun op ->
+          incr next;
+          let g = !next in
+          let ok =
+            match op with
+            | `Push (gap, len) ->
+              let k =
+                match List.rev !model with
+                | [] -> gap
+                | (s, _, _) :: _ -> (s / 10) + 1 + gap
+              in
+              Seg_store.push_back t (seg ~seq:(10 * k) ~len ~tag:g);
+              model := !model @ [ (10 * k, len, g) ];
+              true
+            | `Insert (p, len) ->
+              let k = at p / 10 in
+              List.exists (fun (s, _, _) -> s / 10 = k) !model
+              ||
+              let i = Seg_store.lower_bound t ~from:(10 * k) in
+              let j = model_lower_bound (10 * k) in
+              Seg_store.insert t i (seg ~seq:(10 * k) ~len ~tag:g);
+              model :=
+                List.filteri (fun x _ -> x < j) !model
+                @ ((10 * k, len, g) :: List.filteri (fun x _ -> x >= j) !model);
+              i = j
+            | `Remove r ->
+              let n = List.length !model in
+              n = 0
+              ||
+              let r = r mod n in
+              Seg_store.remove t r;
+              model := List.filteri (fun x _ -> x <> r) !model;
+              true
+            | `Drop d ->
+              let cum = match !model with [] -> d | (s, _, _) :: _ -> s + d in
+              let dropped = ref [] and straddled = ref [] in
+              Seg_store.drop_below t ~cum
+                ~on_drop:(fun s -> dropped := s.Seg_store.retx_count :: !dropped)
+                ~on_straddle:(fun s head ->
+                  straddled := (s.Seg_store.retx_count, head) :: !straddled);
+              let rec go acc = function
+                | (s, len, g) :: rest when s + len <= cum -> go (g :: acc) rest
+                | (s, len, g) :: rest when s < cum ->
+                  (acc, [ (g, cum - s) ], (cum, len - (cum - s), g) :: rest)
+                | l -> (acc, [], l)
+              in
+              let d, st, rest = go [] !model in
+              model := rest;
+              !dropped = d && !straddled = st
+            | `Scan (p, k) ->
+              let from = at p in
+              let seen = ref [] in
+              Seg_store.iter_from_while t ~from (fun s ->
+                  List.length !seen < k
+                  && begin
+                       seen := s.Seg_store.retx_count :: !seen;
+                       true
+                     end);
+              let above = List.filter (fun (s, _, _) -> s >= from) !model in
+              Seg_store.lower_bound t ~from = model_lower_bound from
+              && List.rev !seen = List.map tag (List.filteri (fun i _ -> i < k) above)
+              && Option.map
+                   (fun s -> s.Seg_store.retx_count)
+                   (Seg_store.find t from)
+                 = Option.map tag (List.find_opt (fun (s, _, _) -> s = from) !model)
+          in
+          ok
+          && store_contents t = !model
+          && Seg_store.is_empty t = (!model = []))
+        ops)
+
+(* Warm operations on a store whose array has already grown allocate
+   nothing: an insert and a removal on each side, and an append. *)
+let test_seg_store_allocates_nothing () =
+  let t = Seg_store.create () in
+  let segs = Array.init 200 (fun i -> seg ~seq:(10 * i) ~len:5 ~tag:i) in
+  for i = 0 to 99 do
+    Seg_store.push_back t segs.(2 * i)
+  done;
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let idle = words ignore in
+  let insert =
+    words (fun () ->
+        Seg_store.insert t (Seg_store.lower_bound t ~from:10) segs.(1);
+        Seg_store.insert t (Seg_store.lower_bound t ~from:1950) segs.(195))
+  in
+  let remove =
+    words (fun () ->
+        Seg_store.remove t 1;
+        Seg_store.remove t 95)
+  in
+  let push = words (fun () -> Seg_store.push_back t segs.(199)) in
+  Alcotest.(check int) "length" 101 (Seg_store.length t);
+  Alcotest.(check int) "last" 1990 (Seg_store.get t 100).Seg_store.seq;
+  Alcotest.(check (float 0.0)) "insert" 0.0 (insert -. idle);
+  Alcotest.(check (float 0.0)) "remove" 0.0 (remove -. idle);
+  Alcotest.(check (float 0.0)) "push_back" 0.0 (push -. idle)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "leotp_util"
@@ -685,6 +863,12 @@ let () =
           qc ivs_model_prop;
           qc ivs_cardinal_prop;
           qc ivs_model_queries_prop;
+        ] );
+      ( "seg_store",
+        [
+          qc seg_store_model_prop;
+          Alcotest.test_case "warm ops allocate nothing" `Quick
+            test_seg_store_allocates_nothing;
         ] );
       ( "pqueue",
         [
