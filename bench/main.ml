@@ -47,11 +47,14 @@ module Units = Leotp_util.Units
 let config = Leotp.Config.default
 let bench_mss = config.Leotp.Config.mss
 
-(* Feed a stream of 256 data packets (with [plr] of them missing, which
-   exercises SHR hole tracking and VPH generation) through a fresh
-   Midnode handler.  The loss pattern is fixed once; the packets are
-   pool-acquired per iteration because every sink recycles them — a
-   pre-built list would be use-after-release on the second run. *)
+(* Each pass streams the flow's next 256 data packets through one
+   Midnode, with [plr] of them missing at the same offsets every pass
+   (SHR hole tracking, VPHs and SHR Interests), then runs the engine
+   until the sending buffer has drained them all: cache insert, SHR,
+   hop congestion control and the paced, restamping drain, per packet.
+   Nothing routes out of the node, so every packet it sends dies as a
+   no-route drop.  The packets are pool-acquired per pass because every
+   sink recycles them. *)
 let midnode_stream ~plr () =
   let engine = Leotp_sim.Engine.create () in
   let node = Leotp_net.Node.create ~name:"mid" in
@@ -62,17 +65,22 @@ let midnode_stream ~plr () =
       (fun _ -> not (Leotp_util.Rng.bernoulli rng plr))
       (List.init 256 Fun.id)
   in
+  let pass = ref 0 in
   fun () ->
+    let now = Leotp_sim.Engine.now engine in
+    let base = !pass * 256 in
+    incr pass;
     List.iter
       (fun i ->
         let pkt =
           Leotp.Wire.data_packet ~config ~src:99 ~dst:98 ~flow:7
-            ~lo:(i * bench_mss)
-            ~hi:((i + 1) * bench_mss)
-            ~timestamp:0.0 ~req_owd:0.001 ~first_sent:0.0 ~retx:false
+            ~lo:((base + i) * bench_mss)
+            ~hi:((base + i + 1) * bench_mss)
+            ~timestamp:now ~req_owd:0.001 ~first_sent:now ~retx:false
         in
         Leotp_net.Node.receive node pkt)
-      kept
+      kept;
+    Leotp_sim.Engine.run engine
 
 let cache_ops () =
   let cache = Leotp.Cache.create ~config () in

@@ -21,8 +21,6 @@ type flow_state = {
   shr : Shr.t;
   cc : Hop_cc.t;  (** Requester side of the upstream hop *)
   buffer : Send_buffer.t;  (** Responder side of the downstream hop *)
-  mutable ds_interest_owd : float;
-      (** latest Interest OWD measured on the downstream hop *)
   mutable vph_sent : int;
   mutable shr_interests : int;
   mutable cache_hits : int;
@@ -45,36 +43,21 @@ let get_flow t ~flow ~consumer ~producer =
   match Hashtbl.find_opt t.flows flow with
   | Some fs -> fs
   | None ->
-    let now = Engine.now t.engine in
-    let fs_ref = ref None in
-    (* Data leaving the sending buffer gets this hop's fresh timestamp and
-       the latest downstream Interest OWD (paper Fig 9's bookkeeping).
-       In-place restamping consumes a fresh id, exactly like the
-       re-constructed packet it replaces. *)
-    let send pkt =
-      (match !fs_ref with
-      | Some fs when Wire.is_data pkt ->
-        Wire.restamp_data pkt
-          ~timestamp:(Engine.now t.engine)
-          ~req_owd:fs.ds_interest_owd
-      | _ -> ());
-      Node.send t.node pkt
-    in
     let fs =
       {
         flow;
         consumer;
         producer;
         shr = Shr.create ~config:t.config;
-        cc = Hop_cc.create ~config:t.config ~now ();
-        buffer = Send_buffer.create t.engine ~config:t.config ~send ();
-        ds_interest_owd = 0.0;
+        cc = Hop_cc.create ~config:t.config ~now:(Engine.now t.engine) ();
+        buffer =
+          Send_buffer.create t.engine ~config:t.config
+            ~send:(Node.send t.node) ();
         vph_sent = 0;
         shr_interests = 0;
         cache_hits = 0;
       }
     in
-    fs_ref := Some fs;
     Hashtbl.replace t.flows flow fs;
     fs
 [@@leotp.allow "hot-path-may-alloc"]
@@ -110,36 +93,34 @@ let rec send_shr_interest t fs ~lo ~hi =
     send_shr_interest t fs ~lo:chunk_hi ~hi
   end
 
-(* Serve a cached range as MSS-sized Data packets through [emit].
-   Returns whether every chunk was served; keeps scanning past a miss so
-   partial hits still go out.  Recursion, not while+refs: this runs per
-   cache-hit Interest and local [ref]s are minor-heap cells. *)
-let rec respond_from_cache t ~flow ~lo ~hi ~src ~dst ~timestamp ~req_owd ~retx
-    ~emit =
-  if lo >= hi then true
-  else begin
+(* Serve a cached range as MSS-sized Data packets, keeping on past a
+   missing chunk so partial hits still go out.  The Data carries the
+   Interest's timestamp and OWD, which ablation C's end-to-end controller
+   reads; under hop-by-hop control it joins the sending buffer, which
+   paces it and restamps it as it drains.  Recursion, not while+refs:
+   this runs per cache-hit Interest and local [ref]s are minor-heap
+   cells. *)
+let rec respond_from_cache t fs ~lo ~hi ~timestamp ~req_owd ~retx =
+  if lo < hi then begin
     let chunk_hi = min hi (lo + t.config.Config.mss) in
-    let served =
-      match Cache.lookup t.cache ~flow ~lo ~hi:chunk_hi with
-      | Some (first_sent, cretx) ->
-        emit
-          (Wire.data_packet ~config:t.config ~src ~dst ~flow ~lo ~hi:chunk_hi
-             ~timestamp ~req_owd ~first_sent ~retx:(cretx || retx));
-        true
-      | None -> false
-    in
-    let rest =
-      respond_from_cache t ~flow ~lo:chunk_hi ~hi ~src ~dst ~timestamp
-        ~req_owd ~retx ~emit
-    in
-    served && rest
+    (match Cache.lookup t.cache ~flow:fs.flow ~lo ~hi:chunk_hi with
+    | Some (first_sent, cretx) ->
+      let data =
+        Wire.data_packet ~config:t.config ~src:fs.producer ~dst:fs.consumer
+          ~flow:fs.flow ~lo ~hi:chunk_hi ~timestamp ~req_owd ~first_sent
+          ~retx:(cretx || retx)
+      in
+      if Config.hop_cc_enabled t.config then
+        ignore (Send_buffer.push fs.buffer data)
+      else Node.send t.node data
+    | None -> ());
+    respond_from_cache t fs ~lo:chunk_hi ~hi ~timestamp ~req_owd ~retx
   end
 
 let handle_interest t pkt =
   let flow = pkt.Packet.flow in
   let lo = Wire.lo pkt and hi = Wire.hi pkt in
   let timestamp = Wire.timestamp pkt in
-  let send_rate = Wire.send_rate pkt in
   let retx = Wire.retx pkt in
   let fs =
     get_flow t ~flow ~consumer:pkt.Packet.src ~producer:pkt.Packet.dst
@@ -147,62 +128,71 @@ let handle_interest t pkt =
   fs.consumer <- pkt.Packet.src;
   fs.producer <- pkt.Packet.dst;
   let now = Engine.now t.engine in
-  if not (Config.hop_cc_enabled t.config) then begin
-    (* Ablation C: end-to-end control; pass the Interest through but still
-       try the cache. *)
-    let hit =
-      Config.caches_enabled t.config && Cache.contains t.cache ~flow ~lo ~hi
-    in
-    if hit then begin
-      fs.cache_hits <- fs.cache_hits + 1;
-      ignore
-        (respond_from_cache t ~flow ~lo ~hi ~src:pkt.Packet.dst
-           ~dst:pkt.Packet.src ~timestamp
-           ~req_owd:(Float.max 0.0 (now -. timestamp))
-           ~retx
-           (* one emit closure per cache-hit response — dwarfed by the
-              response packet it sends *)
-           ~emit:((Node.send t.node) [@leotp.allow "hot-path-may-alloc"]));
-      Pool.release pkt
-    end
-    else Node.send t.node pkt
+  let hop_cc = Config.hop_cc_enabled t.config in
+  (* The downstream Requester's advertised rate drives my rate limiter. *)
+  if hop_cc then
+    Send_buffer.on_interest fs.buffer ~now ~timestamp
+      ~send_rate:(Wire.send_rate pkt);
+  if Config.caches_enabled t.config && Cache.contains t.cache ~flow ~lo ~hi
+  then begin
+    fs.cache_hits <- fs.cache_hits + 1;
+    respond_from_cache t fs ~lo ~hi ~timestamp
+      ~req_owd:(Float.max 0.0 (now -. timestamp))
+      ~retx;
+    Pool.release pkt
   end
+  else if not hop_cc then
+    (* Ablation C: end-to-end control; the Interest passes through. *)
+    Node.send t.node pkt
   else begin
-    fs.ds_interest_owd <- Float.max 0.0 (now -. timestamp);
-    (* The downstream Requester's advertised rate drives my rate limiter. *)
-    Send_buffer.set_rate fs.buffer send_rate;
-    let hit =
-      Config.caches_enabled t.config && Cache.contains t.cache ~flow ~lo ~hi
+    let forward =
+      Pit.register t.pit ~now ~flow ~lo ~hi ~consumer:pkt.Packet.src
     in
-    if hit then begin
-      fs.cache_hits <- fs.cache_hits + 1;
-      ignore
-        (respond_from_cache t ~flow ~lo ~hi ~src:pkt.Packet.dst
-           ~dst:pkt.Packet.src ~timestamp:now ~req_owd:fs.ds_interest_owd ~retx
-           (* one emit closure per cache-hit response — dwarfed by the
-              response packet it queues *)
-           ~emit:((fun data -> ignore (Send_buffer.push fs.buffer data))
-                 [@leotp.allow "hot-path-may-alloc"]));
-      Pool.release pkt
+    if forward || retx then begin
+      (* Re-originate upstream with this hop's timestamp and rate (a
+         fresh id in place, like the re-constructed packet it
+         replaces). *)
+      Wire.reoriginate_interest pkt ~timestamp:now
+        ~send_rate:(upstream_rate t fs);
+      Node.send t.node pkt
     end
     else begin
-      let forward =
-        Pit.register t.pit ~now ~flow ~lo ~hi ~consumer:pkt.Packet.src
-      in
-      if forward || retx then begin
-        (* Re-originate upstream with this hop's timestamp and rate (a
-           fresh id in place, like the re-constructed packet it
-           replaces). *)
-        Wire.reoriginate_interest pkt ~timestamp:now
-          ~send_rate:(upstream_rate t fs);
-        Node.send t.node pkt
-      end
-      else begin
-        t.pit_blocked <- t.pit_blocked + 1;
-        Pool.release pkt
-      end
+      t.pit_blocked <- t.pit_blocked + 1;
+      Pool.release pkt
     end
   end
+
+(* Multicast fan-out: every other consumer waiting on the range gets a
+   copy of the passing Data (the packet itself continues to its own
+   destination). *)
+let rec fan_out t fs pkt ~now = function
+  | [] -> ()
+  | consumer :: rest ->
+    if consumer <> pkt.Packet.dst then
+      Node.send t.node
+        (Wire.data_packet ~config:t.config ~src:pkt.Packet.src ~dst:consumer
+           ~flow:fs.flow ~lo:(Wire.lo pkt) ~hi:(Wire.hi pkt) ~timestamp:now
+           ~req_owd:(Send_buffer.req_owd fs.buffer)
+           ~first_sent:(Wire.first_sent pkt) ~retx:(Wire.retx pkt));
+    fan_out t fs pkt ~now rest
+
+(* SHR's new holes are announced downstream at once. *)
+let rec announce_holes t fs = function
+  | [] -> ()
+  | (lo, hi) :: rest ->
+    send_vph t fs ~lo ~hi;
+    announce_holes t fs rest
+
+(* SHR's expired holes are asked for upstream, unless a later packet
+   filled the cache meanwhile: downstream's own retransmission request
+   then hits the cache here. *)
+let rec request_holes t fs = function
+  | [] -> ()
+  | (lo, hi) :: rest ->
+    (match Cache.lookup t.cache ~flow:fs.flow ~lo ~hi with
+    | Some _ -> ()
+    | None -> send_shr_interest t fs ~lo ~hi);
+    request_holes t fs rest
 
 let handle_data t pkt =
   let flow = pkt.Packet.flow in
@@ -226,36 +216,11 @@ let handle_data t pkt =
   if Config.caches_enabled t.config then begin
     if not is_vph then begin
       Cache.insert t.cache ~flow ~lo ~hi ~first_sent ~retx;
-      (* Multicast fan-out: serve every other consumer waiting on this
-         range (the packet itself continues to [pkt.dst]). *)
-      (* fan-out closure: one per Data carrying multicast waiters,
-         inherent to the list the PIT hands back *)
-      List.iter
-        ((fun consumer ->
-           if consumer <> pkt.Packet.dst then
-             Node.send t.node
-               (Wire.data_packet ~config:t.config ~src:pkt.Packet.src
-                  ~dst:consumer ~flow ~lo ~hi ~timestamp:now
-                  ~req_owd:fs.ds_interest_owd ~first_sent ~retx))
-        [@leotp.allow "hot-path-may-alloc"])
-        (Pit.satisfy t.pit ~now ~flow ~lo ~hi)
+      fan_out t fs pkt ~now (Pit.satisfy t.pit ~now ~flow ~lo ~hi)
     end;
     let actions = Shr.on_packet fs.shr ~lo ~hi in
-    (* hole-action closures: allocated only when SHR reports new or
-       expired holes — loss recovery, not the clean-link steady state *)
-    List.iter
-      ((fun (lo, hi) -> send_vph t fs ~lo ~hi)
-      [@leotp.allow "hot-path-may-alloc"])
-      actions.Shr.new_holes;
-    List.iter
-      ((fun (lo, hi) ->
-         (* Serve the retransmission locally if a later packet filled the
-            cache meanwhile; otherwise ask upstream. *)
-         match Cache.lookup t.cache ~flow ~lo ~hi with
-         | Some _ -> ()
-         | None -> send_shr_interest t fs ~lo ~hi)
-      [@leotp.allow "hot-path-may-alloc"])
-      actions.Shr.expired_holes
+    announce_holes t fs actions.Shr.new_holes;
+    request_holes t fs actions.Shr.expired_holes
   end;
   if is_vph then
     (* Forward the notification immediately. *)

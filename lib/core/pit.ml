@@ -32,26 +32,30 @@ let remove_emitting t key =
          { node = t.label; flow; lo; hi; pending = Hashtbl.length t.table })
   end
 
-(* Hashtbl fold order is representation-dependent; sort so the trace
-   (and its digest) only depends on the entries themselves.  Runs once
-   per [sweep_every] registrations — amortized housekeeping, not the
+(* Remove every entry [doomed] selects, each with a traced expiry, in
+   key order: Hashtbl fold order is representation-dependent, so the
+   sort keeps the trace (and its digest) a function of the entries
+   alone.  Runs on a crash, a flow's retirement and once per
+   [sweep_every] registrations — amortized housekeeping, not the
    per-packet path. *)
-let expire_before t ~now =
-  let stale =
-    List.sort compare
-      (Hashtbl.fold
-         (fun k e acc -> if fresh t ~now e then acc else k :: acc)
-         t.table [])
-  in
-  List.iter (remove_emitting t) stale
+let remove_where t doomed =
+  List.iter (remove_emitting t)
+    (List.sort compare
+       (Hashtbl.fold
+          (fun k e acc -> if doomed k e then k :: acc else acc)
+          t.table []))
 [@@leotp.allow "hot-path-may-alloc"]
+
+let stale t ~now _ e = not (fresh t ~now e)
+let expire_before t ~now = remove_where t (stale t ~now)
 
 (* Per-Interest PIT bookkeeping: the (flow, lo, hi) key tuple, the entry
    record, and its consumer list are the pending-interest table — the
-   paper's multicast state, allocated per registration by design. *)
+   paper's multicast state, allocated per registration by design.  Every
+   [sweep_every]-th call also builds the expiry sweep's predicate. *)
 let register t ~now ~flow ~lo ~hi ~consumer =
   t.ops <- t.ops + 1;
-  if t.ops mod sweep_every = 0 then expire_before t ~now;
+  if t.ops mod sweep_every = 0 then remove_where t (stale t ~now);
   let key = (flow, lo, hi) in
   let forwarded =
     match Hashtbl.find_opt t.table key with
@@ -102,15 +106,5 @@ let satisfy t ~now ~flow ~lo ~hi =
 
 let pending t = Hashtbl.length t.table
 
-let clear t =
-  let keys = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.table []) in
-  List.iter (remove_emitting t) keys
-
-let drop_flow t ~flow =
-  let keys =
-    List.sort compare
-      (Hashtbl.fold
-         (fun ((f, _, _) as k) _ acc -> if f = flow then k :: acc else acc)
-         t.table [])
-  in
-  List.iter (remove_emitting t) keys
+let clear t = remove_where t (fun _ _ -> true)
+let drop_flow t ~flow = remove_where t (fun (f, _, _) _ -> f = flow)

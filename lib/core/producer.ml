@@ -15,7 +15,6 @@ type t = {
   metrics : Leotp_net.Flow_metrics.t;
   buffer : Send_buffer.t;
   first_sent : float Index.t;  (** range start -> origin send time *)
-  mutable last_req_owd : float;  (** latest Interest OWD on the last hop *)
   mutable pending : (int * int * int) list;
       (** (lo, hi, consumer) requests beyond the available prefix *)
 }
@@ -26,41 +25,23 @@ let create engine ~config ~node ~flow ?total_bytes ?available ?metrics () =
     | Some m -> m
     | None -> Leotp_net.Flow_metrics.create ~flow
   in
-  let t_ref = ref None in
-  (* The wire timestamp is "when the packet is sent by the previous node"
-     (Table I), so it is stamped at drain time, not at enqueue: data can
-     wait in the sending buffer, and that wait must stay invisible to the
-     hopRTT measurement (§III-C).  Restamping is in place and consumes a
-     fresh id, exactly like the re-constructed packet it replaces. *)
   let send pkt =
-    (match !t_ref with
-    | Some t when Wire.is_data pkt ->
-      Wire.restamp_data pkt
-        ~timestamp:(Engine.now t.engine)
-        ~req_owd:t.last_req_owd
-    | _ -> ());
     Leotp_net.Flow_metrics.on_send metrics ~bytes:pkt.Packet.size;
     Node.send node pkt
   in
-  let buffer = Send_buffer.create engine ~config ~send () in
-  let t =
-    {
-      engine;
-      config;
-      node;
-      flow;
-      total_bytes;
-      available;
-      metrics;
-      buffer;
-      (* small: flow set-up is timed, and the table doubles as it fills *)
-      first_sent = Index.create 16;
-      last_req_owd = 0.0;
-      pending = [];
-    }
-  in
-  t_ref := Some t;
-  t
+  {
+    engine;
+    config;
+    node;
+    flow;
+    total_bytes;
+    available;
+    metrics;
+    buffer = Send_buffer.create engine ~config ~send ();
+    (* small: flow set-up is timed, and the table doubles as it fills *)
+    first_sent = Index.create 16;
+    pending = [];
+  }
 
 let available_now t =
   let base = match t.total_bytes with Some n -> n | None -> max_int in
@@ -90,7 +71,8 @@ let rec serve_chunks t ~now ~consumer ~lo:range_lo ~hi =
     in
     let data =
       Wire.data_packet ~config:t.config ~src:(Node.id t.node) ~dst:consumer
-        ~flow:t.flow ~lo ~hi:chunk_hi ~timestamp:now ~req_owd:t.last_req_owd
+        ~flow:t.flow ~lo ~hi:chunk_hi ~timestamp:now
+        ~req_owd:(Send_buffer.req_owd t.buffer)
         ~first_sent ~retx
     in
     ignore (Send_buffer.push t.buffer data);
@@ -122,9 +104,8 @@ let notify_data_available t =
 let handle_interest t pkt =
   if Wire.is_interest pkt && pkt.Packet.flow = t.flow then begin
     let now = Engine.now t.engine in
-    let req_owd = Float.max 0.0 (now -. Wire.timestamp pkt) in
-    t.last_req_owd <- req_owd;
-    Send_buffer.set_rate t.buffer (Wire.send_rate pkt);
+    Send_buffer.on_interest t.buffer ~now ~timestamp:(Wire.timestamp pkt)
+      ~send_rate:(Wire.send_rate pkt);
     let lo = Wire.lo pkt and hi = Wire.hi pkt in
     let consumer = pkt.Packet.src in
     Leotp_net.Packet_pool.release pkt;

@@ -15,6 +15,7 @@ type t = {
          under timeout retransmission). *)
   mutable queued_bytes : int;
   mutable drops : int;
+  mutable req_owd : float;  (** latest downstream Interest OWD *)
   mutable drain_timer : Engine.timer;
 }
 
@@ -35,13 +36,20 @@ let rec drain t =
       ignore (Pkt_queue.pop t.queue);
       t.queued_bytes <- t.queued_bytes - pkt.Packet.size;
       if has_name pkt then Hashtbl.remove t.queued_names (name_key pkt);
+      (* The wire timestamp is "when the packet is sent by the previous
+         node" (Table I), so Data is stamped here, not when it was pushed:
+         its wait in the buffer must stay invisible to the hopRTT
+         measurement (§III-C).  Restamping is in place and consumes a
+         fresh id, exactly like the re-constructed packet it replaces. *)
+      if Wire.is_data pkt then
+        Wire.restamp_data pkt ~timestamp:now ~req_owd:t.req_owd;
       t.send pkt;
       drain t
     end
     else begin
       let wait = Leotp_util.Token_bucket.time_until t.bucket ~now pkt.Packet.size in
-      (* A zero advertised rate pauses the buffer; a later set_rate
-         restarts it. *)
+      (* A zero advertised rate pauses the buffer; a later Interest's
+         rate restarts it. *)
       if Float.is_finite wait && not (Engine.is_pending t.drain_timer) then
         Engine.arm t.drain_timer ~after:wait
     end
@@ -66,6 +74,7 @@ let create engine ~config ~send () =
           ~now:(Engine.now engine);
       queued_bytes = 0;
       drops = 0;
+      req_owd = 0.0;
       drain_timer = Engine.timer engine ignore;
     }
   in
@@ -96,11 +105,14 @@ let push t pkt =
     true
   end
 
-let set_rate t r =
-  let now = Engine.now t.engine in
-  Leotp_util.Token_bucket.set_rate t.bucket ~now (Float.max 0.0 r);
+(* The OWD is recorded before the new rate can drain anything, so Data
+   released by this very Interest already carries it. *)
+let on_interest t ~now ~timestamp ~send_rate =
+  t.req_owd <- Float.max 0.0 (now -. timestamp);
+  Leotp_util.Token_bucket.set_rate t.bucket ~now (Float.max 0.0 send_rate);
   if not (Pkt_queue.is_empty t.queue) then drain t
 
+let req_owd t = t.req_owd
 let rate t = Leotp_util.Token_bucket.rate t.bucket
 let len t = t.queued_bytes
 let drops t = t.drops

@@ -1,6 +1,10 @@
-(** Responder-side sending buffer: a FIFO of outgoing Data packets drained
-    by a token-bucket rate limiter at the rate advertised by the
-    downstream Requester (paper Fig 9).
+(** The Responder of one hop (paper Fig 9), for a Producer and a Midnode
+    alike: a FIFO of outgoing Data packets drained by a token-bucket rate
+    limiter at the rate the downstream Requester advertises (eqs 9-10).
+    Each Data packet is stamped as it drains, with the drain time (Table
+    I's "sent by the previous node") and the latest downstream Interest
+    OWD the Requester's hopRTT needs (eqs 6-8), so time spent queued here
+    stays out of the hop measurement (§III-C).
 
     The buffer length [len] is the BL input of the backpressure equation;
     the drain rate doubles as the "next-hop sending rate" the node
@@ -14,13 +18,19 @@ val create :
   send:(Leotp_net.Packet.t -> unit) ->
   unit ->
   t
-(** [send] actually transmits (normally [Node.send]). *)
+(** [send] actually transmits (normally [Node.send]); it gets every
+    drained packet after the restamp. *)
 
 val push : t -> Leotp_net.Packet.t -> bool
 (** Enqueue; [false] if the buffer is full and the packet was dropped. *)
 
-val set_rate : t -> float -> unit
-(** Update the drain rate (bytes/s) from a received Interest's sendRate. *)
+val on_interest : t -> now:float -> timestamp:float -> send_rate:float -> unit
+(** A downstream Interest stamped [timestamp] arrived at [now]: record
+    its OWD, [max 0 (now - timestamp)], for the Data drained from here
+    on, then drain at its advertised [send_rate] (bytes/s). *)
+
+val req_owd : t -> float
+(** The latest downstream Interest OWD (0 before the first Interest). *)
 
 val rate : t -> float
 val len : t -> int

@@ -732,7 +732,7 @@ let test_send_buffer_rate_limit () =
       ~send:(fun pkt -> sent := (Engine.now engine, pkt) :: !sent)
       ()
   in
-  Send_buffer.set_rate sb 14_150.0;
+  Send_buffer.on_interest sb ~now:0.0 ~timestamp:0.0 ~send_rate:14_150.0;
   (* 10 packets of 1415 B at 14150 B/s: ~1 per 100 ms after the burst. *)
   for i = 0 to 9 do
     ignore
@@ -758,7 +758,7 @@ let test_send_buffer_dedup () =
   in
   (* Drain the initial token burst so subsequent pushes stay queued. *)
   ignore (Send_buffer.push sb (pkt 100_000));
-  Send_buffer.set_rate sb 1_000.0;
+  Send_buffer.on_interest sb ~now:0.0 ~timestamp:0.0 ~send_rate:1_000.0;
   Alcotest.(check bool) "first accepted" true (Send_buffer.push sb (pkt 0));
   Alcotest.(check bool) "dup absorbed" true (Send_buffer.push sb (pkt 0));
   Engine.run ~until:5.0 engine;
@@ -768,7 +768,7 @@ let test_send_buffer_overflow () =
   let engine = Engine.create () in
   let small = { config with Config.send_buffer_capacity = 3000 } in
   let sb = Send_buffer.create engine ~config:small ~send:(fun _ -> ()) () in
-  Send_buffer.set_rate sb 1.0;
+  Send_buffer.on_interest sb ~now:0.0 ~timestamp:0.0 ~send_rate:1.0;
   let push i =
     Send_buffer.push sb
       (Wire.data_packet ~config:small ~src:1 ~dst:2 ~flow:1 ~lo:(i * 1400)
@@ -783,6 +783,33 @@ let test_send_buffer_overflow () =
   ignore (push 2);
   Alcotest.(check bool) "fourth dropped" false (push 3);
   Alcotest.(check int) "drop counted" 1 (Send_buffer.drops sb)
+
+(* A paused buffer restarts on the next Interest's rate, and what that
+   rate releases carries the Interest's own OWD. *)
+let test_send_buffer_interest_owd () =
+  let engine = Engine.create () in
+  let sent = ref [] in
+  let sb =
+    Send_buffer.create engine ~config
+      ~send:(fun pkt -> sent := Wire.req_owd pkt :: !sent)
+      ()
+  in
+  Send_buffer.on_interest sb ~now:0.0 ~timestamp:0.0 ~send_rate:0.0;
+  for i = 0 to 1 do
+    ignore
+      (Send_buffer.push sb
+         (Wire.data_packet ~config ~src:1 ~dst:2 ~flow:1 ~lo:(i * 1400)
+            ~hi:((i + 1) * 1400) ~timestamp:0.0 ~req_owd:0.0 ~first_sent:0.0
+            ~retx:false))
+  done;
+  Alcotest.(check (list (float 0.0))) "burst only, then paused" [ 0.0 ] !sent;
+  ignore
+    (Engine.schedule engine ~after:1.0 (fun () ->
+         Send_buffer.on_interest sb ~now:1.0 ~timestamp:0.75 ~send_rate:1e9));
+  Engine.run engine;
+  Alcotest.(check (list (float 0.0))) "released with this OWD" [ 0.25; 0.0 ]
+    !sent;
+  Alcotest.(check (float 0.0)) "req_owd" 0.25 (Send_buffer.req_owd sb)
 
 (* ------------------------------------------------------------------ *)
 (* Full protocol over a chain *)
@@ -807,7 +834,8 @@ let run_leotp ?(hops = 5) ?(bw_mbps = 20.0) ?(delay = 0.01) ?(plr = 0.0)
 (* Endpoints driven by hand *)
 
 (* Two nodes joined by a fast link: [src]'s packets reach [dst]'s
-   handler, which records what [record] extracts from each. *)
+   handler, which records what [record] extracts from each, given the
+   arrival time. *)
 let endpoint_pair ~record =
   let engine, rng = setup () in
   let src = Node.create ~name:"src" and dst = Node.create ~name:"dst" in
@@ -818,7 +846,9 @@ let endpoint_pair ~record =
   Node.add_route src ~dst:(Node.id dst) d.Topology.fwd;
   let got = ref [] in
   Node.set_handler dst (fun pkt ->
-      (match record pkt with Some x -> got := x :: !got | None -> ());
+      (match record (Engine.now engine) pkt with
+      | Some x -> got := x :: !got
+      | None -> ());
       Leotp_net.Packet_pool.release pkt);
   (engine, src, dst, got)
 
@@ -826,7 +856,7 @@ let endpoint_pair ~record =
    resend both of its Interests at once, highest range first. *)
 let test_consumer_resends_hole_highest_first () =
   let engine, node, producer, got =
-    endpoint_pair ~record:(fun pkt ->
+    endpoint_pair ~record:(fun _ pkt ->
         if Wire.is_interest pkt then Some (Wire.lo pkt, Wire.hi pkt, Wire.retx pkt)
         else None)
   in
@@ -862,7 +892,7 @@ let test_consumer_resends_hole_highest_first () =
    retransmission. *)
 let test_producer_keeps_first_sent () =
   let engine, node, consumer, got =
-    endpoint_pair ~record:(fun pkt ->
+    endpoint_pair ~record:(fun _ pkt ->
         if Wire.is_data pkt then
           Some ((Wire.lo pkt, Wire.first_sent pkt), Wire.retx pkt)
         else None)
@@ -896,6 +926,186 @@ let test_producer_keeps_first_sent () =
     ]
     (List.rev !got);
   Alcotest.(check int) "retransmissions" 2 (Flow_metrics.retransmissions metrics)
+
+(* A Data packet as it reaches the far end of [endpoint_pair]. *)
+type arrival = {
+  range : int;  (** lo / mss *)
+  id : int;
+  stamp : float;  (** the wire timestamp *)
+  owd : float;  (** the carried req_owd *)
+  at : float;  (** arrival time *)
+}
+
+let data_pair () =
+  endpoint_pair ~record:(fun at pkt ->
+      if Wire.is_data pkt then
+        Some
+          {
+            range = Wire.lo pkt / mss;
+            id = pkt.Leotp_net.Packet.id;
+            stamp = Wire.timestamp pkt;
+            owd = Wire.req_owd pkt;
+            at;
+          }
+      else None)
+
+(* The next packet id: every id drawn after this call is larger. *)
+let next_id () =
+  let p =
+    Leotp_net.Packet_pool.acquire ~src:0 ~dst:0 ~flow:0 ~size:1
+      ~kind:Leotp_net.Packet.kind_raw
+  in
+  let id = p.Leotp_net.Packet.id in
+  Leotp_net.Packet_pool.release p;
+  id
+
+(* 10 packets/s: the buffer's 2-MSS burst lets one packet out at once,
+   then the rest wait their turn. *)
+let slow_rate = 14_150.0
+
+let check_arrivals msg ~ranges ~owds got =
+  Alcotest.(check (list int)) (msg ^ ": ranges") ranges
+    (List.map (fun a -> a.range) got);
+  Alcotest.(check (list (float 1e-9))) (msg ^ ": req_owd") owds
+    (List.map (fun a -> a.owd) got)
+
+(* Stamped as it drained: only the fast link's ~12 us lie between the
+   wire timestamp and the arrival. *)
+let check_stamped_at_drain msg a =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: range %d stamped %.6f, arrived %.6f" msg a.range
+       a.stamp a.at)
+    true
+    (a.at -. a.stamp >= 0.0 && a.at -. a.stamp < 1e-4)
+
+(* The sending buffer is the Producer's Responder: Data leaves it with a
+   fresh id, stamped with the time it drains and the OWD of the latest
+   Interest, however long it waited behind the rate limiter. *)
+let test_producer_stamps_at_drain () =
+  let engine, node, consumer, got = data_pair () in
+  let producer =
+    Producer.create engine ~config ~node ~flow:1 ~total_bytes:(10 * mss) ()
+  in
+  let mark = ref max_int in
+  let interest ~at ~sent ~lo ~hi =
+    ignore
+      (Engine.schedule engine ~after:at (fun () ->
+           Producer.handle_interest producer
+             (Wire.interest_packet ~config ~src:(Node.id consumer)
+                ~dst:(Node.id node) ~flow:1 ~lo:(lo * mss) ~hi:(hi * mss)
+                ~timestamp:sent ~send_rate:slow_rate ~retx:false)))
+  in
+  interest ~at:1.0 ~sent:0.9 ~lo:0 ~hi:3;
+  ignore (Engine.schedule engine ~after:1.0 (fun () -> mark := next_id ()));
+  interest ~at:1.05 ~sent:1.03 ~lo:3 ~hi:4;
+  Engine.run ~until:2.0 engine;
+  let got = List.rev !got in
+  check_arrivals "producer" ~ranges:[ 0; 1; 2; 3 ]
+    ~owds:[ 0.1; 0.1; 0.02; 0.02 ] got;
+  List.iter (check_stamped_at_drain "producer") got;
+  List.iter
+    (fun a ->
+      if a.range > 0 then begin
+        Alcotest.(check bool)
+          (Printf.sprintf "range %d waited in the buffer" a.range)
+          true (a.stamp > 1.001);
+        Alcotest.(check bool)
+          (Printf.sprintf "range %d got a fresh id as it drained" a.range)
+          true (a.id > !mark)
+      end)
+    got
+
+(* A Midnode on [endpoint_pair]'s sending side, with helpers that hand
+   it an Interest from the far end or a Data from an upstream Producer.
+   The Producer is unreachable, so forwarded Interests die there. *)
+let producer_id = 99
+
+let midnode_pair cfg =
+  let engine, mid, consumer, got = data_pair () in
+  let (_ : Midnode.t) = Midnode.create engine ~config:cfg ~node:mid () in
+  let at time f = ignore (Engine.schedule engine ~after:time f) in
+  let interest ~sent ~lo ~hi =
+    Node.receive mid
+      (Wire.interest_packet ~config:cfg ~src:(Node.id consumer) ~dst:producer_id
+         ~flow:1 ~lo:(lo * mss) ~hi:(hi * mss) ~timestamp:sent
+         ~send_rate:slow_rate ~retx:false)
+  in
+  let data ~lo =
+    Node.receive mid
+      (Wire.data_packet ~config:cfg ~src:producer_id ~dst:(Node.id consumer)
+         ~flow:1 ~lo:(lo * mss) ~hi:((lo + 1) * mss)
+         ~timestamp:(Engine.now engine) ~req_owd:0.0 ~first_sent:0.0
+         ~retx:false)
+  in
+  (engine, at, interest, data, got)
+
+(* A midnode's sending buffer is the downstream hop's Responder: passing
+   Data leaves it restamped like a Producer's. *)
+let test_midnode_stamps_at_drain () =
+  let engine, at, interest, data, got = midnode_pair config in
+  let mark = ref max_int in
+  at 1.0 (fun () ->
+      interest ~sent:0.97 ~lo:0 ~hi:1;
+      List.iter (fun lo -> data ~lo) [ 0; 1; 2 ];
+      mark := next_id ());
+  at 1.05 (fun () -> interest ~sent:1.04 ~lo:5 ~hi:6);
+  Engine.run ~until:2.0 engine;
+  let got = List.rev !got in
+  check_arrivals "midnode" ~ranges:[ 0; 1; 2 ] ~owds:[ 0.03; 0.03; 0.01 ] got;
+  List.iter (check_stamped_at_drain "midnode") got;
+  List.iter
+    (fun a ->
+      if a.range > 0 then
+        Alcotest.(check bool)
+          (Printf.sprintf "range %d got a fresh id as it drained" a.range)
+          true (a.id > !mark))
+    got
+
+(* Three ranges pass the midnode at 0.5 s, then an Interest stamped
+   0.53 s asks for the first two again at 0.55 s: a cache hit. *)
+let cache_hit_arrivals cfg =
+  let engine, at, interest, data, got = midnode_pair cfg in
+  at 0.5 (fun () -> List.iter (fun lo -> data ~lo) [ 0; 1; 2 ]);
+  at 0.55 (fun () -> interest ~sent:0.53 ~lo:0 ~hi:2);
+  Engine.run ~until:2.0 engine;
+  match List.rev !got with
+  | [ a0; a1; a2; h0; h1 ] ->
+    Alcotest.(check (list int)) "ranges" [ 0; 1; 2; 0; 1 ]
+      (List.map (fun a -> a.range) [ a0; a1; a2; h0; h1 ]);
+    (a2, h0, h1)
+  | got -> Alcotest.failf "expected 5 Data, got %d" (List.length got)
+
+(* Under hop-by-hop control the hit joins the sending buffer behind the
+   range still queued there, paced at the Interest's rate and restamped
+   as it drains. *)
+let test_cache_hit_full () =
+  let queued, h0, h1 = cache_hit_arrivals config in
+  Alcotest.(check bool) "queued behind range 2" true (h0.at > queued.at);
+  List.iter (check_stamped_at_drain "hit") [ h0; h1 ];
+  Alcotest.(check bool)
+    (Printf.sprintf "paced: %.4f s apart" (h1.stamp -. h0.stamp))
+    true
+    (h1.stamp -. h0.stamp > 0.09);
+  Alcotest.(check (list (float 1e-9))) "downstream Interest OWD" [ 0.02; 0.02 ]
+    [ h0.owd; h1.owd ]
+
+(* Under end-to-end control (ablation C) the hit leaves at once with the
+   Interest's own timestamp and OWD. *)
+let test_cache_hit_e2e () =
+  let _, h0, h1 =
+    cache_hit_arrivals (Config.with_ablation Config.E2e_cc config)
+  in
+  Alcotest.(check (list (float 1e-9))) "Interest's timestamp" [ 0.53; 0.53 ]
+    [ h0.stamp; h1.stamp ];
+  Alcotest.(check (list (float 1e-9))) "Interest's OWD" [ 0.02; 0.02 ]
+    [ h0.owd; h1.owd ];
+  List.iter
+    (fun a ->
+      Alcotest.(check bool)
+        (Printf.sprintf "range %d left at once (%.6f)" a.range a.at)
+        true
+        (a.at < 0.55 +. 1e-4))
+    [ h0; h1 ]
 
 let test_transfer_completes () =
   let session, _, _ = run_leotp () in
@@ -1187,11 +1397,21 @@ let () =
           Alcotest.test_case "rate limit" `Quick test_send_buffer_rate_limit;
           Alcotest.test_case "dedup" `Quick test_send_buffer_dedup;
           Alcotest.test_case "overflow" `Quick test_send_buffer_overflow;
+          Alcotest.test_case "Interest OWD stamps what it releases" `Quick
+            test_send_buffer_interest_owd;
         ] );
       ( "protocol",
         [
           Alcotest.test_case "consumer resends a hole highest range first"
             `Quick test_consumer_resends_hole_highest_first;
+          Alcotest.test_case "producer stamps Data as it drains" `Quick
+            test_producer_stamps_at_drain;
+          Alcotest.test_case "midnode stamps Data as it drains" `Quick
+            test_midnode_stamps_at_drain;
+          Alcotest.test_case "cache hit queued and restamped (Full)" `Quick
+            test_cache_hit_full;
+          Alcotest.test_case "cache hit leaves at once (E2e_cc)" `Quick
+            test_cache_hit_e2e;
           Alcotest.test_case "producer keeps first_sent on re-serve" `Quick
             test_producer_keeps_first_sent;
           Alcotest.test_case "transfer completes" `Quick test_transfer_completes;
