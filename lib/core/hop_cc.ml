@@ -13,6 +13,9 @@ type t = {
   mutable bytes_since_adjust : int;
   mutable last_adjust : float;
   mutable next_adjust : float;
+  front : float array;
+      (** one slot a windowed extremum is copied into: a float returned
+          from [Windowed_min] would be boxed *)
 }
 
 let initial_cwnd config = 10.0 *. float_of_int config.Config.mss
@@ -33,26 +36,32 @@ let create ?(pipe_full_exit = true) ~config ~now () =
     bytes_since_adjust = 0;
     last_adjust = now;
     next_adjust = now;
+    front = Array.make 1 0.0;
     } [@leotp.allow "hot-path-may-alloc"])
 
-let hop_rtt t =
-  let v = Leotp_util.Stats.Ewma.value t.rtt_ewma in
-  if Float.is_nan v then None else Some v
+(* The smoothed hopRTT, NaN before the first sample.  The estimator
+   keeps it boxed, so reading it allocates nothing; the helpers below
+   are inlined, so no float they compute crosses a call. *)
+let[@inline] smoothed t = Leotp_util.Stats.Ewma.value t.rtt_ewma
 
-let hop_rtt_min t ~now = Leotp_util.Windowed_min.get t.rtt_min ~now
+(* hopRTT_min into [t.front.(0)]; [false] over an empty window. *)
+let[@inline] read_rtt_min t ~now =
+  Leotp_util.Windowed_min.get_into t.rtt_min ~now t.front 0
+
+(* The recent peak delivery rate, or the smoothed one before any. *)
+let[@inline] peak_thr t ~now =
+  if Leotp_util.Windowed_min.get_into t.thr_max ~now t.front 0 then t.front.(0)
+  else t.thr_ewma
+
 let in_slow_start t = t.slow_start
 let cwnd t = t.cwnd
 
-(* Nested matches, not a tuple pattern: this runs per adjust on the
-   per-Data control path and a 2-tuple scrutinee is a minor-heap
-   allocation. *)
 let queue_len t ~now =
-  match hop_rtt t with
-  | None -> 0.0
-  | Some rtt -> (
-    match hop_rtt_min t ~now with
-    | Some rtt_min -> t.thr_ewma *. Float.max 0.0 (rtt -. rtt_min)
-    | None -> 0.0)
+  let rtt = smoothed t in
+  if Float.is_nan rtt then 0.0
+  else if read_rtt_min t ~now then
+    t.thr_ewma *. Float.max 0.0 (rtt -. t.front.(0))
+  else 0.0
 
 let adjust t ~now =
   let mss = float_of_int t.config.Config.mss in
@@ -80,9 +89,10 @@ let adjust t ~now =
        and exponential growth past ~2.5x of it only builds invisible
        Responder backlog (the queue signal lags the RTT smoothing). *)
     let pipe_full =
-      match hop_rtt t with
-      | Some rtt -> t.thr_ewma > 0.0 && t.cwnd > factor *. t.thr_ewma *. rtt
-      | None -> false
+      let rtt = smoothed t in
+      (not (Float.is_nan rtt))
+      && t.thr_ewma > 0.0
+      && t.cwnd > factor *. t.thr_ewma *. rtt
     in
     if q > m || pipe_full then t.slow_start <- false
     else t.cwnd <- t.cwnd *. 2.0
@@ -90,14 +100,8 @@ let adjust t ~now =
   if not t.slow_start then begin
     if q <= m then t.cwnd <- t.cwnd +. mss
     else begin
-      let thr =
-        Leotp_util.Windowed_min.get_or t.thr_max ~now ~default:t.thr_ewma
-      in
-      let bdp =
-        match hop_rtt_min t ~now with
-        | Some rtt_min -> thr *. rtt_min
-        | None -> t.cwnd
-      in
+      let thr = peak_thr t ~now in
+      let bdp = if read_rtt_min t ~now then thr *. t.front.(0) else t.cwnd in
       t.cwnd <- Float.max (2.0 *. mss) (t.config.Config.k *. bdp)
     end
   end
@@ -112,21 +116,20 @@ let on_data t ~now ~interest_owd ~data_owd ~bytes =
   t.bytes_since_adjust <- t.bytes_since_adjust + bytes;
   if now >= t.next_adjust then begin
     adjust t ~now;
-    let rtt =
-      match hop_rtt t with Some r -> Float.max r 0.002 | None -> 0.01
-    in
+    let r = smoothed t in
+    let rtt = if Float.is_nan r then 0.01 else Float.max r 0.002 in
     t.next_adjust <- now +. rtt
   end
 
-let rate t ~now =
+let[@inline] rate t ~now =
   (* cwnd over the *floor* RTT: dividing by the smoothed RTT would lower
      the advertised rate as queues build, starving the very drain that
      clears them (Vegas's baseRTT argument). *)
   let rtt =
-    match hop_rtt_min t ~now with
-    | Some r -> Float.max r 1e-4
-    | None -> (
-      match hop_rtt t with Some r -> Float.max r 1e-4 | None -> 0.01)
+    if read_rtt_min t ~now then Float.max t.front.(0) 1e-4
+    else
+      let r = smoothed t in
+      if Float.is_nan r then 0.01 else Float.max r 1e-4
   in
   let window_rate = t.cwnd /. rtt in
   (* Never advertise more than 2x the hop's recent peak delivery rate:
@@ -136,7 +139,22 @@ let rate t ~now =
      smoothed rate) is used so that transient pipeline bubbles after a
      window cut do not feed back into a rate collapse.  Reaction to real
      bandwidth drops comes from the QueueLen cut of eq (8). *)
-  let thr =
-    Leotp_util.Windowed_min.get_or t.thr_max ~now ~default:t.thr_ewma
-  in
+  let thr = peak_thr t ~now in
   if thr > 0.0 then Float.min window_rate (2.0 *. thr) else window_rate
+
+(* Eq (9), in the draining form (see the interface). *)
+let[@inline] rate_bp ~config ~buffer_len ~next_hop_rate ~hop_rtt =
+  let bl_tar = float_of_int config.Config.bl_target in
+  let rtt = Float.max hop_rtt 1e-4 in
+  Float.max 0.0 (next_hop_rate +. ((bl_tar -. float_of_int buffer_len) /. rtt))
+
+(* Eq (10), computed here, where cwnd and the hop RTTs live, and written
+   straight into the Interest: returned across modules, the rate would
+   be boxed on every Interest a Midnode forwards. *)
+let advertise t ~now ~buffer_len ~next_hop_rate (pkt : Leotp_net.Packet.t) =
+  let window_rate = rate t ~now in
+  let r = smoothed t in
+  let hop_rtt = if Float.is_nan r then 0.01 else r in
+  pkt.Leotp_net.Packet.f.(Wire.send_rate_slot) <-
+    Float.min window_rate
+      (rate_bp ~config:t.config ~buffer_len ~next_hop_rate ~hop_rtt)

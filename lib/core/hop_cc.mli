@@ -1,4 +1,5 @@
-(** Requester-driven per-hop congestion control (paper §III-C, eqs 6-8).
+(** Requester-driven per-hop congestion control (paper §III-C, eqs 6-8)
+    and the rate the Requester advertises upstream (eqs 9-10).
 
     RTT-based, Vegas-like: per-packet hopRTT = Interest OWD + Data OWD;
     [hopRTT] is an EWMA of the samples and [hopRTT_min] the minimum over
@@ -10,7 +11,13 @@
                | cwnd + MSS        if QueueLen <= M
                | k * BDP           otherwise
 
-    Throughput is the delivery rate the Requester observes on this hop. *)
+    Throughput is the delivery rate the Requester observes on this hop.
+    A Midnode advertises
+
+      rate_bp = rate_next_hop + (BL_tar - BL) / hopRTT          (9)
+      rate    = min (cwnd / hopRTT, rate_bp)                    (10)
+
+    computed here, where cwnd and the hop RTTs live. *)
 
 type t
 
@@ -31,9 +38,36 @@ val cwnd : t -> float
 (** bytes *)
 
 val rate : t -> now:float -> float
-(** cwnd / hopRTT — the window expressed as a rate (input to eq 10). *)
+(** cwnd / hopRTT — the window expressed as a rate (input to eq 10); the
+    Consumer's whole advertised rate, since it has no sending buffer. *)
 
-val hop_rtt : t -> float option
+val rate_bp :
+  config:Config.t ->
+  buffer_len:int ->
+  next_hop_rate:float ->
+  hop_rtt:float ->
+  float
+(** Eq (9), inter-hop rate coordination (paper §III-C): the inflow that
+    brings the sending buffer back to its target length within one
+    hopRTT on top of the current outflow, [next_hop_rate + (BL_tar - BL)
+    / hopRTT], clamped at 0.  (The paper prints eq (9) with [BL -
+    BLtar]; with that sign a growing backlog would {i raise} the
+    requested inflow, the opposite of backpressure — we use the draining
+    form, which also matches the paper's prose "if the downstream
+    sending rate is lower than the upstream, the upstream will decrease
+    its sending rate".) *)
+
+val advertise :
+  t ->
+  now:float ->
+  buffer_len:int ->
+  next_hop_rate:float ->
+  Leotp_net.Packet.t ->
+  unit
+(** Eq (10), [min (rate, rate_bp)] with the smoothed hopRTT (10 ms
+    before the first sample), written into the send-rate field of the
+    Interest a Midnode sends upstream; [buffer_len] and [next_hop_rate]
+    are its sending buffer's.  Allocates nothing. *)
 
 val queue_len : t -> now:float -> float
 (** eq (7) estimate, bytes *)

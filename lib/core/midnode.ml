@@ -62,12 +62,13 @@ let get_flow t ~flow ~consumer ~producer =
     fs
 [@@leotp.allow "hot-path-may-alloc"]
 
-(* Upstream advertised rate: eq (10) = min(cwnd/hopRTT, rate_bp). *)
-let upstream_rate t fs =
-  Backpressure.advertised_rate ~config:t.config ~cc:fs.cc
-    ~now:(Engine.now t.engine)
+(* Write the upstream advertised rate, eq (10) = min(cwnd/hopRTT,
+   rate_bp), into an Interest this hop sends upstream. *)
+let advertise t fs pkt =
+  Hop_cc.advertise fs.cc ~now:(Engine.now t.engine)
     ~buffer_len:(Send_buffer.len fs.buffer)
     ~next_hop_rate:(Send_buffer.rate fs.buffer)
+    pkt
 
 let send_vph t fs ~lo ~hi =
   let now = Engine.now t.engine in
@@ -86,10 +87,13 @@ let rec send_shr_interest t fs ~lo ~hi =
     let now = Engine.now t.engine in
     let chunk_hi = min hi (lo + t.config.Config.mss) in
     fs.shr_interests <- fs.shr_interests + 1;
-    Node.send t.node
-      (Wire.interest_packet ~config:t.config ~src:fs.consumer ~dst:fs.producer
-         ~flow:fs.flow ~lo ~hi:chunk_hi ~timestamp:now
-         ~send_rate:(upstream_rate t fs) ~retx:true);
+    let interest =
+      Wire.interest_packet ~config:t.config ~src:fs.consumer ~dst:fs.producer
+        ~flow:fs.flow ~lo ~hi:chunk_hi ~timestamp:now ~send_rate:0.0
+        ~retx:true
+    in
+    advertise t fs interest;
+    Node.send t.node interest;
     send_shr_interest t fs ~lo:chunk_hi ~hi
   end
 
@@ -152,8 +156,8 @@ let handle_interest t pkt =
       (* Re-originate upstream with this hop's timestamp and rate (a
          fresh id in place, like the re-constructed packet it
          replaces). *)
-      Wire.reoriginate_interest pkt ~timestamp:now
-        ~send_rate:(upstream_rate t fs);
+      Wire.reoriginate_interest pkt ~timestamp:now;
+      advertise t fs pkt;
       Node.send t.node pkt
     end
     else begin
@@ -164,17 +168,19 @@ let handle_interest t pkt =
 
 (* Multicast fan-out: every other consumer waiting on the range gets a
    copy of the passing Data (the packet itself continues to its own
-   destination). *)
-let rec fan_out t fs pkt ~now = function
-  | [] -> ()
-  | consumer :: rest ->
+   destination), walking [Pit.satisfy]'s [n] waiters from [i], newest
+   first. *)
+let rec fan_out t fs pkt ~now i n =
+  if i < n then begin
+    let consumer = Pit.waiter t.pit i in
     if consumer <> pkt.Packet.dst then
       Node.send t.node
         (Wire.data_packet ~config:t.config ~src:pkt.Packet.src ~dst:consumer
            ~flow:fs.flow ~lo:(Wire.lo pkt) ~hi:(Wire.hi pkt) ~timestamp:now
            ~req_owd:(Send_buffer.req_owd fs.buffer)
            ~first_sent:(Wire.first_sent pkt) ~retx:(Wire.retx pkt));
-    fan_out t fs pkt ~now rest
+    fan_out t fs pkt ~now (i + 1) n
+  end
 
 (* SHR's new holes are announced downstream at once. *)
 let rec announce_holes t fs = function
@@ -216,7 +222,7 @@ let handle_data t pkt =
   if Config.caches_enabled t.config then begin
     if not is_vph then begin
       Cache.insert t.cache ~flow ~lo ~hi ~first_sent ~retx;
-      fan_out t fs pkt ~now (Pit.satisfy t.pit ~now ~flow ~lo ~hi)
+      fan_out t fs pkt ~now 0 (Pit.satisfy t.pit ~now ~flow ~lo ~hi)
     end;
     let actions = Shr.on_packet fs.shr ~lo ~hi in
     announce_holes t fs actions.Shr.new_holes;

@@ -9,7 +9,11 @@
     when the Data passes through, every waiting consumer other than the
     packet's own destination gets a copy from the cache path.  Entries
     expire so a lost response does not pin state forever (the consumers'
-    TR re-requests will re-create them). *)
+    TR re-requests will re-create them).
+
+    Entries live in a {!Leotp_util.Range_table} keyed by [(flow, lo,
+    hi)], so a warm registration and its satisfaction allocate nothing;
+    only a second consumer joining a pending range takes a list cell. *)
 
 type t
 
@@ -22,9 +26,15 @@ val register : t -> now:float -> flow:int -> lo:int -> hi:int -> consumer:int ->
     is a fresh entry (forward the Interest upstream) and [false] when the
     range was already pending (block the duplicate). *)
 
-val satisfy : t -> now:float -> flow:int -> lo:int -> hi:int -> int list
-(** Data for the range arrived: return the waiting consumers and drop the
-    entry.  Expired entries are ignored. *)
+val satisfy : t -> now:float -> flow:int -> lo:int -> hi:int -> int
+(** Data for the range arrived: drop the entry and return how many
+    consumers wait on it (0 for an expired or absent entry); {!waiter}
+    reads them back. *)
+
+val waiter : t -> int -> int
+(** [waiter t i], for [0 <= i <] the last {!satisfy}'s count, is its
+    [i]-th waiting consumer, newest first (the first registrant last).
+    Valid until the next [satisfy]. *)
 
 val pending : t -> int
 

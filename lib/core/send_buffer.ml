@@ -9,10 +9,14 @@ type t = {
   send : Packet.t -> unit;
   queue : Pkt_queue.t;
   bucket : Leotp_util.Token_bucket.t;
-  queued_names : (int * int * int, unit) Hashtbl.t;
+  mutable rate : float;
+      (** the bucket's rate, kept boxed here too: the bucket's record is
+          all floats, so reading the rate from it would box a copy on
+          every Interest the node forwards *)
+  queued_names : Leotp_util.Range_table.t;
       (* Interest aggregation: a data range already waiting in the buffer
          is not enqueued twice (re-requests would otherwise multiply
-         under timeout retransmission). *)
+         under timeout retransmission).  A set of (flow, lo, hi). *)
   mutable queued_bytes : int;
   mutable drops : int;
   mutable req_owd : float;  (** latest downstream Interest OWD *)
@@ -21,12 +25,11 @@ type t = {
 
 (* Only real Data carries a dedup name; VPHs and Interests pass through. *)
 let has_name pkt = pkt.Packet.kind = Wire.kind_data && pkt.Packet.i2 > 0
-(* One 3-word tuple per named-Data dedup lookup: the aggregation table is
-   keyed on (flow, lo, hi) and packing three unbounded ints into one word
-   would invite collisions. *)
-let name_key pkt =
-  ((pkt.Packet.flow, pkt.Packet.i0, pkt.Packet.i1)
-  [@leotp.allow "hot-path-may-alloc"])
+
+(* The slot of a named packet's name, or -1 when it is not queued. *)
+let name_slot t pkt =
+  Leotp_util.Range_table.find t.queued_names ~flow:pkt.Packet.flow
+    ~lo:pkt.Packet.i0 ~hi:pkt.Packet.i1
 
 let rec drain t =
   if not (Pkt_queue.is_empty t.queue) then begin
@@ -35,7 +38,10 @@ let rec drain t =
     if Leotp_util.Token_bucket.try_consume t.bucket ~now pkt.Packet.size then begin
       ignore (Pkt_queue.pop t.queue);
       t.queued_bytes <- t.queued_bytes - pkt.Packet.size;
-      if has_name pkt then Hashtbl.remove t.queued_names (name_key pkt);
+      if has_name pkt then begin
+        let s = name_slot t pkt in
+        if s >= 0 then Leotp_util.Range_table.remove t.queued_names s
+      end;
       (* The wire timestamp is "when the packet is sent by the previous
          node" (Table I), so Data is stamped here, not when it was pushed:
          its wait in the buffer must stay invisible to the hopRTT
@@ -60,18 +66,19 @@ let rec drain t =
    so the record starts with a stand-in timer that is replaced before
    [create] returns. *)
 let create engine ~config ~send () =
+  let rate = 10.0 *. float_of_int config.Config.mss in
   let t =
     {
       engine;
       config;
       send;
       queue = Pkt_queue.create ();
-      queued_names = Hashtbl.create 64;
+      queued_names = Leotp_util.Range_table.create ();
       bucket =
-        Leotp_util.Token_bucket.create
-          ~rate:(10.0 *. float_of_int config.Config.mss)
+        Leotp_util.Token_bucket.create ~rate
           ~burst:(2.0 *. float_of_int config.Config.mss)
           ~now:(Engine.now engine);
+      rate;
       queued_bytes = 0;
       drops = 0;
       req_owd = 0.0;
@@ -86,7 +93,7 @@ let create engine ~config ~send () =
    go back to the pool here, queued packets die later in [t.send]'s
    downstream or in [clear]. *)
 let push t pkt =
-  if has_name pkt && Hashtbl.mem t.queued_names (name_key pkt) then begin
+  if has_name pkt && name_slot t pkt >= 0 then begin
     (* Already queued: absorb the duplicate. *)
     Pool.release pkt;
     true
@@ -98,7 +105,10 @@ let push t pkt =
     false
   end
   else begin
-    if has_name pkt then Hashtbl.replace t.queued_names (name_key pkt) ();
+    if has_name pkt then
+      ignore
+        (Leotp_util.Range_table.add t.queued_names ~flow:pkt.Packet.flow
+           ~lo:pkt.Packet.i0 ~hi:pkt.Packet.i1);
     Pkt_queue.push t.queue pkt;
     t.queued_bytes <- t.queued_bytes + pkt.Packet.size;
     drain t;
@@ -109,11 +119,12 @@ let push t pkt =
    released by this very Interest already carries it. *)
 let on_interest t ~now ~timestamp ~send_rate =
   t.req_owd <- Float.max 0.0 (now -. timestamp);
-  Leotp_util.Token_bucket.set_rate t.bucket ~now (Float.max 0.0 send_rate);
+  t.rate <- Float.max 0.0 send_rate;
+  Leotp_util.Token_bucket.set_rate t.bucket ~now t.rate;
   if not (Pkt_queue.is_empty t.queue) then drain t
 
 let req_owd t = t.req_owd
-let rate t = Leotp_util.Token_bucket.rate t.bucket
+let rate t = t.rate
 let len t = t.queued_bytes
 let drops t = t.drops
 
@@ -121,5 +132,5 @@ let clear t =
   Engine.cancel t.drain_timer;
   Pkt_queue.iter (fun pkt -> Pool.release pkt) t.queue;
   Pkt_queue.clear t.queue;
-  Hashtbl.reset t.queued_names;
+  Leotp_util.Range_table.clear t.queued_names;
   t.queued_bytes <- 0

@@ -31,6 +31,10 @@ module Pool = Leotp_net.Packet_pool
 let kind_interest = 1
 let kind_data = 2
 
+(* The Interest's send-rate slot, also written in place by the
+   Requester that computes it (Hop_cc.advertise). *)
+let send_rate_slot = 1
+
 let interest_packet ~config ~src ~dst ~flow ~lo ~hi ~timestamp ~send_rate
     ~retx =
   let p =
@@ -40,7 +44,7 @@ let interest_packet ~config ~src ~dst ~flow ~lo ~hi ~timestamp ~send_rate
   p.Packet.i0 <- lo;
   p.Packet.i1 <- hi;
   p.Packet.f.(0) <- timestamp;
-  p.Packet.f.(1) <- send_rate;
+  p.Packet.f.(send_rate_slot) <- send_rate;
   Packet.set_flag p Packet.flag_retx retx;
   p
 
@@ -77,7 +81,7 @@ let lo (p : Packet.t) = p.Packet.i0
 let hi (p : Packet.t) = p.Packet.i1
 let length (p : Packet.t) = p.Packet.i2  (* Data only *)
 let timestamp (p : Packet.t) = p.Packet.f.(0)
-let send_rate (p : Packet.t) = p.Packet.f.(1)  (* Interest only *)
+let send_rate (p : Packet.t) = p.Packet.f.(send_rate_slot)  (* Interest only *)
 let req_owd (p : Packet.t) = p.Packet.f.(1)  (* Data only *)
 let first_sent (p : Packet.t) = p.Packet.f.(2)  (* Data only *)
 let retx (p : Packet.t) = Packet.get_flag p Packet.flag_retx
@@ -87,15 +91,15 @@ let is_vph (p : Packet.t) = p.Packet.kind = kind_data && p.Packet.i2 = 0
 
 (* In-place re-origination.  The wire timestamp is "when the packet is
    sent by the previous node" (Table I): Data is restamped when it leaves
-   a sending buffer, Interests when a Midnode re-issues them upstream.
-   Each consumes a fresh id, exactly like the re-constructed packet it
+   a sending buffer, Interests when a Midnode re-issues them upstream
+   (whose Requester then writes its own rate, Hop_cc.advertise).  Each
+   consumes a fresh id, exactly like the re-constructed packet it
    replaces — the trace digests depend on that sequence. *)
 let restamp_data p ~timestamp ~req_owd =
   Packet.assign_fresh_id p;
   p.Packet.f.(0) <- timestamp;
   p.Packet.f.(1) <- req_owd
 
-let reoriginate_interest p ~timestamp ~send_rate =
+let reoriginate_interest p ~timestamp =
   Packet.assign_fresh_id p;
-  p.Packet.f.(0) <- timestamp;
-  p.Packet.f.(1) <- send_rate
+  p.Packet.f.(0) <- timestamp

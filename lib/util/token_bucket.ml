@@ -21,8 +21,6 @@ let set_rate t ~now r =
   refill t now;
   t.rate <- Float.max 0.0 r
 
-let rate t = t.rate
-
 (* A little float slack: without it a residual deficit of ~1e-10 tokens
    yields a wait below the clock's resolution and a scheduler livelock. *)
 let slack = 1e-6

@@ -12,8 +12,6 @@ val create : rate:float -> burst:float -> now:float -> t
 val set_rate : t -> now:float -> float -> unit
 (** Update the refill rate (tokens accrued so far at the old rate are kept). *)
 
-val rate : t -> float
-
 val try_consume : t -> now:float -> int -> bool
 (** Take [n] tokens if available; returns whether it succeeded. *)
 

@@ -67,10 +67,14 @@ let add t ~now v =
   t.len <- t.len + 1;
   expire t now
 
-let get t ~now =
-  expire t now;
-  if t.len = 0 then None else Some t.vs.(t.head)
-
 let get_or t ~now ~default =
   expire t now;
   if t.len = 0 then default else t.vs.(t.head)
+
+let get_into t ~now dst i =
+  expire t now;
+  if t.len = 0 then false
+  else begin
+    dst.(i) <- t.vs.(t.head);
+    true
+  end

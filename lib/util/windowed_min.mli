@@ -17,5 +17,12 @@ val set_window : t -> float -> unit
     whose span follows the measured RTT). *)
 
 val add : t -> now:float -> float -> unit
-val get : t -> now:float -> float option
+
 val get_or : t -> now:float -> default:float -> float
+(** The extremum over the window, or [default] when it is empty. *)
+
+val get_into : t -> now:float -> float array -> int -> bool
+(** [get_into t ~now dst i] copies the extremum into [dst.(i)] and
+    returns [true], or returns [false] over an empty window, leaving
+    [dst] alone.  It allocates nothing, where a float returned from
+    another module (as {!get_or}'s is) is boxed. *)

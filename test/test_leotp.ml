@@ -168,6 +168,109 @@ let test_interval_set_add_allocates_nothing () =
   Alcotest.(check (float 0.0)) "insert between spans" 0.0 (insert -. idle);
   Alcotest.(check (float 0.0)) "merge" 0.0 (merge -. idle)
 
+(* Minor words [f] allocates, net of the measurement itself. *)
+let minor_words f =
+  let words g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  words f -. words ignore
+
+(* A warm registration and its satisfaction allocate nothing: the PIT's
+   table has grown, and its key and payload sit in place. *)
+let test_pit_allocates_nothing () =
+  let pit = Pit.create ~expiry:1.0 () in
+  let range i = (i * 1400, (i + 1) * 1400) in
+  for i = 0 to 9 do
+    let lo, hi = range i in
+    ignore (Pit.register pit ~now:0.5 ~flow:1 ~lo ~hi ~consumer:7)
+  done;
+  for i = 0 to 9 do
+    let lo, hi = range i in
+    ignore (Pit.satisfy pit ~now:0.5 ~flow:1 ~lo ~hi)
+  done;
+  let lo, hi = range 20 in
+  let now = 0.75 in
+  let forwarded = ref false and waiting = ref 0 in
+  let w =
+    minor_words (fun () ->
+        forwarded := Pit.register pit ~now ~flow:1 ~lo ~hi ~consumer:7;
+        waiting := Pit.satisfy pit ~now ~flow:1 ~lo ~hi)
+  in
+  Alcotest.(check bool) "forwarded" true !forwarded;
+  Alcotest.(check int) "one waiter" 1 !waiting;
+  Alcotest.(check int) "the registrant" 7 (Pit.waiter pit 0);
+  Alcotest.(check (float 0.0)) "words" 0.0 w
+
+let data_packet i =
+  Wire.data_packet ~config ~src:1 ~dst:2 ~flow:1 ~lo:(i * 1400)
+    ~hi:((i + 1) * 1400) ~timestamp:0.0 ~req_owd:0.0 ~first_sent:0.0
+    ~retx:false
+
+(* A warm push of new Data that drains at once allocates nothing: the
+   name goes into the dedup table and out again as the packet leaves. *)
+let test_send_buffer_push_allocates_nothing () =
+  let engine = Engine.create () in
+  let sent = ref 0 in
+  let sb =
+    Send_buffer.create engine ~config
+      ~send:(fun pkt ->
+        incr sent;
+        Leotp_net.Packet_pool.release pkt)
+      ()
+  in
+  Send_buffer.on_interest sb ~now:0.0 ~timestamp:0.0 ~send_rate:1e9;
+  for i = 0 to 9 do
+    ignore (Send_buffer.push sb (data_packet i))
+  done;
+  Engine.run ~until:1.0 engine;
+  let pkt = data_packet 10 in
+  let w = minor_words (fun () -> ignore (Send_buffer.push sb pkt)) in
+  Alcotest.(check int) "all drained" 11 !sent;
+  Alcotest.(check int) "buffer empty" 0 (Send_buffer.len sb);
+  Alcotest.(check (float 0.0)) "words" 0.0 w
+
+(* Absorbing a duplicate of a queued range allocates nothing. *)
+let test_send_buffer_duplicate_allocates_nothing () =
+  let engine = Engine.create () in
+  let sb =
+    Send_buffer.create engine ~config ~send:Leotp_net.Packet_pool.release ()
+  in
+  Send_buffer.on_interest sb ~now:0.0 ~timestamp:0.0 ~send_rate:0.0;
+  for i = 0 to 3 do
+    ignore (Send_buffer.push sb (data_packet i))
+  done;
+  let queued = Send_buffer.len sb in
+  let dup = data_packet 3 in
+  let absorbed = ref false in
+  let w = minor_words (fun () -> absorbed := Send_buffer.push sb dup) in
+  Alcotest.(check bool) "absorbed" true !absorbed;
+  Alcotest.(check int) "nothing queued" queued (Send_buffer.len sb);
+  Alcotest.(check (float 0.0)) "words" 0.0 w;
+  Send_buffer.clear sb
+
+(* Writing eq (10) into an Interest allocates nothing once both windowed
+   filters hold samples. *)
+let test_advertise_allocates_nothing () =
+  let cc = Hop_cc.create ~config ~now:0.0 () in
+  for i = 1 to 50 do
+    Hop_cc.on_data cc ~now:(0.02 *. float_of_int i) ~interest_owd:0.01
+      ~data_owd:0.01 ~bytes:14_000
+  done;
+  let p =
+    Wire.interest_packet ~config ~src:1 ~dst:2 ~flow:1 ~lo:0 ~hi:1400
+      ~timestamp:0.0 ~send_rate:0.0 ~retx:false
+  in
+  let now = 1.0 and next_hop_rate = 1e6 in
+  let w =
+    minor_words (fun () ->
+        Hop_cc.advertise cc ~now ~buffer_len:5_000 ~next_hop_rate p)
+  in
+  Alcotest.(check bool) "a positive rate" true (Wire.send_rate p > 0.0);
+  Alcotest.(check (float 0.0)) "words" 0.0 w;
+  Leotp_net.Packet_pool.release p
+
 (* Byte-set model of the cache: blocks keyed by (flow, block index),
    most recently used first, each with its present bytes and its
    (start, first_sent, retx) insertions, newest first. *)
@@ -678,18 +781,27 @@ let test_hop_cc_queue_estimate () =
   let cc = Hop_cc.create ~config ~now:0.0 () in
   feed_cc cc ~n:50 ~rtt:0.02 ~bytes:20_000 ~start:0.0;
   (* ~1 MB/s at baseline 20 ms: no queue. *)
-  Alcotest.(check bool) "no queue at baseline" true (Hop_cc.queue_len cc ~now:1.0 < 10_000.0);
-  ignore (Hop_cc.hop_rtt cc)
+  Alcotest.(check bool) "no queue at baseline" true (Hop_cc.queue_len cc ~now:1.0 < 10_000.0)
+
+(* Eq (10) as a Midnode advertises it, read back from the Interest. *)
+let advertised cc ~now ~buffer_len ~next_hop_rate =
+  let p =
+    Wire.interest_packet ~config ~src:1 ~dst:2 ~flow:1 ~lo:0 ~hi:1400
+      ~timestamp:0.0 ~send_rate:0.0 ~retx:false
+  in
+  Hop_cc.advertise cc ~now ~buffer_len ~next_hop_rate p;
+  let rate = Wire.send_rate p in
+  Leotp_net.Packet_pool.release p;
+  rate
 
 let test_backpressure_signs () =
   let cc = Hop_cc.create ~config ~now:0.0 () in
   feed_cc cc ~n:50 ~rtt:0.02 ~bytes:20_000 ~start:0.0;
   let empty =
-    Backpressure.advertised_rate ~config ~cc ~now:1.0 ~buffer_len:0
-      ~next_hop_rate:1_000_000.0
+    advertised cc ~now:1.0 ~buffer_len:0 ~next_hop_rate:1_000_000.0
   in
   let full =
-    Backpressure.advertised_rate ~config ~cc ~now:1.0
+    advertised cc ~now:1.0
       ~buffer_len:(10 * config.Config.bl_target)
       ~next_hop_rate:1_000_000.0
   in
@@ -701,18 +813,18 @@ let test_backpressure_signs () =
 let test_backpressure_formula () =
   (* Direct check of eq (9) with the draining sign. *)
   let r =
-    Backpressure.rate_bp ~config ~buffer_len:config.Config.bl_target
+    Hop_cc.rate_bp ~config ~buffer_len:config.Config.bl_target
       ~next_hop_rate:500_000.0 ~hop_rtt:0.02
   in
   Alcotest.(check (float 1e-6)) "at target: rate = next hop rate" 500_000.0 r;
   let low =
-    Backpressure.rate_bp ~config ~buffer_len:(2 * config.Config.bl_target)
+    Hop_cc.rate_bp ~config ~buffer_len:(2 * config.Config.bl_target)
       ~next_hop_rate:500_000.0 ~hop_rtt:0.02
   in
   (* 500 KB/s - 40 KB / 20 ms would be negative: clamped to a full stop. *)
   Alcotest.(check (float 1e-6)) "above target: clamped drain" 0.0 low;
   let mild =
-    Backpressure.rate_bp ~config
+    Hop_cc.rate_bp ~config
       ~buffer_len:(config.Config.bl_target + 4_000)
       ~next_hop_rate:500_000.0 ~hop_rtt:0.02
   in
@@ -1297,7 +1409,7 @@ let backpressure_monotone_prop =
         (pair (float_range 1000.0 5e6) (float_range 0.002 0.3)))
     (fun (bl1, bl2, (next_rate, rtt)) ->
       let r b =
-        Backpressure.rate_bp ~config ~buffer_len:b ~next_hop_rate:next_rate
+        Hop_cc.rate_bp ~config ~buffer_len:b ~next_hop_rate:next_rate
           ~hop_rtt:rtt
       in
       let lo = min bl1 bl2 and hi = max bl1 bl2 in
@@ -1366,6 +1478,11 @@ let () =
           Alcotest.test_case "keys outside the packable range" `Quick
             test_cache_key_range;
         ] );
+      ( "pit",
+        [
+          Alcotest.test_case "warm register and satisfy allocate nothing"
+            `Quick test_pit_allocates_nothing;
+        ] );
       ( "lru",
         [
           Alcotest.test_case "basic" `Quick test_lru_basic;
@@ -1391,6 +1508,8 @@ let () =
           Alcotest.test_case "eq (9)" `Quick test_backpressure_formula;
           qc hop_cc_invariants_prop;
           qc backpressure_monotone_prop;
+          Alcotest.test_case "advertise allocates nothing" `Quick
+            test_advertise_allocates_nothing;
         ] );
       ( "send_buffer",
         [
@@ -1399,6 +1518,10 @@ let () =
           Alcotest.test_case "overflow" `Quick test_send_buffer_overflow;
           Alcotest.test_case "Interest OWD stamps what it releases" `Quick
             test_send_buffer_interest_owd;
+          Alcotest.test_case "warm push allocates nothing" `Quick
+            test_send_buffer_push_allocates_nothing;
+          Alcotest.test_case "absorbed duplicate allocates nothing" `Quick
+            test_send_buffer_duplicate_allocates_nothing;
         ] );
       ( "protocol",
         [

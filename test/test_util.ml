@@ -537,22 +537,27 @@ let bucket_rate_prop =
 (* ------------------------------------------------------------------ *)
 (* Windowed_min *)
 
+(* The extremum over the window, as an option. *)
+let windowed_get w ~now =
+  let out = [| 0.0 |] in
+  if Windowed_min.get_into w ~now out 0 then Some out.(0) else None
+
 let test_windowed_min () =
   let w = Windowed_min.create_min ~window:5.0 in
-  Alcotest.(check (option (float 1e-9))) "empty" None (Windowed_min.get w ~now:0.0);
+  Alcotest.(check (option (float 1e-9))) "empty" None (windowed_get w ~now:0.0);
   Windowed_min.add w ~now:0.0 10.0;
   Windowed_min.add w ~now:1.0 5.0;
   Windowed_min.add w ~now:2.0 8.0;
   Alcotest.(check (option (float 1e-9)))
     "min" (Some 5.0)
-    (Windowed_min.get w ~now:2.0);
+    (windowed_get w ~now:2.0);
   (* The 5.0 sample at t=1 expires after t=6. *)
   Alcotest.(check (option (float 1e-9)))
     "expired min" (Some 8.0)
-    (Windowed_min.get w ~now:6.5);
+    (windowed_get w ~now:6.5);
   Alcotest.(check (option (float 1e-9)))
     "all expired" None
-    (Windowed_min.get w ~now:100.0);
+    (windowed_get w ~now:100.0);
   check_float "default" 42.0 (Windowed_min.get_or w ~now:100.0 ~default:42.0)
 
 let test_windowed_max () =
@@ -562,10 +567,10 @@ let test_windowed_max () =
   Windowed_min.add w ~now:2.0 8.0;
   Alcotest.(check (option (float 1e-9)))
     "max" (Some 50.0)
-    (Windowed_min.get w ~now:2.0);
+    (windowed_get w ~now:2.0);
   Alcotest.(check (option (float 1e-9)))
     "after expiry" (Some 8.0)
-    (Windowed_min.get w ~now:6.5)
+    (windowed_get w ~now:6.5)
 
 let windowed_max_prop =
   let open QCheck2 in
@@ -588,7 +593,7 @@ let windowed_max_prop =
               !hist
             |> List.fold_left Float.max Float.neg_infinity
           in
-          match Windowed_min.get w ~now:!now with
+          match windowed_get w ~now:!now with
           | Some m -> Float.abs (m -. expect) < 1e-9
           | None -> false)
         steps)
@@ -612,7 +617,7 @@ let windowed_min_prop =
               !hist
             |> List.fold_left Float.min Float.infinity
           in
-          match Windowed_min.get w ~now:!now with
+          match windowed_get w ~now:!now with
           | Some m -> Float.abs (m -. expect) < 1e-9
           | None -> false)
         steps)
@@ -849,6 +854,120 @@ let test_seg_store_allocates_nothing () =
   Alcotest.(check (float 0.0)) "remove" 0.0 (remove -. idle);
   Alcotest.(check (float 0.0)) "push_back" 0.0 (push -. idle)
 
+(* ------------------------------------------------------------------ *)
+(* Range_table *)
+
+(* Scripts over 4 flows x 16 ranges (up to 64 live keys, so the table
+   grows from 16 to 128 slots and removals shift long clusters back),
+   compared after every op with an association list holding each key's
+   stamp, value and further values: every key's slot and payload, an
+   absent key's [-1], and the length. *)
+let range_table_model_prop =
+  let open QCheck2 in
+  let key = Gen.(pair (int_range 0 3) (int_range 0 15)) in
+  let op =
+    Gen.(
+      frequency
+        [
+          (6, map (fun k -> `Add k) key);
+          (2, map2 (fun k v -> `More (k, v)) key (int_range 0 9));
+          (4, map (fun k -> `Remove k) key);
+          (1, pure `Clear);
+        ])
+  in
+  Test.make ~name:"range_table matches association-list model" ~count:300
+    Gen.(list_size (int_range 1 400) op)
+    (fun ops ->
+      let t = Range_table.create () in
+      let model = ref [] in
+      let bounds (f, r) = (f, r * 1400, (r + 1) * 1400) in
+      let slot k =
+        let flow, lo, hi = bounds k in
+        Range_table.find t ~flow ~lo ~hi
+      in
+      let stamp = ref 0.0 in
+      let apply = function
+        | `Add k when not (List.mem_assoc k !model) ->
+          let flow, lo, hi = bounds k in
+          let s = Range_table.add t ~flow ~lo ~hi in
+          stamp := !stamp +. 1.0;
+          Range_table.set t s ~stamp:!stamp ~value:(fst k);
+          model := (k, (!stamp, fst k, [])) :: !model
+        | `Add _ -> ()
+        | `More (k, v) -> (
+          match List.assoc_opt k !model with
+          | Some (st, value, more) ->
+            Range_table.push_more t (slot k) v;
+            model := (k, (st, value, v :: more)) :: List.remove_assoc k !model
+          | None -> ())
+        | `Remove k ->
+          if List.mem_assoc k !model then begin
+            Range_table.remove t (slot k);
+            model := List.remove_assoc k !model
+          end
+        | `Clear ->
+          Range_table.clear t;
+          model := []
+      in
+      let agrees () =
+        Range_table.length t = List.length !model
+        && List.for_all
+             (fun (f, r) ->
+               let s = slot (f, r) in
+               match List.assoc_opt (f, r) !model with
+               | None -> s = -1
+               | Some (st, value, more) ->
+                 s >= 0
+                 && Range_table.flow t s = f
+                 && Range_table.lo t s = r * 1400
+                 && Range_table.hi t s = (r + 1) * 1400
+                 && Range_table.value t s = value
+                 && Range_table.more t s = more
+                 && Float.equal (Range_table.age t s ~now:!stamp) (!stamp -. st)
+                 && Range_table.younger t s ~now:!stamp ~than:(!stamp -. st +. 0.5)
+                 && not (Range_table.younger t s ~now:!stamp ~than:(!stamp -. st)))
+             (List.concat_map (fun f -> List.init 16 (fun r -> (f, r))) [ 0; 1; 2; 3 ])
+      in
+      List.for_all (fun op -> apply op; agrees ()) ops)
+
+(* Warm operations on a table whose arrays have grown allocate nothing:
+   adds with their payloads, lookups, and removals, which at this load
+   shift clusters back. *)
+let test_range_table_allocates_nothing () =
+  let t = Range_table.create () in
+  let fill () =
+    for i = 0 to 29 do
+      let s =
+        Range_table.add t ~flow:(1 + (i mod 3)) ~lo:(i * 1400)
+          ~hi:((i + 1) * 1400)
+      in
+      Range_table.set t s ~stamp:2.5 ~value:i
+    done
+  in
+  let empty_out () =
+    for i = 0 to 29 do
+      Range_table.remove t
+        (Range_table.find t ~flow:(1 + (i mod 3)) ~lo:(i * 1400)
+           ~hi:((i + 1) * 1400))
+    done
+  in
+  fill ();
+  empty_out ();
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let filled = words fill -. words ignore in
+  Alcotest.(check int) "length" 30 (Range_table.length t);
+  Alcotest.(check int) "value" 17
+    (Range_table.value t
+       (Range_table.find t ~flow:3 ~lo:(17 * 1400) ~hi:(18 * 1400)));
+  let emptied = words empty_out -. words ignore in
+  Alcotest.(check int) "emptied" 0 (Range_table.length t);
+  Alcotest.(check (float 0.0)) "adds" 0.0 filled;
+  Alcotest.(check (float 0.0)) "removals" 0.0 emptied
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "leotp_util"
@@ -863,6 +982,12 @@ let () =
           qc ivs_model_prop;
           qc ivs_cardinal_prop;
           qc ivs_model_queries_prop;
+        ] );
+      ( "range_table",
+        [
+          qc range_table_model_prop;
+          Alcotest.test_case "warm ops allocate nothing" `Quick
+            test_range_table_allocates_nothing;
         ] );
       ( "seg_store",
         [
