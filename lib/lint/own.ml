@@ -26,9 +26,9 @@
        (closures, tuples, records, list cells, lazy blocks, known
        allocating stdlib calls, partial application of known functions)
        and walks them from the per-packet hot roots: the engine
-       dispatch loop, [Shr.on_packet], [Seg_store] scans, [Pkt_queue]
-       and the packet pool itself, plus literal closures handed to
-       [Engine.schedule]/[schedule_at]/[timer]/[handler],
+       dispatch loop, [Shr.on_packet], [Seg_store]'s rank operations,
+       [Pkt_queue] and the packet pool itself, plus literal closures
+       handed to [Engine.schedule]/[schedule_at]/[timer]/[handler],
        [Node.set_handler] and [Link.set_sink] inside the datapath
        directories.  Error paths
        ([raise]/[failwith]/[invalid_arg]/[assert]) and debug-guarded
@@ -85,8 +85,8 @@ let rules =
        parameter the function does not have" );
     ( alloc_id,
       "a function reachable from the per-packet hot roots (engine dispatch, \
-       Shr.on_packet, Seg_store scans, the packet pool, datapath timer \
-       closures) may allocate: closures, tuples, records, list cells, \
+       Shr.on_packet, Seg_store rank operations, the packet pool, datapath \
+       timer closures) may allocate: closures, tuples, records, list cells, \
        allocating stdlib calls or partial application (interprocedural)" );
     ( taint_id,
       "sim-time code (lib/ outside lib/lint) reaches a wall-clock read, \
@@ -152,11 +152,11 @@ let hot_root_defs =
     "Engine.arm";
     "Engine.arm_at";
     "Shr.on_packet";
-    "Seg_store.iter";
-    "Seg_store.iter_from_while";
-    "Seg_store.drop_below";
+    "Seg_store.get";
+    "Seg_store.lower_bound";
+    "Seg_store.insert";
+    "Seg_store.remove";
     "Seg_store.push_back";
-    "Seg_store.find";
     "Pkt_queue.push";
     "Pkt_queue.pop";
     "Packet_pool.acquire";
@@ -183,7 +183,7 @@ let is_hot_closure_sink = ends_with_any hot_closure_sinks
 (* Sinks that stash their closure argument and run it later: ownership
    of a captured packet genuinely leaves the current activation.  Any
    other callee taking a literal closure is assumed to be a synchronous
-   combinator ([List.iter], [Fun.protect], [Seg_store.iter], ...) whose
+   combinator ([List.iter], [Fun.protect], [Array.iter], ...) whose
    closure runs zero or more times right here. *)
 let async_capture_sinks =
   hot_closure_sinks

@@ -14,7 +14,8 @@
       evidence (closures, tuples, records, list cells, known
       allocating calls, partial application) propagated from the
       per-packet hot roots (engine dispatch, [Shr.on_packet],
-      [Seg_store] scans, the packet pool, datapath timer closures).
+      [Seg_store]'s rank operations, the packet pool, datapath timer
+      closures).
     - {b time taint} ([time-taint]) — wall-clock reads reachable from
       the sim-time stratum (lib/ minus lib/lint), even through
       harness-stratum helpers.

@@ -38,15 +38,20 @@ let create engine ~node ~src ~flow ?metrics ?expected_bytes
     completed = false;
   }
 
-(* Write the lowest [Wire.max_sacks] out-of-order ranges above [cum]
-   straight into the ack's fixed slots; the walk stops at the last one
-   written.  [cum] is the first missing byte, so each range walked
-   starts above it.  The walk's closure is one cell per ack. *)
-let fill_sacks t ack ~cum =
-  Interval_set.iter_from_while t.received ~from:cum (fun lo hi ->
+(* Write the lowest [Wire.max_sacks] received ranges at or above [from]
+   straight into the ack's fixed slots, each read by two point queries:
+   its first received byte, then the first byte missing above that.
+   The walk starts at the cumulative ack, the first missing byte, so
+   each range starts above it. *)
+let rec fill_sacks t ack ~from =
+  if Wire.sack_count ack < Wire.max_sacks then begin
+    let lo = Interval_set.first_present t.received ~lo:from in
+    if lo < max_int then begin
+      let hi = Interval_set.first_missing t.received ~lo in
       Wire.add_sack ack ~lo ~hi;
-      Wire.sack_count ack < Wire.max_sacks)
-[@@leotp.allow "hot-path-may-alloc"]
+      fill_sacks t ack ~from:hi
+    end
+  end
 
 let handle_data t pkt =
   if Wire.is_data_seg pkt && pkt.Packet.flow = t.flow then begin
@@ -78,7 +83,7 @@ let handle_data t pkt =
       Wire.ack_packet ~src:(Node.id t.node) ~dst:t.src ~flow:t.flow
         ~cum_ack:cum
     in
-    fill_sacks t ack ~cum;
+    fill_sacks t ack ~from:cum;
     Wire.set_ts_echo ack sent_at;
     Node.send t.node ack;
     match t.expected_bytes with

@@ -18,7 +18,7 @@ type t = {
   source : source;
   metrics : Flow_metrics.t;
   on_complete : unit -> unit;
-  mutable first_sent_of : pos:int -> len:int -> float * bool;
+  first_sent_of : pos:int -> len:int -> float * bool;
   segments : Seg_store.t;  (** ordered by seq; unacked only *)
   mutable snd_nxt : int;
   mutable snd_una : int;
@@ -64,6 +64,21 @@ let mark_lost t (seg : Seg_store.seg) =
     trace_seg t seg Leotp_net.Trace.Seg_lost
   end
 
+(* Mark every un-SACKed segment from rank [i] up lost. *)
+let rec lose_all t i =
+  if i < Seg_store.length t.segments then begin
+    mark_lost t (Seg_store.get t.segments i);
+    lose_all t (i + 1)
+  end
+
+(* Rank of the first segment from rank [i] up that is marked lost and
+   not SACKed (the next retransmission); [Seg_store.length] if none. *)
+let rec first_lost t i =
+  if i >= Seg_store.length t.segments then i
+  else
+    let seg = Seg_store.get t.segments i in
+    if seg.lost && not seg.sacked then i else first_lost t (i + 1)
+
 (* [finish] disarms the RTO and nothing re-arms it afterwards. *)
 let rec arm_rto t =
   if not t.finished then begin
@@ -73,8 +88,6 @@ let rec arm_rto t =
     Engine.arm t.rto_timer ~after:timeout
   end
 
-(* Loss recovery after a retransmission timeout: fires once per RTO, not
-   per packet, so its scan closures are off the steady-state budget. *)
 and on_rto_fire t =
   if (not t.finished) && not (Seg_store.is_empty t.segments) then begin
     if Leotp_net.Trace.on () then
@@ -91,14 +104,13 @@ and on_rto_fire t =
        behaviour); retransmissions then proceed window-limited from the
        collapsed cwnd.  Without this, tail losses leave segments counted
        as in-flight forever and the connection stalls. *)
-    Seg_store.iter t.segments (fun seg -> if not seg.sacked then mark_lost t seg);
+    lose_all t 0;
     (* Retransmit the first unacknowledged segment immediately. *)
     let seg = Seg_store.get t.segments 0 in
     if not seg.sacked then send_segment t seg ~retx:true;
     arm_rto t;
     pump t
   end
-[@@leotp.allow "hot-path-may-alloc"]
 
 and send_segment t seg ~retx =
   let now = Engine.now t.engine in
@@ -129,62 +141,58 @@ and send_segment t seg ~retx =
   Node.send t.node pkt;
   if not (Engine.is_pending t.rto_timer) then arm_rto t
 
-(* One segment the window currently allows, if any: lost segments first,
-   then new data.  The option/pair result is the send decision — one
-   2-word pair per segment dispatched, dwarfed by the packet it sends. *)
-and next_sendable t =
-  let retx =
-    if t.lost_pending > 0 then Seg_store.first_lost t.segments ~from:t.snd_una
-    else None
-  in
-  match retx with
-  | Some seg -> Some (seg, true)
-  | None ->
-    let avail = available_bytes t in
-    if t.snd_nxt >= avail then None
-    else begin
-      let len = min t.mss (avail - t.snd_nxt) in
-      let seg = Seg_store.make ~seq:t.snd_nxt ~len in
-      Some (seg, false)
-    end
-[@@leotp.allow "hot-path-may-alloc"]
-
 and pump t = if not t.finished then pump_loop t (Engine.now t.engine)
 
 (* Recursive send loop (no while+ref: [pump] runs per ack and per pacing
-   timer, and a local [ref] is a minor-heap cell).  Stops when the window
-   or pacing gate closes or nothing is sendable. *)
+   timer, and a local [ref] is a minor-heap cell).  Lost segments go
+   first, then new data; a new segment is made only once the window and
+   pacing gates let it go.  Stops when a gate closes or nothing is
+   sendable. *)
 and pump_loop t now =
   let cwnd = t.cc.Cc.cwnd () in
-  match next_sendable t with
-  | None -> ()
-  | Some (seg, is_retx) ->
-    if float_of_int (t.inflight + seg.len) > cwnd then ()
-    else begin
-      match t.cc.Cc.pacing_rate () with
-      | Some rate when rate > 0.0 ->
-        if now < t.next_send_time then begin
-          if not (Engine.is_pending t.pump_timer) then
-            Engine.arm_at t.pump_timer ~time:t.next_send_time
-        end
-        else begin
-          t.next_send_time <-
-            Float.max now t.next_send_time
-            +. (float_of_int (seg.len + Wire.header_bytes) /. rate);
-          dispatch t seg is_retx;
-          pump_loop t now
-        end
-      | Some _ | None ->
-        dispatch t seg is_retx;
-        pump_loop t now
+  let i =
+    if t.lost_pending > 0 then
+      first_lost t (Seg_store.lower_bound t.segments ~from:t.snd_una)
+    else Seg_store.length t.segments
+  in
+  if i < Seg_store.length t.segments then begin
+    let seg = Seg_store.get t.segments i in
+    if may_send t now ~cwnd ~len:seg.len then begin
+      send_segment t seg ~retx:true;
+      pump_loop t now
     end
+  end
+  else begin
+    let len = min t.mss (available_bytes t - t.snd_nxt) in
+    if len > 0 && may_send t now ~cwnd ~len then begin
+      let seg = Seg_store.make ~seq:t.snd_nxt ~len in
+      Seg_store.push_back t.segments seg;
+      t.snd_nxt <- t.snd_nxt + len;
+      send_segment t seg ~retx:false;
+      pump_loop t now
+    end
+  end
 
-and dispatch t seg is_retx =
-  if not is_retx then begin
-    Seg_store.push_back t.segments seg;
-    t.snd_nxt <- max t.snd_nxt (seg.seq + seg.len)
-  end;
-  send_segment t seg ~retx:is_retx
+(* The window and pacing gates for a [len]-byte segment ([not (_ > cwnd)]
+   lets a NaN window through).  A closed pacing gate arms the pacing
+   timer; an open one books the segment's transmission time. *)
+and may_send t now ~cwnd ~len =
+  (not (float_of_int (t.inflight + len) > cwnd))
+  &&
+  match t.cc.Cc.pacing_rate () with
+  | Some rate when rate > 0.0 ->
+    if now < t.next_send_time then begin
+      if not (Engine.is_pending t.pump_timer) then
+        Engine.arm_at t.pump_timer ~time:t.next_send_time;
+      false
+    end
+    else begin
+      t.next_send_time <-
+        Float.max now t.next_send_time
+        +. (float_of_int (len + Wire.header_bytes) /. rate);
+      true
+    end
+  | Some _ | None -> true
 
 let finish t =
   if not t.finished then begin
@@ -202,6 +210,22 @@ let create engine ~node ~dst ~flow ~cc ?(mss = Wire.default_mss)
     match metrics with Some m -> m | None -> Flow_metrics.create ~flow
   in
   let now = Engine.now engine in
+  let segments = Seg_store.create () in
+  (* By default a segment carries its own first transmission: the one
+     stored at exactly [pos] with length [len]. *)
+  let first_sent_of =
+    match first_sent_of with
+    | Some f -> f
+    | None ->
+      fun ~pos ~len ->
+        let i = Seg_store.lower_bound segments ~from:pos in
+        if i = Seg_store.length segments then (Engine.now engine, false)
+        else
+          let seg = Seg_store.get segments i in
+          if seg.seq = pos && seg.len = len then
+            (seg.first_sent, seg.retx_count > 0)
+          else (Engine.now engine, false)
+  in
   (* The timers' actions close over the record, so it starts with a
      stand-in that is replaced before [create] returns. *)
   let unset = Engine.timer engine ignore in
@@ -218,8 +242,8 @@ let create engine ~node ~dst ~flow ~cc ?(mss = Wire.default_mss)
       source;
       metrics;
       on_complete;
-      first_sent_of = (fun ~pos:_ ~len:_ -> (now, false));
-      segments = Seg_store.create ();
+      first_sent_of;
+      segments;
       snd_nxt = 0;
       snd_una = 0;
       inflight = 0;
@@ -238,22 +262,93 @@ let create engine ~node ~dst ~flow ~cc ?(mss = Wire.default_mss)
       started = false;
     }
   in
-  (match first_sent_of with
-  | Some f -> t.first_sent_of <- f
-  | None ->
-    t.first_sent_of <-
-      (fun ~pos ~len ->
-        match Seg_store.find t.segments pos with
-        | Some seg when seg.len = len -> (seg.first_sent, seg.retx_count > 0)
-        | _ -> (Engine.now engine, false)));
   t.rto_timer <- Engine.timer engine (fun () -> on_rto_fire t);
   t.pump_timer <- Engine.timer engine (fun () -> pump t);
   t
 
-(* Per-ack bookkeeping allocates a handful of short-lived closures and
-   accumulator cells for the [Seg_store] callback scans; the per-packet
-   forwarding path stays allocation-free, and un-generalizing the store's
-   callbacks would duplicate its scan logic here. *)
+(* The ack path's walks recurse over ranks and return the bytes they
+   acknowledge added to [acked]: no [ref] cell and no closure per ack. *)
+
+(* Cumulative progress: remove every segment entirely below [cum].  A
+   segment straddling [cum] (seq < cum < seq + len) has only its head
+   acknowledged: it is truncated in place, and its tail (with the
+   segment's loss/sack state) stays outstanding.  Dropping it whole
+   would under-count inflight and silently un-send the tail. *)
+let rec drop_acked t ~cum acked =
+  if Seg_store.is_empty t.segments then acked
+  else begin
+    let seg = Seg_store.get t.segments 0 in
+    if seg.seq + seg.len <= cum then begin
+      if seg.lost then t.lost_pending <- max 0 (t.lost_pending - 1)
+      else if not seg.sacked then t.inflight <- max 0 (t.inflight - seg.len);
+      Seg_store.remove t.segments 0;
+      drop_acked t ~cum (if seg.sacked then acked else acked + seg.len)
+    end
+    else if seg.seq < cum then begin
+      let head = cum - seg.seq in
+      seg.seq <- cum;
+      seg.len <- seg.len - head;
+      if not (seg.sacked || seg.lost) then
+        t.inflight <- max 0 (t.inflight - head);
+      if seg.sacked then acked else acked + head
+    end
+    else acked
+  end
+
+(* SACK every segment from rank [i] up that ends at or below [hi]. *)
+let rec sack_below t ~hi i acked =
+  if i >= Seg_store.length t.segments then acked
+  else
+    let seg = Seg_store.get t.segments i in
+    if seg.seq + seg.len > hi then acked
+    else if seg.sacked then sack_below t ~hi (i + 1) acked
+    else begin
+      seg.sacked <- true;
+      if seg.lost then t.lost_pending <- max 0 (t.lost_pending - 1)
+      else t.inflight <- max 0 (t.inflight - seg.len);
+      seg.lost <- false;
+      sack_below t ~hi (i + 1) (acked + seg.len)
+    end
+
+(* Selective acknowledgements: only the covered ranks are walked, block
+   by block from the ack's fixed slots, raising [high_sacked] after
+   each. *)
+let rec sack_blocks t pkt k acked =
+  if k >= Wire.sack_count pkt then acked
+  else begin
+    let lo = Wire.sack_lo pkt k and hi = Wire.sack_hi pkt k in
+    let acked =
+      sack_below t ~hi (Seg_store.lower_bound t.segments ~from:lo) acked
+    in
+    t.high_sacked <- max t.high_sacked hi;
+    sack_blocks t pkt (k + 1) acked
+  end
+
+(* FACK loss detection: everything sufficiently below the highest
+   selective ack is lost; the walk stops at the first segment that is
+   too recent (sequence order = send order here) and says whether it
+   declared a loss.  A segment already retransmitted is only declared
+   lost again once a full SRTT has passed since that retransmission;
+   otherwise every ACK re-marks it and the sender spins on duplicate
+   retransmissions. *)
+let rec fack t ~now ~srtt i newly_lost =
+  if i >= Seg_store.length t.segments then newly_lost
+  else
+    let seg = Seg_store.get t.segments i in
+    if seg.seq + seg.len + dupthresh_bytes t > t.high_sacked then newly_lost
+    else begin
+      let lost =
+        (not seg.sacked)
+        && (not seg.lost)
+        && (seg.retx_count = 0 || now -. seg.last_sent > srtt)
+      in
+      if lost then mark_lost t seg;
+      fack t ~now ~srtt (i + 1) (newly_lost || lost)
+    end
+
+(* The walks above allocate nothing: an ack allocates what it hands the
+   controller ([Cc.ack_info] and its options) and what the sends it
+   unlocks allocate. *)
 let handle_ack t pkt =
   if (not (Wire.is_ack_seg pkt)) || t.finished then
     Leotp_net.Packet_pool.release pkt
@@ -267,74 +362,25 @@ let handle_ack t pkt =
     let has_rtt = Wire.has_ts_echo pkt && now >= Wire.ts_echo pkt in
     let rtt = if has_rtt then now -. Wire.ts_echo pkt else 0.0 in
     if has_rtt then Leotp_util.Rto.observe t.rto rtt;
-    let acked_bytes = ref 0 in
-    (* Cumulative progress: drop every segment entirely below cum_ack. *)
-    if cum_ack > t.snd_una then begin
-      (* A segment straddling cum_ack (seq < cum_ack < seq + len) has only
-         its head acknowledged: [drop_below] truncates it in place and the
-         tail (with the segment's loss/sack state) stays outstanding.
-         Dropping it whole would under-count inflight and silently un-send
-         the tail. *)
-      Seg_store.drop_below t.segments ~cum:cum_ack
-        ~on_drop:(fun seg ->
-          if not seg.sacked then acked_bytes := !acked_bytes + seg.len;
-          if seg.lost then t.lost_pending <- max 0 (t.lost_pending - 1)
-          else if not seg.sacked then
-            t.inflight <- max 0 (t.inflight - seg.len))
-        ~on_straddle:(fun seg head ->
-          if not seg.sacked then begin
-            acked_bytes := !acked_bytes + head;
-            if not seg.lost then t.inflight <- max 0 (t.inflight - head)
-          end);
-      t.snd_una <- cum_ack;
-      Leotp_util.Rto.reset_backoff t.rto;
-      arm_rto t
-    end;
-    (* Selective acknowledgements: only scan the covered range.  Ranges
-       live in the ack's fixed slots — no list to walk. *)
-    for i = 0 to Wire.sack_count pkt - 1 do
-      let lo = Wire.sack_lo pkt i and hi = Wire.sack_hi pkt i in
-      Seg_store.iter_from_while t.segments ~from:lo (fun seg ->
-          if seg.seq + seg.len > hi then false
-          else begin
-            if not seg.sacked then begin
-              seg.sacked <- true;
-              acked_bytes := !acked_bytes + seg.len;
-              if seg.lost then t.lost_pending <- max 0 (t.lost_pending - 1)
-              else t.inflight <- max 0 (t.inflight - seg.len);
-              seg.lost <- false
-            end;
-            true
-          end);
-      t.high_sacked <- max t.high_sacked hi
-    done;
+    let acked_bytes =
+      if cum_ack > t.snd_una then begin
+        let acked = drop_acked t ~cum:cum_ack 0 in
+        t.snd_una <- cum_ack;
+        Leotp_util.Rto.reset_backoff t.rto;
+        arm_rto t;
+        acked
+      end
+      else 0
+    in
+    let acked_bytes = sack_blocks t pkt 0 acked_bytes in
     t.high_sacked <- max t.high_sacked cum_ack;
-    t.delivered <- t.delivered + !acked_bytes;
-    (* FACK loss detection: everything sufficiently below the highest
-       selective ack is lost.  The scan stops at the first segment that is
-       too recent (sequence order = send order here). *)
-    let newly_lost = ref false in
+    t.delivered <- t.delivered + acked_bytes;
     let srtt =
       match Leotp_util.Rto.srtt t.rto with Some r -> r | None -> 0.1
     in
-    Seg_store.iter_from_while t.segments ~from:t.snd_una (fun seg ->
-        if seg.seq + seg.len + dupthresh_bytes t <= t.high_sacked then begin
-          (* A segment already retransmitted is only declared lost again
-             once a full SRTT has passed since that retransmission —
-             otherwise every ACK re-marks it and the sender spins on
-             duplicate retransmissions. *)
-          if
-            (not seg.sacked)
-            && (not seg.lost)
-            && (seg.retx_count = 0 || now -. seg.last_sent > srtt)
-          then begin
-            mark_lost t seg;
-            newly_lost := true
-          end;
-          true
-        end
-        else false);
-    if !newly_lost && t.snd_una >= t.recovery_point then begin
+    let una = Seg_store.lower_bound t.segments ~from:t.snd_una in
+    let newly_lost = fack t ~now ~srtt una false in
+    if newly_lost && t.snd_una >= t.recovery_point then begin
       t.recovery_point <- t.snd_nxt;
       t.cc.Cc.on_loss ~now ~inflight:t.inflight
     end;
@@ -359,11 +405,11 @@ let handle_ack t pkt =
       end
       else None
     in
-    if !acked_bytes > 0 || has_rtt then
+    if acked_bytes > 0 || has_rtt then
       t.cc.Cc.on_ack
         {
           Cc.now;
-          acked_bytes = !acked_bytes;
+          acked_bytes;
           rtt_sample = (if has_rtt then Some rtt else None);
           bw_sample;
           inflight = t.inflight;

@@ -84,8 +84,6 @@ let first_missing t ~lo =
   let i = first_ending t.spans (lo + 1) 0 t.n in
   if i < t.n && t.spans.(2 * i) <= lo then t.spans.((2 * i) + 1) else lo
 
-let rec walk f s n k =
-  if k < n && f s.(2 * k) s.((2 * k) + 1) then walk f s n (k + 1)
-
-let iter_from_while t ~from f =
-  walk f t.spans t.n (first_ending t.spans (from + 1) 0 t.n)
+let first_present t ~lo =
+  let i = first_ending t.spans (lo + 1) 0 t.n in
+  if i < t.n then max lo t.spans.(2 * i) else max_int

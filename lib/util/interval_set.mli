@@ -5,7 +5,9 @@
     §IV-A).  The intervals are kept in place as a sorted array of
     disjoint, non-adjacent pairs, with the count of covered points;
     lookups binary-search the interval ends, and a warm {!add} (the
-    array already grown) allocates nothing. *)
+    array already grown) allocates nothing.  The set is read by point
+    queries: {!first_present} and {!first_missing} walk its intervals
+    in order, so no query takes a callback. *)
 
 type t
 
@@ -29,7 +31,7 @@ val cardinal : t -> int
 val first_missing : t -> lo:int -> int
 (** Smallest point [>= lo] not in the set. *)
 
-val iter_from_while : t -> from:int -> (int -> int -> bool) -> unit
-(** [iter_from_while t ~from f] calls [f lo hi] on each interval holding
-    a point [>= from], in increasing order, and stops when [f] returns
-    [false]. *)
+val first_present : t -> lo:int -> int
+(** Smallest point [>= lo] in the set; [max_int] if there is none.
+    With {!first_missing} from that point it reads the next interval,
+    cut at [lo]. *)

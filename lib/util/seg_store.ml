@@ -2,11 +2,13 @@
    mostly arrive at the top and leave at the bottom, so a ring buffer over
    a growable array holds them, and an insert or removal at a rank moves
    the shorter side.  No operation allocates once the array has grown
-   (it doubles): the SACK and FACK scans in [Sender.handle_ack] cover
-   O(window) segments on every ack, and as an [IntMap] with
-   [to_seq_from] they allocated ~10 words per segment visited.  The
-   element is one monomorphic record: an ['a array] read checks for a
-   float array, and no call into this module is inlined. *)
+   (it doubles): the SACK and FACK scans in [Sender.handle_ack] read
+   O(window) segments by rank on every ack, and as an [IntMap] with
+   [to_seq_from] they allocated ~10 words per segment visited.  Callers
+   walk the store themselves, with [lower_bound] and [get], so no scan
+   here takes a closure.  The element is one monomorphic record: an
+   ['a array] read checks for a float array, and no call into this
+   module is inlined. *)
 
 type seg = {
   mutable seq : int;
@@ -105,55 +107,3 @@ let rec lb_search t ~from lo hi =
     else lb_search t ~from lo mid
 
 let lower_bound t ~from = lb_search t ~from 0 t.count
-
-let find t pos =
-  let i = lower_bound t ~from:pos in
-  if i < t.count then begin
-    let seg = get t i in
-    if seg.seq = pos then Some seg else None
-  end
-  else None
-
-let iter t f =
-  for i = 0 to t.count - 1 do
-    f (get t i)
-  done
-
-(* Ordered scan starting at the first range with [seq >= from]; stops
-   when [f] returns false.  Recursion, not while+ref: this is the SACK
-   scan, run per ack. *)
-let rec iter_while_at t f i =
-  if i < t.count && f (get t i) then iter_while_at t f (i + 1)
-
-let iter_from_while t ~from f = iter_while_at t f (lower_bound t ~from)
-
-(* Next retransmission candidate.  A dedicated scan (rather than
-   [iter_from_while] with a closure over a [ref]) keeps the sender's
-   per-ack path free of closure allocations. *)
-let rec first_lost_at t i =
-  if i >= t.count then None
-  else
-    let seg = get t i in
-    if seg.lost && not seg.sacked then Some seg else first_lost_at t (i + 1)
-
-let first_lost t ~from = first_lost_at t (lower_bound t ~from)
-
-(* Cumulative-ack removal: drop every range entirely below [cum]
-   (calling [on_drop] on each) and truncate a straddler in place so its
-   unacknowledged tail stays outstanding.  [on_straddle seg head] runs
-   before the truncation with [head] = acknowledged bytes. *)
-let rec drop_below t ~cum ~on_drop ~on_straddle =
-  if t.count > 0 then begin
-    let seg = get t 0 in
-    if seg.seq + seg.len <= cum then begin
-      on_drop seg;
-      remove t 0;
-      drop_below t ~cum ~on_drop ~on_straddle
-    end
-    else if seg.seq < cum then begin
-      let head = cum - seg.seq in
-      on_straddle seg head;
-      seg.seq <- cum;
-      seg.len <- seg.len - head
-    end
-  end

@@ -1,6 +1,10 @@
 (** Ordered, allocation-free store of byte ranges in flight, keyed by
     range start: a TCP sender's unacknowledged segments, a Consumer's
-    outstanding Interests and a split proxy's origin times. *)
+    outstanding Interests and a split proxy's origin times.
+
+    The store is read by rank: a caller finds where to start with
+    {!lower_bound} and walks with {!get}, {!remove} and {!insert}, so
+    no operation takes a callback. *)
 
 type seg = {
   mutable seq : int;  (** range start *)
@@ -37,22 +41,3 @@ val remove : t -> int -> unit
 
 val lower_bound : t -> from:int -> int
 (** Rank of the first range with [seq >= from]; [length t] if none. *)
-
-val find : t -> int -> seg option
-(** Range whose [seq] equals the given position, if present. *)
-
-val iter : t -> (seg -> unit) -> unit
-
-val iter_from_while : t -> from:int -> (seg -> bool) -> unit
-(** Ordered scan from the first range with [seq >= from]; stops when
-    the callback returns [false].  Allocates nothing. *)
-
-val first_lost : t -> from:int -> seg option
-(** First range with [seq >= from] that is marked lost and not SACKed —
-    the next retransmission candidate.  Allocates nothing beyond the
-    returned option. *)
-
-val drop_below :
-  t -> cum:int -> on_drop:(seg -> unit) -> on_straddle:(seg -> int -> unit) -> unit
-(** Remove every range entirely below [cum]; a straddler is truncated
-    in place after [on_straddle seg head] reports its acked head. *)

@@ -500,6 +500,61 @@ let test_finished_transfer_quiescent () =
   Alcotest.(check bool) "no timer armed after completion" false
     (Sender.timer_pending session.Session.sender)
 
+(* Minor words [f] allocates, net of the measurement itself. *)
+let minor_words f =
+  let words g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  words f -. words ignore
+
+(* A warm NewReno sender: an unlimited source, mss 1000, grown in slow
+   start by 30 acks 10 ms apart of up to 10 segments each, so its
+   segment store and the packet pool have grown and 310 segments are in
+   flight.  Its data dies at the node, which has no route. *)
+let warm_sender () =
+  let engine, _ = setup () in
+  let node = Node.create ~name:"tx" in
+  let sender =
+    Sender.create engine ~node ~dst:99 ~flow:1 ~cc:Cc.Newreno ~mss:1000 ()
+  in
+  Sender.start sender;
+  for k = 1 to 30 do
+    Engine.run ~until:(0.01 *. float_of_int k) engine;
+    let cum = min (Sender.snd_nxt sender) (Sender.snd_una sender + 10_000) in
+    Sender.handle_ack sender (ack_pkt node ~cum ())
+  done;
+  (engine, node, sender)
+
+(* The ack path walks the segments by rank and threads its byte counts
+   through the walks, so a warm ack allocates only what the controller
+   is handed ([Cc.ack_info] and its bandwidth sample), the window it
+   reads back and the RTO's re-arm.  10 ms after the last growth ack, a
+   duplicate ack SACKs three segments, 40, 43 and 46 above [snd_una],
+   and FACK declares the 42 unSACKed ones below 44 lost; 10 ms later, a
+   cumulative ack acknowledges one segment, and FACK walks the 43 below
+   the highest SACK again.  Neither echoes a timestamp. *)
+let test_warm_ack_allocation () =
+  let engine, node, sender = warm_sender () in
+  Alcotest.(check int) "in flight" 310_000 (Sender.inflight sender);
+  let una = Sender.snd_una sender in
+  let seg k = (una + (1000 * k), una + (1000 * (k + 1))) in
+  let at_most name bound w =
+    Alcotest.(check bool) (Printf.sprintf "%s: %.0f words" name w) true
+      (w <= bound)
+  in
+  let dup = ack_pkt node ~cum:una ~sacks:[ seg 40; seg 43; seg 46 ] () in
+  Engine.run ~until:0.31 engine;
+  at_most "duplicate ack" 12.0
+    (minor_words (fun () -> Sender.handle_ack sender dup));
+  Alcotest.(check int) "after the losses" 265_000 (Sender.inflight sender);
+  let cum = ack_pkt node ~cum:(una + 1000) () in
+  Engine.run ~until:0.32 engine;
+  at_most "cumulative ack" 14.0
+    (minor_words (fun () -> Sender.handle_ack sender cum));
+  Alcotest.(check int) "snd_una" (una + 1000) (Sender.snd_una sender)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "leotp_tcp"
@@ -536,6 +591,8 @@ let () =
             test_rtt_sample_at_time_zero;
           Alcotest.test_case "stop clears timers" `Quick
             test_stop_clears_timers;
+          Alcotest.test_case "warm ack allocation" `Quick
+            test_warm_ack_allocation;
           Alcotest.test_case "finished transfer quiescent" `Quick
             test_finished_transfer_quiescent;
         ] );

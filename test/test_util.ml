@@ -9,14 +9,14 @@ let check_floats ?(eps = 1e-9) = Alcotest.(check (float eps))
 (* ------------------------------------------------------------------ *)
 (* Interval_set *)
 
-(* The intervals holding a point >= [from], at most [limit] of them. *)
-let intervals ?(from = min_int) ?(limit = max_int) t =
-  let acc = ref [] and n = ref 0 in
-  Interval_set.iter_from_while t ~from (fun lo hi ->
-      acc := (lo, hi) :: !acc;
-      incr n;
-      !n < limit);
-  List.rev !acc
+(* The intervals of the set cut at [from], read as the set's users read
+   them: the first point present, then the first missing above it. *)
+let rec intervals ?(from = min_int) t =
+  let lo = Interval_set.first_present t ~lo:from in
+  if lo = max_int then []
+  else
+    let hi = Interval_set.first_missing t ~lo in
+    (lo, hi) :: intervals ~from:hi t
 
 let ivs l =
   let t = Interval_set.create () in
@@ -140,9 +140,10 @@ let gaps t ~lo ~hi =
   List.rev (if pos < hi then (pos, hi) :: acc else acc)
 
 (* Property: after every add of a random sequence, [add]'s return,
-   [cardinal], a random [covers] query, [first_missing] from a random
-   point, the walked intervals and a walk from that point stopped after
-   three intervals all agree with the bitmap model. *)
+   [cardinal], a random [covers] query, [first_missing] and
+   [first_present] from a random point, the walked intervals and the
+   walk from that point (the covered runs cut there) all agree with the
+   bitmap model. *)
 let ivs_model_prop =
   let open QCheck2 in
   let step =
@@ -163,15 +164,19 @@ let ivs_model_prop =
           while !missing < model_size && model.(!missing) do
             incr missing
           done;
-          let runs = model_runs model ~v:true ~lo:0 ~hi:model_size in
+          let present = ref q in
+          while !present < model_size && not model.(!present) do
+            incr present
+          done;
+          let runs_from lo = model_runs model ~v:true ~lo ~hi:model_size in
           added = fresh
           && Interval_set.cardinal t = model_cardinal model
           && covers t q qhi = model_covers model q qhi
           && first_missing t q = !missing
-          && intervals t = runs
-          && intervals ~from:q ~limit:3 t
-             = List.filteri (fun i _ -> i < 3)
-                 (List.filter (fun (_, b) -> b > q) runs))
+          && Interval_set.first_present t ~lo:q
+             = (if !present < model_size then !present else max_int)
+          && intervals t = runs_from 0
+          && intervals ~from:q t = runs_from q)
         steps)
 
 (* Property: [cardinal] agrees with the bitmap model after every op of a
@@ -712,13 +717,13 @@ let store_contents t =
 
 (* Property: the store agrees with a sorted list of (seq, len, tag)
    after every op of a random script of [push_back], [insert] at
-   [lower_bound], [remove] at a random rank, [drop_below] (its dropped
-   and straddled ranges too) and an [iter_from_while] scan stopped after
-   [k] ranges, with [lower_bound] and [find] from the scan's start.
-   Ranges are disjoint, the range of key [k] inside [10k, 10k + 10), as
-   in every user of the store.  Scripts run up to 300 ops from the 64
-   slots of a fresh store, so they grow it, wrap around its ring and
-   move both sides on insert and remove. *)
+   [lower_bound], [remove] at a random rank, a cumulative drop (removals
+   at rank 0 of every range ending at or below a point) and a scan of
+   [k] ranks with [get] from the [lower_bound] of a point, as the TCP
+   sender walks the store.  Ranges are disjoint, the range of key [k]
+   inside [10k, 10k + 10), as in every user of the store.  Scripts run
+   up to 300 ops from the 64 slots of a fresh store, so they grow it,
+   wrap around its ring and move both sides on insert and remove. *)
 let seg_store_model_prop =
   let open QCheck2 in
   let op =
@@ -787,36 +792,29 @@ let seg_store_model_prop =
               true
             | `Drop d ->
               let cum = match !model with [] -> d | (s, _, _) :: _ -> s + d in
-              let dropped = ref [] and straddled = ref [] in
-              Seg_store.drop_below t ~cum
-                ~on_drop:(fun s -> dropped := s.Seg_store.retx_count :: !dropped)
-                ~on_straddle:(fun s head ->
-                  straddled := (s.Seg_store.retx_count, head) :: !straddled);
-              let rec go acc = function
-                | (s, len, g) :: rest when s + len <= cum -> go (g :: acc) rest
-                | (s, len, g) :: rest when s < cum ->
-                  (acc, [ (g, cum - s) ], (cum, len - (cum - s), g) :: rest)
-                | l -> (acc, [], l)
+              let rec drop () =
+                if not (Seg_store.is_empty t) then begin
+                  let s = Seg_store.get t 0 in
+                  if s.Seg_store.seq + s.Seg_store.len <= cum then begin
+                    Seg_store.remove t 0;
+                    drop ()
+                  end
+                end
               in
-              let d, st, rest = go [] !model in
-              model := rest;
-              !dropped = d && !straddled = st
+              drop ();
+              model := List.filter (fun (s, len, _) -> s + len > cum) !model;
+              true
             | `Scan (p, k) ->
               let from = at p in
-              let seen = ref [] in
-              Seg_store.iter_from_while t ~from (fun s ->
-                  List.length !seen < k
-                  && begin
-                       seen := s.Seg_store.retx_count :: !seen;
-                       true
-                     end);
+              let i = Seg_store.lower_bound t ~from in
+              let seen =
+                List.init
+                  (min k (Seg_store.length t - i))
+                  (fun j -> (Seg_store.get t (i + j)).Seg_store.retx_count)
+              in
               let above = List.filter (fun (s, _, _) -> s >= from) !model in
-              Seg_store.lower_bound t ~from = model_lower_bound from
-              && List.rev !seen = List.map tag (List.filteri (fun i _ -> i < k) above)
-              && Option.map
-                   (fun s -> s.Seg_store.retx_count)
-                   (Seg_store.find t from)
-                 = Option.map tag (List.find_opt (fun (s, _, _) -> s = from) !model)
+              i = model_lower_bound from
+              && seen = List.map tag (List.filteri (fun i _ -> i < k) above)
           in
           ok
           && store_contents t = !model
