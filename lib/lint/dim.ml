@@ -245,11 +245,8 @@ let seeds =
     (* Congestion-control window sizes are bytes (fmss floats an
        integral MSS). *)
     { s_fn = "Cc.fmss"; s_args = []; s_ret = Some (Base Bytes) };
-    { s_fn = "Cc_intf.fmss"; s_args = []; s_ret = Some (Base Bytes) };
     { s_fn = "Cc.initial_window"; s_args = []; s_ret = Some (Base Bytes) };
-    { s_fn = "Cc_intf.initial_window"; s_args = []; s_ret = Some (Base Bytes) };
     { s_fn = "Cc.min_window"; s_args = []; s_ret = Some (Base Bytes) };
-    { s_fn = "Cc_intf.min_window"; s_args = []; s_ret = Some (Base Bytes) };
     (* Orbital geometry: distances in meters, delays in seconds. *)
     { s_fn = "Geo.distance"; s_args = []; s_ret = Some (Base Meters) };
     { s_fn = "Geo.great_circle_distance"; s_args = []; s_ret = Some (Base Meters) };

@@ -8,7 +8,7 @@
     the delayed reaction to bandwidth change comes from the filter windows
     and probing cadence (Figs 5 and 14). *)
 
-open Cc_intf
+open Cc
 
 let startup_gain = 2.885
 let probe_gains = [| 1.25; 0.75; 1.0; 1.0; 1.0; 1.0; 1.0; 1.0 |]
@@ -18,7 +18,6 @@ let probe_rtt_duration = 0.2
 type mode = Startup | Drain | Probe_bw | Probe_rtt
 
 type state = {
-  mss : float;
   mutable mode : mode;
   max_bw : Leotp_util.Windowed_min.t;  (** bytes/s *)
   mutable min_rtt : float;
@@ -36,9 +35,9 @@ type state = {
 }
 
 let create ~mss ~now =
+  let w = window ~mss in
   let s =
     {
-      mss = fmss mss;
       mode = Startup;
       max_bw = Leotp_util.Windowed_min.create_max ~window:2.0;
       min_rtt = Float.infinity;
@@ -61,6 +60,21 @@ let create ~mss ~now =
   let bdp () =
     if Float.is_finite s.min_rtt then bw () *. s.min_rtt else 0.0
   in
+  (* The window follows the model, which only [on_ack] moves ([bw] reads
+     the filter at [round_start]): written at creation and at the end of
+     every ACK. *)
+  let write_window () =
+    (w.cwnd <-
+       match s.mode with
+       | Probe_rtt -> 4.0 *. w.mss
+       | _ ->
+         let b = bdp () in
+         if b <= 0.0 then initial_window mss
+         else Float.max (s.cwnd_gain *. b) (4.0 *. w.mss));
+    let b = bw () in
+    w.pacing_rate <- (if b <= 0.0 then 0.0 else s.pacing_gain *. b)
+  in
+  write_window ();
   let enter_probe_bw now =
     s.mode <- Probe_bw;
     s.pacing_gain <- probe_gains.(s.cycle_index);
@@ -126,25 +140,15 @@ let create ~mss ~now =
       s.mode <- Probe_rtt;
       s.pacing_gain <- 1.0;
       s.probe_rtt_done <- now +. probe_rtt_duration
-    end
+    end;
+    write_window ()
   in
   {
     name = "bbr";
+    window = w;
     on_ack;
     on_loss = (fun ~now:_ ~inflight:_ -> ());
     on_rto = (fun ~now:_ -> ());
-    cwnd =
-      (fun () ->
-        match s.mode with
-        | Probe_rtt -> 4.0 *. s.mss
-        | _ ->
-          let b = bdp () in
-          if b <= 0.0 then initial_window (int_of_float s.mss)
-          else Float.max (s.cwnd_gain *. b) (4.0 *. s.mss));
-    pacing_rate =
-      (fun () ->
-        let b = bw () in
-        if b <= 0.0 then None else Some (s.pacing_gain *. b));
     phase =
       (fun () ->
         match s.mode with

@@ -2,4 +2,4 @@
     windowed-min RTT estimation with Startup / Drain / ProbeBW / ProbeRTT
     pacing-gain phases.  Loss-insensitive by design. *)
 
-val create : mss:int -> now:float -> Cc_intf.t
+val create : mss:int -> now:float -> Cc.t

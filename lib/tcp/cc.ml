@@ -1,4 +1,4 @@
-type ack_info = Cc_intf.ack_info = {
+type ack_info = {
   now : float;
   acked_bytes : int;
   rtt_sample : float option;
@@ -6,13 +6,19 @@ type ack_info = Cc_intf.ack_info = {
   inflight : int;
 }
 
-type t = Cc_intf.t = {
+type window = {
+  mss : float;
+  mutable cwnd : float;
+  mutable ssthresh : float;
+  mutable pacing_rate : float;
+}
+
+type t = {
   name : string;
+  window : window;
   on_ack : ack_info -> unit;
   on_loss : now:float -> inflight:int -> unit;
   on_rto : now:float -> unit;
-  cwnd : unit -> float;
-  pacing_rate : unit -> float option;
   phase : unit -> string;
 }
 
@@ -29,22 +35,25 @@ let algo_name = function
   | Bbr -> "bbr"
   | Pcc -> "pcc"
 
-let algo_of_name = function
-  | "newreno" -> Some Newreno
-  | "cubic" -> Some Cubic
-  | "hybla" -> Some Hybla
-  | "westwood" -> Some Westwood
-  | "vegas" -> Some Vegas
-  | "bbr" -> Some Bbr
-  | "pcc" -> Some Pcc
-  | _ -> None
+let algo_of_name name =
+  List.find_opt (fun algo -> String.equal (algo_name algo) name) all
 
-let create algo ~mss ~now =
-  match algo with
-  | Newreno -> Newreno.create ~mss ~now
-  | Cubic -> Cubic.create ~mss ~now
-  | Hybla -> Hybla.create ~mss ~now
-  | Westwood -> Westwood.create ~mss ~now
-  | Vegas -> Vegas.create ~mss ~now
-  | Bbr -> Bbr.create ~mss ~now
-  | Pcc -> Pcc_vivace.create ~mss ~now
+let fmss mss = float_of_int mss
+let initial_window mss = 10.0 *. fmss mss
+let min_window mss = 2.0 *. fmss mss
+
+let window ~mss =
+  {
+    mss = fmss mss;
+    cwnd = initial_window mss;
+    ssthresh = Float.infinity;
+    pacing_rate = 0.0;
+  }
+
+let halve w = w.ssthresh <- Float.max (w.cwnd /. 2.0) (2.0 *. w.mss)
+
+let collapse w =
+  halve w;
+  w.cwnd <- w.mss
+
+let ss_or_ca w = if w.cwnd < w.ssthresh then "ss" else "ca"

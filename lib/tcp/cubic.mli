@@ -2,4 +2,4 @@
     TCP-friendly (Reno-tracking) floor, beta = 0.7, C = 0.4, plus
     HyStart slow-start exit. *)
 
-val create : mss:int -> now:float -> Cc_intf.t
+val create : mss:int -> now:float -> Cc.t

@@ -2,54 +2,38 @@
     rho = RTT/RTT0 so long-RTT (satellite) flows grow as fast as a
     reference terrestrial flow with RTT0 = 25 ms. *)
 
-open Cc_intf
+open Cc
 
 let rtt0 = 0.025
 
-type state = {
-  mss : float;
-  mutable cwnd : float;
-  mutable ssthresh : float;
-  mutable srtt : float;
-}
+type state = { mutable srtt : float }
 
 let create ~mss ~now:_ =
-  let s =
-    {
-      mss = fmss mss;
-      cwnd = initial_window mss;
-      ssthresh = Float.infinity;
-      srtt = rtt0;
-    }
-  in
+  let w = window ~mss in
+  let s = { srtt = rtt0 } in
   let rho () = Float.max 1.0 (s.srtt /. rtt0) in
   let hystart = Hystart.create () in
   {
     name = "hybla";
+    window = w;
     on_ack =
       (fun info ->
         (match info.rtt_sample with
         | Some r -> s.srtt <- (0.875 *. s.srtt) +. (0.125 *. r)
         | None -> ());
-        if s.cwnd < s.ssthresh && Hystart.should_exit hystart ~rtt_sample:info.rtt_sample
-        then s.ssthresh <- s.cwnd;
+        Hystart.on_ack hystart w ~rtt_sample:info.rtt_sample;
         let acked = float_of_int info.acked_bytes in
         let rho = rho () in
-        if s.cwnd < s.ssthresh then
+        if w.cwnd < w.ssthresh then
           (* SS: cwnd += (2^rho - 1) per acked segment. *)
-          s.cwnd <- s.cwnd +. (((2.0 ** rho) -. 1.0) *. acked)
+          w.cwnd <- w.cwnd +. (((2.0 ** rho) -. 1.0) *. acked)
         else
           (* CA: cwnd += rho^2 * MSS^2 / cwnd per acked segment. *)
-          s.cwnd <- s.cwnd +. (rho *. rho *. s.mss *. acked /. s.cwnd));
+          w.cwnd <- w.cwnd +. (rho *. rho *. w.mss *. acked /. w.cwnd));
     on_loss =
       (fun ~now:_ ~inflight:_ ->
-        s.ssthresh <- Float.max (s.cwnd /. 2.0) (2.0 *. s.mss);
-        s.cwnd <- s.ssthresh);
-    on_rto =
-      (fun ~now:_ ->
-        s.ssthresh <- Float.max (s.cwnd /. 2.0) (2.0 *. s.mss);
-        s.cwnd <- s.mss);
-    cwnd = (fun () -> s.cwnd);
-    pacing_rate = (fun () -> None);
-    phase = (fun () -> if s.cwnd < s.ssthresh then "ss" else "ca");
+        halve w;
+        w.cwnd <- w.ssthresh);
+    on_rto = (fun ~now:_ -> collapse w);
+    phase = (fun () -> ss_or_ca w);
   }

@@ -2,4 +2,4 @@
     rho = RTT/RTT0 so long-RTT (satellite) flows grow as fast as a
     reference terrestrial flow with RTT0 = 25 ms. *)
 
-val create : mss:int -> now:float -> Cc_intf.t
+val create : mss:int -> now:float -> Cc.t

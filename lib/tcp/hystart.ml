@@ -16,12 +16,11 @@ let create () = { rtt_min = Float.infinity }
 
 (* RTT considered inflated once it exceeds the floor by max(4 ms, 12.5%) —
    the clamped eta/8 rule from the HyStart paper. *)
-let should_exit t ~rtt_sample =
-  match rtt_sample with
-  | None -> false
-  | Some r ->
-    t.rtt_min <- Float.min t.rtt_min r;
-    let threshold =
-      t.rtt_min +. Float.max 0.004 (t.rtt_min /. 8.0)
-    in
-    r > threshold
+let on_ack t (w : Cc.window) ~rtt_sample =
+  if w.cwnd < w.ssthresh then
+    match rtt_sample with
+    | None -> ()
+    | Some r ->
+      t.rtt_min <- Float.min t.rtt_min r;
+      let threshold = t.rtt_min +. Float.max 0.004 (t.rtt_min /. 8.0) in
+      if r > threshold then w.ssthresh <- w.cwnd

@@ -7,6 +7,8 @@ type t
 
 val create : unit -> t
 
-val should_exit : t -> rtt_sample:float option -> bool
-(** Feed every ACK's RTT sample; [true] once the RTT is inflated.  The
-    caller is responsible for acting only while still in slow start. *)
+val on_ack : t -> Cc.window -> rtt_sample:float option -> unit
+(** Feed an ACK's RTT sample while the window is in slow start
+    ([cwnd < ssthresh]); once the RTT is inflated, set [ssthresh] to
+    [cwnd], which ends slow start.  Outside slow start the sample is not
+    read, so the floor is the minimum over slow-start samples only. *)

@@ -1,33 +1,24 @@
 (** TCP NewReno: slow start + AIMD congestion avoidance with fast-recovery
     halving.  The reference loss-based baseline. *)
 
-open Cc_intf
-
-type state = { mss : float; mutable cwnd : float; mutable ssthresh : float }
+open Cc
 
 let create ~mss ~now:_ =
-  let s =
-    { mss = fmss mss; cwnd = initial_window mss; ssthresh = Float.infinity }
-  in
+  let w = window ~mss in
   let hystart = Hystart.create () in
   {
     name = "newreno";
+    window = w;
     on_ack =
       (fun info ->
-        if s.cwnd < s.ssthresh && Hystart.should_exit hystart ~rtt_sample:info.rtt_sample
-        then s.ssthresh <- s.cwnd;
+        Hystart.on_ack hystart w ~rtt_sample:info.rtt_sample;
         let acked = float_of_int info.acked_bytes in
-        if s.cwnd < s.ssthresh then s.cwnd <- s.cwnd +. acked
-        else s.cwnd <- s.cwnd +. (s.mss *. acked /. s.cwnd));
+        if w.cwnd < w.ssthresh then w.cwnd <- w.cwnd +. acked
+        else w.cwnd <- w.cwnd +. (w.mss *. acked /. w.cwnd));
     on_loss =
       (fun ~now:_ ~inflight:_ ->
-        s.ssthresh <- Float.max (s.cwnd /. 2.0) (2.0 *. s.mss);
-        s.cwnd <- s.ssthresh);
-    on_rto =
-      (fun ~now:_ ->
-        s.ssthresh <- Float.max (s.cwnd /. 2.0) (2.0 *. s.mss);
-        s.cwnd <- s.mss);
-    cwnd = (fun () -> s.cwnd);
-    pacing_rate = (fun () -> None);
-    phase = (fun () -> if s.cwnd < s.ssthresh then "ss" else "ca");
+        halve w;
+        w.cwnd <- w.ssthresh);
+    on_rto = (fun ~now:_ -> collapse w);
+    phase = (fun () -> ss_or_ca w);
   }

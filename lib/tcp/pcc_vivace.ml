@@ -10,7 +10,7 @@
     but the c coefficient makes utility collapse under heavy loss — the
     behaviour Fig 2 reports at 5% end-to-end PLR. *)
 
-open Cc_intf
+open Cc
 
 let eps = 0.05
 let base_step = 0.05
@@ -24,7 +24,6 @@ type phase =
   | Probe_down  (** running the rate*(1-eps) MI *)
 
 type state = {
-  mss : float;
   mutable rate : float;  (** base rate decision, bytes/s *)
   mutable phase : phase;
   mutable srtt : float;
@@ -49,10 +48,10 @@ let utility ~thr_bps ~rtt_grad ~loss_rate =
     -. (utility_c *. thr *. loss_rate)
 
 let create ~mss ~now =
+  let w = window ~mss in
   let s =
     {
-      mss = fmss mss;
-      rate = 20.0 *. fmss mss /. 0.1;  (* ~2.2 Mbps starting guess *)
+      rate = 20.0 *. w.mss /. 0.1;  (* ~2.2 Mbps starting guess *)
       phase = Starting;
       srtt = 0.1;
       mi_end = now +. 0.1;
@@ -75,7 +74,7 @@ let create ~mss ~now =
       | Some a, Some b -> (b -. a) /. dur
       | _ -> 0.0
     in
-    let pkts_acked = s.mi_acked / int_of_float s.mss in
+    let pkts_acked = s.mi_acked / mss in
     let loss_rate =
       let total = pkts_acked + s.mi_lost in
       if total = 0 then 0.0 else float_of_int s.mi_lost /. float_of_int total
@@ -115,11 +114,26 @@ let create ~mss ~now =
       s.direction <- dir;
       s.rate <- s.rate *. (1.0 +. (dir *. s.step));
       s.phase <- Probe_up);
-    s.rate <- Float.max s.rate (2.0 *. s.mss /. Float.max s.srtt 0.01);
+    s.rate <- Float.max s.rate (2.0 *. w.mss /. Float.max s.srtt 0.01);
     start_mi now
   in
+  (* The window follows the rate, the SRTT and the probe direction,
+     which only [on_ack] moves: written at creation and at the end of
+     every ACK. *)
+  let write_window () =
+    w.cwnd <- Float.max (2.0 *. s.rate *. s.srtt) (4.0 *. w.mss);
+    let gain =
+      match s.phase with
+      | Starting -> 1.0
+      | Probe_up -> 1.0 +. eps
+      | Probe_down -> 1.0 -. eps
+    in
+    w.pacing_rate <- gain *. s.rate
+  in
+  write_window ();
   {
     name = "pcc";
+    window = w;
     on_ack =
       (fun info ->
         (match info.rtt_sample with
@@ -129,19 +143,10 @@ let create ~mss ~now =
           s.mi_rtt_last <- Some r
         | None -> ());
         s.mi_acked <- s.mi_acked + info.acked_bytes;
-        if info.now >= s.mi_end then finish_mi info.now);
+        if info.now >= s.mi_end then finish_mi info.now;
+        write_window ());
     on_loss = (fun ~now:_ ~inflight:_ -> s.mi_lost <- s.mi_lost + 1);
     on_rto = (fun ~now:_ -> s.mi_lost <- s.mi_lost + 10);
-    cwnd = (fun () -> Float.max (2.0 *. s.rate *. s.srtt) (4.0 *. s.mss));
-    pacing_rate =
-      (fun () ->
-        let gain =
-          match s.phase with
-          | Starting -> 1.0
-          | Probe_up -> 1.0 +. eps
-          | Probe_down -> 1.0 -. eps
-        in
-        Some (gain *. s.rate));
     phase =
       (fun () ->
         match s.phase with

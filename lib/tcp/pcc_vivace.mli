@@ -3,4 +3,4 @@
     c*thr*loss, with paired probe MIs deciding gradient-style rate
     steps. *)
 
-val create : mss:int -> now:float -> Cc_intf.t
+val create : mss:int -> now:float -> Cc.t

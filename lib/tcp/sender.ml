@@ -149,7 +149,6 @@ and pump t = if not t.finished then pump_loop t (Engine.now t.engine)
    pacing gates let it go.  Stops when a gate closes or nothing is
    sendable. *)
 and pump_loop t now =
-  let cwnd = t.cc.Cc.cwnd () in
   let i =
     if t.lost_pending > 0 then
       first_lost t (Seg_store.lower_bound t.segments ~from:t.snd_una)
@@ -157,14 +156,14 @@ and pump_loop t now =
   in
   if i < Seg_store.length t.segments then begin
     let seg = Seg_store.get t.segments i in
-    if may_send t now ~cwnd ~len:seg.len then begin
+    if may_send t now ~len:seg.len then begin
       send_segment t seg ~retx:true;
       pump_loop t now
     end
   end
   else begin
     let len = min t.mss (available_bytes t - t.snd_nxt) in
-    if len > 0 && may_send t now ~cwnd ~len then begin
+    if len > 0 && may_send t now ~len then begin
       let seg = Seg_store.make ~seq:t.snd_nxt ~len in
       Seg_store.push_back t.segments seg;
       t.snd_nxt <- t.snd_nxt + len;
@@ -173,26 +172,27 @@ and pump_loop t now =
     end
   end
 
-(* The window and pacing gates for a [len]-byte segment ([not (_ > cwnd)]
-   lets a NaN window through).  A closed pacing gate arms the pacing
-   timer; an open one books the segment's transmission time. *)
-and may_send t now ~cwnd ~len =
-  (not (float_of_int (t.inflight + len) > cwnd))
+(* The window and pacing gates for a [len]-byte segment, read from the
+   controller's flat window ([not (_ > cwnd)] lets a NaN window through;
+   a rate that is not positive, NaN included, does not pace).  A closed
+   pacing gate arms the pacing timer; an open one books the segment's
+   transmission time. *)
+and may_send t now ~len =
+  let w = t.cc.Cc.window in
+  (not (float_of_int (t.inflight + len) > w.Cc.cwnd))
   &&
-  match t.cc.Cc.pacing_rate () with
-  | Some rate when rate > 0.0 ->
-    if now < t.next_send_time then begin
-      if not (Engine.is_pending t.pump_timer) then
-        Engine.arm_at t.pump_timer ~time:t.next_send_time;
-      false
-    end
-    else begin
-      t.next_send_time <-
-        Float.max now t.next_send_time
-        +. (float_of_int (len + Wire.header_bytes) /. rate);
-      true
-    end
-  | Some _ | None -> true
+  if not (w.Cc.pacing_rate > 0.0) then true
+  else if now < t.next_send_time then begin
+    if not (Engine.is_pending t.pump_timer) then
+      Engine.arm_at t.pump_timer ~time:t.next_send_time;
+    false
+  end
+  else begin
+    t.next_send_time <-
+      Float.max now t.next_send_time
+      +. (float_of_int (len + Wire.header_bytes) /. w.Cc.pacing_rate);
+    true
+  end
 
 let finish t =
   if not t.finished then begin
@@ -226,6 +226,16 @@ let create engine ~node ~dst ~flow ~cc ?(mss = Wire.default_mss)
             (seg.first_sent, seg.retx_count > 0)
           else (Engine.now engine, false)
   in
+  let cc =
+    match cc with
+    | Cc.Newreno -> Newreno.create ~mss ~now
+    | Cubic -> Cubic.create ~mss ~now
+    | Hybla -> Hybla.create ~mss ~now
+    | Westwood -> Westwood.create ~mss ~now
+    | Vegas -> Vegas.create ~mss ~now
+    | Bbr -> Bbr.create ~mss ~now
+    | Pcc -> Pcc_vivace.create ~mss ~now
+  in
   (* The timers' actions close over the record, so it starts with a
      stand-in that is replaced before [create] returns. *)
   let unset = Engine.timer engine ignore in
@@ -237,7 +247,7 @@ let create engine ~node ~dst ~flow ~cc ?(mss = Wire.default_mss)
       dst;
       flow;
       mss;
-      cc = Cc.create cc ~mss ~now;
+      cc;
       rto = Leotp_util.Rto.create ~min_rto:0.2 ();
       source;
       metrics;
@@ -432,7 +442,7 @@ let handle_ack t pkt =
              snd_una = t.snd_una;
              inflight = t.inflight;
              lost_pending = t.lost_pending;
-             cwnd = t.cc.Cc.cwnd ();
+             cwnd = t.cc.Cc.window.Cc.cwnd;
              rto = Leotp_util.Rto.rto t.rto;
            });
     Leotp_net.Packet_pool.release pkt;

@@ -3,8 +3,10 @@
     Loss detection: SACK scoreboard with a FACK-style reordering threshold
     (a segment is declared lost once bytes >= 3*MSS beyond it have been
     selectively acknowledged), plus an RFC 6298 retransmission timeout as
-    the last resort.  Congestion control is pluggable ({!Cc}); rate-based
-    controllers are honoured through packet pacing. *)
+    the last resort.  Congestion control is pluggable ({!Cc}): the
+    sender builds the controller [cc] names and reads its {!Cc.window}
+    (cwnd and pacing rate) at every send; rate-based controllers are
+    honoured through packet pacing. *)
 
 type source =
   | Fixed of int  (** transfer exactly this many bytes, then finish *)

@@ -2,16 +2,13 @@
     Keeps between [alpha] and [beta] segments queued in the network,
     estimated as (expected - actual) * baseRTT. *)
 
-open Cc_intf
+open Cc
 
 let alpha = 2.0
 let beta = 4.0
 let gamma = 1.0
 
 type state = {
-  mss : float;
-  mutable cwnd : float;
-  mutable ssthresh : float;
   mutable base_rtt : float;
   mutable srtt : float;
   mutable next_update : float;  (** adjust once per RTT *)
@@ -19,11 +16,9 @@ type state = {
 }
 
 let create ~mss ~now =
+  let w = window ~mss in
   let s =
     {
-      mss = fmss mss;
-      cwnd = initial_window mss;
-      ssthresh = Float.infinity;
       base_rtt = Float.infinity;
       srtt = Float.nan;
       next_update = now;
@@ -34,13 +29,14 @@ let create ~mss ~now =
     (* (expected - actual) * baseRTT, in segments. *)
     if Float.is_nan s.srtt || not (Float.is_finite s.base_rtt) then 0.0
     else begin
-      let expected = s.cwnd /. s.base_rtt in
-      let actual = s.cwnd /. s.srtt in
-      (expected -. actual) *. s.base_rtt /. s.mss
+      let expected = w.cwnd /. s.base_rtt in
+      let actual = w.cwnd /. s.srtt in
+      (expected -. actual) *. s.base_rtt /. w.mss
     end
   in
   {
     name = "vegas";
+    window = w;
     on_ack =
       (fun info ->
         (match info.rtt_sample with
@@ -54,24 +50,21 @@ let create ~mss ~now =
             info.now +. (if Float.is_nan s.srtt then 0.1 else s.srtt);
           let diff = diff_segments () in
           if s.in_slow_start then begin
-            if diff > gamma || s.cwnd >= s.ssthresh then s.in_slow_start <- false
-            else s.cwnd <- s.cwnd *. 2.0
+            if diff > gamma || w.cwnd >= w.ssthresh then s.in_slow_start <- false
+            else w.cwnd <- w.cwnd *. 2.0
           end
-          else if diff < alpha then s.cwnd <- s.cwnd +. s.mss
+          else if diff < alpha then w.cwnd <- w.cwnd +. w.mss
           else if diff > beta then
-            s.cwnd <- Float.max (s.cwnd -. s.mss) (min_window (int_of_float s.mss))
+            w.cwnd <- Float.max (w.cwnd -. w.mss) (min_window mss)
         end);
     on_loss =
       (fun ~now:_ ~inflight:_ ->
         s.in_slow_start <- false;
-        s.cwnd <- Float.max (s.cwnd *. 0.75) (min_window (int_of_float s.mss));
-        s.ssthresh <- s.cwnd);
+        w.cwnd <- Float.max (w.cwnd *. 0.75) (min_window mss);
+        w.ssthresh <- w.cwnd);
     on_rto =
       (fun ~now:_ ->
         s.in_slow_start <- false;
-        s.ssthresh <- Float.max (s.cwnd /. 2.0) (2.0 *. s.mss);
-        s.cwnd <- s.mss);
-    cwnd = (fun () -> s.cwnd);
-    pacing_rate = (fun () -> None);
+        collapse w);
     phase = (fun () -> if s.in_slow_start then "ss" else "ca");
   }

@@ -2,4 +2,4 @@
     keeping between alpha and beta segments queued in the network,
     adjusted once per RTT. *)
 
-val create : mss:int -> now:float -> Cc_intf.t
+val create : mss:int -> now:float -> Cc.t

@@ -3,59 +3,48 @@
     the minimum RTT, instead of blind halving — designed for lossy
     wireless links. *)
 
-open Cc_intf
+open Cc
 
 type state = {
-  mss : float;
-  mutable cwnd : float;
-  mutable ssthresh : float;
   mutable bwe : float;  (** bytes/s, EWMA of delivery-rate samples *)
   mutable rtt_min : float;
 }
 
 let create ~mss ~now:_ =
-  let s =
-    {
-      mss = fmss mss;
-      cwnd = initial_window mss;
-      ssthresh = Float.infinity;
-      bwe = 0.0;
-      rtt_min = Float.infinity;
-    }
-  in
+  let w = window ~mss in
+  let s = { bwe = 0.0; rtt_min = Float.infinity } in
   let hystart = Hystart.create () in
+  (* ssthresh from the estimated BDP, or half the window before the
+     first estimate; never below 2 MSS. *)
+  let set_ssthresh () =
+    let target =
+      if s.bwe > 0.0 && Float.is_finite s.rtt_min then s.bwe *. s.rtt_min
+      else w.cwnd /. 2.0
+    in
+    w.ssthresh <- Float.max target (2.0 *. w.mss)
+  in
   {
     name = "westwood";
+    window = w;
     on_ack =
       (fun info ->
         (match info.rtt_sample with
         | Some r -> s.rtt_min <- Float.min s.rtt_min r
         | None -> ());
-        if s.cwnd < s.ssthresh && Hystart.should_exit hystart ~rtt_sample:info.rtt_sample
-        then s.ssthresh <- s.cwnd;
+        Hystart.on_ack hystart w ~rtt_sample:info.rtt_sample;
         (match info.bw_sample with
         | Some b -> s.bwe <- if Float.equal s.bwe 0.0 then b else (0.9 *. s.bwe) +. (0.1 *. b)
         | None -> ());
         let acked = float_of_int info.acked_bytes in
-        if s.cwnd < s.ssthresh then s.cwnd <- s.cwnd +. acked
-        else s.cwnd <- s.cwnd +. (s.mss *. acked /. s.cwnd));
+        if w.cwnd < w.ssthresh then w.cwnd <- w.cwnd +. acked
+        else w.cwnd <- w.cwnd +. (w.mss *. acked /. w.cwnd));
     on_loss =
       (fun ~now:_ ~inflight:_ ->
-        let target =
-          if s.bwe > 0.0 && Float.is_finite s.rtt_min then s.bwe *. s.rtt_min
-          else s.cwnd /. 2.0
-        in
-        s.ssthresh <- Float.max target (2.0 *. s.mss);
-        s.cwnd <- Float.min s.cwnd s.ssthresh);
+        set_ssthresh ();
+        w.cwnd <- Float.min w.cwnd w.ssthresh);
     on_rto =
       (fun ~now:_ ->
-        let target =
-          if s.bwe > 0.0 && Float.is_finite s.rtt_min then s.bwe *. s.rtt_min
-          else s.cwnd /. 2.0
-        in
-        s.ssthresh <- Float.max target (2.0 *. s.mss);
-        s.cwnd <- s.mss);
-    cwnd = (fun () -> s.cwnd);
-    pacing_rate = (fun () -> None);
-    phase = (fun () -> if s.cwnd < s.ssthresh then "ss" else "ca");
+        set_ssthresh ();
+        w.cwnd <- w.mss);
+    phase = (fun () -> ss_or_ca w);
   }

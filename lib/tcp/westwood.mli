@@ -2,4 +2,4 @@
     the window is set from a bandwidth estimate times the minimum RTT
     instead of blind halving. *)
 
-val create : mss:int -> now:float -> Cc_intf.t
+val create : mss:int -> now:float -> Cc.t
