@@ -74,13 +74,8 @@ let create ?(label = "cache") ~config () =
 
 let trace_occupancy t =
   if Leotp_net.Trace.on () then
-    Leotp_net.Trace.emit
-      (Leotp_net.Trace.Cache_occupancy
-         {
-           node = t.label;
-           used = t.used;
-           capacity = t.config.Config.cache_capacity;
-         })
+    Leotp_net.Trace.cache_occupancy ~node:t.label ~used:t.used
+      ~capacity:t.config.Config.cache_capacity
 
 let block_size t = t.config.Config.cache_block
 

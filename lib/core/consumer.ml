@@ -189,9 +189,8 @@ let finish t =
   if not t.completed then begin
     t.completed <- true;
     if Leotp_net.Trace.on () then
-      Leotp_net.Trace.emit
-        (Leotp_net.Trace.Complete
-           { node = Node.id t.node; flow = t.flow; bytes = t.prefix });
+      Leotp_net.Trace.complete ~node:(Node.id t.node) ~flow:t.flow
+        ~bytes:t.prefix;
     Leotp_net.Flow_metrics.set_finished t.metrics (Engine.now t.engine);
     Engine.cancel t.scan_timer;
     Engine.cancel t.pump_timer;
@@ -280,9 +279,8 @@ let handle_data t ~lo ~hi ~first_sent ~retx =
     let pos = t.prefix in
     t.prefix <- new_prefix;
     if Leotp_net.Trace.on () then
-      Leotp_net.Trace.emit
-        (Leotp_net.Trace.Deliver
-           { node = Node.id t.node; flow = t.flow; pos; len = new_prefix - pos });
+      Leotp_net.Trace.deliver ~node:(Node.id t.node) ~flow:t.flow ~pos
+        ~len:(new_prefix - pos);
     t.on_prefix ~pos ~len:(new_prefix - pos)
   end;
   (* Consumer-side SHR: confirmed holes are re-requested immediately. *)

@@ -42,9 +42,8 @@ let rec remove_emitting t = function
   | (flow, lo, hi) :: rest ->
     Range_table.remove t.table (Range_table.find t.table ~flow ~lo ~hi);
     if Trace.on () then
-      Trace.emit
-        (Trace.Pit_expire
-           { node = t.label; flow; lo; hi; pending = Range_table.length t.table });
+      Trace.pit_expire ~node:t.label ~flow ~lo ~hi
+        ~pending:(Range_table.length t.table);
     remove_emitting t rest
 
 (* Remove every entry [doomed] selects, each with a traced expiry, in
@@ -89,17 +88,8 @@ let register t ~now ~flow ~lo ~hi ~consumer =
     end
   in
   if Trace.on () then
-    Trace.emit
-      (Trace.Pit_register
-         {
-           node = t.label;
-           flow;
-           lo;
-           hi;
-           forwarded;
-           expiry = t.expiry;
-           pending = Range_table.length tbl;
-         });
+    Trace.pit_register ~node:t.label ~flow ~lo ~hi ~forwarded ~expiry:t.expiry
+      ~pending:(Range_table.length tbl);
   forwarded
 
 let satisfy t ~now ~flow ~lo ~hi =
@@ -114,17 +104,8 @@ let satisfy t ~now ~flow ~lo ~hi =
     if Trace.on () then begin
       let age = Range_table.age tbl s ~now in
       Range_table.remove tbl s;
-      Trace.emit
-        (Trace.Pit_satisfy
-           {
-             node = t.label;
-             flow;
-             lo;
-             hi;
-             fresh = is_fresh;
-             age;
-             pending = Range_table.length tbl;
-           })
+      Trace.pit_satisfy ~node:t.label ~flow ~lo ~hi ~fresh:is_fresh ~age
+        ~pending:(Range_table.length tbl)
     end
     else Range_table.remove tbl s
   end;

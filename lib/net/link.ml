@@ -61,8 +61,7 @@ let set_reorder t ~prob ~jitter =
   t.reorder_jitter <- jitter
 
 let trace_drop t pkt reason =
-  if Trace.on () then
-    Trace.emit (Trace.Link_drop { link = t.name; pkt = pkt.Packet.id; reason })
+  if Trace.on () then Trace.link_drop ~link:t.name ~pkt:pkt.Packet.id ~reason
 
 (* Every dropped packet dies here: the link owns it, so the record goes
    straight back to the pool. *)
@@ -74,9 +73,7 @@ let deliver t pkt =
   t.stats.packets_delivered <- t.stats.packets_delivered + 1;
   t.stats.bytes_delivered <- t.stats.bytes_delivered + pkt.Packet.size;
   if Trace.on () then
-    Trace.emit
-      (Trace.Link_deliver
-         { link = t.name; pkt = pkt.Packet.id; size = pkt.Packet.size });
+    Trace.link_deliver ~link:t.name ~pkt:pkt.Packet.id ~size:pkt.Packet.size;
   t.sink pkt
 
 (* Doubles the slot table.  [pkt] (the packet about to be stored) fills
@@ -168,8 +165,7 @@ let arrive t slot =
       let copy = Packet_pool.clone pkt in
       deliver t pkt;
       t.stats.dups <- t.stats.dups + 1;
-      if Trace.on () then
-        Trace.emit (Trace.Link_dup { link = t.name; pkt = copy.Packet.id });
+      if Trace.on () then Trace.link_dup ~link:t.name ~pkt:copy.Packet.id;
       deliver t copy
     end
     else deliver t pkt
@@ -229,9 +225,7 @@ let create engine ~name ~bandwidth ~delay ?(plr = 0.0)
 let send t pkt =
   t.stats.packets_in <- t.stats.packets_in + 1;
   if Trace.on () then
-    Trace.emit
-      (Trace.Link_enq
-         { link = t.name; pkt = pkt.Packet.id; size = pkt.Packet.size });
+    Trace.link_enq ~link:t.name ~pkt:pkt.Packet.id ~size:pkt.Packet.size;
   if not t.up then begin
     t.stats.drops_down <- t.stats.drops_down + 1;
     drop t pkt Trace.Down

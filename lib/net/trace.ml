@@ -67,6 +67,9 @@ type record = { seq : int; time : float; event : event }
 type t = {
   capacity : int;
   digesting : bool;
+  mutable direct : bool;
+      (** digests, feeds no sink and keeps a one-slot ring: an emit mixes
+          its fields straight into [digest] and builds no record *)
   mutable ring : record array;  (** allocated lazily at first emit *)
   mutable len : int;
   mutable next : int;
@@ -118,33 +121,63 @@ let mix_rtt rtt h =
 let reason_tag = function Tail -> 0 | Error -> 1 | Flush -> 2 | Down -> 3
 let state_tag = function Seg_sent -> 0 | Seg_retx -> 1 | Seg_lost -> 2
 
+(* One field encoder per kind that has a typed emitter, shared by
+   [mix_event] and that emitter, so a kind hashes the same whether its
+   event was built or not. *)
+let link_enq_fields ~link ~pkt ~size h =
+  h |> mix 0 |> mix_string link |> mix pkt |> mix size
+
+let link_drop_fields ~link ~pkt ~reason h =
+  h |> mix 1 |> mix_string link |> mix pkt |> mix (reason_tag reason)
+
+let link_deliver_fields ~link ~pkt ~size h =
+  h |> mix 2 |> mix_string link |> mix pkt |> mix size
+
+let link_dup_fields ~link ~pkt h = h |> mix 3 |> mix_string link |> mix pkt
+
+let pit_register_fields ~node ~flow ~lo ~hi ~forwarded ~expiry ~pending h =
+  h |> mix 5 |> mix_string node |> mix flow |> mix lo |> mix hi
+  |> mix (Bool.to_int forwarded) |> mix_float expiry |> mix pending
+
+let pit_satisfy_fields ~node ~flow ~lo ~hi ~fresh ~age ~pending h =
+  h |> mix 6 |> mix_string node |> mix flow |> mix lo |> mix hi
+  |> mix (Bool.to_int fresh) |> mix_float age |> mix pending
+
+let pit_expire_fields ~node ~flow ~lo ~hi ~pending h =
+  h |> mix 7 |> mix_string node |> mix flow |> mix lo |> mix hi |> mix pending
+
+let cache_occupancy_fields ~node ~used ~capacity h =
+  h |> mix 8 |> mix_string node |> mix used |> mix capacity
+
+let deliver_fields ~node ~flow ~pos ~len h =
+  h |> mix 9 |> mix node |> mix flow |> mix pos |> mix len
+
+let complete_fields ~node ~flow ~bytes h =
+  h |> mix 10 |> mix node |> mix flow |> mix bytes
+
+let seg_state_fields ~who ~flow ~seq ~len ~state h =
+  h |> mix 13 |> mix_string who |> mix flow |> mix seq |> mix len
+  |> mix (state_tag state)
+
 let mix_event ev h =
   match ev with
-  | Link_enq { link; pkt; size } ->
-    h |> mix 0 |> mix_string link |> mix pkt |> mix size
-  | Link_drop { link; pkt; reason } ->
-    h |> mix 1 |> mix_string link |> mix pkt |> mix (reason_tag reason)
-  | Link_deliver { link; pkt; size } ->
-    h |> mix 2 |> mix_string link |> mix pkt |> mix size
-  | Link_dup { link; pkt } -> h |> mix 3 |> mix_string link |> mix pkt
+  | Link_enq { link; pkt; size } -> link_enq_fields ~link ~pkt ~size h
+  | Link_drop { link; pkt; reason } -> link_drop_fields ~link ~pkt ~reason h
+  | Link_deliver { link; pkt; size } -> link_deliver_fields ~link ~pkt ~size h
+  | Link_dup { link; pkt } -> link_dup_fields ~link ~pkt h
   | Link_final { link; offered; delivered; dropped; dups; queued; in_flight } ->
     h |> mix 4 |> mix_string link |> mix offered |> mix delivered
     |> mix dropped |> mix dups |> mix queued |> mix in_flight
   | Pit_register { node; flow; lo; hi; forwarded; expiry; pending } ->
-    h |> mix 5 |> mix_string node |> mix flow |> mix lo |> mix hi
-    |> mix (Bool.to_int forwarded) |> mix_float expiry |> mix pending
+    pit_register_fields ~node ~flow ~lo ~hi ~forwarded ~expiry ~pending h
   | Pit_satisfy { node; flow; lo; hi; fresh; age; pending } ->
-    h |> mix 6 |> mix_string node |> mix flow |> mix lo |> mix hi
-    |> mix (Bool.to_int fresh) |> mix_float age |> mix pending
+    pit_satisfy_fields ~node ~flow ~lo ~hi ~fresh ~age ~pending h
   | Pit_expire { node; flow; lo; hi; pending } ->
-    h |> mix 7 |> mix_string node |> mix flow |> mix lo |> mix hi
-    |> mix pending
+    pit_expire_fields ~node ~flow ~lo ~hi ~pending h
   | Cache_occupancy { node; used; capacity } ->
-    h |> mix 8 |> mix_string node |> mix used |> mix capacity
-  | Deliver { node; flow; pos; len } ->
-    h |> mix 9 |> mix node |> mix flow |> mix pos |> mix len
-  | Complete { node; flow; bytes } ->
-    h |> mix 10 |> mix node |> mix flow |> mix bytes
+    cache_occupancy_fields ~node ~used ~capacity h
+  | Deliver { node; flow; pos; len } -> deliver_fields ~node ~flow ~pos ~len h
+  | Complete { node; flow; bytes } -> complete_fields ~node ~flow ~bytes h
   | Rto_fire { who; elapsed; floor } ->
     h |> mix 11 |> mix_string who |> mix_float elapsed |> mix_float floor
   | Ack_processed
@@ -167,13 +200,14 @@ let mix_event ev h =
     |> mix snd_una |> mix inflight |> mix lost_pending |> mix_float cwnd
     |> mix_float rto
   | Seg_state { who; flow; seq; len; state } ->
-    h |> mix 13 |> mix_string who |> mix flow |> mix seq |> mix len
-    |> mix (state_tag state)
+    seg_state_fields ~who ~flow ~seq ~len ~state h
   | Fault { what } -> h |> mix 14 |> mix_string what
   | Note { what } -> h |> mix 15 |> mix_string what
 
+let mix_stamp ~seq ~time h = h |> mix seq |> mix_float time
+
 let mix_record (r : record) h =
-  h |> mix r.seq |> mix_float r.time |> mix_event r.event
+  h |> mix_stamp ~seq:r.seq ~time:r.time |> mix_event r.event
 
 let hex h = Printf.sprintf "%016x" h
 
@@ -181,6 +215,7 @@ let create ?(capacity = 65536) ?(digesting = true) () =
   {
     capacity = max 1 capacity;
     digesting;
+    direct = digesting && capacity <= 1;
     ring = [||];
     len = 0;
     next = 0;
@@ -190,7 +225,9 @@ let create ?(capacity = 65536) ?(digesting = true) () =
     sinks = [];
   }
 
-let add_sink t sink = t.sinks <- t.sinks @ [ sink ]
+let add_sink t sink =
+  t.direct <- false;
+  t.sinks <- t.sinks @ [ sink ]
 
 (* Domain-local recorder, mirroring the Packet/Node id counters so that
    parallel sweep cells never observe each other. *)
@@ -306,10 +343,101 @@ let record t event =
   if t.len < t.capacity then t.len <- t.len + 1;
   List.iter (fun sink -> sink r) t.sinks
 
+(* A [direct] recorder's digest with the next record's seq and clock
+   time mixed in, as [mix_record] mixes them first; advances the seq. *)
+let stamp t =
+  let h = mix_stamp ~seq:t.seq ~time:(t.clock ()) t.digest in
+  t.seq <- t.seq + 1;
+  h
+
 let emit ev =
   match installed () with
-  | None -> ()
-  | Some t -> if enabled t then record t ev
+  | Some t when t.direct -> t.digest <- mix_event ev (stamp t)
+  | Some t when enabled t -> record t ev
+  | _ -> ()
+
+let link_enq ~link ~pkt ~size =
+  match installed () with
+  | Some t when t.direct ->
+    t.digest <- link_enq_fields ~link ~pkt ~size (stamp t)
+  | Some t when enabled t -> record t (Link_enq { link; pkt; size })
+  | _ -> ()
+
+let link_drop ~link ~pkt ~reason =
+  match installed () with
+  | Some t when t.direct ->
+    t.digest <- link_drop_fields ~link ~pkt ~reason (stamp t)
+  | Some t when enabled t -> record t (Link_drop { link; pkt; reason })
+  | _ -> ()
+
+let link_deliver ~link ~pkt ~size =
+  match installed () with
+  | Some t when t.direct ->
+    t.digest <- link_deliver_fields ~link ~pkt ~size (stamp t)
+  | Some t when enabled t -> record t (Link_deliver { link; pkt; size })
+  | _ -> ()
+
+let link_dup ~link ~pkt =
+  match installed () with
+  | Some t when t.direct -> t.digest <- link_dup_fields ~link ~pkt (stamp t)
+  | Some t when enabled t -> record t (Link_dup { link; pkt })
+  | _ -> ()
+
+let pit_register ~node ~flow ~lo ~hi ~forwarded ~expiry ~pending =
+  match installed () with
+  | Some t when t.direct ->
+    t.digest <-
+      pit_register_fields ~node ~flow ~lo ~hi ~forwarded ~expiry ~pending
+        (stamp t)
+  | Some t when enabled t ->
+    record t
+      (Pit_register { node; flow; lo; hi; forwarded; expiry; pending })
+  | _ -> ()
+
+let pit_satisfy ~node ~flow ~lo ~hi ~fresh ~age ~pending =
+  match installed () with
+  | Some t when t.direct ->
+    t.digest <-
+      pit_satisfy_fields ~node ~flow ~lo ~hi ~fresh ~age ~pending (stamp t)
+  | Some t when enabled t ->
+    record t (Pit_satisfy { node; flow; lo; hi; fresh; age; pending })
+  | _ -> ()
+
+let pit_expire ~node ~flow ~lo ~hi ~pending =
+  match installed () with
+  | Some t when t.direct ->
+    t.digest <- pit_expire_fields ~node ~flow ~lo ~hi ~pending (stamp t)
+  | Some t when enabled t ->
+    record t (Pit_expire { node; flow; lo; hi; pending })
+  | _ -> ()
+
+let cache_occupancy ~node ~used ~capacity =
+  match installed () with
+  | Some t when t.direct ->
+    t.digest <- cache_occupancy_fields ~node ~used ~capacity (stamp t)
+  | Some t when enabled t -> record t (Cache_occupancy { node; used; capacity })
+  | _ -> ()
+
+let deliver ~node ~flow ~pos ~len =
+  match installed () with
+  | Some t when t.direct ->
+    t.digest <- deliver_fields ~node ~flow ~pos ~len (stamp t)
+  | Some t when enabled t -> record t (Deliver { node; flow; pos; len })
+  | _ -> ()
+
+let complete ~node ~flow ~bytes =
+  match installed () with
+  | Some t when t.direct ->
+    t.digest <- complete_fields ~node ~flow ~bytes (stamp t)
+  | Some t when enabled t -> record t (Complete { node; flow; bytes })
+  | _ -> ()
+
+let seg_state ~who ~flow ~seq ~len ~state =
+  match installed () with
+  | Some t when t.direct ->
+    t.digest <- seg_state_fields ~who ~flow ~seq ~len ~state (stamp t)
+  | Some t when enabled t -> record t (Seg_state { who; flow; seq; len; state })
+  | _ -> ()
 
 let with_recorder t ~clock f =
   t.clock <- clock;

@@ -90,10 +90,17 @@ val create : ?capacity:int -> ?digesting:bool -> unit -> t
 (** Ring capacity in records (default 65536).  The digest and any sinks
     cover every emitted record regardless of ring retention.
     [digesting:false] skips the per-record hash (for sink-only recorders,
-    e.g. pure invariant checking); {!digest} then stays at the seed. *)
+    e.g. pure invariant checking); {!digest} then stays at the seed.
+
+    A digesting recorder with a one-slot ring and no sink keeps no
+    record at all ({!records} is empty): each emit mixes the record's
+    seq, time and fields straight into the digest, and a typed emitter
+    builds no event, so digesting costs no allocation.  A one-slot ring
+    with a sink keeps the latest record. *)
 
 val add_sink : t -> (record -> unit) -> unit
-(** Live callback per record (e.g. an invariant checker). *)
+(** Live callback per record (e.g. an invariant checker).  From here on
+    every emit builds its record, including on a one-slot ring. *)
 
 val on : unit -> bool
 (** [true] iff a recorder is installed on this domain; guard for emit
@@ -101,6 +108,48 @@ val on : unit -> bool
 
 val emit : event -> unit
 (** Record on the current recorder; no-op when none is installed. *)
+
+(** {2 Typed emitters}
+
+    One per per-packet kind: [link_enq ~link ~pkt ~size] records what
+    [emit (Link_enq { link; pkt; size })] records, with the same digest,
+    and on a recorder that only digests it builds neither the event nor
+    its record.  Emit sites call them under their {!on} guard. *)
+
+val link_enq : link:string -> pkt:int -> size:int -> unit
+val link_drop : link:string -> pkt:int -> reason:drop_reason -> unit
+val link_deliver : link:string -> pkt:int -> size:int -> unit
+val link_dup : link:string -> pkt:int -> unit
+
+val pit_register :
+  node:string ->
+  flow:int ->
+  lo:int ->
+  hi:int ->
+  forwarded:bool ->
+  expiry:float ->
+  pending:int ->
+  unit
+
+val pit_satisfy :
+  node:string ->
+  flow:int ->
+  lo:int ->
+  hi:int ->
+  fresh:bool ->
+  age:float ->
+  pending:int ->
+  unit
+
+val pit_expire :
+  node:string -> flow:int -> lo:int -> hi:int -> pending:int -> unit
+
+val cache_occupancy : node:string -> used:int -> capacity:int -> unit
+val deliver : node:int -> flow:int -> pos:int -> len:int -> unit
+val complete : node:int -> flow:int -> bytes:int -> unit
+
+val seg_state :
+  who:string -> flow:int -> seq:int -> len:int -> state:seg_state -> unit
 
 val with_recorder : t -> clock:(unit -> float) -> (unit -> 'a) -> 'a
 (** Install (with clock), run, uninstall (also on exception). *)
@@ -115,8 +164,9 @@ val digest : t -> string
 (** Streaming structural hash over every record, as 16 hex digits.  Each
     record's seq, time (all 64 bits), constructor and every field in
     declaration order are mixed into an immediate [int] state, with
-    strings and lists length-prefixed; recording allocates nothing for
-    it. *)
+    strings and lists length-prefixed.  The hash allocates nothing, and
+    on a recorder that only digests (see {!create}) neither does a
+    typed emit or an {!emit} of an event already built. *)
 
 val digest_records : record list -> string
 (** The {!digest} of a fresh recorder that recorded exactly these

@@ -72,9 +72,8 @@ let handle_data t pkt =
       let pos = t.delivered in
       t.delivered <- prefix;
       if Leotp_net.Trace.on () then
-        Leotp_net.Trace.emit
-          (Leotp_net.Trace.Deliver
-             { node = Node.id t.node; flow = t.flow; pos; len = prefix - pos });
+        Leotp_net.Trace.deliver ~node:(Node.id t.node) ~flow:t.flow ~pos
+          ~len:(prefix - pos);
       t.on_deliver ~pos ~len:(prefix - pos) ~first_sent ~retx
     end;
     (* Per-packet ACK with timestamp echo. *)
@@ -90,9 +89,8 @@ let handle_data t pkt =
     | Some n when t.delivered >= n && not t.completed ->
       t.completed <- true;
       if Leotp_net.Trace.on () then
-        Leotp_net.Trace.emit
-          (Leotp_net.Trace.Complete
-             { node = Node.id t.node; flow = t.flow; bytes = t.delivered });
+        Leotp_net.Trace.complete ~node:(Node.id t.node) ~flow:t.flow
+          ~bytes:t.delivered;
       Flow_metrics.set_finished t.metrics now;
       t.on_complete ()
     | _ -> ()

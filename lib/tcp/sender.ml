@@ -52,9 +52,8 @@ let total_bytes t = match t.source with Fixed n -> Some n | _ -> None
 
 let trace_seg t (seg : Seg_store.seg) state =
   if Leotp_net.Trace.on () then
-    Leotp_net.Trace.emit
-      (Leotp_net.Trace.Seg_state
-         { who = t.who; flow = t.flow; seq = seg.seq; len = seg.len; state })
+    Leotp_net.Trace.seg_state ~who:t.who ~flow:t.flow ~seq:seg.seq ~len:seg.len
+      ~state
 
 let mark_lost t (seg : Seg_store.seg) =
   if (not seg.lost) && not seg.sacked then begin

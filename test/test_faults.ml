@@ -347,11 +347,8 @@ let records_of p =
     (fun event -> { Trace.seq = p.seq; time = p.time; event })
     (events_of p)
 
-let slots_gen =
+let slots_gen_of ~str ~num ~fl =
   let open QCheck2.Gen in
-  let str = string_size ~gen:printable (int_range 0 4) in
-  let num = oneof [ small_signed_int; int ] in
-  let fl = oneof [ oneofl [ 0.0; -0.0; 1.0 ]; float_range (-1e6) 1e6 ] in
   let+ seq = nat
   and+ time = fl
   and+ s = array_size (return 3) str
@@ -363,6 +360,32 @@ let slots_gen =
   and+ sacks = small_list (pair num num)
   and+ rtt = option fl in
   { seq; time; s; i; f; flag; reason; state; sacks; rtt }
+
+let slots_gen =
+  let open QCheck2.Gen in
+  slots_gen_of
+    ~str:(string_size ~gen:printable (int_range 0 4))
+    ~num:(oneof [ small_signed_int; int ])
+    ~fl:(oneof [ oneofl [ 0.0; -0.0; 1.0 ]; float_range (-1e6) 1e6 ])
+
+(* Field values at the encodings' edges: empty and non-ASCII strings,
+   negative and extreme ints, signed zeros, NaN and infinities. *)
+let edge_slots_gen =
+  let open QCheck2.Gen in
+  slots_gen_of
+    ~str:
+      (oneof
+         [
+           oneofl [ ""; "\xc3\xa9"; "\xe6\x97\xa5\xe6\x9c\xac"; "\x00\xff" ];
+           string_size ~gen:char (int_range 0 4);
+         ])
+    ~num:(oneof [ oneofl [ 0; -1; max_int; min_int ]; small_signed_int; int ])
+    ~fl:
+      (oneof
+         [
+           oneofl [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity ];
+           float;
+         ])
 
 (* Every way to change one slot: ints by their low and top bits, floats
    by their sign (0.0 -> -0.0) and lowest mantissa bit, strings by
@@ -419,6 +442,29 @@ let one_slot_changes p =
         (Option.fold ~none:[] ~some:floats p.rtt);
     ]
 
+(* Each event through its kind's typed emitter; [Trace.emit] for the
+   kinds that have none. *)
+let emit_typed (ev : Trace.event) =
+  match ev with
+  | Link_enq { link; pkt; size } -> Trace.link_enq ~link ~pkt ~size
+  | Link_drop { link; pkt; reason } -> Trace.link_drop ~link ~pkt ~reason
+  | Link_deliver { link; pkt; size } -> Trace.link_deliver ~link ~pkt ~size
+  | Link_dup { link; pkt } -> Trace.link_dup ~link ~pkt
+  | Pit_register { node; flow; lo; hi; forwarded; expiry; pending } ->
+    Trace.pit_register ~node ~flow ~lo ~hi ~forwarded ~expiry ~pending
+  | Pit_satisfy { node; flow; lo; hi; fresh; age; pending } ->
+    Trace.pit_satisfy ~node ~flow ~lo ~hi ~fresh ~age ~pending
+  | Pit_expire { node; flow; lo; hi; pending } ->
+    Trace.pit_expire ~node ~flow ~lo ~hi ~pending
+  | Cache_occupancy { node; used; capacity } ->
+    Trace.cache_occupancy ~node ~used ~capacity
+  | Deliver { node; flow; pos; len } -> Trace.deliver ~node ~flow ~pos ~len
+  | Complete { node; flow; bytes } -> Trace.complete ~node ~flow ~bytes
+  | Seg_state { who; flow; seq; len; state } ->
+    Trace.seg_state ~who ~flow ~seq ~len ~state
+  | Link_final _ | Rto_fire _ | Ack_processed _ | Fault _ | Note _ ->
+    Trace.emit ev
+
 (* Bit-exact equality: structural, but telling 0.0 from -0.0. *)
 let same_bits a b =
   Marshal.to_string a [ Marshal.No_sharing ]
@@ -464,6 +510,58 @@ let fixed_slots =
     sacks = [ (1, 2); (4, 5); (7, 9) ];
     rtt = Some 0.05;
   }
+
+(* A sink-free one-slot recorder digests without building records, a
+   recorder with a sink builds every one: fed the same events, one
+   through the typed emitters and one through [emit], they must agree
+   with each other and with the records the second keeps.  A third
+   recorder with a sink takes the typed emitters too and must keep
+   exactly the events they were given. *)
+let typed_emit_prop =
+  let open QCheck2 in
+  Test.make ~name:"typed emitters digest as emit" ~count:200
+    ~print:(fun steps ->
+      String.concat "\n"
+        (List.map
+           (fun (time, event) ->
+             Trace.json_of_record { Trace.seq = 0; time; event })
+           steps))
+    Gen.(
+      list_size (int_range 1 40)
+        (let+ p = edge_slots_gen
+         and+ k = int_bound (List.length (events_of fixed_slots) - 1) in
+         (p.time, List.nth (events_of p) k)))
+    (fun steps ->
+      let run t emit_one =
+        let now = ref 0.0 in
+        Trace.with_recorder t
+          ~clock:(fun () -> !now)
+          (fun () ->
+            List.iter
+              (fun (time, ev) ->
+                now := time;
+                emit_one ev)
+              steps)
+      in
+      let keeping () =
+        let t = Trace.create ~capacity:(List.length steps) () in
+        Trace.add_sink t ignore;
+        t
+      in
+      let lean = Trace.create ~capacity:1 () and full = keeping () in
+      let typed = keeping () in
+      run lean emit_typed;
+      run full Trace.emit;
+      run typed emit_typed;
+      Trace.digest lean = Trace.digest full
+      && Trace.digest full = Trace.digest_records (Trace.records full)
+      && Trace.count lean = Trace.count full
+      && Trace.records lean = []
+      && same_bits
+           (List.map
+              (fun (r : Trace.record) -> (r.time, r.event))
+              (Trace.records typed))
+           steps)
 
 (* A float from the two 32-bit halves of its bits. *)
 let bits hi lo =
@@ -525,27 +623,40 @@ let test_digest_pinned_pairs () =
     "recorder = digest_records" (Trace.digest t)
     (Trace.digest_records (Trace.records t))
 
-(* Digesting is allocation-free: what a record costs is the record and
-   the emit machinery, never the hash.  No lint sees this path, because
+(* Digesting is allocation-free: a recorder that only digests builds
+   no record, so a warm [emit] of a built event and a warm typed emit
+   cost nothing; with a sink, what a record costs is the record and the
+   emit machinery, never the hash.  No lint sees this path, because
    allocation gated on [Trace.on] is exempt from hot-path-may-alloc. *)
 let test_digest_allocation () =
   let events = Array.of_list (events_of fixed_slots) in
   let n = 10_000 in
-  let t = Trace.create ~capacity:1 () in
-  let words =
-    Trace.with_recorder t
-      ~clock:(fun () -> 1.25)
-      (fun () ->
-        let w0 = Gc.minor_words () in
-        for k = 0 to n - 1 do
-          Trace.emit events.(k mod Array.length events)
-        done;
-        Gc.minor_words () -. w0)
+  let per_record label ~bound emit_one t =
+    let words =
+      Trace.with_recorder t
+        ~clock:(fun () -> 1.25)
+        (fun () ->
+          Array.iter emit_one events;
+          let w0 = Gc.minor_words () in
+          for k = 0 to n - 1 do
+            emit_one events.(k mod Array.length events)
+          done;
+          Gc.minor_words () -. w0)
+    in
+    let per_record = words /. float_of_int n in
+    if per_record > bound then
+      Alcotest.failf "%s: %.4f minor words per record (bound %.0f)" label
+        per_record bound
   in
-  Alcotest.(check int) "records" n (Trace.count t);
-  let per_record = words /. float_of_int n in
-  if per_record > 16.0 then
-    Alcotest.failf "%.1f minor words per digested record (bound 16)" per_record
+  let digest_only = Trace.create ~capacity:1 () in
+  per_record "emit, digest only" ~bound:0.0 Trace.emit digest_only;
+  Alcotest.(check int) "records" (Array.length events + n)
+    (Trace.count digest_only);
+  per_record "typed, digest only" ~bound:0.0 emit_typed
+    (Trace.create ~capacity:1 ());
+  let with_sink = Trace.create ~capacity:1 () in
+  Trace.add_sink with_sink ignore;
+  per_record "emit, with a sink" ~bound:16.0 Trace.emit with_sink
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -581,6 +692,7 @@ let () =
           qc digest_field_sensitivity_prop;
           Alcotest.test_case "digest pinned pairs" `Quick
             test_digest_pinned_pairs;
+          qc typed_emit_prop;
           Alcotest.test_case "digest allocation" `Quick test_digest_allocation;
         ] );
     ]
