@@ -316,6 +316,13 @@ let all_experiments =
         [ ("cells", Arr (List.map pathtrace_cell (Pathtrace.experiment ~quick ()))) ] );
     ("fig19", fun ~quick:_ -> fig19 (); []) ]
 
+(* Minor words per packet over the jobs [Runner] ran since its counters
+   were reset (see [run_instrumented]). *)
+let words_per_packet (c : Runner.counters) =
+  if c.Runner.packets > 0 then
+    c.Runner.alloc_bytes /. 8.0 /. float_of_int c.Runner.packets
+  else 0.0
+
 (* Run one experiment under full instrumentation.  GC minor/major words
    are the main domain's [Gc.quick_stat] deltas (allocation on worker
    domains is reported separately via [worker_alloc_bytes], which the
@@ -350,11 +357,7 @@ let run_instrumented ~quick ~out_dir id =
             gc "promoted_words" (fun g -> g.Gc.promoted_words) ] );
       ("worker_alloc_bytes", Num c.Runner.alloc_bytes);
       ("packets_simulated", Int c.Runner.packets);
-      ( "minor_words_per_packet",
-        Num
-          (if c.Runner.packets > 0 then
-             c.Runner.alloc_bytes /. 8.0 /. float_of_int c.Runner.packets
-           else 0.0) ) ]
+      ("minor_words_per_packet", Num (words_per_packet c)) ]
     @ extra
   in
   let path = write_record ~out_dir id fields in
@@ -390,9 +393,11 @@ let run_manyflow ~quick ~out_dir ~flows ~seed ~shards ~gate:g =
     flows spec.Fleet.workload.Workload.cities
     spec.Fleet.workload.Workload.origins spec.Fleet.shards
     spec.Fleet.workload.Workload.horizon (Runner.jobs ());
+  Runner.reset_counters ();
   let wall0 = Unix.gettimeofday () in
   let s = Fleet.run spec in
   let wall = Unix.gettimeofday () -. wall0 in
+  let c = Runner.counters () in
   let per_wall = if wall > 0.0 then s.Fleet.flow_sim_seconds /. wall else 0.0 in
   Printf.printf
     "  %d offered, %d started, %d completed, %d skipped (no route); peak \
@@ -436,6 +441,7 @@ let run_manyflow ~quick ~out_dir ~flows ~seed ~shards ~gate:g =
       ("sim_seconds", Fixed (3, s.Fleet.sim_seconds));
       ("flow_sim_seconds", Fixed (3, s.Fleet.flow_sim_seconds));
       ("flow_sim_seconds_per_wall_second", Num per_wall);
+      ("minor_words_per_packet", Num (words_per_packet c));
       ("route_queries", Int s.Fleet.route_queries);
       ("route_computes", Int s.Fleet.route_computes);
       ("pool_live_delta", Int s.Fleet.pool_live_delta);

@@ -33,7 +33,6 @@ let elevation_deg ~ground ~sat =
   (* Elevation = 90 deg - zenith angle. *)
   90.0 -. (Float.acos (Float.min 1.0 (Float.max (-1.0) cos_zenith)) *. 180.0 /. Float.pi)
 
-(* Starlink terminals' elevation mask, degrees. *)
 let elevation_mask_deg = 25.0
 
 let visible ~ground ~sat = elevation_deg ~ground ~sat >= elevation_mask_deg

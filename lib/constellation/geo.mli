@@ -23,9 +23,11 @@ val ground_position : lat_deg:float -> lon_deg:float -> time:float -> vec3
 val elevation_deg : ground:vec3 -> sat:vec3 -> float
 (** Elevation angle of [sat] above the local horizon at [ground]. *)
 
+val elevation_mask_deg : float
+(** 25 degrees: the Starlink terminals' elevation mask. *)
+
 val visible : ground:vec3 -> sat:vec3 -> bool
-(** [sat] is at least 25 degrees above [ground]'s horizon (the Starlink
-    terminals' elevation mask). *)
+(** [sat] is at least {!elevation_mask_deg} above [ground]'s horizon. *)
 
 val great_circle_distance : lat1:float -> lon1:float -> lat2:float -> lon2:float -> float
 (** Surface distance in meters between two lat/lon points (degrees). *)

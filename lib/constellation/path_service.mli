@@ -2,7 +2,16 @@
 
     Produces hop lists (distance + link kind) that scenarios translate
     into {!Leotp_net.Dynamic_path} snapshots with per-kind bandwidth and
-    loss (GSL vs ISL, paper §V-C). *)
+    loss (GSL vs ISL, paper §V-C).
+
+    A query runs over a flat workspace: satellite positions in three
+    float arrays ({!Walker.positions}), the static +grid rows of a
+    {!Routing} graph reweighed in place, the ground stations' GSL
+    candidates from a top-4 selection, and the graph's array-heap
+    Dijkstra.  A {!Memo} makes its workspace at its first compute and
+    reuses it, so a warm compute allocates only its answer (a few
+    hundred words); the memo-less functions make a throwaway one per
+    call. *)
 
 type link_kind = Gsl | Isl
 
@@ -19,7 +28,7 @@ val route_with_isls :
     (GSL) -> dst-ground, by total distance.  Each ground station gets a
     single GSL (the HYPATIA model the paper uses), chosen by routing
     among its four nearest satellites above the 25 degree elevation
-    mask ({!Geo.visible}). *)
+    mask ({!Geo.visible}), ties to the lower satellite id. *)
 
 val route_bent_pipe :
   Walker.t ->
@@ -28,8 +37,14 @@ val route_bent_pipe :
   time:float ->
   hop list option
 (** The no-ISL network: up to a satellite visible from both cities and
-    straight back down (2 GSL hops); [None] when no common satellite is
-    in view. *)
+    straight back down (2 GSL hops), through the common satellite
+    minimizing the total distance (ties to the lower id); [None] when
+    no common satellite is in view. *)
+
+val visible : ground:Geo.vec3 -> x:float -> y:float -> z:float -> bool
+(** {!Geo.visible} of a satellite at ECI [(x, y, z)], as both route
+    functions test each satellite's flat position: the same float
+    operations, so the same verdict. *)
 
 val snapshots :
   Walker.t ->

@@ -51,41 +51,42 @@ let position t ~sat ~time =
   in
   Geo.rot_z raan (Geo.rot_x incl in_plane)
 
-let isl_neighbors t ~sat =
-  let s = sat_of_id t sat in
+(* [position] for every satellite, with the same float operations in the
+   same order (so the same bits), hoisting what a plane shares: one
+   sine/cosine pair per satellite instead of three. *)
+let positions t ~time ~x ~y ~z =
+  let two_pi = 2.0 *. Float.pi in
+  let incl = t.p.inclination_deg *. Float.pi /. 180.0 in
+  let ci = cos incl and si = sin incl in
+  let motion = two_pi *. time /. t.period in
   let np = t.p.planes and ns = t.p.sats_per_plane in
+  for plane = 0 to np - 1 do
+    let raan = two_pi *. float_of_int plane /. float_of_int np in
+    let cr = cos raan and sr = sin raan in
+    let shift =
+      float_of_int (t.p.phasing_factor * plane) /. float_of_int (count t)
+    in
+    for index = 0 to ns - 1 do
+      let phase =
+        (two_pi *. ((float_of_int index /. float_of_int ns) +. shift))
+        +. motion
+      in
+      let px = t.radius *. cos phase and py = t.radius *. sin phase in
+      (* [Geo.rot_x incl], then [Geo.rot_z raan], of (px, py, 0). *)
+      let qy = (ci *. py) -. (si *. 0.0) and qz = (si *. py) +. (ci *. 0.0) in
+      let s = (plane * ns) + index in
+      x.(s) <- (cr *. px) -. (sr *. qy);
+      y.(s) <- (sr *. px) +. (cr *. qy);
+      z.(s) <- qz
+    done
+  done
+
+let isl_neighbors t ~sat =
+  let np = t.p.planes and ns = t.p.sats_per_plane in
+  let plane = sat / ns and index = sat mod ns in
   [
-    sat_id t { s with index = (s.index + 1) mod ns };
-    sat_id t { s with index = (s.index + ns - 1) mod ns };
-    sat_id t { s with plane = (s.plane + 1) mod np };
-    sat_id t { s with plane = (s.plane + np - 1) mod np };
+    (plane * ns) + ((index + 1) mod ns);
+    (plane * ns) + ((index + ns - 1) mod ns);
+    (((plane + 1) mod np) * ns) + index;
+    (((plane + np - 1) mod np) * ns) + index;
   ]
-
-let nearest_visible t ~ground ~time =
-  let best = ref None in
-  for sat = 0 to count t - 1 do
-    let pos = position t ~sat ~time in
-    if Geo.visible ~ground ~sat:pos then begin
-      let d = Geo.distance ground pos in
-      match !best with
-      | Some (_, bd) when bd <= d -> ()
-      | _ -> best := Some (sat, d)
-    end
-  done;
-  Option.map fst !best
-
-let common_visible t ~ground1 ~ground2 ~time =
-  let best = ref None in
-  for sat = 0 to count t - 1 do
-    let pos = position t ~sat ~time in
-    if
-      Geo.visible ~ground:ground1 ~sat:pos
-      && Geo.visible ~ground:ground2 ~sat:pos
-    then begin
-      let d = Geo.distance ground1 pos +. Geo.distance ground2 pos in
-      match !best with
-      | Some (_, bd) when bd <= d -> ()
-      | _ -> best := Some (sat, d)
-    end
-  done;
-  Option.map fst !best

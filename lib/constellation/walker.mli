@@ -32,18 +32,12 @@ val orbital_period : t -> float  (** seconds *)
 val position : t -> sat:int -> time:float -> Geo.vec3
 (** ECI position of satellite [sat] (dense id) at [time]. *)
 
+val positions :
+  t -> time:float -> x:float array -> y:float array -> z:float array -> unit
+(** Every satellite's {!position} at [time], bit for bit, into
+    [x.(sat)], [y.(sat)], [z.(sat)] (each of length at least {!count});
+    allocates nothing. *)
+
 val isl_neighbors : t -> sat:int -> int list
 (** +grid: the two intra-plane neighbours and the same-index satellites
     of the two adjacent planes. *)
-
-val nearest_visible : t -> ground:Geo.vec3 -> time:float -> int option
-(** Closest satellite above the elevation mask ({!Geo.visible}), if any. *)
-
-val common_visible :
-  t ->
-  ground1:Geo.vec3 ->
-  ground2:Geo.vec3 ->
-  time:float ->
-  int option
-(** Satellite visible from both points minimizing the total bent-pipe
-    distance (the no-ISL relay of §V-A's first network). *)

@@ -101,13 +101,11 @@ let satisfy t ~now ~flow ~lo ~hi =
     t.waiting <- (if is_fresh then 1 + List.length (Range_table.more tbl s) else 0);
     t.first <- Range_table.value tbl s;
     t.later <- Range_table.more tbl s;
-    if Trace.on () then begin
-      let age = Range_table.age tbl s ~now in
-      Range_table.remove tbl s;
-      Trace.pit_satisfy ~node:t.label ~flow ~lo ~hi ~fresh:is_fresh ~age
-        ~pending:(Range_table.length tbl)
-    end
-    else Range_table.remove tbl s
+    if Trace.on () then
+      Trace.pit_satisfy ~node:t.label ~flow ~lo ~hi ~fresh:is_fresh ~now
+        ~stamps:(Range_table.stamps tbl) ~slot:s
+        ~pending:(Range_table.length tbl - 1);
+    Range_table.remove tbl s
   end;
   t.waiting
 

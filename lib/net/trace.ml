@@ -139,9 +139,11 @@ let pit_register_fields ~node ~flow ~lo ~hi ~forwarded ~expiry ~pending h =
   h |> mix 5 |> mix_string node |> mix flow |> mix lo |> mix hi
   |> mix (Bool.to_int forwarded) |> mix_float expiry |> mix pending
 
-let pit_satisfy_fields ~node ~flow ~lo ~hi ~fresh ~age ~pending h =
+(* Up to the age: the typed emitter mixes its age straight from the
+   PIT's stamp, unboxed. *)
+let pit_satisfy_head ~node ~flow ~lo ~hi ~fresh h =
   h |> mix 6 |> mix_string node |> mix flow |> mix lo |> mix hi
-  |> mix (Bool.to_int fresh) |> mix_float age |> mix pending
+  |> mix (Bool.to_int fresh)
 
 let pit_expire_fields ~node ~flow ~lo ~hi ~pending h =
   h |> mix 7 |> mix_string node |> mix flow |> mix lo |> mix hi |> mix pending
@@ -171,7 +173,8 @@ let mix_event ev h =
   | Pit_register { node; flow; lo; hi; forwarded; expiry; pending } ->
     pit_register_fields ~node ~flow ~lo ~hi ~forwarded ~expiry ~pending h
   | Pit_satisfy { node; flow; lo; hi; fresh; age; pending } ->
-    pit_satisfy_fields ~node ~flow ~lo ~hi ~fresh ~age ~pending h
+    pit_satisfy_head ~node ~flow ~lo ~hi ~fresh h |> mix_float age
+    |> mix pending
   | Pit_expire { node; flow; lo; hi; pending } ->
     pit_expire_fields ~node ~flow ~lo ~hi ~pending h
   | Cache_occupancy { node; used; capacity } ->
@@ -394,12 +397,15 @@ let pit_register ~node ~flow ~lo ~hi ~forwarded ~expiry ~pending =
       (Pit_register { node; flow; lo; hi; forwarded; expiry; pending })
   | _ -> ()
 
-let pit_satisfy ~node ~flow ~lo ~hi ~fresh ~age ~pending =
+let pit_satisfy ~node ~flow ~lo ~hi ~fresh ~now ~stamps ~slot ~pending =
   match installed () with
   | Some t when t.direct ->
     t.digest <-
-      pit_satisfy_fields ~node ~flow ~lo ~hi ~fresh ~age ~pending (stamp t)
+      pit_satisfy_head ~node ~flow ~lo ~hi ~fresh (stamp t)
+      |> mix_float (now -. stamps.(slot))
+      |> mix pending
   | Some t when enabled t ->
+    let age = now -. stamps.(slot) in
     record t (Pit_satisfy { node; flow; lo; hi; fresh; age; pending })
   | _ -> ()
 

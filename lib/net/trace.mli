@@ -137,9 +137,14 @@ val pit_satisfy :
   lo:int ->
   hi:int ->
   fresh:bool ->
-  age:float ->
+  now:float ->
+  stamps:float array ->
+  slot:int ->
   pending:int ->
   unit
+(** The [Pit_satisfy] of an entry registered at [stamps.(slot)]: its
+    [age] is [now -. stamps.(slot)], taken here, so the age reaches the
+    digest without a boxed float crossing into this module. *)
 
 val pit_expire :
   node:string -> flow:int -> lo:int -> hi:int -> pending:int -> unit

@@ -141,7 +141,7 @@ let set t s ~stamp ~value =
   t.more.(s) <- []
 
 let younger t s ~now ~than = now -. t.stamps.(s) < than
-let age t s ~now = now -. t.stamps.(s)
+let stamps t = t.stamps
 let value t s = t.values.(s)
 let more t s = t.more.(s)
 

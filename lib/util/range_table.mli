@@ -50,8 +50,10 @@ val set : t -> int -> stamp:float -> value:int -> unit
 val younger : t -> int -> now:float -> than:float -> bool
 (** [now -. stamp < than], computed without boxing a float. *)
 
-val age : t -> int -> now:float -> float
-(** [now -. stamp]. *)
+val stamps : t -> float array
+(** Slot -> stamp, shared with the table until the next {!add}: a caller
+    that needs a stamp as a float reads it here rather than through a
+    function, whose float result would be boxed. *)
 
 val value : t -> int -> int
 val more : t -> int -> int list

@@ -1,7 +1,245 @@
 (* Tests for the constellation substrate: geometry, orbits, routing
-   (Dijkstra vs Floyd-Warshall), and the city-pair path service. *)
+   (Dijkstra vs Floyd-Warshall), and the city-pair path service (the
+   flat workspace vs the list-graph service it replaced). *)
 
 open Leotp_constellation
+
+(* ------------------------------------------------------------------ *)
+(* Oracles: Floyd-Warshall, and the route service as it was before its
+   flat workspace, with its list graph, list-graph Dijkstra and boxed
+   binary heap, over [Walker.position] and [Geo.visible]. *)
+
+module Oracle = struct
+  module Pqueue = struct
+    type 'a t = {
+      cmp : 'a -> 'a -> int;
+      mutable data : 'a array;
+      mutable size : int;
+    }
+
+    let create ~cmp = { cmp; data = [||]; size = 0 }
+    let is_empty t = t.size = 0
+
+    let grow t x =
+      let cap = Array.length t.data in
+      if t.size = cap then begin
+        let ncap = max 16 (2 * cap) in
+        let ndata = Array.make ncap x in
+        Array.blit t.data 0 ndata 0 t.size;
+        t.data <- ndata
+      end
+
+    let rec sift_up t i =
+      if i > 0 then begin
+        let parent = (i - 1) / 2 in
+        if t.cmp t.data.(i) t.data.(parent) < 0 then begin
+          let tmp = t.data.(i) in
+          t.data.(i) <- t.data.(parent);
+          t.data.(parent) <- tmp;
+          sift_up t parent
+        end
+      end
+
+    let push t x =
+      grow t x;
+      t.data.(t.size) <- x;
+      t.size <- t.size + 1;
+      sift_up t (t.size - 1)
+
+    let rec sift_down t i =
+      let l = (2 * i) + 1 and r = (2 * i) + 2 in
+      let smallest =
+        if l < t.size && t.cmp t.data.(l) t.data.(i) < 0 then l else i
+      in
+      let smallest =
+        if r < t.size && t.cmp t.data.(r) t.data.(smallest) < 0 then r
+        else smallest
+      in
+      if smallest <> i then begin
+        let tmp = t.data.(i) in
+        t.data.(i) <- t.data.(smallest);
+        t.data.(smallest) <- tmp;
+        sift_down t smallest
+      end
+
+    let pop t =
+      if t.size = 0 then None
+      else begin
+        let root = t.data.(0) in
+        t.size <- t.size - 1;
+        if t.size > 0 then begin
+          t.data.(0) <- t.data.(t.size);
+          sift_down t 0
+        end;
+        Some root
+      end
+  end
+
+  type graph = { n : int; adj : (int * float) list array }
+
+  let create ~nodes = { n = nodes; adj = Array.make nodes [] }
+
+  let add_edge g a b w =
+    assert (a >= 0 && a < g.n && b >= 0 && b < g.n && w >= 0.0);
+    let upsert u v =
+      let rec go = function
+        | [] -> [ (v, w) ]
+        | (x, ow) :: rest when x = v -> (x, Float.min ow w) :: rest
+        | e :: rest -> e :: go rest
+      in
+      g.adj.(u) <- go g.adj.(u)
+    in
+    upsert a b;
+    upsert b a
+
+  let dijkstra g ~src ~dst =
+    let dist = Array.make g.n Float.infinity in
+    let prev = Array.make g.n (-1) in
+    let visited = Array.make g.n false in
+    let cmp (d1, _) (d2, _) = Float.compare d1 d2 in
+    let heap = Pqueue.create ~cmp in
+    dist.(src) <- 0.0;
+    Pqueue.push heap (0.0, src);
+    let rec loop () =
+      match Pqueue.pop heap with
+      | None -> ()
+      | Some (_, u) when visited.(u) -> loop ()
+      | Some (_, u) when u = dst -> ()
+      | Some (du, u) ->
+        visited.(u) <- true;
+        List.iter
+          (fun (v, w) ->
+            let nd = du +. w in
+            if nd < dist.(v) then begin
+              dist.(v) <- nd;
+              prev.(v) <- u;
+              Pqueue.push heap (nd, v)
+            end)
+          g.adj.(u);
+        loop ()
+    in
+    loop ();
+    if Float.is_finite dist.(dst) then begin
+      let rec walk acc u =
+        if u = src then src :: acc else walk (u :: acc) prev.(u)
+      in
+      Some (walk [] dst, dist.(dst))
+    end
+    else None
+
+  let floyd_warshall g =
+    let n = g.n in
+    let dist = Array.make_matrix n n Float.infinity in
+    let next = Array.make_matrix n n (-1) in
+    for i = 0 to n - 1 do
+      dist.(i).(i) <- 0.0;
+      next.(i).(i) <- i;
+      List.iter
+        (fun (j, w) ->
+          if w < dist.(i).(j) then begin
+            dist.(i).(j) <- w;
+            next.(i).(j) <- j
+          end)
+        g.adj.(i)
+    done;
+    for k = 0 to n - 1 do
+      for i = 0 to n - 1 do
+        if Float.is_finite dist.(i).(k) then
+          for j = 0 to n - 1 do
+            let alt = dist.(i).(k) +. dist.(k).(j) in
+            if alt < dist.(i).(j) then begin
+              dist.(i).(j) <- alt;
+              next.(i).(j) <- next.(i).(k)
+            end
+          done
+      done
+    done;
+    (dist, next)
+
+  let fw_path ~next ~src ~dst =
+    if next.(src).(dst) = -1 then None
+    else begin
+      let rec go acc u =
+        if u = dst then List.rev (dst :: acc) else go (u :: acc) next.(u).(dst)
+      in
+      Some (go [] src)
+    end
+
+  let ground_pos (c : Cities.t) ~time =
+    Geo.ground_position ~lat_deg:c.Cities.lat ~lon_deg:c.Cities.lon ~time
+
+  let route_with_isls w ~src ~dst ~time =
+    let open Path_service in
+    let n = Walker.count w in
+    let g = create ~nodes:(n + 2) in
+    let src_node = n and dst_node = n + 1 in
+    let pos = Array.init n (fun sat -> Walker.position w ~sat ~time) in
+    for sat = 0 to n - 1 do
+      List.iter
+        (fun other ->
+          if other > sat then
+            add_edge g sat other (Geo.distance pos.(sat) pos.(other)))
+        (Walker.isl_neighbors w ~sat)
+    done;
+    let gp1 = ground_pos src ~time and gp2 = ground_pos dst ~time in
+    let attach node gp =
+      let cands = ref [] in
+      for sat = 0 to n - 1 do
+        if Geo.visible ~ground:gp ~sat:pos.(sat) then
+          cands := (Geo.distance gp pos.(sat), sat) :: !cands
+      done;
+      let sorted =
+        List.sort
+          (fun (d1, s1) (d2, s2) ->
+            let c = Float.compare d1 d2 in
+            if c <> 0 then c else Int.compare s1 s2)
+          !cands
+      in
+      List.iteri (fun i (d, sat) -> if i < 4 then add_edge g node sat d) sorted
+    in
+    attach src_node gp1;
+    attach dst_node gp2;
+    match dijkstra g ~src:src_node ~dst:dst_node with
+    | None -> None
+    | Some (path, _) ->
+      let rec hops = function
+        | a :: (b :: _ as rest) ->
+          let d =
+            let p u =
+              if u = src_node then gp1 else if u = dst_node then gp2 else pos.(u)
+            in
+            Geo.distance (p a) (p b)
+          in
+          let kind = if a >= n || b >= n then Gsl else Isl in
+          { distance = d; kind } :: hops rest
+        | _ -> []
+      in
+      Some (hops path)
+
+  let route_bent_pipe w ~src ~dst ~time =
+    let open Path_service in
+    let gp1 = ground_pos src ~time and gp2 = ground_pos dst ~time in
+    let best = ref None in
+    for sat = 0 to Walker.count w - 1 do
+      let pos = Walker.position w ~sat ~time in
+      if Geo.visible ~ground:gp1 ~sat:pos && Geo.visible ~ground:gp2 ~sat:pos
+      then begin
+        let d = Geo.distance gp1 pos +. Geo.distance gp2 pos in
+        match !best with
+        | Some (_, bd) when bd <= d -> ()
+        | _ -> best := Some (sat, d)
+      end
+    done;
+    match !best with
+    | None -> None
+    | Some (sat, _) ->
+      let pos = Walker.position w ~sat ~time in
+      Some
+        [
+          { distance = Geo.distance gp1 pos; kind = Gsl };
+          { distance = Geo.distance pos gp2; kind = Gsl };
+        ]
+end
 
 let close ?(eps = 1e-6) = Alcotest.(check (float eps))
 
@@ -133,11 +371,25 @@ let test_isl_neighbors () =
       Alcotest.(check bool) "neighbour close" true (d < 3.0e6))
     n
 
+(* The bulk fill, scanned for the nearest satellite above the mask. *)
 let test_visibility_search () =
   let bj = Cities.find_exn "Beijing" in
   let ground = Geo.ground_position ~lat_deg:bj.Cities.lat ~lon_deg:bj.Cities.lon ~time:0.0 in
-  match Walker.nearest_visible w ~ground ~time:0.0 with
-  | Some sat ->
+  let n = Walker.count w in
+  let x = Array.make n 0.0 and y = Array.make n 0.0 and z = Array.make n 0.0 in
+  Walker.positions w ~time:0.0 ~x ~y ~z;
+  let best = ref None in
+  for sat = 0 to n - 1 do
+    let pos = { Geo.x = x.(sat); y = y.(sat); z = z.(sat) } in
+    if Geo.visible ~ground ~sat:pos then begin
+      let d = Geo.distance ground pos in
+      match !best with
+      | Some (_, bd) when bd <= d -> ()
+      | _ -> best := Some (sat, d)
+    end
+  done;
+  match !best with
+  | Some (sat, _) ->
     let pos = Walker.position w ~sat ~time:0.0 in
     Alcotest.(check bool) "above mask" true (Geo.elevation_deg ~ground ~sat:pos >= 25.0)
   | None -> Alcotest.fail "a 1600-sat shell must cover Beijing"
@@ -145,20 +397,29 @@ let test_visibility_search () =
 (* ------------------------------------------------------------------ *)
 (* Routing *)
 
+(* The node path of the kernel's last search, endpoints included. *)
+let kernel_path g ~src ~dst =
+  let rec walk acc u = if u = src then src :: acc else walk (u :: acc) (Routing.prev g u) in
+  walk [] dst
+
 let test_dijkstra_simple () =
-  let g = Routing.create ~nodes:4 in
+  let g = Routing.create ~capacity:(Array.make 4 3) in
   Routing.add_edge g 0 1 1.0;
   Routing.add_edge g 1 2 1.0;
   Routing.add_edge g 0 2 5.0;
   Routing.add_edge g 2 3 1.0;
-  (match Routing.dijkstra g ~src:0 ~dst:3 with
-  | Some (path, d) ->
-    Alcotest.(check (list int)) "path" [ 0; 1; 2; 3 ] path;
-    close "distance" 3.0 d
-  | None -> Alcotest.fail "route expected");
-  let g2 = Routing.create ~nodes:2 in
-  Alcotest.(check bool) "disconnected" true (Routing.dijkstra g2 ~src:0 ~dst:1 = None)
+  Alcotest.(check bool) "route expected" true (Routing.dijkstra g ~src:0 ~dst:3);
+  Alcotest.(check (list int)) "path" [ 0; 1; 2; 3 ] (kernel_path g ~src:0 ~dst:3);
+  close "distance" 3.0 (Routing.dist g 3);
+  let g2 = Routing.create ~capacity:(Array.make 3 1) in
+  Alcotest.(check bool) "disconnected" false (Routing.dijkstra g2 ~src:0 ~dst:1);
+  Routing.add_edge g2 0 1 1.0;
+  Alcotest.check_raises "row full" (Invalid_argument "Routing.add_edge: row full")
+    (fun () -> Routing.add_edge g2 0 2 1.0)
 
+(* Random graphs, duplicate edges included, through the kernel and the
+   list graph: the kernel's distances equal Floyd-Warshall's, and its
+   paths equal the list-graph Dijkstra's (same heap order, same ties). *)
 let routing_equiv_prop =
   let open QCheck2 in
   Test.make ~name:"dijkstra = floyd-warshall on random graphs" ~count:60
@@ -166,31 +427,68 @@ let routing_equiv_prop =
       pair (int_range 2 12)
         (list_size (int_range 1 40) (triple (int_range 0 11) (int_range 0 11) (float_range 0.1 10.0))))
     (fun (n, edges) ->
-      let g = Routing.create ~nodes:n in
+      let g = Routing.create ~capacity:(Array.make n (n - 1)) in
+      let o = Oracle.create ~nodes:n in
       List.iter
         (fun (a, b, w) ->
           let a = a mod n and b = b mod n in
-          if a <> b then Routing.add_edge g a b w)
+          if a <> b then begin
+            Routing.add_edge g a b w;
+            Oracle.add_edge o a b w
+          end)
         edges;
-      let dist, _ = Routing.floyd_warshall g in
+      let dist, _ = Oracle.floyd_warshall o in
       let ok = ref true in
       for src = 0 to n - 1 do
         for dst = 0 to n - 1 do
-          match Routing.dijkstra g ~src ~dst with
-          | Some (_, d) ->
-            if Float.abs (d -. dist.(src).(dst)) > 1e-9 then ok := false
-          | None -> if Float.is_finite dist.(src).(dst) then ok := false
+          match (Routing.dijkstra g ~src ~dst, Oracle.dijkstra o ~src ~dst) with
+          | true, Some (path, d) ->
+            if Float.abs (Routing.dist g dst -. dist.(src).(dst)) > 1e-9
+               || Routing.dist g dst <> d
+               || kernel_path g ~src ~dst <> path
+            then ok := false
+          | false, None -> if Float.is_finite dist.(src).(dst) then ok := false
+          | _ -> ok := false
         done
       done;
       !ok)
 
 let test_fw_path () =
-  let g = Routing.create ~nodes:3 in
-  Routing.add_edge g 0 1 1.0;
-  Routing.add_edge g 1 2 1.0;
-  let _, next = Routing.floyd_warshall g in
+  let g = Oracle.create ~nodes:3 in
+  Oracle.add_edge g 0 1 1.0;
+  Oracle.add_edge g 1 2 1.0;
+  let _, next = Oracle.floyd_warshall g in
   Alcotest.(check (option (list int))) "path" (Some [ 0; 1; 2 ])
-    (Routing.fw_path ~next ~src:0 ~dst:2)
+    (Oracle.fw_path ~next ~src:0 ~dst:2)
+
+(* The oracle's heap (the one the route service used before its array
+   heap). *)
+let test_pqueue_order () =
+  let q = Oracle.Pqueue.create ~cmp:Int.compare in
+  List.iter (Oracle.Pqueue.push q) [ 5; 3; 8; 1; 9; 2; 7 ];
+  let rec drain acc =
+    match Oracle.Pqueue.pop q with None -> List.rev acc | Some x -> drain (x :: acc)
+  in
+  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (drain [])
+
+let test_pqueue_empty () =
+  let q = Oracle.Pqueue.create ~cmp:Int.compare in
+  Alcotest.(check bool) "empty" true (Oracle.Pqueue.is_empty q);
+  Alcotest.(check (option int)) "pop none" None (Oracle.Pqueue.pop q)
+
+let pqueue_sort_prop =
+  let open QCheck2 in
+  Test.make ~name:"pqueue drains sorted" ~count:200
+    Gen.(list_size (int_range 0 200) int)
+    (fun xs ->
+      let q = Oracle.Pqueue.create ~cmp:Int.compare in
+      List.iter (Oracle.Pqueue.push q) xs;
+      let rec drain acc =
+        match Oracle.Pqueue.pop q with
+        | None -> List.rev acc
+        | Some x -> drain (x :: acc)
+      in
+      drain [] = List.sort Int.compare xs)
 
 (* ------------------------------------------------------------------ *)
 (* Path service *)
@@ -329,6 +627,93 @@ let test_memo_deduplicates_queries () =
   Path_service.Memo.clear memo;
   Alcotest.(check int) "clear resets queries" 0 (Path_service.Memo.queries memo)
 
+(* Bit-exact equality of two routes: the same existence, hop count and
+   kinds, and every distance equal bit for bit. *)
+let same_route a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+    List.length a = List.length b
+    && List.for_all2
+         (fun (h : Path_service.hop) (o : Path_service.hop) ->
+           h.kind = o.kind
+           && Int64.equal
+                (Int64.bits_of_float h.distance)
+                (Int64.bits_of_float o.distance))
+         a b
+  | _ -> false
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The flat service against the list-graph one, on random city pairs at
+   random instants over two orbital periods: memo-less, and through one
+   memo whose workspace every case reuses.  At each instant the bulk
+   fill must equal [Walker.position] bit for bit, and the flat
+   visibility test must agree with [Geo.visible] from both cities on
+   every satellite. *)
+let route_model_prop =
+  let open QCheck2 in
+  let memo = Path_service.Memo.create w in
+  let n = Walker.count w in
+  let x = Array.make n 0.0 and y = Array.make n 0.0 and z = Array.make n 0.0 in
+  let city = Gen.int_range 0 (Cities.count - 1) in
+  Test.make ~name:"routes = list-graph service" ~count:100
+    ~print:(fun (i, j, time, isls) ->
+      Printf.sprintf "%s -> %s at %h s, isls %b" Cities.all.(i).Cities.name
+        Cities.all.(j).Cities.name time isls)
+    Gen.(
+      quad city city (float_range 0.0 (2.0 *. Walker.orbital_period w)) bool)
+    (fun (i, j, time, isls) ->
+      let src = Cities.all.(i) and dst = Cities.all.(j) in
+      let oracle, direct =
+        if isls then
+          ( Oracle.route_with_isls w ~src ~dst ~time,
+            Path_service.route_with_isls w ~src ~dst ~time () )
+        else
+          ( Oracle.route_bent_pipe w ~src ~dst ~time,
+            Path_service.route_bent_pipe w ~src ~dst ~time )
+      in
+      let memoized = Path_service.Memo.route memo ~src ~dst ~isls ~time in
+      Walker.positions w ~time ~x ~y ~z;
+      let grounds = [ Oracle.ground_pos src ~time; Oracle.ground_pos dst ~time ] in
+      let flat_ok = ref true in
+      for sat = 0 to n - 1 do
+        let p = Walker.position w ~sat ~time in
+        if
+          not
+            (same_bits p.Geo.x x.(sat) && same_bits p.Geo.y y.(sat)
+           && same_bits p.Geo.z z.(sat))
+        then flat_ok := false;
+        List.iter
+          (fun ground ->
+            if
+              Path_service.visible ~ground ~x:x.(sat) ~y:y.(sat) ~z:z.(sat)
+              <> Geo.visible ~ground ~sat:p
+            then flat_ok := false)
+          grounds
+      done;
+      same_route oracle direct && same_route oracle memoized && !flat_ok)
+
+(* A warm memo's compute at a new epoch allocates its answer and its key,
+   not a graph: the list-graph service took ~294k words. *)
+let test_memo_miss_allocation () =
+  let bj = Cities.find_exn "Beijing" and ny = Cities.find_exn "New York" in
+  let memo = Path_service.Memo.create ~epoch:5.0 w in
+  let route time =
+    ignore (Path_service.Memo.route memo ~src:bj ~dst:ny ~isls:true ~time)
+  in
+  route 0.0;
+  let words g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  let miss = words (fun () -> route 5.0) -. words ignore in
+  Alcotest.(check int) "two computes" 2 (Path_service.Memo.computes memo);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words <= 1000" miss)
+    true (miss <= 1000.0)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "leotp_constellation"
@@ -366,5 +751,14 @@ let () =
           Alcotest.test_case "snapshots with gaps" `Quick
             test_snapshots_with_gaps;
           Alcotest.test_case "memo dedup" `Quick test_memo_deduplicates_queries;
+          Alcotest.test_case "memo miss allocation" `Quick
+            test_memo_miss_allocation;
+          qc route_model_prop;
+        ] );
+      ( "pqueue",
+        [
+          Alcotest.test_case "ordering" `Quick test_pqueue_order;
+          Alcotest.test_case "empty" `Quick test_pqueue_empty;
+          qc pqueue_sort_prop;
         ] );
     ]

@@ -442,6 +442,10 @@ let one_slot_changes p =
         (Option.fold ~none:[] ~some:floats p.rtt);
     ]
 
+(* A PIT entry registered at 0.0: its age at [now] is [now -. 0.0], which
+   is [now] bit for bit, -0.0 and nan included. *)
+let zero_stamp = [| 0.0 |]
+
 (* Each event through its kind's typed emitter; [Trace.emit] for the
    kinds that have none. *)
 let emit_typed (ev : Trace.event) =
@@ -453,7 +457,8 @@ let emit_typed (ev : Trace.event) =
   | Pit_register { node; flow; lo; hi; forwarded; expiry; pending } ->
     Trace.pit_register ~node ~flow ~lo ~hi ~forwarded ~expiry ~pending
   | Pit_satisfy { node; flow; lo; hi; fresh; age; pending } ->
-    Trace.pit_satisfy ~node ~flow ~lo ~hi ~fresh ~age ~pending
+    Trace.pit_satisfy ~node ~flow ~lo ~hi ~fresh ~now:age ~stamps:zero_stamp
+      ~slot:0 ~pending
   | Pit_expire { node; flow; lo; hi; pending } ->
     Trace.pit_expire ~node ~flow ~lo ~hi ~pending
   | Cache_occupancy { node; used; capacity } ->

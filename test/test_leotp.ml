@@ -203,6 +203,30 @@ let test_pit_allocates_nothing () =
   Alcotest.(check int) "the registrant" 7 (Pit.waiter pit 0);
   Alcotest.(check (float 0.0)) "words" 0.0 w
 
+(* A warm traced satisfaction under a recorder that only digests (one
+   slot, no sink) allocates nothing either: its age is taken inside the
+   emitter from the PIT's stamp, so no boxed float crosses over. *)
+let test_pit_traced_satisfy_allocates_nothing () =
+  let pit = Pit.create ~expiry:1.0 () in
+  let range i = (i * 1400, (i + 1) * 1400) in
+  let trace = Leotp_net.Trace.create ~capacity:1 () in
+  let waiting = ref 0 in
+  let w =
+    Leotp_net.Trace.with_recorder trace ~clock:(fun () -> 0.5) (fun () ->
+        for i = 0 to 9 do
+          let lo, hi = range i in
+          ignore (Pit.register pit ~now:0.5 ~flow:1 ~lo ~hi ~consumer:7);
+          ignore (Pit.satisfy pit ~now:0.5 ~flow:1 ~lo ~hi)
+        done;
+        let lo, hi = range 20 in
+        let now = 0.75 in
+        ignore (Pit.register pit ~now:0.25 ~flow:1 ~lo ~hi ~consumer:7);
+        minor_words (fun () -> waiting := Pit.satisfy pit ~now ~flow:1 ~lo ~hi))
+  in
+  Alcotest.(check int) "one waiter" 1 !waiting;
+  Alcotest.(check int) "every event digested" 22 (Leotp_net.Trace.count trace);
+  Alcotest.(check (float 0.0)) "words" 0.0 w
+
 let data_packet i =
   Wire.data_packet ~config ~src:1 ~dst:2 ~flow:1 ~lo:(i * 1400)
     ~hi:((i + 1) * 1400) ~timestamp:0.0 ~req_owd:0.0 ~first_sent:0.0
@@ -1482,6 +1506,8 @@ let () =
         [
           Alcotest.test_case "warm register and satisfy allocate nothing"
             `Quick test_pit_allocates_nothing;
+          Alcotest.test_case "warm traced satisfy allocates nothing"
+            `Quick test_pit_traced_satisfy_allocates_nothing;
         ] );
       ( "lru",
         [

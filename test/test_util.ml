@@ -231,36 +231,6 @@ let ivs_model_queries_prop =
       && covers t qlo qhi = model_covers model qlo qhi)
 
 (* ------------------------------------------------------------------ *)
-(* Pqueue *)
-
-let test_pqueue_order () =
-  let q = Pqueue.create ~cmp:Int.compare in
-  List.iter (Pqueue.push q) [ 5; 3; 8; 1; 9; 2; 7 ];
-  let rec drain acc =
-    match Pqueue.pop q with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (drain [])
-
-let test_pqueue_empty () =
-  let q = Pqueue.create ~cmp:Int.compare in
-  Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
-  Alcotest.(check (option int)) "pop none" None (Pqueue.pop q)
-
-let pqueue_sort_prop =
-  let open QCheck2 in
-  Test.make ~name:"pqueue drains sorted" ~count:200
-    Gen.(list_size (int_range 0 200) int)
-    (fun xs ->
-      let q = Pqueue.create ~cmp:Int.compare in
-      List.iter (Pqueue.push q) xs;
-      let rec drain acc =
-        match Pqueue.pop q with
-        | None -> List.rev acc
-        | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare xs)
-
-(* ------------------------------------------------------------------ *)
 (* Domain_pool *)
 
 let test_domain_pool_map () =
@@ -921,7 +891,7 @@ let range_table_model_prop =
                  && Range_table.hi t s = (r + 1) * 1400
                  && Range_table.value t s = value
                  && Range_table.more t s = more
-                 && Float.equal (Range_table.age t s ~now:!stamp) (!stamp -. st)
+                 && Float.equal (Range_table.stamps t).(s) st
                  && Range_table.younger t s ~now:!stamp ~than:(!stamp -. st +. 0.5)
                  && not (Range_table.younger t s ~now:!stamp ~than:(!stamp -. st)))
              (List.concat_map (fun f -> List.init 16 (fun r -> (f, r))) [ 0; 1; 2; 3 ])
@@ -992,12 +962,6 @@ let () =
           qc seg_store_model_prop;
           Alcotest.test_case "warm ops allocate nothing" `Quick
             test_seg_store_allocates_nothing;
-        ] );
-      ( "pqueue",
-        [
-          Alcotest.test_case "ordering" `Quick test_pqueue_order;
-          Alcotest.test_case "empty" `Quick test_pqueue_empty;
-          qc pqueue_sort_prop;
         ] );
       ( "domain_pool",
         [
