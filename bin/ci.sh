@@ -36,15 +36,18 @@ dune build @runtest
 LEOTP_TEST_JOBS=2 dune exec test/test_scenario.exe -- test harness
 LEOTP_TEST_JOBS=2 dune exec test/test_faults.exe -- test determinism
 
-# Perf smoke + regression gate: the quick figure subset writes its
-# BENCH_*.json records and the gate checks each bench/baselines.json
-# entry (record id, field, direction, baseline, tolerance) against them,
-# printing one line per record and exiting non-zero, naming the
-# offending field, on any regression beyond the tolerance band.
+# Perf smoke + regression gate, checked: the quick figure subset runs
+# with the five invariants attached to every run (a violation exits
+# non-zero), writes its BENCH_*.json records, and the gate checks each
+# bench/baselines.json entry (record id, field, direction, baseline,
+# tolerance) against them, printing one line per record and exiting
+# non-zero, naming the offending field, on any regression beyond the
+# tolerance band.  The Starlink emulation (fig16) and the trace replays
+# (pathtrace) share the single-flow runner, so the checker reaches them.
 out_dir="$(mktemp -d)"
 trap 'rm -rf "$out_dir"' EXIT
-smoke_ids="fig3 fig10 fig12 pathtrace"
-dune exec bench/main.exe -- fig --quick --jobs 2 --out-dir "$out_dir" \
+smoke_ids="fig3 fig10 fig12 fig16 pathtrace"
+dune exec bench/main.exe -- fig --quick --check --jobs 2 --out-dir "$out_dir" \
   --gate bench/baselines.json $smoke_ids
 
 echo "=== perf smoke records ==="
@@ -55,12 +58,6 @@ for id in $smoke_ids; do
   }
   cat "$out_dir/BENCH_$id.json"
 done
-
-# Invariant smoke: the Starlink emulation and the trace replays share
-# the single-flow runner, so --check attaches the five invariants to
-# every one of their runs (a violation exits non-zero).
-dune exec bench/main.exe -- fig --quick --check --jobs 2 --out-dir "$out_dir" \
-  fig16 pathtrace
 
 # Many-flow smoke: ~500 open-loop flows over the live constellation
 # with the invariant checker attached, gated on the headline

@@ -64,12 +64,48 @@ type event =
 
 type record = { seq : int; time : float; event : event }
 
+type slots = { mutable time : float; mutable age : float }
+
+type fold = {
+  slots : slots;
+  link_enq : link:string -> pkt:int -> size:int -> unit;
+  link_drop : link:string -> pkt:int -> reason:drop_reason -> unit;
+  link_deliver : link:string -> pkt:int -> size:int -> unit;
+  link_dup : link:string -> pkt:int -> unit;
+  link_final :
+    link:string ->
+    offered:int ->
+    delivered:int ->
+    dropped:int ->
+    dups:int ->
+    queued:int ->
+    in_flight:int ->
+    unit;
+  pit_register :
+    node:string ->
+    flow:int ->
+    lo:int ->
+    hi:int ->
+    forwarded:bool ->
+    expiry:float ->
+    pending:int ->
+    unit;
+  pit_satisfy :
+    node:string -> flow:int -> lo:int -> hi:int -> fresh:bool -> pending:int -> unit;
+  pit_expire : node:string -> flow:int -> lo:int -> hi:int -> pending:int -> unit;
+  cache_occupancy : node:string -> used:int -> capacity:int -> unit;
+  deliver : node:int -> flow:int -> pos:int -> len:int -> unit;
+  complete : node:int -> flow:int -> bytes:int -> unit;
+  rto_fire : who:string -> elapsed:float -> floor:float -> unit;
+}
+
 type t = {
   capacity : int;
   digesting : bool;
   mutable direct : bool;
-      (** digests, feeds no sink and keeps a one-slot ring: an emit mixes
-          its fields straight into [digest] and builds no record *)
+      (** digests or folds, feeds no sink and keeps a one-slot ring: an
+          emit mixes its fields straight into [digest], hands them to
+          [fold] and builds no record *)
   mutable ring : record array;  (** allocated lazily at first emit *)
   mutable len : int;
   mutable next : int;
@@ -77,6 +113,7 @@ type t = {
   mutable digest : int;
   mutable clock : unit -> float;
   mutable sinks : (record -> unit) list;
+  mutable fold : fold option;
 }
 
 (* The digest is a streaming structural hash: every field of every
@@ -226,11 +263,17 @@ let create ?(capacity = 65536) ?(digesting = true) () =
     digest = seed;
     clock = (fun () -> 0.0);
     sinks = [];
+    fold = None;
   }
 
 let add_sink t sink =
   t.direct <- false;
   t.sinks <- t.sinks @ [ sink ]
+
+let add_fold t f =
+  if Option.is_some t.fold then invalid_arg "Trace.add_fold: already folding";
+  t.fold <- Some f;
+  t.direct <- t.capacity <= 1 && t.sinks = []
 
 (* Domain-local recorder, mirroring the Packet/Node id counters so that
    parallel sweep cells never observe each other. *)
@@ -240,13 +283,18 @@ let install t = Domain.DLS.get current := Some t
 let uninstall () = Domain.DLS.get current := None
 let installed () = !(Domain.DLS.get current)
 
-(* A recorder that neither digests nor feeds a sink observes nothing:
-   [on] reports false for it so hot-path call sites skip event
+(* A recorder that neither digests nor feeds a sink or a fold observes
+   nothing: [on] reports false for it so hot-path call sites skip event
    construction entirely — the allocation-free-when-disabled contract. *)
-let enabled t = t.digesting || t.sinks <> []
+let enabled t = t.digesting || t.sinks <> [] || Option.is_some t.fold
 
 let on () =
   match !(Domain.DLS.get current) with None -> false | Some t -> enabled t
+
+let events_on () =
+  match !(Domain.DLS.get current) with
+  | None -> false
+  | Some t -> t.digesting || (enabled t && not t.direct)
 
 (* %.17g round-trips any float (same convention as the BENCH records). *)
 let fl x = Printf.sprintf "%.17g" x
@@ -336,6 +384,33 @@ let json_of_record (r : record) =
   Printf.sprintf "{\"seq\":%d,\"t\":%s,%s}" r.seq (fl r.time)
     (json_of_event r.event)
 
+(* The event's fields to its kind's callback; its time is already in
+   [f.slots.time]. *)
+let fold_event f = function
+  | Link_enq { link; pkt; size } -> f.link_enq ~link ~pkt ~size
+  | Link_drop { link; pkt; reason } -> f.link_drop ~link ~pkt ~reason
+  | Link_deliver { link; pkt; size } -> f.link_deliver ~link ~pkt ~size
+  | Link_dup { link; pkt } -> f.link_dup ~link ~pkt
+  | Link_final { link; offered; delivered; dropped; dups; queued; in_flight } ->
+    f.link_final ~link ~offered ~delivered ~dropped ~dups ~queued ~in_flight
+  | Pit_register { node; flow; lo; hi; forwarded; expiry; pending } ->
+    f.pit_register ~node ~flow ~lo ~hi ~forwarded ~expiry ~pending
+  | Pit_satisfy { node; flow; lo; hi; fresh; age; pending } ->
+    f.slots.age <- age;
+    f.pit_satisfy ~node ~flow ~lo ~hi ~fresh ~pending
+  | Pit_expire { node; flow; lo; hi; pending } ->
+    f.pit_expire ~node ~flow ~lo ~hi ~pending
+  | Cache_occupancy { node; used; capacity } ->
+    f.cache_occupancy ~node ~used ~capacity
+  | Deliver { node; flow; pos; len } -> f.deliver ~node ~flow ~pos ~len
+  | Complete { node; flow; bytes } -> f.complete ~node ~flow ~bytes
+  | Rto_fire { who; elapsed; floor } -> f.rto_fire ~who ~elapsed ~floor
+  | Ack_processed _ | Seg_state _ | Fault _ | Note _ -> ()
+
+let fold_record f (r : record) =
+  f.slots.time <- r.time;
+  fold_event f r.event
+
 let record t event =
   let r = { seq = t.seq; time = t.clock (); event } in
   t.seq <- t.seq + 1;
@@ -344,66 +419,96 @@ let record t event =
   t.ring.(t.next) <- r;
   t.next <- (t.next + 1) mod t.capacity;
   if t.len < t.capacity then t.len <- t.len + 1;
-  List.iter (fun sink -> sink r) t.sinks
+  List.iter (fun sink -> sink r) t.sinks;
+  match t.fold with Some f -> fold_record f r | None -> ()
 
-(* A [direct] recorder's digest with the next record's seq and clock
-   time mixed in, as [mix_record] mixes them first; advances the seq. *)
+(* A [direct] recorder's next stamp: the clock time goes into the
+   fold's [slots.time], and the result is the digest with the seq and
+   time mixed in, as [mix_record] mixes them first (left as it is when
+   not digesting); advances the seq. *)
 let stamp t =
-  let h = mix_stamp ~seq:t.seq ~time:(t.clock ()) t.digest in
+  let time = t.clock () in
+  (match t.fold with Some f -> f.slots.time <- time | None -> ());
+  let h = if t.digesting then mix_stamp ~seq:t.seq ~time t.digest else t.digest in
   t.seq <- t.seq + 1;
   h
 
 let emit ev =
   match installed () with
-  | Some t when t.direct -> t.digest <- mix_event ev (stamp t)
+  | Some t when t.direct -> (
+    let h = stamp t in
+    if t.digesting then t.digest <- mix_event ev h;
+    match t.fold with Some f -> fold_event f ev | None -> ())
   | Some t when enabled t -> record t ev
   | _ -> ()
 
 let link_enq ~link ~pkt ~size =
   match installed () with
-  | Some t when t.direct ->
-    t.digest <- link_enq_fields ~link ~pkt ~size (stamp t)
+  | Some t when t.direct -> (
+    let h = stamp t in
+    if t.digesting then t.digest <- link_enq_fields ~link ~pkt ~size h;
+    match t.fold with Some f -> f.link_enq ~link ~pkt ~size | None -> ())
   | Some t when enabled t -> record t (Link_enq { link; pkt; size })
   | _ -> ()
 
 let link_drop ~link ~pkt ~reason =
   match installed () with
-  | Some t when t.direct ->
-    t.digest <- link_drop_fields ~link ~pkt ~reason (stamp t)
+  | Some t when t.direct -> (
+    let h = stamp t in
+    if t.digesting then t.digest <- link_drop_fields ~link ~pkt ~reason h;
+    match t.fold with Some f -> f.link_drop ~link ~pkt ~reason | None -> ())
   | Some t when enabled t -> record t (Link_drop { link; pkt; reason })
   | _ -> ()
 
 let link_deliver ~link ~pkt ~size =
   match installed () with
-  | Some t when t.direct ->
-    t.digest <- link_deliver_fields ~link ~pkt ~size (stamp t)
+  | Some t when t.direct -> (
+    let h = stamp t in
+    if t.digesting then t.digest <- link_deliver_fields ~link ~pkt ~size h;
+    match t.fold with Some f -> f.link_deliver ~link ~pkt ~size | None -> ())
   | Some t when enabled t -> record t (Link_deliver { link; pkt; size })
   | _ -> ()
 
 let link_dup ~link ~pkt =
   match installed () with
-  | Some t when t.direct -> t.digest <- link_dup_fields ~link ~pkt (stamp t)
+  | Some t when t.direct -> (
+    let h = stamp t in
+    if t.digesting then t.digest <- link_dup_fields ~link ~pkt h;
+    match t.fold with Some f -> f.link_dup ~link ~pkt | None -> ())
   | Some t when enabled t -> record t (Link_dup { link; pkt })
   | _ -> ()
 
 let pit_register ~node ~flow ~lo ~hi ~forwarded ~expiry ~pending =
   match installed () with
-  | Some t when t.direct ->
-    t.digest <-
-      pit_register_fields ~node ~flow ~lo ~hi ~forwarded ~expiry ~pending
-        (stamp t)
+  | Some t when t.direct -> (
+    let h = stamp t in
+    if t.digesting then
+      t.digest <-
+        pit_register_fields ~node ~flow ~lo ~hi ~forwarded ~expiry ~pending h;
+    match t.fold with
+    | Some f -> f.pit_register ~node ~flow ~lo ~hi ~forwarded ~expiry ~pending
+    | None -> ())
   | Some t when enabled t ->
     record t
       (Pit_register { node; flow; lo; hi; forwarded; expiry; pending })
   | _ -> ()
 
+(* The age stays an unboxed float: mixed inline, or written into the
+   fold's flat [slots.age] rather than passed to its callback. *)
 let pit_satisfy ~node ~flow ~lo ~hi ~fresh ~now ~stamps ~slot ~pending =
   match installed () with
-  | Some t when t.direct ->
-    t.digest <-
-      pit_satisfy_head ~node ~flow ~lo ~hi ~fresh (stamp t)
-      |> mix_float (now -. stamps.(slot))
-      |> mix pending
+  | Some t when t.direct -> (
+    let h = stamp t in
+    let age = now -. stamps.(slot) in
+    if t.digesting then
+      t.digest <-
+        pit_satisfy_head ~node ~flow ~lo ~hi ~fresh h |> mix_float age
+        |> mix pending;
+    match t.fold with
+    | Some f ->
+      f.slots.age <- age;
+      f.pit_satisfy ~node ~flow ~lo ~hi ~fresh ~pending
+    | None -> ())
   | Some t when enabled t ->
     let age = now -. stamps.(slot) in
     record t (Pit_satisfy { node; flow; lo; hi; fresh; age; pending })
@@ -411,37 +516,55 @@ let pit_satisfy ~node ~flow ~lo ~hi ~fresh ~now ~stamps ~slot ~pending =
 
 let pit_expire ~node ~flow ~lo ~hi ~pending =
   match installed () with
-  | Some t when t.direct ->
-    t.digest <- pit_expire_fields ~node ~flow ~lo ~hi ~pending (stamp t)
+  | Some t when t.direct -> (
+    let h = stamp t in
+    if t.digesting then
+      t.digest <- pit_expire_fields ~node ~flow ~lo ~hi ~pending h;
+    match t.fold with
+    | Some f -> f.pit_expire ~node ~flow ~lo ~hi ~pending
+    | None -> ())
   | Some t when enabled t ->
     record t (Pit_expire { node; flow; lo; hi; pending })
   | _ -> ()
 
 let cache_occupancy ~node ~used ~capacity =
   match installed () with
-  | Some t when t.direct ->
-    t.digest <- cache_occupancy_fields ~node ~used ~capacity (stamp t)
+  | Some t when t.direct -> (
+    let h = stamp t in
+    if t.digesting then
+      t.digest <- cache_occupancy_fields ~node ~used ~capacity h;
+    match t.fold with
+    | Some f -> f.cache_occupancy ~node ~used ~capacity
+    | None -> ())
   | Some t when enabled t -> record t (Cache_occupancy { node; used; capacity })
   | _ -> ()
 
 let deliver ~node ~flow ~pos ~len =
   match installed () with
-  | Some t when t.direct ->
-    t.digest <- deliver_fields ~node ~flow ~pos ~len (stamp t)
+  | Some t when t.direct -> (
+    let h = stamp t in
+    if t.digesting then t.digest <- deliver_fields ~node ~flow ~pos ~len h;
+    match t.fold with Some f -> f.deliver ~node ~flow ~pos ~len | None -> ())
   | Some t when enabled t -> record t (Deliver { node; flow; pos; len })
   | _ -> ()
 
 let complete ~node ~flow ~bytes =
   match installed () with
-  | Some t when t.direct ->
-    t.digest <- complete_fields ~node ~flow ~bytes (stamp t)
+  | Some t when t.direct -> (
+    let h = stamp t in
+    if t.digesting then t.digest <- complete_fields ~node ~flow ~bytes h;
+    match t.fold with Some f -> f.complete ~node ~flow ~bytes | None -> ())
   | Some t when enabled t -> record t (Complete { node; flow; bytes })
   | _ -> ()
 
+(* No fold reads segment states: on a recorder that only folds this
+   just takes a seq. *)
 let seg_state ~who ~flow ~seq ~len ~state =
   match installed () with
   | Some t when t.direct ->
-    t.digest <- seg_state_fields ~who ~flow ~seq ~len ~state (stamp t)
+    let h = stamp t in
+    if t.digesting then
+      t.digest <- seg_state_fields ~who ~flow ~seq ~len ~state h
   | Some t when enabled t -> record t (Seg_state { who; flow; seq; len; state })
   | _ -> ()
 

@@ -84,27 +84,95 @@ type event =
 
 type record = { seq : int; time : float; event : event }
 
+(** {2 Typed folds}
+
+    A fold reads the fields of the event kinds it has a callback for:
+    the per-packet kinds that have typed emitters (below) apart from
+    [Seg_state], plus [Link_final] and [Rto_fire].  Each callback takes
+    the labelled fields of its kind's event.  The two floats a callback
+    may need beyond them sit in the fold's flat {!slots}, which the
+    recorder writes before each call, so no float is boxed for it. *)
+
+type slots = {
+  mutable time : float;  (** the event's record time, before every call *)
+  mutable age : float;  (** the [Pit_satisfy] age, before [pit_satisfy] *)
+}
+
+type fold = {
+  slots : slots;
+  link_enq : link:string -> pkt:int -> size:int -> unit;
+  link_drop : link:string -> pkt:int -> reason:drop_reason -> unit;
+  link_deliver : link:string -> pkt:int -> size:int -> unit;
+  link_dup : link:string -> pkt:int -> unit;
+  link_final :
+    link:string ->
+    offered:int ->
+    delivered:int ->
+    dropped:int ->
+    dups:int ->
+    queued:int ->
+    in_flight:int ->
+    unit;
+  pit_register :
+    node:string ->
+    flow:int ->
+    lo:int ->
+    hi:int ->
+    forwarded:bool ->
+    expiry:float ->
+    pending:int ->
+    unit;
+  pit_satisfy :
+    node:string -> flow:int -> lo:int -> hi:int -> fresh:bool -> pending:int -> unit;
+  pit_expire : node:string -> flow:int -> lo:int -> hi:int -> pending:int -> unit;
+  cache_occupancy : node:string -> used:int -> capacity:int -> unit;
+  deliver : node:int -> flow:int -> pos:int -> len:int -> unit;
+  complete : node:int -> flow:int -> bytes:int -> unit;
+  rto_fire : who:string -> elapsed:float -> floor:float -> unit;
+}
+
+val fold_record : fold -> record -> unit
+(** Feed one built record to a fold, as a recorder with that fold
+    attached would (records of kinds it has no callback for are
+    skipped).  The record path of every recorder goes through it. *)
+
 type t
 
 val create : ?capacity:int -> ?digesting:bool -> unit -> t
-(** Ring capacity in records (default 65536).  The digest and any sinks
-    cover every emitted record regardless of ring retention.
-    [digesting:false] skips the per-record hash (for sink-only recorders,
-    e.g. pure invariant checking); {!digest} then stays at the seed.
+(** Ring capacity in records (default 65536).  The digest, any sinks
+    and the fold cover every emitted record regardless of ring
+    retention.  [digesting:false] skips the per-record hash (for
+    recorders that only check, through a fold or a sink); {!digest}
+    then stays at the seed.
 
-    A digesting recorder with a one-slot ring and no sink keeps no
-    record at all ({!records} is empty): each emit mixes the record's
-    seq, time and fields straight into the digest, and a typed emitter
-    builds no event, so digesting costs no allocation.  A one-slot ring
-    with a sink keeps the latest record. *)
+    A recorder with a one-slot ring and no sink, which digests or folds
+    or both, keeps no record at all ({!records} is empty): each emit
+    mixes the record's seq, time and fields straight into the digest
+    and hands the fields to the fold, and a typed emitter builds no
+    event, so neither digesting nor folding costs an allocation.  A
+    one-slot ring with a sink keeps the latest record. *)
 
 val add_sink : t -> (record -> unit) -> unit
-(** Live callback per record (e.g. an invariant checker).  From here on
-    every emit builds its record, including on a one-slot ring. *)
+(** Live callback per record (e.g. the TCP oracle).  From here on every
+    emit builds its record, including on a one-slot ring, and the fold
+    (if any) reads it through {!fold_record}. *)
+
+val add_fold : t -> fold -> unit
+(** Attach the recorder's one fold (e.g. the invariant checker).  On a
+    one-slot ring with no sink it takes the fields straight from the
+    emitters; otherwise it reads each built record.  Raises
+    [Invalid_argument] if a fold is already attached. *)
 
 val on : unit -> bool
 (** [true] iff a recorder is installed on this domain; guard for emit
     sites so the event payload is never allocated when tracing is off. *)
+
+val events_on : unit -> bool
+(** [true] iff the installed recorder reads whole events: it digests
+    them, or keeps their records (a sink, or a ring of more than one
+    slot).  A recorder whose only reader is a fold is {!on} but not
+    [events_on]: an event kind the fold has no callback for has no
+    reader there, so an emit site may skip building it. *)
 
 val emit : event -> unit
 (** Record on the current recorder; no-op when none is installed. *)
@@ -112,9 +180,10 @@ val emit : event -> unit
 (** {2 Typed emitters}
 
     One per per-packet kind: [link_enq ~link ~pkt ~size] records what
-    [emit (Link_enq { link; pkt; size })] records, with the same digest,
-    and on a recorder that only digests it builds neither the event nor
-    its record.  Emit sites call them under their {!on} guard. *)
+    [emit (Link_enq { link; pkt; size })] records, with the same digest
+    and the same fold call, and on a recorder that only digests and
+    folds it builds neither the event nor its record.  Emit sites call
+    them under their {!on} guard. *)
 
 val link_enq : link:string -> pkt:int -> size:int -> unit
 val link_drop : link:string -> pkt:int -> reason:drop_reason -> unit
@@ -144,7 +213,8 @@ val pit_satisfy :
   unit
 (** The [Pit_satisfy] of an entry registered at [stamps.(slot)]: its
     [age] is [now -. stamps.(slot)], taken here, so the age reaches the
-    digest without a boxed float crossing into this module. *)
+    digest, and the fold's [slots.age], without a boxed float crossing
+    into this module. *)
 
 val pit_expire :
   node:string -> flow:int -> lo:int -> hi:int -> pending:int -> unit

@@ -167,9 +167,10 @@ let observed ~engine ~links ?trace ?on_reports ?(sweep = fun ~now:_ -> ())
     match trace with
     | Some _ as t -> t
     | None ->
-      (* Sink-only recorder: invariants fold incrementally, so a one-slot
-         undigested ring keeps both memory and per-event cost flat while
-         the sinks still see every event. *)
+      (* Fold-only recorder: a one-slot undigested ring with no sink
+         hands each event's fields straight to the checker and builds
+         no record, so checking keeps memory flat and allocates nothing
+         per event. *)
       if Option.is_some checker then
         Some (Trace.create ~capacity:1 ~digesting:false ())
       else None
@@ -177,7 +178,7 @@ let observed ~engine ~links ?trace ?on_reports ?(sweep = fun ~now:_ -> ())
   match recorder with
   | None -> f ()
   | Some r ->
-    Option.iter (fun c -> Trace.add_sink r (Invariants.sink c)) checker;
+    Option.iter (fun c -> Trace.add_fold r (Invariants.fold c)) checker;
     Trace.with_recorder r
       ~clock:(fun () -> Engine.now engine)
       (fun () ->

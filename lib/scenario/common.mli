@@ -55,13 +55,18 @@ val observed :
   'a
 (** Run [f] under a packet-trace recorder.  A recorder is installed when
     the caller passes [trace], asks for invariant [on_reports], or
-    {!Invariants.self_check} is set (then a one-slot sink-only ring is
-    used); otherwise [f] just runs.  After [f]: [sweep ~now] (e.g. PIT
-    end-of-run expiry), {!Leotp_net.Link.trace_final} on every link,
-    invariant finalization.  [sweep] may also finalize links created
-    during [f], which the caller cannot pass as [links] up front.  In
-    self-check mode a failed invariant raises {!Invariants.Violation}
-    tagged with [label]. *)
+    {!Invariants.self_check} is set (then a one-slot fold-only recorder
+    is used); otherwise [f] just runs.  The checker is the recorder's
+    fold ({!Leotp_net.Trace.add_fold}): on a one-slot ring with no sink,
+    digesting or not, it reads each event's fields straight from the
+    emitters and no record is built, so checking allocates nothing per
+    event; a ring or a sink makes it read the built records.  After
+    [f]: [sweep ~now] (e.g. PIT end-of-run expiry),
+    {!Leotp_net.Link.trace_final} on every link, invariant
+    finalization.  [sweep] may also finalize links created during [f],
+    which the caller cannot pass as [links] up front.  In self-check
+    mode a failed invariant raises {!Invariants.Violation} tagged with
+    [label]. *)
 
 val fresh_engine : seed:int -> Leotp_sim.Engine.t * Leotp_util.Rng.t
 (** Start a run: reset the packet and node id counters (the trace digests

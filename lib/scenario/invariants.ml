@@ -1,4 +1,6 @@
 module Trace = Leotp_net.Trace
+module Names = Hashtbl.Make (String)
+module Ints = Hashtbl.Make (Int)
 
 type report = { invariant : string; ok : bool; detail : string }
 
@@ -22,164 +24,309 @@ type link_acc = {
       (* offered, delivered, dropped, dups, queued, in_flight *)
 }
 
+(* The PIT replay's open entries: an open-addressing table from
+   (flow, lo, hi) to the entry's birth, linear probing at a load of at
+   most 1/2, doubling growth, backward-shift removal.  It is written
+   apart from [Leotp_util.Range_table], which the PIT itself runs on,
+   so that a bug there cannot hide from the check. *)
+module Births = struct
+  type t = {
+    mutable used : Bytes.t;  (** ['\001'] at a slot that holds an entry *)
+    mutable keys : int array;  (** slot [s]'s flow, lo, hi at [3s .. 3s+2] *)
+    mutable births : float array;
+    mutable length : int;
+  }
+
+  let make slots =
+    {
+      used = Bytes.make slots '\000';
+      keys = Array.make (3 * slots) 0;
+      births = Array.make slots 0.0;
+      length = 0;
+    }
+
+  let create () = make 8
+  let length t = t.length
+  let mask t = Bytes.length t.used - 1
+  let used t s = Bytes.get t.used s <> '\000'
+  let same t s ~flow ~lo ~hi =
+    t.keys.(3 * s) = flow && t.keys.((3 * s) + 1) = lo && t.keys.((3 * s) + 2) = hi
+
+  let home t ~flow ~lo ~hi =
+    let m = 0x9e3779b97f4a7c1 in
+    let h = ((((flow * m) lxor lo) * m) lxor hi) * m in
+    (h lxor (h lsr 29)) land mask t
+
+  let rec probe t ~flow ~lo ~hi s =
+    if not (used t s) then -1
+    else if same t s ~flow ~lo ~hi then s
+    else probe t ~flow ~lo ~hi ((s + 1) land mask t)
+
+  (* The slot holding the key, or -1. *)
+  let find t ~flow ~lo ~hi = probe t ~flow ~lo ~hi (home t ~flow ~lo ~hi)
+
+  let rec free t s = if used t s then free t ((s + 1) land mask t) else s
+
+  let put t ~flow ~lo ~hi birth =
+    let s = free t (home t ~flow ~lo ~hi) in
+    Bytes.set t.used s '\001';
+    t.keys.(3 * s) <- flow;
+    t.keys.((3 * s) + 1) <- lo;
+    t.keys.((3 * s) + 2) <- hi;
+    t.births.(s) <- birth;
+    t.length <- t.length + 1;
+    s
+
+  let grow t =
+    let bigger = make (2 * Bytes.length t.used) in
+    for s = 0 to Bytes.length t.used - 1 do
+      if used t s then
+        ignore
+          (put bigger ~flow:t.keys.(3 * s) ~lo:t.keys.((3 * s) + 1)
+             ~hi:t.keys.((3 * s) + 2) t.births.(s))
+    done;
+    t.used <- bigger.used;
+    t.keys <- bigger.keys;
+    t.births <- bigger.births
+
+  (* The key's slot, added (with birth 0.0) if absent; the caller
+     writes the birth into [births] at that slot, so no float crosses a
+     call boxed.  Valid until the next [claim] or [remove]. *)
+  let claim t ~flow ~lo ~hi =
+    let s = find t ~flow ~lo ~hi in
+    if s >= 0 then s
+    else begin
+      if 2 * (t.length + 1) > Bytes.length t.used then grow t;
+      put t ~flow ~lo ~hi 0.0
+    end
+
+  (* Empty slot [hole], then pull back each later entry of its probe
+     run whose home does not lie cyclically in (hole, j]. *)
+  let rec shift t hole j =
+    if not (used t j) then Bytes.set t.used hole '\000'
+    else begin
+      let m = mask t in
+      let h =
+        home t ~flow:t.keys.(3 * j) ~lo:t.keys.((3 * j) + 1)
+          ~hi:t.keys.((3 * j) + 2)
+      in
+      if (j - h) land m >= (j - hole) land m then begin
+        Array.blit t.keys (3 * j) t.keys (3 * hole) 3;
+        t.births.(hole) <- t.births.(j);
+        shift t j ((j + 1) land m)
+      end
+      else shift t hole ((j + 1) land m)
+    end
+
+  let remove t s =
+    shift t s ((s + 1) land mask t);
+    t.length <- t.length - 1
+
+  (* Open entries in key order, with their births. *)
+  let entries t =
+    let acc = ref [] in
+    for s = Bytes.length t.used - 1 downto 0 do
+      if used t s then
+        acc :=
+          ( (t.keys.(3 * s), t.keys.((3 * s) + 1), t.keys.((3 * s) + 2)),
+            t.births.(s) )
+          :: !acc
+    done;
+    List.sort (fun (a, _) (b, _) -> compare a b) !acc
+end
+
 (* Exact replay of one PIT's event stream: the open-entry table must
    always agree with the pending count the PIT itself advertised. *)
 type pit_acc = {
-  open_entries : (int * int * int, float) Hashtbl.t;  (** key -> entry birth *)
+  open_entries : Births.t;
   mutable expiry : float;
   mutable first_error : string option;
 }
 
-type flow_acc = {
+(* One receiving node's stream of one flow. *)
+type stream = {
+  node : int;
+  flow : int;
   mutable next : int;  (** expected position of the next delivery *)
-  mutable completed : int option;
+  mutable completed : bool;
   mutable first_error : string option;
 }
 
-type t = {
-  links : (string, link_acc) Hashtbl.t;
-  pits : (string, pit_acc) Hashtbl.t;
-  flows : (int * int, flow_acc) Hashtbl.t;
+type state = {
+  slots : Trace.slots;
+  links : link_acc Names.t;
+  pits : pit_acc Names.t;
+  streams : stream list Ints.t;  (** by flow: its receiving nodes' streams *)
   mutable pit_satisfy_stale : int;  (** satisfies past expiry claiming fresh *)
   mutable cache_peak_over : (string * int * int) option;
   mutable cache_events : int;
   mutable rto_events : int;
   mutable rto_violation : (string * float * float) option;
-  mutable events : int;
 }
 
-let create () =
-  {
-    links = Hashtbl.create 16;
-    pits = Hashtbl.create 8;
-    flows = Hashtbl.create 8;
-    pit_satisfy_stale = 0;
-    cache_peak_over = None;
-    cache_events = 0;
-    rto_events = 0;
-    rto_violation = None;
-    events = 0;
-  }
+type t = { state : state; fold : Trace.fold }
 
-let link_acc t name =
-  match Hashtbl.find_opt t.links name with
-  | Some a -> a
-  | None ->
+let link_acc s name =
+  match Names.find s.links name with
+  | a -> a
+  | exception Not_found ->
     let a = { offered = 0; delivered = 0; dropped = 0; dups = 0; final = None } in
-    Hashtbl.replace t.links name a;
+    Names.replace s.links name a;
     a
 
-let pit_acc t name =
-  match Hashtbl.find_opt t.pits name with
-  | Some a -> a
-  | None ->
+let pit_acc s name =
+  match Names.find s.pits name with
+  | a -> a
+  | exception Not_found ->
     let a =
-      { open_entries = Hashtbl.create 64; expiry = 0.0; first_error = None }
+      { open_entries = Births.create (); expiry = 0.0; first_error = None }
     in
-    Hashtbl.replace t.pits name a;
+    Names.replace s.pits name a;
     a
 
-let flow_acc t key =
-  match Hashtbl.find_opt t.flows key with
-  | Some a -> a
-  | None ->
-    let a = { next = 0; completed = None; first_error = None } in
-    Hashtbl.replace t.flows key a;
-    a
+let rec on_node node = function
+  | [] -> raise_notrace Not_found
+  | (st : stream) :: rest -> if st.node = node then st else on_node node rest
 
-let pit_error (a : pit_acc) msg =
-  if a.first_error = None then a.first_error <- Some msg
+let stream s ~node ~flow =
+  let of_flow =
+    match Ints.find s.streams flow with l -> l | exception Not_found -> []
+  in
+  match on_node node of_flow with
+  | st -> st
+  | exception Not_found ->
+    let st = { node; flow; next = 0; completed = false; first_error = None } in
+    Ints.replace s.streams flow (st :: of_flow);
+    st
 
-let check_pending a ~node ~pending =
-  if Hashtbl.length a.open_entries <> pending then
-    pit_error a
-      (Printf.sprintf "%s: advertised %d pending, replay has %d" node pending
-         (Hashtbl.length a.open_entries))
+(* A table keeps only its first error, and callers test [first_error]
+   first, so later ones are not even formatted. *)
+let pit_error (a : pit_acc) fmt =
+  Printf.ksprintf (fun msg -> a.first_error <- Some msg) fmt
+
+let check_pending (a : pit_acc) ~node ~pending =
+  let n = Births.length a.open_entries in
+  if n <> pending && a.first_error = None then
+    pit_error a "%s: advertised %d pending, replay has %d" node pending n
 
 (* Slack on time comparisons, seconds. *)
 let eps = 1e-9
 
-let sink t (r : Trace.record) =
-  t.events <- t.events + 1;
-  match r.Trace.event with
-  | Trace.Link_enq { link; _ } ->
-    let a = link_acc t link in
-    a.offered <- a.offered + 1
-  | Trace.Link_drop { link; _ } ->
-    let a = link_acc t link in
-    a.dropped <- a.dropped + 1
-  | Trace.Link_deliver { link; _ } ->
-    let a = link_acc t link in
-    a.delivered <- a.delivered + 1
-  | Trace.Link_dup { link; _ } ->
-    let a = link_acc t link in
-    a.dups <- a.dups + 1
-  | Trace.Link_final { link; offered; delivered; dropped; dups; queued; in_flight }
-    ->
-    let a = link_acc t link in
-    a.final <- Some (offered, delivered, dropped, dups, queued, in_flight)
-  | Trace.Pit_register { node; flow; lo; hi; forwarded; expiry; pending } ->
-    let a = pit_acc t node in
-    a.expiry <- expiry;
-    let key = (flow, lo, hi) in
-    if forwarded then Hashtbl.replace a.open_entries key r.Trace.time
-    else if not (Hashtbl.mem a.open_entries key) then
-      pit_error a
-        (Printf.sprintf "%s: duplicate-blocked register for absent entry" node);
-    check_pending a ~node ~pending
-  | Trace.Pit_satisfy { node; flow; lo; hi; fresh; age; pending } ->
-    let a = pit_acc t node in
-    let key = (flow, lo, hi) in
-    if not (Hashtbl.mem a.open_entries key) then
-      pit_error a (Printf.sprintf "%s: satisfy for unregistered entry" node)
-    else Hashtbl.remove a.open_entries key;
-    if fresh && age > a.expiry +. eps then
-      t.pit_satisfy_stale <- t.pit_satisfy_stale + 1;
-    check_pending a ~node ~pending
-  | Trace.Pit_expire { node; flow; lo; hi; pending } ->
-    let a = pit_acc t node in
-    let key = (flow, lo, hi) in
-    if not (Hashtbl.mem a.open_entries key) then
-      pit_error a (Printf.sprintf "%s: expire for unregistered entry" node)
-    else Hashtbl.remove a.open_entries key;
-    check_pending a ~node ~pending
-  | Trace.Cache_occupancy { node; used; capacity } ->
-    t.cache_events <- t.cache_events + 1;
-    if used > capacity && t.cache_peak_over = None then
-      t.cache_peak_over <- Some (node, used, capacity)
-  | Trace.Deliver { node; flow; pos; len } ->
-    let a = flow_acc t (node, flow) in
-    if pos <> a.next && a.first_error = None then
-      a.first_error <-
-        Some
-          (Printf.sprintf "node %d flow %d: delivered pos %d, expected %d" node
-             flow pos a.next);
-    a.next <- max a.next (pos + len)
-  | Trace.Complete { node; flow; bytes } ->
-    let a = flow_acc t (node, flow) in
-    if a.completed <> None && a.first_error = None then
-      a.first_error <-
-        Some (Printf.sprintf "node %d flow %d: completed twice" node flow);
-    if bytes <> a.next && a.first_error = None then
-      a.first_error <-
-        Some
-          (Printf.sprintf
-             "node %d flow %d: completed at %d bytes, delivered %d" node flow
-             bytes a.next);
-    a.completed <- Some bytes
-  | Trace.Rto_fire { who; elapsed; floor } ->
-    t.rto_events <- t.rto_events + 1;
-    if elapsed +. eps < floor && t.rto_violation = None then
-      t.rto_violation <- Some (who, elapsed, floor)
-  (* Ack_processed / Seg_state feed the differential oracle
-     (Leotp_check.Oracle), a separate sink. *)
-  | Trace.Ack_processed _ | Trace.Seg_state _ | Trace.Fault _ | Trace.Note _ ->
-    ()
+let pit_register s ~node ~flow ~lo ~hi ~forwarded ~expiry ~pending =
+  let a = pit_acc s node in
+  a.expiry <- expiry;
+  let e = a.open_entries in
+  if forwarded then begin
+    (* [claim] may grow the table, so read [births] after it. *)
+    let slot = Births.claim e ~flow ~lo ~hi in
+    e.Births.births.(slot) <- s.slots.time
+  end
+  else if Births.find e ~flow ~lo ~hi < 0 && a.first_error = None then
+    pit_error a "%s: duplicate-blocked register for absent entry" node;
+  check_pending a ~node ~pending
 
-let sorted_hashtbl_bindings tbl =
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+(* A satisfy or expire closes its entry. *)
+let close (a : pit_acc) ~what ~node ~flow ~lo ~hi =
+  let slot = Births.find a.open_entries ~flow ~lo ~hi in
+  if slot >= 0 then Births.remove a.open_entries slot
+  else if a.first_error = None then
+    pit_error a "%s: %s for unregistered entry" node what
+
+let pit_satisfy s ~node ~flow ~lo ~hi ~fresh ~pending =
+  let a = pit_acc s node in
+  close a ~what:"satisfy" ~node ~flow ~lo ~hi;
+  if fresh && s.slots.age > a.expiry +. eps then
+    s.pit_satisfy_stale <- s.pit_satisfy_stale + 1;
+  check_pending a ~node ~pending
+
+let pit_expire s ~node ~flow ~lo ~hi ~pending =
+  let a = pit_acc s node in
+  close a ~what:"expire" ~node ~flow ~lo ~hi;
+  check_pending a ~node ~pending
+
+let deliver s ~node ~flow ~pos ~len =
+  let a = stream s ~node ~flow in
+  if pos <> a.next && a.first_error = None then
+    a.first_error <-
+      Some
+        (Printf.sprintf "node %d flow %d: delivered pos %d, expected %d" node
+           flow pos a.next);
+  if pos + len > a.next then a.next <- pos + len
+
+let complete s ~node ~flow ~bytes =
+  let a = stream s ~node ~flow in
+  if a.completed && a.first_error = None then
+    a.first_error <-
+      Some (Printf.sprintf "node %d flow %d: completed twice" node flow);
+  if bytes <> a.next && a.first_error = None then
+    a.first_error <-
+      Some
+        (Printf.sprintf "node %d flow %d: completed at %d bytes, delivered %d"
+           node flow bytes a.next);
+  a.completed <- true
+
+let create () =
+  let s =
+    {
+      slots = { Trace.time = 0.0; age = 0.0 };
+      links = Names.create 16;
+      pits = Names.create 8;
+      streams = Ints.create 8;
+      pit_satisfy_stale = 0;
+      cache_peak_over = None;
+      cache_events = 0;
+      rto_events = 0;
+      rto_violation = None;
+    }
+  in
+  let fold =
+    {
+      Trace.slots = s.slots;
+      link_enq =
+        (fun ~link ~pkt:_ ~size:_ ->
+          let a = link_acc s link in
+          a.offered <- a.offered + 1);
+      link_drop =
+        (fun ~link ~pkt:_ ~reason:_ ->
+          let a = link_acc s link in
+          a.dropped <- a.dropped + 1);
+      link_deliver =
+        (fun ~link ~pkt:_ ~size:_ ->
+          let a = link_acc s link in
+          a.delivered <- a.delivered + 1);
+      link_dup =
+        (fun ~link ~pkt:_ ->
+          let a = link_acc s link in
+          a.dups <- a.dups + 1);
+      link_final =
+        (fun ~link ~offered ~delivered ~dropped ~dups ~queued ~in_flight ->
+          (link_acc s link).final <-
+            Some (offered, delivered, dropped, dups, queued, in_flight));
+      pit_register = pit_register s;
+      pit_satisfy = pit_satisfy s;
+      pit_expire = pit_expire s;
+      cache_occupancy =
+        (fun ~node ~used ~capacity ->
+          s.cache_events <- s.cache_events + 1;
+          if used > capacity && s.cache_peak_over = None then
+            s.cache_peak_over <- Some (node, used, capacity));
+      deliver = deliver s;
+      complete = complete s;
+      rto_fire =
+        (fun ~who ~elapsed ~floor ->
+          s.rto_events <- s.rto_events + 1;
+          if elapsed +. eps < floor && s.rto_violation = None then
+            s.rto_violation <- Some (who, elapsed, floor));
+    }
+  in
+  { state = s; fold }
+
+let fold t = t.fold
+
+let by_key bindings = List.sort (fun (a, _) (b, _) -> compare a b) bindings
 
 let finalize ~now t =
+  let s = t.state in
   let pit_report =
     let errors = ref [] in
     let entries = ref 0 in
@@ -194,12 +341,12 @@ let finalize ~now t =
                 Printf.sprintf "%s: entry leaked past expiry (age %.3f > %.3f)"
                   name (now -. born) a.expiry
                 :: !errors)
-          (sorted_hashtbl_bindings a.open_entries))
-      (sorted_hashtbl_bindings t.pits);
-    if t.pit_satisfy_stale > 0 then
+          (Births.entries a.open_entries))
+      (by_key (Names.fold (fun k v acc -> (k, v) :: acc) s.pits []));
+    if s.pit_satisfy_stale > 0 then
       errors :=
         Printf.sprintf "%d satisfies claimed fresh past expiry"
-          t.pit_satisfy_stale
+          s.pit_satisfy_stale
         :: !errors;
     match !errors with
     | [] ->
@@ -208,17 +355,17 @@ let finalize ~now t =
         ok = true;
         detail =
           Printf.sprintf "%d tables consistent, %d entries open and fresh"
-            (Hashtbl.length t.pits) !entries;
+            (Names.length s.pits) !entries;
       }
     | e :: _ -> { invariant = "pit-lifetime"; ok = false; detail = e }
   in
   let cache_report =
-    match t.cache_peak_over with
+    match s.cache_peak_over with
     | None ->
       {
         invariant = "cache-capacity";
         ok = true;
-        detail = Printf.sprintf "%d occupancy samples within capacity" t.cache_events;
+        detail = Printf.sprintf "%d occupancy samples within capacity" s.cache_events;
       }
     | Some (node, used, cap) ->
       {
@@ -228,11 +375,14 @@ let finalize ~now t =
       }
   in
   let delivery_report =
-    let errors =
-      List.filter_map
-        (fun (_, a) -> a.first_error)
-        (sorted_hashtbl_bindings t.flows)
+    let streams =
+      by_key
+        (Ints.fold
+           (fun _ l acc ->
+             List.fold_left (fun acc st -> ((st.node, st.flow), st) :: acc) acc l)
+           s.streams [])
     in
+    let errors = List.filter_map (fun (_, st) -> st.first_error) streams in
     match errors with
     | [] ->
       {
@@ -240,7 +390,7 @@ let finalize ~now t =
         ok = true;
         detail =
           Printf.sprintf "%d (node, flow) streams in-order and exactly-once"
-            (Hashtbl.length t.flows);
+            (List.length streams);
       }
     | e :: _ -> { invariant = "delivery-order"; ok = false; detail = e }
   in
@@ -268,23 +418,23 @@ let finalize ~now t =
                 "%s: %d offered + %d dup <> %d delivered + %d dropped + %d queued + %d in flight"
                 name offered dups delivered dropped queued in_flight
               :: !errors)
-      (sorted_hashtbl_bindings t.links);
+      (by_key (Names.fold (fun k v acc -> (k, v) :: acc) s.links []));
     match !errors with
     | [] ->
       {
         invariant = "link-conservation";
         ok = true;
-        detail = Printf.sprintf "%d links balanced" (Hashtbl.length t.links);
+        detail = Printf.sprintf "%d links balanced" (Names.length s.links);
       }
     | e :: _ -> { invariant = "link-conservation"; ok = false; detail = e }
   in
   let rto_report =
-    match t.rto_violation with
+    match s.rto_violation with
     | None ->
       {
         invariant = "rto-floor";
         ok = true;
-        detail = Printf.sprintf "%d timeouts at or above the floor" t.rto_events;
+        detail = Printf.sprintf "%d timeouts at or above the floor" s.rto_events;
       }
     | Some (who, elapsed, floor) ->
       {

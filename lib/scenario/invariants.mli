@@ -1,8 +1,14 @@
 (** Protocol-invariant checker over a packet trace.
 
-    Attach {!sink} to a {!Leotp_net.Trace} recorder; state folds
-    incrementally (so ring eviction never loses accounting), and
-    {!finalize} renders five named verdicts:
+    Attach {!fold} to a {!Leotp_net.Trace} recorder with
+    {!Leotp_net.Trace.add_fold}, or feed it built records with
+    {!Leotp_net.Trace.fold_record}.  State folds incrementally (so ring
+    eviction never loses accounting) into flat tables, so a warm event
+    allocates nothing: link and PIT names are looked up without an
+    option, each (node, flow) delivery stream sits under its flow, and
+    the PIT replay keeps its own open-addressing table of births, apart
+    from the [Range_table] the PIT runs on.  {!finalize} renders five
+    named verdicts:
 
     - ["pit-lifetime"] — PIT bookkeeping is conservative (every satisfy /
       expire matches a registration, the advertised pending count matches
@@ -27,7 +33,9 @@ type report = { invariant : string; ok : bool; detail : string }
 type t
 
 val create : unit -> t
-val sink : t -> Leotp_net.Trace.record -> unit
+
+val fold : t -> Leotp_net.Trace.fold
+(** The checker's one fold (the same value on every call). *)
 
 val finalize : now:float -> t -> report list
 (** [now] is the end-of-run clock (for PIT end-of-run ages).  Time

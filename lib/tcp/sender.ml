@@ -426,8 +426,9 @@ let handle_ack t pkt =
     (* Emitted before [pump] so the oracle sees the post-ack claim ahead
        of any (re)transmissions the ack unlocks.  The list/option shapes
        exist only here, under the recorder gate — digest-identical to the
-       old wire format, allocation-free when nobody is observing. *)
-    if Leotp_net.Trace.on () then
+       old wire format, allocation-free when nobody is observing, and not
+       built for a recorder that only folds (no fold reads acks). *)
+    if Leotp_net.Trace.on () && Leotp_net.Trace.events_on () then
       Leotp_net.Trace.emit
         (Leotp_net.Trace.Ack_processed
            {
