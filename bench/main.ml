@@ -611,11 +611,22 @@ let sim_path protocol hops bw delay_ms plr bytes duration seed =
     (Common.run_chain ~seed ?bytes ~duration ~warmup:path_warmup
        ~hops:(Common.uniform_hops ~n:hops link) protocol)
 
+(* A pair with no route at any sampled instant (a bent pipe with no
+   satellite in common view) gets one line and exit 1. *)
+let with_route cmd f =
+  match f () with
+  | () -> true
+  | exception S.No_route (src, dst) ->
+    Printf.eprintf "sim %s: no route between %s and %s\n" cmd src dst;
+    false
+
 let sim_starlink protocol src dst bent_pipe quick seed =
-  let r = S.run_pair ~quick ~seed ~src ~dst ~isls:(not bent_pipe) protocol in
-  Printf.printf "route         : mean %.1f hops, min propagation %.1f ms, %d switches\n"
-    r.S.mean_hops (Report.ms r.S.min_propagation) r.S.switches;
-  print_summary r.S.summary
+  with_route "starlink" (fun () ->
+      let r = S.run_pair ~quick ~seed ~src ~dst ~isls:(not bent_pipe) protocol in
+      Printf.printf
+        "route         : mean %.1f hops, min propagation %.1f ms, %d switches\n"
+        r.S.mean_hops (Report.ms r.S.min_propagation) r.S.switches;
+      print_summary r.S.summary)
 
 (* Three flows start at 0, d/4 and d/2; rates are measured over
    [d/2 + 20, d], which is empty unless d > 40. *)
@@ -643,28 +654,31 @@ let sim_fairness protocol same_rtt duration =
   Printf.printf "jain index: %.3f\n" (Stats.jain_index rates)
 
 let sim_ablation src dst quick =
-  List.iter
-    (fun (label, ablation) ->
-      let cfg = Leotp.Config.with_ablation ablation Leotp.Config.default in
-      let r = S.run_pair ~quick ~src ~dst ~isls:true (Common.Leotp cfg) in
-      Printf.printf "%s: %.2f Mbps, OWD %.1f ms\n" label
-        r.S.summary.Common.goodput_mbps
-        (Report.ms (Stats.mean r.S.summary.Common.owd)))
-    [ ("A (full)        ", Leotp.Config.Full);
-      ("B (no cache)    ", Leotp.Config.No_cache);
-      ("C (e2e cc)      ", Leotp.Config.E2e_cc);
-      ("D (no midnodes) ", Leotp.Config.No_midnodes) ]
+  with_route "ablation" (fun () ->
+      List.iter
+        (fun (label, ablation) ->
+          let cfg = Leotp.Config.with_ablation ablation Leotp.Config.default in
+          let r = S.run_pair ~quick ~src ~dst ~isls:true (Common.Leotp cfg) in
+          Printf.printf "%s: %.2f Mbps, OWD %.1f ms\n" label
+            r.S.summary.Common.goodput_mbps
+            (Report.ms (Stats.mean r.S.summary.Common.owd)))
+        [ ("A (full)        ", Leotp.Config.Full);
+          ("B (no cache)    ", Leotp.Config.No_cache);
+          ("C (e2e cc)      ", Leotp.Config.E2e_cc);
+          ("D (no midnodes) ", Leotp.Config.No_midnodes) ])
 
 let sim_route src dst duration =
   let w = Leotp_constellation.Walker.create Leotp_constellation.Walker.starlink in
   let city = Leotp_constellation.Cities.find_exn in
   List.iter
-    (fun (t, hops) ->
-      Printf.printf "t=%5.0fs: %2d hops, %.1f ms one-way\n" t
-        (Path_service.hop_count hops)
-        (Report.ms (Path_service.total_delay hops)))
-    (Path_service.snapshots w ~src:(city src) ~dst:(city dst) ~isls:true
-       ~t_end:duration ~step:10.0)
+    (function
+      | t, `Route hops ->
+        Printf.printf "t=%5.0fs: %2d hops, %.1f ms one-way\n" t
+          (Path_service.hop_count hops)
+          (Report.ms (Path_service.total_delay hops))
+      | _, `No_route -> ())
+    (Path_service.snapshots_with_gaps w ~src:(city src) ~dst:(city dst)
+       ~isls:true ~t_end:duration ~step:10.0)
 
 (* ------------------------------------------------------------------ *)
 (* Command line.  Every value is checked by its converter, so hostile
@@ -890,7 +904,7 @@ let sim_cmd =
               "Fixed transfer size (bulk flow if absent)."
           $ duration ~above:path_warmup ~why:"the goodput window opens after the warmup"
           $ seed 42);
-      sim "starlink" ~doc:"One flow over the emulated constellation."
+      cmd "starlink" ~doc:"One flow over the emulated constellation."
         Term.(
           const sim_starlink $ protocol $ endpoint 0 "Beijing" $ endpoint 1 "New York"
           $ bent_pipe $ quick $ seed 42);
@@ -899,7 +913,7 @@ let sim_cmd =
           const sim_fairness $ dumbbell_protocol
           $ flag "same-rtt" "All flows share one RTT (default: 90/120/150 ms)."
           $ duration ~above:40.0 ~why:"rates are measured over [d/2 + 20, d]");
-      sim "ablation" ~doc:"Table II ablations on a city pair."
+      cmd "ablation" ~doc:"Table II ablations on a city pair."
         Term.(
           const sim_ablation $ endpoint 0 "Beijing" $ endpoint 1 "Hong Kong"
           $ quick);

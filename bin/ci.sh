@@ -78,8 +78,10 @@ test -s "$out_dir/BENCH_manyflow.json" || {
 # printing a fuzz-replay command for each shrunk failure.
 dune exec bench/main.exe -- fuzz 25 --seed 7 --jobs 2
 
-# Single scenarios: a fixed transfer over a lossy chain, a route table.
+# Single scenarios: a fixed transfer over a lossy chain, a TCP flow
+# over a replayed Starlink path trace, a route table.
 dune exec bench/main.exe -- sim path --hops 5 --plr 0.01 --bytes 10000000
+dune exec bench/main.exe -- sim starlink --quick -p bbr --bent-pipe Beijing Shanghai
 dune exec bench/main.exe -- sim route Beijing Paris -d 300
 
 echo "ci.sh: OK"

@@ -266,7 +266,7 @@ end
 
 (* Instants with no route are kept as [`No_route]: the trace generator
    turns them into explicit outage intervals instead of silently holding
-   the last path (the pre-trace [snapshots] behavior). *)
+   the last path. *)
 let snapshots_with_gaps ?(epoch = 0.0) w ~src ~dst ~isls ~t_end ~step =
   let memo = Memo.create ~epoch w in
   let rec go time acc =
@@ -282,12 +282,6 @@ let snapshots_with_gaps ?(epoch = 0.0) w ~src ~dst ~isls ~t_end ~step =
   in
   go 0.0 []
 
-let snapshots w ~src ~dst ~isls ~t_end ~step =
-  List.filter_map
-    (fun (time, entry) ->
-      match entry with `Route hops -> Some (time, hops) | `No_route -> None)
-    (snapshots_with_gaps w ~src ~dst ~isls ~t_end ~step)
-
 let signature hops =
   List.map (fun h -> Float.round (Leotp_util.Units.m_to_km h.distance)) hops
 
@@ -295,10 +289,3 @@ let total_delay hops =
   List.fold_left (fun acc h -> acc +. Geo.propagation_delay h.distance) 0.0 hops
 
 let hop_count = List.length
-
-let mean_hop_count snaps =
-  match snaps with
-  | [] -> Float.nan
-  | _ ->
-    let total = List.fold_left (fun acc (_, h) -> acc + hop_count h) 0 snaps in
-    float_of_int total /. float_of_int (List.length snaps)

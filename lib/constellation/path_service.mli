@@ -1,8 +1,10 @@
 (** Time-varying routes between ground stations over the constellation.
 
-    Produces hop lists (distance + link kind) that scenarios translate
-    into {!Leotp_net.Dynamic_path} snapshots with per-kind bandwidth and
-    loss (GSL vs ISL, paper §V-C).
+    Produces hop lists (distance + link kind).  The path-trace generator
+    ([Leotp_scenario.Pathtrace.generate]) samples them into
+    {!Leotp_net.Path_trace} records with per-kind bandwidth and loss (GSL
+    vs ISL, paper §V-C); Fleet's shards read them straight from a
+    {!Memo}.
 
     A query runs over a flat workspace: satellite positions in three
     float arrays ({!Walker.positions}), the static +grid rows of a
@@ -46,17 +48,6 @@ val visible : ground:Geo.vec3 -> x:float -> y:float -> z:float -> bool
     functions test each satellite's flat position: the same float
     operations, so the same verdict. *)
 
-val snapshots :
-  Walker.t ->
-  src:Cities.t ->
-  dst:Cities.t ->
-  isls:bool ->
-  t_end:float ->
-  step:float ->
-  (float * hop list) list
-(** Route recomputed every [step] seconds from 0 to [t_end]; times with no
-    route are omitted. *)
-
 val snapshots_with_gaps :
   ?epoch:float ->
   Walker.t ->
@@ -66,11 +57,11 @@ val snapshots_with_gaps :
   t_end:float ->
   step:float ->
   (float * [ `Route of hop list | `No_route ]) list
-(** Like {!snapshots} but gap-preserving: one entry per sampled instant,
-    with [`No_route] where the pair has no path (bent-pipe visibility
-    loss, unreachable ground station).  [epoch] > 0 memoizes route
-    computation per {!Memo} epoch, so bandwidth can be sampled on a finer
-    [step] than the routing recompute quantum. *)
+(** The route every [step] seconds from 0 to [t_end], one entry per
+    sampled instant, with [`No_route] where the pair has no path
+    (bent-pipe visibility loss, unreachable ground station).  [epoch] > 0
+    memoizes route computation per {!Memo} epoch, so bandwidth can be
+    sampled on a finer [step] than the routing recompute quantum. *)
 
 val signature : hop list -> float list
 (** Per-hop distances rounded to whole kilometres: the route identity
@@ -106,4 +97,3 @@ val total_delay : hop list -> float
 (** One-way propagation delay of the route, seconds. *)
 
 val hop_count : hop list -> int
-val mean_hop_count : (float * hop list) list -> float

@@ -231,7 +231,6 @@ let seeds =
       s_args = [ (Lbl "mean", Mbps); (Lbl "amplitude", Mbps); (Lbl "period", Base Seconds) ];
       s_ret = None };
     { s_fn = "Bandwidth.at"; s_args = [ (Pos 1, Base Seconds) ]; s_ret = Some bps };
-    { s_fn = "Bandwidth.mean_over"; s_args = [ (Lbl "t_end", Base Seconds) ]; s_ret = Some bps };
     (* RTO estimation (RFC 6298): everything is seconds. *)
     { s_fn = "Rto.create";
       s_args = [ (Lbl "min_rto", Base Seconds); (Lbl "max_rto", Base Seconds) ];

@@ -1,18 +1,15 @@
 (** Time-varying link bandwidth models (bytes/second).
 
     [Square] reproduces the paper's bottleneck fluctuation (a square wave
-    with fixed period and amplitude, §II-A and §V-B); [Steps] is used for
-    trace-driven rates such as the GSL handover "V" curve with random bias
-    (§V-C), precomputed by the scenario so that sampling stays pure. *)
+    with fixed period and amplitude, §II-A and §V-B).  Rates that follow
+    a recorded timeline, such as the GSL handover "V" curve (§V-C), are
+    [Constant]s that a replayed path trace swaps in at each record. *)
 
 type t =
   | Constant of float
   | Square of { mean : float; amplitude : float; period : float }
       (** [mean + amplitude] for the first half of each period, then
           [mean - amplitude]. *)
-  | Steps of (float * float) array
-      (** [(start_time, rate)] pairs sorted by time; the rate before the
-          first step is the first step's rate. *)
 
 let constant_mbps mbps = Constant (Leotp_util.Units.mbps_to_bytes_per_sec mbps)
 
@@ -24,25 +21,6 @@ let square_mbps ~mean ~amplitude ~period =
       period;
     }
 
-(* Last step with start_time <= time — top-level recursion rather than
-   while+refs: this runs per transmission start, and a local [ref] is a
-   minor-heap allocation.  Also [fst]/[snd]-free: a polymorphic [fst] on
-   a float pair would box. *)
-let rec step_at (steps : (float * float) array) time lo hi =
-  if lo >= hi then snd steps.(lo)
-  else
-    let mid = (lo + hi + 1) / 2 in
-    if fst steps.(mid) <= time then step_at steps time mid hi
-    else step_at steps time lo (mid - 1)
-
-(* Same style as [step_at]: index recursion, no closures, so the
-   dynamic-path switch detector can call this from the timer path. *)
-let rec steps_approx_equal (a : (float * float) array) b epsilon i =
-  i >= Array.length a
-  || (Float.equal (fst a.(i)) (fst b.(i))
-     && Float.abs (snd a.(i) -. snd b.(i)) <= epsilon
-     && steps_approx_equal a b epsilon (i + 1))
-
 (* Nested matches, not [match (a, b)]: the tupled scrutinee would be a
    minor-heap allocation on the reconfiguration timer path. *)
 let approx_equal ~epsilon a b =
@@ -50,21 +28,14 @@ let approx_equal ~epsilon a b =
   | Constant x -> (
     match b with
     | Constant y -> Float.abs (x -. y) <= epsilon
-    | Square _ | Steps _ -> false)
+    | Square _ -> false)
   | Square p -> (
     match b with
     | Square q ->
       Float.abs (p.mean -. q.mean) <= epsilon
       && Float.abs (p.amplitude -. q.amplitude) <= epsilon
       && Float.equal p.period q.period
-    | Constant _ | Steps _ -> false)
-  | Steps xs -> (
-    match b with
-    | Steps ys ->
-      xs == ys
-      || (Array.length xs = Array.length ys
-         && steps_approx_equal xs ys epsilon 0)
-    | Constant _ | Square _ -> false)
+    | Constant _ -> false)
 
 let at t time =
   match t with
@@ -72,20 +43,3 @@ let at t time =
   | Square { mean; amplitude; period } ->
     let phase = Float.rem time period in
     if phase < period /. 2.0 then mean +. amplitude else mean -. amplitude
-  | Steps steps ->
-    let n = Array.length steps in
-    if n = 0 then invalid_arg "Bandwidth.at: empty Steps"
-    else if time < fst steps.(0) then snd steps.(0)
-    else step_at steps time 0 (n - 1)
-
-let mean_over t ~t_end =
-  match t with
-  | Constant r -> r
-  | Square { mean; _ } -> mean
-  | Steps _ ->
-    let samples = 1000 in
-    let acc = ref 0.0 in
-    for i = 0 to samples - 1 do
-      acc := !acc +. at t (float_of_int i *. t_end /. float_of_int samples)
-    done;
-    !acc /. float_of_int samples

@@ -1,29 +1,23 @@
 (** Time-varying link bandwidth models (bytes/second).
 
-    [Square] reproduces the paper's bottleneck fluctuation (§II-A, §V-B);
-    [Steps] is used for trace-driven rates such as the GSL handover "V"
-    curve, precomputed by the scenario so that sampling stays pure. *)
+    [Square] reproduces the paper's bottleneck fluctuation (§II-A, §V-B).
+    Rates that follow a recorded timeline, such as the GSL handover "V"
+    curve (§V-C), are [Constant]s that a replayed {!Path_trace} swaps in
+    at each record ({!Dynamic_path.of_trace}). *)
 
 type t =
   | Constant of float
   | Square of { mean : float; amplitude : float; period : float }
       (** [mean + amplitude] for the first half of each period, then
           [mean - amplitude]. *)
-  | Steps of (float * float) array
-      (** [(start_time, rate)] pairs sorted by time; the rate before the
-          first step is the first step's rate. *)
 
 val constant_mbps : float -> t
 val square_mbps : mean:float -> amplitude:float -> period:float -> t
 
 val approx_equal : epsilon:float -> t -> t -> bool
-(** Same model shape with every rate within [epsilon] bytes/second
-    (step boundary times must match exactly).  Different constructors
-    never compare equal — a handover from a [Steps] uplink to a
-    [Constant] hop is always a change. *)
+(** Same model shape with every rate within [epsilon] bytes/second (the
+    square wave's period must match exactly).  Different constructors
+    never compare equal. *)
 
 val at : t -> float -> float
 (** Instantaneous rate at an absolute time, bytes/second. *)
-
-val mean_over : t -> t_end:float -> float
-(** Average rate over [\[0, t_end\]]. *)

@@ -156,3 +156,23 @@ let schedule_trace t (tr : Path_trace.t) =
      back up second — deterministically, via the engine's FIFO tie-break. *)
   Leotp_sim.Fault.install t.engine ~apply:(apply_outage t)
     (outage_schedule t tr)
+
+let max_trace_hops = 24
+
+let of_trace engine ~rng (tr : Path_trace.t) =
+  let max_hops = min max_trace_hops (Path_trace.max_hop_count tr) in
+  match
+    List.find_map
+      (fun (r : Path_trace.record) ->
+        match r.Path_trace.event with
+        | Path_trace.Route { hops; _ } -> Some hops
+        | Path_trace.No_route -> None)
+      tr.Path_trace.records
+  with
+  | None -> invalid_arg "Dynamic_path.of_trace: trace has no route record"
+  | Some hops ->
+    let t =
+      create engine ~rng ~max_hops ~initial:(snapshot_of_hops ~max_hops hops) ()
+    in
+    schedule_trace t tr;
+    t

@@ -16,7 +16,8 @@
     as switches.  Besides explicit snapshot lists, a path can replay a
     recorded {!Path_trace} timeline, including its outage windows
     (chain-wide link-down intervals through the {!Leotp_sim.Fault}
-    plumbing). *)
+    plumbing): {!of_trace} is how every constellation path (the Starlink
+    figures and the long-horizon trace family alike) reaches its links. *)
 
 type hop_state = {
   delay : float;
@@ -57,6 +58,14 @@ val schedule_trace : t -> Path_trace.t -> unit
     exactly like an injected fault.  Snapshots are scheduled before the
     outage events, so at an outage-ending instant the new route applies
     first and the links come back up second. *)
+
+val of_trace : Leotp_sim.Engine.t -> rng:Leotp_util.Rng.t -> Path_trace.t -> t
+(** The path a trace describes: a chain of as many hops as the trace's
+    longest route, capped at 24 (longer routes keep their Consumer-side
+    24 hops), that starts on the first route record (leading outage
+    records included, which then take it down at once) and has every
+    record and outage scheduled by {!schedule_trace}.  Raises
+    [Invalid_argument] on a trace with no route record. *)
 
 val active_hops : t -> int
 val switch_count : t -> int

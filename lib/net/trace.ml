@@ -60,7 +60,6 @@ type event =
       state : seg_state;
     }
   | Fault of { what : string }
-  | Note of { what : string }
 
 type record = { seq : int; time : float; event : event }
 
@@ -242,7 +241,6 @@ let mix_event ev h =
   | Seg_state { who; flow; seq; len; state } ->
     seg_state_fields ~who ~flow ~seq ~len ~state h
   | Fault { what } -> h |> mix 14 |> mix_string what
-  | Note { what } -> h |> mix 15 |> mix_string what
 
 let mix_stamp ~seq ~time h = h |> mix seq |> mix_float time
 
@@ -378,7 +376,6 @@ let json_of_event = function
       | Seg_retx -> "retx"
       | Seg_lost -> "lost")
   | Fault { what } -> Printf.sprintf "\"ev\":\"fault\",\"what\":%S" what
-  | Note { what } -> Printf.sprintf "\"ev\":\"note\",\"what\":%S" what
 
 let json_of_record (r : record) =
   Printf.sprintf "{\"seq\":%d,\"t\":%s,%s}" r.seq (fl r.time)
@@ -405,7 +402,7 @@ let fold_event f = function
   | Deliver { node; flow; pos; len } -> f.deliver ~node ~flow ~pos ~len
   | Complete { node; flow; bytes } -> f.complete ~node ~flow ~bytes
   | Rto_fire { who; elapsed; floor } -> f.rto_fire ~who ~elapsed ~floor
-  | Ack_processed _ | Seg_state _ | Fault _ | Note _ -> ()
+  | Ack_processed _ | Seg_state _ | Fault _ -> ()
 
 let fold_record f (r : record) =
   f.slots.time <- r.time;

@@ -80,7 +80,6 @@ type event =
       state : seg_state;
     }  (** Sender segment transition: (re)transmitted or declared lost. *)
   | Fault of { what : string }
-  | Note of { what : string }
 
 type record = { seq : int; time : float; event : event }
 

@@ -28,27 +28,89 @@ let default =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Path model (paper §V-C): the Producer's GSL uplink is the ~10 Mbps
+   bottleneck with a handover "V" dip and a per-second bias, every other
+   hop runs at 20 Mbps, and GSLs lose 1 % of packets, ISLs 0.1 %. *)
+
+let gsl_plr = 0.01
+let isl_plr = 0.001
+let other_bw = 20.0
+let uplink_mean_bw = 10.0
+
+(* Pair each sample with its handover flag: the route signature differs
+   from the last route seen, so reacquisition after an outage counts
+   too.  Signatures are float lists, so the comparison is
+   [Option.equal (List.equal Float.equal)]: polymorphic [<>] on a
+   float-containing structure is boxed and nan-unsound. *)
+let flag_handovers samples =
+  let rec go prev acc = function
+    | [] -> List.rev acc
+    | ((_, `No_route) as s) :: rest -> go prev ((s, false) :: acc) rest
+    | ((_, `Route hops) as s) :: rest ->
+      let sig_ = Some (Path_service.signature hops) in
+      let ho =
+        Option.is_some prev && not (Option.equal (List.equal Float.equal) prev sig_)
+      in
+      go sig_ ((s, ho) :: acc) rest
+  in
+  go None [] samples
+
+let handover_times flagged =
+  List.filter_map (fun ((t, _), ho) -> if ho then Some t else None) flagged
+
+(* The uplink rate (Mbps) at a time in [0, t_end]: 10 Mbps with a dip of
+   up to 3 Mbps within +/-2 s of each handover, plus a +/-0.5 Mbps bias
+   drawn once per second (all draws up front); never below 1 Mbps. *)
+let uplink_mbps ~rng ~handovers ~t_end =
+  let bias =
+    Array.init (int_of_float t_end + 2) (fun _ -> Rng.uniform rng (-0.5) 0.5)
+  in
+  fun t ->
+    let v_dip =
+      List.fold_left
+        (fun acc h ->
+          let x = Float.abs (t -. h) in
+          if x < 2.0 then Float.max acc (3.0 *. (1.0 -. (x /. 2.0))) else acc)
+        0.0 handovers
+    in
+    Float.max 1.0 (uplink_mean_bw -. v_dip +. bias.(int_of_float t))
+
+(* A route (Producer side first) as trace hops, Consumer side first; the
+   route's first hop is the Producer's GSL uplink. *)
+let consumer_first ~uplink_bw route =
+  let mapped =
+    List.mapi
+      (fun i (h : Path_service.hop) ->
+        let delay = Leotp_constellation.Geo.propagation_delay h.Path_service.distance in
+        match h.Path_service.kind with
+        | Path_service.Gsl ->
+          let bw_mbps = if i = 0 then uplink_bw else other_bw in
+          { Path_trace.delay; bw_mbps; plr = gsl_plr; kind = Path_trace.Gsl }
+        | Path_service.Isl ->
+          { Path_trace.delay; bw_mbps = other_bw; plr = isl_plr; kind = Path_trace.Isl })
+      route
+  in
+  Array.of_list (List.rev mapped)
+
+(* ------------------------------------------------------------------ *)
 (* Generator: drive the Walker constellation over [horizon], sampling
    the route every [step] seconds (Dijkstra runs once per [route_epoch]
-   via the Memo), and emit the per-hop timeline under Starlink's path
-   model: the Producer uplink is the ~10 Mbps bottleneck with the
-   handover "V" dip and per-second bias, other hops 20 Mbps, per-kind
-   loss.  The samples are baked into the trace, so a replay needs no RNG
+   via the Memo), and emit the per-hop timeline under the path model.
+   The samples are baked into the trace, so a replay needs no RNG
    agreement with the generator. *)
 
 let generate spec =
   let w = Walker.create Walker.starlink in
   let src = Cities.find_exn spec.src and dst = Cities.find_exn spec.dst in
   let flagged =
-    Starlink.flag_handovers
+    flag_handovers
       (Path_service.snapshots_with_gaps ~epoch:spec.route_epoch w ~src ~dst
          ~isls:spec.isls ~t_end:spec.horizon ~step:spec.step)
   in
   let uplink_mbps =
-    Starlink.uplink_mbps
+    uplink_mbps
       ~rng:(Rng.substream (Rng.create ~seed:spec.seed) "uplink-bias")
-      ~handovers:(Starlink.handover_times flagged)
-      ~t_end:spec.horizon
+      ~handovers:(handover_times flagged) ~t_end:spec.horizon
   in
   let records =
     List.map
@@ -56,16 +118,7 @@ let generate spec =
         match entry with
         | `No_route -> { Path_trace.time = t; event = Path_trace.No_route }
         | `Route route ->
-          let hops =
-            Starlink.consumer_first route ~hop:(fun h ~delay ~uplink ~plr ->
-                let kind =
-                  match h.Path_service.kind with
-                  | Path_service.Gsl -> Path_trace.Gsl
-                  | Path_service.Isl -> Path_trace.Isl
-                in
-                let bw_mbps = if uplink then uplink_mbps t else Starlink.other_bw in
-                { Path_trace.delay; bw_mbps; plr; kind })
-          in
+          let hops = consumer_first ~uplink_bw:(uplink_mbps t) route in
           { Path_trace.time = t; event = Path_trace.Route { hops; handover } })
       flagged
   in
@@ -96,28 +149,12 @@ type run_result = {
 }
 
 let run ?seed ?duration ?(label = "pathtrace") (trace : Path_trace.t) =
-  if Path_trace.route_count trace = 0 then
-    invalid_arg "Pathtrace.run: trace has no route records";
   let meta = trace.Path_trace.meta in
   let duration = Option.value duration ~default:meta.Path_trace.horizon in
   let engine, rng =
     Common.fresh_engine ~seed:(Option.value seed ~default:meta.Path_trace.seed)
   in
-  let max_hops = min 24 (Path_trace.max_hop_count trace) in
-  let initial =
-    match
-      List.find_map
-        (fun (r : Path_trace.record) ->
-          match r.Path_trace.event with
-          | Path_trace.Route { hops; _ } -> Some hops
-          | Path_trace.No_route -> None)
-        trace.Path_trace.records
-    with
-    | Some hops -> Dynamic_path.snapshot_of_hops ~max_hops hops
-    | None -> assert false
-  in
-  let dp = Dynamic_path.create engine ~rng ~max_hops ~initial () in
-  Dynamic_path.schedule_trace dp trace;
+  let dp = Dynamic_path.of_trace engine ~rng trace in
   let chain = Dynamic_path.chain dp in
   let recorder = Leotp_net.Trace.create ~capacity:1 () in
   let summary =

@@ -71,18 +71,29 @@ let counters () =
 
 let note_sim_seconds s = if s > 0.0 then Atomic_counter.Sum.add c_sim s
 
-(* [Gc.allocated_bytes] and the packet-creation count are domain-local,
-   and each job runs entirely on one domain, so the deltas are exact
-   even under --jobs N — which is what lets the per-packet allocation
-   metric gate on the same number whatever the parallelism. *)
+(* Words allocated so far on this domain: young words as
+   [Gc.minor_words] reads them (up to date), plus words allocated
+   directly in the major heap ([major - promoted] from [Gc.counters]).
+   [Gc.counters]' own minor count (and so [Gc.allocated_bytes]) folds a
+   domain's young words in only at its minor collections, so a delta
+   over it would depend on where a job's collections fall. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* The allocation and the packet-creation count are domain-local, and
+   each job runs entirely on one domain, so the deltas are exact even
+   under --jobs N: the per-packet allocation metric gates on the same
+   number whatever the parallelism. *)
 let instrumented f () =
-  let a0 = Gc.allocated_bytes () in
+  let a0 = allocated_words () in
   let p0 = Leotp_net.Packet.created_on_domain () in
   let r = f () in
-  let a1 = Gc.allocated_bytes () in
+  let a1 = allocated_words () in
   let p1 = Leotp_net.Packet.created_on_domain () in
   Atomic_counter.incr c_jobs;
-  Atomic_counter.Sum.add c_alloc (a1 -. a0);
+  Atomic_counter.Sum.add c_alloc
+    ((a1 -. a0) *. float_of_int (Sys.word_size / 8));
   Atomic_counter.add c_packets (p1 - p0);
   r
 

@@ -1,12 +1,7 @@
-module Bandwidth = Leotp_net.Bandwidth
 module Dynamic_path = Leotp_net.Dynamic_path
-module Path_service = Leotp_constellation.Path_service
-module Walker = Leotp_constellation.Walker
-module Cities = Leotp_constellation.Cities
+module Path_trace = Leotp_net.Path_trace
 module Stats = Leotp_util.Stats
 module Cc = Leotp_tcp.Cc
-
-let mbps = Leotp_util.Units.mbps_to_bytes_per_sec
 
 type pair_result = {
   summary : Common.summary;
@@ -15,123 +10,37 @@ type pair_result = {
   switches : int;
 }
 
-let gsl_plr = 0.01
-let isl_plr = 0.001
-let other_bw = 20.0
-let uplink_mean_bw = 10.0
+exception No_route of string * string
 
-type sample = float * [ `Route of Path_service.hop list | `No_route ]
-
-(* Signatures are float lists, so the comparison is
-   [Option.equal (List.equal Float.equal)]: polymorphic [<>] on a
-   float-containing structure is boxed and nan-unsound. *)
-let flag_handovers (samples : sample list) =
-  let rec go prev acc = function
-    | [] -> List.rev acc
-    | ((_, `No_route) as s) :: rest -> go prev ((s, false) :: acc) rest
-    | ((_, `Route hops) as s) :: rest ->
-      let sig_ = Some (Path_service.signature hops) in
-      let ho =
-        Option.is_some prev && not (Option.equal (List.equal Float.equal) prev sig_)
-      in
-      go sig_ ((s, ho) :: acc) rest
-  in
-  go None [] samples
-
-let handover_times flagged =
-  List.filter_map (fun ((t, _), ho) -> if ho then Some t else None) flagged
-
-(* Paper §V-C (ii) and (iv). *)
-let uplink_mbps ~rng ~handovers ~t_end =
-  let bias =
-    Array.init (int_of_float t_end + 2) (fun _ -> Leotp_util.Rng.uniform rng (-0.5) 0.5)
-  in
-  fun t ->
-    let v_dip =
-      List.fold_left
-        (fun acc h ->
-          let x = Float.abs (t -. h) in
-          if x < 2.0 then Float.max acc (3.0 *. (1.0 -. (x /. 2.0))) else acc)
-        0.0 handovers
-    in
-    Float.max 1.0 (uplink_mean_bw -. v_dip +. bias.(int_of_float t))
-
-let consumer_first ~hop route =
-  let mapped =
-    List.mapi
-      (fun i (h : Path_service.hop) ->
-        let delay = Leotp_constellation.Geo.propagation_delay h.Path_service.distance in
-        match h.Path_service.kind with
-        | Path_service.Gsl -> hop h ~delay ~uplink:(i = 0) ~plr:gsl_plr
-        | Path_service.Isl -> hop h ~delay ~uplink:false ~plr:isl_plr)
-      route
-  in
-  Array.of_list (List.rev mapped)
-
-let to_snapshot ~uplink_bw ~max_hops route =
-  let s =
-    consumer_first route ~hop:(fun _ ~delay ~uplink ~plr ->
-        let bandwidth =
-          if uplink then uplink_bw else Bandwidth.Constant (mbps other_bw)
-        in
-        { Dynamic_path.delay; bandwidth; plr })
-  in
-  if Array.length s > max_hops then Array.sub s 0 max_hops else s
-
+(* The run's path is a TRACE_PATH, replayed like any other: sampled every
+   0.25 s (the uplink's rate resolution), routes recomputed per 5 s
+   epoch, the bias drawn from the run's seed. *)
 let run_pair ?(quick = false) ?(seed = 42) ~src ~dst ~isls protocol =
   let duration = if quick then 25.0 else 100.0 in
   let warmup = if quick then 6.0 else 15.0 in
-  let recompute = 5.0 in
-  let w = Walker.create Walker.starlink in
-  let c_src = Cities.find_exn src and c_dst = Cities.find_exn dst in
-  let snaps =
-    Path_service.snapshots w ~src:c_src ~dst:c_dst ~isls ~t_end:duration
-      ~step:recompute
+  let trace =
+    Pathtrace.generate
+      {
+        Pathtrace.src;
+        dst;
+        isls;
+        horizon = duration;
+        step = 0.25;
+        route_epoch = 5.0;
+        seed;
+      }
   in
-  if snaps = [] then
-    invalid_arg (Printf.sprintf "no route between %s and %s" src dst);
-  let mean_hops = Path_service.mean_hop_count snaps in
-  let min_propagation =
-    List.fold_left
-      (fun acc (_, h) -> Float.min acc (Path_service.total_delay h))
-      Float.infinity snaps
-  in
-  let handovers =
-    handover_times (flag_handovers (List.map (fun (t, h) -> (t, `Route h)) snaps))
-  in
+  if Path_trace.route_count trace = 0 then raise (No_route (src, dst));
   let engine, rng = Common.fresh_engine ~seed in
-  let uplink =
-    uplink_mbps ~rng:(Leotp_util.Rng.substream rng "uplink") ~handovers ~t_end:duration
-  in
-  let uplink_bw =
-    Bandwidth.Steps
-      (Array.init
-         (int_of_float (duration /. 0.25) + 2)
-         (fun i ->
-           let t = float_of_int i *. 0.25 in
-           (t, mbps (uplink t))))
-  in
-  let max_hops =
-    min 24 (List.fold_left (fun acc (_, h) -> max acc (Path_service.hop_count h)) 2 snaps)
-  in
-  let dp =
-    Dynamic_path.create engine ~rng ~max_hops
-      ~initial:(to_snapshot ~uplink_bw ~max_hops (snd (List.hd snaps)))
-      ()
-  in
-  Dynamic_path.schedule dp
-    (List.filter_map
-       (fun (t, h) ->
-         if Float.equal t 0.0 then None
-         else Some (t, to_snapshot ~uplink_bw ~max_hops h))
-       snaps);
+  let dp = Dynamic_path.of_trace engine ~rng trace in
+  let min_propagation = Path_trace.min_total_delay trace in
   let summary =
     Common.run_flow ~engine ~rng ~chain:(Dynamic_path.chain dp)
       ~tcp:Common.Tail_to_head ~floor:min_propagation ~warmup ~duration protocol
   in
   {
     summary;
-    mean_hops;
+    mean_hops = Path_trace.mean_hop_count trace;
     min_propagation;
     switches = Dynamic_path.switch_count dp;
   }

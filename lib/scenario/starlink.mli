@@ -1,59 +1,25 @@
-(** Emulated-Starlink experiments (paper §V-C).
+(** Emulated-Starlink experiments (paper §V-C): Figs 16-18 and Table II.
 
-    Environment per the paper: Starlink core constellation routes
-    recomputed over time (HYPATIA-style, here Dijkstra over the Walker
-    shell); GSL uplink is the 10 Mbps bottleneck with a handover "V"
+    Each run replays a {!Leotp_net.Path_trace} that {!Pathtrace.generate}
+    samples from the constellation, the same path model and replay the
+    long-horizon trace family uses: Starlink core routes recomputed over
+    time (HYPATIA-style, here Dijkstra over the Walker shell); the
+    Producer's GSL uplink is the 10 Mbps bottleneck with a handover "V"
     curve and +/-0.5 Mbps random bias; other hops 20 Mbps; PLR 1% on
     GSLs and 0.1% on ISLs; hop delays are distance over the speed of
     light and change with the orbits (link switching drops in-flight
     packets). *)
 
-val other_bw : float
-(** Mbps on non-bottleneck (downlink / ISL) hops. *)
-
-(** {2 Path model}
-
-    Shared by the live emulation ({!run_pair}) and the trace-driven
-    generator ({!Pathtrace.generate}). *)
-
-type sample = float * [ `Route of Leotp_constellation.Path_service.hop list | `No_route ]
-(** A route sample, as {!Leotp_constellation.Path_service.snapshots_with_gaps}
-    returns them. *)
-
-val flag_handovers : sample list -> (sample * bool) list
-(** Pair each route sample with its handover flag: the route signature
-    differs from the last route seen, so reacquisition after an outage
-    counts too.  [`No_route] samples are never handovers. *)
-
-val handover_times : (sample * bool) list -> float list
-
-val uplink_mbps :
-  rng:Leotp_util.Rng.t -> handovers:float list -> t_end:float -> float -> float
-(** The GSL uplink rate (Mbps) at a time in [0, t_end]: 10 Mbps with a
-    "V" dip of up to 3 Mbps within +/-2 s of each handover, plus a
-    +/-0.5 Mbps bias drawn from [rng] once per second (all draws happen
-    up front); never below 1 Mbps. *)
-
-val consumer_first :
-  hop:
-    (Leotp_constellation.Path_service.hop ->
-    delay:float ->
-    uplink:bool ->
-    plr:float ->
-    'h) ->
-  Leotp_constellation.Path_service.hop list ->
-  'h array
-(** Map a route (Producer side first) to hops Consumer side first.  Each
-    hop gets its propagation delay, whether it is the Producer's GSL
-    uplink (the bottleneck; other hops run at {!other_bw}), and its loss
-    rate (1% on GSLs, 0.1% on ISLs). *)
-
 type pair_result = {
   summary : Common.summary;
-  mean_hops : float;
+  mean_hops : float;  (** over the trace's route records *)
   min_propagation : float;  (** seconds, best route over the run *)
   switches : int;
 }
+
+exception No_route of string * string
+(** [(src, dst)]: the pair has no route at any sampled instant (a bent
+    pipe with no satellite in common view). *)
 
 val run_pair :
   ?quick:bool ->
@@ -63,7 +29,12 @@ val run_pair :
   isls:bool ->
   Common.protocol ->
   pair_result
-(** One bulk flow from [src] (Producer) to [dst] (Consumer). *)
+(** One bulk flow from [src] (Producer) to [dst] (Consumer) over the
+    pair's path trace: {!Pathtrace.generate} with horizon = the run's
+    duration (25 s quick, 100 s full), a 0.25 s step, a 5 s route epoch
+    and [seed] (default 42), replayed by
+    {!Leotp_net.Dynamic_path.of_trace}.  Raises {!No_route} when the
+    trace has no route record. *)
 
 val fig16 : ?quick:bool -> unit -> (string * pair_result) list
 (** Beijing-Shanghai without ISLs: LEOTP vs BBR / PCC / Hybla; prints

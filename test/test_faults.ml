@@ -295,7 +295,6 @@ let events_of p =
           state = p.state;
         };
       Fault { what = s.(0) };
-      Note { what = s.(0) };
     ]
 
 let records_of p =
@@ -423,8 +422,7 @@ let emit_typed (ev : Trace.event) =
   | Complete { node; flow; bytes } -> Trace.complete ~node ~flow ~bytes
   | Seg_state { who; flow; seq; len; state } ->
     Trace.seg_state ~who ~flow ~seq ~len ~state
-  | Link_final _ | Rto_fire _ | Ack_processed _ | Fault _ | Note _ ->
-    Trace.emit ev
+  | Link_final _ | Rto_fire _ | Ack_processed _ | Fault _ -> Trace.emit ev
 
 (* Bit-exact equality: structural, but telling 0.0 from -0.0. *)
 let same_bits a b =
@@ -562,7 +560,7 @@ let test_digest_pinned_pairs () =
     [ ack { p with sacks = []; rtt = Some (bits 7 0) } ]
     [ ack { p with sacks = [ (1, 7) ]; rtt = None } ];
   (* Without the rtt option tag both streams would end 1, 2, 3, 4, 5, 6,
-     7, 8, 9, 10, 15, 3, 15, 1, 'z': the second pair's extra rtt words
+     7, 8, 9, 10, 14, 3, 14, 1, 'z': the second pair's extra rtt words
      shift its next record's seq and time onto the first pair's next
      record's tag and string. *)
   let p0 = { p with i = [| 1; 2; 1; 2; 3; 0 |] } in
@@ -570,11 +568,11 @@ let test_digest_pinned_pairs () =
   differ "rtt option tag"
     [
       ack { p0 with rtt = None; f = [| bits 4 5; bits 6 7 |] };
-      { Trace.seq = 8; time = bits 9 10; event = Note { what = "\x0f\x01z" } };
+      { Trace.seq = 8; time = bits 9 10; event = Fault { what = "\x0e\x01z" } };
     ]
     [
       ack { p1 with rtt = Some (bits 1 2); f = [| bits 6 7; bits 8 9 |] };
-      { Trace.seq = 10; time = bits 15 3; event = Note { what = "z" } };
+      { Trace.seq = 10; time = bits 14 3; event = Fault { what = "z" } };
     ];
   let t = Trace.create ~capacity:64 () in
   Trace.with_recorder t
@@ -757,8 +755,7 @@ module Reference = struct
         t.rto_violation <- Some (who, elapsed, floor)
     (* Ack_processed / Seg_state feed the differential oracle
        (Leotp_check.Oracle), a separate sink. *)
-    | Trace.Ack_processed _ | Trace.Seg_state _ | Trace.Fault _ | Trace.Note _ ->
-      ()
+    | Trace.Ack_processed _ | Trace.Seg_state _ | Trace.Fault _ -> ()
 
   let sorted_hashtbl_bindings tbl =
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])

@@ -31,16 +31,7 @@ let test_bandwidth_square () =
   let b = Bandwidth.Square { mean = 10.0; amplitude = 2.0; period = 2.0 } in
   Alcotest.(check (float 1e-9)) "high phase" 12.0 (Bandwidth.at b 0.5);
   Alcotest.(check (float 1e-9)) "low phase" 8.0 (Bandwidth.at b 1.5);
-  Alcotest.(check (float 1e-9)) "next period" 12.0 (Bandwidth.at b 2.5);
-  Alcotest.(check (float 1e-9)) "mean" 10.0 (Bandwidth.mean_over b ~t_end:10.0)
-
-let test_bandwidth_steps () =
-  let b = Bandwidth.Steps [| (0.0, 1.0); (10.0, 2.0); (20.0, 3.0) |] in
-  Alcotest.(check (float 1e-9)) "before" 1.0 (Bandwidth.at b (-5.0));
-  Alcotest.(check (float 1e-9)) "first" 1.0 (Bandwidth.at b 5.0);
-  Alcotest.(check (float 1e-9)) "boundary" 2.0 (Bandwidth.at b 10.0);
-  Alcotest.(check (float 1e-9)) "middle" 2.0 (Bandwidth.at b 15.0);
-  Alcotest.(check (float 1e-9)) "last" 3.0 (Bandwidth.at b 100.0)
+  Alcotest.(check (float 1e-9)) "next period" 12.0 (Bandwidth.at b 2.5)
 
 (* ------------------------------------------------------------------ *)
 (* Link *)
@@ -224,9 +215,11 @@ let test_link_faults_pinned () =
 let test_link_time_varying_bw () =
   let engine, rng = setup () in
   let link = mk_link engine rng in
-  (* Step down to 0.8 Mbps at t=0.1: a 1000 B packet then takes 10 ms. *)
-  Link.set_bandwidth link
-    (Bandwidth.Steps [| (0.0, mbps 8.0); (0.1, mbps 0.8) |]);
+  (* Step down to 0.8 Mbps at t=0.1, as a replayed path-trace record
+     changes a rate: a 1000 B packet then takes 10 ms. *)
+  ignore
+    (Leotp_sim.Engine.schedule_at engine ~time:0.1 (fun () ->
+         Link.set_bandwidth link (Bandwidth.Constant (mbps 0.8))));
   let times = ref [] in
   Link.set_sink link (fun _ -> times := Leotp_sim.Engine.now engine :: !times);
   Link.send link (raw_pkt ());
@@ -539,12 +532,7 @@ let test_dynamic_path_trace_replay () =
         ];
     }
   in
-  let dp =
-    Dynamic_path.create engine ~rng ~max_hops:3
-      ~initial:(Dynamic_path.snapshot_of_hops ~max_hops:3 route_a)
-      ()
-  in
-  Dynamic_path.schedule_trace dp trace;
+  let dp = Dynamic_path.of_trace engine ~rng trace in
   let chain = Dynamic_path.chain dp in
   let src = chain.Topology.nodes.(0)
   and dst = chain.Topology.nodes.(3) in
@@ -597,6 +585,67 @@ let test_dynamic_path_trace_replay () =
   Alcotest.(check int) "no drop after the outage" 1 (drops_down ());
   Alcotest.(check int) "delivered after the outage" 1 !arrivals
 
+(* [of_trace] builds the path a trace describes: two leading outage
+   records hold it down on the first route's parameters, a 30-hop route
+   is cut to its Consumer-side 24 hops, and a trace with no route record
+   has no path at all. *)
+let test_dynamic_path_of_trace () =
+  let engine, rng = setup () in
+  let hop i =
+    {
+      Path_trace.delay = 0.001 *. float_of_int (i + 1);
+      bw_mbps = 20.0;
+      plr = 0.0;
+      kind = Path_trace.Isl;
+    }
+  in
+  let short = Array.init 2 (fun i -> hop (100 + i))
+  and long = Array.init 30 hop in
+  let route hops = Path_trace.Route { hops; handover = false } in
+  let trace records =
+    {
+      Path_trace.meta =
+        { seed = 1; src = "A"; dst = "B"; isls = true; step = 1.0; horizon = 4.0 };
+      records;
+    }
+  in
+  let dp =
+    Dynamic_path.of_trace engine ~rng
+      (trace
+         [
+           { time = 0.0; event = Path_trace.No_route };
+           { time = 1.0; event = Path_trace.No_route };
+           { time = 2.0; event = route short };
+           { time = 3.0; event = route long };
+         ])
+  in
+  let chain = Dynamic_path.chain dp in
+  Alcotest.(check int) "capped at 24 hops" 24 (Array.length chain.Topology.hops);
+  let delay i = Link.delay chain.Topology.hops.(i).Topology.fwd in
+  let first = chain.Topology.hops.(0).Topology.fwd in
+  let offer () =
+    Link.send first (raw_pkt ());
+    (Link.stats first).Link.drops_down
+  in
+  Leotp_sim.Engine.run engine ~until:0.5;
+  Alcotest.(check int) "starts on the first route" 2 (Dynamic_path.active_hops dp);
+  Alcotest.(check (float 0.0)) "its first hop" short.(0).Path_trace.delay (delay 0);
+  Alcotest.(check (float 0.0)) "pass-through past it" 20e-6 (delay 2);
+  Alcotest.(check int) "dark until the route's record" 1 (offer ());
+  Leotp_sim.Engine.run engine ~until:3.5;
+  Alcotest.(check int) "up once the route applies" 1 (offer ());
+  Alcotest.(check int) "long route cut to 24" 24 (Dynamic_path.active_hops dp);
+  Alcotest.(check (float 0.0)) "its 24th hop" long.(23).Path_trace.delay (delay 23);
+  List.iter
+    (fun (name, records) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Dynamic_path.of_trace: trace has no route record")
+        (fun () -> ignore (Dynamic_path.of_trace engine ~rng (trace records))))
+    [
+      ("no records", []);
+      ("outage records only", [ { time = 0.0; event = Path_trace.No_route } ]);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Node routing edge cases *)
 
@@ -648,7 +697,6 @@ let () =
         [
           Alcotest.test_case "constant" `Quick test_bandwidth_constant;
           Alcotest.test_case "square" `Quick test_bandwidth_square;
-          Alcotest.test_case "steps" `Quick test_bandwidth_steps;
         ] );
       ( "link",
         [
@@ -687,6 +735,7 @@ let () =
             test_dynamic_path_below_epsilon_no_switch;
           Alcotest.test_case "trace replay holds each record" `Quick
             test_dynamic_path_trace_replay;
+          Alcotest.test_case "of_trace" `Quick test_dynamic_path_of_trace;
         ] );
       ( "node",
         [

@@ -198,6 +198,35 @@ let test_runner_parallel_determinism () =
         true (s = p))
     (List.combine sequential parallel)
 
+(* The runner's allocation count reads a job's young words as they are
+   made, not when a minor collection folds them into [Gc.counters]: a
+   job of 1000 fresh three-word blocks (header and two ints) reports
+   3000 words, give or take the runner's own few reads, whether or not
+   a collection falls inside it and whatever the parallelism. *)
+let test_runner_counts_young_words () =
+  let module R = Leotp_scenario.Runner in
+  let n = 1000 in
+  let job () =
+    for i = 1 to n do
+      ignore (Sys.opaque_identity [| i; i |])
+    done
+  in
+  List.iter
+    (fun jobs ->
+      R.set_jobs jobs;
+      Gc.minor ();
+      R.reset_counters ();
+      ignore (R.map [ job ]);
+      let words =
+        (R.counters ()).R.alloc_bytes /. float_of_int (Sys.word_size / 8)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d: %.0f words for %d" jobs words (3 * n))
+        true
+        (Float.abs (words -. float_of_int (3 * n)) <= 32.0))
+    [ 1; 2 ];
+  R.set_jobs 1
+
 let test_theory_experiment_values () =
   let rows = Leotp_scenario.Experiments.fig03 () in
   match rows with
@@ -220,6 +249,8 @@ let () =
             test_runner_parallel_determinism;
           Alcotest.test_case "protocol names round-trip" `Quick
             test_protocol_names_round_trip;
+          Alcotest.test_case "allocation counts young words" `Quick
+            test_runner_counts_young_words;
         ] );
       ( "shapes",
         [
