@@ -84,10 +84,16 @@ let midnode_stream ~plr () =
 
 let cache_ops () =
   let cache = Leotp.Cache.create ~config () in
+  (* One Data record for the kernel's life, re-ranged per insert: the
+     cache reads its slots (first sent at 0, not a retransmission).  It
+     never enters the pool, so nothing downstream releases it. *)
+  let data = (Leotp_net.Packet.blank [@leotp.allow "hot-path-alloc"]) () in
+  data.Leotp_net.Packet.flow <- 1;
   fun () ->
     for i = 0 to 255 do
-      Leotp.Cache.insert cache ~flow:1 ~lo:(i * 1400) ~hi:((i + 1) * 1400)
-        ~first_sent:0.0 ~retx:false
+      data.Leotp_net.Packet.i0 <- i * 1400;
+      data.Leotp_net.Packet.i1 <- (i + 1) * 1400;
+      Leotp.Cache.insert cache data
     done;
     for i = 0 to 255 do
       ignore (Leotp.Cache.lookup cache ~flow:1 ~lo:(i * 1400) ~hi:((i + 1) * 1400))

@@ -154,12 +154,14 @@ let fresh_block t key =
 (* ------------------------------------------------------------------ *)
 (* Insert and evict *)
 
-let push_meta t blk ~lo ~first_sent ~retx =
+(* [data]'s first-send time and retx flag are read from its slots: the
+   float would be boxed as an argument. *)
+let push_meta t blk ~lo (data : Leotp_net.Packet.t) =
   let cap = t.meta_capacity in
   let i = blk.meta_next in
   blk.meta_lo.(i) <- lo;
-  blk.meta_first_sent.(i) <- first_sent;
-  blk.meta_retx.(i) <- retx;
+  blk.meta_first_sent.(i) <- data.Leotp_net.Packet.f.(Wire.first_sent_slot);
+  blk.meta_retx.(i) <- Wire.retx data;
   blk.meta_next <- (i + 1) mod cap;
   if blk.meta_len < cap then blk.meta_len <- blk.meta_len + 1
 
@@ -179,7 +181,7 @@ let rec evict_until_fits t =
 
 (* Adds [lo, hi) block slice by block slice, from the block holding
    [lo] on. *)
-let rec insert_from t ~flow ~hi ~first_sent ~retx lo =
+let rec insert_from t ~flow ~hi data lo =
   if lo < hi then begin
     let bs = block_size t in
     let b = lo / bs in
@@ -188,13 +190,14 @@ let rec insert_from t ~flow ~hi ~first_sent ~retx lo =
     let blk = find t k in
     let blk = if blk == t.lru then fresh_block t k else (touch t blk; blk) in
     t.used <- t.used + Interval_set.add blk.present ~lo ~hi:bhi;
-    push_meta t blk ~lo ~first_sent ~retx;
-    insert_from t ~flow ~hi ~first_sent ~retx bhi
+    push_meta t blk ~lo data;
+    insert_from t ~flow ~hi data bhi
   end
 
-let insert t ~flow ~lo ~hi ~first_sent ~retx =
+let insert t (data : Leotp_net.Packet.t) =
+  let lo = Wire.lo data and hi = Wire.hi data in
   if hi > lo then begin
-    insert_from t ~flow ~hi ~first_sent ~retx lo;
+    insert_from t ~flow:data.Leotp_net.Packet.flow ~hi data lo;
     evict_until_fits t;
     trace_occupancy t
   end

@@ -24,8 +24,11 @@ type stats = {
 val create : ?label:string -> config:Config.t -> unit -> t
 (** [label] names this cache in trace events (the owning node's name). *)
 
-val insert :
-  t -> flow:int -> lo:int -> hi:int -> first_sent:float -> retx:bool -> unit
+val insert : t -> Leotp_net.Packet.t -> unit
+(** [insert t data] caches a Data packet's range [lo, hi) for its flow,
+    with the first-send time and retx flag it carries.  They are read
+    from its slots, so nothing is boxed; the packet stays the
+    caller's. *)
 
 val lookup : t -> flow:int -> lo:int -> hi:int -> (float * bool) option
 (** [Some (first_sent, retx)] iff every byte of [lo, hi) is cached.

@@ -31,7 +31,10 @@ type t = {
   mutable prefix : int;  (** delivered in-order prefix length *)
   mutable interests_sent : int;
   mutable interest_retx : int;
-  mutable next_send_time : float;
+  pace : float array;
+      (** the pacer's next send time and the advertised rate
+          ([next_send_slot], [rate_slot]): a float field of this record
+          would box every write, and a returned float is boxed *)
   mutable last_shared_backoff : float;
   mutable scan_timer : Engine.timer;  (** TR scan (§III-B) *)
   mutable pump_timer : Engine.timer;  (** eq (10) pacing *)
@@ -39,17 +42,21 @@ type t = {
   mutable started : bool;
 }
 
-let advertised_rate t =
-  (* The Consumer has no sending buffer: its application drains data
-     instantly, so eq (10) reduces to the window rate cwnd/RTT. *)
-  Hop_cc.rate t.cc ~now:(Engine.now t.engine)
+(* [pace]'s slots: when the pacer next lets an Interest out, and the
+   advertised rate, bytes/s. *)
+let next_send_slot = 0
+let rate_slot = 1
 
+(* The Consumer has no sending buffer: its application drains data
+   instantly, so eq (10) reduces to the window rate cwnd/RTT, written
+   straight into the Interest. *)
 let send_interest t ~lo ~hi ~retx =
   let now = Engine.now t.engine in
   let pkt =
     Wire.interest_packet ~config:t.config ~src:(Node.id t.node) ~dst:t.producer
-      ~flow:t.flow ~lo ~hi ~timestamp:now ~send_rate:(advertised_rate t) ~retx
+      ~flow:t.flow ~lo ~hi ~timestamp:now ~send_rate:0.0 ~retx
   in
+  Hop_cc.rate_into t.cc ~now pkt.Packet.f Wire.send_rate_slot;
   t.interests_sent <- t.interests_sent + 1;
   if retx then begin
     t.interest_retx <- t.interest_retx + 1;
@@ -62,7 +69,7 @@ let resend t (st : Seg_store.seg) =
   let now = Engine.now t.engine in
   st.retx_count <- st.retx_count + 1;
   if st.retx_count = 1 then t.stale_bytes <- t.stale_bytes + st.len;
-  st.last_sent <- now;
+  st.times.last_sent <- now;
   (* Resending interval grows by 1.5x per timeout (paper §III-B), with a
      10 s ceiling so a long outage doesn't push deadlines out forever. *)
   let timeout =
@@ -70,8 +77,8 @@ let resend t (st : Seg_store.seg) =
       (Leotp_util.Rto.base_rto t.rto
       *. (t.config.Config.tr_backoff ** float_of_int st.retx_count))
   in
-  st.due <- now +. timeout;
-  st.floor <- Leotp_util.Rto.timeout_floor t.rto ~timeout;
+  st.times.due <- now +. timeout;
+  st.times.floor <- Leotp_util.Rto.timeout_floor t.rto ~timeout;
   send_interest t ~lo:st.seq ~hi:(st.seq + st.len) ~retx:true
 
 (* Resend every Interest due by [now], in ascending range order, and
@@ -80,12 +87,16 @@ let rec expire t ~now i any =
   if i >= Seg_store.length t.outstanding then any
   else begin
     let st = Seg_store.get t.outstanding i in
-    let fired = now >= st.due in
+    let fired = now >= st.times.due in
     if fired then begin
       if Leotp_net.Trace.on () then
         Leotp_net.Trace.emit
           (Leotp_net.Trace.Rto_fire
-             { who = t.who; elapsed = now -. st.last_sent; floor = st.floor });
+             {
+               who = t.who;
+               elapsed = now -. st.times.last_sent;
+               floor = st.times.floor;
+             });
       resend t st
     end;
     expire t ~now (i + 1) (any || fired)
@@ -132,7 +143,7 @@ let rec pump_loop t now =
        bounded by cwnd, giving the self-clocking a pure rate pacer
        lacks.  Ranges already declared lost (TR timeout) are being
        repaired and do not occupy the pipeline. *)
-    let cap = Hop_cc.cwnd t.cc in
+    let cap = (Hop_cc.window t.cc).Hop_cc.cwnd in
     let hi =
       match t.total_bytes with
       | Some n -> min n (t.next_to_request + t.config.Config.mss)
@@ -147,21 +158,20 @@ let rec pump_loop t now =
       float_of_int (occupying + len) > cap
       || float_of_int (t.outstanding_bytes + len) > 2.0 *. cap
     then ()
-    else if now < t.next_send_time then begin
+    else if now < t.pace.(next_send_slot) then begin
       if not (Engine.is_pending t.pump_timer) then
-        Engine.arm_at t.pump_timer ~time:t.next_send_time
+        Engine.arm_at t.pump_timer ~time:t.pace.(next_send_slot)
     end
     else begin
-      let rate = Float.max 1000.0 (advertised_rate t) in
-      t.next_send_time <-
-        Float.max now t.next_send_time +. (float_of_int len /. rate);
+      Hop_cc.rate_into t.cc ~now t.pace rate_slot;
+      let rate = Float.max 1000.0 t.pace.(rate_slot) in
+      t.pace.(next_send_slot) <-
+        Float.max now t.pace.(next_send_slot) +. (float_of_int len /. rate);
       let lo = t.next_to_request in
       t.next_to_request <- hi;
-      let timeout = Leotp_util.Rto.rto t.rto in
       let st = Seg_store.make ~seq:lo ~len in
-      st.last_sent <- now;
-      st.due <- now +. timeout;
-      st.floor <- Leotp_util.Rto.timeout_floor t.rto ~timeout;
+      st.times.last_sent <- now;
+      Leotp_util.Rto.stamp t.rto ~now st.times;
       Seg_store.push_back t.outstanding st;
       t.outstanding_bytes <- t.outstanding_bytes + len;
       send_interest t ~lo ~hi ~retx:false;
@@ -213,7 +223,7 @@ let overlaps t ~lo i =
 let rec extend_due t ~lo ~due i =
   if overlaps t ~lo i then begin
     let st = Seg_store.get t.outstanding i in
-    st.due <- Float.max st.due due;
+    st.times.due <- Float.max st.times.due due;
     extend_due t ~lo ~due (i - 1)
   end
 
@@ -234,10 +244,8 @@ let rec satisfy t ~now ~lo ~hi i =
     if st.seq >= lo && st.seq + st.len <= hi then begin
       (* Karn: RTT samples only from un-retransmitted Interests. *)
       if st.retx_count = 0 then begin
-        let loop_rtt = now -. st.last_sent in
-        Leotp_util.Rto.observe t.rto loop_rtt;
-        Hop_cc.on_data t.cc ~now ~interest_owd:loop_rtt ~data_owd:0.0
-          ~bytes:st.len
+        Leotp_util.Rto.observe t.rto ~now ~sent:st.times.last_sent;
+        Hop_cc.on_loop t.cc ~now ~sent:st.times.last_sent ~bytes:st.len
       end
       else
         (* Retransmitted ranges still count toward delivered bytes for
@@ -265,14 +273,15 @@ let handle_vph t ~lo ~hi =
   extend_due t ~lo ~due (top_overlap t ~hi);
   ignore (Shr.on_packet t.shr ~lo ~hi)
 
-let handle_data t ~lo ~hi ~first_sent ~retx =
+(* The Data's first-send time waits in the metrics' slot
+   ([handle_packet]). *)
+let handle_data t ~lo ~hi ~retx =
   let now = Engine.now t.engine in
   satisfy t ~now ~lo ~hi (top_overlap t ~hi);
   (* Deliver fresh bytes. *)
   let fresh = Interval_set.add t.received ~lo ~hi in
   if fresh > 0 then
-    Leotp_net.Flow_metrics.on_deliver t.metrics ~now ~bytes:fresh
-      ~owd:(now -. first_sent) ~retx;
+    Leotp_net.Flow_metrics.on_deliver t.metrics ~now ~bytes:fresh ~retx;
   (* In-order prefix growth feeds byte-stream consumers (gateways). *)
   let new_prefix = Interval_set.first_missing t.received ~lo:0 in
   if new_prefix > t.prefix then begin
@@ -292,15 +301,18 @@ let handle_data t ~lo ~hi ~first_sent ~retx =
   pump t
 
 (* Terminal handler: the Consumer owns the delivered packet and recycles
-   it once the slot values are extracted. *)
+   it once the slot values are extracted.  The first-send time goes
+   straight into the metrics' slot, as a float argument would be
+   boxed. *)
 let handle_packet t pkt =
   if Wire.is_data pkt && pkt.Packet.flow = t.flow then begin
     let lo = Wire.lo pkt and hi = Wire.hi pkt in
     let length = Wire.length pkt in
-    let first_sent = Wire.first_sent pkt and retx = Wire.retx pkt in
+    let retx = Wire.retx pkt in
+    (Leotp_net.Flow_metrics.sent t.metrics).(0) <-
+      pkt.Packet.f.(Wire.first_sent_slot);
     Leotp_net.Packet_pool.release pkt;
-    if length = 0 then handle_vph t ~lo ~hi
-    else handle_data t ~lo ~hi ~first_sent ~retx
+    if length = 0 then handle_vph t ~lo ~hi else handle_data t ~lo ~hi ~retx
   end
   else Leotp_net.Packet_pool.release pkt
 
@@ -341,7 +353,7 @@ let create engine ~config ~node ~producer ~flow ?total_bytes ?metrics
       prefix = 0;
       interests_sent = 0;
       interest_retx = 0;
-      next_send_time = Engine.now engine;
+      pace = [| Engine.now engine; 0.0 |];
       scan_timer = unset;
       pump_timer = unset;
       completed = false;

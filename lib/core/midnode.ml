@@ -38,11 +38,12 @@ type t = {
 }
 
 (* Allocates only on the first packet of a flow (the miss arm builds the
-   whole per-flow state); every later packet takes the table hit. *)
+   whole per-flow state); every later packet takes the table hit, which
+   [find] serves without the option [find_opt] would allocate. *)
 let get_flow t ~flow ~consumer ~producer =
-  match Hashtbl.find_opt t.flows flow with
-  | Some fs -> fs
-  | None ->
+  match Hashtbl.find t.flows flow with
+  | fs -> fs
+  | exception Not_found ->
     let fs =
       {
         flow;
@@ -63,11 +64,13 @@ let get_flow t ~flow ~consumer ~producer =
 [@@leotp.allow "hot-path-may-alloc"]
 
 (* Write the upstream advertised rate, eq (10) = min(cwnd/hopRTT,
-   rate_bp), into an Interest this hop sends upstream. *)
+   rate_bp), into an Interest this hop sends upstream: the sending
+   buffer's drain rate goes into the slot, and the controller replaces
+   it with eq (10). *)
 let advertise t fs pkt =
+  Send_buffer.write_rate fs.buffer pkt;
   Hop_cc.advertise fs.cc ~now:(Engine.now t.engine)
     ~buffer_len:(Send_buffer.len fs.buffer)
-    ~next_hop_rate:(Send_buffer.rate fs.buffer)
     pkt
 
 let send_vph t fs ~lo ~hi =
@@ -124,7 +127,6 @@ let rec respond_from_cache t fs ~lo ~hi ~timestamp ~req_owd ~retx =
 let handle_interest t pkt =
   let flow = pkt.Packet.flow in
   let lo = Wire.lo pkt and hi = Wire.hi pkt in
-  let timestamp = Wire.timestamp pkt in
   let retx = Wire.retx pkt in
   let fs =
     get_flow t ~flow ~consumer:pkt.Packet.src ~producer:pkt.Packet.dst
@@ -134,12 +136,11 @@ let handle_interest t pkt =
   let now = Engine.now t.engine in
   let hop_cc = Config.hop_cc_enabled t.config in
   (* The downstream Requester's advertised rate drives my rate limiter. *)
-  if hop_cc then
-    Send_buffer.on_interest fs.buffer ~now ~timestamp
-      ~send_rate:(Wire.send_rate pkt);
+  if hop_cc then Send_buffer.on_interest fs.buffer ~now pkt;
   if Config.caches_enabled t.config && Cache.contains t.cache ~flow ~lo ~hi
   then begin
     fs.cache_hits <- fs.cache_hits + 1;
+    let timestamp = pkt.Packet.f.(Wire.timestamp_slot) in
     respond_from_cache t fs ~lo ~hi ~timestamp
       ~req_owd:(Float.max 0.0 (now -. timestamp))
       ~retx;
@@ -156,7 +157,7 @@ let handle_interest t pkt =
       (* Re-originate upstream with this hop's timestamp and rate (a
          fresh id in place, like the re-constructed packet it
          replaces). *)
-      Wire.reoriginate_interest pkt ~timestamp:now;
+      Wire.reoriginate pkt ~timestamp:now;
       advertise t fs pkt;
       Node.send t.node pkt
     end
@@ -178,7 +179,8 @@ let rec fan_out t fs pkt ~now i n =
         (Wire.data_packet ~config:t.config ~src:pkt.Packet.src ~dst:consumer
            ~flow:fs.flow ~lo:(Wire.lo pkt) ~hi:(Wire.hi pkt) ~timestamp:now
            ~req_owd:(Send_buffer.req_owd fs.buffer)
-           ~first_sent:(Wire.first_sent pkt) ~retx:(Wire.retx pkt));
+           ~first_sent:pkt.Packet.f.(Wire.first_sent_slot)
+           ~retx:(Wire.retx pkt));
     fan_out t fs pkt ~now (i + 1) n
   end
 
@@ -200,28 +202,23 @@ let rec request_holes t fs = function
     | None -> send_shr_interest t fs ~lo ~hi);
     request_holes t fs rest
 
+(* The Data's float slots are read by the callees that use them
+   (controller, cache), so none is boxed on the way. *)
 let handle_data t pkt =
   let flow = pkt.Packet.flow in
   let lo = Wire.lo pkt and hi = Wire.hi pkt in
   let length = Wire.length pkt in
-  let timestamp = Wire.timestamp pkt in
-  let req_owd = Wire.req_owd pkt in
-  let first_sent = Wire.first_sent pkt in
-  let retx = Wire.retx pkt in
   let fs = get_flow t ~flow ~consumer:pkt.Packet.dst ~producer:pkt.Packet.src in
   let now = Engine.now t.engine in
   let is_vph = length = 0 in
   (* Upstream hop congestion sample (not for VPHs: they carry no payload
      and may be generated mid-path). *)
   if Config.hop_cc_enabled t.config && not is_vph then
-    Hop_cc.on_data fs.cc ~now
-      ~interest_owd:(Float.max 0.0 req_owd)
-      ~data_owd:(Float.max 0.0 (now -. timestamp))
-      ~bytes:length;
+    Hop_cc.on_data fs.cc ~now pkt;
   (* In-network retransmission machinery (disabled without caches). *)
   if Config.caches_enabled t.config then begin
     if not is_vph then begin
-      Cache.insert t.cache ~flow ~lo ~hi ~first_sent ~retx;
+      Cache.insert t.cache pkt;
       fan_out t fs pkt ~now 0 (Pit.satisfy t.pit ~now ~flow ~lo ~hi)
     end;
     let actions = Shr.on_packet fs.shr ~lo ~hi in

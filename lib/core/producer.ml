@@ -47,35 +47,36 @@ let available_now t =
   let base = match t.total_bytes with Some n -> n | None -> max_int in
   match t.available with Some f -> min base (f ()) | None -> base
 
+(* One MSS-sized Data packet into the sending buffer.  Its Interest OWD
+   slot starts at 0: the buffer stamps the latest one as the packet
+   drains, and nothing reads the packet before that. *)
+let push_chunk t ~consumer ~lo ~hi ~timestamp ~first_sent ~retx =
+  ignore
+    (Send_buffer.push t.buffer
+       (Wire.data_packet ~config:t.config ~src:(Node.id t.node) ~dst:consumer
+          ~flow:t.flow ~lo ~hi ~timestamp ~req_owd:0.0 ~first_sent ~retx))
+
 (* Serve [range_lo, hi) in MSS-sized Data packets (a retransmission
    Interest may cover a multi-packet hole); transparent addressing
    (paper §IV-A): data carries the endpoints' addresses, midnodes
    intercept it in flight. *)
 let rec serve_chunks t ~now ~consumer ~lo:range_lo ~hi =
   (* Recursion, not while+ref: this runs per served Interest and a local
-     [ref] is a minor-heap cell.  The (first_sent, retx) pair and the
-     first-send table entry are per-chunk bookkeeping the Data packet
-     carries — allocation the response itself dwarfs. *)
+     [ref] is a minor-heap cell.  The first-send table entry is per-chunk
+     bookkeeping the Data packet carries — allocation the response
+     itself dwarfs. *)
   if range_lo < hi then begin
     let lo = range_lo in
     let chunk_hi = min hi (lo + t.config.Config.mss) in
-    let first_sent, retx =
-      (match Index.find t.first_sent lo with
-      | ts ->
-        Leotp_net.Flow_metrics.on_retransmit t.metrics;
-        (ts, true)
-      | exception Not_found ->
-        Index.add t.first_sent lo now;
-        (now, false))
-      [@leotp.allow "hot-path-may-alloc"]
-    in
-    let data =
-      Wire.data_packet ~config:t.config ~src:(Node.id t.node) ~dst:consumer
-        ~flow:t.flow ~lo ~hi:chunk_hi ~timestamp:now
-        ~req_owd:(Send_buffer.req_owd t.buffer)
-        ~first_sent ~retx
-    in
-    ignore (Send_buffer.push t.buffer data);
+    (match Index.find t.first_sent lo with
+    | first_sent ->
+      Leotp_net.Flow_metrics.on_retransmit t.metrics;
+      push_chunk t ~consumer ~lo ~hi:chunk_hi ~timestamp:now ~first_sent
+        ~retx:true
+    | exception Not_found ->
+      (Index.add [@leotp.allow "hot-path-may-alloc"]) t.first_sent lo now;
+      push_chunk t ~consumer ~lo ~hi:chunk_hi ~timestamp:now ~first_sent:now
+        ~retx:false);
     serve_chunks t ~now ~consumer ~lo:chunk_hi ~hi
   end
 
@@ -104,8 +105,7 @@ let notify_data_available t =
 let handle_interest t pkt =
   if Wire.is_interest pkt && pkt.Packet.flow = t.flow then begin
     let now = Engine.now t.engine in
-    Send_buffer.on_interest t.buffer ~now ~timestamp:(Wire.timestamp pkt)
-      ~send_rate:(Wire.send_rate pkt);
+    Send_buffer.on_interest t.buffer ~now pkt;
     let lo = Wire.lo pkt and hi = Wire.hi pkt in
     let consumer = pkt.Packet.src in
     Leotp_net.Packet_pool.release pkt;

@@ -9,18 +9,20 @@ type t = {
   send : Packet.t -> unit;
   queue : Pkt_queue.t;
   bucket : Leotp_util.Token_bucket.t;
-  mutable rate : float;
-      (** the bucket's rate, kept boxed here too: the bucket's record is
-          all floats, so reading the rate from it would box a copy on
-          every Interest the node forwards *)
+  x : floats;
   queued_names : Leotp_util.Range_table.t;
       (* Interest aggregation: a data range already waiting in the buffer
          is not enqueued twice (re-requests would otherwise multiply
          under timeout retransmission).  A set of (flow, lo, hi). *)
   mutable queued_bytes : int;
   mutable drops : int;
-  mutable req_owd : float;  (** latest downstream Interest OWD *)
   mutable drain_timer : Engine.timer;
+}
+
+(* Stored flat, so the per-Interest writes box nothing. *)
+and floats = {
+  mutable rate : float;  (** the bucket's rate, bytes/s *)
+  mutable req_owd : float;  (** latest downstream Interest OWD *)
 }
 
 (* Only real Data carries a dedup name; VPHs and Interests pass through. *)
@@ -47,8 +49,10 @@ let rec drain t =
          its wait in the buffer must stay invisible to the hopRTT
          measurement (§III-C).  Restamping is in place and consumes a
          fresh id, exactly like the re-constructed packet it replaces. *)
-      if Wire.is_data pkt then
-        Wire.restamp_data pkt ~timestamp:now ~req_owd:t.req_owd;
+      if Wire.is_data pkt then begin
+        Wire.reoriginate pkt ~timestamp:now;
+        pkt.Packet.f.(Wire.req_owd_slot) <- t.x.req_owd
+      end;
       t.send pkt;
       drain t
     end
@@ -78,10 +82,9 @@ let create engine ~config ~send () =
         Leotp_util.Token_bucket.create ~rate
           ~burst:(2.0 *. float_of_int config.Config.mss)
           ~now:(Engine.now engine);
-      rate;
+      x = { rate; req_owd = 0.0 };
       queued_bytes = 0;
       drops = 0;
-      req_owd = 0.0;
       drain_timer = Engine.timer engine ignore;
     }
   in
@@ -116,15 +119,17 @@ let push t pkt =
   end
 
 (* The OWD is recorded before the new rate can drain anything, so Data
-   released by this very Interest already carries it. *)
-let on_interest t ~now ~timestamp ~send_rate =
-  t.req_owd <- Float.max 0.0 (now -. timestamp);
-  t.rate <- Float.max 0.0 send_rate;
-  Leotp_util.Token_bucket.set_rate t.bucket ~now t.rate;
+   released by this very Interest already carries it.  Both floats are
+   read from the Interest's slots: passed in, they would be boxed. *)
+let on_interest t ~now pkt =
+  let f = pkt.Packet.f in
+  t.x.req_owd <- Float.max 0.0 (now -. f.(Wire.timestamp_slot));
+  t.x.rate <- Float.max 0.0 f.(Wire.send_rate_slot);
+  Leotp_util.Token_bucket.set_rate t.bucket ~now f Wire.send_rate_slot;
   if not (Pkt_queue.is_empty t.queue) then drain t
 
-let req_owd t = t.req_owd
-let rate t = t.rate
+let req_owd t = t.x.req_owd
+let write_rate t (pkt : Packet.t) = pkt.Packet.f.(Wire.send_rate_slot) <- t.x.rate
 let len t = t.queued_bytes
 let drops t = t.drops
 

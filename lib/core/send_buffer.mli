@@ -24,15 +24,19 @@ val create :
 val push : t -> Leotp_net.Packet.t -> bool
 (** Enqueue; [false] if the buffer is full and the packet was dropped. *)
 
-val on_interest : t -> now:float -> timestamp:float -> send_rate:float -> unit
-(** A downstream Interest stamped [timestamp] arrived at [now]: record
-    its OWD, [max 0 (now - timestamp)], for the Data drained from here
-    on, then drain at its advertised [send_rate] (bytes/s). *)
+val on_interest : t -> now:float -> Leotp_net.Packet.t -> unit
+(** A downstream Interest arrived at [now]: record its OWD,
+    [max 0 (now - timestamp)], for the Data drained from here on, then
+    drain at its advertised send rate (bytes/s).  Both are read from
+    the Interest's slots, so nothing is boxed. *)
 
 val req_owd : t -> float
 (** The latest downstream Interest OWD (0 before the first Interest). *)
 
-val rate : t -> float
+val write_rate : t -> Leotp_net.Packet.t -> unit
+(** Write the drain rate (bytes/s) into an Interest's send-rate slot:
+    eq (9)'s [rate_next_hop], which {!Hop_cc.advertise} reads there. *)
+
 val len : t -> int
 (** queued bytes *)
 

@@ -31,9 +31,15 @@ module Pool = Leotp_net.Packet_pool
 let kind_interest = 1
 let kind_data = 2
 
-(* The Interest's send-rate slot, also written in place by the
-   Requester that computes it (Hop_cc.advertise). *)
-let send_rate_slot = 1
+(* The float slots.  Readers on the per-packet path index [f] with
+   these, or pass the packet on: a float returned from or passed to
+   another module's function is boxed.  The Interest's send-rate slot is
+   also written in place by the Requester that computes it
+   (Hop_cc.advertise). *)
+let timestamp_slot = 0
+let send_rate_slot = 1  (* Interest *)
+let req_owd_slot = 1  (* Data *)
+let first_sent_slot = 2  (* Data *)
 
 let interest_packet ~config ~src ~dst ~flow ~lo ~hi ~timestamp ~send_rate
     ~retx =
@@ -43,7 +49,7 @@ let interest_packet ~config ~src ~dst ~flow ~lo ~hi ~timestamp ~send_rate
   in
   p.Packet.i0 <- lo;
   p.Packet.i1 <- hi;
-  p.Packet.f.(0) <- timestamp;
+  p.Packet.f.(timestamp_slot) <- timestamp;
   p.Packet.f.(send_rate_slot) <- send_rate;
   Packet.set_flag p Packet.flag_retx retx;
   p
@@ -59,9 +65,9 @@ let data_packet ~config ~src ~dst ~flow ~lo ~hi ~timestamp ~req_owd
   p.Packet.i0 <- lo;
   p.Packet.i1 <- hi;
   p.Packet.i2 <- length;
-  p.Packet.f.(0) <- timestamp;
-  p.Packet.f.(1) <- req_owd;
-  p.Packet.f.(2) <- first_sent;
+  p.Packet.f.(timestamp_slot) <- timestamp;
+  p.Packet.f.(req_owd_slot) <- req_owd;
+  p.Packet.f.(first_sent_slot) <- first_sent;
   Packet.set_flag p Packet.flag_retx retx;
   p
 
@@ -73,17 +79,13 @@ let vph_packet ~config ~src ~dst ~flow ~lo ~hi ~timestamp =
   p.Packet.i0 <- lo;
   p.Packet.i1 <- hi;
   (* i2 (length) stays 0: this is the VPH marker. *)
-  p.Packet.f.(0) <- timestamp;
+  p.Packet.f.(timestamp_slot) <- timestamp;
   p
 
 (* Accessors (valid for both kinds unless noted). *)
 let lo (p : Packet.t) = p.Packet.i0
 let hi (p : Packet.t) = p.Packet.i1
 let length (p : Packet.t) = p.Packet.i2  (* Data only *)
-let timestamp (p : Packet.t) = p.Packet.f.(0)
-let send_rate (p : Packet.t) = p.Packet.f.(send_rate_slot)  (* Interest only *)
-let req_owd (p : Packet.t) = p.Packet.f.(1)  (* Data only *)
-let first_sent (p : Packet.t) = p.Packet.f.(2)  (* Data only *)
 let retx (p : Packet.t) = Packet.get_flag p Packet.flag_retx
 let is_interest (p : Packet.t) = p.Packet.kind = kind_interest
 let is_data (p : Packet.t) = p.Packet.kind = kind_data
@@ -91,15 +93,11 @@ let is_vph (p : Packet.t) = p.Packet.kind = kind_data && p.Packet.i2 = 0
 
 (* In-place re-origination.  The wire timestamp is "when the packet is
    sent by the previous node" (Table I): Data is restamped when it leaves
-   a sending buffer, Interests when a Midnode re-issues them upstream
+   a sending buffer (which also writes its Interest OWD into
+   [req_owd_slot]), Interests when a Midnode re-issues them upstream
    (whose Requester then writes its own rate, Hop_cc.advertise).  Each
    consumes a fresh id, exactly like the re-constructed packet it
    replaces — the trace digests depend on that sequence. *)
-let restamp_data p ~timestamp ~req_owd =
+let reoriginate p ~timestamp =
   Packet.assign_fresh_id p;
-  p.Packet.f.(0) <- timestamp;
-  p.Packet.f.(1) <- req_owd
-
-let reoriginate_interest p ~timestamp =
-  Packet.assign_fresh_id p;
-  p.Packet.f.(0) <- timestamp
+  p.Packet.f.(timestamp_slot) <- timestamp

@@ -17,10 +17,13 @@
    Values start Unknown and only become Known through evidence:
 
    - {b seeds} — known signatures: every [Leotp_util.Units] conversion,
-     [Engine.now]/[schedule]/[post]/[arm]/[run] times, [Link] delay and rate
+     [Engine.now]/[schedule]/[arm]/[run] times, [Link] delay and rate
      accessors, [Bandwidth] Mbps constructors, [Rto] times, [Cc]
      window sizes, [Geo] distances, and the packet wire accessors
      ([Wire.timestamp] is seconds, [Wire.send_rate] bytes/s, ...).
+     A typed event's delay reaches the engine through a slot
+     ([Engine.post_delay]), so the seconds enter where [Link]'s inlined
+     [post ~after] is pinned (below), and its delays stay checked.
    - {b pins} — [[@@leotp.dim "seconds dt, returns bytes"]] on a
      binding, or [(e [@leotp.dim "seconds"])] on an expression
      (grammar-checked; violations are [dim-annotation] findings).
@@ -213,7 +216,6 @@ let seeds =
     { s_fn = "Engine.now"; s_args = []; s_ret = Some (Base Seconds) };
     { s_fn = "Engine.schedule"; s_args = [ (Lbl "after", Base Seconds) ]; s_ret = None };
     { s_fn = "Engine.schedule_at"; s_args = [ (Lbl "time", Base Seconds) ]; s_ret = None };
-    { s_fn = "Engine.post"; s_args = [ (Lbl "after", Base Seconds) ]; s_ret = None };
     { s_fn = "Engine.arm"; s_args = [ (Lbl "after", Base Seconds) ]; s_ret = None };
     { s_fn = "Engine.arm_at"; s_args = [ (Lbl "time", Base Seconds) ]; s_ret = None };
     { s_fn = "Engine.run"; s_args = [ (Lbl "until", Base Seconds) ]; s_ret = None };
@@ -235,7 +237,10 @@ let seeds =
     { s_fn = "Rto.create";
       s_args = [ (Lbl "min_rto", Base Seconds); (Lbl "max_rto", Base Seconds) ];
       s_ret = None };
-    { s_fn = "Rto.observe"; s_args = [ (Pos 1, Base Seconds) ]; s_ret = None };
+    { s_fn = "Rto.observe";
+      s_args = [ (Lbl "now", Base Seconds); (Lbl "sent", Base Seconds) ];
+      s_ret = None };
+    { s_fn = "Rto.stamp"; s_args = [ (Lbl "now", Base Seconds) ]; s_ret = None };
     { s_fn = "Rto.rto"; s_args = []; s_ret = Some (Base Seconds) };
     { s_fn = "Rto.base_rto"; s_args = []; s_ret = Some (Base Seconds) };
     { s_fn = "Rto.srtt"; s_args = []; s_ret = Some (Base Seconds) };

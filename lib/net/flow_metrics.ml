@@ -6,6 +6,10 @@ type t = {
   owd : Leotp_util.Stats.t;
   retx_owd : Leotp_util.Stats.t;
   delivery : Leotp_util.Timeseries.t;
+  sent : float array;  (** one slot: the first-send time [on_deliver] reads *)
+  x : float array;
+      (** two slots the OWD and the byte count reach the collectors
+          through, unboxed *)
   mutable started : float;
   mutable finished : float option;
 }
@@ -19,6 +23,8 @@ let create ~flow =
     owd = Leotp_util.Stats.create ();
     retx_owd = Leotp_util.Stats.create ();
     delivery = Leotp_util.Timeseries.create ();
+    sent = [| 0.0 |];
+    x = [| 0.0; 0.0 |];
     started = 0.0;
     finished = None;
   }
@@ -26,11 +32,15 @@ let create ~flow =
 let on_send t ~bytes = t.wire_bytes_sent <- t.wire_bytes_sent + bytes
 let on_retransmit t = t.retransmissions <- t.retransmissions + 1
 
-let on_deliver t ~now ~bytes ~owd ~retx =
+let sent t = t.sent
+
+let on_deliver t ~now ~bytes ~retx =
   t.app_bytes <- t.app_bytes + bytes;
-  Leotp_util.Stats.add t.owd owd;
-  if retx then Leotp_util.Stats.add t.retx_owd owd;
-  Leotp_util.Timeseries.add t.delivery ~time:now (float_of_int bytes)
+  t.x.(0) <- now -. t.sent.(0);
+  Leotp_util.Stats.add t.owd t.x 0;
+  if retx then Leotp_util.Stats.add t.retx_owd t.x 0;
+  t.x.(1) <- float_of_int bytes;
+  Leotp_util.Timeseries.add t.delivery ~time:now t.x 1
 
 let set_started t v = t.started <- v
 let set_finished t v = t.finished <- Some v

@@ -16,9 +16,16 @@ val on_send : t -> bytes:int -> unit
 
 val on_retransmit : t -> unit
 
-val on_deliver : t -> now:float -> bytes:int -> owd:float -> retx:bool -> unit
+val sent : t -> float array
+(** One slot: the time the range {!on_deliver} records was first sent,
+    written by the receiver before it calls {!on_deliver} (a float
+    argument would be boxed). *)
+
+val on_deliver : t -> now:float -> bytes:int -> retx:bool -> unit
 (** The receiver delivered [bytes] of new data to the application with
-    one-way delay [owd]; [retx] marks data that needed retransmission. *)
+    one-way delay [now -. (sent t).(0)]; [retx] marks data that needed
+    retransmission.  Allocates nothing once the collectors have
+    grown. *)
 
 val set_started : t -> float -> unit
 val set_finished : t -> float -> unit

@@ -13,6 +13,7 @@ type stats = {
 
 type t = {
   engine : Engine.t;
+  after : float array;  (** the engine's post delay slot *)
   name : string;
   mutable bandwidth : Bandwidth.t;
   mutable delay : float;
@@ -110,6 +111,13 @@ let free_slot t slot =
   t.free.(t.n_free) <- slot;
   t.n_free <- t.n_free + 1
 
+(* Posts [h] for [slot] [after] seconds from now.  Inlined, so [after]
+   reaches the engine's delay slot unboxed. *)
+let[@inline] post t h slot ~after =
+  t.after.(0) <- after;
+  Engine.post t.engine h slot
+[@@leotp.dim "seconds after"]
+
 let rec start_transmission t =
   if (not t.busy) && not (Pkt_queue.is_empty t.queue) then begin
     let pkt = Pkt_queue.pop t.queue in
@@ -119,7 +127,7 @@ let rec start_transmission t =
     let now = Engine.now t.engine in
     let rate = Float.max 1.0 (Bandwidth.at t.bandwidth now) in
     let tx_time = float_of_int pkt.Packet.size /. rate in
-    Engine.post t.engine ~after:tx_time t.transmitted slot
+    post t t.transmitted slot ~after:tx_time
   end
 
 and complete_transmission t slot =
@@ -141,7 +149,7 @@ and complete_transmission t slot =
           Leotp_util.Rng.float t.rng t.reorder_jitter
         else 0.0
       in
-      Engine.post t.engine ~after:(t.delay +. extra) t.arrived slot
+      post t t.arrived slot ~after:(t.delay +. extra)
     end
   end
   else begin
@@ -183,6 +191,7 @@ let create engine ~name ~bandwidth ~delay ?(plr = 0.0)
   let t =
     {
       engine;
+      after = Engine.post_delay engine;
       name;
       bandwidth;
       delay;

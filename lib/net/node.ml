@@ -9,10 +9,11 @@ type t = {
 (* Domain-local: see the note on [Packet.counter]. *)
 let counter = Domain.DLS.new_key (fun () -> ref 0)
 
+(* [find], not [find_opt]: the option would be allocated at every hop. *)
 let send t pkt =
-  match Hashtbl.find_opt t.routes pkt.Packet.dst with
-  | Some link -> Link.send link pkt
-  | None ->
+  match Hashtbl.find t.routes pkt.Packet.dst with
+  | link -> Link.send link pkt
+  | exception Not_found ->
     (* The packet dies here: no route means no owner downstream. *)
     t.no_route_drops <- t.no_route_drops + 1;
     Packet_pool.release pkt

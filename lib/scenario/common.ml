@@ -72,10 +72,7 @@ let to_spec p =
 let summarize ?(congestion_drops = 0) ~protocol ~metrics ~floor ~warmup
     ~duration () =
   let owd = Flow_metrics.owd metrics in
-  let queuing = Stats.create () in
-  List.iter
-    (fun s -> Stats.add queuing (Float.max 0.0 (s -. floor)))
-    (Stats.to_list owd);
+  let queuing = Stats.excess owd ~floor in
   let goodput_window_bytes =
     Leotp_util.Timeseries.window_sum (Flow_metrics.delivery metrics) ~lo:warmup
       ~hi:duration

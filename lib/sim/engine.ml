@@ -23,6 +23,9 @@ and t = {
   mutable cancelled_pending : int;
       (** dead timer slots still in the heap *)
   mutable processed : int;  (** events fired over the engine's lifetime *)
+  post_delay : float array;
+      (** one slot: the delay {!post} reads, written by the poster (a
+          float argument would be boxed) *)
   idle : event;  (** inert; fills the heap's unused slots *)
 }
 
@@ -45,6 +48,7 @@ let create () =
       size = 0;
       cancelled_pending = 0;
       processed = 0;
+      post_delay = [| 0.0 |];
       idle = { owner = t; run = ignore; armed = typed };
     }
   in
@@ -230,8 +234,10 @@ let handler t run = { owner = t; run; armed = typed }
 
 let foreign_handler () = invalid_arg "Engine.post: handler of another engine"
 
-let post t ~after h arg =
-  let time = t.clock +. Float.max 0.0 after in
+let post_delay t = t.post_delay
+
+let post t h arg =
+  let time = t.clock +. Float.max 0.0 t.post_delay.(0) in
   if not (Float.is_finite time) then non_finite "post" time;
   if h.owner != t then foreign_handler ();
   let i = reserve t in

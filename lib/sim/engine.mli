@@ -14,9 +14,12 @@
       queued any number of times at once; it cannot be cancelled.  The
       per-packet, per-hop link events use it.
 
-    Once the heap has grown, arming or posting an event and firing it
-    allocate nothing (apart from a boxed [after]/[time] argument the
-    caller computes).  Every arm, schedule and post consumes one
+    Once the heap has grown, posting an event and firing it allocate
+    nothing: {!post} reads its delay from a slot the engine owns, where
+    a float argument to another module's function would be boxed.
+    Arming a timer allocates only the box of an [after]/[time] argument
+    the caller computes.  Firing an event that advances time boxes the
+    new clock value.  Every arm, schedule and post consumes one
     sequence number; building and cancelling consume none. *)
 
 type t
@@ -69,11 +72,16 @@ val handler : t -> (int -> unit) -> handler
 (** [handler t f] makes [f] postable on [t].  Build it at set-up (a link
     builds two at [create]). *)
 
-val post : t -> after:float -> handler -> int -> unit
-(** [post t ~after h arg] runs [h]'s function with [arg] at
-    [now t +. after], with [after] clamped to be non-negative.  Raises
-    [Invalid_argument] if [after] is NaN or positive infinity, or if [h]
-    was built for another engine. *)
+val post_delay : t -> float array
+(** The one-slot array {!post} reads its delay from, in seconds.  A
+    poster writes [(post_delay t).(0)] and then posts; the slot keeps
+    its value until the next write. *)
+
+val post : t -> handler -> int -> unit
+(** [post t h arg] runs [h]'s function with [arg] at [now t +. after],
+    where [after] is [(post_delay t).(0)] clamped to be non-negative.
+    Raises [Invalid_argument] if [after] is NaN or positive infinity, or
+    if [h] was built for another engine. *)
 
 val run : ?until:float -> t -> unit
 (** Process events in order until the queue drains or the clock would pass

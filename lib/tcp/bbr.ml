@@ -20,6 +20,7 @@ type mode = Startup | Drain | Probe_bw | Probe_rtt
 type state = {
   mutable mode : mode;
   max_bw : Leotp_util.Windowed_min.t;  (** bytes/s *)
+  bw : float array;  (** one slot a bandwidth sample enters [max_bw] through *)
   mutable min_rtt : float;
   mutable min_rtt_stamp : float;
   mutable srtt : float;
@@ -40,6 +41,7 @@ let create ~mss ~now =
     {
       mode = Startup;
       max_bw = Leotp_util.Windowed_min.create_max ~window:2.0;
+      bw = [| 0.0 |];
       min_rtt = Float.infinity;
       min_rtt_stamp = now;
       srtt = 0.1;
@@ -94,7 +96,9 @@ let create ~mss ~now =
     (* Bandwidth filter spans ~10 round trips. *)
     Leotp_util.Windowed_min.set_window s.max_bw (Float.max (10.0 *. s.srtt) 1.0);
     (match info.bw_sample with
-    | Some b -> Leotp_util.Windowed_min.add s.max_bw ~now b
+    | Some b ->
+      s.bw.(0) <- b;
+      Leotp_util.Windowed_min.add s.max_bw ~now s.bw 0
     | None -> ());
     s.round_start <- now;
     (match s.mode with

@@ -61,9 +61,10 @@ let handle_data t pkt =
     Leotp_net.Packet_pool.release pkt;
     let now = Engine.now t.engine in
     let new_bytes = Interval_set.add t.received ~lo:seq ~hi:(seq + len) in
-    if new_bytes > 0 then
-      Flow_metrics.on_deliver t.metrics ~now ~bytes:new_bytes
-        ~owd:(now -. first_sent) ~retx;
+    if new_bytes > 0 then begin
+      (Flow_metrics.sent t.metrics).(0) <- first_sent;
+      Flow_metrics.on_deliver t.metrics ~now ~bytes:new_bytes ~retx
+    end;
     (* Advance the in-order prefix and hand it to the application. *)
     let prefix = Interval_set.first_missing t.received ~lo:0 in
     if prefix > t.delivered then begin

@@ -121,8 +121,8 @@ and send_segment t seg ~retx =
     end;
     Flow_metrics.on_retransmit t.metrics
   end
-  else seg.first_sent <- now;
-  seg.last_sent <- now;
+  else seg.times.first_sent <- now;
+  seg.times.last_sent <- now;
   t.inflight <- t.inflight + seg.len;
   trace_seg t seg
     (if retx then Leotp_net.Trace.Seg_retx else Leotp_net.Trace.Seg_sent);
@@ -222,7 +222,7 @@ let create engine ~node ~dst ~flow ~cc ?(mss = Wire.default_mss)
         else
           let seg = Seg_store.get segments i in
           if seg.seq = pos && seg.len = len then
-            (seg.first_sent, seg.retx_count > 0)
+            (seg.times.first_sent, seg.retx_count > 0)
           else (Engine.now engine, false)
   in
   let cc =
@@ -349,7 +349,7 @@ let rec fack t ~now ~srtt i newly_lost =
       let lost =
         (not seg.sacked)
         && (not seg.lost)
-        && (seg.retx_count = 0 || now -. seg.last_sent > srtt)
+        && (seg.retx_count = 0 || now -. seg.times.last_sent > srtt)
       in
       if lost then mark_lost t seg;
       fack t ~now ~srtt (i + 1) (newly_lost || lost)
@@ -370,7 +370,7 @@ let handle_ack t pkt =
        a sentinel, says whether the echo exists). *)
     let has_rtt = Wire.has_ts_echo pkt && now >= Wire.ts_echo pkt in
     let rtt = if has_rtt then now -. Wire.ts_echo pkt else 0.0 in
-    if has_rtt then Leotp_util.Rto.observe t.rto rtt;
+    if has_rtt then Leotp_util.Rto.observe t.rto ~now ~sent:(Wire.ts_echo pkt);
     let acked_bytes =
       if cum_ack > t.snd_una then begin
         let acked = drop_acked t ~cum:cum_ack 0 in

@@ -20,7 +20,7 @@ let origin_lookup origin ~pos ~len:_ =
   if i < 0 then (0.0, false)
   else
     let o = Seg_store.get origin i in
-    (o.first_sent, o.retx_count > 0)
+    (o.times.first_sent, o.retx_count > 0)
 
 let record_origin origin pkt =
   let seq = Wire.seq pkt in
@@ -34,7 +34,7 @@ let record_origin origin pkt =
       o
     end
   in
-  o.first_sent <- Wire.first_sent pkt;
+  o.times.first_sent <- Wire.first_sent pkt;
   o.retx_count <- (if Wire.retx pkt then 1 else 0)
 
 (* Keep the last range starting at or below [upto] (it may still cover

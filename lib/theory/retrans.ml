@@ -141,7 +141,7 @@ module Owd_dist = struct
           done;
           !total
       in
-      Leotp_util.Stats.add stats owd
+      Leotp_util.Stats.add stats [| owd |] 0
     done;
     stats
 end

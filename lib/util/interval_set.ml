@@ -40,7 +40,8 @@ let grow t =
 
 (* Spans [i, j) are the ones [lo, hi) overlaps or abuts.  With none,
    [lo, hi) goes in as span [i]; otherwise they and [lo, hi) merge into
-   span [i]. *)
+   span [i].  The tail moves by plain int loops: [Array.blit] on an
+   array in the major heap runs the write barrier on every element. *)
 let add t ~lo ~hi =
   if lo >= hi then 0
   else begin
@@ -51,7 +52,9 @@ let add t ~lo ~hi =
       if i = j then begin
         if 2 * (n + 1) > Array.length t.spans then grow t;
         let s = t.spans in
-        Array.blit s (2 * i) s (2 * (i + 1)) (2 * (n - i));
+        for k = (2 * n) + 1 downto (2 * i) + 2 do
+          s.(k) <- s.(k - 2)
+        done;
         s.(2 * i) <- lo;
         s.((2 * i) + 1) <- hi;
         t.n <- n + 1;
@@ -63,7 +66,10 @@ let add t ~lo ~hi =
         let before = covered_in s i j 0 in
         s.(2 * i) <- lo';
         s.((2 * i) + 1) <- hi';
-        Array.blit s (2 * j) s (2 * (i + 1)) (2 * (n - j));
+        let shift = 2 * (j - i - 1) in
+        for k = 2 * (i + 1) to (2 * (n - (j - i - 1))) - 1 do
+          s.(k) <- s.(k + shift)
+        done;
         t.n <- n - (j - i - 1);
         hi' - lo' - before
       end

@@ -13,7 +13,14 @@ let substream t name =
 let float t bound = Random.State.float t bound
 let int t bound = Random.State.int t bound
 let bool t = Random.State.bool t
-let bernoulli t p = p > 0. && Random.State.float t 1.0 < p
+(* [Random.State.float t 1.0 < p] without its boxed result: the
+   stdlib's [rawfloat] recurses, so it is never inlined.  The same
+   draws (53 bits, redrawn on 0) give the same unit float. *)
+let rec draw_below t p =
+  let n = Int64.shift_right_logical (Random.State.bits64 t) 11 in
+  if n <> 0L then Int64.to_float n *. 0x1.p-53 < p else draw_below t p
+
+let bernoulli t p = p > 0. && draw_below t p
 let uniform t lo hi = lo +. Random.State.float t (hi -. lo)
 
 let exponential t ~mean =

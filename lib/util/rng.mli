@@ -23,7 +23,8 @@ val int : t -> int -> int
 val bool : t -> bool
 
 val bernoulli : t -> float -> bool
-(** [bernoulli t p] is [true] with probability [p]. *)
+(** [bernoulli t p] is [true] with probability [p]: it draws as
+    [p > 0. && float t 1.0 < p] does, and allocates nothing. *)
 
 val uniform : t -> float -> float -> float
 (** [uniform t lo hi] is uniform in [lo, hi). *)

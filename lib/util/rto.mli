@@ -13,8 +13,9 @@ val create :
 (** The timeout is 1 s until the first RTT sample (RFC 6298).  Defaults:
     min 0.2 s, max 60 s, backoff factor 2.0. *)
 
-val observe : t -> float -> unit
-(** Feed an RTT sample (seconds); resets any backoff. *)
+val observe : t -> now:float -> sent:float -> unit
+(** Feed the RTT sample [now -. sent] (seconds); resets any backoff.
+    Allocates nothing. *)
 
 val rto : t -> float
 (** Current timeout including backoff. *)
@@ -33,3 +34,9 @@ val timeout_floor : t -> timeout:float -> float
     [min (SRTT + 4 * RTTVAR, timeout)], where [timeout] is the one
     actually armed (the estimator's bounds may pull it below the raw
     formula); 0 before the first RTT sample. *)
+
+val stamp : t -> now:float -> Seg_store.times -> unit
+(** [stamp t ~now times] sets [times.due] to [now +. rto t] and
+    [times.floor] to that timeout's {!timeout_floor}: the deadline of a
+    range requested at [now].  Allocates nothing, where {!rto} and
+    {!timeout_floor} return boxed floats. *)

@@ -10,29 +10,30 @@
    ['a array] read checks for a float array, and no call into this
    module is inlined. *)
 
+type times = {
+  mutable first_sent : float;
+  mutable last_sent : float;
+  mutable due : float;
+  mutable floor : float;
+}
+
 type seg = {
   mutable seq : int;
   mutable len : int;
-  mutable first_sent : float;
-  mutable last_sent : float;
   mutable retx_count : int;
   mutable sacked : bool;
   mutable lost : bool;  (** declared lost, waiting for retransmission *)
-  mutable due : float;
-  mutable floor : float;
+  times : times;
 }
 
 let make ~seq ~len =
   {
     seq;
     len;
-    first_sent = 0.0;
-    last_sent = 0.0;
     retx_count = 0;
     sacked = false;
     lost = false;
-    due = 0.0;
-    floor = 0.0;
+    times = { first_sent = 0.0; last_sent = 0.0; due = 0.0; floor = 0.0 };
   }
 (* one record per range in flight, for its whole lifetime *)
 [@@leotp.allow "hot-path-may-alloc"]

@@ -6,16 +6,23 @@
     {!lower_bound} and walks with {!get}, {!remove} and {!insert}, so
     no operation takes a callback. *)
 
+(** A range's times, seconds.  All fields are floats, so the record is
+    stored flat and a write boxes nothing (a float field of [seg] would
+    box every value written to it). *)
+type times = {
+  mutable first_sent : float;
+  mutable last_sent : float;
+  mutable due : float;  (** Consumer: when the Interest times out *)
+  mutable floor : float;  (** Consumer: the RFC 6298 floor when [due] was set *)
+}
+
 type seg = {
   mutable seq : int;  (** range start *)
   mutable len : int;
-  mutable first_sent : float;
-  mutable last_sent : float;
   mutable retx_count : int;
   mutable sacked : bool;
   mutable lost : bool;
-  mutable due : float;  (** Consumer: when the Interest times out *)
-  mutable floor : float;  (** Consumer: the RFC 6298 floor when [due] was set *)
+  times : times;
 }
 
 val make : seq:int -> len:int -> seg

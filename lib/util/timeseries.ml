@@ -6,7 +6,8 @@ type t = {
 
 let create () = { times = [||]; values = [||]; size = 0 }
 
-let add t ~time v =
+let add t ~time src i =
+  let v = src.(i) in
   let cap = Array.length t.times in
   if t.size = cap then begin
     let ncap = max 64 (2 * cap) in
@@ -26,20 +27,24 @@ let add t ~time v =
 
 let length t = t.size
 
-let window_fold f init t ~lo ~hi =
-  let acc = ref init in
+(* Plain loops over local float refs, which stay unboxed: a fold over
+   an accumulator closure would box every partial sum. *)
+let window_sum t ~lo ~hi =
+  let acc = ref 0.0 in
   for i = 0 to t.size - 1 do
-    if t.times.(i) >= lo && t.times.(i) < hi then acc := f !acc t.values.(i)
+    if t.times.(i) >= lo && t.times.(i) < hi then acc := !acc +. t.values.(i)
   done;
   !acc
 
-let window_sum t ~lo ~hi = window_fold ( +. ) 0.0 t ~lo ~hi
-
 let window_mean t ~lo ~hi =
-  let sum, n =
-    window_fold (fun (s, n) v -> (s +. v, n + 1)) (0.0, 0) t ~lo ~hi
-  in
-  if n = 0 then Float.nan else sum /. float_of_int n
+  let sum = ref 0.0 and n = ref 0 in
+  for i = 0 to t.size - 1 do
+    if t.times.(i) >= lo && t.times.(i) < hi then begin
+      sum := !sum +. t.values.(i);
+      incr n
+    end
+  done;
+  if !n = 0 then Float.nan else !sum /. float_of_int !n
 
 let bucketize t ~width ~t_end =
   let nbuckets = int_of_float (Float.ceil (t_end /. width)) in

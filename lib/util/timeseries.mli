@@ -6,7 +6,10 @@
 type t
 
 val create : unit -> t
-val add : t -> time:float -> float -> unit
+val add : t -> time:float -> float array -> int -> unit
+(** [add t ~time src i] records the value [src.(i)] at [time]; the
+    value is read from a slot so it is not boxed. *)
+
 val length : t -> int
 
 val window_sum : t -> lo:float -> hi:float -> float

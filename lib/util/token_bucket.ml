@@ -17,9 +17,9 @@ let refill t now =
     t.last <- now
   end
 
-let set_rate t ~now r =
+let set_rate t ~now src i =
   refill t now;
-  t.rate <- Float.max 0.0 r
+  t.rate <- Float.max 0.0 src.(i)
 
 (* A little float slack: without it a residual deficit of ~1e-10 tokens
    yields a wait below the clock's resolution and a scheduler livelock. *)

@@ -9,8 +9,10 @@ type t
 
 val create : rate:float -> burst:float -> now:float -> t
 
-val set_rate : t -> now:float -> float -> unit
-(** Update the refill rate (tokens accrued so far at the old rate are kept). *)
+val set_rate : t -> now:float -> float array -> int -> unit
+(** [set_rate t ~now src i] makes [max 0 src.(i)] the refill rate (tokens
+    accrued so far at the old rate are kept).  The rate is read from a
+    slot: a float passed to another module's function would be boxed. *)
 
 val try_consume : t -> now:float -> int -> bool
 (** Take [n] tokens if available; returns whether it succeeded. *)

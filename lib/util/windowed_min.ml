@@ -47,19 +47,21 @@ let rec expire t now =
     expire t now
   end
 
-(* Drops the newest samples that [v] dominates ([<=] for Min, [>=] for
-   Max). *)
-let rec strip t v =
+(* Drops the newest samples that [src.(j)] dominates ([<=] for Min,
+   [>=] for Max).  The sample stays in its slot: a float argument to
+   this recursive function would be boxed. *)
+let rec strip t src j =
   if t.len > 0 then begin
-    let last = t.vs.(slot t (t.len - 1)) in
+    let v = src.(j) and last = t.vs.(slot t (t.len - 1)) in
     if match t.kind with Min -> v <= last | Max -> v >= last then begin
       t.len <- t.len - 1;
-      strip t v
+      strip t src j
     end
   end
 
-let add t ~now v =
-  strip t v;
+let add t ~now src j =
+  strip t src j;
+  let v = src.(j) in
   if t.len = Array.length t.ts then grow t;
   let i = slot t t.len in
   t.ts.(i) <- now;

@@ -16,7 +16,10 @@ val set_window : t -> float -> unit
 (** Adjust the window length (e.g. BBR's 10-round-trip bandwidth filter,
     whose span follows the measured RTT). *)
 
-val add : t -> now:float -> float -> unit
+val add : t -> now:float -> float array -> int -> unit
+(** [add t ~now src j] adds the sample [src.(j)]: read from a slot, it
+    is not boxed, where a float passed to another module's function
+    is. *)
 
 val get_or : t -> now:float -> default:float -> float
 (** The extremum over the window, or [default] when it is empty. *)

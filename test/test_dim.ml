@@ -413,24 +413,35 @@ let arm engine r =
   in
   check_one ~rule:"dim-mixed-arith" ~witness:"ms" (analyze slipped)
 
-(* A typed event's ~after is seconds, like a closure timer's: a link
-   that posted its propagation event in milliseconds is caught. *)
+(* A typed event's delay is seconds, like a closure timer's: it goes
+   through the engine's slot from a poster pinned as [Link.post] is, so
+   a link that posted its propagation event in milliseconds is caught
+   at the pinned [~after]. *)
 let planted_post_ms_slip () =
-  let correct =
+  let poster =
     {|
-let propagate engine h l slot =
-  Leotp_sim.Engine.post engine ~after:(Leotp_net.Link.delay l) h slot
+let post engine h slot ~after =
+  (Leotp_sim.Engine.post_delay engine).(0) <- after;
+  Leotp_sim.Engine.post engine h slot
+[@@leotp.dim "seconds after"]
+|}
+  in
+  let correct =
+    poster
+    ^ {|
+let propagate engine h l slot = post engine h slot ~after:(Leotp_net.Link.delay l)
 |}
   in
   check_none (analyze correct);
   let slipped =
-    {|
+    poster
+    ^ {|
 let propagate engine h l slot =
   let d = Leotp_util.Units.sec_to_ms (Leotp_net.Link.delay l) in
-  Leotp_sim.Engine.post engine ~after:d h slot
+  post engine h slot ~after:d
 |}
   in
-  check_one ~rule:"dim-mixed-arith" ~witness:"Engine.post" (analyze slipped)
+  check_one ~rule:"dim-mixed-arith" ~witness:"pin" (analyze slipped)
 
 (* A protocol timer is re-armed in seconds, relative or absolute: an RTO
    re-armed in milliseconds, or a pacing deadline kept in milliseconds,

@@ -19,6 +19,55 @@ let setup () =
   Node.reset_ids ();
   (Engine.create (), Leotp_util.Rng.create ~seed:11)
 
+(* The controller, the cache and the sending buffer read their floats
+   from packet slots.  These build the records (outside the pool) that
+   carry them. *)
+let f_slot (p : Leotp_net.Packet.t) i = p.Leotp_net.Packet.f.(i)
+
+let data_record ~flow ~lo ~hi ~first_sent ~retx =
+  let p = Leotp_net.Packet.blank () in
+  p.Leotp_net.Packet.kind <- Wire.kind_data;
+  p.Leotp_net.Packet.flow <- flow;
+  p.Leotp_net.Packet.i0 <- lo;
+  p.Leotp_net.Packet.i1 <- hi;
+  p.Leotp_net.Packet.i2 <- hi - lo;
+  p.Leotp_net.Packet.f.(Wire.first_sent_slot) <- first_sent;
+  Leotp_net.Packet.set_flag p Leotp_net.Packet.flag_retx retx;
+  p
+
+let cache_insert c ~flow ~lo ~hi ~first_sent ~retx =
+  Cache.insert c (data_record ~flow ~lo ~hi ~first_sent ~retx)
+
+(* A Data sample: the Interest OWD it carries, and a timestamp
+   [data_owd] before [now]. *)
+let hop_data cc ~now ~interest_owd ~data_owd ~bytes =
+  let p = data_record ~flow:1 ~lo:0 ~hi:bytes ~first_sent:0.0 ~retx:false in
+  p.Leotp_net.Packet.f.(Wire.req_owd_slot) <- interest_owd;
+  p.Leotp_net.Packet.f.(Wire.timestamp_slot) <- now -. data_owd;
+  Hop_cc.on_data cc ~now p
+
+let interest_record ~timestamp ~send_rate =
+  let p = Leotp_net.Packet.blank () in
+  p.Leotp_net.Packet.kind <- Wire.kind_interest;
+  p.Leotp_net.Packet.f.(Wire.timestamp_slot) <- timestamp;
+  p.Leotp_net.Packet.f.(Wire.send_rate_slot) <- send_rate;
+  p
+
+let on_interest sb ~now ~timestamp ~send_rate =
+  Send_buffer.on_interest sb ~now (interest_record ~timestamp ~send_rate)
+
+let cwnd cc = (Hop_cc.window cc).Hop_cc.cwnd
+
+let hop_rate cc ~now =
+  let r = [| 0.0 |] in
+  Hop_cc.rate_into cc ~now r 0;
+  r.(0)
+
+(* Eq (10) into [p], with [next_hop_rate] in its send-rate slot. *)
+let advertise cc ~now ~buffer_len ~next_hop_rate p =
+  p.Leotp_net.Packet.f.(Wire.send_rate_slot) <- next_hop_rate;
+  Hop_cc.advertise cc ~now ~buffer_len p
+
 (* ------------------------------------------------------------------ *)
 (* Wire *)
 
@@ -43,7 +92,7 @@ let test_wire_sizes () =
 
 let test_cache_roundtrip () =
   let c = Cache.create ~config () in
-  Cache.insert c ~flow:1 ~lo:0 ~hi:1400 ~first_sent:1.0 ~retx:false;
+  cache_insert c ~flow:1 ~lo:0 ~hi:1400 ~first_sent:1.0 ~retx:false;
   (match Cache.lookup c ~flow:1 ~lo:0 ~hi:1400 with
   | Some (fs, retx) ->
     Alcotest.(check (float 1e-9)) "first_sent kept" 1.0 fs;
@@ -62,7 +111,7 @@ let test_cache_roundtrip () =
 let test_cache_cross_block () =
   let c = Cache.create ~config () in
   (* 4096-byte blocks: [3000, 6000) spans blocks 0 and 1. *)
-  Cache.insert c ~flow:1 ~lo:3000 ~hi:6000 ~first_sent:2.0 ~retx:true;
+  cache_insert c ~flow:1 ~lo:3000 ~hi:6000 ~first_sent:2.0 ~retx:true;
   (match Cache.lookup c ~flow:1 ~lo:3000 ~hi:6000 with
   | Some (_, retx) -> Alcotest.(check bool) "retx carried" true retx
   | None -> Alcotest.fail "cross-block hit expected");
@@ -77,7 +126,7 @@ let test_cache_eviction () =
   let small = { config with Config.cache_capacity = 10_000 } in
   let c = Cache.create ~config:small () in
   for i = 0 to 9 do
-    Cache.insert c ~flow:1 ~lo:(i * 4096) ~hi:((i + 1) * 4096) ~first_sent:0.0
+    cache_insert c ~flow:1 ~lo:(i * 4096) ~hi:((i + 1) * 4096) ~first_sent:0.0
       ~retx:false
   done;
   Alcotest.(check bool)
@@ -94,8 +143,8 @@ let test_cache_eviction () =
 
 let test_cache_drop_flow () =
   let c = Cache.create ~config () in
-  Cache.insert c ~flow:1 ~lo:0 ~hi:1400 ~first_sent:0.0 ~retx:false;
-  Cache.insert c ~flow:2 ~lo:0 ~hi:1400 ~first_sent:0.0 ~retx:false;
+  cache_insert c ~flow:1 ~lo:0 ~hi:1400 ~first_sent:0.0 ~retx:false;
+  cache_insert c ~flow:2 ~lo:0 ~hi:1400 ~first_sent:0.0 ~retx:false;
   Cache.drop_flow c ~flow:1;
   Alcotest.(check bool) "flow 1 gone" true (Cache.lookup c ~flow:1 ~lo:0 ~hi:1400 = None);
   Alcotest.(check bool) "flow 2 kept" true (Cache.lookup c ~flow:2 ~lo:0 ~hi:1400 <> None)
@@ -110,13 +159,13 @@ let test_cache_key_range () =
     | exception Invalid_argument _ -> ()
   in
   refused "negative flow" (fun () ->
-      Cache.insert c ~flow:(-1) ~lo:0 ~hi:10 ~first_sent:0.0 ~retx:false);
+      cache_insert c ~flow:(-1) ~lo:0 ~hi:10 ~first_sent:0.0 ~retx:false);
   refused "flow 2^30" (fun () ->
       ignore (Cache.lookup c ~flow:(1 lsl 30) ~lo:0 ~hi:10));
   let far = config.Config.cache_block lsl 32 in
   refused "block 2^32" (fun () ->
       ignore (Cache.contains c ~flow:1 ~lo:far ~hi:(far + 1)));
-  Cache.insert c ~flow:((1 lsl 30) - 1) ~lo:0 ~hi:10 ~first_sent:0.0 ~retx:false;
+  cache_insert c ~flow:((1 lsl 30) - 1) ~lo:0 ~hi:10 ~first_sent:0.0 ~retx:false;
   Alcotest.(check bool)
     "largest flow kept apart" false
     (Cache.contains c ~flow:0 ~lo:0 ~hi:10);
@@ -126,7 +175,13 @@ let test_cache_key_range () =
    nothing: the block's byte ranges and metadata are updated in place. *)
 let test_cache_insert_allocates_nothing () =
   let c = Cache.create ~config () in
-  let insert lo hi = Cache.insert c ~flow:1 ~lo ~hi ~first_sent:0.5 ~retx:false in
+  (* One Data record, re-ranged per insert: building it allocates. *)
+  let data = data_record ~flow:1 ~lo:0 ~hi:1400 ~first_sent:0.5 ~retx:false in
+  let insert lo hi =
+    data.Leotp_net.Packet.i0 <- lo;
+    data.Leotp_net.Packet.i1 <- hi;
+    Cache.insert c data
+  in
   insert 0 1400;
   let words f =
     let before = Gc.minor_words () in
@@ -244,7 +299,7 @@ let test_send_buffer_push_allocates_nothing () =
         Leotp_net.Packet_pool.release pkt)
       ()
   in
-  Send_buffer.on_interest sb ~now:0.0 ~timestamp:0.0 ~send_rate:1e9;
+  on_interest sb ~now:0.0 ~timestamp:0.0 ~send_rate:1e9;
   for i = 0 to 9 do
     ignore (Send_buffer.push sb (data_packet i))
   done;
@@ -261,7 +316,7 @@ let test_send_buffer_duplicate_allocates_nothing () =
   let sb =
     Send_buffer.create engine ~config ~send:Leotp_net.Packet_pool.release ()
   in
-  Send_buffer.on_interest sb ~now:0.0 ~timestamp:0.0 ~send_rate:0.0;
+  on_interest sb ~now:0.0 ~timestamp:0.0 ~send_rate:0.0;
   for i = 0 to 3 do
     ignore (Send_buffer.push sb (data_packet i))
   done;
@@ -279,7 +334,7 @@ let test_send_buffer_duplicate_allocates_nothing () =
 let test_advertise_allocates_nothing () =
   let cc = Hop_cc.create ~config ~now:0.0 () in
   for i = 1 to 50 do
-    Hop_cc.on_data cc ~now:(0.02 *. float_of_int i) ~interest_owd:0.01
+    hop_data cc ~now:(0.02 *. float_of_int i) ~interest_owd:0.01
       ~data_owd:0.01 ~bytes:14_000
   done;
   let p =
@@ -289,9 +344,9 @@ let test_advertise_allocates_nothing () =
   let now = 1.0 and next_hop_rate = 1e6 in
   let w =
     minor_words (fun () ->
-        Hop_cc.advertise cc ~now ~buffer_len:5_000 ~next_hop_rate p)
+        advertise cc ~now ~buffer_len:5_000 ~next_hop_rate p)
   in
-  Alcotest.(check bool) "a positive rate" true (Wire.send_rate p > 0.0);
+  Alcotest.(check bool) "a positive rate" true (f_slot p Wire.send_rate_slot > 0.0);
   Alcotest.(check (float 0.0)) "words" 0.0 w;
   Leotp_net.Packet_pool.release p
 
@@ -527,7 +582,7 @@ let cache_model_prop =
           (match op with
           | C_insert (flow, lo, hi, retx) ->
             let first_sent = float_of_int i in
-            Cache.insert c ~flow ~lo ~hi ~first_sent ~retx;
+            cache_insert c ~flow ~lo ~hi ~first_sent ~retx;
             Cache_model.insert m ~flow ~lo ~hi ~first_sent ~retx
           | C_lookup (flow, lo, hi) ->
             let got = Cache.lookup c ~flow ~lo ~hi
@@ -560,7 +615,7 @@ let block = config.Config.cache_block
 
 (* Whole blocks [b] of [flow]; [first_sent] tells the insertions apart. *)
 let put c ~flow b =
-  Cache.insert c ~flow ~lo:(b * block) ~hi:((b + 1) * block)
+  cache_insert c ~flow ~lo:(b * block) ~hi:((b + 1) * block)
     ~first_sent:(float_of_int ((10 * flow) + b)) ~retx:false
 
 let find c ~flow b = Cache.lookup c ~flow ~lo:(b * block) ~hi:((b + 1) * block)
@@ -601,8 +656,8 @@ let test_lru_eviction_order () =
 
 let test_lru_replace () =
   let c = Cache.create ~config () in
-  Cache.insert c ~flow:1 ~lo:0 ~hi:1400 ~first_sent:1.0 ~retx:false;
-  Cache.insert c ~flow:1 ~lo:0 ~hi:1400 ~first_sent:2.0 ~retx:true;
+  cache_insert c ~flow:1 ~lo:0 ~hi:1400 ~first_sent:1.0 ~retx:false;
+  cache_insert c ~flow:1 ~lo:0 ~hi:1400 ~first_sent:2.0 ~retx:true;
   Alcotest.(check int) "no duplicate bytes" 1400 (Cache.used_bytes c);
   Alcotest.(check (option (pair (float 0.0) bool)))
     "newest insertion" (Some (2.0, true))
@@ -772,33 +827,33 @@ let shr_no_false_loss_prop =
 
 let feed_cc cc ~n ~rtt ~bytes ~start =
   for i = 1 to n do
-    Hop_cc.on_data cc
+    hop_data cc
       ~now:(start +. (rtt *. float_of_int i))
       ~interest_owd:(rtt /. 2.0) ~data_owd:(rtt /. 2.0) ~bytes
   done
 
 let test_hop_cc_slow_start_growth () =
   let cc = Hop_cc.create ~config ~now:0.0 () in
-  let w0 = Hop_cc.cwnd cc in
+  let w0 = cwnd cc in
   feed_cc cc ~n:5 ~rtt:0.02 ~bytes:14000 ~start:0.0;
-  Alcotest.(check bool) "doubling" true (Hop_cc.cwnd cc > 4.0 *. w0)
+  Alcotest.(check bool) "doubling" true (cwnd cc > 4.0 *. w0)
 
 let test_hop_cc_congestion_cut () =
   let cc = Hop_cc.create ~config ~now:0.0 () in
   (* Converge at 1 MB/s, 20 ms. *)
   feed_cc cc ~n:100 ~rtt:0.02 ~bytes:20_000 ~start:0.0;
-  let w = Hop_cc.cwnd cc in
+  let w = cwnd cc in
   (* Now inflate the RTT: queue estimate exceeds M and cwnd drops to
      k*BDP. *)
   for i = 1 to 60 do
-    Hop_cc.on_data cc
+    hop_data cc
       ~now:(2.0 +. (0.08 *. float_of_int i))
       ~interest_owd:0.04 ~data_owd:0.04 ~bytes:60_000
   done;
   Alcotest.(check bool)
-    (Printf.sprintf "cut (%.0f -> %.0f)" w (Hop_cc.cwnd cc))
+    (Printf.sprintf "cut (%.0f -> %.0f)" w (cwnd cc))
     true
-    (Hop_cc.cwnd cc < w);
+    (cwnd cc < w);
   Alcotest.(check bool) "left slow start" true (not (Hop_cc.in_slow_start cc))
 
 let test_hop_cc_queue_estimate () =
@@ -813,8 +868,8 @@ let advertised cc ~now ~buffer_len ~next_hop_rate =
     Wire.interest_packet ~config ~src:1 ~dst:2 ~flow:1 ~lo:0 ~hi:1400
       ~timestamp:0.0 ~send_rate:0.0 ~retx:false
   in
-  Hop_cc.advertise cc ~now ~buffer_len ~next_hop_rate p;
-  let rate = Wire.send_rate p in
+  advertise cc ~now ~buffer_len ~next_hop_rate p;
+  let rate = f_slot p Wire.send_rate_slot in
   Leotp_net.Packet_pool.release p;
   rate
 
@@ -868,7 +923,7 @@ let test_send_buffer_rate_limit () =
       ~send:(fun pkt -> sent := (Engine.now engine, pkt) :: !sent)
       ()
   in
-  Send_buffer.on_interest sb ~now:0.0 ~timestamp:0.0 ~send_rate:14_150.0;
+  on_interest sb ~now:0.0 ~timestamp:0.0 ~send_rate:14_150.0;
   (* 10 packets of 1415 B at 14150 B/s: ~1 per 100 ms after the burst. *)
   for i = 0 to 9 do
     ignore
@@ -894,7 +949,7 @@ let test_send_buffer_dedup () =
   in
   (* Drain the initial token burst so subsequent pushes stay queued. *)
   ignore (Send_buffer.push sb (pkt 100_000));
-  Send_buffer.on_interest sb ~now:0.0 ~timestamp:0.0 ~send_rate:1_000.0;
+  on_interest sb ~now:0.0 ~timestamp:0.0 ~send_rate:1_000.0;
   Alcotest.(check bool) "first accepted" true (Send_buffer.push sb (pkt 0));
   Alcotest.(check bool) "dup absorbed" true (Send_buffer.push sb (pkt 0));
   Engine.run ~until:5.0 engine;
@@ -904,7 +959,7 @@ let test_send_buffer_overflow () =
   let engine = Engine.create () in
   let small = { config with Config.send_buffer_capacity = 3000 } in
   let sb = Send_buffer.create engine ~config:small ~send:(fun _ -> ()) () in
-  Send_buffer.on_interest sb ~now:0.0 ~timestamp:0.0 ~send_rate:1.0;
+  on_interest sb ~now:0.0 ~timestamp:0.0 ~send_rate:1.0;
   let push i =
     Send_buffer.push sb
       (Wire.data_packet ~config:small ~src:1 ~dst:2 ~flow:1 ~lo:(i * 1400)
@@ -927,10 +982,10 @@ let test_send_buffer_interest_owd () =
   let sent = ref [] in
   let sb =
     Send_buffer.create engine ~config
-      ~send:(fun pkt -> sent := Wire.req_owd pkt :: !sent)
+      ~send:(fun pkt -> sent := f_slot pkt Wire.req_owd_slot :: !sent)
       ()
   in
-  Send_buffer.on_interest sb ~now:0.0 ~timestamp:0.0 ~send_rate:0.0;
+  on_interest sb ~now:0.0 ~timestamp:0.0 ~send_rate:0.0;
   for i = 0 to 1 do
     ignore
       (Send_buffer.push sb
@@ -941,7 +996,7 @@ let test_send_buffer_interest_owd () =
   Alcotest.(check (list (float 0.0))) "burst only, then paused" [ 0.0 ] !sent;
   ignore
     (Engine.schedule engine ~after:1.0 (fun () ->
-         Send_buffer.on_interest sb ~now:1.0 ~timestamp:0.75 ~send_rate:1e9));
+         on_interest sb ~now:1.0 ~timestamp:0.75 ~send_rate:1e9));
   Engine.run engine;
   Alcotest.(check (list (float 0.0))) "released with this OWD" [ 0.25; 0.0 ]
     !sent;
@@ -1030,7 +1085,7 @@ let test_producer_keeps_first_sent () =
   let engine, node, consumer, got =
     endpoint_pair ~record:(fun _ pkt ->
         if Wire.is_data pkt then
-          Some ((Wire.lo pkt, Wire.first_sent pkt), Wire.retx pkt)
+          Some ((Wire.lo pkt, f_slot pkt Wire.first_sent_slot), Wire.retx pkt)
         else None)
   in
   let metrics = Flow_metrics.create ~flow:1 in
@@ -1079,8 +1134,8 @@ let data_pair () =
           {
             range = Wire.lo pkt / mss;
             id = pkt.Leotp_net.Packet.id;
-            stamp = Wire.timestamp pkt;
-            owd = Wire.req_owd pkt;
+            stamp = f_slot pkt Wire.timestamp_slot;
+            owd = f_slot pkt Wire.req_owd_slot;
             at;
           }
       else None)
@@ -1419,9 +1474,9 @@ let hop_cc_invariants_prop =
       List.for_all
         (fun (i_owd, d_owd, bytes) ->
           now := !now +. 0.01;
-          Hop_cc.on_data cc ~now:!now ~interest_owd:i_owd ~data_owd:d_owd ~bytes;
-          Hop_cc.cwnd cc >= 2.0 *. float_of_int config.Config.mss
-          && Hop_cc.rate cc ~now:!now >= 0.0
+          hop_data cc ~now:!now ~interest_owd:i_owd ~data_owd:d_owd ~bytes;
+          cwnd cc >= 2.0 *. float_of_int config.Config.mss
+          && hop_rate cc ~now:!now >= 0.0
           && Hop_cc.queue_len cc ~now:!now >= 0.0)
         samples)
 
@@ -1483,6 +1538,149 @@ let test_monte_carlo_matches_analytic () =
   Alcotest.(check bool) "hbh max ~160ms" true
     (Leotp_util.Stats.max hbh >= 0.14 && Leotp_util.Stats.max hbh <= 0.2)
 
+(* ------------------------------------------------------------------ *)
+(* The warm per-packet path allocates nothing *)
+
+let consumer_id = 101
+let producer_id = 102
+let mss = config.Config.mss
+
+(* A node whose links toward [consumer_id] and [producer_id] recycle
+   every packet they deliver. *)
+let routed_node engine =
+  let rng = Leotp_util.Rng.create ~seed:3 in
+  let node = Node.create ~name:"n" in
+  let link () =
+    let l =
+      Leotp_net.Link.create engine ~name:"l"
+        ~bandwidth:(Bandwidth.Constant (mbps 1000.0)) ~delay:0.001 ~rng ()
+    in
+    Leotp_net.Link.set_sink l Leotp_net.Packet_pool.release;
+    l
+  in
+  Node.add_route node ~dst:consumer_id (link ());
+  Node.add_route node ~dst:producer_id (link ());
+  node
+
+let range_interest engine i =
+  Wire.interest_packet ~config ~src:consumer_id ~dst:producer_id ~flow:1
+    ~lo:(i * mss) ~hi:((i + 1) * mss) ~timestamp:(Engine.now engine)
+    ~send_rate:1e9 ~retx:false
+
+let range_data engine i =
+  Wire.data_packet ~config ~src:producer_id ~dst:consumer_id ~flow:1
+    ~lo:(i * mss) ~hi:((i + 1) * mss) ~timestamp:(Engine.now engine)
+    ~req_owd:0.001 ~first_sent:0.0 ~retx:false
+
+(* Time moves on between packets (a fresh clock box each, outside the
+   count), so the sending buffer's tokens refill. *)
+let step engine = Engine.run ~until:(Engine.now engine +. 0.01) engine
+
+(* A warm Interest forward: flow lookup, the Responder's OWD and rate,
+   a cache miss, PIT registration, re-origination, eq (10) and the
+   send all allocate nothing. *)
+let test_midnode_interest_allocates_nothing () =
+  let engine = Engine.create () in
+  let node = routed_node engine in
+  ignore (Midnode.create engine ~config ~node ());
+  for i = 0 to 99 do
+    Node.receive node (range_interest engine i);
+    step engine
+  done;
+  let pkt = range_interest engine 100 in
+  let w = minor_words (fun () -> Node.receive node pkt) in
+  Alcotest.(check (float 0.0)) "words" 0.0 w
+
+(* A warm in-order Data pass: the hop sample, the insert into an
+   existing cache block, the PIT satisfaction, SHR's in-order path, the
+   push and the drain allocate nothing. *)
+let test_midnode_data_allocates_nothing () =
+  let engine = Engine.create () in
+  let node = routed_node engine in
+  let mid = Midnode.create engine ~config ~node () in
+  for i = 0 to 199 do
+    Node.receive node (range_interest engine i)
+  done;
+  step engine;
+  for i = 0 to 100 do
+    Node.receive node (range_data engine i);
+    step engine
+  done;
+  let pkt = range_data engine 101 in
+  let pending = Midnode.pit_pending mid in
+  let w = minor_words (fun () -> Node.receive node pkt) in
+  Alcotest.(check int) "satisfied" (pending - 1) (Midnode.pit_pending mid);
+  Alcotest.(check (float 0.0)) "words" 0.0 w
+
+let test_hop_cc_on_data_allocates_nothing () =
+  let cc = Hop_cc.create ~config ~now:0.0 () in
+  let pkt = data_record ~flow:1 ~lo:0 ~hi:mss ~first_sent:0.0 ~retx:false in
+  pkt.Leotp_net.Packet.f.(Wire.req_owd_slot) <- 0.01;
+  (* Boxed times, as the engine clock hands them out: a time computed
+     in the loop would be boxed by the call. *)
+  let times a b = List.init (b - a) (fun i -> 0.02 *. float_of_int (a + i)) in
+  let feed now =
+    pkt.Leotp_net.Packet.f.(Wire.timestamp_slot) <- now -. 0.01;
+    Hop_cc.on_data cc ~now pkt
+  in
+  List.iter feed (times 1 1001);
+  let warm = times 1001 1201 in
+  let w = minor_words (fun () -> List.iter feed warm) in
+  Alcotest.(check bool) "adjusted" true ((Hop_cc.window cc).Hop_cc.next_adjust > 1.0);
+  Alcotest.(check (float 0.0)) "words" 0.0 w
+
+let test_send_buffer_on_interest_allocates_nothing () =
+  let engine = Engine.create () in
+  let sb =
+    Send_buffer.create engine ~config ~send:Leotp_net.Packet_pool.release ()
+  in
+  let pkt = interest_record ~timestamp:0.25 ~send_rate:1e6 in
+  let w = minor_words (fun () -> Send_buffer.on_interest sb ~now:0.5 pkt) in
+  Alcotest.(check (float 0.0)) "req_owd" 0.25 (Send_buffer.req_owd sb);
+  Alcotest.(check (float 0.0)) "words" 0.0 w
+
+(* A warm Consumer Data that opens the window and the pump it triggers
+   allocate the new Interest's [Seg_store] record and its flat times
+   (7 + 5 words) and, when the pacer re-arms its timer, that timer's
+   boxed time (2): nothing per Data. *)
+let test_consumer_data_allocation () =
+  let engine = Engine.create () in
+  let rng = Leotp_util.Rng.create ~seed:3 in
+  let node = Node.create ~name:"c" in
+  (* The Interests the Consumer sends, answered oldest first. *)
+  let asked = Queue.create () in
+  let up =
+    Leotp_net.Link.create engine ~name:"up"
+      ~bandwidth:(Bandwidth.Constant (mbps 1000.0)) ~delay:0.001 ~rng ()
+  in
+  Leotp_net.Link.set_sink up (fun pkt ->
+      Queue.push (Wire.lo pkt / mss) asked;
+      Leotp_net.Packet_pool.release pkt);
+  Node.add_route node ~dst:producer_id up;
+  let c =
+    Consumer.create engine ~config ~node ~producer:producer_id ~flow:1 ()
+  in
+  Consumer.start c;
+  let answer () =
+    let pkt = range_data engine (Queue.pop asked) in
+    pkt.Leotp_net.Packet.f.(Wire.first_sent_slot) <- Engine.now engine;
+    pkt
+  in
+  for _ = 1 to 300 do
+    step engine;
+    if not (Queue.is_empty asked) then Consumer.handle_packet c (answer ())
+  done;
+  step engine;
+  let pkt = answer () in
+  let sent = Consumer.interests_sent c in
+  let w = minor_words (fun () -> Consumer.handle_packet c pkt) in
+  let fresh = Consumer.interests_sent c - sent in
+  Alcotest.(check bool) "delivered" true (Consumer.delivered_prefix c > 200 * mss);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for %d new Interest(s)" w fresh)
+    true
+    (w <= 14.0 *. float_of_int (max 1 fresh))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "leotp"
@@ -1536,6 +1734,19 @@ let () =
           qc backpressure_monotone_prop;
           Alcotest.test_case "advertise allocates nothing" `Quick
             test_advertise_allocates_nothing;
+          Alcotest.test_case "on_data allocates nothing" `Quick
+            test_hop_cc_on_data_allocates_nothing;
+        ] );
+      ( "warm path",
+        [
+          Alcotest.test_case "midnode Interest forward allocates nothing"
+            `Quick test_midnode_interest_allocates_nothing;
+          Alcotest.test_case "midnode in-order Data allocates nothing" `Quick
+            test_midnode_data_allocates_nothing;
+          Alcotest.test_case "send_buffer on_interest allocates nothing"
+            `Quick test_send_buffer_on_interest_allocates_nothing;
+          Alcotest.test_case "consumer Data and pump allocation" `Quick
+            test_consumer_data_allocation;
         ] );
       ( "send_buffer",
         [

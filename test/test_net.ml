@@ -649,6 +649,59 @@ let test_dynamic_path_of_trace () =
 (* ------------------------------------------------------------------ *)
 (* Node routing edge cases *)
 
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* A warm lossy hop, send -> serialized -> propagated -> sink, allocates
+   nothing but the engine clock's box when an event advances time (at
+   most 2 words per event): the link posts its delays through the
+   engine's slot and draws its losses unboxed. *)
+let test_link_hop_allocation () =
+  let engine, rng = setup () in
+  let l = mk_link ~plr:0.1 engine rng in
+  let delivered = ref 0 in
+  Link.set_sink l (fun pkt ->
+      incr delivered;
+      Packet_pool.release pkt);
+  let burst n () =
+    for _ = 1 to n do
+      Link.send l (raw_pkt ())
+    done;
+    Leotp_sim.Engine.run engine
+  in
+  burst 200 ();
+  let events = Leotp_sim.Engine.events_processed engine in
+  let got = !delivered in
+  let w = minor_words (burst 200) in
+  let events = Leotp_sim.Engine.events_processed engine - events in
+  Alcotest.(check bool) "some lost" true (!delivered - got < 200);
+  Alcotest.(check bool) "most delivered" true (!delivered - got > 150);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words over %d events" w events)
+    true
+    (w <= 2.0 *. float_of_int events)
+
+(* [Node.send] finds the egress link without allocating. *)
+let test_node_send_allocation () =
+  let engine, rng = setup () in
+  let n = Node.create ~name:"hop" in
+  let l = mk_link engine rng in
+  Link.set_sink l Packet_pool.release;
+  Node.add_route n ~dst:2 l;
+  let sends k () =
+    for _ = 1 to k do
+      Node.send n (raw_pkt ())
+    done
+  in
+  sends 50 ();
+  Leotp_sim.Engine.run engine;
+  let w = minor_words (sends 50) in
+  Leotp_sim.Engine.run engine;
+  Alcotest.(check int) "every packet routed" 0 (Node.no_route_drops n);
+  Alcotest.(check (float 0.0)) "words" 0.0 w
+
 let test_no_route_drops () =
   let engine, rng = setup () in
   ignore rng;
@@ -675,8 +728,10 @@ let test_flow_metrics () =
   Flow_metrics.on_send m ~bytes:1000;
   Flow_metrics.on_send m ~bytes:1000;
   Flow_metrics.on_retransmit m;
-  Flow_metrics.on_deliver m ~now:2.0 ~bytes:1000 ~owd:0.05 ~retx:false;
-  Flow_metrics.on_deliver m ~now:3.0 ~bytes:1000 ~owd:0.25 ~retx:true;
+  (Flow_metrics.sent m).(0) <- 1.95;
+  Flow_metrics.on_deliver m ~now:2.0 ~bytes:1000 ~retx:false;
+  (Flow_metrics.sent m).(0) <- 2.75;
+  Flow_metrics.on_deliver m ~now:3.0 ~bytes:1000 ~retx:true;
   Flow_metrics.set_finished m 3.0;
   Alcotest.(check int) "app bytes" 2000 (Flow_metrics.app_bytes m);
   Alcotest.(check int) "wire bytes" 2000 (Flow_metrics.wire_bytes_sent m);
@@ -688,7 +743,10 @@ let test_flow_metrics () =
     "goodput" 800.0
     (Flow_metrics.goodput m ~lo:1.0 ~hi:3.5);
   Alcotest.(check int) "retx owd samples" 1
-    (Leotp_util.Stats.count (Flow_metrics.retx_owd m))
+    (Leotp_util.Stats.count (Flow_metrics.retx_owd m));
+  Alcotest.(check (float 1e-9))
+    "mean owd, now - first sent" 0.15
+    (Leotp_util.Stats.mean (Flow_metrics.owd m))
 
 let () =
   Alcotest.run "leotp_net"
@@ -701,6 +759,8 @@ let () =
       ( "link",
         [
           Alcotest.test_case "timing" `Quick test_link_timing;
+          Alcotest.test_case "warm lossy hop allocation" `Quick
+            test_link_hop_allocation;
           Alcotest.test_case "queueing" `Quick test_link_queueing;
           Alcotest.test_case "tail drop" `Quick test_link_tail_drop;
           Alcotest.test_case "loss all" `Quick test_link_loss_all;
@@ -740,6 +800,8 @@ let () =
       ( "node",
         [
           Alcotest.test_case "no-route drops" `Quick test_no_route_drops;
+          Alcotest.test_case "send allocates nothing" `Quick
+            test_node_send_allocation;
         ] );
       ( "flow_metrics",
         [ Alcotest.test_case "accounting" `Quick test_flow_metrics ] );

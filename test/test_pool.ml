@@ -68,8 +68,8 @@ let interest_round_trip =
       header_is ~src ~dst ~flow ~size:config.Leotp.Config.header_bytes q
       && Lwire.is_interest q
       && Lwire.lo q = lo && Lwire.hi q = hi
-      && float_eq (Lwire.timestamp q) ts
-      && float_eq (Lwire.send_rate q) rate
+      && float_eq q.Packet.f.(Lwire.timestamp_slot) ts
+      && float_eq q.Packet.f.(Lwire.send_rate_slot) rate
       && Lwire.retx q = retx)
 
 let data_round_trip =
@@ -96,8 +96,8 @@ let data_round_trip =
       && Lwire.lo q = lo && Lwire.hi q = hi
       && Lwire.length q = (if vph then 0 else hi - lo)
       && Lwire.is_vph q = vph
-      && float_eq (Lwire.timestamp q) ts
-      && (vph || (float_eq (Lwire.req_owd q) owd && Lwire.retx q = retx)))
+      && float_eq q.Packet.f.(Lwire.timestamp_slot) ts
+      && (vph || (float_eq q.Packet.f.(Lwire.req_owd_slot) owd && Lwire.retx q = retx)))
 
 (* ------------------------------------------------------------------ *)
 (* TCP packets: Data_seg (retx/fin flags) and Ack_seg (0..3 SACK        *)

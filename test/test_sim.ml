@@ -196,12 +196,17 @@ let test_non_finite_times () =
       ("arm_at -inf", "-inf", fun () -> Engine.arm_at tm ~time:Float.neg_infinity);
       ("run until nan", "nan", fun () -> Engine.run ~until:Float.nan e);
       ("post nan", "nan",
-       fun () -> Engine.post e ~after:Float.nan (Engine.handler e ignore) 0);
+       fun () ->
+         (Engine.post_delay e).(0) <- Float.nan;
+         Engine.post e (Engine.handler e ignore) 0);
       ("post inf", "inf",
-       fun () -> Engine.post e ~after:Float.infinity (Engine.handler e ignore) 0);
+       fun () ->
+         (Engine.post_delay e).(0) <- Float.infinity;
+         Engine.post e (Engine.handler e ignore) 0);
       ("post foreign handler", "another engine",
        fun () ->
-         Engine.post e ~after:1.0 (Engine.handler (Engine.create ()) ignore) 0);
+         (Engine.post_delay e).(0) <- 1.0;
+         Engine.post e (Engine.handler (Engine.create ()) ignore) 0);
     ];
   Alcotest.(check int) "only the finite event queued" 1
     (Engine.pending_events e);
@@ -373,6 +378,10 @@ module Real : SIM with type t = Engine.t and type handle = Engine.timer = struct
   include Engine
 
   type handle = timer
+
+  let post e ~after h arg =
+    (Engine.post_delay e).(0) <- after;
+    Engine.post e h arg
 
   let live_events e = Engine.pending_events e - Engine.cancelled_pending e
 end
@@ -582,39 +591,73 @@ let engine_with_posts_matches_model =
     ~print:show_script posts_gen check_against_model
 
 (* Typed events are the per-packet, per-hop events: once the heap has
-   grown, posting and firing one allocates nothing.  A delay of zero
-   keeps the clock still; an advancing clock costs its one box. *)
-let test_post_allocates_nothing () =
+   grown, posting and firing one allocates nothing.  The delay goes
+   through the engine's slot, so even a computed one is never boxed; a
+   zero delay keeps the clock still, and an advancing clock costs its
+   one box (2 words). *)
+(* Zero, or a delay computed per post from its argument (inline: a
+   closure's float result would be boxed). *)
+let[@inline] delay ~computed arg =
+  if computed then float_of_int (1 + (arg land 7)) *. 1e-4 else 0.0
+
+let post_burst ~computed =
   let e = Engine.create () in
+  let slot = Engine.post_delay e in
   let left = ref 0 in
+  (* Time-advancing firings; [last] holds the clock's own box. *)
+  let advances = ref 0 and last = ref (Engine.now e) in
   let rec h =
     lazy
       (Engine.handler e (fun arg ->
+           if Engine.now e > !last then begin
+             incr advances;
+             last := Engine.now e
+           end;
            if !left > 0 then begin
              decr left;
-             Engine.post e ~after:0.0 (Lazy.force h) arg
+             slot.(0) <- delay ~computed arg;
+             Engine.post e (Lazy.force h) arg
            end))
   in
   let h = Lazy.force h in
-  let words f =
-    let before = Gc.minor_words () in
-    f ();
-    Gc.minor_words () -. before
-  in
   let burst n () =
     left := n;
     for i = 1 to 64 do
-      Engine.post e ~after:0.0 h i
+      slot.(0) <- delay ~computed i;
+      Engine.post e h i
     done;
     Engine.run e
   in
+  (e, burst, advances)
+
+let words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_post_allocates_nothing () =
+  let e, burst, _ = post_burst ~computed:false in
   burst 1000 ();
   let idle = words ignore in
   let fired = Engine.events_processed e in
   let w = words (burst 10_000) -. idle in
   Alcotest.(check int) "events fired" (10_000 + 64)
     (Engine.events_processed e - fired);
-  Alcotest.(check (float 0.0)) "words per typed event" 0.0 w
+  Alcotest.(check (float 0.0)) "words per typed event" 0.0 w;
+  (* A delay computed per post, as a link's serialization time is: only
+     the clock's box when time advances. *)
+  let e, burst, advances = post_burst ~computed:true in
+  burst 1000 ();
+  let idle = words ignore in
+  let fired = Engine.events_processed e in
+  let advanced = !advances in
+  let w = words (burst 10_000) -. idle in
+  let advanced = !advances - advanced in
+  Alcotest.(check int) "computed-delay events fired" (10_000 + 64)
+    (Engine.events_processed e - fired);
+  Alcotest.(check bool) "the clock advanced" true (advanced > 1000);
+  Alcotest.(check (float 0.0)) "words: the clock's box per advance"
+    (2.0 *. float_of_int advanced) w
 
 (* A protocol timer (RTO, pacing, TR scan) is built once and re-armed
    for life: once the heap has grown, re-arming it, re-arming it again

@@ -342,9 +342,12 @@ let test_atomic_counter () =
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
+(* [Stats.add] reads its sample from a slot. *)
+let add_sample s x = Stats.add s [| x |] 0
+
 let test_stats_basic () =
   let s = Stats.create () in
-  List.iter (Stats.add s) [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
+  List.iter (add_sample s) [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
   check_float "mean" 3.0 (Stats.mean s);
   check_float "min" 1.0 (Stats.min s);
   check_float "max" 5.0 (Stats.max s);
@@ -355,7 +358,7 @@ let test_stats_basic () =
 let test_stats_percentile () =
   let s = Stats.create () in
   for i = 1 to 100 do
-    Stats.add s (float_of_int i)
+    add_sample s (float_of_int i)
   done;
   check_floats ~eps:1e-6 "p0" 1.0 (Stats.percentile s 0.0);
   check_floats ~eps:1e-6 "p100" 100.0 (Stats.percentile s 100.0);
@@ -364,7 +367,7 @@ let test_stats_percentile () =
 
 let test_stats_cdf () =
   let s = Stats.create () in
-  List.iter (Stats.add s) [ 1.0; 2.0; 3.0; 4.0 ];
+  List.iter (add_sample s) [ 1.0; 2.0; 3.0; 4.0 ];
   let cdf = Stats.cdf_points ~points:4 s in
   Alcotest.(check bool)
     "ends at 1" true
@@ -392,36 +395,27 @@ let jain_bounds_prop =
       (* all-zero allocations are defined as fair *)
       j > 0.0 && j <= 1.0 +. 1e-9)
 
-let test_ewma () =
-  let e = Stats.Ewma.create ~alpha:0.5 in
-  Alcotest.(check bool) "unprimed nan" true (Float.is_nan (Stats.Ewma.value e));
-  check_float "default" 7.0 (Stats.Ewma.value_or e ~default:7.0);
-  Stats.Ewma.add e 10.0;
-  check_float "first" 10.0 (Stats.Ewma.value e);
-  Stats.Ewma.add e 20.0;
-  check_float "second" 15.0 (Stats.Ewma.value e)
-
 (* ------------------------------------------------------------------ *)
 (* Rto *)
 
 let test_rto_first_sample () =
   let r = Rto.create ~min_rto:0.0 () in
   check_float "initial" 1.0 (Rto.rto r);
-  Rto.observe r 0.1;
+  Rto.observe r ~now:0.1 ~sent:0.0;
   (* RFC 6298: srtt = R, rttvar = R/2, rto = srtt + 4*rttvar = 3R *)
   check_floats ~eps:1e-6 "after first" 0.3 (Rto.rto r);
   Alcotest.(check (option (float 1e-9))) "srtt" (Some 0.1) (Rto.srtt r)
 
 let test_rto_smoothing () =
   let r = Rto.create ~min_rto:0.0 () in
-  Rto.observe r 0.1;
-  Rto.observe r 0.1;
+  Rto.observe r ~now:0.1 ~sent:0.0;
+  Rto.observe r ~now:0.1 ~sent:0.0;
   (* rttvar' = 0.75*0.05 + 0.25*0 = 0.0375; srtt stays 0.1 *)
   check_floats ~eps:1e-6 "converging" (0.1 +. (4.0 *. 0.0375)) (Rto.rto r)
 
 let test_rto_backoff () =
   let r = Rto.create ~min_rto:0.0 ~backoff_factor:1.5 () in
-  Rto.observe r 0.1;
+  Rto.observe r ~now:0.1 ~sent:0.0;
   let base = Rto.rto r in
   Rto.backoff r;
   check_floats ~eps:1e-9 "x1.5" (base *. 1.5) (Rto.rto r);
@@ -430,14 +424,14 @@ let test_rto_backoff () =
   Rto.reset_backoff r;
   check_floats ~eps:1e-9 "reset" base (Rto.rto r);
   Rto.backoff r;
-  Rto.observe r 0.1;
+  Rto.observe r ~now:0.1 ~sent:0.0;
   (* The new sample both resets the backoff and tightens rttvar:
      rttvar' = 0.75*0.05 + 0.25*0 = 0.0375, so rto = 0.1 + 4*0.0375. *)
   check_floats ~eps:1e-9 "sample resets backoff" 0.25 (Rto.rto r)
 
 let test_rto_bounds () =
   let r = Rto.create ~min_rto:0.2 ~max_rto:1.0 () in
-  Rto.observe r 0.001;
+  Rto.observe r ~now:0.001 ~sent:0.0;
   check_float "min clamp" 0.2 (Rto.rto r);
   for _ = 1 to 20 do
     Rto.backoff r
@@ -450,7 +444,7 @@ let test_rto_bounds () =
 let test_rto_timeout_floor () =
   let r = Rto.create ~min_rto:0.5 ~max_rto:2.0 () in
   check_float "before samples" 0.0 (Rto.timeout_floor r ~timeout:1.0);
-  Rto.observe r 0.1;
+  Rto.observe r ~now:0.1 ~sent:0.0;
   (* srtt = 0.1, rttvar = 0.05: the raw formula gives 0.3, under the
      0.5 s min_rto the armed timeout carries *)
   check_floats ~eps:1e-12 "raw formula" 0.3 (Rto.timeout_floor r ~timeout:0.5);
@@ -458,7 +452,7 @@ let test_rto_timeout_floor () =
   Rto.backoff r;
   check_floats ~eps:1e-12 "backoff leaves it" 0.3
     (Rto.timeout_floor r ~timeout:(Rto.rto r));
-  Rto.observe r 0.1;
+  Rto.observe r ~now:0.1 ~sent:0.0;
   check_float "second sample"
     (0.1 +. (4.0 *. 0.0375))
     (Rto.timeout_floor r ~timeout:1.0)
@@ -481,9 +475,9 @@ let test_bucket_basic () =
 let test_bucket_set_rate () =
   let b = Token_bucket.create ~rate:1000.0 ~burst:100.0 ~now:0.0 in
   ignore (Token_bucket.try_consume b ~now:0.0 100);
-  Token_bucket.set_rate b ~now:0.0 2000.0;
+  Token_bucket.set_rate b ~now:0.0 [| 2000.0 |] 0;
   check_floats ~eps:1e-9 "faster" 0.05 (Token_bucket.time_until b ~now:0.0 100);
-  Token_bucket.set_rate b ~now:0.0 0.0;
+  Token_bucket.set_rate b ~now:0.0 [| 0.0 |] 0;
   Alcotest.(check bool)
     "zero rate waits forever" true
     (Float.is_integer (Token_bucket.time_until b ~now:0.0 100) = false
@@ -520,9 +514,9 @@ let windowed_get w ~now =
 let test_windowed_min () =
   let w = Windowed_min.create_min ~window:5.0 in
   Alcotest.(check (option (float 1e-9))) "empty" None (windowed_get w ~now:0.0);
-  Windowed_min.add w ~now:0.0 10.0;
-  Windowed_min.add w ~now:1.0 5.0;
-  Windowed_min.add w ~now:2.0 8.0;
+  Windowed_min.add w ~now:0.0 [| 10.0 |] 0;
+  Windowed_min.add w ~now:1.0 [| 5.0 |] 0;
+  Windowed_min.add w ~now:2.0 [| 8.0 |] 0;
   Alcotest.(check (option (float 1e-9)))
     "min" (Some 5.0)
     (windowed_get w ~now:2.0);
@@ -537,9 +531,9 @@ let test_windowed_min () =
 
 let test_windowed_max () =
   let w = Windowed_min.create_max ~window:5.0 in
-  Windowed_min.add w ~now:0.0 10.0;
-  Windowed_min.add w ~now:1.0 50.0;
-  Windowed_min.add w ~now:2.0 8.0;
+  Windowed_min.add w ~now:0.0 [| 10.0 |] 0;
+  Windowed_min.add w ~now:1.0 [| 50.0 |] 0;
+  Windowed_min.add w ~now:2.0 [| 8.0 |] 0;
   Alcotest.(check (option (float 1e-9)))
     "max" (Some 50.0)
     (windowed_get w ~now:2.0);
@@ -560,7 +554,7 @@ let windowed_max_prop =
       List.for_all
         (fun (dt, v) ->
           now := !now +. dt;
-          Windowed_min.add w ~now:!now v;
+          Windowed_min.add w ~now:!now [| v |] 0;
           hist := (!now, v) :: !hist;
           let expect =
             List.filter_map
@@ -584,7 +578,7 @@ let windowed_min_prop =
       List.for_all
         (fun (dt, v) ->
           now := !now +. dt;
-          Windowed_min.add w ~now:!now v;
+          Windowed_min.add w ~now:!now [| v |] 0;
           hist := (!now, v) :: !hist;
           let expect =
             List.filter_map
@@ -645,9 +639,9 @@ let test_rng_exponential_mean () =
 
 let test_timeseries () =
   let ts = Timeseries.create () in
-  Timeseries.add ts ~time:0.5 10.0;
-  Timeseries.add ts ~time:1.5 20.0;
-  Timeseries.add ts ~time:2.5 30.0;
+  Timeseries.add ts ~time:0.5 [| 10.0 |] 0;
+  Timeseries.add ts ~time:1.5 [| 20.0 |] 0;
+  Timeseries.add ts ~time:2.5 [| 30.0 |] 0;
   check_float "window sum" 30.0 (Timeseries.window_sum ts ~lo:0.0 ~hi:2.0);
   check_float "window mean" 15.0 (Timeseries.window_mean ts ~lo:0.0 ~hi:2.0);
   Alcotest.(check int) "length" 3 (Timeseries.length ts);
@@ -671,13 +665,10 @@ let seg ~seq ~len ~tag =
   {
     Seg_store.seq;
     len;
-    first_sent = 0.0;
-    last_sent = 0.0;
     retx_count = tag;
     sacked = false;
     lost = false;
-    due = 0.0;
-    floor = 0.0;
+    times = { first_sent = 0.0; last_sent = 0.0; due = 0.0; floor = 0.0 };
   }
 
 let store_contents t =
@@ -936,6 +927,129 @@ let test_range_table_allocates_nothing () =
   Alcotest.(check (float 0.0)) "adds" 0.0 filled;
   Alcotest.(check (float 0.0)) "removals" 0.0 emptied
 
+(* Filling the bottom hole of a set of 1,500 spans whose array sits in
+   the major heap shifts every span above it, up on an insert and down
+   on a merge; each result matches the bitmap model. *)
+let test_ivs_bottom_fill () =
+  let n = 1500 in
+  let size = 3 * (n + 1) in
+  let model = Array.make size false in
+  let t = Interval_set.create () in
+  for k = 1 to n do
+    ignore (model_add model (3 * k) ((3 * k) + 1));
+    ignore (add t (3 * k) ((3 * k) + 1))
+  done;
+  Gc.full_major ();
+  let check what lo hi =
+    check_int (what ^ ": added") (model_add model lo hi) (add t lo hi);
+    check_int (what ^ ": cardinal") (model_cardinal model)
+      (Interval_set.cardinal t);
+    check_intervals what (model_runs model ~v:true ~lo:0 ~hi:size)
+      (intervals t)
+  in
+  check "insert below every span" 0 1;
+  check "merge the two lowest" 1 3;
+  check "merge a middle run" 1500 2000
+
+(* ------------------------------------------------------------------ *)
+(* Allocation-free draws and sorts *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* [Rng.bernoulli] draws as [p > 0. && float s 1.0 < p] does: draw for
+   draw, over seeds and probabilities (0, 1 and 1e-9 among them), and
+   leaves the stream where that leaves it. *)
+let bernoulli_prop =
+  let open QCheck2 in
+  let p_gen =
+    Gen.(
+      oneof
+        [ oneofl [ 0.0; 1.0; 1e-9; 0.5; -0.25; 1.5 ]; float_range 0.0 1.0 ])
+  in
+  Test.make ~name:"bernoulli agrees with float draws" ~count:300
+    Gen.(triple (int_range 0 100_000) p_gen (int_range 1 500))
+    (fun (seed, p, n) ->
+      let a = Rng.create ~seed and b = Rng.create ~seed in
+      let same = ref true in
+      for _ = 1 to n do
+        let x = Rng.bernoulli a p in
+        let y = p > 0. && Rng.float b 1.0 < p in
+        if x <> y then same := false
+      done;
+      !same && Rng.int a 1_000_000 = Rng.int b 1_000_000)
+
+let test_bernoulli_allocates_nothing () =
+  let r = Rng.create ~seed:5 in
+  let hits = ref 0 in
+  let p = 0.3 in
+  let w =
+    minor_words (fun () ->
+        for _ = 1 to 10_000 do
+          if Rng.bernoulli r p then incr hits
+        done)
+  in
+  check_bool "some hits" true (!hits > 0);
+  Alcotest.(check (float 0.0)) "words" 0.0 w
+
+(* [Stats.sort_floats] is [Array.sort Float.compare] bit for bit, with
+   NaNs, signed zeros, infinities and ties in the input. *)
+let float_sort_prop =
+  let open QCheck2 in
+  let special =
+    Gen.oneofl
+      [ Float.nan; -.Float.nan; 0.0; -0.0; Float.infinity; Float.neg_infinity;
+        1.0; -1.0; 1e-300 ]
+  in
+  let elt = Gen.(frequency [ (1, special); (2, float); (2, map float_of_int (int_range (-5) 5)) ]) in
+  Test.make ~name:"float sort equals Array.sort Float.compare" ~count:500
+    ~print:Print.(array float)
+    Gen.(array_size (int_range 0 200) elt)
+    (fun a ->
+      let x = Array.copy a and y = Array.copy a in
+      Stats.sort_floats x;
+      Array.sort Float.compare y;
+      Array.for_all2
+        (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+        x y)
+
+(* [Rto.stamp] writes what [rto] and [timeout_floor] return, and it and
+   [observe] allocate nothing (the estimator's floats are flat). *)
+let test_rto_stamp () =
+  let r = Rto.create ~min_rto:0.05 ~max_rto:2.0 ~backoff_factor:1.5 () in
+  Rto.observe r ~now:0.3 ~sent:0.2;
+  Rto.backoff r;
+  let timeout = Rto.rto r in
+  let floor = Rto.timeout_floor r ~timeout in
+  let st = Seg_store.make ~seq:0 ~len:1 in
+  let w = minor_words (fun () -> Rto.stamp r ~now:1.0 st.Seg_store.times) in
+  check_float "due" (1.0 +. timeout) st.Seg_store.times.Seg_store.due;
+  check_float "floor" floor st.Seg_store.times.Seg_store.floor;
+  Alcotest.(check (float 0.0)) "stamp words" 0.0 w;
+  let w = minor_words (fun () -> Rto.observe r ~now:1.25 ~sent:1.0) in
+  Alcotest.(check (float 0.0)) "observe words" 0.0 w;
+  check_floats ~eps:1e-12 "smoothed" ((0.875 *. 0.1) +. (0.125 *. 0.25))
+    (Option.get (Rto.srtt r))
+
+(* A percentile over n samples allocates its one sorted copy (n + 1
+   words), not words per comparison. *)
+let test_percentile_allocation () =
+  let n = 20_000 in
+  let s = Stats.create () in
+  let r = Rng.create ~seed:9 in
+  for _ = 1 to n do
+    add_sample s (Rng.float r 1.0)
+  done;
+  let p99 = ref 0.0 in
+  let w = minor_words (fun () -> p99 := Stats.percentile s 99.0) in
+  check_bool "a sample" true (!p99 > 0.9 && !p99 < 1.0);
+  check_bool
+    (Printf.sprintf "%.0f words for %d samples" w n)
+    true
+    (w <= float_of_int (n + 64))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "leotp_util"
@@ -950,6 +1064,8 @@ let () =
           qc ivs_model_prop;
           qc ivs_cardinal_prop;
           qc ivs_model_queries_prop;
+          Alcotest.test_case "bottom fill of a promoted set" `Quick
+            test_ivs_bottom_fill;
         ] );
       ( "range_table",
         [
@@ -984,8 +1100,10 @@ let () =
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
           Alcotest.test_case "cdf" `Quick test_stats_cdf;
           Alcotest.test_case "jain" `Quick test_jain;
-          Alcotest.test_case "ewma" `Quick test_ewma;
           qc jain_bounds_prop;
+          qc float_sort_prop;
+          Alcotest.test_case "percentile allocates its copy" `Quick
+            test_percentile_allocation;
         ] );
       ( "rto",
         [
@@ -994,6 +1112,7 @@ let () =
           Alcotest.test_case "backoff" `Quick test_rto_backoff;
           Alcotest.test_case "bounds" `Quick test_rto_bounds;
           Alcotest.test_case "timeout floor" `Quick test_rto_timeout_floor;
+          Alcotest.test_case "stamp" `Quick test_rto_stamp;
         ] );
       ( "token_bucket",
         [
@@ -1013,6 +1132,9 @@ let () =
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "substreams" `Quick test_rng_substreams_independent;
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
+          qc bernoulli_prop;
+          Alcotest.test_case "bernoulli allocates nothing" `Quick
+            test_bernoulli_allocates_nothing;
           Alcotest.test_case "exponential" `Quick test_rng_exponential_mean;
         ] );
       ("timeseries", [ Alcotest.test_case "windows" `Quick test_timeseries ]);
