@@ -36,7 +36,7 @@ module Workload = Leotp_scenario.Workload
 module Pathtrace = Leotp_scenario.Pathtrace
 module Path_trace = Leotp_net.Path_trace
 module Path_service = Leotp_constellation.Path_service
-module Cursor = Leotp_util.Cursor
+module Baselines = Leotp_scenario.Baselines
 module Stats = Leotp_util.Stats
 module Units = Leotp_util.Units
 
@@ -153,7 +153,7 @@ let rec render ~indent v =
         (String.concat (",\n  " ^ pad) items)
         pad closing
   in
-  let quote s = Printf.sprintf "\"%s\"" (Cursor.escape s) in
+  let quote s = Printf.sprintf "\"%s\"" (Leotp_util.Cursor.escape s) in
   match v with
   | Bool x -> string_of_bool x
   | Int i -> string_of_int i
@@ -172,71 +172,9 @@ let write_record ~out_dir id fields =
   path
 
 (* ------------------------------------------------------------------ *)
-(* Perf gate.  bench/baselines.json is a JSON array with one entry per
-   line, read by the strict line cursor before anything runs:
-     [
-     {"id":"fig10","field":"minor_words_per_packet","better":"lower","baseline":246.1,"tolerance_pct":25},
-     ...
-     ]
-   Every entry but the last ends with a comma.  Any other line is an
-   error, so the gate cannot pass by skipping what it cannot read. *)
+(* Perf gate: each Baselines entry against its record's field. *)
 
-type baseline = {
-  id : string;
-  field : string;
-  higher : bool;  (** higher is better: the band is a floor *)
-  base : float;
-  tolerance_pct : float;
-}
-
-let parse_baseline ~lineno ~last line =
-  let cur = Cursor.create ~lineno line in
-  let next ?(sep = ",") name read =
-    Cursor.key cur name;
-    let v = read cur ~what:name in
-    Cursor.expect cur sep;
-    v
-  in
-  Cursor.expect cur "{";
-  let id = next "id" Cursor.quoted in
-  let field = next "field" Cursor.quoted in
-  let higher =
-    match next "better" Cursor.quoted with
-    | "lower" -> false
-    | "higher" -> true
-    | other ->
-      Cursor.fail cur "\"better\" must be \"lower\" or \"higher\", not %S" other
-  in
-  let base = next "baseline" Cursor.number in
-  let tolerance_pct = next ~sep:"}" "tolerance_pct" Cursor.number in
-  if base <= 0.0 then Cursor.fail cur "\"baseline\" must be positive";
-  if tolerance_pct < 0.0 || (higher && tolerance_pct >= 100.0) then
-    Cursor.fail cur "\"tolerance_pct\" must be non-negative (below 100 for a floor)";
-  if not last then Cursor.expect cur ",";
-  Cursor.eol cur;
-  { id; field; higher; base; tolerance_pct }
-
-let read_baselines path =
-  let rec entries lineno acc = function
-    | [ "]" ] when acc <> [] -> List.rev acc
-    | [] | [ "]" ] ->
-      Cursor.fail_line lineno "expected an entry, then ] alone on the last line"
-    | line :: rest ->
-      let b = parse_baseline ~lineno ~last:(rest = [ "]" ]) line in
-      if List.exists (fun a -> a.id = b.id && a.field = b.field) acc then
-        Cursor.fail_line lineno "duplicate entry for %s %s" b.id b.field;
-      entries (lineno + 1) (b :: acc) rest
-  in
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error m -> Error m
-  | text ->
-    Cursor.protect (fun () ->
-        match Cursor.lines text with
-        | "[" :: rest -> (path, entries 2 [] rest)
-        | _ -> Cursor.fail_line 1 "expected [ alone on the first line")
-    |> Result.map_error (Printf.sprintf "%s: %s" path)
-
-let gate_entry fields b =
+let gate_entry fields (b : Baselines.t) =
   let bound, op, sign =
     if b.higher then (b.base *. (1.0 -. (b.tolerance_pct /. 100.0)), ">=", "-")
     else (b.base *. (1.0 +. (b.tolerance_pct /. 100.0)), "<=", "+")
@@ -276,7 +214,7 @@ let gate g records =
     Printf.printf "\n=== perf gate (%s) ===\n" path;
     List.fold_left
       (fun ok (id, fields) ->
-        match List.filter (fun b -> b.id = id) baselines with
+        match List.filter (fun (b : Baselines.t) -> b.id = id) baselines with
         | [] ->
           Printf.printf "  %-8s (no baseline; skipped)\n" id;
           ok
@@ -468,8 +406,8 @@ let run_fault_lab ~quick ~out_dir ~trace_wanted spec =
   let faults =
     match spec with
     | None -> []
-    | Some (`Schedule s) -> s
-    | Some (`Random (seed, n)) ->
+    | Some (Fault.Schedule s) -> s
+    | Some (Fault.Random { seed; n }) ->
       Fault.random ~rng:(Leotp_util.Rng.create ~seed) ~duration ~n ()
   in
   (* A one-slot ring still digests every event; only keep records around
@@ -650,10 +588,7 @@ let sim_fairness protocol same_rtt duration =
   let lo = List.nth starts 2 +. 20.0 in
   let rates =
     List.map
-      (fun s ->
-        Units.bytes_per_sec_to_mbps
-          (Leotp_util.Timeseries.window_sum s.Common.delivery ~lo ~hi:duration
-          /. (duration -. lo)))
+      (fun s -> Leotp_net.Flow_metrics.goodput_mbps s.Common.delivery ~lo ~hi:duration)
       summaries
   in
   List.iteri (fun i r -> Printf.printf "flow %d: %.3f Mbps\n" (i + 1) r) rates;
@@ -728,19 +663,8 @@ let city_pair =
   Arg.conv' ~docv:"SRC:DST" (parse, fun ppf (s, d) -> Format.fprintf ppf "%s:%s" s d)
 
 let fault_spec =
-  let parse spec =
-    match String.split_on_char ':' spec with
-    | [ "random"; seed; n ] -> (
-      match (int_of_string_opt seed, int_of_string_opt n) with
-      | Some seed, Some n when n >= 1 -> Ok (`Random (seed, n))
-      | _ -> Error (Printf.sprintf "random:SEED:N expects integers, got %S" spec))
-    | _ -> Result.map (fun s -> `Schedule s) (Fault.of_string spec)
-  in
-  let print ppf = function
-    | `Random (seed, n) -> Format.fprintf ppf "random:%d:%d" seed n
-    | `Schedule s -> Format.pp_print_string ppf (Fault.to_string s)
-  in
-  Arg.conv' ~docv:"SPEC" (parse, print)
+  let print ppf s = Format.pp_print_string ppf (Fault.spec_to_string s) in
+  Arg.conv' ~docv:"SPEC" (Fault.spec_of_string, print)
 
 let opt c default name ~docv doc =
   Arg.(value & opt c default & info [ name ] ~docv ~doc)
@@ -798,10 +722,10 @@ let check =
 let gated run =
   Term.(
     const (fun path run ->
-        match Option.map read_baselines path with
+        match Option.map (fun p -> (p, Baselines.of_file p)) path with
         | None -> run None
-        | Some (Ok g) -> run (Some g)
-        | Some (Error m) ->
+        | Some (p, Ok g) -> run (Some (p, g))
+        | Some (_, Error m) ->
           prerr_endline ("--gate " ^ m);
           false)
     $ opt (Arg.some Arg.file) None "gate" ~docv:"FILE"

@@ -78,6 +78,21 @@ test -s "$out_dir/BENCH_manyflow.json" || {
 # printing a fuzz-replay command for each shrunk failure.
 dune exec bench/main.exe -- fuzz 25 --seed 7 --jobs 2
 
+# The strict spec readers end to end: a schedule naming all eight
+# fault verbs, fed back in the canonical form the lab prints, must
+# reproduce its trace digest; a canonical replay spec with flows= and
+# a schedule must read and replay clean.
+lab() { dune exec bench/main.exe -- faults --quick "$1" > "$out_dir/lab.txt"; }
+lab '1@down:hop1;1.5@up:hop1;2@plr:hop0=0.05;3@plr:hop0=0;3.5@bw:hop2=5;4.5@bw:hop2=20;5@dup:hop0=0.1;6@dup:hop0=0;6.5@reorder:hop1=0.2,0.005;7.5@reorder:hop1=0,0;8@crash:mid0;9@restart:mid0'
+first="$(grep 'trace:' "$out_dir/lab.txt")"
+lab "$(sed -n 's/^  schedule: //p' "$out_dir/lab.txt")"
+test -n "$first" && test "$first" = "$(grep 'trace:' "$out_dir/lab.txt")" || {
+  echo "ci.sh: the printed schedule did not reproduce '$first'" >&2
+  exit 1
+}
+dune exec bench/main.exe -- fuzz-replay \
+  'cc=bbr|seed=11|hops=3|flows=2|bw=12.5|delay=0.0078125|plr=0.0009765625|bytes=150000|dur=30|faults=1.5@down:hop1;2@up:hop1;3@plr:hop0=0.25;4@plr:hop0=0'
+
 # Single scenarios: a fixed transfer over a lossy chain, a TCP flow
 # over a replayed Starlink path trace, a route table.
 dune exec bench/main.exe -- sim path --hops 5 --plr 0.01 --bytes 10000000

@@ -18,10 +18,7 @@ let () =
     in
     let rates =
       List.map
-        (fun s ->
-          Leotp_util.Units.bytes_per_sec_to_mbps
-            (Leotp_util.Timeseries.window_sum s.C.delivery ~lo:200.0 ~hi:360.0
-            /. 160.0))
+        (fun s -> Leotp_net.Flow_metrics.goodput_mbps s.C.delivery ~lo:200.0 ~hi:360.0)
         summaries
     in
     Printf.printf "%s: steady-state shares = [%s] Mbps, Jain index = %.3f\n"

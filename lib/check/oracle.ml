@@ -51,14 +51,13 @@ type t = {
   conns : (string * int, conn) Hashtbl.t;
   mutable divergences : divergence list;  (** newest first *)
   mutable acks : int;
-  mutable seg_events : int;
 }
 
 (* Float-comparison slack. *)
 let eps = 1e-6
 
 let create ~mss () =
-  { mss; conns = Hashtbl.create 8; divergences = []; acks = 0; seg_events = 0 }
+  { mss; conns = Hashtbl.create 8; divergences = []; acks = 0 }
 
 let conn t key =
   match Hashtbl.find_opt t.conns key with
@@ -172,7 +171,6 @@ let check_cc t (c : conn) ~time ~who ~flow ~cc ~phase ~cwnd ~acked =
 let sink t (r : Trace.record) =
   match r.Trace.event with
   | Trace.Seg_state { who; flow; seq; len; state } ->
-    t.seg_events <- t.seg_events + 1;
     let c = conn t (who, flow) in
     let errs =
       match state with
@@ -211,8 +209,6 @@ let attach t trace = Trace.add_sink trace (sink t)
 
 let divergences t = List.rev t.divergences
 let acks t = t.acks
-let seg_events t = t.seg_events
-let connections t = Hashtbl.length t.conns
 
 let divergence_to_string d =
   Printf.sprintf "[%.6f] %s flow %d: %s" d.time d.who d.flow d.what

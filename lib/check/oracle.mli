@@ -35,12 +35,6 @@ val divergences : t -> divergence list
 val acks : t -> int
 (** ACK events checked. *)
 
-val seg_events : t -> int
-(** Segment-lifecycle events replayed. *)
-
-val connections : t -> int
-(** Distinct (sender, flow) connections observed. *)
-
 val divergence_to_string : divergence -> string
 
 val sender_quiescent : Leotp_tcp.Sender.t -> string option

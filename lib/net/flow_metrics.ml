@@ -54,6 +54,8 @@ let delivery t = t.delivery
 let completion_time t =
   match t.finished with Some f -> Some (f -. t.started) | None -> None
 
-let goodput t ~lo ~hi =
+let goodput_mbps delivery ~lo ~hi =
   if hi <= lo then 0.0
-  else Leotp_util.Timeseries.window_sum t.delivery ~lo ~hi /. (hi -. lo)
+  else
+    Leotp_util.Units.bytes_per_sec_to_mbps
+      (Leotp_util.Timeseries.window_sum delivery ~lo ~hi /. (hi -. lo))

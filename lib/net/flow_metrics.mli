@@ -37,5 +37,6 @@ val retx_owd : t -> Leotp_util.Stats.t
 val delivery : t -> Leotp_util.Timeseries.t
 
 val completion_time : t -> float option
-val goodput : t -> lo:float -> hi:float -> float
-(** Application bytes/second delivered in the window. *)
+val goodput_mbps : Leotp_util.Timeseries.t -> lo:float -> hi:float -> float
+(** Mbps of application data a {!delivery} series delivered in
+    [\[lo, hi)]; 0 when the window is empty. *)

@@ -63,58 +63,34 @@ let to_file t path =
 
 let parse_header line =
   let cur = C.create ~lineno:1 line in
-  C.expect cur "{";
-  C.key cur "schema";
-  let schema = C.quoted cur ~what:"schema" in
+  let schema = C.field cur ~sep:"{" "schema" C.quoted in
   if schema <> schema_name then
     C.fail cur "unknown schema %S (expected %S)" schema schema_name;
-  C.expect cur ",";
-  C.key cur "version";
-  let v = C.int_field cur ~what:"version" in
+  let v = C.field cur "version" C.int_field in
   if v <> version then
     C.fail cur "unsupported %s version %d (this reader supports %d)"
       schema_name v version;
-  C.expect cur ",";
-  C.key cur "seed";
-  let seed = C.int_field cur ~what:"seed" in
-  C.expect cur ",";
-  C.key cur "src";
-  let src = C.quoted cur ~what:"src" in
-  C.expect cur ",";
-  C.key cur "dst";
-  let dst = C.quoted cur ~what:"dst" in
-  C.expect cur ",";
-  C.key cur "isls";
-  let isls = C.bool_field cur ~what:"isls" in
-  C.expect cur ",";
-  C.key cur "step";
-  let step = C.number cur ~what:"step" in
+  let seed = C.field cur "seed" C.int_field in
+  let src = C.field cur "src" C.quoted in
+  let dst = C.field cur "dst" C.quoted in
+  let isls = C.field cur "isls" C.bool_field in
+  let step = C.field cur "step" C.number in
   if step <= 0.0 then C.fail cur "\"step\" must be positive";
-  C.expect cur ",";
-  C.key cur "horizon";
-  let horizon = C.number cur ~what:"horizon" in
+  let horizon = C.field cur "horizon" C.number in
   if horizon < 0.0 then C.fail cur "\"horizon\" must be non-negative";
   C.expect cur "}";
   C.eol cur;
   { seed; src; dst; isls; step; horizon }
 
 let parse_hop cur =
-  C.expect cur "{";
-  C.key cur "d";
-  let delay = C.number cur ~what:"d" in
+  let delay = C.field cur ~sep:"{" "d" C.number in
   if delay < 0.0 then C.fail cur "\"d\" (hop delay) must be non-negative";
-  C.expect cur ",";
-  C.key cur "bw";
-  let bw_mbps = C.number cur ~what:"bw" in
+  let bw_mbps = C.field cur "bw" C.number in
   if bw_mbps <= 0.0 then C.fail cur "\"bw\" (hop bandwidth) must be positive";
-  C.expect cur ",";
-  C.key cur "plr";
-  let plr = C.number cur ~what:"plr" in
+  let plr = C.field cur "plr" C.number in
   if plr < 0.0 || plr > 1.0 then C.fail cur "\"plr\" must be within [0, 1]";
-  C.expect cur ",";
-  C.key cur "k";
   let kind =
-    match C.quoted cur ~what:"k" with
+    match C.field cur "k" C.quoted with
     | "gsl" -> Gsl
     | "isl" -> Isl
     | other ->
@@ -125,40 +101,26 @@ let parse_hop cur =
 
 let parse_record ~lineno line =
   let cur = C.create ~lineno line in
-  C.expect cur "{";
-  C.key cur "t";
-  let time = C.number cur ~what:"t" in
+  let time = C.field cur ~sep:"{" "t" C.number in
   C.expect cur ",";
-  if C.looking_at cur "\"outage\"" then begin
-    C.key cur "outage";
-    C.expect cur "true";
-    C.expect cur "}";
-    C.eol cur;
-    { time; event = No_route }
-  end
-  else begin
-    C.key cur "hops";
-    C.expect cur "[";
-    if C.looking_at cur "]" then C.fail cur "\"hops\" must not be empty";
-    let rec hops acc =
-      let h = parse_hop cur in
-      if C.looking_at cur "," then begin
-        C.expect cur ",";
-        hops (h :: acc)
-      end
-      else begin
-        C.expect cur "]";
-        List.rev (h :: acc)
-      end
-    in
-    let hs = hops [] in
-    C.expect cur ",";
-    C.key cur "ho";
-    let handover = C.bool_field cur ~what:"ho" in
-    C.expect cur "}";
-    C.eol cur;
-    { time; event = Route { hops = Array.of_list hs; handover } }
-  end
+  let event =
+    if C.looking_at cur "\"outage\"" then begin
+      C.key cur "outage";
+      C.expect cur "true";
+      No_route
+    end
+    else begin
+      C.key cur "hops";
+      C.expect cur "[";
+      if C.looking_at cur "]" then C.fail cur "\"hops\" must not be empty";
+      let hops = Array.of_list (C.sep_by cur "," parse_hop) in
+      C.expect cur "]";
+      Route { hops; handover = C.field cur "ho" C.bool_field }
+    end
+  in
+  C.expect cur "}";
+  C.eol cur;
+  { time; event }
 
 let of_string s =
   match C.lines s with

@@ -73,20 +73,14 @@ let summarize ?(congestion_drops = 0) ~protocol ~metrics ~floor ~warmup
     ~duration () =
   let owd = Flow_metrics.owd metrics in
   let queuing = Stats.excess owd ~floor in
-  let goodput_window_bytes =
-    Leotp_util.Timeseries.window_sum (Flow_metrics.delivery metrics) ~lo:warmup
-      ~hi:duration
-  in
   let goodput_mbps =
     match Flow_metrics.completion_time metrics with
     | Some ct when ct > 0.0 ->
       Leotp_util.Units.bytes_per_sec_to_mbps
         (float_of_int (Flow_metrics.app_bytes metrics) /. ct)
     | _ ->
-      if duration > warmup then
-        Leotp_util.Units.bytes_per_sec_to_mbps
-          (goodput_window_bytes /. (duration -. warmup))
-      else 0.0
+      Flow_metrics.goodput_mbps (Flow_metrics.delivery metrics) ~lo:warmup
+        ~hi:duration
   in
   {
     protocol;

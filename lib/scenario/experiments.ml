@@ -358,10 +358,7 @@ let fig15 ?(quick = false) () =
     let lo = List.nth starts 2 +. 20.0 and hi = duration in
     let rates =
       List.map
-        (fun s ->
-          Leotp_util.Units.bytes_per_sec_to_mbps
-            (Leotp_util.Timeseries.window_sum s.Common.delivery ~lo ~hi
-            /. (hi -. lo)))
+        (fun s -> Leotp_net.Flow_metrics.goodput_mbps s.Common.delivery ~lo ~hi)
         summaries
     in
     (label, Stats.jain_index rates, rates)

@@ -1,13 +1,3 @@
-(* Seeded scenario fuzzer: random chain topologies, loss rates and fault
-   schedules, each run under LEOTP and every TCP congestion-control
-   variant with the differential oracle (Leotp_check) and the scenario
-   invariant checker attached.  Failing cases are shrunk to a minimal
-   replayable spec.
-
-   Everything is deterministic in the root seed; jobs go through
-   {!Runner.map} so [--jobs N] parallelizes case x protocol cells
-   without changing results. *)
-
 module Fault = Leotp_sim.Fault
 module Trace = Leotp_net.Trace
 module Rng = Leotp_util.Rng
@@ -16,10 +6,8 @@ type spec = {
   seed : int;
   hops : int;
   flows : int;
-      (** 1 = single flow over a chain; >1 = concurrent flows sharing a
-          dumbbell bottleneck (interleaved-flow oracle traces) *)
   bw_mbps : float;
-  delay : float;  (** per-hop one-way, seconds *)
+  delay : float;
   plr : float;
   bytes : int;
   duration : float;
@@ -28,7 +16,7 @@ type spec = {
 
 type failure = {
   protocol : string;
-  spec : spec;  (** shrunk when [shrink_runs > 0] *)
+  spec : spec;
   problems : string list;
   shrink_runs : int;
 }
@@ -166,77 +154,51 @@ let shrink spec protocol =
 
 (* --- replay specs ------------------------------------------------------ *)
 
-let replay_to_string ~protocol spec =
-  String.concat "|"
-    [
-      "cc=" ^ protocol;
-      Printf.sprintf "seed=%d" spec.seed;
-      Printf.sprintf "hops=%d" spec.hops;
-      Printf.sprintf "flows=%d" spec.flows;
-      Printf.sprintf "bw=%.17g" spec.bw_mbps;
-      Printf.sprintf "delay=%.17g" spec.delay;
-      Printf.sprintf "plr=%.17g" spec.plr;
-      Printf.sprintf "bytes=%d" spec.bytes;
-      Printf.sprintf "dur=%.17g" spec.duration;
-      "faults=" ^ Fault.to_string spec.faults;
-    ]
+let replay_to_string ~protocol s =
+  Printf.sprintf
+    "cc=%s|seed=%d|hops=%d|flows=%d|bw=%.17g|delay=%.17g|plr=%.17g|bytes=%d|dur=%.17g|faults=%s"
+    protocol s.seed s.hops s.flows s.bw_mbps s.delay s.plr s.bytes s.duration
+    (Fault.to_string s.faults)
 
+(* One cursor reads the whole spec, fields in the writer's order, so a
+   bad value inside the schedule is located in the spec too. *)
 let replay_of_string s =
-  let ( let* ) = Result.bind in
-  let field kv =
-    match String.index_opt kv '=' with
-    | Some i ->
-      Ok (String.sub kv 0 i, String.sub kv (i + 1) (String.length kv - i - 1))
-    | None -> Error (Printf.sprintf "replay spec: %S is not key=value" kv)
+  let module C = Leotp_util.Cursor in
+  let cur = C.create s in
+  (* [|name=value]; a value the simulator cannot mean is refused with
+     its own text. *)
+  let field name read ~must valid =
+    C.expect cur ("|" ^ name ^ "=");
+    let at = C.column cur in
+    let v = read cur ~what:name in
+    if not (valid v) then
+      raise (C.Bad (Printf.sprintf "%s=%s is not %s" name (C.since cur at) must));
+    v
   in
-  let* fields =
-    List.fold_left
-      (fun acc kv ->
-        let* acc = acc in
-        let* f = field kv in
-        Ok (f :: acc))
-      (Ok [])
-      (String.split_on_char '|' s)
-  in
-  let get k =
-    match List.assoc_opt k fields with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "replay spec: missing %s=" k)
-  in
-  (* A value the simulator cannot mean is refused like a malformed one. *)
-  let num k conv ~what valid =
-    let* v = get k in
-    match conv v with
-    | Some x when valid x -> Ok x
-    | Some _ -> Error (Printf.sprintf "replay spec: %s=%s is not %s" k v what)
-    | None -> Error (Printf.sprintf "replay spec: bad %s=%s" k v)
-  in
-  let count k = num k int_of_string_opt ~what:">= 1" (fun n -> n >= 1) in
-  let real k ~what valid =
-    num k float_of_string_opt ~what (fun x -> Float.is_finite x && valid x)
-  in
-  let* protocol = get "cc" in
-  let* seed = num "seed" int_of_string_opt ~what:"an integer" (fun _ -> true) in
-  let* hops = count "hops" in
-  (* [flows=] postdates the first replay specs; absent means 1. *)
-  let* flows = if List.mem_assoc "flows" fields then count "flows" else Ok 1 in
-  let* bw_mbps = real "bw" ~what:"finite and > 0" (fun b -> b > 0.0) in
-  let* delay = real "delay" ~what:"finite and >= 0" (fun d -> d >= 0.0) in
-  let* plr =
-    real "plr" ~what:"a probability in [0, 1]" (fun p -> p >= 0.0 && p <= 1.0)
-  in
-  let* bytes = count "bytes" in
-  let* duration = real "dur" ~what:"finite and > 0" (fun d -> d > 0.0) in
-  let* fault_spec = get "faults" in
-  let* faults = Fault.of_string fault_spec in
-  Ok
-    ( protocol,
-      { seed; hops; flows; bw_mbps; delay; plr; bytes; duration; faults } )
+  let count name = field name C.natural ~must:">= 1" (fun n -> n >= 1) in
+  C.protect (fun () ->
+      C.expect cur "cc=";
+      let protocol = String.concat "-" (C.sep_by cur "-" (C.word ~what:"cc")) in
+      C.expect cur "|seed=";
+      let seed = C.int_field cur ~what:"seed" in
+      let hops = count "hops" in
+      (* [flows=] postdates the first replay specs; absent means 1. *)
+      let flows = if C.looking_at cur "|flows=" then count "flows" else 1 in
+      let bw_mbps = field "bw" C.number ~must:"finite and > 0" (fun b -> b > 0.0) in
+      let delay = field "delay" C.number ~must:"finite and >= 0" (fun d -> d >= 0.0) in
+      let plr =
+        field "plr" C.number ~must:"a probability in [0, 1]" (fun p ->
+            p >= 0.0 && p <= 1.0)
+      in
+      let bytes = count "bytes" in
+      let duration = field "dur" C.number ~must:"finite and > 0" (fun d -> d > 0.0) in
+      C.expect cur "|faults=";
+      let faults = Fault.read cur in
+      (protocol, { seed; hops; flows; bw_mbps; delay; plr; bytes; duration; faults }))
+  |> Result.map_error (( ^ ) "replay spec: ")
 
 let replay s =
-  match replay_of_string s with
-  | Error e -> Error e
-  | Ok (name, spec) -> (
+  Result.bind (replay_of_string s) (fun (name, spec) ->
     match Common.protocol_of_name name with
     | None -> Error (Printf.sprintf "replay spec: unknown protocol %S" name)
     | Some protocol when spec.flows > 1 && not (Common.runs_on_dumbbell protocol)

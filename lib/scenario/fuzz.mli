@@ -51,6 +51,9 @@ val replay_to_string : protocol:string -> spec -> string
     ["%.17g"] so the round-trip is exact. *)
 
 val replay_of_string : string -> (string * spec, string) result
+(** Reads {!replay_to_string}'s fields in its order ([flows=] may be
+    absent); [Error] names the column where reading stopped, or a value
+    the simulator cannot mean. *)
 
 val replay : string -> (string * spec * string list, string) result
 (** Parse a replay spec and re-run it, returning the problems found

@@ -33,22 +33,14 @@ let action_to_string = function
 let event_to_string ev = Printf.sprintf "%s@%s" (fl ev.time) (action_to_string ev.action)
 let to_string sched = String.concat ";" (List.map event_to_string sched)
 
-let parse_target s =
-  let num prefix =
-    let n = String.length prefix in
-    int_of_string_opt (String.sub s n (String.length s - n))
-  in
-  if String.length s > 3 && String.sub s 0 3 = "hop" then
-    Option.map (fun i -> Hop i) (num "hop")
-  else if String.length s > 3 && String.sub s 0 3 = "mid" then
-    Option.map (fun i -> Mid i) (num "mid")
-  else None
+module C = Leotp_util.Cursor
 
-(* Values the simulator cannot mean — a NaN or infinite time, a
-   probability outside [0, 1], a non-positive bandwidth, a negative
-   jitter — are refused, naming the event. *)
-let check_range item ev =
-  let bad why = Error (Printf.sprintf "bad fault event %S: %s" item why) in
+(* A value the simulator cannot mean is refused, naming the event by
+   the text it was read from. *)
+let check_range cur ~from ev =
+  let bad why =
+    raise (C.Bad (Printf.sprintf "bad fault event %S: %s" (C.since cur from) why))
+  in
   let probability p = p >= 0.0 && p <= 1.0 in
   if not (Float.is_finite ev.time && ev.time >= 0.0) then
     bad "time must be finite and >= 0"
@@ -61,64 +53,75 @@ let check_range item ev =
       bad "bandwidth must be finite and > 0"
     | Set_reorder (_, _, j) when not (Float.is_finite j && j >= 0.0) ->
       bad "jitter must be finite and >= 0"
-    | _ -> Ok ev
+    | _ -> ()
 
-let parse_fields item =
-  let fail () = Error (Printf.sprintf "bad fault event %S" item) in
-  match String.index_opt item '@' with
-  | None -> fail ()
-  | Some at -> (
-    let time = float_of_string_opt (String.sub item 0 at) in
-    let rest = String.sub item (at + 1) (String.length item - at - 1) in
-    let verb, operand =
-      match String.index_opt rest ':' with
-      | None -> (rest, "")
-      | Some c ->
-        (String.sub rest 0 c, String.sub rest (c + 1) (String.length rest - c - 1))
-    in
-    let tgt, args =
-      match String.index_opt operand '=' with
-      | None -> (operand, [])
-      | Some e ->
-        ( String.sub operand 0 e,
-          String.split_on_char ','
-            (String.sub operand (e + 1) (String.length operand - e - 1)) )
-    in
-    match (time, parse_target tgt, args) with
-    | Some time, Some tgt, [] when verb = "down" ->
-      Ok { time; action = Link_down tgt }
-    | Some time, Some tgt, [] when verb = "up" -> Ok { time; action = Link_up tgt }
-    | Some time, Some tgt, [] when verb = "crash" -> Ok { time; action = Crash tgt }
-    | Some time, Some tgt, [] when verb = "restart" ->
-      Ok { time; action = Restart tgt }
-    | Some time, Some tgt, [ a ] -> (
-      match (verb, float_of_string_opt a) with
-      | "plr", Some p -> Ok { time; action = Set_plr (tgt, p) }
-      | "bw", Some b -> Ok { time; action = Set_bw_mbps (tgt, b) }
-      | "dup", Some p -> Ok { time; action = Set_dup (tgt, p) }
-      | _ -> fail ())
-    | Some time, Some tgt, [ a; b ] when verb = "reorder" -> (
-      match (float_of_string_opt a, float_of_string_opt b) with
-      | Some p, Some j -> Ok { time; action = Set_reorder (tgt, p, j) }
-      | _ -> fail ())
-    | _ -> fail ())
+let read_target cur =
+  let at = C.column cur in
+  match C.word cur ~what:"target" with
+  | "hop" -> Hop (C.natural cur ~what:"hop")
+  | "mid" -> Mid (C.natural cur ~what:"mid")
+  | w -> C.fail_at cur at "unknown fault target %S" w
 
-let parse_event item = Result.bind (parse_fields item) (check_range item)
-
-let of_string s =
-  let items =
-    String.split_on_char ';' s
-    |> List.map String.trim
-    |> List.filter (fun x -> x <> "")
+(* [<time>@<verb>:<target>[=<a>[,<b>]]], as [event_to_string] prints
+   it. *)
+let read_event cur =
+  let start = C.column cur in
+  let time = C.number cur ~what:"time" in
+  C.expect cur "@";
+  let verb_at = C.column cur in
+  let verb = C.word cur ~what:"verb" in
+  let arg f tgt =
+    C.expect cur "=";
+    f tgt (C.number cur ~what:verb)
   in
-  List.fold_left
-    (fun acc item ->
-      match (acc, parse_event item) with
-      | Error _, _ -> acc
-      | Ok evs, Ok ev -> Ok (ev :: evs)
-      | Ok _, Error e -> Error e)
-    (Ok []) items
-  |> Result.map List.rev
+  let action =
+    match verb with
+    | "down" -> fun tgt -> Link_down tgt
+    | "up" -> fun tgt -> Link_up tgt
+    | "crash" -> fun tgt -> Crash tgt
+    | "restart" -> fun tgt -> Restart tgt
+    | "plr" -> arg (fun tgt p -> Set_plr (tgt, p))
+    | "bw" -> arg (fun tgt b -> Set_bw_mbps (tgt, b))
+    | "dup" -> arg (fun tgt p -> Set_dup (tgt, p))
+    | "reorder" ->
+      arg (fun tgt p ->
+          C.expect cur ",";
+          Set_reorder (tgt, p, C.number cur ~what:"jitter"))
+    | v -> C.fail_at cur verb_at "unknown fault verb %S" v
+  in
+  C.expect cur ":";
+  let ev = { time; action = action (read_target cur) } in
+  check_range cur ~from:start ev;
+  ev
+
+let read cur =
+  if C.at_end cur then []
+  else
+    let sched = C.sep_by cur ";" read_event in
+    C.eol cur;
+    sched
+
+let of_string s = C.protect (fun () -> read (C.create s))
+
+type spec = Schedule of schedule | Random of { seed : int; n : int }
+
+let spec_to_string = function
+  | Schedule s -> to_string s
+  | Random { seed; n } -> Printf.sprintf "random:%d:%d" seed n
+
+let spec_of_string s =
+  C.protect (fun () ->
+      let cur = C.create s in
+      if not (C.looking_at cur "random:") then Schedule (read cur)
+      else begin
+        C.expect cur "random:";
+        let seed = C.int_field cur ~what:"seed" in
+        C.expect cur ":";
+        let n = C.natural cur ~what:"n" in
+        if n < 1 then C.fail cur "random:SEED:N needs N >= 1";
+        C.eol cur;
+        Random { seed; n }
+      end)
 
 (* Sort is stable and ties additionally break on the serialized action so
    the emitted order never depends on generation order. *)

@@ -8,7 +8,9 @@
     [apply] callback of {!install} (the sim library sits below the
     network model and cannot name its types).
 
-    Spec syntax (one event per [;]-separated item):
+    Spec syntax: events joined by [;] and nothing else (no space);
+    times and arguments are decimal numbers, [i] and [k] non-negative
+    decimal integers:
     {v
       <time>@down:hop<i>            take hop i's duplex link down (flush)
       <time>@up:hop<i>              bring it back
@@ -41,11 +43,21 @@ val to_string : schedule -> string
 (** Canonical [;]-joined form; floats printed with ["%.17g"] so
     [of_string (to_string s)] round-trips exactly. *)
 
+val read : Leotp_util.Cursor.t -> schedule
+(** A schedule up to the end of the input (none is the empty one).
+    Raises {!Leotp_util.Cursor.Bad} at the first column it cannot read,
+    or naming an event the simulator cannot mean: a negative time, a
+    probability outside [0, 1], a non-positive bandwidth or a negative
+    jitter. *)
+
 val of_string : string -> (schedule, string) result
-(** Parse a spec.  [Error msg] names the first offending item, including
-    one the simulator cannot mean: a time that is not finite and >= 0, a
-    probability outside [0, 1], a bandwidth that is not finite and > 0,
-    or a reorder jitter that is not finite and >= 0. *)
+
+(** The fault lab's argument: a schedule, or [random:<seed>:<n>] with
+    [n >= 1] for {!random}. *)
+type spec = Schedule of schedule | Random of { seed : int; n : int }
+
+val spec_to_string : spec -> string
+val spec_of_string : string -> (spec, string) result
 
 val random :
   rng:Leotp_util.Rng.t ->

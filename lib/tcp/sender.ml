@@ -99,6 +99,10 @@ and on_rto_fire t =
            });
     Leotp_util.Rto.backoff t.rto;
     t.cc.Cc.on_rto ~now:(Engine.now t.engine);
+    (* The timeout is this loss episode's one window reduction: as RFC
+       6582 sets [recover] on a timeout, no loss FACK then finds below
+       [snd_nxt] (the retransmission below included) reduces again. *)
+    t.recovery_point <- t.snd_nxt;
     (* Everything outstanding and un-SACKed is presumed lost (Linux
        behaviour); retransmissions then proceed window-limited from the
        collapsed cwnd.  Without this, tail losses leave segments counted

@@ -36,16 +36,6 @@ let window_sum t ~lo ~hi =
   done;
   !acc
 
-let window_mean t ~lo ~hi =
-  let sum = ref 0.0 and n = ref 0 in
-  for i = 0 to t.size - 1 do
-    if t.times.(i) >= lo && t.times.(i) < hi then begin
-      sum := !sum +. t.values.(i);
-      incr n
-    end
-  done;
-  if !n = 0 then Float.nan else !sum /. float_of_int !n
-
 let bucketize t ~width ~t_end =
   let nbuckets = int_of_float (Float.ceil (t_end /. width)) in
   let sums = Array.make (max nbuckets 0) 0.0 in

@@ -15,8 +15,6 @@ val length : t -> int
 val window_sum : t -> lo:float -> hi:float -> float
 (** Sum of values with [lo <= time < hi]. *)
 
-val window_mean : t -> lo:float -> hi:float -> float
-
 val bucketize : t -> width:float -> t_end:float -> (float * float) list
 (** [(bucket_start, sum_of_values)] for consecutive buckets of [width]
     seconds from time 0 to [t_end]. *)

@@ -1453,11 +1453,13 @@ let test_throughput_loss_insensitive () =
     let session = Session.over_chain engine ~config ~chain ~flow:1 () in
     Session.start session;
     Engine.run ~until:60.0 engine;
-    Flow_metrics.goodput session.Session.metrics ~lo:20.0 ~hi:60.0
+    Flow_metrics.goodput_mbps
+      (Flow_metrics.delivery session.Session.metrics)
+      ~lo:20.0 ~hi:60.0
   in
   let clean = tput 0.0 and lossy = tput 0.01 in
   Alcotest.(check bool)
-    (Printf.sprintf "lossy %.0f >= 0.8 x clean %.0f" lossy clean)
+    (Printf.sprintf "lossy %.2f >= 0.8 x clean %.2f Mbps" lossy clean)
     true
     (lossy >= 0.8 *. clean)
 

@@ -739,9 +739,9 @@ let test_flow_metrics () =
   Alcotest.(check (option (float 1e-9)))
     "completion" (Some 2.0)
     (Flow_metrics.completion_time m);
-  Alcotest.(check (float 1e-9))
-    "goodput" 800.0
-    (Flow_metrics.goodput m ~lo:1.0 ~hi:3.5);
+  Alcotest.(check (float 1e-12))
+    "goodput, 800 B/s" 0.0064
+    (Flow_metrics.goodput_mbps (Flow_metrics.delivery m) ~lo:1.0 ~hi:3.5);
   Alcotest.(check int) "retx owd samples" 1
     (Leotp_util.Stats.count (Flow_metrics.retx_owd m));
   Alcotest.(check (float 1e-9))

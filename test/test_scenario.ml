@@ -117,10 +117,7 @@ let test_fairness_dumbbell_runs () =
     summaries;
   let rates =
     List.map
-      (fun s ->
-        Leotp_util.Units.bytes_per_sec_to_mbps
-          (Leotp_util.Timeseries.window_sum s.C.delivery ~lo:120.0 ~hi:240.0
-          /. 120.0))
+      (fun s -> Leotp_net.Flow_metrics.goodput_mbps s.C.delivery ~lo:120.0 ~hi:240.0)
       summaries
   in
   Alcotest.(check bool)

@@ -223,13 +223,15 @@ let steady_tput ?(hops = 5) ?(plr = 0.0) ~cc () =
   in
   Session.start session;
   Engine.run ~until:60.0 engine;
-  Flow_metrics.goodput session.Session.metrics ~lo:10.0 ~hi:60.0
+  Flow_metrics.goodput_mbps
+    (Flow_metrics.delivery session.Session.metrics)
+    ~lo:10.0 ~hi:60.0
 
 let test_loss_hurts_loss_based_cc () =
   let clean = steady_tput ~cc:Cc.Cubic ()
   and lossy = steady_tput ~plr:0.005 ~cc:Cc.Cubic () in
   Alcotest.(check bool)
-    (Printf.sprintf "cubic: %.0f clean vs %.0f lossy B/s" clean lossy)
+    (Printf.sprintf "cubic: %.2f clean vs %.2f lossy Mbps" clean lossy)
     true
     (lossy < 0.7 *. clean)
 
@@ -237,7 +239,7 @@ let test_bbr_beats_cubic_under_loss () =
   let bbr = steady_tput ~plr:0.005 ~cc:Cc.Bbr ()
   and cubic = steady_tput ~plr:0.005 ~cc:Cc.Cubic () in
   Alcotest.(check bool)
-    (Printf.sprintf "bbr %.0f > cubic %.0f under loss" bbr cubic)
+    (Printf.sprintf "bbr %.2f > cubic %.2f Mbps under loss" bbr cubic)
     true (bbr > cubic)
 
 let test_bulk_flow_throughput () =
